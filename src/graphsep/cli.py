@@ -17,14 +17,11 @@ import argparse
 import json
 import sys
 
-from .separability import k_sep_bound, threshold_p, xi_noise
+from .separability import INCONCLUSIVE, NON_K_SEPARABLE, detect, k_sep_bound, threshold_p, xi_noise
 from .stabilizer import permutation_count, permutation_terms
 from .statefile import StateFileError, load_state_file
 from .states import complete_graph
 from .tensor import FAMILIES, DenseLimitError, full_tensor, measurement_settings, norm_table, tensor_norm
-
-NON_K_SEPARABLE = "NonKSeparable"
-INCONCLUSIVE = "Inconclusive"
 
 
 def _fmt(v) -> str:
@@ -118,8 +115,8 @@ def cmd_detect(args) -> int:
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
     norm = tensor_norm(full_tensor(loaded.ensemble, args.zero_tol))
+    verdict = detect(norm, n, args.k).outcome
     pb = k_sep_bound(n, args.k)
-    verdict = NON_K_SEPARABLE if norm > pb.bound else INCONCLUSIVE
     if args.format == "json":
         payload = {
             "n": n,

@@ -92,10 +92,13 @@ def part_norm(m: int) -> float:
     return math.sqrt(2 ** (m - 1) + (1 if m % 2 == 0 else 0))
 
 
+@lru_cache(maxsize=None)
 def k_sep_bound(n: int, k: int, admissible_only: bool = True) -> PartitionBound:
     """Admissible k-partition of n maximizing the product of block norms.
 
-    Ties go to the lexicographically smallest partition.
+    Ties go to the lexicographically smallest partition.  Results are
+    cached: noise sweeps and threshold solves ask for the same (n, k) on
+    every grid step.
     """
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")

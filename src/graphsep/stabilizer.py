@@ -20,20 +20,6 @@ from itertools import combinations
 from .pauli import PauliString, pack_index, unpack_index
 from .states import GraphSpec
 
-_LETTER_CODE = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-
-def _word_masks(p: PauliString) -> tuple[int, int, int]:
-    """(x_mask, z_mask, y_count) of a Pauli word, qubit 1 at the top bit."""
-    n = p.n
-    x = z = 0
-    for a, op in enumerate(p.ops):
-        xb, zb = _LETTER_CODE[op]
-        bit = 1 << (n - 1 - a)
-        x |= xb * bit
-        z |= zb * bit
-    return x, z, (x & z).bit_count()
-
 
 @dataclass(frozen=True, eq=False)
 class StabilizerGroup:
@@ -165,7 +151,7 @@ def stabilizer_expectation(g: StabilizerGroup, p: PauliString) -> int:
     """
     if g.n != p.n:
         raise ValueError(f"group has {g.n} qubits, Pauli word has {p.n}")
-    x, z, _ = _word_masks(p)
+    x, z, _ = p.masks()
     combo = g.member_combo(x, z)
     if combo is None:
         return 0

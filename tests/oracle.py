@@ -43,14 +43,34 @@ def all_full_indices(n: int):
     return product((1, 2, 3), repeat=n)
 
 
+def _index_matrix(idx) -> np.ndarray:
+    return pauli_matrix("".join(AXIS_OPS[i] for i in idx))
+
+
 def dense_full_tensor(terms, n: int, tol: float = 1e-9) -> dict:
-    """Sparse full tensor {index tuple: value} via matrix expectations."""
+    """Sparse full tensor {index tuple: value} via matrix expectations.
+
+    A word is split into a head on the first n - h qubits and a tail on
+    the last h, with explicit matrices Q and R.  With the amplitudes laid
+    out as a 2^(n-h) x 2^h array A, (Q kron R) a is Q A R^T, so only the
+    matrices of the halves are built: at n = 8 that is 16 x 16 instead of
+    256 x 256 per word.
+    """
+    h = n // 2
+    tails = [(idx, _index_matrix(idx).T) for idx in all_full_indices(h)]
+    arrays = [(w, st.amplitudes.reshape(1 << (n - h), 1 << h)) for w, st in terms]
     out = {}
-    for idx in all_full_indices(n):
-        ops = "".join(AXIS_OPS[i] for i in idx)
-        val = dense_mixture_expectation(terms, ops)
-        if abs(val) > tol:
-            out[idx] = val
+    for head in all_full_indices(n - h):
+        q = _index_matrix(head)
+        applied = [(w, a, q @ a) for w, a in arrays]
+        for tail, r_t in tails:
+            val = 0.0
+            for w, a, qa in applied:
+                e = np.vdot(a, qa @ r_t)
+                assert abs(e.imag) < 1e-9
+                val += w * float(e.real)
+            if abs(val) > tol:
+                out[head + tail] = val
     return out
 
 

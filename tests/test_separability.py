@@ -72,6 +72,14 @@ def test_k_sep_bound_examples():
         k_sep_bound(4, 1)
 
 
+def test_k_sep_bound_is_cached():
+    first = k_sep_bound(12, 5)
+    assert k_sep_bound(12, 5) is first
+    assert k_sep_bound(12, 5, admissible_only=False) is not first
+    with pytest.raises(ValueError):
+        k_sep_bound(12, 13)
+
+
 def test_tie_breaks_are_lexicographic():
     # (8,3): 1|2|5 and 2|3|3 tie at sqrt(48); the lex-smaller wins
     assert k_sep_bound(8, 3).parts == (1, 2, 5)

@@ -20,8 +20,10 @@ from graphsep import (
     measurement_settings,
     noisy_mixture,
     norm_table,
+    pack_index,
     stabilizer_group,
     support_size,
+    tensor,
     tensor_norm,
     w_state,
 )
@@ -118,6 +120,51 @@ def test_matches_dense_oracle_on_random_mixture():
     assert set(mine) == set(want)
     for idx, v in want.items():
         assert mine[idx] == pytest.approx(v, abs=1e-10)
+
+
+def _random_member(n, rng, real):
+    amps = random_state(n, rng)
+    if real:
+        amps = amps.real / np.linalg.norm(amps.real)
+    return PureState(n, amps)
+
+
+def _assert_matches_oracle(t, terms, n):
+    want = {pack_index(idx): v for idx, v in dense_full_tensor(terms, n).items()}
+    assert set(t.entries) == set(want)
+    for key, v in want.items():
+        assert abs(t.entries[key] - v) <= 1e-12
+    assert list(t.entries) == sorted(want)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dense_path_matches_matrix_oracle(n, real):
+    rng = np.random.default_rng([n, real])
+    members = int(rng.integers(1, 4))
+    weights = rng.uniform(0.2, 1.0, size=members)
+    weights /= weights.sum()
+    terms = tuple((float(w), _random_member(n, rng, real)) for w in weights)
+    _assert_matches_oracle(full_tensor(MixedEnsemble(terms), method="dense"), terms, n)
+    if n == 8:
+        # more flip masks than one chunk holds, so several chunks ran
+        assert 1 << n > tensor._CHUNK_ELEMENTS >> n
+
+
+def test_dense_path_drops_exact_zeros():
+    # (|000> + |011>)/sqrt(2) mixed with |101>: most of the 27 words vanish exactly
+    amps = np.zeros(8, dtype=complex)
+    amps[[0, 3]] = 2 ** -0.5
+    other = np.zeros(8, dtype=complex)
+    other[5] = 1.0
+    terms = ((0.5, PureState(3, amps)), (0.5, PureState(3, other)))
+    t = full_tensor(MixedEnsemble(terms), method="dense")
+    _assert_matches_oracle(t, terms, 3)
+    assert 0 < len(t) < 27
+    # |000> and |100> in equal parts: of the diagonal words only ZZZ is
+    # identity-free, and it cancels exactly, so even zero_tol=0 keeps nothing
+    zero, one = (PureState(3, np.eye(8, dtype=complex)[i]) for i in (0, 4))
+    assert len(full_tensor(MixedEnsemble(((0.5, zero), (0.5, one))), 0.0, method="dense")) == 0
 
 
 def test_measurement_settings():
