@@ -32,6 +32,7 @@ from .stabilizer import (
     cg_nonzero_pattern,
     cg_norm_closed,
     full_weight_support,
+    ghz_group,
     ghz_nonzero_pattern,
     permutation_count,
     stabilizer_expectation,

@@ -100,6 +100,28 @@ def unpack_index(packed: int, n: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
+@lru_cache(maxsize=None)
+def _base3_table(n: int) -> np.ndarray:
+    """T3[m] = sum of 3^p over the set bits p of m, for every n-bit mask m."""
+    table = np.zeros(1, dtype=np.int64)
+    for p in range(n):
+        # masks with bit p set follow those without, 3^p higher
+        table = np.concatenate([table, table + 3 ** p])
+    table.setflags(write=False)
+    return table
+
+
+def packed_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """pack_index of identity-free words given by flip and phase mask arrays.
+
+    Every word needs x | z to be the full n-bit mask.  Bit p holds qubit
+    n - p and base-3 digit p, so X (x only) packs to 0, Y (both) to 1 and
+    Z (z only) to 2: the key is T3(z) + T3(z & ~x).
+    """
+    t3 = _base3_table(n)
+    return t3[z] + t3[z & ~x]
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized n-qubit state vector (qubit 1 = most significant bit).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .states import ghz_state, noisy_mixture
-from .tensor import full_tensor
+from .tensor import full_tensor, tensor_dot
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -145,22 +145,20 @@ def _cg_numerator(n: int, p: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _ghz_noise_tensors(n: int) -> tuple[dict, dict]:
-    """Dense-path sparse tensors of the GHZ state and of |1...1>."""
-    base = dict(full_tensor(ghz_state(n), method="dense").entries)
-    ones = dict(full_tensor(noisy_mixture(ghz_state(n), 1.0), method="dense").entries)
-    return base, ones
+def _ghz_noise_products(n: int) -> tuple[float, float, float]:
+    """B = base.base, C = base.ones, O = ones.ones of the dense-path tensors
+    of the GHZ state (base) and of |1...1> (ones)."""
+    base = full_tensor(ghz_state(n), method="dense")
+    ones = full_tensor(noisy_mixture(ghz_state(n), 1.0), method="dense")
+    return tensor_dot(base, base), tensor_dot(base, ones), tensor_dot(ones, ones)
 
 
 def _ghz_numerator(n: int, p: float) -> float:
-    # mixture tensor by linearity of the ensemble expectation; the two
+    # the mixture tensor is (1-p) base + p ones by linearity of the ensemble
+    # expectation, so its squared norm is a quadratic in p; the two
     # supports overlap at the all-Z word for even n
-    base, ones = _ghz_noise_tensors(n)
-    total = 0.0
-    for key in base.keys() | ones.keys():
-        v = (1.0 - p) * base.get(key, 0.0) + p * ones.get(key, 0.0)
-        total += v * v
-    return total
+    b, c, o = _ghz_noise_products(n)
+    return (1.0 - p) ** 2 * b + 2.0 * p * (1.0 - p) * c + p * p * o
 
 
 def xi_noise(n: int, k: int, p: float, family: str = "cg") -> XiResult:

@@ -7,8 +7,10 @@ equals ``i^y * X^x * Z^z`` with y the number of Y positions, so the sign
 of a group element relative to the Hermitian word is ``i^(t - y)``,
 asserted to be +-1 throughout.
 
-This gives O(2^n) support enumeration and O(n) expectation lookups where
-the dense path would sweep 3^n strings.
+full_weight_support evaluates that product for all 2^n generator subsets
+with numpy, a chunk of subsets at a time, so support enumeration is
+O(2^n) vectorized work where the dense path would sweep 3^n strings;
+single expectations are O(n) membership solves.
 """
 
 from __future__ import annotations
@@ -17,8 +19,15 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .pauli import PauliString, pack_index, unpack_index
+import numpy as np
+
+from .pauli import PauliString, pack_index, packed_keys, unpack_index
 from .states import GraphSpec
+
+# Generators whose subsets form one chunk of the vectorized group
+# product: each temporary is 2^14 int64 lanes (128 KiB), whatever the
+# qubit count.
+_SUBSET_BITS = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,23 +123,40 @@ class StabilizerGroup:
 
 @dataclass(frozen=True, eq=False)
 class SupportPattern:
-    """Set of identity-free index words with signs, keyed base-3 packed.
+    """Identity-free index words with signs: base-3 packed int64 keys, float64 signs.
 
-    Pattern generators that only enumerate index sets store a +1
-    placeholder sign; signed entries come from full_weight_support.
+    full_weight_support stores its elements in ascending key order with
+    their group signs.  Pattern generators that only enumerate index sets
+    keep their enumeration order and store a +1 placeholder sign.
     """
 
     n: int
-    entries: dict
+    keys: np.ndarray
+    signs: np.ndarray
+
+    def __post_init__(self):
+        keys = np.asarray(self.keys, dtype=np.int64)
+        signs = np.asarray(self.signs, dtype=np.float64)
+        if keys.ndim != 1 or keys.shape != signs.shape:
+            raise ValueError("keys and signs must be 1-D arrays of one length")
+        keys.setflags(write=False)
+        signs.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "signs", signs)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
+
+    @property
+    def entries(self) -> dict:
+        """Packed key -> sign, built on each access, for inspection."""
+        return dict(zip(self.keys.tolist(), self.signs.tolist()))
 
     def packed_set(self) -> frozenset:
-        return frozenset(self.entries)
+        return frozenset(self.keys.tolist())
 
     def indices(self) -> list[tuple[int, ...]]:
-        return [unpack_index(k, self.n) for k in self.entries]
+        return [unpack_index(k, self.n) for k in self.keys.tolist()]
 
     def words(self) -> list[str]:
         return ["".join("XYZ"[i - 1] for i in idx) for idx in self.indices()]
@@ -141,6 +167,14 @@ def stabilizer_group(spec: GraphSpec) -> StabilizerGroup:
     adj = spec.adjacency_masks()
     gens = tuple((1 << (spec.n - a), adj[a - 1], 1) for a in range(1, spec.n + 1))
     return StabilizerGroup(spec.n, gens)
+
+
+def ghz_group(n: int) -> StabilizerGroup:
+    """GHZ-state stabilizer generators: X on every qubit, then Z_a Z_(a+1) for a < n."""
+    if n < 2:
+        raise ValueError("GHZ group needs n >= 2")
+    gens = (((1 << n) - 1, 0, 1),) + tuple((0, 3 << (n - 1 - a), 1) for a in range(1, n))
+    return StabilizerGroup(n, gens)
 
 
 def stabilizer_expectation(g: StabilizerGroup, p: PauliString) -> int:
@@ -162,35 +196,44 @@ def stabilizer_expectation(g: StabilizerGroup, p: PauliString) -> int:
 
 
 def full_weight_support(g: StabilizerGroup) -> SupportPattern:
-    """All identity-free group elements with their signs.
+    """All identity-free group elements with their signs, in ascending key order.
 
-    Walks the 2^n subset lattice in Gray-code order so each step is a
-    single generator multiplication.
+    Subsets S of the generators, multiplied in generator order, split
+    into the first b = min(n, 14) generators and the rest.  One numpy
+    pass per low generator forms ``i^t * X^x * Z^z`` for all 2^b low
+    subsets at once, exactly as product_sign does for one subset; each
+    high subset's product H (from product_sign) then multiplies that
+    whole chunk, using Z^z X^hx = (-1)^popcount(z & hx) X^hx Z^z.
+    Elements with x | z full are kept (S = 0, the identity, never is).
     """
     n = g.n
     full = (1 << n) - 1
-    entries: dict[int, int] = {}
-    x = z = t = 0
-    for step in range(1, 1 << n):
-        k = (step & -step).bit_length() - 1  # generator toggled by this Gray step
-        gx, gz, gs = g.generators[k]
-        t += 2 * (z & gx).bit_count() + (gx & gz).bit_count()
-        if gs == -1:
-            t += 2
-        x ^= gx
-        z ^= gz
-        if (x | z) != full:
-            continue
-        phase = (t - (x & z).bit_count()) % 4
-        if phase & 1:
+    low_bits = min(n, _SUBSET_BITS)
+    low = np.arange(1 << low_bits, dtype=np.int64)
+    lx = np.zeros_like(low)
+    lz = np.zeros_like(low)
+    lt = np.zeros_like(low)
+    for k, (gx, gz, gs) in enumerate(g.generators[:low_bits]):
+        on = (low >> k) & 1
+        own = (gx & gz).bit_count() + (2 if gs == -1 else 0)
+        lt += on * (2 * np.bitwise_count(lz & gx) + own)
+        lx ^= on * gx
+        lz ^= on * gz
+    keys, signs = [], []
+    for high in range(0, 1 << n, 1 << low_bits):
+        hx, hz, hsign = g.product_sign(high)
+        keep = ((lx ^ hx) | (lz ^ hz)) == full
+        x, zl = lx[keep] ^ hx, lz[keep]
+        z = zl ^ hz
+        t = lt[keep] + 2 * np.bitwise_count(zl & hx) + (hx & hz).bit_count() + 1 - hsign
+        phase = (t - np.bitwise_count(x & z)) & 3
+        if (phase & 1).any():
             raise RuntimeError("stabilizer element has non-real phase")
-        idx = 0
-        for a in range(n):
-            bit = 1 << (n - 1 - a)
-            code = (2 if x & bit else 0) + (1 if z & bit else 0)
-            idx = idx * 3 + (0, 2, 0, 1)[code]  # X->0, Y->1, Z->2 packed digits
-        entries[idx] = 1 if phase == 0 else -1
-    return SupportPattern(n, entries)
+        keys.append(packed_keys(x, z, n))
+        signs.append(1.0 - phase)  # phase 0 -> +1, phase 2 -> -1
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    return SupportPattern(n, keys[order], np.concatenate(signs)[order])
 
 
 def cg_nonzero_pattern(n: int) -> SupportPattern:
@@ -201,16 +244,16 @@ def cg_nonzero_pattern(n: int) -> SupportPattern:
     """
     if n < 2:
         raise ValueError("pattern needs n >= 2")
-    entries: dict[int, int] = {}
+    keys = []
     for x_count in range(1, n + 1, 2):
         for positions in combinations(range(n), x_count):
             idx = [3] * n
             for pos in positions:
                 idx[pos] = 1
-            entries[pack_index(idx)] = 1
+            keys.append(pack_index(idx))
     if n % 2 == 0:
-        entries[pack_index((2,) * n)] = 1
-    return SupportPattern(n, entries)
+        keys.append(pack_index((2,) * n))
+    return SupportPattern(n, keys, np.ones(len(keys)))
 
 
 def ghz_nonzero_pattern(n: int) -> SupportPattern:
@@ -221,16 +264,16 @@ def ghz_nonzero_pattern(n: int) -> SupportPattern:
     """
     if n < 2:
         raise ValueError("pattern needs n >= 2")
-    entries: dict[int, int] = {}
+    keys = []
     for y_count in range(0, n + 1, 2):
         for positions in combinations(range(n), y_count):
             idx = [1] * n
             for pos in positions:
                 idx[pos] = 2
-            entries[pack_index(idx)] = 1
+            keys.append(pack_index(idx))
     if n % 2 == 0:
-        entries[pack_index((3,) * n)] = 1
-    return SupportPattern(n, entries)
+        keys.append(pack_index((3,) * n))
+    return SupportPattern(n, keys, np.ones(len(keys)))
 
 
 def cg_norm_closed(n: int) -> float:

@@ -1,9 +1,11 @@
 """Constructors for graph, GHZ, W and cluster states plus colored-noise mixtures.
 
 Graph states are built by applying a controlled-Z along every edge of a
-simple graph to |+>^n.  The cluster state is realized as the linear-chain
-graph state, which is local-unitary equivalent to the usual product-form
-definition and therefore has the same correlation-tensor norm.
+simple graph to |+>^n: the sign of basis state b flips once per edge
+with both ends set in b, and that parity is built one vertex at a time.
+The cluster state is realized as the linear-chain graph state, which is
+local-unitary equivalent to the usual product-form definition and
+therefore has the same correlation-tensor norm.
 """
 
 from __future__ import annotations
@@ -66,13 +68,22 @@ def star_graph(n: int) -> GraphSpec:
 
 
 def graph_state(spec: GraphSpec) -> PureState:
-    """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2)."""
+    """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2).
+
+    The sign parity of b is the sum over vertices a of bit_a(b) times
+    popcount(b & later(a)), later(a) being a's neighbours after a.  Taking
+    the vertices from n down to 1, the parity table over qubits a..n is
+    the table over qubits a+1..n (bit a clear), followed by that table
+    XOR the popcount term (bit a set): one step per vertex, not per edge.
+    """
     n = spec.n
-    idx = np.arange(1 << n, dtype=np.int64)
-    flips = np.zeros(1 << n, dtype=np.uint8)
-    for a, b in spec.edges:
-        # CZ flips the sign exactly where both incident qubits are 1
-        flips ^= ((idx >> (n - a)) & (idx >> (n - b)) & 1).astype(np.uint8)
+    later = [0] * (n + 1)
+    for a, b in spec.edges:  # a < b
+        later[a] |= 1 << (n - b)
+    flips = np.zeros(1, dtype=np.uint8)
+    for a in range(n, 0, -1):
+        rest = np.arange(flips.size, dtype=np.int64)
+        flips = np.concatenate([flips, flips ^ (np.bitwise_count(rest & later[a]) & 1)])
     amps = (1.0 - 2.0 * flips) * 2.0 ** (-n / 2.0)
     return PureState(n, amps.astype(np.complex128), graph=spec)
 

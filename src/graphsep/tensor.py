@@ -1,9 +1,10 @@
 """Full correlation tensors, the standard tensor norm, and the norm table.
 
 The full tensor of an n-qubit state holds the expectation values of all
-3^n identity-free Pauli words.  It is stored sparsely, keyed by base-3
-packed index words, because for the states handled here only O(2^(n-1))
-entries are nonzero.
+3^n identity-free Pauli words.  It is stored sparsely, as the sorted
+base-3 packed keys of its nonzero entries plus their values (two numpy
+arrays), because for the states handled here only O(2^(n-1)) entries
+are nonzero.
 
 Two evaluation paths exist.  The dense path (the ground truth, limited
 to small n) evaluates all 3^n words at once: for each bit-flip mask x it
@@ -12,7 +13,8 @@ Walsh-Hadamard transform of that vector gives the expectations of every
 word with flip mask x.  Over all 2^n masks that is O(n 4^n) vectorized
 work, done in chunks of masks.  The stabilizer shortcut is used when
 every ensemble member is a tagged graph state or the |1...1> product
-state.
+state: each member's signed group elements come from one vectorized
+enumeration, and the members are merged by key.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,10 +31,11 @@ from .pauli import (
     PureState,
     embed,
     pack_index,
+    packed_keys,
     pure_ensemble,
     unpack_index,
 )
-from .stabilizer import cg_nonzero_pattern, full_weight_support, ghz_nonzero_pattern, stabilizer_group
+from .stabilizer import cg_nonzero_pattern, full_weight_support, ghz_group, stabilizer_group
 from .states import (
     GraphSpec,
     chain_graph,
@@ -51,13 +53,9 @@ DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
 
 FAMILIES = ("cg", "ghz", "w", "cluster")
 
-# Complex elements per chunk of flip masks in the dense transform, and
-# tensor entries per block when the dict is filled.  The dense detect of
-# a random 10-qubit state stores all 3^10 entries, so the Python dict
-# dominates its memory; chunk temporaries and key/value lists must stay
-# small beside it.
+# Complex elements per chunk of flip masks in the dense transform; the
+# chunk temporaries stay small beside the 3^n accumulator.
 _CHUNK_ELEMENTS = 1 << 11
-_FILL_BLOCK = 1 << 12
 
 
 class DenseLimitError(RuntimeError):
@@ -72,42 +70,59 @@ def dense_limit(override: int | None = None) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationTensor:
-    """Sparse full correlation tensor: base-3 packed index word -> value."""
+    """Sparse full correlation tensor: ascending base-3 packed keys and their values.
+
+    keys is a strictly increasing int64 array of packed index words and
+    values the float64 entries at those words; every other entry is zero.
+    """
 
     n: int
-    entries: dict
+    keys: np.ndarray
+    values: np.ndarray
     zero_tol: float = 1e-9
 
+    def __post_init__(self):
+        keys = np.asarray(self.keys, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if keys.ndim != 1 or keys.shape != values.shape:
+            raise ValueError("keys and values must be 1-D arrays of one length")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("keys must be strictly increasing")
+        keys.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
+
+    @property
+    def entries(self) -> dict:
+        """Packed key -> value, built on each access, for inspection."""
+        return dict(zip(self.keys.tolist(), self.values.tolist()))
 
     def value(self, idx) -> float:
         """Entry at a full-index tuple; absent entries are zero."""
-        return self.entries.get(pack_index(idx), 0.0)
+        key = pack_index(idx)
+        i = int(np.searchsorted(self.keys, key))
+        if i < len(self.keys) and self.keys[i] == key:
+            return float(self.values[i])
+        return 0.0
 
     def items(self):
         """(index tuple, value) pairs in canonical (packed-key) order."""
-        for key in sorted(self.entries):
-            yield unpack_index(key, self.n), self.entries[key]
+        for key, v in zip(self.keys.tolist(), self.values.tolist()):
+            yield unpack_index(key, self.n), v
 
 
-def _support_entries(state: PureState) -> dict | None:
-    """Stabilizer-path sparse tensor of a single state, if one applies."""
+def _support_arrays(state: PureState) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stabilizer-path (keys, signs) of a single state, if one applies."""
     if isinstance(state.graph, GraphSpec):
-        return dict(full_weight_support(stabilizer_group(state.graph)).entries)
+        pattern = full_weight_support(stabilizer_group(state.graph))
+        return pattern.keys, pattern.signs
     if is_all_ones(state):
-        return {pack_index((3,) * state.n): (-1.0) ** state.n}
+        return np.array([pack_index((3,) * state.n)]), np.array([(-1.0) ** state.n])
     return None
-
-
-@lru_cache(maxsize=None)
-def _base3_table(n: int) -> np.ndarray:
-    """T3[m] = sum of 3^p over the set bits p of m, for every n-bit mask m."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    table = np.zeros(1 << n, dtype=np.int64)
-    for p in range(n):
-        table += ((masks >> p) & 1) * 3 ** p
-    return table
 
 
 def _walsh_hadamard(f: np.ndarray) -> None:
@@ -126,19 +141,19 @@ def _walsh_hadamard(f: np.ndarray) -> None:
         h *= 2
 
 
-def _dense_entries(terms, n: int, zero_tol: float) -> dict:
+def _dense_arrays(terms, n: int, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Every identity-free expectation of a mixture, via one transform per flip mask.
 
     For a flip mask x, f_x[b] = sum_w w * conj(a_w[b ^ x]) * a_w[b]; its
     Walsh-Hadamard transform at z is <X^x Z^z>, and the Hermitian word with
     those masks is i^popcount(x & z) times that.  Words with x | z full are
-    identity-free; their packed base-3 key is T3(z) + T3(z & ~x).  Flip
-    masks go in chunks, so memory stays at O(chunk + 3^n).
+    identity-free; they land in a 3^n array at their packed key.  Flip
+    masks go in chunks, so memory stays at O(chunk + 3^n).  Returns the
+    keys and values above zero_tol, in key order.
     """
     size = 1 << n
     i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])
     basis = np.arange(size, dtype=np.int64)
-    t3 = _base3_table(n)
     acc = np.zeros(3 ** n)
     rows = max(1, _CHUNK_ELEMENTS >> n)
     for start in range(0, size, rows):
@@ -151,13 +166,9 @@ def _dense_entries(terms, n: int, zero_tol: float) -> dict:
         residue = np.abs(vals.imag).max()
         if residue > IMAG_TOL:
             raise RuntimeError(f"expectation has imaginary residue {residue}")
-        acc[t3[z] + t3[z & ~x]] = vals.real
-    entries = {}
-    for start in range(0, acc.size, _FILL_BLOCK):
-        block = acc[start:start + _FILL_BLOCK]
-        keep = np.flatnonzero(np.abs(block) > zero_tol)
-        entries.update(zip((keep + start).tolist(), block[keep].tolist()))
-    return entries
+        acc[packed_keys(x, z, n)] = vals.real
+    keep = np.flatnonzero(np.abs(acc) > zero_tol)
+    return keep, acc[keep]
 
 
 def full_tensor(
@@ -183,14 +194,14 @@ def full_tensor(
     n = ens.n
 
     if method != "dense":
-        supports = [_support_entries(st) for _, st in ens.terms]
+        supports = [_support_arrays(st) for _, st in ens.terms]
         if all(s is not None for s in supports):
-            acc: dict[int, float] = {}
-            for (w, _), sup in zip(ens.terms, supports):
-                for key, sign in sup.items():
-                    acc[key] = acc.get(key, 0.0) + w * sign
-            entries = {k: v for k, v in sorted(acc.items()) if abs(v) > zero_tol}
-            return CorrelationTensor(n, entries, zero_tol)
+            # members in order, so each key sums its terms as a sequential loop would
+            keys, inverse = np.unique(np.concatenate([k for k, _ in supports]), return_inverse=True)
+            weighted = np.concatenate([w * signs for (w, _), (_, signs) in zip(ens.terms, supports)])
+            acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
+            keep = np.abs(acc) > zero_tol
+            return CorrelationTensor(n, keys[keep], acc[keep], zero_tol)
         if method == "support":
             raise ValueError("support path needs graph-tagged or |1...1> members only")
 
@@ -200,18 +211,28 @@ def full_tensor(
             f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit "
             f"(raise {DENSE_LIMIT_ENV} to override)"
         )
-    entries = _dense_entries(ens.terms, n, zero_tol)
-    return CorrelationTensor(n, entries, zero_tol)
+    keys, values = _dense_arrays(ens.terms, n, zero_tol)
+    return CorrelationTensor(n, keys, values, zero_tol)
 
 
 def tensor_norm(t: CorrelationTensor) -> float:
-    """Standard (Frobenius) tensor norm: sqrt of the sum of squared entries."""
-    return math.sqrt(sum(v * v for v in t.entries.values()))
+    """Standard (Frobenius) tensor norm: sqrt of the sum of squared entries.
+
+    The sum is exactly rounded (math.fsum), so it depends neither on the
+    order of the entries nor on the path that built the tensor.
+    """
+    return math.sqrt(math.fsum((t.values * t.values).tolist()))
+
+
+def tensor_dot(a: CorrelationTensor, b: CorrelationTensor) -> float:
+    """Sum of a's entries times b's at the same words, exactly rounded."""
+    _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
+    return math.fsum((a.values[ia] * b.values[ib]).tolist())
 
 
 def support_size(t: CorrelationTensor) -> int:
     """Number of stored (nonzero) tensor entries."""
-    return len(t.entries)
+    return len(t.keys)
 
 
 def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> list[PauliString]:
@@ -244,11 +265,12 @@ def _family_state(family: str, n: int) -> PureState:
 def _family_norm(family: str, n: int, lim: int, support_limit: int) -> float:
     if n <= lim:
         return tensor_norm(full_tensor(_family_state(family, n), method="dense", limit=lim))
-    if family in ("cg", "cluster") and n <= support_limit:
-        spec = complete_graph(n) if family == "cg" else chain_graph(n)
-        return math.sqrt(len(full_weight_support(stabilizer_group(spec))))
-    if family == "ghz" and n <= support_limit:
-        return math.sqrt(len(ghz_nonzero_pattern(n)))
+    if family != "w" and n <= support_limit:
+        if family == "ghz":
+            group = ghz_group(n)
+        else:
+            group = stabilizer_group(complete_graph(n) if family == "cg" else chain_graph(n))
+        return math.sqrt(len(full_weight_support(group)))
     raise DenseLimitError(
         f"family {family!r} at n={n} exceeds the dense limit {lim}"
         + ("" if family == "w" else f" and the support limit {support_limit}")

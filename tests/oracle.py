@@ -119,3 +119,37 @@ def brute_admissible_partitions(n: int, k: int) -> list:
 
     found = {tuple(sorted(comp)) for comp in compositions(n, k)}
     return sorted(p for p in found if p.count(2) <= 1)
+
+
+def gray_code_support(g) -> dict:
+    """Identity-free elements of a stabilizer group {packed key: sign}, one at a time.
+
+    Walks the 2^n generator subsets in Gray-code order, so each step
+    multiplies in a single generator ``i^t X^x Z^z`` of g.generators
+    (x, z bitmasks with qubit 1 at the top bit).  The reference for the
+    library's vectorized enumeration.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    entries = {}
+    x = z = t = 0
+    for step in range(1, 1 << n):
+        k = (step & -step).bit_length() - 1  # generator toggled by this Gray step
+        gx, gz, gs = g.generators[k]
+        t += 2 * (z & gx).bit_count() + (gx & gz).bit_count()
+        if gs == -1:
+            t += 2
+        x ^= gx
+        z ^= gz
+        if (x | z) != full:
+            continue
+        phase = (t - (x & z).bit_count()) % 4
+        if phase & 1:
+            raise RuntimeError("stabilizer element has non-real phase")
+        idx = 0
+        for a in range(n):
+            bit = 1 << (n - 1 - a)
+            code = (2 if x & bit else 0) + (1 if z & bit else 0)
+            idx = idx * 3 + (0, 2, 0, 1)[code]  # X->0, Y->1, Z->2 packed digits
+        entries[idx] = 1 if phase == 0 else -1
+    return entries

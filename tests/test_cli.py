@@ -2,9 +2,11 @@
 
 import json
 import math
+from functools import lru_cache
 
 import pytest
 
+from graphsep import full_tensor, ghz_state, noisy_mixture, separability
 from graphsep.cli import main
 
 
@@ -118,6 +120,32 @@ def test_sweep_to_file_deterministic(capsys, tmp_path):
         "--p-steps", "5", "--out", str(out_path))
     assert out_path.read_text() == first
     assert first.splitlines()[2] == "p,norm_sq,bound_sq,xi,verdict"
+
+
+@lru_cache(maxsize=None)
+def _ghz_entries(n):
+    base = full_tensor(ghz_state(n), method="dense").entries
+    ones = full_tensor(noisy_mixture(ghz_state(n), 1.0), method="dense").entries
+    return base, ones
+
+
+def _per_key_ghz_numerator(n, p):
+    """Squared norm of the GHZ+noise tensor summed entry by entry over both supports."""
+    base, ones = _ghz_entries(n)
+    total = 0.0
+    for key in base.keys() | ones.keys():
+        v = (1.0 - p) * base.get(key, 0.0) + p * ones.get(key, 0.0)
+        total += v * v
+    return total
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 4), (6, 2), (7, 7), (8, 2)])
+def test_ghz_sweep_quadratic_numerator_matches_per_key_sum(capsys, monkeypatch, n, k):
+    argv = ("sweep", "--family", "ghz", "--n", str(n), "--k", str(k), "--p-steps", "101")
+    _, quadratic, _ = run(capsys, *argv)
+    monkeypatch.setattr(separability, "_ghz_numerator", _per_key_ghz_numerator)
+    _, per_key, _ = run(capsys, *argv)
+    assert quadratic == per_key
 
 
 def test_sweep_rejects_bad_flags(capsys):

@@ -14,7 +14,9 @@ from graphsep import (
     chain_graph,
     complete_graph,
     expectation,
+    full_tensor,
     full_weight_support,
+    ghz_group,
     ghz_nonzero_pattern,
     ghz_state,
     graph_state,
@@ -23,9 +25,10 @@ from graphsep import (
     stabilizer_group,
     star_graph,
 )
+from graphsep import stabilizer
 from graphsep.stabilizer import permutation_terms
 
-from oracle import all_full_indices, dense_expectation, dense_full_tensor
+from oracle import all_full_indices, dense_expectation, dense_full_tensor, gray_code_support
 
 
 def random_graph(n, rng):
@@ -140,6 +143,50 @@ def test_ghz_pattern_matches_dense_support(n):
     state = ghz_state(n)
     dense = dense_full_tensor(((1.0, state),), n)
     assert set(dense) == set(ghz_nonzero_pattern(n).indices())
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ghz_group_support_is_ghz_pattern(n):
+    support = full_weight_support(ghz_group(n))
+    assert support.packed_set() == ghz_nonzero_pattern(n).packed_set()
+    if n <= 8:
+        dense = full_tensor(ghz_state(n), method="dense")
+        assert support.keys.tolist() == dense.keys.tolist()
+        assert np.allclose(support.signs, dense.values, rtol=0, atol=1e-9)
+
+
+def _assert_matches_gray_code_walker(group):
+    support = full_weight_support(group)
+    want = gray_code_support(group)
+    keys = support.keys.tolist()
+    assert keys == sorted(want)  # same key set, ascending
+    assert support.signs.tolist() == [want[key] for key in keys]
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_support_matches_gray_code_walker_on_random_graphs(n):
+    rng = np.random.default_rng(3000 + n)
+    _assert_matches_gray_code_walker(stabilizer_group(random_graph(n, rng)))
+    if n == 16:
+        # more subsets than one chunk holds, so several chunks ran
+        assert n > stabilizer._SUBSET_BITS + 1
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_support_matches_gray_code_walker_on_ghz_groups(n):
+    _assert_matches_gray_code_walker(ghz_group(n))
+
+
+def test_support_matches_gray_code_walker_with_negative_signs():
+    rng = np.random.default_rng(31)
+    # n = 15 and 16 put the last generator in a later chunk than the first
+    for n in (*range(2, 11), 15, 16):
+        for _ in range(3):
+            signs = rng.choice((-1, 1), size=n)
+            signs[[0, -1]] = -1
+            graph_gens = stabilizer_group(random_graph(n, rng)).generators
+            gens = [(x, z, int(s)) for (x, z, _), s in zip(graph_gens, signs)]
+            _assert_matches_gray_code_walker(StabilizerGroup(n, gens))
 
 
 def test_cg_norm_closed_values():

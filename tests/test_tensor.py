@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphsep import (
     CorrelationTensor,
     DenseLimitError,
+    GraphSpec,
     MixedEnsemble,
     PureState,
     chain_graph,
@@ -83,6 +86,31 @@ def test_fast_path_matches_dense():
             assert fast.entries.keys() == dense.entries.keys()
             for key, val in fast.entries.items():
                 assert val == pytest.approx(dense.entries[key], abs=1e-9)
+
+
+@st.composite
+def noisy_random_graphs(draw):
+    n = draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    p = draw(st.floats(0.0, 1.0))
+    return GraphSpec(n, tuple(e for e, on in zip(pairs, chosen) if on)), p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(noisy_random_graphs())
+def test_support_path_matches_dense_on_random_graphs(case):
+    spec, p = case
+    # entries are (1-p)s + p t with s, t in {-1, 0, 1}; one within rounding
+    # of the zero_tol cut-off may be kept by one path and dropped by the other
+    assume(all(abs(v - 1e-9) > 1e-12 for v in (p, 1 - p, abs(1 - 2 * p))))
+    ens = noisy_mixture(graph_state(spec), p)
+    fast = full_tensor(ens, method="support")
+    dense = full_tensor(ens, method="dense")
+    assert fast.keys.tolist() == dense.keys.tolist()
+    assert np.abs(fast.values - dense.values).max(initial=0.0) <= 1e-9
+    # dense values carry rounding from 2^(-n/2) amplitudes (1.0000000000000002 for |+>^3)
+    assert tensor_norm(fast) == pytest.approx(tensor_norm(dense), rel=1e-12)
 
 
 def test_support_path_rejects_untagged_states():
@@ -268,6 +296,6 @@ def test_entries_kept_at_full_precision():
 
 
 def test_correlation_tensor_value_lookup():
-    t = CorrelationTensor(2, {0: 0.5}, 1e-9)
+    t = CorrelationTensor(2, np.array([0]), np.array([0.5]), 1e-9)
     assert t.value((1, 1)) == 0.5
     assert t.value((2, 2)) == 0.0
