@@ -7,8 +7,8 @@ graph (complete graph as DOT text).
 
 Output is CSV on stdout unless --out is given; comment lines start with
 "#"; numeric fields carry 12 significant digits.  Exit codes: 0 success,
-1 usage or input error, 2 resource or output error.  Verdicts are
-payload, never exit status.
+1 usage or input error (including a result beyond the float range), 2
+resource or output error.  Verdicts are payload, never exit status.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import sys
 
 from .separability import INCONCLUSIVE, NON_K_SEPARABLE, detect, k_sep_bound, threshold_p, xi_noise
-from .stabilizer import permutation_count, permutation_terms
+from .stabilizer import cg_norm_sq, permutation_count, permutation_terms
 from .statefile import StateFileError, load_state_file
 from .states import complete_graph
 from .tensor import FAMILIES, DenseLimitError, full_tensor, measurement_settings, norm_table, tensor_norm
@@ -157,7 +157,7 @@ def cmd_appendix(args) -> int:
     if s:
         print("all-Y word = 1")
         total += 1
-    closed = 2 ** (n - 1) + s
+    closed = cg_norm_sq(n)
     print(f"sum = {total}")
     print(f"closed form 2^{n - 1} + {s} = {closed}")
     if total != closed or total != permutation_count(n):
@@ -239,6 +239,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StateFileError, ValueError) as exc:
         print(f"graphsep: error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"graphsep: error: result out of floating-point range ({exc})", file=sys.stderr)
         return 1
     except (DenseLimitError, OSError, MemoryError) as exc:
         print(f"graphsep: error: {exc}", file=sys.stderr)

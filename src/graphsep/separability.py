@@ -7,6 +7,28 @@ detection bound is the maximum of that product over the admissible
 k-partitions of n, where admissible means at most one block of size 2.
 A measured norm strictly above the bound certifies non-k-separability;
 the criterion is one-sided, so anything else is inconclusive.
+
+Each squared block bound 2^(m-1) + s_m is an integer, so the squared
+k-separability bound is an exact integer product, and k_sep_bound finds
+its maximum without listing partitions.  An odd block gives exactly
+2^(m-1) and an even one 2^(m-1) (1 + 2^(1-m)), so the product is
+2^(n-k) prod_even (1 + 2^(1-m)): only the even blocks matter, and the
+odd ones hold the spare qubits.
+
+  * Two even blocks a <= b of fixed total give (1 + x)(1 + y) with xy
+    fixed, which grows as a shrinks.  So in a best partition every even
+    block has its smallest size (one 2 and then 4s; all 2s without the
+    at-most-one-2 rule), and the spare qubits go to one odd block, or
+    to the last even block when all k blocks are even.
+  * An even block uses an odd number m - 1 of qubits beyond its first,
+    so the number j of even blocks has the parity of n - k.  Going from
+    j to j + 2 even blocks multiplies the product by more than 1, so j
+    is the largest count whose smallest blocks fit.
+
+Every other partition has a strictly smaller product, so ties only
+differ in how the odd blocks share the spare qubits; putting them all
+in one block (the others stay 1) gives the lexicographically smallest
+partition.  The work is O(k) integer steps with no search at all.
 """
 
 from __future__ import annotations
@@ -15,24 +37,28 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .stabilizer import cg_norm_sq, sqrt_int
 from .states import ghz_state, noisy_mixture
 from .tensor import full_tensor, tensor_dot
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
 
-_BISECT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PartitionBound:
-    """Maximizing k-partition of n with its norm bound."""
+    """Maximizing k-partition of n with its norm bound.
+
+    bound_sq is the exact integer product of 2^(m-1) + s_m over the
+    parts; bound is its square root as a float.
+    """
 
     n: int
     k: int
     parts: tuple
     bound: float
     per_part_s: tuple
+    bound_sq: int
 
     def partition_label(self) -> str:
         return "|".join(str(m) for m in self.parts)
@@ -60,17 +86,6 @@ class XiResult:
     xi: float
 
 
-def _partitions_into(n: int, k: int, lo: int = 1):
-    """Multisets of k parts >= lo summing to n, as nondecreasing tuples."""
-    if k == 1:
-        if n >= lo:
-            yield (n,)
-        return
-    for first in range(lo, n // k + 1):
-        for rest in _partitions_into(n - first, k - 1, first):
-            yield (first,) + rest
-
-
 def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[tuple]:
     """k-partitions of n with at most one part equal to 2, in lex order.
 
@@ -79,39 +94,60 @@ def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[
     """
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    parts = list(_partitions_into(n, k))
-    if admissible_only:
-        parts = [p for p in parts if p.count(2) <= 1]
-    return parts
+    found = []
+    parts = [1] * (k - 1) + [n - k + 1]
+    while True:
+        if not admissible_only or parts.count(2) <= 1:
+            found.append(tuple(parts))
+        # next in lex order: raise the rightmost part that can grow, set the
+        # parts after it to the same value and the last one to the rest
+        tail = parts[-1]
+        for i in range(k - 2, -1, -1):
+            tail += parts[i]
+            grown = parts[i] + 1
+            if tail >= grown * (k - i):
+                parts[i:-1] = [grown] * (k - 1 - i)
+                parts[-1] = tail - grown * (k - 1 - i)
+                break
+        else:
+            return found
 
 
 def part_norm(m: int) -> float:
     """Tensor-norm bound of one m-qubit block: sqrt(2^(m-1) + s_m)."""
     if m < 1:
         raise ValueError(f"block size must be >= 1, got {m}")
-    return math.sqrt(2 ** (m - 1) + (1 if m % 2 == 0 else 0))
+    return sqrt_int(cg_norm_sq(m))
 
 
 @lru_cache(maxsize=None)
 def k_sep_bound(n: int, k: int, admissible_only: bool = True) -> PartitionBound:
     """Admissible k-partition of n maximizing the product of block norms.
 
-    Ties go to the lexicographically smallest partition.  Results are
+    Exact: the largest integer product of 2^(m-1) + s_m, with ties going
+    to the lexicographically smallest partition (see the module
+    docstring for why the construction below attains it).  Results are
     cached: noise sweeps and threshold solves ask for the same (n, k) on
     every grid step.
     """
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    best_parts = None
-    best = -1.0
-    for parts in admissible_partitions(n, k, admissible_only):
-        bound = math.prod(part_norm(m) for m in parts)
-        if bound > best * (1.0 + 1e-12):
-            best = bound
-            best_parts = parts
-    assert best_parts is not None
-    s_flags = tuple(1 if m % 2 == 0 else 0 for m in best_parts)
-    return PartitionBound(n, k, best_parts, best, s_flags)
+    spare = n - k  # qubits beyond one per block
+    smallest = 4 if admissible_only else 2  # every even block after the first 2
+    # the most even blocks whose smallest sizes fit, with the parity of spare
+    even = min(k, (spare - 1) // (smallest - 1) + 1) if spare else 0
+    even -= (even - spare) % 2
+    evens = [2] + [smallest] * (even - 1) if even else []
+    left = spare - sum(m - 1 for m in evens)
+    if even == k:
+        evens[-1] += left
+        odds = []
+    else:
+        odds = [1] * (k - even - 1) + [1 + left]
+    parts = tuple(sorted(odds + evens))
+    bound_sq = math.prod(cg_norm_sq(m) for m in parts)
+    s_flags = tuple(1 - m % 2 for m in parts)
+    return PartitionBound(n, k, parts, sqrt_int(bound_sq), s_flags, bound_sq)
 
 
 def biseparable_bound(n: int) -> float:
@@ -140,7 +176,7 @@ def detect(norm: float, n: int, k: int) -> Verdict:
 
 
 def _cg_numerator(n: int, p: float) -> float:
-    a = 2 ** (n - 1) + (1 if n % 2 == 0 else 0)
+    a = cg_norm_sq(n)
     return a * (1.0 - 2.0 * p) + (a + 1) * p * p
 
 
@@ -177,52 +213,37 @@ def xi_noise(n: int, k: int, p: float, family: str = "cg") -> XiResult:
         numerator = _ghz_numerator(n, p)
     else:
         raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
-    denominator = k_sep_bound(n, k).bound ** 2
+    denominator = float(k_sep_bound(n, k).bound_sq)
     return XiResult(n, k, p, numerator, denominator, numerator / denominator)
+
+
+def _first_root(a2, a1, a0) -> float | None:
+    """Smallest root of a2 p^2 + a1 p + a0 in [0, 1] (a2 > 0), or None."""
+    disc = a1 * a1 - 4 * a2 * a0
+    if disc < 0:
+        return None
+    root = math.sqrt(disc)
+    for cand in ((-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)):
+        if -1e-12 <= cand <= 1.0 + 1e-12:
+            return min(max(cand, 0.0), 1.0)
+    return None
 
 
 def threshold_p(n: int, k: int, family: str = "cg") -> float | None:
     """Smallest p in [0, 1] where the noisy state stops violating the bound.
 
-    Solves numerator(p) = bound^2: in closed form for the complete-graph
-    quadratic, by bracketing and bisection on the oracle numerator for
-    GHZ.  None when there is no root in [0, 1].
+    Both numerators are quadratics in p, so numerator(p) = bound^2 is
+    solved in closed form: a(1-2p) + (a+1)p^2 with a = 2^(n-1) + s for
+    the complete graph, (1-p)^2 B + 2p(1-p) C + p^2 O from the cached
+    tensor products for GHZ.  None when there is no root in [0, 1].
     """
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    d = k_sep_bound(n, k).bound ** 2
+    d = k_sep_bound(n, k).bound_sq
     if family == "cg":
-        a = 2 ** (n - 1) + (1 if n % 2 == 0 else 0)
-        # (a+1) p^2 - 2 a p + (a - d) = 0
-        disc = d * (a + 1) - a
-        if disc < 0:
-            return None
-        root = math.sqrt(disc)
-        for cand in sorted(((a - root) / (a + 1), (a + root) / (a + 1))):
-            if -1e-12 <= cand <= 1.0 + 1e-12:
-                return min(max(cand, 0.0), 1.0)
-        return None
-    if family != "ghz":
-        raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
-
-    def f(p: float) -> float:
-        return _ghz_numerator(n, p) - d
-
-    grid = [i / 1024 for i in range(1025)]
-    values = [f(p) for p in grid]
-    for lo_i in range(1024):
-        lo_v, hi_v = values[lo_i], values[lo_i + 1]
-        if lo_v == 0.0:
-            return grid[lo_i]
-        if lo_v * hi_v < 0:
-            lo, hi = grid[lo_i], grid[lo_i + 1]
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if f(lo) * f(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            return 0.5 * (lo + hi)
-    if values[-1] == 0.0:
-        return 1.0
-    return None
+        a = cg_norm_sq(n)
+        return _first_root(a + 1, -2 * a, a - d)
+    if family == "ghz":
+        b, c, o = _ghz_noise_products(n)
+        return _first_root(b - 2.0 * c + o, 2.0 * (c - b), b - d)
+    raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")

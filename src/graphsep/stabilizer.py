@@ -276,11 +276,31 @@ def ghz_nonzero_pattern(n: int) -> SupportPattern:
     return SupportPattern(n, keys, np.ones(len(keys)))
 
 
+def cg_norm_sq(m: int) -> int:
+    """2^(m-1) + s_m (s_m = 1 for even m, else 0), an exact integer.
+
+    The squared tensor norm of the m-qubit complete graph state, and so
+    the squared norm bound of an m-qubit block in a k-partition.
+    """
+    return (1 << (m - 1)) + (1 - m % 2)
+
+
+def sqrt_int(value: int) -> float:
+    """sqrt of a nonnegative integer of any size, as a float.
+
+    Integers above 2^100 are shifted down by an even number of bits
+    first, so a square beyond the float range (2^1024) still gives its
+    root; only a root beyond that range raises OverflowError.
+    """
+    shift = max(0, (value.bit_length() - 100) // 2)
+    return math.ldexp(math.sqrt(value >> (2 * shift)), shift)
+
+
 def cg_norm_closed(n: int) -> float:
     """Closed-form tensor norm of the n-qubit complete graph state."""
     if n < 2:
         raise ValueError("closed form needs n >= 2")
-    return math.sqrt(2 ** (n - 1) + (1 if n % 2 == 0 else 0))
+    return sqrt_int(cg_norm_sq(n))
 
 
 def permutation_terms(n: int) -> list[tuple[int, int]]:

@@ -121,6 +121,63 @@ def brute_admissible_partitions(n: int, k: int) -> list:
     return sorted(p for p in found if p.count(2) <= 1)
 
 
+def _partitions_into(n: int, k: int, lo: int = 1):
+    """Multisets of k parts >= lo summing to n, as nondecreasing tuples."""
+    if k == 1:
+        if n >= lo:
+            yield (n,)
+        return
+    for first in range(lo, n // k + 1):
+        for rest in _partitions_into(n - first, k - 1, first):
+            yield (first,) + rest
+
+
+def brute_k_sep_bound(n: int, k: int, admissible_only: bool = True) -> tuple:
+    """(parts, bound_sq) of the k-partition of n with the largest product of
+    2^(m-1) + s_m, by listing every partition in lex order.
+
+    Products are exact integers and only a strictly larger one replaces
+    the best so far, so ties go to the lexicographically smallest
+    partition.  The reference for the library's constructed optimum.
+    """
+    best_parts, best = None, 0
+    for parts in _partitions_into(n, k):
+        if admissible_only and parts.count(2) > 1:
+            continue
+        product = 1
+        for m in parts:
+            product *= 2 ** (m - 1) + (1 if m % 2 == 0 else 0)
+        if product > best:
+            best_parts, best = parts, product
+    return best_parts, best
+
+
+def grid_bisect_root(f, tol: float = 1e-12):
+    """First root of f on [0, 1]: scan a 1025-point grid for a sign change,
+    then bisect that cell down to tol.  None when f never changes sign.
+
+    The reference for the library's closed-form threshold solves.
+    """
+    grid = [i / 1024 for i in range(1025)]
+    values = [f(p) for p in grid]
+    for lo_i in range(1024):
+        lo_v, hi_v = values[lo_i], values[lo_i + 1]
+        if lo_v == 0.0:
+            return grid[lo_i]
+        if lo_v * hi_v < 0:
+            lo, hi = grid[lo_i], grid[lo_i + 1]
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if f(lo) * f(mid) <= 0:
+                    hi = mid
+                else:
+                    lo = mid
+            return 0.5 * (lo + hi)
+    if values[-1] == 0.0:
+        return 1.0
+    return None
+
+
 def gray_code_support(g) -> dict:
     """Identity-free elements of a stabilizer group {packed key: sign}, one at a time.
 

@@ -88,6 +88,35 @@ def test_bounds_bad_range_exits_1(capsys):
     assert run(capsys, "bounds", "--n", "5", "--k-min", "4", "--k-max", "3")[0] == 1
 
 
+def test_bounds_beyond_float_range_rows(capsys):
+    code, out, err = run(capsys, "bounds", "--n", "1100", "--k-max", "3")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    want = [(2, "2|1098", 3 * (2 ** 1097 + 1)), (3, "2|4|1094", 3 * 9 * (2 ** 1093 + 1))]
+    assert len(rows) == len(want)
+    for (n, k, bound, label), (want_k, want_label, want_sq) in zip(rows, want):
+        assert (int(n), int(k), label) == (1100, want_k, want_label)
+        assert 2 * math.log(float(bound)) == pytest.approx(math.log(want_sq), rel=1e-12)
+
+
+def test_bounds_many_blocks_rows(capsys):
+    code, out, err = run(capsys, "bounds", "--n", "1000", "--k-min", "999")
+    assert code == 0 and err == ""
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,k,bound,partition"
+    assert lines[1] == "1000,999,1.73205080757," + "|".join(["1"] * 998 + ["2"])
+    assert lines[2] == "1000,1000,1," + "|".join(["1"] * 1000)
+    assert len(lines) == 3
+
+
+def test_sweep_beyond_float_range_is_one_line_error(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "1100", "--k", "2", "--p-steps", "3")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("graphsep: error: ")
+    assert "Traceback" not in err
+
+
 def test_sweep_cg_stdout(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "cg", "--n", "6", "--k", "2", "--p-steps", "11")
     lines = out.strip().splitlines()

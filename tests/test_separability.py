@@ -17,12 +17,13 @@ from graphsep import (
     k_sep_bound,
     noisy_mixture,
     part_norm,
+    separability,
     tensor_norm,
     threshold_p,
     xi_noise,
 )
 
-from oracle import brute_admissible_partitions
+from oracle import brute_admissible_partitions, brute_k_sep_bound, grid_bisect_root
 
 
 def test_admissible_partition_examples():
@@ -78,6 +79,39 @@ def test_k_sep_bound_is_cached():
     assert k_sep_bound(12, 5, admissible_only=False) is not first
     with pytest.raises(ValueError):
         k_sep_bound(12, 13)
+
+
+@pytest.mark.parametrize("admissible_only", [True, False])
+def test_k_sep_bound_matches_enumeration_oracle(admissible_only):
+    for n in range(2, 21):
+        for k in range(2, n + 1):
+            pb = k_sep_bound(n, k, admissible_only)
+            assert (pb.parts, pb.bound_sq) == brute_k_sep_bound(n, k, admissible_only), (n, k)
+            assert pb.bound == math.sqrt(pb.bound_sq)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_k_sep_bound_beyond_float_range_matches_oracle(k):
+    # 2^1098 and up: the squared bounds do not fit a float, their roots do
+    pb = k_sep_bound(1100, k)
+    assert (pb.parts, pb.bound_sq) == brute_k_sep_bound(1100, k)
+    assert math.log(pb.bound) == pytest.approx(math.log(pb.bound_sq) / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (9, 3), (40, 17), (1000, 999), (1000, 1000), (1100, 2), (1100, 3)])
+def test_bound_sq_is_exact_block_product(n, k):
+    for admissible_only in (True, False):
+        pb = k_sep_bound(n, k, admissible_only)
+        assert type(pb.bound_sq) is int
+        assert pb.bound_sq == math.prod(2 ** (m - 1) + (1 - m % 2) for m in pb.parts)
+        assert sum(pb.parts) == n and len(pb.parts) == k
+        assert pb.per_part_s == tuple(1 - m % 2 for m in pb.parts)
+
+
+def test_part_norm_beyond_float_range():
+    norm = part_norm(1100)
+    assert isinstance(norm, float)
+    assert math.log(norm) == pytest.approx(1099 * math.log(2) / 2, rel=1e-15)
 
 
 def test_tie_breaks_are_lexicographic():
@@ -210,3 +244,14 @@ def test_threshold_ghz_bisection():
     assert threshold_p(n, k, family="ghz") == pytest.approx(want, abs=1e-9)
     # odd n: same quadratic as the complete graph
     assert threshold_p(5, 2, family="ghz") == pytest.approx(threshold_p(5, 2), abs=1e-9)
+
+
+def test_threshold_ghz_matches_bisection_oracle():
+    for n in range(2, 11):
+        for k in range(2, n + 1):
+            d = k_sep_bound(n, k).bound_sq
+            want = grid_bisect_root(lambda p: separability._ghz_numerator(n, p) - d)
+            got = threshold_p(n, k, family="ghz")
+            assert (got is None) == (want is None), (n, k)
+            if want is not None:
+                assert got == pytest.approx(want, abs=1e-11), (n, k)
