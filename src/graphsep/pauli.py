@@ -126,14 +126,15 @@ def packed_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
 class PureState:
     """Normalized n-qubit state vector (qubit 1 = most significant bit).
 
-    ``graph`` tags states produced by a graph-state constructor so that
-    tensor sweeps can take the stabilizer shortcut; it carries no physics
-    beyond that.
+    ``stabilizer`` is the StabilizerGroup of the state when a constructor
+    in graphsep.states knows it; tensor sweeps then take the stabilizer
+    shortcut.  It is not an __init__ argument and is not checked against
+    the amplitudes, so only those constructors set it.
     """
 
     n: int
     amplitudes: np.ndarray
-    graph: object = field(default=None, compare=False)
+    stabilizer: object = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)

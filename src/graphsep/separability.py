@@ -38,11 +38,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .stabilizer import cg_norm_sq, sqrt_int
-from .states import ghz_state, noisy_mixture
-from .tensor import full_tensor, tensor_dot
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
+
+
+def _outcome(value: float, bound: float) -> str:
+    """The verdict rule: only a strict violation of the bound certifies anything."""
+    return NON_K_SEPARABLE if value > bound else INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,10 @@ class XiResult:
     numerator: float
     denominator: float
     xi: float
+
+    @property
+    def verdict(self) -> str:
+        return _outcome(self.xi, 1.0)
 
 
 def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[tuple]:
@@ -171,8 +178,7 @@ def detect(norm: float, n: int, k: int) -> Verdict:
     if norm < 0:
         raise ValueError(f"norm must be nonnegative, got {norm}")
     bound = k_sep_bound(n, k).bound
-    outcome = NON_K_SEPARABLE if norm > bound else INCONCLUSIVE
-    return Verdict(outcome, norm, bound, k)
+    return Verdict(_outcome(norm, bound), norm, bound, k)
 
 
 def _cg_numerator(n: int, p: float) -> float:
@@ -180,13 +186,15 @@ def _cg_numerator(n: int, p: float) -> float:
     return a * (1.0 - 2.0 * p) + (a + 1) * p * p
 
 
-@lru_cache(maxsize=None)
-def _ghz_noise_products(n: int) -> tuple[float, float, float]:
-    """B = base.base, C = base.ones, O = ones.ones of the dense-path tensors
-    of the GHZ state (base) and of |1...1> (ones)."""
-    base = full_tensor(ghz_state(n), method="dense")
-    ones = full_tensor(noisy_mixture(ghz_state(n), 1.0), method="dense")
-    return tensor_dot(base, base), tensor_dot(base, ones), tensor_dot(ones, ones)
+def _ghz_noise_products(n: int) -> tuple[int, int, int]:
+    """B = base.base, C = base.ones, O = ones.ones over the tensors of the GHZ
+    state (base) and of |1...1> (ones), as exact integers.
+
+    GHZ is local-unitary equivalent to the complete-graph state, so B is
+    2^(n-1) + s_n; ones is the single all-Z entry (-1)^n, which GHZ has
+    as +1 at even n and 0 at odd n.
+    """
+    return cg_norm_sq(n), 1 - n % 2, 1
 
 
 def _ghz_numerator(n: int, p: float) -> float:
@@ -200,10 +208,11 @@ def _ghz_numerator(n: int, p: float) -> float:
 def xi_noise(n: int, k: int, p: float, family: str = "cg") -> XiResult:
     """Squared norm of the noisy family state over the squared k-sep bound.
 
-    The complete-graph numerator is the closed form
-    (2^(n-1)+s)(1-2p) + (2^(n-1)+s+1)p^2; the GHZ numerator is computed
-    from the dense-path tensor of the mixture, which for even n exceeds
-    the closed form by 2p(1-p).
+    Both numerators are exact quadratics in p with integer coefficients:
+    (2^(n-1)+s)(1-2p) + (2^(n-1)+s+1)p^2 for the complete graph, and
+    (1-p)^2 (2^(n-1)+s) + 2p(1-p) s + p^2 for GHZ, whose tensor shares
+    the all-Z word with the noise at even n (s = 1 there, else 0).  The
+    denominator is the exact integer bound_sq.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
@@ -222,7 +231,7 @@ def _first_root(a2, a1, a0) -> float | None:
     disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:
         return None
-    root = math.sqrt(disc)
+    root = sqrt_int(disc)  # disc passes 2^1024 from about n = 512 on
     for cand in ((-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)):
         if -1e-12 <= cand <= 1.0 + 1e-12:
             return min(max(cand, 0.0), 1.0)
@@ -232,18 +241,18 @@ def _first_root(a2, a1, a0) -> float | None:
 def threshold_p(n: int, k: int, family: str = "cg") -> float | None:
     """Smallest p in [0, 1] where the noisy state stops violating the bound.
 
-    Both numerators are quadratics in p, so numerator(p) = bound^2 is
-    solved in closed form: a(1-2p) + (a+1)p^2 with a = 2^(n-1) + s for
-    the complete graph, (1-p)^2 B + 2p(1-p) C + p^2 O from the cached
-    tensor products for GHZ.  None when there is no root in [0, 1].
+    Both numerators are (1-p)^2 B + 2p(1-p) C + p^2 O with integer B, C,
+    O: (2^(n-1) + s, 0, 1) for the complete graph, _ghz_noise_products
+    for GHZ.  So numerator(p) = bound^2 is solved in closed form, with an
+    exact integer discriminant.  None when there is no root in [0, 1].
     """
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     d = k_sep_bound(n, k).bound_sq
     if family == "cg":
-        a = cg_norm_sq(n)
-        return _first_root(a + 1, -2 * a, a - d)
-    if family == "ghz":
+        b, c, o = cg_norm_sq(n), 0, 1
+    elif family == "ghz":
         b, c, o = _ghz_noise_products(n)
-        return _first_root(b - 2.0 * c + o, 2.0 * (c - b), b - d)
-    raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
+    else:
+        raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
+    return _first_root(b - 2 * c + o, 2 * (c - b), b - d)

@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .pauli import PauliString, pack_index, packed_keys, unpack_index
-from .states import GraphSpec
+
+if TYPE_CHECKING:
+    from .states import GraphSpec
 
 # Generators whose subsets form one chunk of the vectorized group
 # product: each temporary is 2^14 int64 lanes (128 KiB), whatever the
@@ -175,6 +178,11 @@ def ghz_group(n: int) -> StabilizerGroup:
         raise ValueError("GHZ group needs n >= 2")
     gens = (((1 << n) - 1, 0, 1),) + tuple((0, 3 << (n - 1 - a), 1) for a in range(1, n))
     return StabilizerGroup(n, gens)
+
+
+def all_ones_group(n: int) -> StabilizerGroup:
+    """Stabilizer generators of |1...1>: -Z on each qubit."""
+    return StabilizerGroup(n, tuple((0, 1 << (n - a), -1) for a in range(1, n + 1)))
 
 
 def stabilizer_expectation(g: StabilizerGroup, p: PauliString) -> int:

@@ -25,18 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import MixedEnsemble, PureState, pure_ensemble
-from .states import (
-    GraphSpec,
-    cluster_state,
-    complete_graph,
-    ghz_state,
-    graph_state,
-    noisy_mixture,
-    w_state,
-)
+from .states import FAMILIES, GraphSpec, graph_state, noisy_mixture
+from .tensor import check_dense_limit
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
-_FAMILIES = ("cg", "ghz", "w", "cluster", "graph")
 
 RAW_NORM_TOL = 1e-6
 
@@ -82,8 +74,12 @@ def loads_state(text: str) -> LoadedState:
         return LoadedState(n, pure_ensemble(_parse_amplitudes(doc["amplitudes"], n)), None, None)
 
     family = doc["family"]
-    if family not in _FAMILIES:
-        raise StateFileError(f"unknown family {family!r}; expected one of {_FAMILIES}")
+    names = (*FAMILIES, "graph")
+    if family not in names:
+        raise StateFileError(f"unknown family {family!r}; expected one of {names}")
+    p = doc.get("p")
+    if p is not None and (not isinstance(p, (int, float)) or not 0.0 <= float(p) <= 1.0):
+        raise StateFileError(f"'p' must be a number in [0, 1], got {p!r}")
     if family == "graph":
         if "edges" not in doc:
             raise StateFileError("family 'graph' requires an 'edges' list")
@@ -92,21 +88,17 @@ def loads_state(text: str) -> LoadedState:
     else:
         if "edges" in doc:
             raise StateFileError(f"'edges' only applies to family 'graph', not {family!r}")
+        make_state, make_group = FAMILIES[family]
+        if make_group is None:
+            # only the dense path can take it: refuse before building 2^n amplitudes
+            check_dense_limit(n)
         try:
-            base = {
-                "cg": lambda: graph_state(complete_graph(n)),
-                "ghz": lambda: ghz_state(n),
-                "w": lambda: w_state(n),
-                "cluster": lambda: cluster_state(n),
-            }[family]()
+            base = make_state(n)
         except ValueError as exc:
             raise StateFileError(str(exc)) from None
 
-    p = doc.get("p")
     if p is None:
         return LoadedState(n, pure_ensemble(base), family, None)
-    if not isinstance(p, (int, float)) or not 0.0 <= float(p) <= 1.0:
-        raise StateFileError(f"'p' must be a number in [0, 1], got {p!r}")
     return LoadedState(n, noisy_mixture(base, float(p)), family, float(p))
 
 

@@ -6,6 +6,12 @@ with both ends set in b, and that parity is built one vertex at a time.
 The cluster state is realized as the linear-chain graph state, which is
 local-unitary equivalent to the usual product-form definition and
 therefore has the same correlation-tensor norm.
+
+Graph, cluster, GHZ and |1...1> states are stabilizer states.  Their
+constructors tag the result with its StabilizerGroup (PureState.stabilizer),
+which sends full_tensor down the stabilizer path; W states and raw
+amplitudes carry no tag.  FAMILIES is the one table of the named state
+families, read by the norm table, the state-file loader and the CLI.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import MixedEnsemble, PureState
+from .stabilizer import StabilizerGroup, all_ones_group, ghz_group, stabilizer_group
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,11 @@ def star_graph(n: int) -> GraphSpec:
     return GraphSpec(n, tuple((1, b) for b in range(2, n + 1)))
 
 
+def _tagged(state: PureState, group: StabilizerGroup) -> PureState:
+    object.__setattr__(state, "stabilizer", group)
+    return state
+
+
 def graph_state(spec: GraphSpec) -> PureState:
     """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2).
 
@@ -85,7 +97,7 @@ def graph_state(spec: GraphSpec) -> PureState:
         rest = np.arange(flips.size, dtype=np.int64)
         flips = np.concatenate([flips, flips ^ (np.bitwise_count(rest & later[a]) & 1)])
     amps = (1.0 - 2.0 * flips) * 2.0 ** (-n / 2.0)
-    return PureState(n, amps.astype(np.complex128), graph=spec)
+    return _tagged(PureState(n, amps.astype(np.complex128)), stabilizer_group(spec))
 
 
 def ghz_state(n: int) -> PureState:
@@ -94,7 +106,7 @@ def ghz_state(n: int) -> PureState:
         raise ValueError("GHZ state needs n >= 2")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return PureState(n, amps)
+    return _tagged(PureState(n, amps), ghz_group(n))
 
 
 def w_state(n: int) -> PureState:
@@ -120,7 +132,7 @@ def all_ones_state(n: int) -> PureState:
         raise ValueError("need at least one qubit")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[-1] = 1.0
-    return PureState(n, amps)
+    return _tagged(PureState(n, amps), all_ones_group(n))
 
 
 def noisy_mixture(base: PureState, p: float) -> MixedEnsemble:
@@ -138,10 +150,12 @@ def noisy_mixture(base: PureState, p: float) -> MixedEnsemble:
     return MixedEnsemble(((1.0 - p, base), (p, all_ones_state(base.n))))
 
 
-def is_all_ones(state: PureState) -> bool:
-    """True when the state is exactly |1...1> (up to a 1e-12 tolerance)."""
-    amps = state.amplitudes
-    return (
-        abs(amps[-1] - 1.0) <= 1e-12
-        and np.count_nonzero(np.abs(amps[:-1]) > 1e-12) == 0
-    )
+# name -> (state constructor, stabilizer-group constructor or None), both
+# taking the qubit count.  The lambdas look the module functions up when
+# called, so a wrapped or patched constructor is the one that runs.
+FAMILIES = {
+    "cg": (lambda n: graph_state(complete_graph(n)), lambda n: stabilizer_group(complete_graph(n))),
+    "ghz": (lambda n: ghz_state(n), lambda n: ghz_group(n)),
+    "w": (lambda n: w_state(n), None),
+    "cluster": (lambda n: cluster_state(n), lambda n: stabilizer_group(chain_graph(n))),
+}

@@ -12,9 +12,11 @@ forms the overlap vector conj(a[b ^ x]) * a[b], and one fast
 Walsh-Hadamard transform of that vector gives the expectations of every
 word with flip mask x.  Over all 2^n masks that is O(n 4^n) vectorized
 work, done in chunks of masks.  The stabilizer shortcut is used when
-every ensemble member is a tagged graph state or the |1...1> product
-state: each member's signed group elements come from one vectorized
-enumeration, and the members are merged by key.
+every ensemble member carries a stabilizer-group tag (graph, cluster,
+GHZ and |1...1> states from graphsep.states): each member's signed
+group elements come from one vectorized enumeration, and the members
+are merged by key.  Untagged states (W, raw amplitudes) always sweep
+densely.
 """
 
 from __future__ import annotations
@@ -35,23 +37,12 @@ from .pauli import (
     pure_ensemble,
     unpack_index,
 )
-from .stabilizer import cg_nonzero_pattern, full_weight_support, ghz_group, stabilizer_group
-from .states import (
-    GraphSpec,
-    chain_graph,
-    cluster_state,
-    complete_graph,
-    ghz_state,
-    graph_state,
-    is_all_ones,
-    w_state,
-)
+from .stabilizer import cg_nonzero_pattern, full_weight_support
+from .states import FAMILIES
 
 DEFAULT_DENSE_LIMIT = 10
 DEFAULT_SUPPORT_LIMIT = 20
 DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
-
-FAMILIES = ("cg", "ghz", "w", "cluster")
 
 # Complex elements per chunk of flip masks in the dense transform; the
 # chunk temporaries stay small beside the 3^n accumulator.
@@ -66,6 +57,16 @@ def dense_limit(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     return int(os.environ.get(DENSE_LIMIT_ENV, DEFAULT_DENSE_LIMIT))
+
+
+def check_dense_limit(n: int, limit: int | None = None) -> None:
+    """Raise DenseLimitError when a dense sweep of n qubits is over the limit."""
+    lim = dense_limit(limit)
+    if n > lim:
+        raise DenseLimitError(
+            f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit "
+            f"(raise {DENSE_LIMIT_ENV} to override)"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +114,6 @@ class CorrelationTensor:
         """(index tuple, value) pairs in canonical (packed-key) order."""
         for key, v in zip(self.keys.tolist(), self.values.tolist()):
             yield unpack_index(key, self.n), v
-
-
-def _support_arrays(state: PureState) -> tuple[np.ndarray, np.ndarray] | None:
-    """Stabilizer-path (keys, signs) of a single state, if one applies."""
-    if isinstance(state.graph, GraphSpec):
-        pattern = full_weight_support(stabilizer_group(state.graph))
-        return pattern.keys, pattern.signs
-    if is_all_ones(state):
-        return np.array([pack_index((3,) * state.n)]), np.array([(-1.0) ** state.n])
-    return None
 
 
 def _walsh_hadamard(f: np.ndarray) -> None:
@@ -194,23 +185,18 @@ def full_tensor(
     n = ens.n
 
     if method != "dense":
-        supports = [_support_arrays(st) for _, st in ens.terms]
-        if all(s is not None for s in supports):
+        if all(st.stabilizer is not None for _, st in ens.terms):
+            supports = [full_weight_support(st.stabilizer) for _, st in ens.terms]
             # members in order, so each key sums its terms as a sequential loop would
-            keys, inverse = np.unique(np.concatenate([k for k, _ in supports]), return_inverse=True)
-            weighted = np.concatenate([w * signs for (w, _), (_, signs) in zip(ens.terms, supports)])
+            keys, inverse = np.unique(np.concatenate([s.keys for s in supports]), return_inverse=True)
+            weighted = np.concatenate([w * s.signs for (w, _), s in zip(ens.terms, supports)])
             acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
             keep = np.abs(acc) > zero_tol
             return CorrelationTensor(n, keys[keep], acc[keep], zero_tol)
         if method == "support":
-            raise ValueError("support path needs graph-tagged or |1...1> members only")
+            raise ValueError("support path needs stabilizer-tagged members only")
 
-    lim = dense_limit(limit)
-    if n > lim:
-        raise DenseLimitError(
-            f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit "
-            f"(raise {DENSE_LIMIT_ENV} to override)"
-        )
+    check_dense_limit(n, limit)
     keys, values = _dense_arrays(ens.terms, n, zero_tol)
     return CorrelationTensor(n, keys, values, zero_tol)
 
@@ -222,12 +208,6 @@ def tensor_norm(t: CorrelationTensor) -> float:
     order of the entries nor on the path that built the tensor.
     """
     return math.sqrt(math.fsum((t.values * t.values).tolist()))
-
-
-def tensor_dot(a: CorrelationTensor, b: CorrelationTensor) -> float:
-    """Sum of a's entries times b's at the same words, exactly rounded."""
-    _, ia, ib = np.intersect1d(a.keys, b.keys, assume_unique=True, return_indices=True)
-    return math.fsum((a.values[ia] * b.values[ib]).tolist())
 
 
 def support_size(t: CorrelationTensor) -> int:
@@ -250,30 +230,15 @@ def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> lis
     return words
 
 
-def _family_state(family: str, n: int) -> PureState:
-    if family == "cg":
-        return graph_state(complete_graph(n))
-    if family == "ghz":
-        return ghz_state(n)
-    if family == "w":
-        return w_state(n)
-    if family == "cluster":
-        return cluster_state(n)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
 def _family_norm(family: str, n: int, lim: int, support_limit: int) -> float:
+    make_state, make_group = FAMILIES[family]
     if n <= lim:
-        return tensor_norm(full_tensor(_family_state(family, n), method="dense", limit=lim))
-    if family != "w" and n <= support_limit:
-        if family == "ghz":
-            group = ghz_group(n)
-        else:
-            group = stabilizer_group(complete_graph(n) if family == "cg" else chain_graph(n))
-        return math.sqrt(len(full_weight_support(group)))
+        return tensor_norm(full_tensor(make_state(n), method="dense", limit=lim))
+    if make_group is not None and n <= support_limit:
+        return math.sqrt(len(full_weight_support(make_group(n))))
     raise DenseLimitError(
         f"family {family!r} at n={n} exceeds the dense limit {lim}"
-        + ("" if family == "w" else f" and the support limit {support_limit}")
+        + ("" if make_group is None else f" and the support limit {support_limit}")
     )
 
 
@@ -287,13 +252,14 @@ def norm_table(
 ) -> list[tuple[str, int, float]]:
     """(family, n, norm) rows, family-major then n ascending.
 
-    Uses the dense sweep up to the qubit limit and the stabilizer or
-    pattern path beyond it (cg, ghz, cluster only).
+    Uses the dense sweep up to the qubit limit and, for the families
+    with a stabilizer group, the group enumeration beyond it.
     """
     fams = list(families)
+    names = tuple(FAMILIES)
     for family in fams:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        if family not in names:
+            raise ValueError(f"unknown family {family!r}; expected one of {names}")
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     lim = dense_limit(limit)

@@ -5,6 +5,8 @@ matrices or plain exhaustive enumeration, deliberately sharing no code
 with the library's bitmask / stabilizer paths.
 """
 
+import math
+
 import numpy as np
 
 PAULI_MATS = {
@@ -76,6 +78,21 @@ def dense_full_tensor(terms, n: int, tol: float = 1e-9) -> dict:
 
 def dense_tensor_norm(terms, n: int) -> float:
     return float(np.sqrt(sum(v * v for v in dense_full_tensor(terms, n, tol=0.0).values())))
+
+
+def is_all_ones(state) -> bool:
+    """True when the state is exactly |1...1> (up to a 1e-12 tolerance)."""
+    amps = state.amplitudes
+    return abs(amps[-1] - 1.0) <= 1e-12 and np.count_nonzero(np.abs(amps[:-1]) > 1e-12) == 0
+
+
+def tensor_dot(a, b) -> float:
+    """Sum of a's entries times b's at the same words, exactly rounded.
+
+    The reference for the library's integer GHZ noise products.
+    """
+    shared = a.entries.keys() & b.entries.keys()
+    return math.fsum(a.entries[key] * b.entries[key] for key in shared)
 
 
 def random_state(n: int, rng) -> np.ndarray:
@@ -175,6 +192,24 @@ def grid_bisect_root(f, tol: float = 1e-12):
             return 0.5 * (lo + hi)
     if values[-1] == 0.0:
         return 1.0
+    return None
+
+
+def exact_noise_threshold(b: int, c: int, o: int, d: int):
+    """Smallest root in [0, 1] of (1-p)^2 b + 2p(1-p) c + p^2 o = d, as a
+    50-digit Decimal, or None.  The reference for the closed-form solves."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a2, a1, a0 = b - 2 * c + o, 2 * (c - b), b - d
+        disc = a1 * a1 - 4 * a2 * a0
+        if disc < 0:
+            return None
+        root = Decimal(disc).sqrt()
+        for cand in ((-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)):
+            if 0 <= cand <= 1:
+                return +cand
     return None
 
 

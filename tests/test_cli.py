@@ -2,12 +2,15 @@
 
 import json
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from graphsep import full_tensor, ghz_state, noisy_mixture, separability
 from graphsep.cli import main
+
+from oracle import brute_k_sep_bound, exact_noise_threshold
 
 
 def run(capsys, *argv):
@@ -109,6 +112,15 @@ def test_bounds_many_blocks_rows(capsys):
     assert len(lines) == 3
 
 
+def test_bounds_failing_row_leaves_stdout_empty(capsys):
+    # the k=2 bound of n=2100 passes 2^1024, after no row has been printed
+    code, out, err = run(capsys, "bounds", "--n", "2100", "--k-max", "2")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("graphsep: error: ")
+    assert "Traceback" not in err
+
+
 def test_sweep_beyond_float_range_is_one_line_error(capsys):
     code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "1100", "--k", "2", "--p-steps", "3")
     assert code == 1
@@ -175,6 +187,54 @@ def test_ghz_sweep_quadratic_numerator_matches_per_key_sum(capsys, monkeypatch, 
     monkeypatch.setattr(separability, "_ghz_numerator", _per_key_ghz_numerator)
     _, per_key, _ = run(capsys, *argv)
     assert quadratic == per_key
+
+
+@pytest.mark.parametrize("n", range(12, 31))
+def test_ghz_sweep_beyond_dense_limit_matches_closed_form(capsys, n):
+    s = 1 - n % 2
+    for k in (2, 3, n):
+        _, d = brute_k_sep_bound(n, k)
+        code, out, err = run(capsys, "sweep", "--family", "ghz", "--n", str(n), "--k", str(k), "--p-steps", "11")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == f"# sweep family=ghz n={n} k={k}"
+        thr = lines[1].removeprefix("# threshold_p=")
+        want = exact_noise_threshold(2 ** (n - 1) + s, s, 1, d)
+        assert float(thr) == pytest.approx(float(want), rel=1e-11, abs=1e-12)
+        rows = [line.split(",") for line in lines[3:]]
+        assert len(rows) == 11
+        for i, (p, norm_sq, bound_sq, xi, verdict) in enumerate(rows):
+            q = Fraction(i, 10)
+            exact = (1 - q) ** 2 * (2 ** (n - 1) + s) + 2 * q * (1 - q) * s + q * q
+            assert float(p) == float(q)
+            assert float(norm_sq) == pytest.approx(float(exact), rel=1e-11)
+            assert float(bound_sq) == pytest.approx(d, rel=1e-11)
+            assert float(xi) == pytest.approx(float(exact / d), rel=1e-11)
+            assert verdict == ("NonKSeparable" if exact > d else "Inconclusive")
+
+
+def test_detect_ghz_beyond_dense_limit(capsys, tmp_path):
+    path = tmp_path / "ghz12.json"
+    path.write_text('{"family": "ghz", "n": 12, "p": 0.1}')
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert code == 0 and err == ""
+    norm_sq = 0.81 * 2049 + 2 * 0.1 * 0.9 + 0.01
+    lines = out.splitlines()
+    assert lines[:2] == ["n=12", "k=2"]
+    assert float(lines[2].removeprefix("norm=")) == pytest.approx(math.sqrt(norm_sq), rel=1e-11)
+    # the k=2 bound splits off a 2-block: 3 * (2^9 + 1)
+    assert lines[3:] == [f"bound={math.sqrt(3 * 513):.12g}", "partition=2|10", "verdict=NonKSeparable"]
+
+
+def test_detect_json_xi_uses_exact_bound(capsys, tmp_path):
+    # norm 3 against bound sqrt(3): the rounded root squared gave 3.0000000000000004
+    path = tmp_path / "cg4.json"
+    path.write_text('{"family": "cg", "n": 4}')
+    code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["norm"] == 3.0
+    assert payload["xi"] == 3.0
 
 
 def test_sweep_rejects_bad_flags(capsys):

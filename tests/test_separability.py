@@ -9,10 +9,12 @@ from graphsep import (
     INCONCLUSIVE,
     NON_K_SEPARABLE,
     admissible_partitions,
+    all_ones_state,
     biseparable_bound,
     complete_graph,
     detect,
     full_tensor,
+    ghz_state,
     graph_state,
     k_sep_bound,
     noisy_mixture,
@@ -23,7 +25,13 @@ from graphsep import (
     xi_noise,
 )
 
-from oracle import brute_admissible_partitions, brute_k_sep_bound, grid_bisect_root
+from oracle import (
+    brute_admissible_partitions,
+    brute_k_sep_bound,
+    exact_noise_threshold,
+    grid_bisect_root,
+    tensor_dot,
+)
 
 
 def test_admissible_partition_examples():
@@ -255,3 +263,35 @@ def test_threshold_ghz_matches_bisection_oracle():
             assert (got is None) == (want is None), (n, k)
             if want is not None:
                 assert got == pytest.approx(want, abs=1e-11), (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_ghz_noise_products_are_the_dense_products(n):
+    base = full_tensor(ghz_state(n), method="dense")
+    ones = full_tensor(all_ones_state(n), method="dense")
+    b, c, o = separability._ghz_noise_products(n)
+    assert all(type(v) is int for v in (b, c, o))
+    assert b == pytest.approx(tensor_dot(base, base), abs=1e-9)
+    assert c == pytest.approx(tensor_dot(base, ones), abs=1e-9)
+    assert o == pytest.approx(tensor_dot(ones, ones), abs=1e-9)
+
+
+def test_xi_verdict_is_the_strict_detection_rule():
+    # pure noise against full separability: numerator 1 over bound_sq 1, so
+    # xi = 1 exactly, inconclusive as norm == bound is
+    res = xi_noise(5, 5, 1.0)
+    assert res.xi == 1.0
+    assert res.verdict == INCONCLUSIVE == detect(1.0, 5, 5).outcome
+    assert xi_noise(6, 2, 0.0).verdict == NON_K_SEPARABLE
+    assert xi_noise(6, 2, 0.5).verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n", [12, 29, 30, 515, 600, 1000])
+@pytest.mark.parametrize("family", ["cg", "ghz"])
+def test_threshold_matches_exact_root_at_large_n(n, family):
+    # the discriminant passes 2^1024 from about n = 512 on, while every
+    # sweep row still fits a float; k = n puts the root next to 1
+    s = 1 - n % 2 if family == "ghz" else 0
+    for k in (2, 3, n):
+        want = exact_noise_threshold(2 ** (n - 1) + (1 - n % 2), s, 1, k_sep_bound(n, k).bound_sq)
+        assert threshold_p(n, k, family) == pytest.approx(float(want), rel=1e-12), k

@@ -1,11 +1,13 @@
 """State-file parsing, validation and the amplitude round trip."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from graphsep import full_tensor, load_state_file, tensor_norm, write_amplitude_file
+from graphsep import DenseLimitError, full_tensor, load_state_file, states, tensor_norm, write_amplitude_file
+from graphsep.cli import main
 from graphsep.statefile import StateFileError, loads_state
 from graphsep.states import cluster_state, complete_graph, ghz_state, graph_state, w_state
 
@@ -100,3 +102,28 @@ def test_round_trip_header_documents_bit_order(tmp_path):
     write_amplitude_file(path, ghz_state(2))
     first = path.read_text().splitlines()[0]
     assert first.startswith("#") and "most significant" in first
+
+
+def test_untagged_family_refused_before_building(monkeypatch, tmp_path, capsys):
+    def unbuildable(n):
+        raise AssertionError(f"w_state({n}) was called")
+
+    monkeypatch.setattr(states, "w_state", unbuildable)
+    want = "dense sweep over 3^25 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
+    with pytest.raises(DenseLimitError, match=re.escape(want)):
+        loads_state('{"family": "w", "n": 25, "p": 0.1}')
+    path = tmp_path / "w25.json"
+    path.write_text('{"family": "w", "n": 25}')
+    assert main(["detect", "--state-file", str(path), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"graphsep: error: {want}\n"
+
+
+def test_tagged_families_skip_the_dense_limit(monkeypatch):
+    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
+    for family in ("cg", "ghz", "cluster"):
+        loaded = loads_state(json.dumps({"family": family, "n": 12, "p": 0.1}))
+        assert len(full_tensor(loaded.ensemble)) > 0
+    with pytest.raises(DenseLimitError):
+        loads_state('{"family": "w", "n": 5}')

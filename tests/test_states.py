@@ -15,13 +15,14 @@ from graphsep import (
     ghz_state,
     graph_state,
     noisy_mixture,
+    stabilizer_group,
     star_graph,
     tensor_norm,
     w_state,
 )
-from graphsep.states import all_ones_state, is_all_ones
+from graphsep.states import all_ones_state
 
-from oracle import apply_local_unitaries, permute_qubits, random_unitary
+from oracle import apply_local_unitaries, is_all_ones, permute_qubits, random_unitary
 
 
 def test_g3_amplitudes_explicit():
@@ -89,7 +90,7 @@ def test_w_state_amplitudes():
 
 def test_cluster_state_is_chain_graph_state():
     state = cluster_state(4)
-    assert state.graph == chain_graph(4)
+    assert state.stabilizer.generators == stabilizer_group(chain_graph(4)).generators
     assert np.allclose(np.abs(state.amplitudes), 0.25, atol=1e-12)
     with pytest.raises(ValueError):
         cluster_state(1)

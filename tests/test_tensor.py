@@ -13,10 +13,12 @@ from graphsep import (
     GraphSpec,
     MixedEnsemble,
     PureState,
+    all_ones_state,
     chain_graph,
     complete_graph,
     full_tensor,
     full_weight_support,
+    ghz_group,
     ghz_state,
     graph_state,
     kron_states,
@@ -30,6 +32,7 @@ from graphsep import (
     tensor_norm,
     w_state,
 )
+from graphsep.states import FAMILIES
 
 from oracle import dense_full_tensor, random_state
 
@@ -113,9 +116,44 @@ def test_support_path_matches_dense_on_random_graphs(case):
     assert tensor_norm(fast) == pytest.approx(tensor_norm(dense), rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 8), st.floats(0.0, 1.0))
+def test_support_path_matches_dense_on_noisy_ghz(n, p):
+    # entries are (1-p)s + p t with s, t in {-1, 0, 1}; see the random-graph property
+    assume(all(abs(v - 1e-9) > 1e-12 for v in (p, 1 - p, abs(1 - 2 * p))))
+    for state in (ghz_state(n), noisy_mixture(ghz_state(n), p)):
+        fast = full_tensor(state, method="support")
+        dense = full_tensor(state, method="dense")
+        assert fast.keys.tolist() == dense.keys.tolist()
+        assert np.abs(fast.values - dense.values).max(initial=0.0) <= 1e-9
+        assert tensor_norm(fast) == pytest.approx(tensor_norm(dense), rel=1e-12)
+
+
+def test_family_states_carry_their_group():
+    # each registered family with a group tags its states with that group
+    for make_state, make_group in FAMILIES.values():
+        state = make_state(5)
+        if make_group is None:
+            assert state.stabilizer is None
+        else:
+            assert state.stabilizer.generators == make_group(5).generators
+    # the noise term is tagged too: its only identity-free element is -Z on each qubit
+    for n in (1, 2, 5):
+        t = full_tensor(all_ones_state(n), method="support")
+        assert dict(t.items()) == {(3,) * n: (-1.0) ** n}
+
+
+def test_stabilizer_tag_is_not_a_constructor_argument():
+    amps = np.zeros(4, dtype=complex)
+    amps[[0, 3]] = 2 ** -0.5
+    with pytest.raises(TypeError):
+        PureState(2, amps, stabilizer=ghz_group(2))
+    assert PureState(2, amps).stabilizer is None
+
+
 def test_support_path_rejects_untagged_states():
     with pytest.raises(ValueError):
-        full_tensor(ghz_state(3), method="support")
+        full_tensor(w_state(3), method="support")
 
 
 def test_dense_limit_enforced():
