@@ -19,7 +19,6 @@ from .separability import (
     Verdict,
     XiResult,
     admissible_partitions,
-    biseparable_bound,
     detect,
     k_sep_bound,
     part_norm,
@@ -59,6 +58,7 @@ from .tensor import (
     norm_table,
     support_size,
     tensor_norm,
+    tensor_norm_sq,
 )
 
 __version__ = "0.1.0"

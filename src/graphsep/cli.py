@@ -21,7 +21,9 @@ from .separability import detect, k_sep_bound, threshold_p, xi_noise
 from .stabilizer import cg_norm_sq, permutation_count, permutation_terms
 from .statefile import StateFileError, load_state_file
 from .states import FAMILIES, complete_graph
-from .tensor import DenseLimitError, full_tensor, measurement_settings, norm_table, tensor_norm
+from .tensor import DenseLimitError, full_tensor, measurement_settings, norm_table, tensor_norm_sq
+
+MAX_P_STEPS = 100_001  # the sweep holds all of its rows before writing any
 
 
 def _fmt(v) -> str:
@@ -82,6 +84,9 @@ def cmd_bounds(args) -> int:
 def cmd_sweep(args) -> int:
     if args.p_steps < 2:
         raise ValueError(f"p-steps must be at least 2, got {args.p_steps}")
+    if args.p_steps > MAX_P_STEPS:
+        print(f"graphsep: error: p-steps {args.p_steps} is above the limit of {MAX_P_STEPS}", file=sys.stderr)
+        return 2
     if not 2 <= args.k <= args.n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k}, n={args.n}")
     steps = args.p_steps
@@ -112,28 +117,27 @@ def cmd_detect(args) -> int:
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
-    norm = tensor_norm(full_tensor(loaded.ensemble, args.zero_tol))
-    verdict = detect(norm, n, args.k).outcome
-    pb = k_sep_bound(n, args.k)
+    verdict = detect(tensor_norm_sq(full_tensor(loaded.ensemble, args.zero_tol)), n, args.k)
+    partition = k_sep_bound(n, args.k).partition_label()
     if args.format == "json":
         payload = {
             "n": n,
             "k": args.k,
-            "norm": norm,
-            "bound": pb.bound,
-            "partition": pb.partition_label(),
-            "xi": (norm * norm) / float(pb.bound_sq),
-            "verdict": verdict,
+            "norm": verdict.norm,
+            "bound": verdict.bound,
+            "partition": partition,
+            "xi": verdict.xi,
+            "verdict": verdict.outcome,
             "p": loaded.p,
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"n={n}")
     print(f"k={args.k}")
-    print(f"norm={_fmt(norm)}")
-    print(f"bound={_fmt(pb.bound)}")
-    print(f"partition={pb.partition_label()}")
-    print(f"verdict={verdict}")
+    print(f"norm={_fmt(verdict.norm)}")
+    print(f"bound={_fmt(verdict.bound)}")
+    print(f"partition={partition}")
+    print(f"verdict={verdict.outcome}")
     return 0
 
 
@@ -198,7 +202,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", choices=("cg", "ghz"), default="cg")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p-steps", type=int, default=11)
+    p.add_argument("--p-steps", type=int, default=11, help=f"grid points on [0, 1], 2 to {MAX_P_STEPS}")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

@@ -29,6 +29,15 @@ Every other partition has a strictly smaller product, so ties only
 differ in how the odd blocks share the spare qubits; putting them all
 in one block (the others stay 1) gives the lexicographically smallest
 partition.  The work is O(k) integer steps with no search at all.
+
+Noise is exact too: a family state mixed with |1...1> has the squared
+norm (1-p)^2 B + 2p(1-p) C + p^2 O with integers B, C, O (noise_products),
+which xi_noise evaluates exactly at the float p it is given and
+threshold_p solves in integers.  So sweep verdicts are exact decisions at
+the printed p, and printed fields are correctly rounded.  detect gets a
+squared norm summed from float entries, which still carries rounding
+(most on the dense path, for untagged states), so it certifies only
+past a stated worst-case rounding margin.
 """
 
 from __future__ import annotations
@@ -43,9 +52,10 @@ NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
 
 
-def _outcome(value: float, bound: float) -> str:
-    """The verdict rule: only a strict violation of the bound certifies anything."""
-    return NON_K_SEPARABLE if value > bound else INCONCLUSIVE
+def _outcome(value_sq, bound_sq: int) -> str:
+    """The verdict rule: only a strict violation of the squared bound
+    certifies anything.  Python compares int and float operands exactly."""
+    return NON_K_SEPARABLE if value_sq > bound_sq else INCONCLUSIVE
 
 
 @dataclass(frozen=True)
@@ -75,11 +85,13 @@ class Verdict:
     norm: float
     bound: float
     k: int
+    xi: float  # squared norm over bound_sq, correctly rounded
 
 
 @dataclass(frozen=True)
 class XiResult:
-    """Squared-norm to squared-bound ratio for a noisy family instance."""
+    """Squared-norm to squared-bound ratio for a noisy family instance:
+    correctly rounded floats, and a verdict decided on the exact values."""
 
     n: int
     k: int
@@ -87,10 +99,7 @@ class XiResult:
     numerator: float
     denominator: float
     xi: float
-
-    @property
-    def verdict(self) -> str:
-        return _outcome(self.xi, 1.0)
+    verdict: str
 
 
 def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[tuple]:
@@ -157,102 +166,86 @@ def k_sep_bound(n: int, k: int, admissible_only: bool = True) -> PartitionBound:
     return PartitionBound(n, k, parts, sqrt_int(bound_sq), s_flags, bound_sq)
 
 
-def biseparable_bound(n: int) -> float:
-    """Closed-form bound for biseparable states: split off b = 1 or 2 qubits.
+def detect(norm_sq: float, n: int, k: int) -> Verdict:
+    """Compare a squared tensor norm, computed in floats, with bound_sq.
 
-    b is 1 while ceil(n/2) <= 2 (so n <= 4, where a 2|2 split is not
-    admissible) and 2 beyond that; always equals k_sep_bound(n, 2).
+    Certifies only when a lower bound on the true squared norm exceeds
+    bound_sq.  Either path gets each of at most 3^n entries within
+    e = (n + 8) 2^-53 (n roundings in the transform, under 8 more from the
+    amplitudes, products and weights), so norm_sq is off by at most
+    e r (2 sqrt(norm_sq) + e r) with r = 3^(n/2), plus 2^-52 norm_sq from
+    squaring and summing.  e and that last term are doubled below to
+    cover the rounding of the margin itself.
     """
-    if n < 3:
-        raise ValueError(f"biseparable bound needs n >= 3, got {n}")
-    b = 1 if math.ceil(n / 2) <= 2 else 2
-    return part_norm(b) * part_norm(n - b)
+    if norm_sq < 0:
+        raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")
+    pb = k_sep_bound(n, k)
+    e, r = (n + 8) * 2.0 ** -52, 3 ** (n / 2)
+    lower = norm_sq - e * r * (2 * math.sqrt(norm_sq) + e * r) - 2.0 ** -51 * norm_sq
+    num, den = norm_sq.as_integer_ratio()
+    return Verdict(_outcome(lower, pb.bound_sq), math.sqrt(norm_sq), pb.bound, k, num / (den * pb.bound_sq))
 
 
-def detect(norm: float, n: int, k: int) -> Verdict:
-    """Compare a measured tensor norm against the k-separability bound.
-
-    Only a strict violation certifies anything; equality or less is
-    inconclusive (the criterion never certifies separability).
+def noise_products(n: int, family: str) -> tuple[int, int, int]:
+    """Integer products (B, C, O) = base.base, base.ones, ones.ones of the
+    tensors of the family state (base) and of |1...1> (ones), so that the
+    mixture (1-p) base + p ones has the squared norm (1-p)^2 B + 2p(1-p) C
+    + p^2 O.  GHZ is local-unitary equivalent to the complete graph state
+    (B = 2^(n-1) + s_n for both); ones is the one all-Z entry (-1)^n, which
+    the complete graph state lacks and GHZ has as 1 at even n, 0 at odd n.
     """
-    if norm < 0:
-        raise ValueError(f"norm must be nonnegative, got {norm}")
-    bound = k_sep_bound(n, k).bound
-    return Verdict(_outcome(norm, bound), norm, bound, k)
-
-
-def _cg_numerator(n: int, p: float) -> float:
-    a = cg_norm_sq(n)
-    return a * (1.0 - 2.0 * p) + (a + 1) * p * p
-
-
-def _ghz_noise_products(n: int) -> tuple[int, int, int]:
-    """B = base.base, C = base.ones, O = ones.ones over the tensors of the GHZ
-    state (base) and of |1...1> (ones), as exact integers.
-
-    GHZ is local-unitary equivalent to the complete-graph state, so B is
-    2^(n-1) + s_n; ones is the single all-Z entry (-1)^n, which GHZ has
-    as +1 at even n and 0 at odd n.
-    """
-    return cg_norm_sq(n), 1 - n % 2, 1
-
-
-def _ghz_numerator(n: int, p: float) -> float:
-    # the mixture tensor is (1-p) base + p ones by linearity of the ensemble
-    # expectation, so its squared norm is a quadratic in p; the two
-    # supports overlap at the all-Z word for even n
-    b, c, o = _ghz_noise_products(n)
-    return (1.0 - p) ** 2 * b + 2.0 * p * (1.0 - p) * c + p * p * o
+    cross = {"cg": 0, "ghz": 1 - n % 2}
+    if family not in cross:
+        raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
+    return cg_norm_sq(n), cross[family], 1
 
 
 def xi_noise(n: int, k: int, p: float, family: str = "cg") -> XiResult:
     """Squared norm of the noisy family state over the squared k-sep bound.
 
-    Both numerators are exact quadratics in p with integer coefficients:
-    (2^(n-1)+s)(1-2p) + (2^(n-1)+s+1)p^2 for the complete graph, and
-    (1-p)^2 (2^(n-1)+s) + 2p(1-p) s + p^2 for GHZ, whose tensor shares
-    the all-Z word with the noise at even n (s = 1 there, else 0).  The
-    denominator is the exact integer bound_sq.
+    Exact at the float p = u/v it is given: the squared norm is top / v^2
+    with an integer top, so the verdict is an exact decision at that p and
+    each field is one correctly rounded int / int division.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    if family == "cg":
-        numerator = _cg_numerator(n, p)
-    elif family == "ghz":
-        numerator = _ghz_numerator(n, p)
-    else:
-        raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
-    denominator = float(k_sep_bound(n, k).bound_sq)
-    return XiResult(n, k, p, numerator, denominator, numerator / denominator)
+    b, c, o = noise_products(n, family)
+    d = k_sep_bound(n, k).bound_sq
+    u, v = p.as_integer_ratio()
+    top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v
+    return XiResult(n, k, p, top / scale, float(d), top / (scale * d), _outcome(top, scale * d))
 
 
-def _first_root(a2, a1, a0) -> float | None:
-    """Smallest root of a2 p^2 + a1 p + a0 in [0, 1] (a2 > 0), or None."""
+def _first_root(a2: int, a1: int, a0: int) -> float | None:
+    """Smallest root of a2 p^2 + a1 p + a0 in [0, 1] (a2 > 0), correctly
+    rounded, or None; in integers.  With t = 2^m, root * t has the floor
+    q = (-a1 t -+ sqrt(disc t^2)) // 2a2, the square root taken up for -
+    and down for +.  A nonzero root exceeds 1/(1 + max(|a1|, a2)), so
+    m = bit length + 58 gives q over 54 bits, and setting its lowest bit
+    when root * t is not an integer makes q / t round as the root does.
+    """
     disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:
         return None
-    root = sqrt_int(disc)  # disc passes 2^1024 from about n = 512 on
-    for cand in ((-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)):
-        if -1e-12 <= cand <= 1.0 + 1e-12:
-            return min(max(cand, 0.0), 1.0)
+    m = max(abs(a1), a2).bit_length() + 58
+    t = 1 << m
+    scaled = disc << (2 * m)
+    root = math.isqrt(scaled)
+    exact = root * root == scaled
+    for num in (-a1 * t - root - (not exact), -a1 * t + root):
+        q, rem = divmod(num, 2 * a2)
+        inexact = not exact or rem != 0
+        if 0 <= q < t or q == t and not inexact:
+            return (q | inexact) / t
     return None
 
 
 def threshold_p(n: int, k: int, family: str = "cg") -> float | None:
     """Smallest p in [0, 1] where the noisy state stops violating the bound.
 
-    Both numerators are (1-p)^2 B + 2p(1-p) C + p^2 O with integer B, C,
-    O: (2^(n-1) + s, 0, 1) for the complete graph, _ghz_noise_products
-    for GHZ.  So numerator(p) = bound^2 is solved in closed form, with an
-    exact integer discriminant.  None when there is no root in [0, 1].
+    The correctly rounded root of (1-p)^2 B + 2p(1-p) C + p^2 O = bound_sq
+    (noise_products), solved in integers; None if none lies in [0, 1].
     """
-    if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+    b, c, o = noise_products(n, family)
     d = k_sep_bound(n, k).bound_sq
-    if family == "cg":
-        b, c, o = cg_norm_sq(n), 0, 1
-    elif family == "ghz":
-        b, c, o = _ghz_noise_products(n)
-    else:
-        raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
     return _first_root(b - 2 * c + o, 2 * (c - b), b - d)

@@ -201,13 +201,15 @@ def full_tensor(
     return CorrelationTensor(n, keys, values, zero_tol)
 
 
-def tensor_norm(t: CorrelationTensor) -> float:
-    """Standard (Frobenius) tensor norm: sqrt of the sum of squared entries.
+def tensor_norm_sq(t: CorrelationTensor) -> float:
+    """Sum of the squared entries, exactly rounded (math.fsum), so it
+    depends neither on their order nor on the path that built the tensor."""
+    return math.fsum((t.values * t.values).tolist())
 
-    The sum is exactly rounded (math.fsum), so it depends neither on the
-    order of the entries nor on the path that built the tensor.
-    """
-    return math.sqrt(math.fsum((t.values * t.values).tolist()))
+
+def tensor_norm(t: CorrelationTensor) -> float:
+    """Standard (Frobenius) tensor norm: the square root of tensor_norm_sq."""
+    return math.sqrt(tensor_norm_sq(t))
 
 
 def support_size(t: CorrelationTensor) -> int:

@@ -6,6 +6,8 @@ with the library's bitmask / stabilizer paths.
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -198,11 +200,16 @@ def grid_bisect_root(f, tol: float = 1e-12):
 def exact_noise_threshold(b: int, c: int, o: int, d: int):
     """Smallest root in [0, 1] of (1-p)^2 b + 2p(1-p) c + p^2 o = d, as a
     50-digit Decimal, or None.  The reference for the closed-form solves."""
+    return exact_quadratic_root(b - 2 * c + o, 2 * (c - b), b - d)
+
+
+def exact_quadratic_root(a2: int, a1: int, a0: int):
+    """Smallest root in [0, 1] of a2 p^2 + a1 p + a0 (a2 > 0), as a 50-digit
+    Decimal, or None."""
     from decimal import Decimal, localcontext
 
     with localcontext() as ctx:
         ctx.prec = 50
-        a2, a1, a0 = b - 2 * c + o, 2 * (c - b), b - d
         disc = a1 * a1 - 4 * a2 * a0
         if disc < 0:
             return None
@@ -211,6 +218,39 @@ def exact_noise_threshold(b: int, c: int, o: int, d: int):
             if 0 <= cand <= 1:
                 return +cand
     return None
+
+
+def _block(m: int) -> int:
+    return 2 ** (m - 1) + (1 if m % 2 == 0 else 0)
+
+
+@lru_cache(maxsize=None)
+def dp_bound_sq(n: int, k: int, two_left: bool = True) -> int:
+    """Largest product of 2^(m-1) + s_m over the k-partitions of n with at
+    most one block of 2, by a dynamic program over the first block (any
+    order of blocks reaches the same maximum).  Fast enough for n = 60."""
+    if k == 1:
+        return _block(n) if n >= 1 and (n != 2 or two_left) else 0
+    best = 0
+    for m in range(1, n - k + 2):
+        if m != 2 or two_left:
+            best = max(best, _block(m) * dp_bound_sq(n - m, k - 1, two_left and m != 2))
+    return best
+
+
+def exact_noise_norm_sq(family: str, n: int, p: float) -> Fraction:
+    """Squared tensor norm of the cg or GHZ state mixed with |1...1> at
+    weight p, as an exact Fraction of the float p: (1-p)^2 B + 2p(1-p) C
+    + p^2, with B = 2^(n-1) + s_n and C the shared all-Z entry (GHZ at
+    even n only)."""
+    q = Fraction(p)
+    cross = 1 - n % 2 if family == "ghz" else 0
+    return (1 - q) ** 2 * _block(n) + 2 * q * (1 - q) * cross + q * q
+
+
+def exact_verdict(norm_sq, bound_sq: int) -> str:
+    """The criterion on exact values: only a strict violation certifies."""
+    return "NonKSeparable" if norm_sq > bound_sq else "Inconclusive"
 
 
 def gray_code_support(g) -> dict:

@@ -8,7 +8,7 @@ from functools import lru_cache
 import pytest
 
 from graphsep import full_tensor, ghz_state, noisy_mixture, separability
-from graphsep.cli import main
+from graphsep.cli import MAX_P_STEPS, main
 
 from oracle import brute_k_sep_bound, exact_noise_threshold
 
@@ -170,21 +170,23 @@ def _ghz_entries(n):
     return base, ones
 
 
-def _per_key_ghz_numerator(n, p):
-    """Squared norm of the GHZ+noise tensor summed entry by entry over both supports."""
+def _per_key_ghz_products(n, family):
+    """(B, C, O) of the GHZ and noise tensors, summed entry by entry over both
+    supports: the squared norm of (1-p) base + p ones, key by key, is the
+    quadratic with these coefficients."""
     base, ones = _ghz_entries(n)
-    total = 0.0
-    for key in base.keys() | ones.keys():
-        v = (1.0 - p) * base.get(key, 0.0) + p * ones.get(key, 0.0)
-        total += v * v
-    return total
+    keys = base.keys() | ones.keys()
+    sums = [math.fsum(a.get(key, 0.0) * b.get(key, 0.0) for key in keys)
+            for a, b in ((base, base), (base, ones), (ones, ones))]
+    assert all(abs(v - round(v)) < 1e-9 for v in sums)
+    return tuple(round(v) for v in sums)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 4), (6, 2), (7, 7), (8, 2)])
 def test_ghz_sweep_quadratic_numerator_matches_per_key_sum(capsys, monkeypatch, n, k):
     argv = ("sweep", "--family", "ghz", "--n", str(n), "--k", str(k), "--p-steps", "101")
     _, quadratic, _ = run(capsys, *argv)
-    monkeypatch.setattr(separability, "_ghz_numerator", _per_key_ghz_numerator)
+    monkeypatch.setattr(separability, "noise_products", _per_key_ghz_products)
     _, per_key, _ = run(capsys, *argv)
     assert quadratic == per_key
 
@@ -344,3 +346,38 @@ def test_unknown_flags_exit_1(capsys):
 
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("n", [54, 60])
+def test_sweep_product_state_is_not_certified(capsys, n):
+    # at p = 1 the state is |1...1>: squared norm 1, equal to the k = n bound
+    code, out, _ = run(capsys, "sweep", "--family", "cg", "--n", str(n), "--k", str(n), "--p-steps", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "1,1,1,1,Inconclusive"
+
+
+@pytest.mark.parametrize("family", ["cg", "ghz"])
+def test_sweep_at_the_float_range_edge(capsys, family):
+    # -a1 = 2(B - C) reaches 2^1024 at n = 1024; every row still fits a float
+    code, out, err = run(capsys, "sweep", "--family", family, "--n", "1024", "--k", "2", "--p-steps", "2")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("1,1,")
+
+
+def test_detect_json_xi_is_the_exact_ratio(capsys, tmp_path):
+    # cluster n = 6 has squared norm 12, equal to the k = 3 bound_sq
+    for doc, want in (('{"family": "cluster", "n": 6}', 1.0), ('{"family": "cg", "n": 4}', 3.0)):
+        path = tmp_path / "state.json"
+        path.write_text(doc)
+        code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["xi"] == want
+
+
+def test_sweep_refuses_too_many_steps_before_any_row(capsys):
+    code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "2",
+                         "--p-steps", str(MAX_P_STEPS + 1))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and str(MAX_P_STEPS) in err
+    assert run(capsys, "sweep", "--help")[1].count(str(MAX_P_STEPS)) == 1
+

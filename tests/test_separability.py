@@ -10,7 +10,6 @@ from graphsep import (
     NON_K_SEPARABLE,
     admissible_partitions,
     all_ones_state,
-    biseparable_bound,
     complete_graph,
     detect,
     full_tensor,
@@ -20,7 +19,7 @@ from graphsep import (
     noisy_mixture,
     part_norm,
     separability,
-    tensor_norm,
+    tensor_norm_sq,
     threshold_p,
     xi_noise,
 )
@@ -28,7 +27,11 @@ from graphsep import (
 from oracle import (
     brute_admissible_partitions,
     brute_k_sep_bound,
+    dp_bound_sq,
+    exact_noise_norm_sq,
     exact_noise_threshold,
+    exact_quadratic_root,
+    exact_verdict,
     grid_bisect_root,
     tensor_dot,
 )
@@ -129,35 +132,53 @@ def test_tie_breaks_are_lexicographic():
 
 
 def test_biseparable_bound_values():
-    assert biseparable_bound(3) == pytest.approx(math.sqrt(3), abs=1e-9)
-    assert biseparable_bound(5) == pytest.approx(math.sqrt(12), abs=1e-9)
-    assert biseparable_bound(7) == pytest.approx(math.sqrt(48), abs=1e-9)
-    with pytest.raises(ValueError):
-        biseparable_bound(2)
+    assert k_sep_bound(3, 2).bound == pytest.approx(math.sqrt(3), abs=1e-9)
+    assert k_sep_bound(5, 2).bound == pytest.approx(math.sqrt(12), abs=1e-9)
+    assert k_sep_bound(7, 2).bound == pytest.approx(math.sqrt(48), abs=1e-9)
 
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_biseparable_bound_equals_two_sep_bound(n):
-    assert biseparable_bound(n) == pytest.approx(k_sep_bound(n, 2).bound, abs=1e-12)
+    # closed form: split off b = 1 qubit while a 2|2 split is not
+    # admissible (n <= 4), else b = 2
+    b = 1 if n <= 4 else 2
+    assert k_sep_bound(n, 2).bound_sq == (2 ** (b - 1) + 1 - b % 2) * (2 ** (n - b - 1) + 1 - (n - b) % 2)
 
 
 def test_detect_examples():
-    verdict = detect(math.sqrt(33), 6, 2)
+    verdict = detect(33.0, 6, 2)
     assert verdict.outcome == NON_K_SEPARABLE
+    assert verdict.norm == math.sqrt(33)
     assert verdict.bound == pytest.approx(math.sqrt(27), abs=1e-9)
+    assert verdict.xi == 33 / 27
     # boundary equality is inconclusive: the criterion needs a strict violation
-    boundary = detect(k_sep_bound(6, 2).bound, 6, 2)
+    boundary = detect(k_sep_bound(6, 2).bound_sq, 6, 2)
     assert boundary.outcome == INCONCLUSIVE
+    assert boundary.xi == 1.0
     with pytest.raises(ValueError):
         detect(-0.5, 6, 2)
 
 
+def test_detect_margin_covers_float_rounding():
+    # noisy cg3 at p = 0.6000000000000001 has the exact squared norm
+    # 1 - 1.8e-16, below the full-separability bound 1, but the dense path
+    # rounds it to 1.0000000000000002: only a margin keeps that uncertified
+    ens = noisy_mixture(graph_state(complete_graph(3)), 0.6000000000000001)
+    norm_sq = tensor_norm_sq(full_tensor(ens, method="dense"))
+    assert norm_sq > 1
+    assert detect(norm_sq, 3, 3).outcome == INCONCLUSIVE
+    # the stated margin near 1 is about 3e-14 at n = 3 and 2e-12 at n = 10
+    assert detect(1 + 1e-12, 3, 3).outcome == NON_K_SEPARABLE
+    assert detect(1 + 1e-13, 10, 10).outcome == INCONCLUSIVE
+    assert detect(1 + 1e-11, 10, 10).outcome == NON_K_SEPARABLE
+
+
 def test_detect_full_separability_of_noisy_cg6():
     ens = noisy_mixture(graph_state(complete_graph(6)), 0.5)
-    norm = tensor_norm(full_tensor(ens, method="dense"))
+    norm_sq = tensor_norm_sq(full_tensor(ens, method="dense"))
     # 33 - 66 p + 34 p^2 at p = 0.5 is 8.5, far above the full-sep bound 1
-    assert norm * norm == pytest.approx(8.5, abs=1e-9)
-    assert detect(norm, 6, 6).outcome == NON_K_SEPARABLE
+    assert norm_sq == pytest.approx(8.5, abs=1e-9)
+    assert detect(norm_sq, 6, 6).outcome == NON_K_SEPARABLE
 
 
 def test_bound_monotone_in_k():
@@ -172,7 +193,7 @@ def test_verdict_cascade():
         for norm in (1.5, 2.5, 4.0, 10.0):
             flagged = False
             for k in range(2, n + 1):
-                outcome = detect(norm, n, k).outcome
+                outcome = detect(norm * norm, n, k).outcome
                 if flagged:
                     assert outcome == NON_K_SEPARABLE
                 flagged = flagged or outcome == NON_K_SEPARABLE
@@ -197,11 +218,11 @@ def test_xi_matches_oracle_detection():
     for n in range(2, 9):
         base = graph_state(complete_graph(n))
         for p in np.linspace(0.0, 1.0, 21):
-            norm = tensor_norm(full_tensor(noisy_mixture(base, float(p)), method="dense"))
+            norm_sq = tensor_norm_sq(full_tensor(noisy_mixture(base, float(p)), method="dense"))
             for k in range(2, n + 1):
                 res = xi_noise(n, k, float(p))
-                assert res.numerator == pytest.approx(norm * norm, abs=1e-9)
-                assert (res.xi > 1.0) == (detect(norm, n, k).outcome == NON_K_SEPARABLE)
+                assert res.numerator == pytest.approx(norm_sq, abs=1e-9)
+                assert (res.xi > 1.0) == (detect(norm_sq, n, k).outcome == NON_K_SEPARABLE)
 
 
 def test_xi_noise_ghz_forms():
@@ -258,7 +279,8 @@ def test_threshold_ghz_matches_bisection_oracle():
     for n in range(2, 11):
         for k in range(2, n + 1):
             d = k_sep_bound(n, k).bound_sq
-            want = grid_bisect_root(lambda p: separability._ghz_numerator(n, p) - d)
+            s = 1 - n % 2
+            want = grid_bisect_root(lambda p: (1 - p) ** 2 * (2 ** (n - 1) + s) + 2 * p * (1 - p) * s + p * p - d)
             got = threshold_p(n, k, family="ghz")
             assert (got is None) == (want is None), (n, k)
             if want is not None:
@@ -267,13 +289,14 @@ def test_threshold_ghz_matches_bisection_oracle():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ghz_noise_products_are_the_dense_products(n):
-    base = full_tensor(ghz_state(n), method="dense")
     ones = full_tensor(all_ones_state(n), method="dense")
-    b, c, o = separability._ghz_noise_products(n)
-    assert all(type(v) is int for v in (b, c, o))
-    assert b == pytest.approx(tensor_dot(base, base), abs=1e-9)
-    assert c == pytest.approx(tensor_dot(base, ones), abs=1e-9)
-    assert o == pytest.approx(tensor_dot(ones, ones), abs=1e-9)
+    for family, state in (("ghz", ghz_state(n)), ("cg", graph_state(complete_graph(n)))):
+        base = full_tensor(state, method="dense")
+        b, c, o = separability.noise_products(n, family)
+        assert all(type(v) is int for v in (b, c, o))
+        assert b == pytest.approx(tensor_dot(base, base), abs=1e-9)
+        assert c == pytest.approx(tensor_dot(base, ones), abs=1e-9)
+        assert o == pytest.approx(tensor_dot(ones, ones), abs=1e-9)
 
 
 def test_xi_verdict_is_the_strict_detection_rule():
@@ -295,3 +318,71 @@ def test_threshold_matches_exact_root_at_large_n(n, family):
     for k in (2, 3, n):
         want = exact_noise_threshold(2 ** (n - 1) + (1 - n % 2), s, 1, k_sep_bound(n, k).bound_sq)
         assert threshold_p(n, k, family) == pytest.approx(float(want), rel=1e-12), k
+
+
+def test_xi_noise_decides_below_the_bound_exactly():
+    # 7e-18 below the bound (relative): the float numerator used to round above it
+    assert xi_noise(16, 4, 0.5053231373251493).verdict == INCONCLUSIVE
+
+
+def _exact_disagreements(family, n, ks, ps):
+    """Verdicts of xi_noise that differ from the oracle's Fraction verdict at
+    the floats ps.  Also asserts that the fields a sweep prints are the
+    correctly rounded exact values (float() of a Fraction is), which makes
+    their printed digits those of the exact values too."""
+    exact = [(p, exact_noise_norm_sq(family, n, p)) for p in ps]
+    disagreements = 0
+    for k in ks:
+        d = dp_bound_sq(n, k)
+        for p, q in exact:
+            res = xi_noise(n, k, p, family)
+            assert (res.numerator, res.denominator, res.xi) == (float(q), float(d), float(q / d)), (family, n, k, p)
+            disagreements += res.verdict != exact_verdict(q, d)
+    return disagreements
+
+
+def test_sweep_verdicts_match_exact_fractions():
+    # the 11-step grid is part of the 101-step one: i/10 and 10i/100 round alike
+    grid = sorted({i / 10 for i in range(11)} | {i / 100 for i in range(101)})
+    disagreements = 0
+    for family in ("cg", "ghz"):
+        for n in range(2, 61):
+            disagreements += _exact_disagreements(family, n, range(2, n + 1), grid)
+    assert disagreements == 0
+
+
+def test_near_threshold_verdicts_match_exact_fractions():
+    disagreements = 0
+    for family in ("cg", "ghz"):
+        for n in range(2, 40):
+            for k in range(2, n + 1):
+                b, c, o = 2 ** (n - 1) + 1 - n % 2, (1 - n % 2) * (family == "ghz"), 1
+                t = float(exact_noise_threshold(b, c, o, dp_bound_sq(n, k)))
+                near = [t]
+                for _ in range(2):
+                    near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 1.0)]
+                disagreements += _exact_disagreements(family, n, [k], [p for p in near if 0 <= p <= 1])
+    assert disagreements == 0
+
+
+@pytest.mark.parametrize("family", ["cg", "ghz"])
+def test_threshold_within_one_ulp_of_exact_root(family):
+    for n in range(2, 61):
+        s = 1 - n % 2
+        b, c = 2 ** (n - 1) + s, s * (family == "ghz")
+        for k in range(2, n + 1):
+            want = float(exact_noise_threshold(b, c, 1, dp_bound_sq(n, k)))
+            assert abs(threshold_p(n, k, family) - want) <= math.ulp(want), (n, k)
+        # k = n: the bound is 1, with roots (b-1)/(b+1) and 1 (double at 1 when c = 1)
+        assert threshold_p(n, n, family) == (1.0 if c else (b - 1) / (b + 1))
+
+
+def test_first_root_is_correctly_rounded():
+    # some of these roots lie so close to a rounding tie that only the bit
+    # marking an inexact scaled root makes them round the right way
+    for a2 in range(1, 13):
+        for a1 in range(-40, 13):
+            for a0 in range(-12, 13):
+                want = exact_quadratic_root(a2, a1, a0)
+                got = separability._first_root(a2, a1, a0)
+                assert got == (None if want is None else float(want)), (a2, a1, a0)
