@@ -27,9 +27,11 @@ from .separability import (
 )
 from .stabilizer import (
     StabilizerGroup,
+    SupportLimitError,
     SupportPattern,
     cg_nonzero_pattern,
     cg_norm_closed,
+    full_weight_count,
     full_weight_support,
     ghz_group,
     ghz_nonzero_pattern,
@@ -53,6 +55,7 @@ from .states import (
 from .tensor import (
     CorrelationTensor,
     DenseLimitError,
+    ensemble_norm_sq,
     full_tensor,
     measurement_settings,
     norm_table,

@@ -18,10 +18,10 @@ import json
 import sys
 
 from .separability import detect, k_sep_bound, threshold_p, xi_noise
-from .stabilizer import cg_norm_sq, permutation_count, permutation_terms
+from .stabilizer import SupportLimitError, cg_norm_sq, permutation_count, permutation_terms
 from .statefile import StateFileError, load_state_file
 from .states import FAMILIES, complete_graph
-from .tensor import DenseLimitError, full_tensor, measurement_settings, norm_table, tensor_norm_sq
+from .tensor import DenseLimitError, ensemble_norm_sq, measurement_settings, norm_table
 
 MAX_P_STEPS = 100_001  # the sweep holds all of its rows before writing any
 
@@ -117,7 +117,7 @@ def cmd_detect(args) -> int:
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
-    verdict = detect(tensor_norm_sq(full_tensor(loaded.ensemble, args.zero_tol)), n, args.k)
+    verdict = detect(ensemble_norm_sq(loaded.ensemble, args.zero_tol), n, args.k)
     partition = k_sep_bound(n, args.k).partition_label()
     if args.format == "json":
         payload = {
@@ -142,10 +142,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_settings(args) -> int:
-    words = measurement_settings(args.n, args.family, noise=args.noise)
-    for word in words:
-        print(word.ops)
-    print(f"# count={len(words)}")
+    rows = measurement_settings(args.n, args.family, noise=args.noise)
+    sys.stdout.flush()
+    sys.stdout.buffer.write(rows)
+    print(f"# count={len(rows)}")
     return 0
 
 
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"graphsep: error: result out of floating-point range ({exc})", file=sys.stderr)
         return 1
-    except (DenseLimitError, OSError, MemoryError) as exc:
+    except (DenseLimitError, SupportLimitError, OSError, MemoryError) as exc:
         print(f"graphsep: error: {exc}", file=sys.stderr)
         return 2
 

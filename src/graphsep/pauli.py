@@ -101,10 +101,10 @@ def unpack_index(packed: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _base3_table(n: int) -> np.ndarray:
-    """T3[m] = sum of 3^p over the set bits p of m, for every n-bit mask m."""
+def _base3_table(bits: int, start: int = 0) -> np.ndarray:
+    """T3[m] = sum of 3^(start + p) over the set bits p of m, for every bits-bit mask m."""
     table = np.zeros(1, dtype=np.int64)
-    for p in range(n):
+    for p in range(start, start + bits):
         # masks with bit p set follow those without, 3^p higher
         table = np.concatenate([table, table + 3 ** p])
     table.setflags(write=False)
@@ -116,37 +116,69 @@ def packed_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
 
     Every word needs x | z to be the full n-bit mask.  Bit p holds qubit
     n - p and base-3 digit p, so X (x only) packs to 0, Y (both) to 1 and
-    Z (z only) to 2: the key is T3(z) + T3(z & ~x).
+    Z (z only) to 2: the key is T3(z) + T3(z & ~x).  T3 is read from two
+    tables of 2^(n/2) entries, one per half of the mask, so the tables
+    stay small; keys fit int64 up to n = 39 (3^39 < 2^63).
     """
-    t3 = _base3_table(n)
-    return t3[z] + t3[z & ~x]
+    h = n // 2
+    lo, hi = _base3_table(h), _base3_table(n - h, h)
+
+    def t3(m):
+        return lo[m & ((1 << h) - 1)] + hi[m >> h]
+
+    return t3(z) + t3(z & ~x)
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_amplitudes(n: int, amplitudes) -> np.ndarray:
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.shape != (1 << n,):
+        raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
+    nrm = float(np.sum(np.abs(amps) ** 2))
+    if abs(nrm - 1.0) > NORM_TOL:
+        raise ValueError(f"state not normalized: sum |a|^2 = {nrm}")
+    amps.setflags(write=False)
+    return amps
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PureState:
     """Normalized n-qubit state vector (qubit 1 = most significant bit).
 
     ``stabilizer`` is the StabilizerGroup of the state when a constructor
     in graphsep.states knows it; tensor sweeps then take the stabilizer
     shortcut.  It is not an __init__ argument and is not checked against
-    the amplitudes, so only those constructors set it.
+    the amplitudes, so only those constructors set it, through
+    PureState.deferred.  A deferred state builds its 2^n amplitudes the
+    first time ``amplitudes`` is read (and validates them then), so a
+    stabilizer-path caller never allocates them; two threads reading
+    at once may both build the same array, which is harmless.
     """
 
     n: int
-    amplitudes: np.ndarray
-    stabilizer: object = field(default=None, init=False, compare=False)
+    stabilizer: object = field(default=None, compare=False)
+    _amplitudes: object = field(default=None, repr=False)
+    _build: object = field(default=None, repr=False)
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.n < 1:
+    def __init__(self, n: int, amplitudes):
+        if n < 1:
             raise ValueError("need at least one qubit")
-        if amps.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} amplitudes, got {amps.shape}")
-        nrm = float(np.sum(np.abs(amps) ** 2))
-        if abs(nrm - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: sum |a|^2 = {nrm}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_amplitudes", _checked_amplitudes(n, amplitudes))
+
+    @classmethod
+    def deferred(cls, n: int, build, stabilizer) -> PureState:
+        """A state tagged with its StabilizerGroup; build() makes its amplitudes on first read."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "stabilizer", stabilizer)
+        object.__setattr__(state, "_build", build)
+        return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._amplitudes is None:
+            object.__setattr__(self, "_amplitudes", _checked_amplitudes(self.n, self._build()))
+        return self._amplitudes
 
     def __repr__(self) -> str:
         return f"PureState(n={self.n})"

@@ -7,10 +7,16 @@ equals ``i^y * X^x * Z^z`` with y the number of Y positions, so the sign
 of a group element relative to the Hermitian word is ``i^(t - y)``,
 asserted to be +-1 throughout.
 
-full_weight_support evaluates that product for all 2^n generator subsets
-with numpy, a chunk of subsets at a time, so support enumeration is
-O(2^n) vectorized work where the dense path would sweep 3^n strings;
-single expectations are O(n) membership solves.
+One walk (_walk) evaluates that product for all 2^n generator subsets
+with numpy, a chunk of 2^14 subsets at a time, and yields each chunk's
+identity-free elements as (x, z, sign) arrays: O(2^n) vectorized work
+where the dense path would sweep 3^n strings.  It has two readers.
+full_weight_support packs and sorts the elements into a SupportPattern;
+full_weight_count keeps only the chunk lengths, so it counts in O(2^14)
+memory.  A diagonal group (a basis state such as |1...1>) needs no walk:
+its one identity-free element is Z^n.  The walk refuses groups above
+DEFAULT_SUPPORT_LIMIT qubits with SupportLimitError.  Single
+expectations are O(n) membership solves.
 """
 
 from __future__ import annotations
@@ -31,6 +37,16 @@ if TYPE_CHECKING:
 # product: each temporary is 2^14 int64 lanes (128 KiB), whatever the
 # qubit count.
 _SUBSET_BITS = 14
+
+# Largest qubit count the walk takes: 2^26 subsets take about 2.5 s.
+DEFAULT_SUPPORT_LIMIT = 26
+
+# Largest qubit count cg_nonzero_pattern lists: 2^21 words.
+PATTERN_LIMIT = 22
+
+
+class SupportLimitError(RuntimeError):
+    """A walk or word list over 2^n elements was requested beyond its qubit limit."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +126,11 @@ class StabilizerGroup:
         if t == 2:
             return x, z, -1
         raise RuntimeError("stabilizer product has non-real phase")
+
+    @property
+    def diagonal(self) -> bool:
+        """True when every generator is X-free, so the group is that of a basis state."""
+        return not any(x for x, _, _ in self.generators)
 
     def generator_words(self) -> list[str]:
         """Generators rendered as signed Pauli words, for inspection."""
@@ -203,8 +224,8 @@ def stabilizer_expectation(g: StabilizerGroup, p: PauliString) -> int:
     return sign
 
 
-def full_weight_support(g: StabilizerGroup) -> SupportPattern:
-    """All identity-free group elements with their signs, in ascending key order.
+def _walk(g: StabilizerGroup):
+    """The walk: per-chunk (x, z, sign) arrays of the identity-free group elements.
 
     Subsets S of the generators, multiplied in generator order, split
     into the first b = min(n, 14) generators and the rest.  One numpy
@@ -212,9 +233,16 @@ def full_weight_support(g: StabilizerGroup) -> SupportPattern:
     subsets at once, exactly as product_sign does for one subset; each
     high subset's product H (from product_sign) then multiplies that
     whole chunk, using Z^z X^hx = (-1)^popcount(z & hx) X^hx Z^z.
-    Elements with x | z full are kept (S = 0, the identity, never is).
+    Elements with x | z full are kept (S = 0, the identity, never is),
+    and every kept phase is checked to be real.  Memory is O(2^b)
+    whatever n; above DEFAULT_SUPPORT_LIMIT qubits the walk raises
+    SupportLimitError before allocating anything.
     """
     n = g.n
+    if n > DEFAULT_SUPPORT_LIMIT:
+        raise SupportLimitError(
+            f"stabilizer walk over 2^{n} generator subsets exceeds the {DEFAULT_SUPPORT_LIMIT}-qubit limit"
+        )
     full = (1 << n) - 1
     low_bits = min(n, _SUBSET_BITS)
     low = np.arange(1 << low_bits, dtype=np.int64)
@@ -227,7 +255,6 @@ def full_weight_support(g: StabilizerGroup) -> SupportPattern:
         lt += on * (2 * np.bitwise_count(lz & gx) + own)
         lx ^= on * gx
         lz ^= on * gz
-    keys, signs = [], []
     for high in range(0, 1 << n, 1 << low_bits):
         hx, hz, hsign = g.product_sign(high)
         keep = ((lx ^ hx) | (lz ^ hz)) == full
@@ -237,30 +264,58 @@ def full_weight_support(g: StabilizerGroup) -> SupportPattern:
         phase = (t - np.bitwise_count(x & z)) & 3
         if (phase & 1).any():
             raise RuntimeError("stabilizer element has non-real phase")
-        keys.append(packed_keys(x, z, n))
-        signs.append(1.0 - phase)  # phase 0 -> +1, phase 2 -> -1
-    keys = np.concatenate(keys)
+        yield x, z, 1.0 - phase  # phase 0 -> +1, phase 2 -> -1
+
+
+def full_weight_support(g: StabilizerGroup) -> SupportPattern:
+    """All identity-free group elements with their signs, in ascending key order.
+
+    The elements come from the walk (see _walk), packed and sorted.  A
+    diagonal group (every generator X-free, as for |1...1> or any basis
+    state) has Z^n as its only identity-free element, which one
+    membership solve finds with no walk.
+    """
+    n = g.n
+    if g.diagonal:
+        return SupportPattern(n, [pack_index((3,) * n)], [stabilizer_expectation(g, PauliString("Z" * n))])
+    chunks = list(_walk(g))
+    keys = np.concatenate([packed_keys(x, z, n) for x, z, _ in chunks])
     order = np.argsort(keys)
-    return SupportPattern(n, keys[order], np.concatenate(signs)[order])
+    return SupportPattern(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
+
+
+def full_weight_count(g: StabilizerGroup) -> int:
+    """Number of identity-free group elements: len(full_weight_support(g)).
+
+    Reads only the chunk lengths of the walk, so it runs in O(2^14)
+    memory; a diagonal group has exactly one (Z^n), with no walk.
+    """
+    if g.diagonal:
+        return 1
+    return sum(len(x) for x, _, _ in _walk(g))
 
 
 def cg_nonzero_pattern(n: int) -> SupportPattern:
     """Index set where complete-graph-state tensors are nonzero (signs omitted).
 
     All placements of an odd number of X letters among Z letters, plus the
-    all-Y word when n is even.
+    all-Y word when n is even.  The X masks come in combinations order:
+    popcount ascending, then mask descending (qubit 1 is the top bit).
+    Above PATTERN_LIMIT qubits it raises SupportLimitError before
+    allocating anything.
     """
     if n < 2:
         raise ValueError("pattern needs n >= 2")
-    keys = []
-    for x_count in range(1, n + 1, 2):
-        for positions in combinations(range(n), x_count):
-            idx = [3] * n
-            for pos in positions:
-                idx[pos] = 1
-            keys.append(pack_index(idx))
+    if n > PATTERN_LIMIT:
+        raise SupportLimitError(f"pattern of 2^{n - 1} words exceeds the {PATTERN_LIMIT}-qubit limit")
+    full = (1 << n) - 1
+    masks = np.arange(full, -1, -1, dtype=np.int64)
+    weight = np.bitwise_count(masks)
+    odd = (weight & 1).astype(bool)
+    masks = masks[odd][np.argsort(weight[odd], kind="stable")]
+    keys = packed_keys(masks, full & ~masks, n)
     if n % 2 == 0:
-        keys.append(pack_index((2,) * n))
+        keys = np.append(keys, pack_index((2,) * n))
     return SupportPattern(n, keys, np.ones(len(keys)))
 
 

@@ -9,8 +9,11 @@ therefore has the same correlation-tensor norm.
 
 Graph, cluster, GHZ and |1...1> states are stabilizer states.  Their
 constructors tag the result with its StabilizerGroup (PureState.stabilizer),
-which sends full_tensor down the stabilizer path; W states and raw
-amplitudes carry no tag.  FAMILIES is the one table of the named state
+which sends full_tensor and ensemble_norm_sq down the stabilizer path;
+W states and raw amplitudes carry no tag.  Tagged states defer their
+amplitudes (PureState.deferred): a constructor call costs the O(n^2)
+group, and the 2^n amplitudes are built only if something reads them
+(the dense path, expectation, write_amplitude_file).  FAMILIES is the one table of the named state
 families, read by the norm table, the state-file loader and the CLI.
 """
 
@@ -18,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .pauli import MixedEnsemble, PureState
-from .stabilizer import StabilizerGroup, all_ones_group, ghz_group, stabilizer_group
+from .stabilizer import all_ones_group, ghz_group, stabilizer_group
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,8 @@ def star_graph(n: int) -> GraphSpec:
     return GraphSpec(n, tuple((1, b) for b in range(2, n + 1)))
 
 
-def _tagged(state: PureState, group: StabilizerGroup) -> PureState:
-    object.__setattr__(state, "stabilizer", group)
-    return state
-
-
-def graph_state(spec: GraphSpec) -> PureState:
-    """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2).
+def _graph_amplitudes(spec: GraphSpec) -> np.ndarray:
+    """The 2^n amplitudes of graph_state(spec).
 
     The sign parity of b is the sum over vertices a of bit_a(b) times
     popcount(b & later(a)), later(a) being a's neighbours after a.  Taking
@@ -96,17 +95,27 @@ def graph_state(spec: GraphSpec) -> PureState:
     for a in range(n, 0, -1):
         rest = np.arange(flips.size, dtype=np.int64)
         flips = np.concatenate([flips, flips ^ (np.bitwise_count(rest & later[a]) & 1)])
-    amps = (1.0 - 2.0 * flips) * 2.0 ** (-n / 2.0)
-    return _tagged(PureState(n, amps.astype(np.complex128)), stabilizer_group(spec))
+    return ((1.0 - 2.0 * flips) * 2.0 ** (-n / 2.0)).astype(np.complex128)
+
+
+def _basis_amplitudes(n: int, weights: dict) -> np.ndarray:
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    for index, value in weights.items():
+        amps[index] = value
+    return amps
+
+
+def graph_state(spec: GraphSpec) -> PureState:
+    """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2)."""
+    return PureState.deferred(spec.n, partial(_graph_amplitudes, spec), stabilizer_group(spec))
 
 
 def ghz_state(n: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if n < 2:
         raise ValueError("GHZ state needs n >= 2")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return _tagged(PureState(n, amps), ghz_group(n))
+    half = 1.0 / math.sqrt(2.0)
+    return PureState.deferred(n, partial(_basis_amplitudes, n, {0: half, -1: half}), ghz_group(n))
 
 
 def w_state(n: int) -> PureState:
@@ -130,9 +139,7 @@ def all_ones_state(n: int) -> PureState:
     """The product state |1>^n."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[-1] = 1.0
-    return _tagged(PureState(n, amps), all_ones_group(n))
+    return PureState.deferred(n, partial(_basis_amplitudes, n, {-1: 1.0}), all_ones_group(n))
 
 
 def noisy_mixture(base: PureState, p: float) -> MixedEnsemble:

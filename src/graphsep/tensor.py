@@ -17,6 +17,14 @@ GHZ and |1...1> states from graphsep.states): each member's signed
 group elements come from one vectorized enumeration, and the members
 are merged by key.  Untagged states (W, raw amplitudes) always sweep
 densely.
+
+The criterion needs only the squared norm, and ensemble_norm_sq is its
+one entry point.  For the tagged ensembles that detect and the norm
+table meet (a pure tagged state, or one mixed with |1...1> noise) it is
+the Gram sum sum_ij w_i w_j <T_i, T_j>: the full-weight count of the
+one non-diagonal member plus the shared Z^n entry, taken exactly and
+rounded once, so it equals the norm of full_tensor bit for bit without
+building any tensor or amplitude.
 """
 
 from __future__ import annotations
@@ -31,17 +39,15 @@ from .pauli import (
     IMAG_TOL,
     PauliString,
     PureState,
-    embed,
     pack_index,
     packed_keys,
     pure_ensemble,
     unpack_index,
 )
-from .stabilizer import cg_nonzero_pattern, full_weight_support
+from .stabilizer import cg_nonzero_pattern, full_weight_count, full_weight_support, stabilizer_expectation
 from .states import FAMILIES
 
 DEFAULT_DENSE_LIMIT = 10
-DEFAULT_SUPPORT_LIMIT = 20
 DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
 
 # Complex elements per chunk of flip masks in the dense transform; the
@@ -207,6 +213,45 @@ def tensor_norm_sq(t: CorrelationTensor) -> float:
     return math.fsum((t.values * t.values).tolist())
 
 
+def ensemble_norm_sq(ens, zero_tol: float = 1e-9) -> float:
+    """Squared tensor norm of an ensemble (or a bare pure state).
+
+    Equals tensor_norm_sq(full_tensor(ens, zero_tol)) bit for bit.  When
+    every member is stabilizer-tagged and at most one is non-diagonal
+    (every pure tagged state and every noisy_mixture), it is the Gram sum
+    sum_ij w_i w_j <T_i, T_j>, found without building the tensor.  The
+    non-diagonal member, of weight w, has full_weight_count entries +-w
+    (counted in O(2^14) memory).  Z^n is the one entry that members can
+    share; its value is summed over them in member order, as full_tensor
+    sums it.  Entries whose magnitude is not above zero_tol are dropped,
+    as full_tensor drops them, and the rounded squares are summed exactly
+    in integers and rounded once, as math.fsum rounds them.  Any other
+    ensemble goes through full_tensor.
+    """
+    if isinstance(ens, PureState):
+        ens = pure_ensemble(ens)
+    if zero_tol < 0:
+        raise ValueError("zero_tol must be nonnegative")
+    groups = [st.stabilizer for _, st in ens.terms]
+    if None in groups or sum(not g.diagonal for g in groups) > 1:
+        return tensor_norm_sq(full_tensor(ens, zero_tol))
+    all_z = PauliString("Z" * ens.n)
+    shared = 0.0
+    squares = []  # (entry count, rounded square of the entry)
+    for (w, _), g in zip(ens.terms, groups):
+        sign = stabilizer_expectation(g, all_z)
+        shared += w * sign  # in member order, as full_tensor sums it; a non-member adds 0.0
+        if not g.diagonal and w > zero_tol:
+            # the member's other full-weight entries are +-w, and no other member has them
+            squares.append((full_weight_count(g) - abs(sign), w * w))
+    if abs(shared) > zero_tol:
+        squares.append((1, shared * shared))
+    # exact sum over one power-of-two denominator; int / int rounds once, correctly
+    ratios = [(count * num, den) for count, sq in squares for num, den in [sq.as_integer_ratio()]]
+    den = max((d for _, d in ratios), default=1)
+    return sum(num * (den // d) for num, d in ratios) / den
+
+
 def tensor_norm(t: CorrelationTensor) -> float:
     """Standard (Frobenius) tensor norm: the square root of tensor_norm_sq."""
     return math.sqrt(tensor_norm_sq(t))
@@ -217,31 +262,37 @@ def support_size(t: CorrelationTensor) -> int:
     return len(t.keys)
 
 
-def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> list[PauliString]:
+def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.ndarray:
     """Local observables sufficient to evaluate the criterion on the family.
 
     For complete-graph states these are the nonzero-pattern words; with
     noise=True the all-Z word needed for the colored-noise term is
-    appended.
+    appended.  Returns a (count, n + 1) uint8 array whose row i is word i
+    in ASCII letters followed by a newline, ready to be written out as
+    is.  Above stabilizer.PATTERN_LIMIT qubits it raises
+    SupportLimitError before allocating anything.
     """
     if family != "cg":
         raise ValueError(f"measurement settings are only defined for family 'cg', got {family!r}")
-    words = [embed(idx) for idx in cg_nonzero_pattern(n).indices()]
+    keys = cg_nonzero_pattern(n).keys
     if noise:
-        words.append(PauliString("Z" * n))
-    return words
+        keys = np.append(keys, pack_index((3,) * n))
+    rows = np.empty((len(keys), n + 1), dtype=np.uint8)
+    rows[:, n] = ord("\n")
+    letters = np.frombuffer(b"XYZ", dtype=np.uint8)
+    for col in range(n - 1, -1, -1):  # one base-3 digit per column, qubit n first
+        keys, digit = np.divmod(keys, 3)
+        rows[:, col] = letters[digit]
+    return rows
 
 
-def _family_norm(family: str, n: int, lim: int, support_limit: int) -> float:
+def _family_norm(family: str, n: int, lim: int) -> float:
     make_state, make_group = FAMILIES[family]
     if n <= lim:
         return tensor_norm(full_tensor(make_state(n), method="dense", limit=lim))
-    if make_group is not None and n <= support_limit:
-        return math.sqrt(len(full_weight_support(make_group(n))))
-    raise DenseLimitError(
-        f"family {family!r} at n={n} exceeds the dense limit {lim}"
-        + ("" if make_group is None else f" and the support limit {support_limit}")
-    )
+    if make_group is None:
+        raise DenseLimitError(f"family {family!r} at n={n} exceeds the dense limit {lim}")
+    return math.sqrt(ensemble_norm_sq(make_state(n)))
 
 
 def norm_table(
@@ -250,12 +301,12 @@ def norm_table(
     n_max: int,
     *,
     limit: int | None = None,
-    support_limit: int = DEFAULT_SUPPORT_LIMIT,
 ) -> list[tuple[str, int, float]]:
     """(family, n, norm) rows, family-major then n ascending.
 
     Uses the dense sweep up to the qubit limit and, for the families
-    with a stabilizer group, the group enumeration beyond it.
+    with a stabilizer group, ensemble_norm_sq (the count of the walk)
+    beyond it.
     """
     fams = list(families)
     names = tuple(FAMILIES)
@@ -266,7 +317,7 @@ def norm_table(
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     lim = dense_limit(limit)
     return [
-        (family, n, _family_norm(family, n, lim, support_limit))
+        (family, n, _family_norm(family, n, lim))
         for family in fams
         for n in range(n_min, n_max + 1)
     ]

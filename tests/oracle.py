@@ -8,6 +8,7 @@ with the library's bitmask / stabilizer paths.
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -285,3 +286,22 @@ def gray_code_support(g) -> dict:
             idx = idx * 3 + (0, 2, 0, 1)[code]  # X->0, Y->1, Z->2 packed digits
         entries[idx] = 1 if phase == 0 else -1
     return entries
+
+
+def combinations_cg_pattern(n: int) -> list:
+    """Packed keys of the complete-graph nonzero pattern, in the listing order.
+
+    One word per placement of an odd number of X letters among Z letters
+    (itertools.combinations order, qubit 1 first), then the all-Y word
+    at even n.  The reference for the library's vectorized pattern.
+    """
+    keys = []
+    for x_count in range(1, n + 1, 2):
+        for positions in combinations(range(n), x_count):
+            key = 0
+            for a in range(n):
+                key = key * 3 + (0 if a in positions else 2)  # X -> 0, Z -> 2
+            keys.append(key)
+    if n % 2 == 0:
+        keys.append((3 ** n - 1) // 2)  # Y -> 1 in every digit
+    return keys

@@ -307,6 +307,25 @@ def test_settings_listing(capsys):
     assert out.strip().splitlines()[-1] == "# count=34"
 
 
+def test_settings_above_the_cap_exits_2(capsys):
+    code, out, err = run(capsys, "settings", "--n", "40")
+    assert code == 2 and out == ""
+    assert err == "graphsep: error: pattern of 2^39 words exceeds the 22-qubit limit\n"
+
+
+def test_detect_beyond_the_walk_limit(capsys, tmp_path):
+    path = tmp_path / "cg30.json"
+    path.write_text('{"family": "cg", "n": 30}')
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "graphsep: error: stabilizer walk over 2^30 generator subsets exceeds the 26-qubit limit\n"
+    # at p = 1 the state is |1...1>, whose one full-weight element needs no walk
+    path.write_text('{"family": "cg", "n": 30, "p": 1}')
+    code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert code == 0
+    assert "norm=1\n" in out and "verdict=Inconclusive" in out
+
+
 def test_settings_unsupported_family_exits_1(capsys):
     assert run(capsys, "settings", "--family", "ghz", "--n", "3")[0] == 1
 

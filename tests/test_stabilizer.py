@@ -1,9 +1,12 @@
 """Stabilizer engine against the dense path and the closed-form counts."""
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsep import (
     GraphSpec,
@@ -15,6 +18,7 @@ from graphsep import (
     complete_graph,
     expectation,
     full_tensor,
+    full_weight_count,
     full_weight_support,
     ghz_group,
     ghz_nonzero_pattern,
@@ -26,9 +30,22 @@ from graphsep import (
     star_graph,
 )
 from graphsep import stabilizer
-from graphsep.stabilizer import permutation_terms
+from graphsep.pauli import packed_keys
+from graphsep.stabilizer import (
+    DEFAULT_SUPPORT_LIMIT,
+    PATTERN_LIMIT,
+    SupportLimitError,
+    all_ones_group,
+    permutation_terms,
+)
 
-from oracle import all_full_indices, dense_expectation, dense_full_tensor, gray_code_support
+from oracle import (
+    all_full_indices,
+    combinations_cg_pattern,
+    dense_expectation,
+    dense_full_tensor,
+    gray_code_support,
+)
 
 
 def random_graph(n, rng):
@@ -130,6 +147,7 @@ def test_cg_pattern_equals_support_index_set(n):
     pattern = cg_nonzero_pattern(n)
     support = full_weight_support(stabilizer_group(complete_graph(n)))
     assert pattern.packed_set() == support.packed_set()
+    assert pattern.keys.tolist() == combinations_cg_pattern(n)  # the settings listing order
 
 
 def test_ghz_pattern_small_cases():
@@ -210,3 +228,63 @@ def test_permutation_count_closed_form(n):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_support_count_identity(n):
     assert len(full_weight_support(stabilizer_group(complete_graph(n)))) == permutation_count(n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 14), st.randoms(use_true_random=False))
+def test_count_equals_support_length_on_random_graphs(n, rnd):
+    group = stabilizer_group(random_graph(n, rnd))
+    assert full_weight_count(group) == len(full_weight_support(group))
+
+
+def _basis_group(n, b):
+    """Generators (-1)^(b_a) Z_a of the basis state |b>, qubit 1 at the top bit of b."""
+    return StabilizerGroup(n, tuple((0, 1 << (n - a), -1 if b >> (n - a) & 1 else 1) for a in range(1, n + 1)))
+
+
+def _mixed_diagonal_group(n, rng):
+    """Random independent Z-only generators (products of single-qubit Z) with random signs."""
+    while True:
+        masks = [int(m) for m in rng.integers(1, 1 << n, size=n)]
+        try:
+            return StabilizerGroup(n, tuple((0, m, int(s)) for m, s in zip(masks, rng.choice((-1, 1), size=n))))
+        except ValueError:  # dependent masks: draw again
+            continue
+
+
+def _assert_shortcut_matches_walk(group):
+    assert group.diagonal
+    ((x, z, signs),) = stabilizer._walk(group)  # n <= 14: a single chunk
+    support = full_weight_support(group)
+    assert support.keys.tolist() == packed_keys(x, z, group.n).tolist() == [3 ** group.n - 1]
+    assert support.signs.tolist() == signs.tolist()
+    assert full_weight_count(group) == 1
+    return support.signs[0]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_diagonal_shortcut_matches_walk_on_basis_states(n):
+    for b in range(1 << n):
+        assert _assert_shortcut_matches_walk(_basis_group(n, b)) == (-1) ** b.bit_count()
+    rng = np.random.default_rng(500 + n)
+    for _ in range(5):
+        _assert_shortcut_matches_walk(_mixed_diagonal_group(n, rng))
+
+
+def test_all_ones_support_needs_no_walk(monkeypatch):
+    monkeypatch.setattr(stabilizer, "_walk", None)  # any walk would now raise TypeError
+    start = time.perf_counter()
+    support = full_weight_support(all_ones_group(30))
+    assert time.perf_counter() - start < 0.5
+    assert support.words() == ["Z" * 30]
+    assert support.signs.tolist() == [(-1.0) ** 30]
+    assert full_weight_count(all_ones_group(30)) == 1
+
+
+def test_walk_and_pattern_refuse_above_their_limits():
+    group = stabilizer_group(complete_graph(DEFAULT_SUPPORT_LIMIT + 1))
+    for reader in (full_weight_count, full_weight_support):
+        with pytest.raises(SupportLimitError, match=f"the {DEFAULT_SUPPORT_LIMIT}-qubit limit"):
+            reader(group)
+    with pytest.raises(SupportLimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
+        cg_nonzero_pattern(PATTERN_LIMIT + 1)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,3 +128,17 @@ def test_tagged_families_skip_the_dense_limit(monkeypatch):
         assert len(full_tensor(loaded.ensemble)) > 0
     with pytest.raises(DenseLimitError):
         loads_state('{"family": "w", "n": 5}')
+
+
+def test_loading_a_tagged_state_allocates_no_amplitudes():
+    edges = [[a, b] for a in range(1, 35) for b in range(a + 1, 35) if (a * b) % 3 == 0]
+    for doc in ({"family": "graph", "n": 34, "edges": edges, "p": 0.1}, {"family": "cg", "n": 30}):
+        text = json.dumps(doc)
+        tracemalloc.start()
+        try:
+            loaded = loads_state(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.n == doc["n"]
+        assert peak < 1 << 20

@@ -1,6 +1,7 @@
 """State constructors: amplitudes, noise mixtures, norm invariances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,3 +167,17 @@ def test_w_norm_invariant_under_relabeling():
     perm = list(rng.permutation(5))
     shuffled = PureState(5, permute_qubits(state.amplitudes, perm))
     assert tensor_norm(full_tensor(shuffled, method="dense")) == pytest.approx(base, abs=1e-12)
+
+
+def test_tagged_states_defer_their_amplitudes():
+    tracemalloc.start()
+    try:
+        states = [graph_state(complete_graph(24)), ghz_state(24), cluster_state(24), all_ones_state(24)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2^24 amplitudes would take 256 MiB each
+    assert all(state.stabilizer is not None for state in states)
+    small = ghz_state(3)
+    amps = small.amplitudes
+    assert amps is small.amplitudes and not amps.flags.writeable

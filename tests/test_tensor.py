@@ -1,6 +1,8 @@
 """Full-tensor sweeps, norms, support sizes and the norm table."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from graphsep import (
     PureState,
     all_ones_state,
     chain_graph,
+    cluster_state,
     complete_graph,
+    ensemble_norm_sq,
     full_tensor,
+    full_weight_count,
     full_weight_support,
     ghz_group,
     ghz_state,
@@ -30,6 +35,7 @@ from graphsep import (
     support_size,
     tensor,
     tensor_norm,
+    tensor_norm_sq,
     w_state,
 )
 from graphsep.states import FAMILIES
@@ -92,11 +98,11 @@ def test_fast_path_matches_dense():
 
 
 @st.composite
-def noisy_random_graphs(draw):
-    n = draw(st.integers(2, 8))
+def noisy_random_graphs(draw, n_max=8, probabilities=st.floats(0.0, 1.0)):
+    n = draw(st.integers(2, n_max))
     pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    p = draw(st.floats(0.0, 1.0))
+    p = draw(probabilities)
     return GraphSpec(n, tuple(e for e, on in zip(pairs, chosen) if on)), p
 
 
@@ -127,6 +133,59 @@ def test_support_path_matches_dense_on_noisy_ghz(n, p):
         assert fast.keys.tolist() == dense.keys.tolist()
         assert np.abs(fast.values - dense.values).max(initial=0.0) <= 1e-9
         assert tensor_norm(fast) == pytest.approx(tensor_norm(dense), rel=1e-12)
+
+
+# noise weights at and next to the endpoints, where one member's weight
+# nears zero, and zero_tol values that keep everything, keep all but
+# rounding dust, drop the (1-p) entries at p = 0.8, and equal both
+# weights at p = 0.5 (an entry equal to zero_tol is dropped)
+EDGE_P = (0.0, 1e-12, 0.5, 1 - 1e-12, 1.0)
+TOLS = (0.0, 1e-9, 0.3, 0.5)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(noisy_random_graphs(12, st.sampled_from(EDGE_P) | st.floats(0.0, 1.0)), st.sampled_from(TOLS), st.booleans())
+def test_ensemble_norm_sq_is_the_full_tensor_norm_on_random_graphs(case, tol, pure):
+    spec, p = case
+    ens = graph_state(spec) if pure else noisy_mixture(graph_state(spec), p)
+    assert ensemble_norm_sq(ens, tol) == tensor_norm_sq(full_tensor(ens, tol))
+
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("p", (None, *EDGE_P, 0.1, 0.8))
+def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
+    for n in (2, 3, 4, 7, 8):
+        for base in (ghz_state(n), cluster_state(n), graph_state(complete_graph(n)), all_ones_state(n)):
+            ens = base if p is None else noisy_mixture(base, p)
+            assert ensemble_norm_sq(ens, tol) == tensor_norm_sq(full_tensor(ens, tol))
+    # members full_tensor alone handles: untagged, and two non-diagonal members
+    for ens in (w_state(4), MixedEnsemble(((0.3, ghz_state(4)), (0.7, graph_state(complete_graph(4)))))):
+        assert ensemble_norm_sq(ens, tol) == tensor_norm_sq(full_tensor(ens, tol))
+
+
+def test_ensemble_norm_sq_values():
+    # p = 0.8 with zero_tol 0.3 drops every (1-p) entry; only Z^n, at -p, is left
+    assert ensemble_norm_sq(noisy_mixture(graph_state(complete_graph(5)), 0.8), 0.3) == 0.8 * 0.8
+    # GHZ at even n holds +Z^n too: the shared entry is (1-p) + p, summed in member order
+    w = 1 - 0.1
+    want = Fraction(w * w) * 2 ** 5 + Fraction((w + 0.1) ** 2)
+    assert ensemble_norm_sq(noisy_mixture(ghz_state(6), 0.1)) == float(want)
+    with pytest.raises(ValueError):
+        ensemble_norm_sq(ghz_state(3), -1.0)
+
+
+def test_ensemble_norm_sq_counts_in_small_memory():
+    ens = noisy_mixture(graph_state(complete_graph(22)), 0.1)
+    tracemalloc.start()
+    try:
+        value = ensemble_norm_sq(ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    w = 1 - 0.1
+    assert value == float(Fraction(w * w) * (2 ** 21 + 1) + Fraction(0.1 * 0.1))
+    # the amplitudes alone would take 64 MiB, the full tensor's keys and values 32 MiB
+    assert peak < 8 << 20
 
 
 def test_family_states_carry_their_group():
@@ -234,8 +293,9 @@ def test_dense_path_drops_exact_zeros():
 
 
 def test_measurement_settings():
-    words = [w.ops for w in measurement_settings(3, noise=True)]
-    assert words == ["XZZ", "ZXZ", "ZZX", "XXX", "ZZZ"]
+    rows = measurement_settings(3, noise=True)
+    assert rows.dtype == np.uint8
+    assert rows.tobytes().decode("ascii").splitlines() == ["XZZ", "ZXZ", "ZZX", "XXX", "ZZZ"]
     assert len(measurement_settings(4, noise=True)) == 10
     assert len(measurement_settings(6, noise=True)) == 34
     assert len(measurement_settings(4)) == 9
@@ -319,10 +379,12 @@ def test_w_norm_closed_form():
 
 def test_cluster_norm_recurrence_observation():
     # support counts of the chain satisfy a_n = a_(n-1) + a_(n-3)
-    counts = {n: len(full_weight_support(stabilizer_group(chain_graph(n)))) for n in range(2, 15)}
+    counts = {n: full_weight_count(stabilizer_group(chain_graph(n))) for n in range(2, 21)}
     assert [counts[n] for n in range(2, 9)] == [3, 4, 5, 8, 12, 17, 25]
-    for n in range(5, 15):
+    for n in range(5, 21):
         assert counts[n] == counts[n - 1] + counts[n - 3]
+    for n in range(2, 15):
+        assert counts[n] == len(full_weight_support(stabilizer_group(chain_graph(n))))
 
 
 def test_entries_kept_at_full_precision():
