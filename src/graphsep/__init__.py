@@ -1,67 +1,51 @@
-"""Correlation-tensor norms and non-k-separability certification for qubit graph states."""
+"""Correlation-tensor norms and non-k-separability certification for qubit graph states.
 
-from .pauli import (
-    MixedEnsemble,
-    PauliString,
-    PureState,
-    embed,
-    ensemble_expectation,
-    expectation,
-    kron_states,
-    pack_index,
-    pure_ensemble,
-    unpack_index,
-)
-from .separability import (
-    INCONCLUSIVE,
-    NON_K_SEPARABLE,
-    PartitionBound,
-    Verdict,
-    XiResult,
-    admissible_partitions,
-    detect,
-    k_sep_bound,
-    part_norm,
-    threshold_p,
-    xi_noise,
-)
-from .stabilizer import (
-    StabilizerGroup,
-    SupportLimitError,
-    SupportPattern,
-    cg_nonzero_pattern,
-    cg_norm_closed,
-    full_weight_count,
-    full_weight_support,
-    ghz_group,
-    ghz_nonzero_pattern,
-    permutation_count,
-    stabilizer_expectation,
-    stabilizer_group,
-)
-from .statefile import LoadedState, StateFileError, load_state_file, write_amplitude_file
-from .states import (
-    GraphSpec,
-    all_ones_state,
-    chain_graph,
-    cluster_state,
-    complete_graph,
-    ghz_state,
-    graph_state,
-    noisy_mixture,
-    star_graph,
-    w_state,
-)
-from .tensor import (
-    CorrelationTensor,
-    DenseLimitError,
-    ensemble_norm_sq,
-    full_tensor,
-    measurement_settings,
-    norm_table,
-    support_size,
-    tensor_norm,
-    tensor_norm_sq,
-)
+The namespace is lazy, so that integer commands start without numpy.
+Importing graphsep registers each home module of _EXPORTS as a lazy
+module (importlib.util.LazyLoader) whose body runs on first attribute
+access, and each public name resolves on first access (PEP 562), so
+graphsep.X is graphsep.<home>.X.  separability (bounds, thresholds and
+the integer closed forms cg_norm_sq, sqrt_int, permutation_count) and
+graphs (GraphSpec, complete, chain and star graphs) load no numpy.
+"""
+
+import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+# home module -> the public names it exports
+_EXPORTS = {
+    "graphs": "GraphSpec chain_graph complete_graph star_graph",
+    "pauli": "MixedEnsemble PauliString PureState embed ensemble_expectation expectation kron_states"
+    " pack_index pure_ensemble unpack_index",
+    "separability": "INCONCLUSIVE NON_K_SEPARABLE PartitionBound Verdict XiResult admissible_partitions"
+    " cg_norm_closed detect k_sep_bound part_norm permutation_count threshold_p xi_noise",
+    "stabilizer": "StabilizerGroup SupportLimitError SupportPattern cg_nonzero_pattern full_weight_count"
+    " full_weight_support ghz_group ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
+    "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
+    "states": "all_ones_state cluster_state ghz_state graph_state noisy_mixture w_state",
+    "tensor": "CorrelationTensor DenseLimitError ensemble_norm_sq full_tensor measurement_settings norm_table"
+    " support_size tensor_norm tensor_norm_sq",
+}
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_HOME)
+
+for _name in _EXPORTS:
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,8 +7,9 @@ graph (complete graph as DOT text).
 
 Output is CSV on stdout unless --out is given; comment lines start with
 "#"; numeric fields carry 12 significant digits.  Exit codes: 0 success,
-1 usage or input error (including a result beyond the float range), 2
-resource or output error.  Verdicts are payload, never exit status.
+1 usage or input error (also a result beyond the float range or a failed
+internal check), 2 resource or output error.  Verdicts are payload,
+never exit status.  bounds, sweep, appendix and graph load no numpy.
 """
 
 from __future__ import annotations
@@ -17,11 +18,10 @@ import argparse
 import json
 import sys
 
-from .separability import detect, k_sep_bound, threshold_p, xi_noise
-from .stabilizer import SupportLimitError, cg_norm_sq, permutation_count, permutation_terms
-from .statefile import StateFileError, load_state_file
-from .states import FAMILIES, complete_graph
-from .tensor import DenseLimitError, ensemble_norm_sq, measurement_settings, norm_table
+# lazy modules (graphsep/__init__.py): only norms, detect and settings load them
+from . import stabilizer, statefile, states, tensor
+from .graphs import complete_graph
+from .separability import cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms, threshold_p, xi_noise
 
 MAX_P_STEPS = 100_001  # the sweep holds all of its rows before writing any
 
@@ -42,8 +42,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_families(raw: str) -> list[str]:
+def _parse_families(raw: str | None) -> list[str]:
     # norm_table checks each name against the family registry
+    if raw is None:
+        return list(states.FAMILIES)
     families = [f.strip() for f in raw.split(",") if f.strip()]
     if not families:
         raise ValueError("no families given")
@@ -51,7 +53,7 @@ def _parse_families(raw: str) -> list[str]:
 
 
 def cmd_norms(args) -> int:
-    rows = norm_table(_parse_families(args.families), args.n_min, args.n_max)
+    rows = tensor.norm_table(_parse_families(args.families), args.n_min, args.n_max)
     if args.format == "json":
         payload = [
             {"family": fam, "n": n, "norm_sq": norm * norm, "norm": norm}
@@ -111,13 +113,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_detect(args) -> int:
     try:
-        loaded = load_state_file(args.state_file)
+        loaded = statefile.load_state_file(args.state_file)
     except OSError as exc:
-        raise StateFileError(f"cannot read {args.state_file}: {exc}") from None
+        raise statefile.StateFileError(f"cannot read {args.state_file}: {exc}") from None
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
-    verdict = detect(ensemble_norm_sq(loaded.ensemble, args.zero_tol), n, args.k)
+    verdict = detect(tensor.ensemble_norm_sq(loaded.ensemble, args.zero_tol), n, args.k)
     partition = k_sep_bound(n, args.k).partition_label()
     if args.format == "json":
         payload = {
@@ -142,7 +144,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_settings(args) -> int:
-    rows = measurement_settings(args.n, args.family, noise=args.noise)
+    rows = tensor.measurement_settings(args.n, args.family, noise=args.noise)
     sys.stdout.flush()
     sys.stdout.buffer.write(rows)
     print(f"# count={len(rows)}")
@@ -186,7 +188,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("norms", help="tensor-norm table per family and qubit count")
-    p.add_argument("--families", default=",".join(FAMILIES), help=f"comma list of {','.join(FAMILIES)}")
+    p.add_argument("--families", default=None, help="comma list of state families (default: all)")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -239,15 +241,20 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (StateFileError, ValueError) as exc:
+    except ValueError as exc:  # StateFileError included
         print(f"graphsep: error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:
         print(f"graphsep: error: result out of floating-point range ({exc})", file=sys.stderr)
         return 1
-    except (DenseLimitError, SupportLimitError, OSError, MemoryError) as exc:
+    # evaluated only for an exception that gets this far, so the lazy
+    # modules load only then; the limit errors are RuntimeErrors too
+    except (OSError, MemoryError, tensor.DenseLimitError, stabilizer.SupportLimitError) as exc:
         print(f"graphsep: error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # a library consistency check failed
+        print(f"graphsep: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -38,6 +38,9 @@ the printed p, and printed fields are correctly rounded.  detect gets a
 squared norm summed from float entries, which still carries rounding
 (most on the dense path, for untagged states), so it certifies only
 past a stated worst-case rounding margin.
+
+The integer closed forms (cg_norm_sq, sqrt_int, permutation_count) live
+here, and the module loads neither numpy nor another graphsep module.
 """
 
 from __future__ import annotations
@@ -45,8 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .stabilizer import cg_norm_sq, sqrt_int
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -127,6 +128,49 @@ def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[
                 break
         else:
             return found
+
+
+def cg_norm_sq(m: int) -> int:
+    """2^(m-1) + s_m (s_m = 1 for even m, else 0), an exact integer.
+
+    The squared tensor norm of the m-qubit complete graph state, and so
+    the squared norm bound of an m-qubit block in a k-partition.
+    """
+    return (1 << (m - 1)) + (1 - m % 2)
+
+
+def sqrt_int(value: int) -> float:
+    """sqrt of a nonnegative integer of any size, as a float.
+
+    Integers above 2^100 are shifted down by an even number of bits
+    first, so a square beyond the float range (2^1024) still gives its
+    root; only a root beyond that range raises OverflowError.
+    """
+    shift = max(0, (value.bit_length() - 100) // 2)
+    return math.ldexp(math.sqrt(value >> (2 * shift)), shift)
+
+
+def cg_norm_closed(n: int) -> float:
+    """Closed-form tensor norm of the n-qubit complete graph state."""
+    if n < 2:
+        raise ValueError("closed form needs n >= 2")
+    return sqrt_int(cg_norm_sq(n))
+
+
+def permutation_terms(n: int) -> list[tuple[int, int]]:
+    """(x, C(n, x)) for each odd x: the per-block permutation counts."""
+    if n < 2:
+        raise ValueError("count needs n >= 2")
+    return [(x, math.comb(n, x)) for x in range(1, n + 1, 2)]
+
+
+def permutation_count(n: int) -> int:
+    """Number of nonzero complete-graph tensor entries, exact integer.
+
+    Sum of the odd binomials C(n, x) plus one for the all-Y word at even
+    n; always equals 2^(n-1) + s.
+    """
+    return sum(c for _, c in permutation_terms(n)) + 1 - n % 2
 
 
 def part_norm(m: int) -> float:

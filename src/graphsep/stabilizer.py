@@ -15,23 +15,20 @@ full_weight_support packs and sorts the elements into a SupportPattern;
 full_weight_count keeps only the chunk lengths, so it counts in O(2^14)
 memory.  A diagonal group (a basis state such as |1...1>) needs no walk:
 its one identity-free element is Z^n.  The walk refuses groups above
-DEFAULT_SUPPORT_LIMIT qubits with SupportLimitError.  Single
+DEFAULT_SUPPORT_LIMIT qubits, and full_weight_support (which keeps every
+key) groups above PATTERN_LIMIT, with SupportLimitError.  Single
 expectations are O(n) membership solves.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .graphs import GraphSpec
 from .pauli import PauliString, pack_index, packed_keys, unpack_index
-
-if TYPE_CHECKING:
-    from .states import GraphSpec
 
 # Generators whose subsets form one chunk of the vectorized group
 # product: each temporary is 2^14 int64 lanes (128 KiB), whatever the
@@ -41,7 +38,8 @@ _SUBSET_BITS = 14
 # Largest qubit count the walk takes: 2^26 subsets take about 2.5 s.
 DEFAULT_SUPPORT_LIMIT = 26
 
-# Largest qubit count cg_nonzero_pattern lists: 2^21 words.
+# Largest qubit count whose 2^(n-1) words or keys cg_nonzero_pattern and
+# full_weight_support materialize (n = 22 keys take about 180 MB).
 PATTERN_LIMIT = 22
 
 
@@ -273,11 +271,14 @@ def full_weight_support(g: StabilizerGroup) -> SupportPattern:
     The elements come from the walk (see _walk), packed and sorted.  A
     diagonal group (every generator X-free, as for |1...1> or any basis
     state) has Z^n as its only identity-free element, which one
-    membership solve finds with no walk.
+    membership solve finds with no walk.  Any other group above
+    PATTERN_LIMIT qubits raises SupportLimitError before walking.
     """
     n = g.n
     if g.diagonal:
         return SupportPattern(n, [pack_index((3,) * n)], [stabilizer_expectation(g, PauliString("Z" * n))])
+    if n > PATTERN_LIMIT:
+        raise SupportLimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
     chunks = list(_walk(g))
     keys = np.concatenate([packed_keys(x, z, n) for x, z, _ in chunks])
     order = np.argsort(keys)
@@ -337,49 +338,3 @@ def ghz_nonzero_pattern(n: int) -> SupportPattern:
     if n % 2 == 0:
         keys.append(pack_index((3,) * n))
     return SupportPattern(n, keys, np.ones(len(keys)))
-
-
-def cg_norm_sq(m: int) -> int:
-    """2^(m-1) + s_m (s_m = 1 for even m, else 0), an exact integer.
-
-    The squared tensor norm of the m-qubit complete graph state, and so
-    the squared norm bound of an m-qubit block in a k-partition.
-    """
-    return (1 << (m - 1)) + (1 - m % 2)
-
-
-def sqrt_int(value: int) -> float:
-    """sqrt of a nonnegative integer of any size, as a float.
-
-    Integers above 2^100 are shifted down by an even number of bits
-    first, so a square beyond the float range (2^1024) still gives its
-    root; only a root beyond that range raises OverflowError.
-    """
-    shift = max(0, (value.bit_length() - 100) // 2)
-    return math.ldexp(math.sqrt(value >> (2 * shift)), shift)
-
-
-def cg_norm_closed(n: int) -> float:
-    """Closed-form tensor norm of the n-qubit complete graph state."""
-    if n < 2:
-        raise ValueError("closed form needs n >= 2")
-    return sqrt_int(cg_norm_sq(n))
-
-
-def permutation_terms(n: int) -> list[tuple[int, int]]:
-    """(x, C(n, x)) for each odd x: the per-block permutation counts."""
-    if n < 2:
-        raise ValueError("count needs n >= 2")
-    return [(x, math.comb(n, x)) for x in range(1, n + 1, 2)]
-
-
-def permutation_count(n: int) -> int:
-    """Number of nonzero complete-graph tensor entries, exact integer.
-
-    Sum of the odd binomials C(n, x) plus one for the all-Y word at even
-    n; always equals 2^(n-1) + s.
-    """
-    total = sum(c for _, c in permutation_terms(n))
-    if n % 2 == 0:
-        total += 1
-    return total

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graphs import GraphSpec
 from .pauli import MixedEnsemble, PureState, pure_ensemble
-from .states import FAMILIES, GraphSpec, graph_state, noisy_mixture
+from .states import FAMILIES, graph_state, noisy_mixture
 from .tensor import check_dense_limit
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}

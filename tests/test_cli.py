@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from graphsep import full_tensor, ghz_state, noisy_mixture, separability
+from graphsep import full_tensor, ghz_state, noisy_mixture, separability, tensor
 from graphsep.cli import MAX_P_STEPS, main
 
 from oracle import brute_k_sep_bound, exact_noise_threshold
@@ -294,6 +294,19 @@ def test_detect_malformed_file_exits_1(capsys, tmp_path):
     assert code == 1 and "error" in err
     code, _, _ = run(capsys, "detect", "--state-file", str(tmp_path / "missing.json"), "--k", "2")
     assert code == 1
+
+
+def test_library_runtime_error_is_one_line_exit_1(capsys, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise RuntimeError("stabilizer product has non-real phase")
+
+    monkeypatch.setattr(tensor, "ensemble_norm_sq", fail)
+    path = tmp_path / "cg4.json"
+    path.write_text(json.dumps({"family": "cg", "n": 4}))
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert (code, out) == (1, "")
+    assert err == "graphsep: error: stabilizer product has non-real phase\n"
+    assert "Traceback" not in err
 
 
 def test_settings_listing(capsys):

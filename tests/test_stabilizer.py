@@ -36,8 +36,8 @@ from graphsep.stabilizer import (
     PATTERN_LIMIT,
     SupportLimitError,
     all_ones_group,
-    permutation_terms,
 )
+from graphsep.separability import permutation_terms
 
 from oracle import (
     all_full_indices,
@@ -282,9 +282,10 @@ def test_all_ones_support_needs_no_walk(monkeypatch):
 
 
 def test_walk_and_pattern_refuse_above_their_limits():
-    group = stabilizer_group(complete_graph(DEFAULT_SUPPORT_LIMIT + 1))
-    for reader in (full_weight_count, full_weight_support):
-        with pytest.raises(SupportLimitError, match=f"the {DEFAULT_SUPPORT_LIMIT}-qubit limit"):
-            reader(group)
+    with pytest.raises(SupportLimitError, match=f"the {DEFAULT_SUPPORT_LIMIT}-qubit limit"):
+        full_weight_count(stabilizer_group(complete_graph(DEFAULT_SUPPORT_LIMIT + 1)))
+    for n in (PATTERN_LIMIT + 1, DEFAULT_SUPPORT_LIMIT + 1):
+        with pytest.raises(SupportLimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
+            full_weight_support(stabilizer_group(complete_graph(n)))
     with pytest.raises(SupportLimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
         cg_nonzero_pattern(PATTERN_LIMIT + 1)

@@ -15,6 +15,7 @@ from graphsep import (
     GraphSpec,
     MixedEnsemble,
     PureState,
+    SupportLimitError,
     all_ones_state,
     chain_graph,
     cluster_state,
@@ -186,6 +187,18 @@ def test_ensemble_norm_sq_counts_in_small_memory():
     assert value == float(Fraction(w * w) * (2 ** 21 + 1) + Fraction(0.1 * 0.1))
     # the amplitudes alone would take 64 MiB, the full tensor's keys and values 32 MiB
     assert peak < 8 << 20
+
+
+def test_full_tensor_refuses_a_large_support_before_allocating():
+    state = graph_state(complete_graph(23))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SupportLimitError, match="the 22-qubit limit"):
+            full_tensor(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 2^22 sorted keys and signs alone would take 64 MiB
 
 
 def test_family_states_carry_their_group():
