@@ -18,16 +18,16 @@ __version__ = "0.1.0"
 # home module -> the public names it exports
 _EXPORTS = {
     "graphs": "GraphSpec chain_graph complete_graph star_graph",
-    "pauli": "MixedEnsemble PauliString PureState embed ensemble_expectation expectation kron_states"
-    " pack_index pure_ensemble unpack_index",
+    "pauli": "CorrelationTensor MixedEnsemble PauliString PureState embed ensemble_expectation expectation"
+    " kron_states pack_index pure_ensemble unpack_index",
     "separability": "INCONCLUSIVE NON_K_SEPARABLE PartitionBound Verdict XiResult admissible_partitions"
     " cg_norm_closed detect k_sep_bound part_norm permutation_count threshold_p xi_noise",
-    "stabilizer": "StabilizerGroup SupportLimitError SupportPattern cg_nonzero_pattern full_weight_count"
-    " full_weight_support ghz_group ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
+    "stabilizer": "StabilizerGroup SupportLimitError cg_nonzero_pattern full_weight_count full_weight_support"
+    " ghz_group ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
     "states": "all_ones_state cluster_state ghz_state graph_state noisy_mixture w_state",
-    "tensor": "CorrelationTensor DenseLimitError ensemble_norm_sq full_tensor measurement_settings norm_table"
-    " support_size tensor_norm tensor_norm_sq",
+    "tensor": "DenseLimitError ensemble_norm_sq full_tensor measurement_settings norm_table tensor_norm"
+    " tensor_norm_sq",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

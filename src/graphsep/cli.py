@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 # lazy modules (graphsep/__init__.py): only norms, detect and settings load them
@@ -56,14 +57,14 @@ def cmd_norms(args) -> int:
     rows = tensor.norm_table(_parse_families(args.families), args.n_min, args.n_max)
     if args.format == "json":
         payload = [
-            {"family": fam, "n": n, "norm_sq": norm * norm, "norm": norm}
-            for fam, n, norm in rows
+            {"family": fam, "n": n, "norm_sq": norm_sq, "norm": math.sqrt(norm_sq)}
+            for fam, n, norm_sq in rows
         ]
         print(json.dumps(payload, indent=2))
         return 0
     print("family,n,norm_sq,norm")
-    for fam, n, norm in rows:
-        print(f"{fam},{n},{_fmt(norm * norm)},{_fmt(norm)}")
+    for fam, n, norm_sq in rows:
+        print(f"{fam},{n},{_fmt(norm_sq)},{_fmt(math.sqrt(norm_sq))}")
     return 0
 
 

@@ -7,7 +7,9 @@ Conventions used throughout the package:
   * Basis indices put qubit 1 in the most significant bit:
     |b_1 b_2 ... b_n>  <->  index sum_a b_a * 2**(n - a).
   * Identity-free words are also handled as index tuples over {1, 2, 3}
-    with 1 -> X, 2 -> Y, 3 -> Z ("full index").
+    with 1 -> X, 2 -> Y, 3 -> Z ("full index"), packed into base-3
+    integer keys (pack_index, packed_keys).  CorrelationTensor, the one
+    sparse tensor type, stores its entries under these keys.
 
 Expectation values are evaluated with a single O(2^n) pass over the
 amplitude vector (bit flips for X/Y, parity signs for Y/Z); no 2^n x 2^n
@@ -127,6 +129,54 @@ def packed_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
         return lo[m & ((1 << h) - 1)] + hi[m >> h]
 
     return t3(z) + t3(z & ~x)
+
+
+@dataclass(frozen=True, eq=False)
+class CorrelationTensor:
+    """Sparse full correlation tensor: ascending base-3 packed keys and their values.
+
+    keys is a strictly increasing int64 array of packed index words and
+    values the float64 entries at those words; every other entry is zero.
+    full_tensor returns one, and so does full_weight_support (the signed
+    identity-free elements of a stabilizer group, values +-1).
+    """
+
+    n: int
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        keys = np.asarray(self.keys, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if keys.ndim != 1 or keys.shape != values.shape:
+            raise ValueError("keys and values must be 1-D arrays of one length")
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("keys must be strictly increasing")
+        keys.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def entries(self) -> dict:
+        """Packed key -> value, built on each access, for inspection."""
+        return dict(zip(self.keys.tolist(), self.values.tolist()))
+
+    def value(self, idx) -> float:
+        """Entry at a full-index tuple; absent entries are zero."""
+        key = pack_index(idx)
+        i = int(np.searchsorted(self.keys, key))
+        if i < len(self.keys) and self.keys[i] == key:
+            return float(self.values[i])
+        return 0.0
+
+    def items(self):
+        """(index tuple, value) pairs in canonical (packed-key) order."""
+        for key, v in zip(self.keys.tolist(), self.values.tolist()):
+            yield unpack_index(key, self.n), v
 
 
 def _checked_amplitudes(n: int, amplitudes) -> np.ndarray:

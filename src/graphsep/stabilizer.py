@@ -11,12 +11,15 @@ One walk (_walk) evaluates that product for all 2^n generator subsets
 with numpy, a chunk of 2^14 subsets at a time, and yields each chunk's
 identity-free elements as (x, z, sign) arrays: O(2^n) vectorized work
 where the dense path would sweep 3^n strings.  It has two readers.
-full_weight_support packs and sorts the elements into a SupportPattern;
-full_weight_count keeps only the chunk lengths, so it counts in O(2^14)
-memory.  A diagonal group (a basis state such as |1...1>) needs no walk:
-its one identity-free element is Z^n.  The walk refuses groups above
-DEFAULT_SUPPORT_LIMIT qubits, and full_weight_support (which keeps every
-key) groups above PATTERN_LIMIT, with SupportLimitError.  Single
+full_weight_support packs and sorts the elements into a CorrelationTensor
+(pauli.py) whose values are their +-1 signs; full_weight_count keeps only
+the chunk lengths, so it counts in O(2^14) memory.  A diagonal group (a
+basis state such as |1...1>) needs no walk: its one identity-free
+element is Z^n.  The complete-graph and GHZ nonzero patterns are plain
+int64 key arrays, built by vectorized popcounts with no group at all.
+The walk refuses groups above DEFAULT_SUPPORT_LIMIT qubits, and
+full_weight_support and the patterns (which keep every key) refuse
+more than PATTERN_LIMIT qubits, with SupportLimitError.  Single
 expectations are O(n) membership solves.
 """
 
@@ -28,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from .graphs import GraphSpec
-from .pauli import PauliString, pack_index, packed_keys, unpack_index
+from .pauli import CorrelationTensor, PauliString, pack_index, packed_keys
 
 # Generators whose subsets form one chunk of the vectorized group
 # product: each temporary is 2^14 int64 lanes (128 KiB), whatever the
@@ -143,47 +146,6 @@ class StabilizerGroup:
         return words
 
 
-@dataclass(frozen=True, eq=False)
-class SupportPattern:
-    """Identity-free index words with signs: base-3 packed int64 keys, float64 signs.
-
-    full_weight_support stores its elements in ascending key order with
-    their group signs.  Pattern generators that only enumerate index sets
-    keep their enumeration order and store a +1 placeholder sign.
-    """
-
-    n: int
-    keys: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=np.int64)
-        signs = np.asarray(self.signs, dtype=np.float64)
-        if keys.ndim != 1 or keys.shape != signs.shape:
-            raise ValueError("keys and signs must be 1-D arrays of one length")
-        keys.setflags(write=False)
-        signs.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "signs", signs)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @property
-    def entries(self) -> dict:
-        """Packed key -> sign, built on each access, for inspection."""
-        return dict(zip(self.keys.tolist(), self.signs.tolist()))
-
-    def packed_set(self) -> frozenset:
-        return frozenset(self.keys.tolist())
-
-    def indices(self) -> list[tuple[int, ...]]:
-        return [unpack_index(k, self.n) for k in self.keys.tolist()]
-
-    def words(self) -> list[str]:
-        return ["".join("XYZ"[i - 1] for i in idx) for idx in self.indices()]
-
-
 def stabilizer_group(spec: GraphSpec) -> StabilizerGroup:
     """Graph-state stabilizer generators: X on vertex a, Z on its neighbors."""
     adj = spec.adjacency_masks()
@@ -265,8 +227,8 @@ def _walk(g: StabilizerGroup):
         yield x, z, 1.0 - phase  # phase 0 -> +1, phase 2 -> -1
 
 
-def full_weight_support(g: StabilizerGroup) -> SupportPattern:
-    """All identity-free group elements with their signs, in ascending key order.
+def full_weight_support(g: StabilizerGroup) -> CorrelationTensor:
+    """All identity-free group elements, as a tensor of their +-1 signs in ascending key order.
 
     The elements come from the walk (see _walk), packed and sorted.  A
     diagonal group (every generator X-free, as for |1...1> or any basis
@@ -276,13 +238,13 @@ def full_weight_support(g: StabilizerGroup) -> SupportPattern:
     """
     n = g.n
     if g.diagonal:
-        return SupportPattern(n, [pack_index((3,) * n)], [stabilizer_expectation(g, PauliString("Z" * n))])
+        return CorrelationTensor(n, [pack_index((3,) * n)], [stabilizer_expectation(g, PauliString("Z" * n))])
     if n > PATTERN_LIMIT:
         raise SupportLimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
     chunks = list(_walk(g))
     keys = np.concatenate([packed_keys(x, z, n) for x, z, _ in chunks])
     order = np.argsort(keys)
-    return SupportPattern(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
+    return CorrelationTensor(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
 
 
 def full_weight_count(g: StabilizerGroup) -> int:
@@ -296,14 +258,15 @@ def full_weight_count(g: StabilizerGroup) -> int:
     return sum(len(x) for x, _, _ in _walk(g))
 
 
-def cg_nonzero_pattern(n: int) -> SupportPattern:
-    """Index set where complete-graph-state tensors are nonzero (signs omitted).
+def _parity_pattern(n: int, parity: int, xz, extra: int) -> np.ndarray:
+    """Packed keys of the n-letter words over two letters whose second-letter mask has the given parity.
 
-    All placements of an odd number of X letters among Z letters, plus the
-    all-Y word when n is even.  The X masks come in combinations order:
-    popcount ascending, then mask descending (qubit 1 is the top bit).
-    Above PATTERN_LIMIT qubits it raises SupportLimitError before
-    allocating anything.
+    xz(m, full) gives the X and Z masks of the words whose second letter
+    sits on mask m.  The masks m of popcount parity `parity` come in
+    combinations order: popcount ascending, then mask descending (qubit
+    1 is the top bit).  At even n the word of n `extra` letters (a full
+    index: 1 -> X, 2 -> Y, 3 -> Z) follows.  Above PATTERN_LIMIT qubits
+    it raises SupportLimitError before allocating anything.
     """
     if n < 2:
         raise ValueError("pattern needs n >= 2")
@@ -312,29 +275,25 @@ def cg_nonzero_pattern(n: int) -> SupportPattern:
     full = (1 << n) - 1
     masks = np.arange(full, -1, -1, dtype=np.int64)
     weight = np.bitwise_count(masks)
-    odd = (weight & 1).astype(bool)
-    masks = masks[odd][np.argsort(weight[odd], kind="stable")]
-    keys = packed_keys(masks, full & ~masks, n)
-    if n % 2 == 0:
-        keys = np.append(keys, pack_index((2,) * n))
-    return SupportPattern(n, keys, np.ones(len(keys)))
+    keep = (weight & 1) == parity
+    masks = masks[keep][np.argsort(weight[keep], kind="stable")]
+    keys = packed_keys(*xz(masks, full), n)
+    return np.append(keys, pack_index((extra,) * n)) if n % 2 == 0 else keys
 
 
-def ghz_nonzero_pattern(n: int) -> SupportPattern:
-    """Index set where GHZ-state tensors are nonzero (signs omitted).
+def cg_nonzero_pattern(n: int) -> np.ndarray:
+    """Packed keys of the words where complete-graph-state tensors are nonzero.
+
+    All placements of an odd number of X letters among Z letters, plus the
+    all-Y word when n is even, in the order of _parity_pattern.
+    """
+    return _parity_pattern(n, 1, lambda m, full: (m, full & ~m), 2)
+
+
+def ghz_nonzero_pattern(n: int) -> np.ndarray:
+    """Packed keys of the words where GHZ-state tensors are nonzero.
 
     All placements of an even number of Y letters among X letters, plus
-    the all-Z word when n is even.
+    the all-Z word when n is even, in the order of _parity_pattern.
     """
-    if n < 2:
-        raise ValueError("pattern needs n >= 2")
-    keys = []
-    for y_count in range(0, n + 1, 2):
-        for positions in combinations(range(n), y_count):
-            idx = [1] * n
-            for pos in positions:
-                idx[pos] = 2
-            keys.append(pack_index(idx))
-    if n % 2 == 0:
-        keys.append(pack_index((3,) * n))
-    return SupportPattern(n, keys, np.ones(len(keys)))
+    return _parity_pattern(n, 0, lambda m, full: (full, m), 3)

@@ -1,48 +1,48 @@
 """Full correlation tensors, the standard tensor norm, and the norm table.
 
 The full tensor of an n-qubit state holds the expectation values of all
-3^n identity-free Pauli words.  It is stored sparsely, as the sorted
-base-3 packed keys of its nonzero entries plus their values (two numpy
-arrays), because for the states handled here only O(2^(n-1)) entries
-are nonzero.
+3^n identity-free Pauli words.  It is stored sparsely, as a
+CorrelationTensor (pauli.py): the sorted base-3 packed keys of its
+nonzero entries plus their values (two numpy arrays), because for the
+states handled here only O(2^(n-1)) entries are nonzero.
 
-Two evaluation paths exist.  The dense path (the ground truth, limited
-to small n) evaluates all 3^n words at once: for each bit-flip mask x it
-forms the overlap vector conj(a[b ^ x]) * a[b], and one fast
-Walsh-Hadamard transform of that vector gives the expectations of every
-word with flip mask x.  Over all 2^n masks that is O(n 4^n) vectorized
-work, done in chunks of masks.  The stabilizer shortcut is used when
-every ensemble member carries a stabilizer-group tag (graph, cluster,
-GHZ and |1...1> states from graphsep.states): each member's signed
-group elements come from one vectorized enumeration, and the members
-are merged by key.  Untagged states (W, raw amplitudes) always sweep
-densely.
+Two evaluation paths exist, and the state picks one.  The stabilizer
+shortcut is taken when every ensemble member carries a stabilizer-group
+tag (graph, cluster, GHZ and |1...1> states from graphsep.states): each
+member's signed group elements come from one vectorized enumeration,
+and the members are merged by key.  Untagged states (W, raw amplitudes)
+sweep densely.  The dense path (the ground truth, limited to small n)
+evaluates all 3^n words at once: for each bit-flip mask x it forms the
+overlap vector conj(a[b ^ x]) * a[b], and one fast Walsh-Hadamard
+transform of that vector gives the expectations of every word with flip
+mask x.  Over all 2^n masks that is O(n 4^n) vectorized work, done in
+chunks of masks.  The dense reference of a tagged state is its untagged
+copy, PureState(n, state.amplitudes).
 
 The criterion needs only the squared norm, and ensemble_norm_sq is its
-one entry point.  For the tagged ensembles that detect and the norm
-table meet (a pure tagged state, or one mixed with |1...1> noise) it is
-the Gram sum sum_ij w_i w_j <T_i, T_j>: the full-weight count of the
-one non-diagonal member plus the shared Z^n entry, taken exactly and
-rounded once, so it equals the norm of full_tensor bit for bit without
-building any tensor or amplitude.
+one entry point; detect and every norm-table row go through it.  For
+the tagged ensembles they meet (a pure tagged state, or one mixed with
+|1...1> noise) it is the Gram sum sum_ij w_i w_j <T_i, T_j>: the
+full-weight count of the one non-diagonal member plus the shared Z^n
+entry, taken exactly and rounded once, so it equals the norm of
+full_tensor bit for bit without building any tensor or amplitude.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import (
     IMAG_TOL,
+    CorrelationTensor,
     PauliString,
     PureState,
     pack_index,
     packed_keys,
     pure_ensemble,
-    unpack_index,
 )
 from .stabilizer import cg_nonzero_pattern, full_weight_count, full_weight_support, stabilizer_expectation
 from .states import FAMILIES
@@ -59,67 +59,18 @@ class DenseLimitError(RuntimeError):
     """A dense 3^n sweep was requested beyond the configured qubit limit."""
 
 
-def dense_limit(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
+def dense_limit() -> int:
     return int(os.environ.get(DENSE_LIMIT_ENV, DEFAULT_DENSE_LIMIT))
 
 
-def check_dense_limit(n: int, limit: int | None = None) -> None:
+def check_dense_limit(n: int) -> None:
     """Raise DenseLimitError when a dense sweep of n qubits is over the limit."""
-    lim = dense_limit(limit)
+    lim = dense_limit()
     if n > lim:
         raise DenseLimitError(
             f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit "
             f"(raise {DENSE_LIMIT_ENV} to override)"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationTensor:
-    """Sparse full correlation tensor: ascending base-3 packed keys and their values.
-
-    keys is a strictly increasing int64 array of packed index words and
-    values the float64 entries at those words; every other entry is zero.
-    """
-
-    n: int
-    keys: np.ndarray
-    values: np.ndarray
-    zero_tol: float = 1e-9
-
-    def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if keys.ndim != 1 or keys.shape != values.shape:
-            raise ValueError("keys and values must be 1-D arrays of one length")
-        if np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("keys must be strictly increasing")
-        keys.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    @property
-    def entries(self) -> dict:
-        """Packed key -> value, built on each access, for inspection."""
-        return dict(zip(self.keys.tolist(), self.values.tolist()))
-
-    def value(self, idx) -> float:
-        """Entry at a full-index tuple; absent entries are zero."""
-        key = pack_index(idx)
-        i = int(np.searchsorted(self.keys, key))
-        if i < len(self.keys) and self.keys[i] == key:
-            return float(self.values[i])
-        return 0.0
-
-    def items(self):
-        """(index tuple, value) pairs in canonical (packed-key) order."""
-        for key, v in zip(self.keys.tolist(), self.values.tolist()):
-            yield unpack_index(key, self.n), v
 
 
 def _walsh_hadamard(f: np.ndarray) -> None:
@@ -168,43 +119,30 @@ def _dense_arrays(terms, n: int, zero_tol: float) -> tuple[np.ndarray, np.ndarra
     return keep, acc[keep]
 
 
-def full_tensor(
-    ens,
-    zero_tol: float = 1e-9,
-    *,
-    method: str = "auto",
-    limit: int | None = None,
-) -> CorrelationTensor:
+def full_tensor(ens, zero_tol: float = 1e-9) -> CorrelationTensor:
     """Full correlation tensor of an ensemble (or a bare pure state).
 
-    method "auto" takes the stabilizer shortcut when every member allows
-    it and otherwise sweeps densely; "dense" and "support" force a path.
-    The dense sweep refuses to run above the configured qubit limit
-    (GRAPHSEP_DENSE_LIMIT, default 10).
+    The state picks the path: the stabilizer shortcut when every member
+    is stabilizer-tagged, the dense sweep otherwise.  The dense sweep
+    refuses to run above the configured qubit limit (GRAPHSEP_DENSE_LIMIT,
+    default 10).  Entries whose magnitude is not above zero_tol are
+    dropped.
     """
     if isinstance(ens, PureState):
         ens = pure_ensemble(ens)
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
-    if method not in ("auto", "dense", "support"):
-        raise ValueError(f"unknown method {method!r}")
     n = ens.n
-
-    if method != "dense":
-        if all(st.stabilizer is not None for _, st in ens.terms):
-            supports = [full_weight_support(st.stabilizer) for _, st in ens.terms]
-            # members in order, so each key sums its terms as a sequential loop would
-            keys, inverse = np.unique(np.concatenate([s.keys for s in supports]), return_inverse=True)
-            weighted = np.concatenate([w * s.signs for (w, _), s in zip(ens.terms, supports)])
-            acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
-            keep = np.abs(acc) > zero_tol
-            return CorrelationTensor(n, keys[keep], acc[keep], zero_tol)
-        if method == "support":
-            raise ValueError("support path needs stabilizer-tagged members only")
-
-    check_dense_limit(n, limit)
-    keys, values = _dense_arrays(ens.terms, n, zero_tol)
-    return CorrelationTensor(n, keys, values, zero_tol)
+    if all(st.stabilizer is not None for _, st in ens.terms):
+        supports = [full_weight_support(st.stabilizer) for _, st in ens.terms]
+        # members in order, so each key sums its terms as a sequential loop would
+        keys, inverse = np.unique(np.concatenate([s.keys for s in supports]), return_inverse=True)
+        weighted = np.concatenate([w * s.values for (w, _), s in zip(ens.terms, supports)])
+        acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
+        keep = np.abs(acc) > zero_tol
+        return CorrelationTensor(n, keys[keep], acc[keep])
+    check_dense_limit(n)
+    return CorrelationTensor(n, *_dense_arrays(ens.terms, n, zero_tol))
 
 
 def tensor_norm_sq(t: CorrelationTensor) -> float:
@@ -257,11 +195,6 @@ def tensor_norm(t: CorrelationTensor) -> float:
     return math.sqrt(tensor_norm_sq(t))
 
 
-def support_size(t: CorrelationTensor) -> int:
-    """Number of stored (nonzero) tensor entries."""
-    return len(t.keys)
-
-
 def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.ndarray:
     """Local observables sufficient to evaluate the criterion on the family.
 
@@ -274,7 +207,7 @@ def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.
     """
     if family != "cg":
         raise ValueError(f"measurement settings are only defined for family 'cg', got {family!r}")
-    keys = cg_nonzero_pattern(n).keys
+    keys = cg_nonzero_pattern(n)
     if noise:
         keys = np.append(keys, pack_index((3,) * n))
     rows = np.empty((len(keys), n + 1), dtype=np.uint8)
@@ -286,27 +219,13 @@ def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.
     return rows
 
 
-def _family_norm(family: str, n: int, lim: int) -> float:
-    make_state, make_group = FAMILIES[family]
-    if n <= lim:
-        return tensor_norm(full_tensor(make_state(n), method="dense", limit=lim))
-    if make_group is None:
-        raise DenseLimitError(f"family {family!r} at n={n} exceeds the dense limit {lim}")
-    return math.sqrt(ensemble_norm_sq(make_state(n)))
+def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:
+    """(family, n, squared norm) rows, family-major then n ascending.
 
-
-def norm_table(
-    families,
-    n_min: int,
-    n_max: int,
-    *,
-    limit: int | None = None,
-) -> list[tuple[str, int, float]]:
-    """(family, n, norm) rows, family-major then n ascending.
-
-    Uses the dense sweep up to the qubit limit and, for the families
-    with a stabilizer group, ensemble_norm_sq (the count of the walk)
-    beyond it.
+    Each row is ensemble_norm_sq of the family's state: the exact count
+    of the stabilizer walk for the tagged families, the dense sweep for
+    W, whose n is checked against the dense limit before its 2^n
+    amplitudes are built.
     """
     fams = list(families)
     names = tuple(FAMILIES)
@@ -315,9 +234,11 @@ def norm_table(
             raise ValueError(f"unknown family {family!r}; expected one of {names}")
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    lim = dense_limit(limit)
-    return [
-        (family, n, _family_norm(family, n, lim))
-        for family in fams
-        for n in range(n_min, n_max + 1)
-    ]
+    rows = []
+    for family in fams:
+        make_state, make_group = FAMILIES[family]
+        for n in range(n_min, n_max + 1):
+            if make_group is None:
+                check_dense_limit(n)
+            rows.append((family, n, ensemble_norm_sq(make_state(n))))
+    return rows

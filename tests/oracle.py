@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
+from graphsep.pauli import MixedEnsemble, PureState
+
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -81,6 +83,29 @@ def dense_full_tensor(terms, n: int, tol: float = 1e-9) -> dict:
 
 def dense_tensor_norm(terms, n: int) -> float:
     return float(np.sqrt(sum(v * v for v in dense_full_tensor(terms, n, tol=0.0).values())))
+
+
+def untagged(ens):
+    """The same pure state or ensemble, each member rebuilt from its
+    amplitudes without its stabilizer tag, so full_tensor sweeps it densely.
+
+    The dense reference for the stabilizer path.
+    """
+    if isinstance(ens, PureState):
+        return PureState(ens.n, ens.amplitudes)
+    return MixedEnsemble(tuple((w, PureState(st.n, st.amplitudes)) for w, st in ens.terms))
+
+
+def key_words(keys, n: int) -> list:
+    """Pauli words of base-3 packed keys (X, Y, Z -> digits 0, 1, 2, qubit 1 most significant)."""
+    words = []
+    for key in np.asarray(keys).tolist():
+        letters = []
+        for _ in range(n):
+            key, digit = divmod(key, 3)
+            letters.append("XYZ"[digit])
+        words.append("".join(reversed(letters)))
+    return words
 
 
 def is_all_ones(state) -> bool:
@@ -304,4 +329,23 @@ def combinations_cg_pattern(n: int) -> list:
             keys.append(key)
     if n % 2 == 0:
         keys.append((3 ** n - 1) // 2)  # Y -> 1 in every digit
+    return keys
+
+
+def combinations_ghz_pattern(n: int) -> list:
+    """Packed keys of the GHZ nonzero pattern, in the listing order.
+
+    One word per placement of an even number of Y letters among X letters
+    (itertools.combinations order, qubit 1 first), then the all-Z word at
+    even n.  The reference for the library's vectorized pattern.
+    """
+    keys = []
+    for y_count in range(0, n + 1, 2):
+        for positions in combinations(range(n), y_count):
+            key = 0
+            for a in range(n):
+                key = key * 3 + (1 if a in positions else 0)  # Y -> 1, X -> 0
+            keys.append(key)
+    if n % 2 == 0:
+        keys.append(3 ** n - 1)  # Z -> 2 in every digit
     return keys

@@ -34,14 +34,13 @@ from graphsep import (
     stabilizer_expectation,
     stabilizer_group,
     star_graph,
-    support_size,
     tensor_norm,
     threshold_p,
     w_state,
 )
 from graphsep.separability import NON_K_SEPARABLE
 
-from oracle import all_full_indices, random_state
+from oracle import all_full_indices, random_state, untagged
 
 P_GRID_21 = [i / 20 for i in range(21)]
 
@@ -107,7 +106,7 @@ def test_criterion_1_norm_table_dense_path():
     failures = []
     for family, column in NORM_SQ_TABLE.items():
         for n, norm_sq in column.items():
-            norm = tensor_norm(full_tensor(STATE_BUILDERS[family](n), method="dense"))
+            norm = tensor_norm(full_tensor(untagged(STATE_BUILDERS[family](n))))
             if abs(norm - math.sqrt(norm_sq)) > 1e-9:
                 failures.append((family, n, norm))
     elapsed = time.perf_counter() - started
@@ -120,7 +119,7 @@ def test_criterion_1_norm_table_dense_path():
 def test_criterion_2_complete_graph_closed_form():
     dense_ok = all(
         abs(
-            tensor_norm(full_tensor(graph_state(complete_graph(n)), method="dense"))
+            tensor_norm(full_tensor(untagged(graph_state(complete_graph(n)))))
             - cg_norm_closed(n)
         )
         <= 1e-9
@@ -169,7 +168,7 @@ def test_criterion_5_noise_norm_identity():
         a = 2 ** (n - 1) + (1 if n % 2 == 0 else 0)
         base = graph_state(complete_graph(n))
         for p in P_GRID_21:
-            norm_sq = tensor_norm(full_tensor(noisy_mixture(base, p), method="dense")) ** 2
+            norm_sq = tensor_norm(full_tensor(untagged(noisy_mixture(base, p)))) ** 2
             want = a * (1 - 2 * p) + (a + 1) * p * p
             worst = max(worst, abs(norm_sq - want))
     ok = worst <= 1e-9
@@ -187,7 +186,7 @@ def test_criterion_6_thresholds():
     base = graph_state(complete_graph(6))
 
     def excess(p: float) -> float:
-        return tensor_norm(full_tensor(noisy_mixture(base, p), method="dense")) ** 2 - bound_sq
+        return tensor_norm(full_tensor(untagged(noisy_mixture(base, p)))) ** 2 - bound_sq
 
     lo, hi = 0.0, 0.5
     assert excess(lo) > 0 > excess(hi)
@@ -217,7 +216,7 @@ def test_criterion_7_measurement_settings_count():
         want = 2 ** (n - 1) + (1 if n % 2 == 0 else 0) + 1
         base = graph_state(complete_graph(n))
         for p in (0.1, 0.5, 0.9):
-            got = support_size(full_tensor(noisy_mixture(base, p)))
+            got = len(full_tensor(noisy_mixture(base, p)))
             if got != want:
                 failures.append((n, p, got, want))
     _report(7, "noisy-state support size is 2^(n-1)+s+1", not failures)
@@ -303,7 +302,7 @@ def test_criterion_9_ghz_noise_documented_discrepancy():
     for n in (2, 4, 6, 8):
         base = ghz_state(n)
         for p in P_GRID_21:
-            norm_sq = tensor_norm(full_tensor(noisy_mixture(base, p), method="dense")) ** 2
+            norm_sq = tensor_norm(full_tensor(untagged(noisy_mixture(base, p)))) ** 2
             even_form = 2 ** (n - 1) * (1 - p) ** 2 + 1
             worst_form = max(worst_form, abs(norm_sq - even_form))
             a = 2 ** (n - 1) + 1

@@ -7,10 +7,19 @@ from functools import lru_cache
 
 import pytest
 
-from graphsep import full_tensor, ghz_state, noisy_mixture, separability, tensor
+from graphsep import (
+    chain_graph,
+    full_tensor,
+    full_weight_count,
+    ghz_state,
+    noisy_mixture,
+    separability,
+    stabilizer_group,
+    tensor,
+)
 from graphsep.cli import MAX_P_STEPS, main
 
-from oracle import brute_k_sep_bound, exact_noise_threshold
+from oracle import brute_k_sep_bound, exact_noise_threshold, untagged
 
 
 def run(capsys, *argv):
@@ -56,10 +65,49 @@ def test_norms_bad_family_exits_1(capsys):
     assert "unknown family" in err
 
 
-def test_norms_resource_limit_exits_2(capsys):
-    code, _, err = run(capsys, "norms", "--families", "w", "--n-min", "11", "--n-max", "11")
-    assert code == 2
-    assert "limit" in err
+def test_norms_resource_limit_exits_2(capsys, monkeypatch):
+    monkeypatch.delenv("GRAPHSEP_DENSE_LIMIT", raising=False)
+    code, out, err = run(capsys, "norms", "--families", "w", "--n-min", "11", "--n-max", "11")
+    assert code == 2 and out == ""
+    assert err == (
+        "graphsep: error: dense sweep over 3^11 words exceeds the 10-qubit limit"
+        " (raise GRAPHSEP_DENSE_LIMIT to override)\n"
+    )
+
+
+def _exact_norm_sq(family, n):
+    if family == "cluster":
+        return full_weight_count(stabilizer_group(chain_graph(n)))
+    return 2 ** (n - 1) + 1 - n % 2  # cg and GHZ
+
+
+def test_norms_json_norm_sq_is_the_exact_count(capsys):
+    code, out, _ = run(capsys, "norms", "--families", "cg,ghz,cluster", "--n-min", "2", "--n-max", "12",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload) == 33
+    for row in payload:
+        want = _exact_norm_sq(row["family"], row["n"])
+        assert row["norm_sq"] == want
+        assert row["norm"] == math.sqrt(want)
+
+
+def test_norms_text_rows_are_the_exact_values(capsys):
+    code, out, _ = run(capsys, "norms", "--families", "cg,ghz,cluster", "--n-min", "2", "--n-max", "18")
+    assert code == 0
+    want = [
+        f"{family},{n},{want},{math.sqrt(want):.12g}"
+        for family in ("cg", "ghz", "cluster")
+        for n in range(2, 19)
+        for want in [_exact_norm_sq(family, n)]
+    ]
+    assert out.splitlines() == ["family,n,norm_sq,norm", *want]
+    code, out, _ = run(capsys, "norms", "--families", "w", "--n-min", "2", "--n-max", "10", "--format", "json")
+    assert code == 0
+    for row in json.loads(out):
+        assert abs(row["norm_sq"] - (5 - 4 / row["n"])) <= 1e-12
+        assert row["norm"] == math.sqrt(row["norm_sq"])
 
 
 def test_bounds_n7(capsys):
@@ -165,8 +213,8 @@ def test_sweep_to_file_deterministic(capsys, tmp_path):
 
 @lru_cache(maxsize=None)
 def _ghz_entries(n):
-    base = full_tensor(ghz_state(n), method="dense").entries
-    ones = full_tensor(noisy_mixture(ghz_state(n), 1.0), method="dense").entries
+    base = full_tensor(untagged(ghz_state(n))).entries
+    ones = full_tensor(untagged(noisy_mixture(ghz_state(n), 1.0))).entries
     return base, ones
 
 

@@ -34,6 +34,7 @@ from oracle import (
     exact_verdict,
     grid_bisect_root,
     tensor_dot,
+    untagged,
 )
 
 
@@ -164,7 +165,7 @@ def test_detect_margin_covers_float_rounding():
     # 1 - 1.8e-16, below the full-separability bound 1, but the dense path
     # rounds it to 1.0000000000000002: only a margin keeps that uncertified
     ens = noisy_mixture(graph_state(complete_graph(3)), 0.6000000000000001)
-    norm_sq = tensor_norm_sq(full_tensor(ens, method="dense"))
+    norm_sq = tensor_norm_sq(full_tensor(untagged(ens)))
     assert norm_sq > 1
     assert detect(norm_sq, 3, 3).outcome == INCONCLUSIVE
     # the stated margin near 1 is about 3e-14 at n = 3 and 2e-12 at n = 10
@@ -175,7 +176,7 @@ def test_detect_margin_covers_float_rounding():
 
 def test_detect_full_separability_of_noisy_cg6():
     ens = noisy_mixture(graph_state(complete_graph(6)), 0.5)
-    norm_sq = tensor_norm_sq(full_tensor(ens, method="dense"))
+    norm_sq = tensor_norm_sq(full_tensor(untagged(ens)))
     # 33 - 66 p + 34 p^2 at p = 0.5 is 8.5, far above the full-sep bound 1
     assert norm_sq == pytest.approx(8.5, abs=1e-9)
     assert detect(norm_sq, 6, 6).outcome == NON_K_SEPARABLE
@@ -218,7 +219,7 @@ def test_xi_matches_oracle_detection():
     for n in range(2, 9):
         base = graph_state(complete_graph(n))
         for p in np.linspace(0.0, 1.0, 21):
-            norm_sq = tensor_norm_sq(full_tensor(noisy_mixture(base, float(p)), method="dense"))
+            norm_sq = tensor_norm_sq(full_tensor(untagged(noisy_mixture(base, float(p)))))
             for k in range(2, n + 1):
                 res = xi_noise(n, k, float(p))
                 assert res.numerator == pytest.approx(norm_sq, abs=1e-9)
@@ -289,9 +290,9 @@ def test_threshold_ghz_matches_bisection_oracle():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ghz_noise_products_are_the_dense_products(n):
-    ones = full_tensor(all_ones_state(n), method="dense")
+    ones = full_tensor(untagged(all_ones_state(n)))
     for family, state in (("ghz", ghz_state(n)), ("cg", graph_state(complete_graph(n)))):
-        base = full_tensor(state, method="dense")
+        base = full_tensor(untagged(state))
         b, c, o = separability.noise_products(n, family)
         assert all(type(v) is int for v in (b, c, o))
         assert b == pytest.approx(tensor_dot(base, base), abs=1e-9)

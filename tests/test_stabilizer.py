@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from graphsep import (
     ghz_nonzero_pattern,
     ghz_state,
     graph_state,
+    pack_index,
     permutation_count,
     stabilizer_expectation,
     stabilizer_group,
@@ -42,9 +44,12 @@ from graphsep.separability import permutation_terms
 from oracle import (
     all_full_indices,
     combinations_cg_pattern,
+    combinations_ghz_pattern,
     dense_expectation,
     dense_full_tensor,
     gray_code_support,
+    key_words,
+    untagged,
 )
 
 
@@ -81,7 +86,7 @@ def test_k3_expectations():
 
 def test_k3_support_entries():
     sup = full_weight_support(stabilizer_group(complete_graph(3)))
-    assert dict(zip(sup.words(), sup.entries.values())) == {
+    assert dict(zip(key_words(sup.keys, 3), sup.values.tolist())) == {
         "XZZ": 1,
         "ZXZ": 1,
         "ZZX": 1,
@@ -91,7 +96,7 @@ def test_k3_support_entries():
 
 def test_k2_support_entries():
     sup = full_weight_support(stabilizer_group(complete_graph(2)))
-    assert dict(zip(sup.words(), sup.entries.values())) == {"XZ": 1, "ZX": 1, "YY": 1}
+    assert dict(zip(key_words(sup.keys, 2), sup.values.tolist())) == {"XZ": 1, "ZX": 1, "YY": 1}
 
 
 def test_k6_support_count():
@@ -137,40 +142,56 @@ def test_group_closure_signs_against_dense():
 
 
 def test_cg_pattern_small_cases():
-    assert cg_nonzero_pattern(3).words() == ["XZZ", "ZXZ", "ZZX", "XXX"]
-    assert set(cg_nonzero_pattern(2).words()) == {"XZ", "ZX", "YY"}
-    assert len(cg_nonzero_pattern(4)) == 9
+    assert key_words(cg_nonzero_pattern(3), 3) == ["XZZ", "ZXZ", "ZZX", "XXX"]
+    assert key_words(cg_nonzero_pattern(2), 2) == ["XZ", "ZX", "YY"]
+    assert cg_nonzero_pattern(4).dtype == np.int64 and len(cg_nonzero_pattern(4)) == 9
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_cg_pattern_equals_support_index_set(n):
     pattern = cg_nonzero_pattern(n)
     support = full_weight_support(stabilizer_group(complete_graph(n)))
-    assert pattern.packed_set() == support.packed_set()
-    assert pattern.keys.tolist() == combinations_cg_pattern(n)  # the settings listing order
+    assert sorted(pattern.tolist()) == support.keys.tolist()
+    assert pattern.tolist() == combinations_cg_pattern(n)  # the settings listing order
 
 
 def test_ghz_pattern_small_cases():
-    assert set(ghz_nonzero_pattern(2).words()) == {"XX", "YY", "ZZ"}
-    assert set(ghz_nonzero_pattern(3).words()) == {"XXX", "YYX", "YXY", "XYY"}
-    assert len(ghz_nonzero_pattern(4)) == 9
+    assert key_words(ghz_nonzero_pattern(2), 2) == ["XX", "YY", "ZZ"]
+    assert key_words(ghz_nonzero_pattern(3), 3) == ["XXX", "YYX", "YXY", "XYY"]
+    assert ghz_nonzero_pattern(4).dtype == np.int64 and len(ghz_nonzero_pattern(4)) == 9
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_ghz_pattern_keeps_the_combinations_order(n):
+    assert ghz_nonzero_pattern(n).tolist() == combinations_ghz_pattern(n)
+
+
+def test_ghz_pattern_refuses_above_the_limit_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SupportLimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
+            ghz_nonzero_pattern(PATTERN_LIMIT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 2^23 masks alone would take 64 MiB
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_ghz_pattern_matches_dense_support(n):
     state = ghz_state(n)
     dense = dense_full_tensor(((1.0, state),), n)
-    assert set(dense) == set(ghz_nonzero_pattern(n).indices())
+    assert sorted(pack_index(idx) for idx in dense) == sorted(ghz_nonzero_pattern(n).tolist())
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_ghz_group_support_is_ghz_pattern(n):
     support = full_weight_support(ghz_group(n))
-    assert support.packed_set() == ghz_nonzero_pattern(n).packed_set()
+    assert support.keys.tolist() == sorted(ghz_nonzero_pattern(n).tolist())
     if n <= 8:
-        dense = full_tensor(ghz_state(n), method="dense")
+        dense = full_tensor(untagged(ghz_state(n)))
         assert support.keys.tolist() == dense.keys.tolist()
-        assert np.allclose(support.signs, dense.values, rtol=0, atol=1e-9)
+        assert np.allclose(support.values, dense.values, rtol=0, atol=1e-9)
 
 
 def _assert_matches_gray_code_walker(group):
@@ -178,7 +199,7 @@ def _assert_matches_gray_code_walker(group):
     want = gray_code_support(group)
     keys = support.keys.tolist()
     assert keys == sorted(want)  # same key set, ascending
-    assert support.signs.tolist() == [want[key] for key in keys]
+    assert support.values.tolist() == [want[key] for key in keys]
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -257,9 +278,9 @@ def _assert_shortcut_matches_walk(group):
     ((x, z, signs),) = stabilizer._walk(group)  # n <= 14: a single chunk
     support = full_weight_support(group)
     assert support.keys.tolist() == packed_keys(x, z, group.n).tolist() == [3 ** group.n - 1]
-    assert support.signs.tolist() == signs.tolist()
+    assert support.values.tolist() == signs.tolist()
     assert full_weight_count(group) == 1
-    return support.signs[0]
+    return support.values[0]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -276,8 +297,8 @@ def test_all_ones_support_needs_no_walk(monkeypatch):
     start = time.perf_counter()
     support = full_weight_support(all_ones_group(30))
     assert time.perf_counter() - start < 0.5
-    assert support.words() == ["Z" * 30]
-    assert support.signs.tolist() == [(-1.0) ** 30]
+    assert key_words(support.keys, 30) == ["Z" * 30]
+    assert support.values.tolist() == [(-1.0) ** 30]
     assert full_weight_count(all_ones_group(30)) == 1
 
 

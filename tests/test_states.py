@@ -23,7 +23,7 @@ from graphsep import (
 )
 from graphsep.states import all_ones_state
 
-from oracle import apply_local_unitaries, is_all_ones, permute_qubits, random_unitary
+from oracle import apply_local_unitaries, is_all_ones, permute_qubits, random_unitary, untagged
 
 
 def test_g3_amplitudes_explicit():
@@ -112,8 +112,8 @@ def test_cluster_norm_matches_product_form_definition():
     # the chain-graph realization differs from the product form only by
     # single-qubit Z's, so their tensor norms must coincide
     for n in (2, 3, 4, 5):
-        chain_norm = tensor_norm(full_tensor(cluster_state(n), method="dense"))
-        product_norm = tensor_norm(full_tensor(product_form_cluster(n), method="dense"))
+        chain_norm = tensor_norm(full_tensor(untagged(cluster_state(n))))
+        product_norm = tensor_norm(full_tensor(product_form_cluster(n)))
         assert chain_norm == pytest.approx(product_norm, abs=1e-9)
 
 
@@ -150,12 +150,12 @@ def test_norm_invariant_under_local_unitaries():
     rng = np.random.default_rng(97)
     for build in (lambda: graph_state(complete_graph(4)), lambda: w_state(4), lambda: ghz_state(3)):
         state = build()
-        base_norm = tensor_norm(full_tensor(state, method="dense"))
+        base_norm = tensor_norm(full_tensor(untagged(state)))
         rotated_amps = apply_local_unitaries(
             state.amplitudes, [random_unitary(rng) for _ in range(state.n)]
         )
         rotated = PureState(state.n, rotated_amps)
-        assert tensor_norm(full_tensor(rotated, method="dense")) == pytest.approx(
+        assert tensor_norm(full_tensor(rotated)) == pytest.approx(
             base_norm, abs=1e-9
         )
 
@@ -163,10 +163,10 @@ def test_norm_invariant_under_local_unitaries():
 def test_w_norm_invariant_under_relabeling():
     rng = np.random.default_rng(3)
     state = w_state(5)
-    base = tensor_norm(full_tensor(state, method="dense"))
+    base = tensor_norm(full_tensor(state))
     perm = list(rng.permutation(5))
     shuffled = PureState(5, permute_qubits(state.amplitudes, perm))
-    assert tensor_norm(full_tensor(shuffled, method="dense")) == pytest.approx(base, abs=1e-12)
+    assert tensor_norm(full_tensor(shuffled)) == pytest.approx(base, abs=1e-12)
 
 
 def test_tagged_states_defer_their_amplitudes():

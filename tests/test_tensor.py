@@ -1,6 +1,7 @@
 """Full-tensor sweeps, norms, support sizes and the norm table."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -33,7 +34,6 @@ from graphsep import (
     norm_table,
     pack_index,
     stabilizer_group,
-    support_size,
     tensor,
     tensor_norm,
     tensor_norm_sq,
@@ -41,11 +41,11 @@ from graphsep import (
 )
 from graphsep.states import FAMILIES
 
-from oracle import dense_full_tensor, random_state
+from oracle import dense_full_tensor, random_state, untagged
 
 
 def test_g3_tensor_entries():
-    t = full_tensor(graph_state(complete_graph(3)), method="dense")
+    t = full_tensor(untagged(graph_state(complete_graph(3))))
     entries = dict(t.items())
     assert len(entries) == 4
     assert entries[(1, 1, 1)] == pytest.approx(-1.0, abs=1e-9)
@@ -61,7 +61,7 @@ def test_zero_state_tensor():
 
 
 def test_noisy_cg4_tensor():
-    t = full_tensor(noisy_mixture(graph_state(complete_graph(4)), 0.5), method="dense")
+    t = full_tensor(untagged(noisy_mixture(graph_state(complete_graph(4)), 0.5)))
     assert len(t) == 10
     values = dict(t.items())
     assert values[(3, 3, 3, 3)] == pytest.approx(0.5, abs=1e-12)
@@ -69,30 +69,28 @@ def test_noisy_cg4_tensor():
 
 
 def test_tensor_norm_reference_values():
-    assert tensor_norm(full_tensor(graph_state(complete_graph(7)), method="dense")) == pytest.approx(
-        8.0, abs=1e-9
-    )
+    assert tensor_norm(full_tensor(untagged(graph_state(complete_graph(7))))) == pytest.approx(8.0, abs=1e-9)
     plus3 = PureState(3, np.full(8, 8 ** -0.5, dtype=complex))
-    t = full_tensor(plus3, method="dense")
+    t = full_tensor(plus3)
     assert dict(t.items()) == {(1, 1, 1): pytest.approx(1.0)}
     assert tensor_norm(t) == pytest.approx(1.0, abs=1e-12)
-    assert tensor_norm(full_tensor(w_state(8), method="dense")) == pytest.approx(
+    assert tensor_norm(full_tensor(w_state(8))) == pytest.approx(
         math.sqrt(9 / 2), abs=1e-9
     )
 
 
 def test_support_sizes():
-    assert support_size(full_tensor(noisy_mixture(graph_state(complete_graph(6)), 0.25))) == 34
-    assert support_size(full_tensor(noisy_mixture(graph_state(complete_graph(5)), 0.25))) == 17
-    assert support_size(full_tensor(graph_state(complete_graph(4)))) == 9
+    assert len(full_tensor(noisy_mixture(graph_state(complete_graph(6)), 0.25))) == 34
+    assert len(full_tensor(noisy_mixture(graph_state(complete_graph(5)), 0.25))) == 17
+    assert len(full_tensor(graph_state(complete_graph(4)))) == 9
 
 
 def test_fast_path_matches_dense():
     for n in (2, 3, 4, 5, 6):
         for p in (0.0, 0.3, 0.8):
             ens = noisy_mixture(graph_state(complete_graph(n)), p)
-            fast = full_tensor(ens, method="support")
-            dense = full_tensor(ens, method="dense")
+            fast = full_tensor(ens)
+            dense = full_tensor(untagged(ens))
             assert fast.entries.keys() == dense.entries.keys()
             for key, val in fast.entries.items():
                 assert val == pytest.approx(dense.entries[key], abs=1e-9)
@@ -115,8 +113,8 @@ def test_support_path_matches_dense_on_random_graphs(case):
     # of the zero_tol cut-off may be kept by one path and dropped by the other
     assume(all(abs(v - 1e-9) > 1e-12 for v in (p, 1 - p, abs(1 - 2 * p))))
     ens = noisy_mixture(graph_state(spec), p)
-    fast = full_tensor(ens, method="support")
-    dense = full_tensor(ens, method="dense")
+    fast = full_tensor(ens)
+    dense = full_tensor(untagged(ens))
     assert fast.keys.tolist() == dense.keys.tolist()
     assert np.abs(fast.values - dense.values).max(initial=0.0) <= 1e-9
     # dense values carry rounding from 2^(-n/2) amplitudes (1.0000000000000002 for |+>^3)
@@ -129,8 +127,8 @@ def test_support_path_matches_dense_on_noisy_ghz(n, p):
     # entries are (1-p)s + p t with s, t in {-1, 0, 1}; see the random-graph property
     assume(all(abs(v - 1e-9) > 1e-12 for v in (p, 1 - p, abs(1 - 2 * p))))
     for state in (ghz_state(n), noisy_mixture(ghz_state(n), p)):
-        fast = full_tensor(state, method="support")
-        dense = full_tensor(state, method="dense")
+        fast = full_tensor(state)
+        dense = full_tensor(untagged(state))
         assert fast.keys.tolist() == dense.keys.tolist()
         assert np.abs(fast.values - dense.values).max(initial=0.0) <= 1e-9
         assert tensor_norm(fast) == pytest.approx(tensor_norm(dense), rel=1e-12)
@@ -211,7 +209,7 @@ def test_family_states_carry_their_group():
             assert state.stabilizer.generators == make_group(5).generators
     # the noise term is tagged too: its only identity-free element is -Z on each qubit
     for n in (1, 2, 5):
-        t = full_tensor(all_ones_state(n), method="support")
+        t = full_tensor(all_ones_state(n))
         assert dict(t.items()) == {(3,) * n: (-1.0) ** n}
 
 
@@ -223,20 +221,31 @@ def test_stabilizer_tag_is_not_a_constructor_argument():
     assert PureState(2, amps).stabilizer is None
 
 
-def test_support_path_rejects_untagged_states():
-    with pytest.raises(ValueError):
-        full_tensor(w_state(3), method="support")
+def test_the_state_picks_the_path(monkeypatch):
+    # a tagged ensemble never sweeps densely, and its untagged copy never walks
+    ens = noisy_mixture(ghz_state(4), 0.3)
+    monkeypatch.setattr(tensor, "_dense_arrays", None)  # any dense sweep would now raise TypeError
+    fast = full_tensor(ens)
+    monkeypatch.undo()
+    monkeypatch.setattr(tensor, "full_weight_support", None)
+    dense = full_tensor(untagged(ens))
+    assert fast.keys.tolist() == dense.keys.tolist()
+    with pytest.raises(TypeError):
+        full_tensor(ens)
 
 
-def test_dense_limit_enforced():
+def test_dense_limit_enforced(monkeypatch):
     rng = np.random.default_rng(12)
     state = PureState(5, random_state(5, rng))
+    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
     with pytest.raises(DenseLimitError):
-        full_tensor(state, limit=4)
+        full_tensor(state)
     # graph-tagged states bypass the dense limit through the support path
     big = graph_state(complete_graph(12))
-    t = full_tensor(big, limit=4)
+    t = full_tensor(big)
     assert len(t) == 2 ** 11 + 1
+    with pytest.raises(DenseLimitError):
+        full_tensor(untagged(graph_state(complete_graph(5))))
 
 
 def test_dense_limit_env_override(monkeypatch):
@@ -283,7 +292,7 @@ def test_dense_path_matches_matrix_oracle(n, real):
     weights = rng.uniform(0.2, 1.0, size=members)
     weights /= weights.sum()
     terms = tuple((float(w), _random_member(n, rng, real)) for w in weights)
-    _assert_matches_oracle(full_tensor(MixedEnsemble(terms), method="dense"), terms, n)
+    _assert_matches_oracle(full_tensor(MixedEnsemble(terms)), terms, n)
     if n == 8:
         # more flip masks than one chunk holds, so several chunks ran
         assert 1 << n > tensor._CHUNK_ELEMENTS >> n
@@ -296,13 +305,13 @@ def test_dense_path_drops_exact_zeros():
     other = np.zeros(8, dtype=complex)
     other[5] = 1.0
     terms = ((0.5, PureState(3, amps)), (0.5, PureState(3, other)))
-    t = full_tensor(MixedEnsemble(terms), method="dense")
+    t = full_tensor(MixedEnsemble(terms))
     _assert_matches_oracle(t, terms, 3)
     assert 0 < len(t) < 27
     # |000> and |100> in equal parts: of the diagonal words only ZZZ is
     # identity-free, and it cancels exactly, so even zero_tol=0 keeps nothing
     zero, one = (PureState(3, np.eye(8, dtype=complex)[i]) for i in (0, 4))
-    assert len(full_tensor(MixedEnsemble(((0.5, zero), (0.5, one))), 0.0, method="dense")) == 0
+    assert len(full_tensor(MixedEnsemble(((0.5, zero), (0.5, one))), 0.0)) == 0
 
 
 def test_measurement_settings():
@@ -317,26 +326,39 @@ def test_measurement_settings():
 
 
 def test_norm_table_reference_subset():
-    rows = {(f, n): norm for f, n, norm in norm_table(["cg", "ghz", "w", "cluster"], 2, 5)}
-    assert rows[("cg", 4)] == pytest.approx(3.0, abs=1e-9)
-    assert rows[("ghz", 4)] == pytest.approx(3.0, abs=1e-9)
-    assert rows[("w", 3)] == pytest.approx(math.sqrt(11 / 3), abs=1e-9)
-    assert rows[("w", 5)] == pytest.approx(math.sqrt(21 / 5), abs=1e-9)
-    assert rows[("cluster", 4)] == pytest.approx(math.sqrt(5), abs=1e-9)
-    assert rows[("cluster", 2)] == pytest.approx(math.sqrt(3), abs=1e-9)
+    rows = {(f, n): norm_sq for f, n, norm_sq in norm_table(["cg", "ghz", "w", "cluster"], 2, 5)}
+    assert rows[("cg", 4)] == 9.0
+    assert rows[("ghz", 4)] == 9.0
+    assert rows[("w", 3)] == pytest.approx(11 / 3, abs=1e-12)
+    assert rows[("w", 5)] == pytest.approx(21 / 5, abs=1e-12)
+    assert rows[("cluster", 4)] == 5.0
+    assert rows[("cluster", 2)] == 3.0
 
 
 def test_norm_table_support_path_rows():
-    # closed form 2^(n-1) + s with s = 1 only at even n
-    rows = norm_table(["cg"], 9, 12)
-    for (_, n, norm), want in zip(rows, (256, 513, 1024, 2049)):
-        assert norm == pytest.approx(math.sqrt(want), abs=1e-9)
+    # closed form 2^(n-1) + s with s = 1 only at even n, exact at every n
+    rows = norm_table(["cg"], 2, 12)
+    assert [norm_sq for _, _, norm_sq in rows] == [2 ** (n - 1) + 1 - n % 2 for n in range(2, 13)]
     (row,) = norm_table(["w"], 6, 6)
-    assert row[2] == pytest.approx(math.sqrt(13 / 3), abs=1e-9)
+    assert row[2] == pytest.approx(13 / 3, abs=1e-12)
     (cluster12,) = norm_table(["cluster"], 12, 12)
-    assert cluster12[2] == pytest.approx(
-        math.sqrt(len(full_weight_support(stabilizer_group(chain_graph(12))))), abs=1e-12
-    )
+    assert cluster12[2] == len(full_weight_support(stabilizer_group(chain_graph(12))))
+
+
+def test_norm_table_rows_are_the_squared_norms():
+    for family, (make_state, _) in FAMILIES.items():
+        for _, n, norm_sq in norm_table([family], 2, 6):
+            assert norm_sq == ensemble_norm_sq(make_state(n))
+            assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(make_state(n)))), rel=1e-12)
+
+
+def test_norm_table_refuses_w_before_building_it(monkeypatch):
+    built = []
+    monkeypatch.setattr(tensor, "FAMILIES", {**FAMILIES, "w": (built.append, None)})
+    want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
+    with pytest.raises(DenseLimitError, match=re.escape(want)):
+        norm_table(["w"], 11, 11)
+    assert built == []
 
 
 def test_norm_table_errors():
@@ -379,14 +401,14 @@ def test_noise_norm_identity():
         a = 2 ** (n - 1) + (1 if n % 2 == 0 else 0)
         for p in np.linspace(0.0, 1.0, 11):
             ens = noisy_mixture(graph_state(complete_graph(n)), float(p))
-            norm_sq = tensor_norm(full_tensor(ens, method="dense")) ** 2
+            norm_sq = tensor_norm(full_tensor(untagged(ens))) ** 2
             assert norm_sq == pytest.approx(a * (1 - p) ** 2 + p * p, abs=1e-9)
 
 
 def test_w_norm_closed_form():
     # squared W norm is 5 - 4/n
     for n in range(2, 10):
-        norm = tensor_norm(full_tensor(w_state(n), method="dense"))
+        norm = tensor_norm(full_tensor(w_state(n)))
         assert norm * norm == pytest.approx(5 - 4 / n, abs=1e-9)
 
 
@@ -402,13 +424,13 @@ def test_cluster_norm_recurrence_observation():
 
 def test_entries_kept_at_full_precision():
     ens = noisy_mixture(graph_state(complete_graph(3)), 1e-7)
-    t = full_tensor(ens, zero_tol=1e-9, method="dense")
+    t = full_tensor(untagged(ens), zero_tol=1e-9)
     # the all-Z entry is -p: tiny but above tolerance, stored unsnapped
     assert t.value((3, 3, 3)) == pytest.approx(-1e-7, rel=1e-6)
     assert t.value((1, 3, 3)) == pytest.approx(1 - 1e-7, rel=1e-12)
 
 
 def test_correlation_tensor_value_lookup():
-    t = CorrelationTensor(2, np.array([0]), np.array([0.5]), 1e-9)
+    t = CorrelationTensor(2, np.array([0]), np.array([0.5]))
     assert t.value((1, 1)) == 0.5
     assert t.value((2, 2)) == 0.0
