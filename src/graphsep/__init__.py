@@ -20,14 +20,13 @@ _EXPORTS = {
     "graphs": "GraphSpec chain_graph complete_graph star_graph",
     "pauli": "CorrelationTensor MixedEnsemble PauliString PureState embed ensemble_expectation expectation"
     " kron_states pack_index pure_ensemble unpack_index",
-    "separability": "INCONCLUSIVE NON_K_SEPARABLE PartitionBound Verdict XiResult admissible_partitions"
-    " cg_norm_closed detect k_sep_bound part_norm permutation_count threshold_p xi_noise",
+    "separability": "INCONCLUSIVE NON_K_SEPARABLE PartitionBound XiResult admissible_partitions"
+    " cg_norm_closed detect k_sep_bound noise_products part_norm permutation_count threshold_p xi_noise",
     "stabilizer": "StabilizerGroup SupportLimitError cg_nonzero_pattern full_weight_count full_weight_support"
     " ghz_group ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
     "states": "all_ones_state cluster_state ghz_state graph_state noisy_mixture w_state",
-    "tensor": "DenseLimitError ensemble_norm_sq full_tensor measurement_settings norm_table tensor_norm"
-    " tensor_norm_sq",
+    "tensor": "DenseLimitError full_tensor measurement_settings norm_table tensor_norm tensor_norm_sq",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

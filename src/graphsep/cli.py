@@ -22,7 +22,8 @@ import sys
 # lazy modules (graphsep/__init__.py): only norms, detect and settings load them
 from . import stabilizer, statefile, states, tensor
 from .graphs import complete_graph
-from .separability import cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms, threshold_p, xi_noise
+from .separability import CLOSED_FORMS, cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms
+from .separability import threshold_p, xi_noise
 
 MAX_P_STEPS = 100_001  # the sweep holds all of its rows before writing any
 
@@ -120,27 +121,32 @@ def cmd_detect(args) -> int:
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
-    verdict = detect(tensor.ensemble_norm_sq(loaded.ensemble, args.zero_tol), n, args.k)
-    partition = k_sep_bound(n, args.k).partition_label()
+    group = loaded.ensemble.terms[0][1].stabilizer  # the base state, or |1...1> alone at p = 1
+    if group is None:  # W or raw amplitudes: the dense sweep, certified past its rounding margin
+        res = detect(tensor.tensor_norm_sq(tensor.full_tensor(loaded.ensemble)), n, args.k)
+    else:  # the exact noise quadratic: a closed form, or B counted by the walk over the group
+        res = xi_noise(n, args.k, loaded.p or 0.0, loaded.family if loaded.family in CLOSED_FORMS else group)
+    pb = k_sep_bound(n, args.k)
+    norm = math.sqrt(res.numerator)
     if args.format == "json":
         payload = {
             "n": n,
             "k": args.k,
-            "norm": verdict.norm,
-            "bound": verdict.bound,
-            "partition": partition,
-            "xi": verdict.xi,
-            "verdict": verdict.outcome,
+            "norm": norm,
+            "bound": pb.bound,
+            "partition": pb.partition_label(),
+            "xi": res.xi,
+            "verdict": res.verdict,
             "p": loaded.p,
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"n={n}")
     print(f"k={args.k}")
-    print(f"norm={_fmt(verdict.norm)}")
-    print(f"bound={_fmt(verdict.bound)}")
-    print(f"partition={partition}")
-    print(f"verdict={verdict.outcome}")
+    print(f"norm={_fmt(norm)}")
+    print(f"bound={_fmt(pb.bound)}")
+    print(f"partition={pb.partition_label()}")
+    print(f"verdict={res.verdict}")
     return 0
 
 
@@ -202,7 +208,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="noise sweep of the squared norm against the bound")
-    p.add_argument("--family", choices=("cg", "ghz"), default="cg")
+    p.add_argument("--family", choices=tuple(CLOSED_FORMS), default="cg")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p-steps", type=int, default=11, help=f"grid points on [0, 1], 2 to {MAX_P_STEPS}")
@@ -212,7 +218,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", help="verdict for a state file against the k-sep bound")
     p.add_argument("--state-file", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--zero-tol", type=float, default=1e-9)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_detect)
 

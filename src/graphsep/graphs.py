@@ -5,50 +5,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GraphSpec:
-    """Simple undirected graph on vertices 1..n (no loops, no multi-edges)."""
+    """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
+
+    Built from any iterable of (a, b) edges and kept as one neighbour
+    bitmask per vertex (qubit 1 at the top bit): n ints of n bits however
+    many edges there are, so the complete graph on 1000 vertices takes
+    about 150 kB where its edge tuples would take about 40 MB.
+    """
 
     n: int
-    edges: tuple
+    masks: tuple
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, edges):
+        if n < 2:
             raise ValueError("graph needs at least 2 vertices")
-        seen = set()
-        normalized = []
-        for edge in self.edges:
+        masks = [0] * (n + 1)
+        for edge in edges:
             a, b = edge
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
-                raise ValueError(f"edge {edge} outside 1..{self.n}")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            normalized.append(key)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"edge {edge} outside 1..{n}")
+            if masks[a] >> (n - b) & 1:
+                raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
+            masks[a] |= 1 << (n - b)
+            masks[b] |= 1 << (n - a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(masks[1:]))
+
+    @property
+    def edges(self) -> tuple:
+        """The edges (a, b), a < b, in ascending order."""
+        n = self.n
+        return tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1) if self.masks[a - 1] >> (n - b) & 1)
 
     def adjacency_masks(self) -> list[int]:
         """Neighbor bitmask per vertex, qubit 1 at the top bit."""
-        masks = [0] * (self.n + 1)
-        for a, b in self.edges:
-            masks[a] |= 1 << (self.n - b)
-            masks[b] |= 1 << (self.n - a)
-        return masks[1:]
+        return list(self.masks)
 
 
 def complete_graph(n: int) -> GraphSpec:
     """All n(n-1)/2 edges between n vertices."""
-    return GraphSpec(n, tuple((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)))
+    return GraphSpec(n, ((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)))
 
 
 def chain_graph(n: int) -> GraphSpec:
     """Linear chain 1-2-...-n."""
-    return GraphSpec(n, tuple((a, a + 1) for a in range(1, n)))
+    return GraphSpec(n, ((a, a + 1) for a in range(1, n)))
 
 
 def star_graph(n: int) -> GraphSpec:
     """Vertex 1 connected to all others."""
-    return GraphSpec(n, tuple((1, b) for b in range(2, n + 1)))
+    return GraphSpec(n, ((1, b) for b in range(2, n + 1)))

@@ -17,9 +17,9 @@ odd ones hold the spare qubits.
 
   * Two even blocks a <= b of fixed total give (1 + x)(1 + y) with xy
     fixed, which grows as a shrinks.  So in a best partition every even
-    block has its smallest size (one 2 and then 4s; all 2s without the
-    at-most-one-2 rule), and the spare qubits go to one odd block, or
-    to the last even block when all k blocks are even.
+    block has its smallest size (one 2 and then 4s, by the at-most-one-2
+    rule), and the spare qubits go to one odd block, or to the last even
+    block when all k blocks are even.
   * An even block uses an odd number m - 1 of qubits beyond its first,
     so the number j of even blocks has the parity of n - k.  Going from
     j to j + 2 even blocks multiplies the product by more than 1, so j
@@ -30,17 +30,20 @@ differ in how the odd blocks share the spare qubits; putting them all
 in one block (the others stay 1) gives the lexicographically smallest
 partition.  The work is O(k) integer steps with no search at all.
 
-Noise is exact too: a family state mixed with |1...1> has the squared
-norm (1-p)^2 B + 2p(1-p) C + p^2 O with integers B, C, O (noise_products),
+Noise is exact too: a state mixed with |1...1> has the squared norm
+(1-p)^2 B + 2p(1-p) C + p^2 O with integers B, C, O (noise_products),
 which xi_noise evaluates exactly at the float p it is given and
-threshold_p solves in integers.  So sweep verdicts are exact decisions at
-the printed p, and printed fields are correctly rounded.  detect gets a
-squared norm summed from float entries, which still carries rounding
-(most on the dense path, for untagged states), so it certifies only
-past a stated worst-case rounding margin.
+threshold_p solves in integers.  The complete-graph and GHZ families
+have closed forms at any n (CLOSED_FORMS); any other stabilizer state
+gets B from the stabilizer walk.  So sweep verdicts, and detect verdicts
+on tagged states, are exact decisions at the given p, and printed fields
+are correctly rounded.  Only detect on an untagged state (a squared norm
+summed from the floats of the dense sweep) certifies past a stated
+worst-case rounding margin.
 
 The integer closed forms (cg_norm_sq, sqrt_int, permutation_count) live
-here, and the module loads neither numpy nor another graphsep module.
+here, and importing the module loads neither numpy nor another graphsep
+module.
 """
 
 from __future__ import annotations
@@ -79,24 +82,12 @@ class PartitionBound:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    """Detection outcome for a measured norm against the k-separability bound."""
-
-    outcome: str
-    norm: float
-    bound: float
-    k: int
-    xi: float  # squared norm over bound_sq, correctly rounded
-
-
-@dataclass(frozen=True)
 class XiResult:
-    """Squared-norm to squared-bound ratio for a noisy family instance:
-    correctly rounded floats, and a verdict decided on the exact values."""
+    """A state's squared norm (numerator) over the squared k-separability
+    bound (denominator), as floats, with the verdict."""
 
     n: int
     k: int
-    p: float
     numerator: float
     denominator: float
     xi: float
@@ -106,8 +97,8 @@ class XiResult:
 def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[tuple]:
     """k-partitions of n with at most one part equal to 2, in lex order.
 
-    admissible_only=False drops the one-block-of-two rule, exposing the
-    unfiltered maximum for comparison.
+    admissible_only=False drops the one-block-of-two rule and lists every
+    k-partition.
     """
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -181,7 +172,7 @@ def part_norm(m: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def k_sep_bound(n: int, k: int, admissible_only: bool = True) -> PartitionBound:
+def k_sep_bound(n: int, k: int) -> PartitionBound:
     """Admissible k-partition of n maximizing the product of block norms.
 
     Exact: the largest integer product of 2^(m-1) + s_m, with ties going
@@ -193,11 +184,10 @@ def k_sep_bound(n: int, k: int, admissible_only: bool = True) -> PartitionBound:
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     spare = n - k  # qubits beyond one per block
-    smallest = 4 if admissible_only else 2  # every even block after the first 2
-    # the most even blocks whose smallest sizes fit, with the parity of spare
-    even = min(k, (spare - 1) // (smallest - 1) + 1) if spare else 0
+    # the most even blocks whose smallest sizes (one 2, then 4s) fit, with the parity of spare
+    even = min(k, (spare - 1) // 3 + 1) if spare else 0
     even -= (even - spare) % 2
-    evens = [2] + [smallest] * (even - 1) if even else []
+    evens = [2] + [4] * (even - 1) if even else []
     left = spare - sum(m - 1 for m in evens)
     if even == k:
         evens[-1] += left
@@ -210,43 +200,65 @@ def k_sep_bound(n: int, k: int, admissible_only: bool = True) -> PartitionBound:
     return PartitionBound(n, k, parts, sqrt_int(bound_sq), s_flags, bound_sq)
 
 
-def detect(norm_sq: float, n: int, k: int) -> Verdict:
-    """Compare a squared tensor norm, computed in floats, with bound_sq.
+def _lower_bound(norm_sq: float, n: int) -> float:
+    """norm_sq minus the rounding margin of detect (see there)."""
+    e, r = (n + 8) * 2.0 ** -52, 3 ** (n / 2)
+    return norm_sq - e * r * (2 * math.sqrt(norm_sq) + e * r) - 2.0 ** -51 * norm_sq
 
-    Certifies only when a lower bound on the true squared norm exceeds
-    bound_sq.  Either path gets each of at most 3^n entries within
-    e = (n + 8) 2^-53 (n roundings in the transform, under 8 more from the
-    amplitudes, products and weights), so norm_sq is off by at most
-    e r (2 sqrt(norm_sq) + e r) with r = 3^(n/2), plus 2^-52 norm_sq from
-    squaring and summing.  e and that last term are doubled below to
-    cover the rounding of the margin itself.
+
+def detect(norm_sq: float, n: int, k: int) -> XiResult:
+    """Compare a squared tensor norm from the dense sweep with bound_sq.
+
+    Untagged states (W, raw amplitudes) take this rule; tagged ones take
+    the exact xi_noise.  Certifies only when a lower bound on the true
+    squared norm exceeds bound_sq.  The sweep gets each of at most 3^n
+    entries within e = (n + 8) 2^-53 (n roundings in the transform, under
+    8 more from the amplitudes, products and weights), so norm_sq is off
+    by at most e r (2 sqrt(norm_sq) + e r) with r = 3^(n/2), plus 2^-52
+    norm_sq from squaring and summing.  _lower_bound doubles e and that
+    last term to cover the rounding of the margin itself.  xi is norm_sq
+    over bound_sq, correctly rounded.
     """
     if norm_sq < 0:
         raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")
-    pb = k_sep_bound(n, k)
-    e, r = (n + 8) * 2.0 ** -52, 3 ** (n / 2)
-    lower = norm_sq - e * r * (2 * math.sqrt(norm_sq) + e * r) - 2.0 ** -51 * norm_sq
+    d = k_sep_bound(n, k).bound_sq
     num, den = norm_sq.as_integer_ratio()
-    return Verdict(_outcome(lower, pb.bound_sq), math.sqrt(norm_sq), pb.bound, k, num / (den * pb.bound_sq))
+    return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))
 
 
-def noise_products(n: int, family: str) -> tuple[int, int, int]:
+# family name -> C(n), the product of its state's tensor with that of
+# |1...1>: the one table of the families whose noise products have a
+# closed form (B = cg_norm_sq(n) and O = 1 for both)
+CLOSED_FORMS = {"cg": lambda n: 0, "ghz": lambda n: 1 - n % 2}
+
+
+def noise_products(n: int, family) -> tuple[int, int, int]:
     """Integer products (B, C, O) = base.base, base.ones, ones.ones of the
-    tensors of the family state (base) and of |1...1> (ones), so that the
-    mixture (1-p) base + p ones has the squared norm (1-p)^2 B + 2p(1-p) C
-    + p^2 O.  GHZ is local-unitary equivalent to the complete graph state
-    (B = 2^(n-1) + s_n for both); ones is the one all-Z entry (-1)^n, which
-    the complete graph state lacks and GHZ has as 1 at even n, 0 at odd n.
+    tensors of a state (base) and of |1...1> (ones), so that the mixture
+    (1-p) base + p ones has the squared norm (1-p)^2 B + 2p(1-p) C + p^2 O.
+
+    family is a name of CLOSED_FORMS, good at any n: GHZ is local-unitary
+    equivalent to the complete graph state (B = 2^(n-1) + s_n for both);
+    ones is the one all-Z entry (-1)^n, which the complete graph state
+    lacks and GHZ has as 1 at even n, 0 at odd n.  Or family is the
+    StabilizerGroup of base, and stabilizer.group_products counts B with
+    the stabilizer walk (so only a group loads numpy).
     """
-    cross = {"cg": 0, "ghz": 1 - n % 2}
-    if family not in cross:
+    if not isinstance(family, str):
+        if family.n != n:
+            raise ValueError(f"group has {family.n} qubits, not {n}")
+        from .stabilizer import group_products
+
+        return group_products(family)
+    if family not in CLOSED_FORMS:
         raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
-    return cg_norm_sq(n), cross[family], 1
+    return cg_norm_sq(n), CLOSED_FORMS[family](n), 1
 
 
-def xi_noise(n: int, k: int, p: float, family: str = "cg") -> XiResult:
-    """Squared norm of the noisy family state over the squared k-sep bound.
+def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
+    """Squared norm of the noisy state over the squared k-sep bound.
 
+    family is a closed-form name or a StabilizerGroup (noise_products).
     Exact at the float p = u/v it is given: the squared norm is top / v^2
     with an integer top, so the verdict is an exact decision at that p and
     each field is one correctly rounded int / int division.
@@ -257,7 +269,7 @@ def xi_noise(n: int, k: int, p: float, family: str = "cg") -> XiResult:
     d = k_sep_bound(n, k).bound_sq
     u, v = p.as_integer_ratio()
     top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v
-    return XiResult(n, k, p, top / scale, float(d), top / (scale * d), _outcome(top, scale * d))
+    return XiResult(n, k, top / scale, float(d), top / (scale * d), _outcome(top, scale * d))
 
 
 def _first_root(a2: int, a1: int, a0: int) -> float | None:
@@ -284,7 +296,7 @@ def _first_root(a2: int, a1: int, a0: int) -> float | None:
     return None
 
 
-def threshold_p(n: int, k: int, family: str = "cg") -> float | None:
+def threshold_p(n: int, k: int, family="cg") -> float | None:
     """Smallest p in [0, 1] where the noisy state stops violating the bound.
 
     The correctly rounded root of (1-p)^2 B + 2p(1-p) C + p^2 O = bound_sq

@@ -13,10 +13,12 @@ identity-free elements as (x, z, sign) arrays: O(2^n) vectorized work
 where the dense path would sweep 3^n strings.  It has two readers.
 full_weight_support packs and sorts the elements into a CorrelationTensor
 (pauli.py) whose values are their +-1 signs; full_weight_count keeps only
-the chunk lengths, so it counts in O(2^14) memory.  A diagonal group (a
-basis state such as |1...1>) needs no walk: its one identity-free
-element is Z^n.  The complete-graph and GHZ nonzero patterns are plain
-int64 key arrays, built by vectorized popcounts with no group at all.
+the chunk lengths, so it counts in O(2^14) memory; group_products turns
+that count into the B of the noise quadratic (separability.noise_products).
+A diagonal group (a basis state such as |1...1>) needs no walk: its one
+identity-free element is Z^n.  The complete-graph and GHZ nonzero
+patterns are plain int64 key arrays, built by vectorized popcounts with
+no group at all.
 The walk refuses groups above DEFAULT_SUPPORT_LIMIT qubits, and
 full_weight_support and the patterns (which keep every key) refuse
 more than PATTERN_LIMIT qubits, with SupportLimitError.  Single
@@ -256,6 +258,18 @@ def full_weight_count(g: StabilizerGroup) -> int:
     if g.diagonal:
         return 1
     return sum(len(x) for x, _, _ in _walk(g))
+
+
+def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
+    """(B, C, O) of separability.noise_products for the state that g stabilizes.
+
+    B = full_weight_count(g): the walk, or 1 with no walk for a diagonal
+    group.  The one entry of |1...1> is (-1)^n on Z^n, so C is (-1)^n times
+    the sign of Z^n in g (one membership solve; 0 when Z^n is not in g),
+    and O = 1.
+    """
+    n = g.n
+    return full_weight_count(g), (-1) ** n * stabilizer_expectation(g, PauliString("Z" * n)), 1
 
 
 def _parity_pattern(n: int, parity: int, xz, extra: int) -> np.ndarray:

@@ -48,6 +48,11 @@ class LoadedState:
     p: float | None
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of the given kinds; true and false load as bool, an int subclass, and are not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _strip_comments(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
 
@@ -66,7 +71,7 @@ def loads_state(text: str) -> LoadedState:
     if ("family" in doc) == ("amplitudes" in doc):
         raise StateFileError("exactly one of 'family' or 'amplitudes' is required")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_number(n, int) or n < 1:
         raise StateFileError("'n' must be a positive integer")
 
     if "amplitudes" in doc:
@@ -79,7 +84,7 @@ def loads_state(text: str) -> LoadedState:
     if family not in names:
         raise StateFileError(f"unknown family {family!r}; expected one of {names}")
     p = doc.get("p")
-    if p is not None and (not isinstance(p, (int, float)) or not 0.0 <= float(p) <= 1.0):
+    if p is not None and (not _is_number(p) or not 0.0 <= float(p) <= 1.0):
         raise StateFileError(f"'p' must be a number in [0, 1], got {p!r}")
     if family == "graph":
         if "edges" not in doc:
@@ -108,7 +113,7 @@ def _parse_edges(raw) -> tuple:
         raise StateFileError("'edges' must be a list of [a, b] pairs")
     edges = []
     for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(v, int) for v in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v, int) for v in item)):
             raise StateFileError(f"edge {item!r} is not an [a, b] integer pair")
         edges.append((item[0], item[1]))
     return tuple(edges)
@@ -119,11 +124,7 @@ def _parse_amplitudes(raw, n: int) -> PureState:
         raise StateFileError(f"'amplitudes' must list exactly 2^{n} = {1 << n} entries")
     amps = np.empty(1 << n, dtype=np.complex128)
     for i, item in enumerate(raw):
-        if not (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(isinstance(v, (int, float)) for v in item)
-        ):
+        if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
             raise StateFileError(f"amplitude {i} is not an [re, im] pair: {item!r}")
         amps[i] = complex(item[0], item[1])
     nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))

@@ -9,11 +9,12 @@ therefore has the same correlation-tensor norm.
 
 Graph, cluster, GHZ and |1...1> states are stabilizer states.  Their
 constructors tag the result with its StabilizerGroup (PureState.stabilizer),
-which sends full_tensor and ensemble_norm_sq down the stabilizer path;
-W states and raw amplitudes carry no tag.  Tagged states defer their
-amplitudes (PureState.deferred): a constructor call costs the O(n^2)
-group, and the 2^n amplitudes are built only if something reads them
-(the dense path, expectation, write_amplitude_file).  FAMILIES is the
+which sends full_tensor down the stabilizer path and lets detect read the
+exact noise quadratic (separability.noise_products); W states and raw
+amplitudes carry no tag.  Tagged states defer their amplitudes
+(PureState.deferred): a constructor call costs the O(n^2) group, and
+the 2^n amplitudes are built only if something reads them (the dense
+path, expectation, write_amplitude_file).  FAMILIES is the
 one table of the named state families, read by the norm table, the
 state-file loader and the CLI.  GraphSpec and the complete, chain and
 star graphs live in graphsep.graphs, which loads no numpy.
@@ -39,15 +40,14 @@ def _graph_amplitudes(spec: GraphSpec) -> np.ndarray:
     the vertices from n down to 1, the parity table over qubits a..n is
     the table over qubits a+1..n (bit a clear), followed by that table
     XOR the popcount term (bit a set): one step per vertex, not per edge.
+    The table index holds qubits a+1..n only, so masking it with all of
+    a's neighbours keeps just the later ones.
     """
     n = spec.n
-    later = [0] * (n + 1)
-    for a, b in spec.edges:  # a < b
-        later[a] |= 1 << (n - b)
     flips = np.zeros(1, dtype=np.uint8)
     for a in range(n, 0, -1):
         rest = np.arange(flips.size, dtype=np.int64)
-        flips = np.concatenate([flips, flips ^ (np.bitwise_count(rest & later[a]) & 1)])
+        flips = np.concatenate([flips, flips ^ (np.bitwise_count(rest & spec.masks[a - 1]) & 1)])
     return ((1.0 - 2.0 * flips) * 2.0 ** (-n / 2.0)).astype(np.complex128)
 
 

@@ -19,13 +19,11 @@ mask x.  Over all 2^n masks that is O(n 4^n) vectorized work, done in
 chunks of masks.  The dense reference of a tagged state is its untagged
 copy, PureState(n, state.amplitudes).
 
-The criterion needs only the squared norm, and ensemble_norm_sq is its
-one entry point; detect and every norm-table row go through it.  For
-the tagged ensembles they meet (a pure tagged state, or one mixed with
-|1...1> noise) it is the Gram sum sum_ij w_i w_j <T_i, T_j>: the
-full-weight count of the one non-diagonal member plus the shared Z^n
-entry, taken exactly and rounded once, so it equals the norm of
-full_tensor bit for bit without building any tensor or amplitude.
+full_tensor is the dense path of detect (untagged states) and an
+inspection tool for tagged ones.  The criterion needs only the squared
+norm, and for a tagged state (or one mixed with |1...1> noise) that is
+the exact quadratic of separability.noise_products: detect and the
+tagged norm-table rows read it, with no tensor or amplitude built.
 """
 
 from __future__ import annotations
@@ -35,16 +33,9 @@ import os
 
 import numpy as np
 
-from .pauli import (
-    IMAG_TOL,
-    CorrelationTensor,
-    PauliString,
-    PureState,
-    pack_index,
-    packed_keys,
-    pure_ensemble,
-)
-from .stabilizer import cg_nonzero_pattern, full_weight_count, full_weight_support, stabilizer_expectation
+from .pauli import IMAG_TOL, CorrelationTensor, PureState, pack_index, packed_keys, pure_ensemble
+from .separability import CLOSED_FORMS, noise_products
+from .stabilizer import cg_nonzero_pattern, full_weight_support
 from .states import FAMILIES
 
 DEFAULT_DENSE_LIMIT = 10
@@ -151,45 +142,6 @@ def tensor_norm_sq(t: CorrelationTensor) -> float:
     return math.fsum((t.values * t.values).tolist())
 
 
-def ensemble_norm_sq(ens, zero_tol: float = 1e-9) -> float:
-    """Squared tensor norm of an ensemble (or a bare pure state).
-
-    Equals tensor_norm_sq(full_tensor(ens, zero_tol)) bit for bit.  When
-    every member is stabilizer-tagged and at most one is non-diagonal
-    (every pure tagged state and every noisy_mixture), it is the Gram sum
-    sum_ij w_i w_j <T_i, T_j>, found without building the tensor.  The
-    non-diagonal member, of weight w, has full_weight_count entries +-w
-    (counted in O(2^14) memory).  Z^n is the one entry that members can
-    share; its value is summed over them in member order, as full_tensor
-    sums it.  Entries whose magnitude is not above zero_tol are dropped,
-    as full_tensor drops them, and the rounded squares are summed exactly
-    in integers and rounded once, as math.fsum rounds them.  Any other
-    ensemble goes through full_tensor.
-    """
-    if isinstance(ens, PureState):
-        ens = pure_ensemble(ens)
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    groups = [st.stabilizer for _, st in ens.terms]
-    if None in groups or sum(not g.diagonal for g in groups) > 1:
-        return tensor_norm_sq(full_tensor(ens, zero_tol))
-    all_z = PauliString("Z" * ens.n)
-    shared = 0.0
-    squares = []  # (entry count, rounded square of the entry)
-    for (w, _), g in zip(ens.terms, groups):
-        sign = stabilizer_expectation(g, all_z)
-        shared += w * sign  # in member order, as full_tensor sums it; a non-member adds 0.0
-        if not g.diagonal and w > zero_tol:
-            # the member's other full-weight entries are +-w, and no other member has them
-            squares.append((full_weight_count(g) - abs(sign), w * w))
-    if abs(shared) > zero_tol:
-        squares.append((1, shared * shared))
-    # exact sum over one power-of-two denominator; int / int rounds once, correctly
-    ratios = [(count * num, den) for count, sq in squares for num, den in [sq.as_integer_ratio()]]
-    den = max((d for _, d in ratios), default=1)
-    return sum(num * (den // d) for num, d in ratios) / den
-
-
 def tensor_norm(t: CorrelationTensor) -> float:
     """Standard (Frobenius) tensor norm: the square root of tensor_norm_sq."""
     return math.sqrt(tensor_norm_sq(t))
@@ -222,10 +174,11 @@ def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.
 def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:
     """(family, n, squared norm) rows, family-major then n ascending.
 
-    Each row is ensemble_norm_sq of the family's state: the exact count
-    of the stabilizer walk for the tagged families, the dense sweep for
-    W, whose n is checked against the dense limit before its 2^n
-    amplitudes are built.
+    A tagged family's row is the exact B of noise_products, as a float:
+    the closed form for cg and GHZ, the stabilizer walk over the family's
+    group (built without its state) for the others.  W rows come from the
+    dense sweep, after n is checked against the dense limit and before
+    the 2^n amplitudes are built.
     """
     fams = list(families)
     names = tuple(FAMILIES)
@@ -240,5 +193,8 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
         for n in range(n_min, n_max + 1):
             if make_group is None:
                 check_dense_limit(n)
-            rows.append((family, n, ensemble_norm_sq(make_state(n))))
+                norm_sq = tensor_norm_sq(full_tensor(make_state(n)))
+            else:
+                norm_sq = float(noise_products(n, family if family in CLOSED_FORMS else make_group(n))[0])
+            rows.append((family, n, norm_sq))
     return rows

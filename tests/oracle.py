@@ -177,9 +177,10 @@ def _partitions_into(n: int, k: int, lo: int = 1):
             yield (first,) + rest
 
 
-def brute_k_sep_bound(n: int, k: int, admissible_only: bool = True) -> tuple:
-    """(parts, bound_sq) of the k-partition of n with the largest product of
-    2^(m-1) + s_m, by listing every partition in lex order.
+def brute_k_sep_bound(n: int, k: int) -> tuple:
+    """(parts, bound_sq) of the admissible k-partition of n (at most one
+    block of 2) with the largest product of 2^(m-1) + s_m, by listing every
+    partition in lex order.
 
     Products are exact integers and only a strictly larger one replaces
     the best so far, so ties go to the lexicographically smallest
@@ -187,7 +188,7 @@ def brute_k_sep_bound(n: int, k: int, admissible_only: bool = True) -> tuple:
     """
     best_parts, best = None, 0
     for parts in _partitions_into(n, k):
-        if admissible_only and parts.count(2) > 1:
+        if parts.count(2) > 1:
             continue
         product = 1
         for m in parts:
@@ -272,6 +273,39 @@ def exact_noise_norm_sq(family: str, n: int, p: float) -> Fraction:
     q = Fraction(p)
     cross = 1 - n % 2 if family == "ghz" else 0
     return (1 - q) ** 2 * _block(n) + 2 * q * (1 - q) * cross + q * q
+
+
+def exact_tensor_norm_sq(terms, n: int) -> Fraction:
+    """Squared tensor norm of the mixture sum_i w_i |psi_i><psi_i|, exact
+    for the float weights and amplitudes it is given.
+
+    Each amplitude part is an integer over 2^e for one shared e, so each
+    <psi|P|psi> = i^y sum_b conj(a_(b ^ x)) a_b (-1)^popcount(b & z) (x the
+    flip mask, z the phase mask, y the number of Y letters of the word) is
+    a Gaussian integer over 2^(2e), summed word by word in Python ints.
+    """
+    parts = [Fraction(v) for _, st in terms for a in st.amplitudes.tolist() for v in (a.real, a.imag)]
+    e = max(q.denominator for q in parts).bit_length() - 1
+    scaled = [[(int(Fraction(a.real) * 2 ** e), int(Fraction(a.imag) * 2 ** e)) for a in st.amplitudes.tolist()]
+              for _, st in terms]
+    full, total = (1 << n) - 1, Fraction(0)
+    for x in range(1 << n):
+        for z in range(1 << n):
+            if x | z != full:
+                continue
+            entry = Fraction(0)
+            for (w, _), amps in zip(terms, scaled):
+                re = im = 0
+                for b, (ar, ai) in enumerate(amps):
+                    fr, fi = amps[b ^ x]
+                    sign = -1 if (b & z).bit_count() % 2 else 1
+                    re += sign * (fr * ar + fi * ai)
+                    im += sign * (fr * ai - fi * ar)
+                re, im = {0: (re, im), 1: (-im, re), 2: (-re, -im), 3: (im, -re)}[(x & z).bit_count() % 4]
+                assert im == 0  # a Hermitian word has a real expectation
+                entry += Fraction(w) * Fraction(re, 4 ** e)
+            total += entry * entry
+    return total
 
 
 def exact_verdict(norm_sq, bound_sq: int) -> str:

@@ -281,7 +281,7 @@ def test_criterion_8_property_suites():
         for norm in (1.2, 2.0, 3.5, 6.0, 20.0):
             flagged = False
             for k in range(2, n + 1):
-                hit = detect(norm * norm, n, k).outcome == NON_K_SEPARABLE
+                hit = detect(norm * norm, n, k).verdict == NON_K_SEPARABLE
                 if flagged and not hit:
                     cascade_ok = False
                 flagged = flagged or hit

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,8 +15,8 @@ from graphsep import (
     ghz_state,
     noisy_mixture,
     separability,
+    stabilizer,
     stabilizer_group,
-    tensor,
 )
 from graphsep.cli import MAX_P_STEPS, main
 
@@ -348,9 +349,9 @@ def test_library_runtime_error_is_one_line_exit_1(capsys, monkeypatch, tmp_path)
     def fail(*args, **kwargs):
         raise RuntimeError("stabilizer product has non-real phase")
 
-    monkeypatch.setattr(tensor, "ensemble_norm_sq", fail)
-    path = tmp_path / "cg4.json"
-    path.write_text(json.dumps({"family": "cg", "n": 4}))
+    monkeypatch.setattr(stabilizer, "full_weight_count", fail)  # the walk's count, read for B
+    path = tmp_path / "cluster4.json"
+    path.write_text(json.dumps({"family": "cluster", "n": 4}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert (code, out) == (1, "")
     assert err == "graphsep: error: stabilizer product has non-real phase\n"
@@ -375,14 +376,58 @@ def test_settings_above_the_cap_exits_2(capsys):
 
 
 def test_detect_beyond_the_walk_limit(capsys, tmp_path):
-    path = tmp_path / "cg30.json"
-    path.write_text('{"family": "cg", "n": 30}')
+    path = tmp_path / "cluster30.json"
+    path.write_text('{"family": "cluster", "n": 30}')
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert code == 2 and out == ""
     assert err == "graphsep: error: stabilizer walk over 2^30 generator subsets exceeds the 26-qubit limit\n"
     # at p = 1 the state is |1...1>, whose one full-weight element needs no walk
-    path.write_text('{"family": "cg", "n": 30, "p": 1}')
+    path.write_text('{"family": "cluster", "n": 30, "p": 1}')
     code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert code == 0
+    assert "norm=1\n" in out and "verdict=Inconclusive" in out
+    # the complete graph has its closed form, so it needs no walk at all
+    path.write_text('{"family": "cg", "n": 30}')
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == [
+        f"norm={math.sqrt(2 ** 29 + 1):.12g}", f"bound={math.sqrt(3 * (2 ** 27 + 1)):.12g}", "partition=2|28",
+        "verdict=NonKSeparable",
+    ]
+
+
+@pytest.mark.parametrize("family,p", [("cg", 0.1), ("cg", None), ("ghz", 0.1), ("ghz", None)])
+def test_detect_closed_forms_at_any_n(capsys, tmp_path, family, p):
+    n = 1000
+    doc = {"family": family, "n": n} if p is None else {"family": family, "n": n, "p": p}
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    q, c = Fraction(p or 0), (1 - n % 2) * (family == "ghz")
+    exact = (1 - q) ** 2 * (2 ** (n - 1) + 1) + 2 * q * (1 - q) * c + q * q
+    d = brute_k_sep_bound(n, 2)[1]
+    assert (payload["norm"], payload["xi"]) == (math.sqrt(float(exact)), float(exact / d))
+    assert payload["verdict"] == ("NonKSeparable" if exact > d else "Inconclusive")
+
+
+def test_detect_large_graph_refused_before_allocating(capsys, tmp_path):
+    edges = [[a, b] for a in range(1, 35) for b in range(a + 1, 35) if (a * b) % 3 == 0]
+    path = tmp_path / "graph34.json"
+    path.write_text(json.dumps({"family": "graph", "n": 34, "edges": edges}))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "graphsep: error: stabilizer walk over 2^34 generator subsets exceeds the 26-qubit limit\n"
+    assert peak < 1 << 20
+    # the noise term alone needs no walk
+    path.write_text(json.dumps({"family": "graph", "n": 34, "edges": edges, "p": 1}))
+    code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "34")
     assert code == 0
     assert "norm=1\n" in out and "verdict=Inconclusive" in out
 

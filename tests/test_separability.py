@@ -4,21 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphsep import (
     INCONCLUSIVE,
     NON_K_SEPARABLE,
+    MixedEnsemble,
+    PureState,
     admissible_partitions,
     all_ones_state,
+    chain_graph,
     complete_graph,
     detect,
     full_tensor,
+    ghz_group,
     ghz_state,
     graph_state,
     k_sep_bound,
     noisy_mixture,
     part_norm,
     separability,
+    stabilizer_group,
     tensor_norm_sq,
     threshold_p,
     xi_noise,
@@ -31,8 +38,10 @@ from oracle import (
     exact_noise_norm_sq,
     exact_noise_threshold,
     exact_quadratic_root,
+    exact_tensor_norm_sq,
     exact_verdict,
     grid_bisect_root,
+    random_state,
     tensor_dot,
     untagged,
 )
@@ -56,9 +65,8 @@ def test_admissible_partitions_match_brute_force():
 
 def test_unfiltered_partitions_keep_double_twos():
     assert (2, 2) in admissible_partitions(4, 2, admissible_only=False)
-    unfiltered = k_sep_bound(4, 2, admissible_only=False)
-    assert unfiltered.parts == (2, 2)
-    assert unfiltered.bound == pytest.approx(3.0, abs=1e-12)
+    # the bound skips 2|2 (whose product 9 is larger) for the admissible 1|3
+    assert k_sep_bound(4, 2).parts == (1, 3)
     assert k_sep_bound(4, 2).bound == pytest.approx(2.0, abs=1e-12)
 
 
@@ -88,17 +96,16 @@ def test_k_sep_bound_examples():
 def test_k_sep_bound_is_cached():
     first = k_sep_bound(12, 5)
     assert k_sep_bound(12, 5) is first
-    assert k_sep_bound(12, 5, admissible_only=False) is not first
+    assert k_sep_bound(12, 6) is not first
     with pytest.raises(ValueError):
         k_sep_bound(12, 13)
 
 
-@pytest.mark.parametrize("admissible_only", [True, False])
-def test_k_sep_bound_matches_enumeration_oracle(admissible_only):
+def test_k_sep_bound_matches_enumeration_oracle():
     for n in range(2, 21):
         for k in range(2, n + 1):
-            pb = k_sep_bound(n, k, admissible_only)
-            assert (pb.parts, pb.bound_sq) == brute_k_sep_bound(n, k, admissible_only), (n, k)
+            pb = k_sep_bound(n, k)
+            assert (pb.parts, pb.bound_sq) == brute_k_sep_bound(n, k), (n, k)
             assert pb.bound == math.sqrt(pb.bound_sq)
 
 
@@ -112,12 +119,11 @@ def test_k_sep_bound_beyond_float_range_matches_oracle(k):
 
 @pytest.mark.parametrize("n,k", [(6, 3), (9, 3), (40, 17), (1000, 999), (1000, 1000), (1100, 2), (1100, 3)])
 def test_bound_sq_is_exact_block_product(n, k):
-    for admissible_only in (True, False):
-        pb = k_sep_bound(n, k, admissible_only)
-        assert type(pb.bound_sq) is int
-        assert pb.bound_sq == math.prod(2 ** (m - 1) + (1 - m % 2) for m in pb.parts)
-        assert sum(pb.parts) == n and len(pb.parts) == k
-        assert pb.per_part_s == tuple(1 - m % 2 for m in pb.parts)
+    pb = k_sep_bound(n, k)
+    assert type(pb.bound_sq) is int
+    assert pb.bound_sq == math.prod(2 ** (m - 1) + (1 - m % 2) for m in pb.parts)
+    assert sum(pb.parts) == n and len(pb.parts) == k
+    assert pb.per_part_s == tuple(1 - m % 2 for m in pb.parts)
 
 
 def test_part_norm_beyond_float_range():
@@ -147,14 +153,13 @@ def test_biseparable_bound_equals_two_sep_bound(n):
 
 
 def test_detect_examples():
-    verdict = detect(33.0, 6, 2)
-    assert verdict.outcome == NON_K_SEPARABLE
-    assert verdict.norm == math.sqrt(33)
-    assert verdict.bound == pytest.approx(math.sqrt(27), abs=1e-9)
-    assert verdict.xi == 33 / 27
+    res = detect(33.0, 6, 2)
+    assert res.verdict == NON_K_SEPARABLE
+    assert (res.n, res.k, res.numerator, res.denominator) == (6, 2, 33.0, 27.0)
+    assert res.xi == 33 / 27
     # boundary equality is inconclusive: the criterion needs a strict violation
     boundary = detect(k_sep_bound(6, 2).bound_sq, 6, 2)
-    assert boundary.outcome == INCONCLUSIVE
+    assert boundary.verdict == INCONCLUSIVE
     assert boundary.xi == 1.0
     with pytest.raises(ValueError):
         detect(-0.5, 6, 2)
@@ -167,11 +172,32 @@ def test_detect_margin_covers_float_rounding():
     ens = noisy_mixture(graph_state(complete_graph(3)), 0.6000000000000001)
     norm_sq = tensor_norm_sq(full_tensor(untagged(ens)))
     assert norm_sq > 1
-    assert detect(norm_sq, 3, 3).outcome == INCONCLUSIVE
+    assert detect(norm_sq, 3, 3).verdict == INCONCLUSIVE
     # the stated margin near 1 is about 3e-14 at n = 3 and 2e-12 at n = 10
-    assert detect(1 + 1e-12, 3, 3).outcome == NON_K_SEPARABLE
-    assert detect(1 + 1e-13, 10, 10).outcome == INCONCLUSIVE
-    assert detect(1 + 1e-11, 10, 10).outcome == NON_K_SEPARABLE
+    assert detect(1 + 1e-12, 3, 3).verdict == NON_K_SEPARABLE
+    assert detect(1 + 1e-13, 10, 10).verdict == INCONCLUSIVE
+    assert detect(1 + 1e-11, 10, 10).verdict == NON_K_SEPARABLE
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_dense_rounding_stays_within_the_detect_margin(n, members, real, seed):
+    # the margin detect subtracts on the dense path (untagged states, the
+    # only ones it still serves) bounds the float sum's distance from the
+    # exact squared norm of the very floats the sweep was given
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, size=members)
+    weights /= weights.sum()
+    terms = []
+    for w in weights:
+        amps = random_state(n, rng)
+        if real:
+            amps = amps.real / np.linalg.norm(amps.real)
+        terms.append((float(w), PureState(n, amps)))
+    norm_sq = tensor_norm_sq(full_tensor(MixedEnsemble(tuple(terms))))
+    exact = exact_tensor_norm_sq(MixedEnsemble(tuple(terms)).terms, n)
+    margin = norm_sq - separability._lower_bound(norm_sq, n)
+    assert abs(norm_sq - exact) <= margin, (float(norm_sq - exact), margin)
 
 
 def test_detect_full_separability_of_noisy_cg6():
@@ -179,7 +205,7 @@ def test_detect_full_separability_of_noisy_cg6():
     norm_sq = tensor_norm_sq(full_tensor(untagged(ens)))
     # 33 - 66 p + 34 p^2 at p = 0.5 is 8.5, far above the full-sep bound 1
     assert norm_sq == pytest.approx(8.5, abs=1e-9)
-    assert detect(norm_sq, 6, 6).outcome == NON_K_SEPARABLE
+    assert detect(norm_sq, 6, 6).verdict == NON_K_SEPARABLE
 
 
 def test_bound_monotone_in_k():
@@ -194,7 +220,7 @@ def test_verdict_cascade():
         for norm in (1.5, 2.5, 4.0, 10.0):
             flagged = False
             for k in range(2, n + 1):
-                outcome = detect(norm * norm, n, k).outcome
+                outcome = detect(norm * norm, n, k).verdict
                 if flagged:
                     assert outcome == NON_K_SEPARABLE
                 flagged = flagged or outcome == NON_K_SEPARABLE
@@ -223,7 +249,7 @@ def test_xi_matches_oracle_detection():
             for k in range(2, n + 1):
                 res = xi_noise(n, k, float(p))
                 assert res.numerator == pytest.approx(norm_sq, abs=1e-9)
-                assert (res.xi > 1.0) == (detect(norm_sq, n, k).outcome == NON_K_SEPARABLE)
+                assert (res.xi > 1.0) == (detect(norm_sq, n, k).verdict == NON_K_SEPARABLE)
 
 
 def test_xi_noise_ghz_forms():
@@ -300,12 +326,24 @@ def test_ghz_noise_products_are_the_dense_products(n):
         assert o == pytest.approx(tensor_dot(ones, ones), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", range(2, 21))
+def test_group_products_are_the_closed_forms(n):
+    # B by the walk's count, C by one membership solve, O = 1
+    assert separability.noise_products(n, stabilizer_group(complete_graph(n))) == separability.noise_products(n, "cg")
+    assert separability.noise_products(n, ghz_group(n)) == separability.noise_products(n, "ghz")
+    b, c, o = separability.noise_products(n, stabilizer_group(chain_graph(n)))
+    assert (c, o) == (0, 1)  # Z^n is no graph-state group element
+    assert threshold_p(n, 2, stabilizer_group(complete_graph(n))) == threshold_p(n, 2)
+    with pytest.raises(ValueError, match="not"):
+        separability.noise_products(n + 1, ghz_group(n))
+
+
 def test_xi_verdict_is_the_strict_detection_rule():
     # pure noise against full separability: numerator 1 over bound_sq 1, so
     # xi = 1 exactly, inconclusive as norm == bound is
     res = xi_noise(5, 5, 1.0)
     assert res.xi == 1.0
-    assert res.verdict == INCONCLUSIVE == detect(1.0, 5, 5).outcome
+    assert res.verdict == INCONCLUSIVE == detect(1.0, 5, 5).verdict
     assert xi_noise(6, 2, 0.0).verdict == NON_K_SEPARABLE
     assert xi_noise(6, 2, 0.5).verdict == INCONCLUSIVE
 

@@ -132,6 +132,29 @@ def test_tagged_families_skip_the_dense_limit(monkeypatch):
         loads_state('{"family": "w", "n": 5}')
 
 
+@pytest.mark.parametrize(
+    "field,doc",
+    [
+        ("n", {"family": "cg", "n": True}),
+        ("p", {"family": "cg", "n": 4, "p": True}),
+        ("p", {"family": "cg", "n": 4, "p": False}),
+        ("edge", {"family": "graph", "n": 3, "edges": [[True, 2], [2, 3]]}),
+        ("amplitude", {"n": 1, "amplitudes": [[True, 0], [0, 0]]}),
+        ("amplitude", {"n": 1, "amplitudes": [[1, 0], [0, False]]}),
+    ],
+)
+def test_json_booleans_are_not_numbers(field, doc, tmp_path, capsys):
+    # true and false load as bool, an int subclass: p = true was p = 1, [true, 2] the edge (1, 2)
+    with pytest.raises(StateFileError):
+        loads_state(json.dumps(doc))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert main(["detect", "--state-file", str(path), "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("graphsep: error: ") and captured.err.count("\n") == 1
+
+
 def test_loading_a_tagged_state_allocates_no_amplitudes():
     edges = [[a, b] for a in range(1, 35) for b in range(a + 1, 35) if (a * b) % 3 == 0]
     for doc in ({"family": "graph", "n": 34, "edges": edges, "p": 0.1}, {"family": "cg", "n": 30}):
@@ -144,3 +167,16 @@ def test_loading_a_tagged_state_allocates_no_amplitudes():
             tracemalloc.stop()
         assert loaded.n == doc["n"]
         assert peak < 1 << 20
+
+
+def test_loading_a_large_complete_graph_stays_small():
+    # a graph keeps one neighbour mask per vertex: as tuples, the 44,850
+    # edges of K_300 took 9 MB at peak
+    tracemalloc.start()
+    try:
+        loaded = loads_state('{"family": "cg", "n": 300, "p": 0.1}')
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.n == 300 and loaded.p == 0.1
+    assert peak < 1 << 20

@@ -1,7 +1,12 @@
 """Full-tensor sweeps, norms, support sizes and the norm table."""
 
+import contextlib
+import io
+import json
 import math
+import os
 import re
+import tempfile
 import tracemalloc
 from fractions import Fraction
 
@@ -19,9 +24,7 @@ from graphsep import (
     SupportLimitError,
     all_ones_state,
     chain_graph,
-    cluster_state,
     complete_graph,
-    ensemble_norm_sq,
     full_tensor,
     full_weight_count,
     full_weight_support,
@@ -30,6 +33,7 @@ from graphsep import (
     graph_state,
     kron_states,
     measurement_settings,
+    noise_products,
     noisy_mixture,
     norm_table,
     pack_index,
@@ -38,10 +42,13 @@ from graphsep import (
     tensor_norm,
     tensor_norm_sq,
     w_state,
+    xi_noise,
 )
+from graphsep.cli import main
+from graphsep.stabilizer import all_ones_group
 from graphsep.states import FAMILIES
 
-from oracle import dense_full_tensor, random_state, untagged
+from oracle import dense_full_tensor, dp_bound_sq, exact_verdict, random_state, untagged
 
 
 def test_g3_tensor_entries():
@@ -135,54 +142,117 @@ def test_support_path_matches_dense_on_noisy_ghz(n, p):
 
 
 # noise weights at and next to the endpoints, where one member's weight
-# nears zero, and zero_tol values that keep everything, keep all but
-# rounding dust, drop the (1-p) entries at p = 0.8, and equal both
+# nears zero, and full_tensor zero_tol values that keep everything, keep
+# all but rounding dust, drop the (1-p) entries at p = 0.8, and equal both
 # weights at p = 0.5 (an entry equal to zero_tol is dropped)
 EDGE_P = (0.0, 1e-12, 0.5, 1 - 1e-12, 1.0)
 TOLS = (0.0, 1e-9, 0.3, 0.5)
 
 
+def _exact_entries(group, p):
+    """Packed key -> Fraction entry of the state g stabilizes, mixed with
+    |1...1> at the exact weight p (None: unmixed), from full_weight_support."""
+    q = Fraction(p or 0)
+    base = full_weight_support(group)
+    entries = {key: (1 - q) * int(sign) for key, sign in zip(base.keys.tolist(), base.values.tolist())}
+    all_z = pack_index((3,) * group.n)
+    entries[all_z] = entries.get(all_z, 0) + q * (-1) ** group.n
+    return entries
+
+
+def _detect_json(doc, k):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["detect", "--state-file", path, "--k", str(k), "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
+def _check_squared_norm(state, p, tol, source, doc=None):
+    """The squared norm detect reads, the exact quadratic of noise_products(n,
+    source), against the state's full tensor on three counts:
+
+    * it equals the Fraction sum of squares of the exact entries;
+    * detect on the state file doc (at every k) prints the Fraction verdict
+      of the oracle, the correctly rounded xi and the root of the rounded
+      squared norm; without a doc, xi_noise on source does;
+    * full_tensor(ens, tol) keeps exactly the entries above tol, and its
+      float norm is the exact one over those entries, to rounding.
+    """
+    n = state.n
+    entries = _exact_entries(state.stabilizer, p)
+    b, c, o = noise_products(n, source)
+    q = Fraction(p or 0)
+    exact = (1 - q) ** 2 * b + 2 * q * (1 - q) * c + q * q * o
+    assert exact == sum(v * v for v in entries.values())
+    for k in range(2, n + 1):
+        d = dp_bound_sq(n, k)
+        if doc is None:
+            res = xi_noise(n, k, p or 0.0, source)
+            assert (res.verdict, res.xi, res.numerator) == (exact_verdict(exact, d), float(exact / d), float(exact))
+        else:
+            payload = _detect_json(doc, k)
+            got = (payload["verdict"], payload["xi"], payload["norm"])
+            assert got == (exact_verdict(exact, d), float(exact / d), math.sqrt(float(exact))), (doc, k)
+    t = full_tensor(state if p is None else noisy_mixture(state, p), tol)
+    kept = {key: v for key, v in entries.items() if abs(v) > tol}
+    assert t.keys.tolist() == sorted(kept)
+    assert tensor_norm_sq(t) == pytest.approx(float(sum(v * v for v in kept.values())), rel=1e-15)
+
+
+# These two keep their names from when a float Gram sum gave the squared
+# norm; detect now reads the exact noise quadratic, checked here on the same inputs.
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(noisy_random_graphs(12, st.sampled_from(EDGE_P) | st.floats(0.0, 1.0)), st.sampled_from(TOLS), st.booleans())
 def test_ensemble_norm_sq_is_the_full_tensor_norm_on_random_graphs(case, tol, pure):
     spec, p = case
-    ens = graph_state(spec) if pure else noisy_mixture(graph_state(spec), p)
-    assert ensemble_norm_sq(ens, tol) == tensor_norm_sq(full_tensor(ens, tol))
+    p = None if pure else p
+    doc = {"family": "graph", "n": spec.n, "edges": [list(e) for e in spec.edges]}
+    if p is not None:
+        doc["p"] = p
+    _check_squared_norm(graph_state(spec), p, tol, stabilizer_group(spec), doc)
 
 
 @pytest.mark.parametrize("tol", TOLS)
 @pytest.mark.parametrize("p", (None, *EDGE_P, 0.1, 0.8))
 def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
     for n in (2, 3, 4, 7, 8):
-        for base in (ghz_state(n), cluster_state(n), graph_state(complete_graph(n)), all_ones_state(n)):
-            ens = base if p is None else noisy_mixture(base, p)
-            assert ensemble_norm_sq(ens, tol) == tensor_norm_sq(full_tensor(ens, tol))
-    # members full_tensor alone handles: untagged, and two non-diagonal members
-    for ens in (w_state(4), MixedEnsemble(((0.3, ghz_state(4)), (0.7, graph_state(complete_graph(4)))))):
-        assert ensemble_norm_sq(ens, tol) == tensor_norm_sq(full_tensor(ens, tol))
+        for family in ("cg", "ghz", "cluster"):
+            state = FAMILIES[family][0](n)
+            doc = {"family": family, "n": n} if p is None else {"family": family, "n": n, "p": p}
+            _check_squared_norm(state, p, tol, state.stabilizer if family == "cluster" else family, doc)
+        _check_squared_norm(all_ones_state(n), p, tol, all_ones_group(n))
 
 
-def test_ensemble_norm_sq_values():
-    # p = 0.8 with zero_tol 0.3 drops every (1-p) entry; only Z^n, at -p, is left
-    assert ensemble_norm_sq(noisy_mixture(graph_state(complete_graph(5)), 0.8), 0.3) == 0.8 * 0.8
-    # GHZ at even n holds +Z^n too: the shared entry is (1-p) + p, summed in member order
-    w = 1 - 0.1
-    want = Fraction(w * w) * 2 ** 5 + Fraction((w + 0.1) ** 2)
-    assert ensemble_norm_sq(noisy_mixture(ghz_state(6), 0.1)) == float(want)
+def test_noise_products_values():
+    # GHZ at even n holds +Z^n too: C = 1, and the quadratic at p = 0.1 is exact
+    assert noise_products(6, ghz_group(6)) == (2 ** 5 + 1, 1, 1)
+    res = xi_noise(6, 6, 0.1, ghz_group(6))
+    q = Fraction(0.1)
+    assert res.numerator == float((1 - q) ** 2 * 33 + 2 * q * (1 - q) + q * q)
+    # |1...1>: one entry, shared with the noise, so B = C = O = 1 without a walk
+    for n in (1, 2, 5, 40):
+        assert noise_products(n, all_ones_group(n)) == (1, 1, 1)
+    # the chain's counts 3, 4, 5, 8 and Z^n outside every graph-state group
+    assert [noise_products(n, stabilizer_group(chain_graph(n))) for n in (2, 3, 4, 5)] == [
+        (3, 0, 1), (4, 0, 1), (5, 0, 1), (8, 0, 1)
+    ]
     with pytest.raises(ValueError):
-        ensemble_norm_sq(ghz_state(3), -1.0)
+        noise_products(3, "cluster")
 
 
-def test_ensemble_norm_sq_counts_in_small_memory():
-    ens = noisy_mixture(graph_state(complete_graph(22)), 0.1)
+def test_group_products_count_in_small_memory():
+    group = stabilizer_group(complete_graph(22))
     tracemalloc.start()
     try:
-        value = ensemble_norm_sq(ens)
+        value = noise_products(22, group)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    w = 1 - 0.1
-    assert value == float(Fraction(w * w) * (2 ** 21 + 1) + Fraction(0.1 * 0.1))
+    assert value == (2 ** 21 + 1, 0, 1)
     # the amplitudes alone would take 64 MiB, the full tensor's keys and values 32 MiB
     assert peak < 8 << 20
 
@@ -346,10 +416,23 @@ def test_norm_table_support_path_rows():
 
 
 def test_norm_table_rows_are_the_squared_norms():
-    for family, (make_state, _) in FAMILIES.items():
+    for family, (make_state, make_group) in FAMILIES.items():
         for _, n, norm_sq in norm_table([family], 2, 6):
-            assert norm_sq == ensemble_norm_sq(make_state(n))
+            if make_group is not None:
+                assert norm_sq == len(full_weight_support(make_group(n)))
             assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(make_state(n)))), rel=1e-12)
+
+
+def test_norm_table_builds_no_tagged_state(monkeypatch):
+    def unbuildable(n):
+        raise AssertionError(f"a state on {n} qubits was built")
+
+    families = {name: (unbuildable, make_group) for name, (_, make_group) in FAMILIES.items() if make_group}
+    monkeypatch.setattr(tensor, "FAMILIES", families)
+    rows = norm_table(["cg", "ghz", "cluster"], 2, 20)
+    assert rows[-1] == ("cluster", 20, float(full_weight_count(stabilizer_group(chain_graph(20)))))
+    # the closed forms need no group either: cg and GHZ at any n
+    assert norm_table(["cg", "ghz"], 1000, 1000) == [("cg", 1000, float(2 ** 999 + 1)), ("ghz", 1000, float(2 ** 999 + 1))]
 
 
 def test_norm_table_refuses_w_before_building_it(monkeypatch):
