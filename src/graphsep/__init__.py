@@ -6,7 +6,8 @@ module (importlib.util.LazyLoader) whose body runs on first attribute
 access, and each public name resolves on first access (PEP 562), so
 graphsep.X is graphsep.<home>.X.  separability (bounds, thresholds and
 the integer closed forms cg_norm_sq, sqrt_int, permutation_count) and
-graphs (GraphSpec, complete, chain and star graphs) load no numpy.
+graphs (GraphSpec, complete, chain and star graphs) load no numpy;
+states and statefile load it only to build or parse amplitudes.
 """
 
 import importlib

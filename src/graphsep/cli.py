@@ -7,9 +7,11 @@ graph (complete graph as DOT text).
 
 Output is CSV on stdout unless --out is given; comment lines start with
 "#"; numeric fields carry 12 significant digits.  Exit codes: 0 success,
-1 usage or input error (also a result beyond the float range or a failed
-internal check), 2 resource or output error.  Verdicts are payload,
-never exit status.  bounds, sweep, appendix and graph load no numpy.
+1 usage or input error (also a result beyond the float range, a failed
+internal check or a stdout closed early), 2 resource or output error.
+Verdicts are payload, never exit status.  bounds, sweep, appendix and
+graph load no numpy, and neither does detect on a cg, GHZ or W state
+file, which it decides from n and p alone.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
-# lazy modules (graphsep/__init__.py): only norms, detect and settings load them
+# lazy modules (graphsep/__init__.py): only norms, detect and settings load
+# them, and detect on a cg, GHZ or W file only the numpy-free statefile and states
 from . import stabilizer, statefile, states, tensor
 from .graphs import complete_graph
 from .separability import CLOSED_FORMS, cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms
@@ -121,11 +125,13 @@ def cmd_detect(args) -> int:
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
-    group = loaded.ensemble.terms[0][1].stabilizer  # the base state, or |1...1> alone at p = 1
-    if group is None:  # W or raw amplitudes: the dense sweep, certified past its rounding margin
+    # a closed form (cg, GHZ, W: no state is built), or the group of the
+    # base state (or of |1...1> alone at p = 1) for the walk to count B
+    source = loaded.family if loaded.family in CLOSED_FORMS else loaded.ensemble.terms[0][1].stabilizer
+    if source is None:  # raw amplitudes: the dense sweep, certified past its rounding margin
         res = detect(tensor.tensor_norm_sq(tensor.full_tensor(loaded.ensemble)), n, args.k)
-    else:  # the exact noise quadratic: a closed form, or B counted by the walk over the group
-        res = xi_noise(n, args.k, loaded.p or 0.0, loaded.family if loaded.family in CLOSED_FORMS else group)
+    else:  # the exact noise quadratic
+        res = xi_noise(n, args.k, loaded.p or 0.0, source)
     pb = k_sep_bound(n, args.k)
     norm = math.sqrt(res.numerator)
     if args.format == "json":
@@ -246,7 +252,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at shutdown
+        return rc
+    except BrokenPipeError:
+        # the reader has gone: as the signal module docs advise, send what is
+        # left to devnull, so the flush at shutdown finds no pipe, and exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:  # StateFileError included
         print(f"graphsep: error: {exc}", file=sys.stderr)
         return 1

@@ -217,7 +217,7 @@ class PureState:
 
     @classmethod
     def deferred(cls, n: int, build, stabilizer) -> PureState:
-        """A state tagged with its StabilizerGroup; build() makes its amplitudes on first read."""
+        """A state tagged with its StabilizerGroup (or None); build() makes its amplitudes on first read."""
         state = cls.__new__(cls)
         object.__setattr__(state, "n", n)
         object.__setattr__(state, "stabilizer", stabilizer)

@@ -31,15 +31,15 @@ in one block (the others stay 1) gives the lexicographically smallest
 partition.  The work is O(k) integer steps with no search at all.
 
 Noise is exact too: a state mixed with |1...1> has the squared norm
-(1-p)^2 B + 2p(1-p) C + p^2 O with integers B, C, O (noise_products),
-which xi_noise evaluates exactly at the float p it is given and
-threshold_p solves in integers.  The complete-graph and GHZ families
-have closed forms at any n (CLOSED_FORMS); any other stabilizer state
-gets B from the stabilizer walk.  So sweep verdicts, and detect verdicts
-on tagged states, are exact decisions at the given p, and printed fields
-are correctly rounded.  Only detect on an untagged state (a squared norm
-summed from the floats of the dense sweep) certifies past a stated
-worst-case rounding margin.
+((1-p)^2 B + 2p(1-p) C + p^2 O) / D with integers B, C, O, D
+(noise_products), which xi_noise evaluates exactly at the float p it is
+given and threshold_p solves in integers.  The complete-graph, GHZ and
+W families have closed forms at any n (CLOSED_FORMS); any other
+stabilizer state gets B from the stabilizer walk.  So sweep verdicts,
+and detect verdicts on every named family and tagged state, are exact
+decisions at the given p, and printed fields are correctly rounded.
+Only detect on raw amplitudes (a squared norm summed from the floats of
+the dense sweep) certifies past a stated worst-case rounding margin.
 
 The integer closed forms (cg_norm_sq, sqrt_int, permutation_count) live
 here, and importing the module loads neither numpy nor another graphsep
@@ -209,7 +209,7 @@ def _lower_bound(norm_sq: float, n: int) -> float:
 def detect(norm_sq: float, n: int, k: int) -> XiResult:
     """Compare a squared tensor norm from the dense sweep with bound_sq.
 
-    Untagged states (W, raw amplitudes) take this rule; tagged ones take
+    Raw amplitudes take this rule; named families and tagged states take
     the exact xi_noise.  Certifies only when a lower bound on the true
     squared norm exceeds bound_sq.  The sweep gets each of at most 3^n
     entries within e = (n + 8) 2^-53 (n roundings in the transform, under
@@ -226,49 +226,56 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))
 
 
-# family name -> C(n), the product of its state's tensor with that of
-# |1...1>: the one table of the families whose noise products have a
-# closed form (B = cg_norm_sq(n) and O = 1 for both)
-CLOSED_FORMS = {"cg": lambda n: 0, "ghz": lambda n: 1 - n % 2}
+# family name -> (B, C, O, D) of noise_products at n: the one table of
+# the families whose noise products have a closed form
+CLOSED_FORMS = {
+    "cg": lambda n: (cg_norm_sq(n), 0, 1, 1),
+    "ghz": lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1),
+    "w": lambda n: (5 * n - 4, n if n % 2 else -n, n, n),
+}
 
 
-def noise_products(n: int, family) -> tuple[int, int, int]:
+def noise_products(n: int, family) -> tuple[int, int, int, int]:
     """Integer products (B, C, O) = base.base, base.ones, ones.ones of the
-    tensors of a state (base) and of |1...1> (ones), so that the mixture
-    (1-p) base + p ones has the squared norm (1-p)^2 B + 2p(1-p) C + p^2 O.
+    tensors of a state (base) and of |1...1> (ones), times a common
+    denominator D, so that the mixture (1-p) base + p ones has the squared
+    norm ((1-p)^2 B + 2p(1-p) C + p^2 O) / D.
 
-    family is a name of CLOSED_FORMS, good at any n: GHZ is local-unitary
+    family is a name of CLOSED_FORMS, good at any n.  GHZ is local-unitary
     equivalent to the complete graph state (B = 2^(n-1) + s_n for both);
     ones is the one all-Z entry (-1)^n, which the complete graph state
-    lacks and GHZ has as 1 at even n, 0 at odd n.  Or family is the
-    StabilizerGroup of base, and stabilizer.group_products counts B with
-    the stabilizer walk (so only a group loads numpy).
+    lacks and GHZ has as 1 at even n, 0 at odd n.  The W state has Z^n at
+    -1 and the C(n, 2) words XX and YY on each qubit pair (Z elsewhere) at
+    2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and C = (-1)^(n+1), over
+    D = n.  Or family is the StabilizerGroup of base, and
+    stabilizer.group_products counts B with the stabilizer walk (so only a
+    group loads numpy), with D = 1.
     """
     if not isinstance(family, str):
         if family.n != n:
             raise ValueError(f"group has {family.n} qubits, not {n}")
         from .stabilizer import group_products
 
-        return group_products(family)
+        return (*group_products(family), 1)
     if family not in CLOSED_FORMS:
-        raise ValueError(f"family must be 'cg' or 'ghz', got {family!r}")
-    return cg_norm_sq(n), CLOSED_FORMS[family](n), 1
+        raise ValueError(f"family must be one of {tuple(CLOSED_FORMS)}, got {family!r}")
+    return CLOSED_FORMS[family](n)
 
 
 def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
     """Squared norm of the noisy state over the squared k-sep bound.
 
     family is a closed-form name or a StabilizerGroup (noise_products).
-    Exact at the float p = u/v it is given: the squared norm is top / v^2
-    with an integer top, so the verdict is an exact decision at that p and
-    each field is one correctly rounded int / int division.
+    Exact at the float p = u/v it is given: the squared norm is
+    top / (v^2 D) with an integer top, so the verdict is an exact decision
+    at that p and each field is one correctly rounded int / int division.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    b, c, o = noise_products(n, family)
+    b, c, o, den = noise_products(n, family)
     d = k_sep_bound(n, k).bound_sq
     u, v = p.as_integer_ratio()
-    top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v
+    top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v * den
     return XiResult(n, k, top / scale, float(d), top / (scale * d), _outcome(top, scale * d))
 
 
@@ -299,9 +306,9 @@ def _first_root(a2: int, a1: int, a0: int) -> float | None:
 def threshold_p(n: int, k: int, family="cg") -> float | None:
     """Smallest p in [0, 1] where the noisy state stops violating the bound.
 
-    The correctly rounded root of (1-p)^2 B + 2p(1-p) C + p^2 O = bound_sq
+    The correctly rounded root of (1-p)^2 B + 2p(1-p) C + p^2 O = D bound_sq
     (noise_products), solved in integers; None if none lies in [0, 1].
     """
-    b, c, o = noise_products(n, family)
+    b, c, o, den = noise_products(n, family)
     d = k_sep_bound(n, k).bound_sq
-    return _first_root(b - 2 * c + o, 2 * (c - b), b - d)
+    return _first_root(b - 2 * c + o, 2 * (c - b), b - den * d)

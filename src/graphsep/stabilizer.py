@@ -261,7 +261,7 @@ def full_weight_count(g: StabilizerGroup) -> int:
 
 
 def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
-    """(B, C, O) of separability.noise_products for the state that g stabilizes.
+    """(B, C, O) of separability.noise_products (over D = 1) for the state that g stabilizes.
 
     B = full_weight_count(g): the walk, or 1 with no walk for a diagonal
     group.  The one entry of |1...1> is (-1)^n on Z^n, so C is (-1)^n times

@@ -13,6 +13,12 @@ or carries raw amplitudes as [re, im] pairs,
 with qubit 1 in the most significant bit of the amplitude index.  Raw
 amplitudes may be off normalization by up to 1e-6; they are renormalized
 on load with a warning.
+
+Loading checks the whole document but builds no state: a LoadedState
+builds its ensemble (the group, the amplitudes) the first time it is
+read.  So loading a family or graph document loads no numpy, and detect
+decides a cg, GHZ or W file from n and p alone.  Only raw amplitudes
+are parsed into a numpy array on load.
 """
 
 from __future__ import annotations
@@ -20,14 +26,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
-import numpy as np
-
+# lazy modules (graphsep/__init__.py): loaded when an ensemble is built
+from . import pauli, states
 from .graphs import GraphSpec
-from .pauli import MixedEnsemble, PureState, pure_ensemble
-from .states import FAMILIES, graph_state, noisy_mixture
-from .tensor import check_dense_limit
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
 
@@ -40,12 +44,17 @@ class StateFileError(ValueError):
 
 @dataclass(frozen=True)
 class LoadedState:
-    """Parsed state file: the ensemble plus its provenance fields."""
+    """Parsed state file: its provenance fields, and the ensemble, which
+    build() makes the first time it is read."""
 
     n: int
-    ensemble: MixedEnsemble
     family: str | None
     p: float | None
+    build: object = field(repr=False, compare=False)
+
+    @cached_property
+    def ensemble(self) -> pauli.MixedEnsemble:
+        return self.build()
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -77,10 +86,10 @@ def loads_state(text: str) -> LoadedState:
     if "amplitudes" in doc:
         if "edges" in doc or "p" in doc:
             raise StateFileError("'edges' and 'p' do not apply to raw amplitudes")
-        return LoadedState(n, pure_ensemble(_parse_amplitudes(doc["amplitudes"], n)), None, None)
+        return LoadedState(n, None, None, partial(pauli.pure_ensemble, _parse_amplitudes(doc["amplitudes"], n)))
 
     family = doc["family"]
-    names = (*FAMILIES, "graph")
+    names = (*states.FAMILIES, "graph")
     if family not in names:
         raise StateFileError(f"unknown family {family!r}; expected one of {names}")
     p = doc.get("p")
@@ -89,23 +98,25 @@ def loads_state(text: str) -> LoadedState:
     if family == "graph":
         if "edges" not in doc:
             raise StateFileError("family 'graph' requires an 'edges' list")
-        edges = _parse_edges(doc["edges"])
-        base = graph_state(GraphSpec(n, edges))
+        make_base = partial(states.graph_state, GraphSpec(n, _parse_edges(doc["edges"])))
     else:
         if "edges" in doc:
             raise StateFileError(f"'edges' only applies to family 'graph', not {family!r}")
-        make_state, make_group = FAMILIES[family]
-        if make_group is None:
-            # only the dense path can take it: refuse before building 2^n amplitudes
-            check_dense_limit(n)
-        try:
-            base = make_state(n)
-        except ValueError as exc:
-            raise StateFileError(str(exc)) from None
+        make_base = partial(states.FAMILIES[family][0], n)
+        if n < 2:
+            # no family takes one qubit, and each constructor refuses it in
+            # its own words before it builds anything or loads numpy
+            try:
+                make_base()
+            except ValueError as exc:
+                raise StateFileError(str(exc)) from None
+    p = None if p is None else float(p)
+    return LoadedState(n, family, p, partial(_ensemble, make_base, p))
 
-    if p is None:
-        return LoadedState(n, pure_ensemble(base), family, None)
-    return LoadedState(n, noisy_mixture(base, float(p)), family, float(p))
+
+def _ensemble(make_base, p: float | None) -> pauli.MixedEnsemble:
+    base = make_base()
+    return pauli.pure_ensemble(base) if p is None else states.noisy_mixture(base, p)
 
 
 def _parse_edges(raw) -> tuple:
@@ -119,9 +130,11 @@ def _parse_edges(raw) -> tuple:
     return tuple(edges)
 
 
-def _parse_amplitudes(raw, n: int) -> PureState:
+def _parse_amplitudes(raw, n: int) -> pauli.PureState:
     if not isinstance(raw, list) or len(raw) != 1 << n:
         raise StateFileError(f"'amplitudes' must list exactly 2^{n} = {1 << n} entries")
+    import numpy as np
+
     amps = np.empty(1 << n, dtype=np.complex128)
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
@@ -133,7 +146,7 @@ def _parse_amplitudes(raw, n: int) -> PureState:
     if abs(nrm - 1.0) > 1e-12:
         warnings.warn(f"renormalizing amplitudes (norm was {nrm})", stacklevel=2)
         amps = amps / nrm
-    return PureState(n, amps)
+    return pauli.PureState(n, amps)
 
 
 def load_state_file(path) -> LoadedState:
@@ -141,13 +154,13 @@ def load_state_file(path) -> LoadedState:
         return loads_state(fh.read())
 
 
-def dumps_amplitudes(state: PureState) -> str:
+def dumps_amplitudes(state: pauli.PureState) -> str:
     """Serialize a pure state as a raw-amplitude state file."""
     pairs = [[float(a.real), float(a.imag)] for a in state.amplitudes]
     body = json.dumps({"n": state.n, "amplitudes": pairs})
     return "# qubit 1 is the most significant bit of the amplitude index\n" + body + "\n"
 
 
-def write_amplitude_file(path, state: PureState) -> None:
+def write_amplitude_file(path, state: pauli.PureState) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_amplitudes(state))

@@ -11,13 +11,18 @@ Graph, cluster, GHZ and |1...1> states are stabilizer states.  Their
 constructors tag the result with its StabilizerGroup (PureState.stabilizer),
 which sends full_tensor down the stabilizer path and lets detect read the
 exact noise quadratic (separability.noise_products); W states and raw
-amplitudes carry no tag.  Tagged states defer their amplitudes
-(PureState.deferred): a constructor call costs the O(n^2) group, and
-the 2^n amplitudes are built only if something reads them (the dense
-path, expectation, write_amplitude_file).  FAMILIES is the
-one table of the named state families, read by the norm table, the
-state-file loader and the CLI.  GraphSpec and the complete, chain and
-star graphs live in graphsep.graphs, which loads no numpy.
+amplitudes carry no tag.  Every constructor defers its amplitudes
+(PureState.deferred): a call costs at most the O(n^2) group, and the
+2^n amplitudes are built only if something reads them (the dense path,
+expectation, write_amplitude_file).  FAMILIES is the one table of the
+named state families, read by the norm table, the state-file loader and
+the CLI.  GraphSpec and the complete, chain and star graphs live in
+graphsep.graphs, which loads no numpy.
+
+Importing this module loads no numpy either: pauli and stabilizer are
+lazy modules of the package, and numpy is imported where amplitudes are
+built.  So the state-file loader can read FAMILIES, and a constructor
+can refuse a bad qubit count, in a command that never builds a state.
 """
 
 from __future__ import annotations
@@ -25,14 +30,11 @@ from __future__ import annotations
 import math
 from functools import partial
 
-import numpy as np
-
+from . import pauli, stabilizer
 from .graphs import GraphSpec, chain_graph, complete_graph
-from .pauli import MixedEnsemble, PureState
-from .stabilizer import all_ones_group, ghz_group, stabilizer_group
 
 
-def _graph_amplitudes(spec: GraphSpec) -> np.ndarray:
+def _graph_amplitudes(spec: GraphSpec):
     """The 2^n amplitudes of graph_state(spec).
 
     The sign parity of b is the sum over vertices a of bit_a(b) times
@@ -43,6 +45,8 @@ def _graph_amplitudes(spec: GraphSpec) -> np.ndarray:
     The table index holds qubits a+1..n only, so masking it with all of
     a's neighbours keeps just the later ones.
     """
+    import numpy as np
+
     n = spec.n
     flips = np.zeros(1, dtype=np.uint8)
     for a in range(n, 0, -1):
@@ -51,51 +55,51 @@ def _graph_amplitudes(spec: GraphSpec) -> np.ndarray:
     return ((1.0 - 2.0 * flips) * 2.0 ** (-n / 2.0)).astype(np.complex128)
 
 
-def _basis_amplitudes(n: int, weights: dict) -> np.ndarray:
+def _basis_amplitudes(n: int, weights: dict):
+    import numpy as np
+
     amps = np.zeros(1 << n, dtype=np.complex128)
     for index, value in weights.items():
         amps[index] = value
     return amps
 
 
-def graph_state(spec: GraphSpec) -> PureState:
+def graph_state(spec: GraphSpec) -> pauli.PureState:
     """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2)."""
-    return PureState.deferred(spec.n, partial(_graph_amplitudes, spec), stabilizer_group(spec))
+    return pauli.PureState.deferred(spec.n, partial(_graph_amplitudes, spec), stabilizer.stabilizer_group(spec))
 
 
-def ghz_state(n: int) -> PureState:
+def ghz_state(n: int) -> pauli.PureState:
     """(|0...0> + |1...1>)/sqrt(2)."""
     if n < 2:
         raise ValueError("GHZ state needs n >= 2")
     half = 1.0 / math.sqrt(2.0)
-    return PureState.deferred(n, partial(_basis_amplitudes, n, {0: half, -1: half}), ghz_group(n))
+    return pauli.PureState.deferred(n, partial(_basis_amplitudes, n, {0: half, -1: half}), stabilizer.ghz_group(n))
 
 
-def w_state(n: int) -> PureState:
-    """Equal superposition of the n single-excitation basis states."""
+def w_state(n: int) -> pauli.PureState:
+    """Equal superposition of the n single-excitation basis states; untagged."""
     if n < 2:
         raise ValueError("W state needs n >= 2")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    for a in range(n):
-        amps[1 << a] = 1.0 / math.sqrt(n)
-    return PureState(n, amps)
+    weights = {1 << a: 1.0 / math.sqrt(n) for a in range(n)}
+    return pauli.PureState.deferred(n, partial(_basis_amplitudes, n, weights), None)
 
 
-def cluster_state(n: int) -> PureState:
+def cluster_state(n: int) -> pauli.PureState:
     """Linear cluster state, constructed as the chain graph state."""
     if n < 2:
         raise ValueError("cluster state needs n >= 2")
     return graph_state(chain_graph(n))
 
 
-def all_ones_state(n: int) -> PureState:
+def all_ones_state(n: int) -> pauli.PureState:
     """The product state |1>^n."""
     if n < 1:
         raise ValueError("need at least one qubit")
-    return PureState.deferred(n, partial(_basis_amplitudes, n, {-1: 1.0}), all_ones_group(n))
+    return pauli.PureState.deferred(n, partial(_basis_amplitudes, n, {-1: 1.0}), stabilizer.all_ones_group(n))
 
 
-def noisy_mixture(base: PureState, p: float) -> MixedEnsemble:
+def noisy_mixture(base: pauli.PureState, p: float) -> pauli.MixedEnsemble:
     """Mix a base state with the colored product noise |1><1|^n at weight p.
 
     Returns {(1-p, base), (p, |1...1>)}; the p = 0 and p = 1 endpoints
@@ -104,18 +108,18 @@ def noisy_mixture(base: PureState, p: float) -> MixedEnsemble:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
     if p == 0.0:
-        return MixedEnsemble(((1.0, base),))
+        return pauli.MixedEnsemble(((1.0, base),))
     if p == 1.0:
-        return MixedEnsemble(((1.0, all_ones_state(base.n)),))
-    return MixedEnsemble(((1.0 - p, base), (p, all_ones_state(base.n))))
+        return pauli.MixedEnsemble(((1.0, all_ones_state(base.n)),))
+    return pauli.MixedEnsemble(((1.0 - p, base), (p, all_ones_state(base.n))))
 
 
 # name -> (state constructor, stabilizer-group constructor or None), both
 # taking the qubit count.  The lambdas look the module functions up when
 # called, so a wrapped or patched constructor is the one that runs.
 FAMILIES = {
-    "cg": (lambda n: graph_state(complete_graph(n)), lambda n: stabilizer_group(complete_graph(n))),
-    "ghz": (lambda n: ghz_state(n), lambda n: ghz_group(n)),
+    "cg": (lambda n: graph_state(complete_graph(n)), lambda n: stabilizer.stabilizer_group(complete_graph(n))),
+    "ghz": (lambda n: ghz_state(n), lambda n: stabilizer.ghz_group(n)),
     "w": (lambda n: w_state(n), None),
-    "cluster": (lambda n: cluster_state(n), lambda n: stabilizer_group(chain_graph(n))),
+    "cluster": (lambda n: cluster_state(n), lambda n: stabilizer.stabilizer_group(chain_graph(n))),
 }

@@ -19,11 +19,12 @@ mask x.  Over all 2^n masks that is O(n 4^n) vectorized work, done in
 chunks of masks.  The dense reference of a tagged state is its untagged
 copy, PureState(n, state.amplitudes).
 
-full_tensor is the dense path of detect (untagged states) and an
-inspection tool for tagged ones.  The criterion needs only the squared
-norm, and for a tagged state (or one mixed with |1...1> noise) that is
-the exact quadratic of separability.noise_products: detect and the
-tagged norm-table rows read it, with no tensor or amplitude built.
+full_tensor is the dense path of detect (raw amplitudes) and an
+inspection tool for everything else.  The criterion needs only the
+squared norm, and for a named family or a tagged state (or one mixed
+with |1...1> noise) that is the exact quadratic of
+separability.noise_products: detect and every norm-table row read it,
+with no tensor or amplitude built.
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ class DenseLimitError(RuntimeError):
 
 
 def dense_limit() -> int:
-    return int(os.environ.get(DENSE_LIMIT_ENV, DEFAULT_DENSE_LIMIT))
+    raw = os.environ.get(DENSE_LIMIT_ENV, DEFAULT_DENSE_LIMIT)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{DENSE_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
 def check_dense_limit(n: int) -> None:
@@ -174,11 +179,9 @@ def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.
 def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:
     """(family, n, squared norm) rows, family-major then n ascending.
 
-    A tagged family's row is the exact B of noise_products, as a float:
-    the closed form for cg and GHZ, the stabilizer walk over the family's
-    group (built without its state) for the others.  W rows come from the
-    dense sweep, after n is checked against the dense limit and before
-    the 2^n amplitudes are built.
+    Each row is the exact B / D of noise_products, correctly rounded: the
+    closed form for cg, GHZ and W, the stabilizer walk over the family's
+    group (built without its state) for the others.
     """
     fams = list(families)
     names = tuple(FAMILIES)
@@ -189,12 +192,8 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
     for family in fams:
-        make_state, make_group = FAMILIES[family]
+        make_group = FAMILIES[family][1]
         for n in range(n_min, n_max + 1):
-            if make_group is None:
-                check_dense_limit(n)
-                norm_sq = tensor_norm_sq(full_tensor(make_state(n)))
-            else:
-                norm_sq = float(noise_products(n, family if family in CLOSED_FORMS else make_group(n))[0])
-            rows.append((family, n, norm_sq))
+            b, _, _, d = noise_products(n, family if family in CLOSED_FORMS else make_group(n))
+            rows.append((family, n, b / d))
     return rows

@@ -224,9 +224,13 @@ def grid_bisect_root(f, tol: float = 1e-12):
     return None
 
 
-def exact_noise_threshold(b: int, c: int, o: int, d: int):
+def exact_noise_threshold(b, c, o, d):
     """Smallest root in [0, 1] of (1-p)^2 b + 2p(1-p) c + p^2 o = d, as a
-    50-digit Decimal, or None.  The reference for the closed-form solves."""
+    50-digit Decimal, or None.  The reference for the closed-form solves;
+    integers, or Fractions (scaled to integers over their common
+    denominator first)."""
+    den = math.lcm(*(Fraction(v).denominator for v in (b, c, o, d)))
+    b, c, o, d = (int(v * den) for v in (b, c, o, d))
     return exact_quadratic_root(b - 2 * c + o, 2 * (c - b), b - d)
 
 
@@ -265,14 +269,23 @@ def dp_bound_sq(n: int, k: int, two_left: bool = True) -> int:
     return best
 
 
+def exact_noise_products(family: str, n: int) -> tuple:
+    """(B, C, O) of the cg, GHZ or W state as Fractions: B = 2^(n-1) + s_n
+    for cg and GHZ, and 5 - 4/n for W (Z^n at -1, the XX and YY pairs at
+    2/n); C the all-Z entry it shares with |1...1>, times (-1)^n (GHZ at
+    even n only; -1 for W); O = 1."""
+    if family == "w":
+        return Fraction(5) - Fraction(4, n), Fraction((-1) ** (n + 1)), Fraction(1)
+    return Fraction(_block(n)), Fraction(1 - n % 2 if family == "ghz" else 0), Fraction(1)
+
+
 def exact_noise_norm_sq(family: str, n: int, p: float) -> Fraction:
-    """Squared tensor norm of the cg or GHZ state mixed with |1...1> at
+    """Squared tensor norm of the cg, GHZ or W state mixed with |1...1> at
     weight p, as an exact Fraction of the float p: (1-p)^2 B + 2p(1-p) C
-    + p^2, with B = 2^(n-1) + s_n and C the shared all-Z entry (GHZ at
-    even n only)."""
+    + p^2 O (exact_noise_products)."""
     q = Fraction(p)
-    cross = 1 - n % 2 if family == "ghz" else 0
-    return (1 - q) ** 2 * _block(n) + 2 * q * (1 - q) * cross + q * q
+    b, c, o = exact_noise_products(family, n)
+    return (1 - q) ** 2 * b + 2 * q * (1 - q) * c + q * q * o
 
 
 def exact_tensor_norm_sq(terms, n: int) -> Fraction:
@@ -288,15 +301,17 @@ def exact_tensor_norm_sq(terms, n: int) -> Fraction:
     e = max(q.denominator for q in parts).bit_length() - 1
     scaled = [[(int(Fraction(a.real) * 2 ** e), int(Fraction(a.imag) * 2 ** e)) for a in st.amplitudes.tolist()]
               for _, st in terms]
+    # zero amplitudes add nothing to a sum over b, so each sum runs over the nonzero ones
+    nonzero = [[(b, ar, ai) for b, (ar, ai) in enumerate(amps) if ar or ai] for amps in scaled]
     full, total = (1 << n) - 1, Fraction(0)
     for x in range(1 << n):
         for z in range(1 << n):
             if x | z != full:
                 continue
             entry = Fraction(0)
-            for (w, _), amps in zip(terms, scaled):
+            for (w, _), amps, support in zip(terms, scaled, nonzero):
                 re = im = 0
-                for b, (ar, ai) in enumerate(amps):
+                for b, ar, ai in support:
                     fr, fi = amps[b ^ x]
                     sign = -1 if (b & z).bit_count() % 2 else 1
                     re += sign * (fr * ar + fi * ai)

@@ -17,6 +17,7 @@ from graphsep import (
     separability,
     stabilizer,
     stabilizer_group,
+    write_amplitude_file,
 )
 from graphsep.cli import MAX_P_STEPS, main
 
@@ -66,14 +67,32 @@ def test_norms_bad_family_exits_1(capsys):
     assert "unknown family" in err
 
 
-def test_norms_resource_limit_exits_2(capsys, monkeypatch):
+def test_norms_resource_limit_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("GRAPHSEP_DENSE_LIMIT", raising=False)
+    # W rows are a closed form now, past the dense limit too
     code, out, err = run(capsys, "norms", "--families", "w", "--n-min", "11", "--n-max", "11")
+    assert (code, out, err) == (0, f"family,n,norm_sq,norm\nw,11,{51 / 11:.12g},{math.sqrt(51 / 11):.12g}\n", "")
+    assert out.splitlines()[1].startswith("w,11,4.63636363636,")
+    # the limit stays on the dense sweep, which only raw amplitudes take
+    path = tmp_path / "raw11.json"
+    write_amplitude_file(path, ghz_state(11))
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert code == 2 and out == ""
     assert err == (
         "graphsep: error: dense sweep over 3^11 words exceeds the 10-qubit limit"
         " (raise GRAPHSEP_DENSE_LIMIT to override)\n"
     )
+    # and norms still exits 2 at the stabilizer walk's limit
+    code, out, err = run(capsys, "norms", "--families", "cluster", "--n-min", "27", "--n-max", "27")
+    assert code == 2 and out == "" and err.startswith("graphsep: error: ") and err.count("\n") == 1
+
+
+def test_dense_limit_must_be_an_integer(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "raw3.json"
+    write_amplitude_file(path, ghz_state(3))
+    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "abc")
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert (code, out, err) == (1, "", "graphsep: error: GRAPHSEP_DENSE_LIMIT must be an integer, got 'abc'\n")
 
 
 def _exact_norm_sq(family, n):
@@ -107,8 +126,12 @@ def test_norms_text_rows_are_the_exact_values(capsys):
     code, out, _ = run(capsys, "norms", "--families", "w", "--n-min", "2", "--n-max", "10", "--format", "json")
     assert code == 0
     for row in json.loads(out):
-        assert abs(row["norm_sq"] - (5 - 4 / row["n"])) <= 1e-12
+        assert row["norm_sq"] == float(Fraction(5) - Fraction(4, row["n"]))  # correctly rounded
         assert row["norm"] == math.sqrt(row["norm_sq"])
+    # and at any n
+    code, out, _ = run(capsys, "norms", "--families", "w", "--n-min", "999", "--n-max", "1000")
+    want = [f"w,{n},{5 - 4 / n:.12g},{math.sqrt(5 - 4 / n):.12g}" for n in (999, 1000)]
+    assert (code, out.splitlines()[1:]) == (0, want)
 
 
 def test_bounds_n7(capsys):
@@ -220,15 +243,15 @@ def _ghz_entries(n):
 
 
 def _per_key_ghz_products(n, family):
-    """(B, C, O) of the GHZ and noise tensors, summed entry by entry over both
-    supports: the squared norm of (1-p) base + p ones, key by key, is the
-    quadratic with these coefficients."""
+    """(B, C, O, 1) of the GHZ and noise tensors, summed entry by entry over
+    both supports: the squared norm of (1-p) base + p ones, key by key, is
+    the quadratic with these coefficients."""
     base, ones = _ghz_entries(n)
     keys = base.keys() | ones.keys()
     sums = [math.fsum(a.get(key, 0.0) * b.get(key, 0.0) for key in keys)
             for a, b in ((base, base), (base, ones), (ones, ones))]
     assert all(abs(v - round(v)) < 1e-9 for v in sums)
-    return tuple(round(v) for v in sums)
+    return (*(round(v) for v in sums), 1)
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (4, 4), (6, 2), (7, 7), (8, 2)])
@@ -289,7 +312,10 @@ def test_detect_json_xi_uses_exact_bound(capsys, tmp_path):
 
 
 def test_sweep_rejects_bad_flags(capsys):
-    assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "2")[0] == 1
+    # cluster has no closed form, so it is no --family choice; W is one now
+    assert run(capsys, "sweep", "--family", "cluster", "--n", "4", "--k", "2")[0] == 1
+    assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "5")[0] == 1
+    assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "2")[0] == 0
     assert run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "9")[0] == 1
     assert run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "2", "--p-steps", "1")[0] == 1
 

@@ -28,6 +28,7 @@ from graphsep import (
     stabilizer_group,
     tensor_norm_sq,
     threshold_p,
+    w_state,
     xi_noise,
 )
 
@@ -36,6 +37,7 @@ from oracle import (
     brute_k_sep_bound,
     dp_bound_sq,
     exact_noise_norm_sq,
+    exact_noise_products,
     exact_noise_threshold,
     exact_quadratic_root,
     exact_tensor_norm_sq,
@@ -237,7 +239,9 @@ def test_xi_noise_cg_values():
     with pytest.raises(ValueError):
         xi_noise(6, 2, 1.5)
     with pytest.raises(ValueError):
-        xi_noise(6, 2, 0.5, family="w")
+        xi_noise(6, 2, 0.5, family="cluster")  # no closed form: its group goes instead
+    # W: 5 - 4/n = 13/3 at n = 6, over the k = 2 bound 27
+    assert xi_noise(6, 2, 0.0, family="w").xi == 13 / 81
 
 
 def test_xi_matches_oracle_detection():
@@ -317,13 +321,27 @@ def test_threshold_ghz_matches_bisection_oracle():
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ghz_noise_products_are_the_dense_products(n):
     ones = full_tensor(untagged(all_ones_state(n)))
-    for family, state in (("ghz", ghz_state(n)), ("cg", graph_state(complete_graph(n)))):
+    for family, state in (("ghz", ghz_state(n)), ("cg", graph_state(complete_graph(n))), ("w", w_state(n))):
         base = full_tensor(untagged(state))
-        b, c, o = separability.noise_products(n, family)
-        assert all(type(v) is int for v in (b, c, o))
-        assert b == pytest.approx(tensor_dot(base, base), abs=1e-9)
-        assert c == pytest.approx(tensor_dot(base, ones), abs=1e-9)
-        assert o == pytest.approx(tensor_dot(ones, ones), abs=1e-9)
+        b, c, o, den = separability.noise_products(n, family)
+        assert all(type(v) is int for v in (b, c, o, den))
+        assert den == (n if family == "w" else 1)
+        assert b / den == pytest.approx(tensor_dot(base, base), abs=1e-12)
+        assert c / den == pytest.approx(tensor_dot(base, ones), abs=1e-12)
+        assert o / den == pytest.approx(tensor_dot(ones, ones), abs=1e-12)
+
+
+# the noise weights next to and at the endpoints, and two inside
+W_P = (0.0, 1e-12, 0.1, 0.5, 1 - 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_w_oracle_is_the_exact_tensor_norm(n):
+    # the float amplitudes 1/sqrt(n) square to 1/n only within rounding, so
+    # the exact norm of the float state lies within rounding of 5 - 4/n
+    for p in W_P:
+        exact = exact_tensor_norm_sq(noisy_mixture(w_state(n), p).terms, n)
+        assert abs(exact - exact_noise_norm_sq("w", n, p)) < 1e-14, p
 
 
 @pytest.mark.parametrize("n", range(2, 21))
@@ -331,8 +349,8 @@ def test_group_products_are_the_closed_forms(n):
     # B by the walk's count, C by one membership solve, O = 1
     assert separability.noise_products(n, stabilizer_group(complete_graph(n))) == separability.noise_products(n, "cg")
     assert separability.noise_products(n, ghz_group(n)) == separability.noise_products(n, "ghz")
-    b, c, o = separability.noise_products(n, stabilizer_group(chain_graph(n)))
-    assert (c, o) == (0, 1)  # Z^n is no graph-state group element
+    b, c, o, den = separability.noise_products(n, stabilizer_group(chain_graph(n)))
+    assert (c, o, den) == (0, 1, 1)  # Z^n is no graph-state group element
     assert threshold_p(n, 2, stabilizer_group(complete_graph(n))) == threshold_p(n, 2)
     with pytest.raises(ValueError, match="not"):
         separability.noise_products(n + 1, ghz_group(n))
@@ -349,14 +367,16 @@ def test_xi_verdict_is_the_strict_detection_rule():
 
 
 @pytest.mark.parametrize("n", [12, 29, 30, 515, 600, 1000])
-@pytest.mark.parametrize("family", ["cg", "ghz"])
+@pytest.mark.parametrize("family", ["cg", "ghz", "w"])
 def test_threshold_matches_exact_root_at_large_n(n, family):
     # the discriminant passes 2^1024 from about n = 512 on, while every
     # sweep row still fits a float; k = n puts the root next to 1
-    s = 1 - n % 2 if family == "ghz" else 0
-    for k in (2, 3, n):
-        want = exact_noise_threshold(2 ** (n - 1) + (1 - n % 2), s, 1, k_sep_bound(n, k).bound_sq)
-        assert threshold_p(n, k, family) == pytest.approx(float(want), rel=1e-12), k
+    for k in (2, 3, n - 2, n - 1, n):
+        want = exact_noise_threshold(*exact_noise_products(family, n), k_sep_bound(n, k).bound_sq)
+        got = threshold_p(n, k, family)
+        assert (got is None) == (want is None), k
+        if want is not None:
+            assert got == pytest.approx(float(want), rel=1e-12), k
 
 
 def test_xi_noise_decides_below_the_bound_exactly():
@@ -384,7 +404,7 @@ def test_sweep_verdicts_match_exact_fractions():
     # the 11-step grid is part of the 101-step one: i/10 and 10i/100 round alike
     grid = sorted({i / 10 for i in range(11)} | {i / 100 for i in range(101)})
     disagreements = 0
-    for family in ("cg", "ghz"):
+    for family in ("cg", "ghz", "w"):
         for n in range(2, 61):
             disagreements += _exact_disagreements(family, n, range(2, n + 1), grid)
     assert disagreements == 0
@@ -392,28 +412,33 @@ def test_sweep_verdicts_match_exact_fractions():
 
 def test_near_threshold_verdicts_match_exact_fractions():
     disagreements = 0
-    for family in ("cg", "ghz"):
+    for family in ("cg", "ghz", "w"):
         for n in range(2, 40):
             for k in range(2, n + 1):
-                b, c, o = 2 ** (n - 1) + 1 - n % 2, (1 - n % 2) * (family == "ghz"), 1
-                t = float(exact_noise_threshold(b, c, o, dp_bound_sq(n, k)))
-                near = [t]
+                t = exact_noise_threshold(*exact_noise_products(family, n), dp_bound_sq(n, k))
+                if t is None:  # W certifies only k >= n - 2
+                    continue
+                near = [float(t)]
                 for _ in range(2):
                     near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], 1.0)]
                 disagreements += _exact_disagreements(family, n, [k], [p for p in near if 0 <= p <= 1])
     assert disagreements == 0
 
 
-@pytest.mark.parametrize("family", ["cg", "ghz"])
+@pytest.mark.parametrize("family", ["cg", "ghz", "w"])
 def test_threshold_within_one_ulp_of_exact_root(family):
     for n in range(2, 61):
-        s = 1 - n % 2
-        b, c = 2 ** (n - 1) + s, s * (family == "ghz")
+        b, c, o = exact_noise_products(family, n)
         for k in range(2, n + 1):
-            want = float(exact_noise_threshold(b, c, 1, dp_bound_sq(n, k)))
-            assert abs(threshold_p(n, k, family) - want) <= math.ulp(want), (n, k)
+            want = exact_noise_threshold(b, c, o, dp_bound_sq(n, k))
+            got = threshold_p(n, k, family)
+            if want is None:
+                assert got is None and family == "w" and k < n - 2, (n, k)
+            else:
+                assert abs(got - float(want)) <= math.ulp(float(want)), (n, k)
         # k = n: the bound is 1, with roots (b-1)/(b+1) and 1 (double at 1 when c = 1)
-        assert threshold_p(n, n, family) == (1.0 if c else (b - 1) / (b + 1))
+        if family != "w":
+            assert threshold_p(n, n, family) == (1.0 if c else float((b - 1) / (b + 1)))
 
 
 def test_first_root_is_correctly_rounded():

@@ -23,11 +23,33 @@ sys.stderr.write(json.dumps([rc, "numpy" in sys.modules]) + "\\n")
 """
 
 
-def fresh_python(code, *argv):
+def fresh_python(code, *argv, **streams):
+    """Run code in a fresh interpreter on this tree, with stdout
+    block-buffered as in a plain shell; stdout and stderr are captured
+    unless streams gives them."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60, check=False
-    )
+    env.pop("PYTHONUNBUFFERED", None)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, text=True, timeout=60, check=False, **streams)
+
+
+def _detect(doc, k, *extra):
+    """detect argv on a state file that holds doc (written by the test)."""
+    return ["detect", "--state-file", doc, "--k", str(k), *extra]
+
+
+# a cg, GHZ or W file is decided from n and p alone, at any n, and its
+# errors come before any state is built
+FAMILY_FILES = [
+    _detect({"family": family, "n": n, **noise}, n - 2, *fmt)
+    for family in ("cg", "ghz", "w")
+    for n in (5, 1000)
+    for noise in ({}, {"p": 0.1})
+    for fmt in ((), ("--format", "json"))
+]
+ERROR_FILES = [
+    _detect({"family": family, "n": 1}, 2) for family in ("cg", "ghz", "w", "cluster")
+] + [_detect({"family": "graph", "n": 1, "edges": []}, 2)]
 
 
 @pytest.mark.parametrize(
@@ -40,9 +62,17 @@ def fresh_python(code, *argv):
         ["sweep", "--family", "ghz", "--n", "30", "--k", "2", "--p-steps", "5"],
         ["appendix", "--n", "10"],
         ["graph", "--n", "5"],
+        *FAMILY_FILES,
+        *ERROR_FILES,
+        ["sweep", "--family", "w", "--n", "1000", "--k", "998", "--p-steps", "5"],
     ],
 )
-def test_integer_commands_load_no_numpy(capsys, argv):
+def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
     child = fresh_python(CHILD_MAIN, *argv)
     *err_lines, report = child.stderr.splitlines(keepends=True)
     rc, numpy_loaded = json.loads(report)
@@ -71,3 +101,23 @@ def test_every_public_name_is_its_home_object():
         "from graphsep import *\n"
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "--format", "json", "--families", "cg", "--n-min", "2", "--n-max", "40"],
+        ["settings", "--n", "10"],
+        ["bounds", "--n", "60"],
+    ],
+)
+def test_closed_stdout_exits_1_quietly(argv):
+    # the reader is gone before the child writes anything: exit 1, as
+    # Python itself does on a broken pipe, with nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = fresh_python("import sys\nfrom graphsep.cli import main\nsys.exit(main())", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, "")

@@ -9,7 +9,7 @@ import pytest
 
 from graphsep import DenseLimitError, full_tensor, load_state_file, states, tensor_norm, write_amplitude_file
 from graphsep.cli import main
-from graphsep.statefile import StateFileError, loads_state
+from graphsep.statefile import StateFileError, dumps_amplitudes, loads_state
 from graphsep.states import cluster_state, complete_graph, ghz_state, graph_state, w_state
 
 from oracle import untagged
@@ -107,17 +107,24 @@ def test_round_trip_header_documents_bit_order(tmp_path):
     assert first.startswith("#") and "most significant" in first
 
 
-def test_untagged_family_refused_before_building(monkeypatch, tmp_path, capsys):
+def test_w_file_is_decided_without_building_it(monkeypatch, tmp_path, capsys):
+    raw = tmp_path / "raw11.json"
+    write_amplitude_file(raw, w_state(11))
+
     def unbuildable(n):
         raise AssertionError(f"w_state({n}) was called")
 
     monkeypatch.setattr(states, "w_state", unbuildable)
-    want = "dense sweep over 3^25 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
-    with pytest.raises(DenseLimitError, match=re.escape(want)):
-        loads_state('{"family": "w", "n": 25, "p": 0.1}')
+    loaded = loads_state('{"family": "w", "n": 25, "p": 0.1}')
+    assert (loaded.n, loaded.family, loaded.p) == (25, "w", 0.1)
     path = tmp_path / "w25.json"
     path.write_text('{"family": "w", "n": 25}')
-    assert main(["detect", "--state-file", str(path), "--k", "2"]) == 2
+    assert main(["detect", "--state-file", str(path), "--k", "23"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("verdict=NonKSeparable\n") and captured.err == ""
+    # the dense limit guards the dense sweep, which only raw amplitudes take
+    want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
+    assert main(["detect", "--state-file", str(raw), "--k", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"graphsep: error: {want}\n"
@@ -128,10 +135,36 @@ def test_tagged_families_skip_the_dense_limit(monkeypatch):
     for family in ("cg", "ghz", "cluster"):
         loaded = loads_state(json.dumps({"family": family, "n": 12, "p": 0.1}))
         assert len(full_tensor(loaded.ensemble)) > 0
+    # a W file loads (detect reads its closed form); its amplitudes, untagged, do not pass
+    assert loads_state('{"family": "w", "n": 5}').n == 5
     with pytest.raises(DenseLimitError):
-        loads_state('{"family": "w", "n": 5}')
+        full_tensor(loads_state(dumps_amplitudes(w_state(5))).ensemble)
 
 
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        ("cg", "graph needs at least 2 vertices"),
+        ("ghz", "GHZ state needs n >= 2"),
+        ("w", "W state needs n >= 2"),
+        ("cluster", "cluster state needs n >= 2"),
+    ],
+)
+def test_one_qubit_family_refused_on_load(family, message):
+    # the constructor's own words, though loading builds no state
+    with pytest.raises(StateFileError, match=f"^{re.escape(message)}$"):
+        loads_state(json.dumps({"family": family, "n": 1, "p": 0.1}))
+
+
+def test_the_ensemble_is_built_once_on_first_read(monkeypatch):
+    calls = []
+    mix = states.noisy_mixture
+    monkeypatch.setattr(states, "noisy_mixture", lambda base, p: calls.append(p) or mix(base, p))
+    loaded = loads_state('{"family": "cluster", "n": 5, "p": 0.25}')
+    assert calls == []
+    ensemble = loaded.ensemble
+    assert loaded.ensemble is ensemble and calls == [0.25]
+    assert [w for w, _ in ensemble.terms] == [0.75, 0.25]
 @pytest.mark.parametrize(
     "field,doc",
     [

@@ -48,7 +48,15 @@ from graphsep.cli import main
 from graphsep.stabilizer import all_ones_group
 from graphsep.states import FAMILIES
 
-from oracle import dense_full_tensor, dp_bound_sq, exact_verdict, random_state, untagged
+from oracle import (
+    brute_k_sep_bound,
+    dense_full_tensor,
+    dp_bound_sq,
+    exact_noise_norm_sq,
+    exact_verdict,
+    random_state,
+    untagged,
+)
 
 
 def test_g3_tensor_entries():
@@ -184,9 +192,9 @@ def _check_squared_norm(state, p, tol, source, doc=None):
     """
     n = state.n
     entries = _exact_entries(state.stabilizer, p)
-    b, c, o = noise_products(n, source)
+    b, c, o, den = noise_products(n, source)
     q = Fraction(p or 0)
-    exact = (1 - q) ** 2 * b + 2 * q * (1 - q) * c + q * q * o
+    exact = ((1 - q) ** 2 * b + 2 * q * (1 - q) * c + q * q * o) / den
     assert exact == sum(v * v for v in entries.values())
     for k in range(2, n + 1):
         d = dp_bound_sq(n, k)
@@ -227,19 +235,38 @@ def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
         _check_squared_norm(all_ones_state(n), p, tol, all_ones_group(n))
 
 
+@pytest.mark.parametrize("p", (None, *EDGE_P, 0.1))
+def test_detect_decides_w_files_exactly(p):
+    # the Fraction oracle's verdict, correctly rounded xi and the root of the
+    # rounded squared norm, at every k; no dense sweep, so at n = 1000 too
+    # (near k = n the best partitions are 2|3|1.., 3|1.., 2|1.. and 1|1..)
+    for n in (*range(2, 11), 1000):
+        exact = exact_noise_norm_sq("w", n, p or 0.0)
+        doc = {"family": "w", "n": n} if p is None else {"family": "w", "n": n, "p": p}
+        bounds = {k: dp_bound_sq(n, k) for k in range(2, n + 1)} if n <= 10 else {
+            2: brute_k_sep_bound(n, 2)[1], 3: brute_k_sep_bound(n, 3)[1], n - 3: 12, n - 2: 4, n - 1: 3, n: 1
+        }
+        for k, d in bounds.items():
+            payload = _detect_json(doc, k)
+            got = (payload["verdict"], payload["xi"], payload["norm"])
+            assert got == (exact_verdict(exact, d), float(exact / d), math.sqrt(float(exact))), (doc, k)
+
+
 def test_noise_products_values():
     # GHZ at even n holds +Z^n too: C = 1, and the quadratic at p = 0.1 is exact
-    assert noise_products(6, ghz_group(6)) == (2 ** 5 + 1, 1, 1)
+    assert noise_products(6, ghz_group(6)) == (2 ** 5 + 1, 1, 1, 1)
     res = xi_noise(6, 6, 0.1, ghz_group(6))
     q = Fraction(0.1)
     assert res.numerator == float((1 - q) ** 2 * 33 + 2 * q * (1 - q) + q * q)
     # |1...1>: one entry, shared with the noise, so B = C = O = 1 without a walk
     for n in (1, 2, 5, 40):
-        assert noise_products(n, all_ones_group(n)) == (1, 1, 1)
+        assert noise_products(n, all_ones_group(n)) == (1, 1, 1, 1)
     # the chain's counts 3, 4, 5, 8 and Z^n outside every graph-state group
     assert [noise_products(n, stabilizer_group(chain_graph(n))) for n in (2, 3, 4, 5)] == [
-        (3, 0, 1), (4, 0, 1), (5, 0, 1), (8, 0, 1)
+        (3, 0, 1, 1), (4, 0, 1, 1), (5, 0, 1, 1), (8, 0, 1, 1)
     ]
+    # W over the denominator n: 5 - 4/n, C = (-1)^(n+1), O = 1
+    assert [noise_products(n, "w") for n in (2, 3, 1000)] == [(6, -2, 2, 2), (11, 3, 3, 3), (4996, -1000, 1000, 1000)]
     with pytest.raises(ValueError):
         noise_products(3, "cluster")
 
@@ -252,7 +279,7 @@ def test_group_products_count_in_small_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert value == (2 ** 21 + 1, 0, 1)
+    assert value == (2 ** 21 + 1, 0, 1, 1)
     # the amplitudes alone would take 64 MiB, the full tensor's keys and values 32 MiB
     assert peak < 8 << 20
 
@@ -435,13 +462,16 @@ def test_norm_table_builds_no_tagged_state(monkeypatch):
     assert norm_table(["cg", "ghz"], 1000, 1000) == [("cg", 1000, float(2 ** 999 + 1)), ("ghz", 1000, float(2 ** 999 + 1))]
 
 
-def test_norm_table_refuses_w_before_building_it(monkeypatch):
+def test_norm_table_builds_no_w_state(monkeypatch):
     built = []
     monkeypatch.setattr(tensor, "FAMILIES", {**FAMILIES, "w": (built.append, None)})
+    rows = norm_table(["w"], 2, 12) + norm_table(["w"], 1000, 1000)
+    assert rows == [("w", n, float(Fraction(5) - Fraction(4, n))) for n in (*range(2, 13), 1000)]
+    assert built == []
+    # the W state itself, untagged, still takes the dense sweep and its limit
     want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
     with pytest.raises(DenseLimitError, match=re.escape(want)):
-        norm_table(["w"], 11, 11)
-    assert built == []
+        full_tensor(w_state(11))
 
 
 def test_norm_table_errors():
@@ -451,8 +481,6 @@ def test_norm_table_errors():
         norm_table(["cg"], 5, 4)
     with pytest.raises(ValueError):
         norm_table(["bogus"], 2, 4)
-    with pytest.raises(DenseLimitError):
-        norm_table(["w"], 11, 12)
 
 
 def test_norm_multiplicative_over_products():
