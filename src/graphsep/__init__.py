@@ -5,9 +5,9 @@ Importing graphsep registers each home module of _EXPORTS as a lazy
 module (importlib.util.LazyLoader) whose body runs on first attribute
 access, and each public name resolves on first access (PEP 562), so
 graphsep.X is graphsep.<home>.X.  separability (bounds, thresholds and
-the integer closed forms cg_norm_sq, sqrt_int, permutation_count) and
-graphs (GraphSpec, complete, chain and star graphs) load no numpy;
-states and statefile load it only to build or parse amplitudes.
+the integer closed forms cg_norm_sq, sqrt_int, permutation_count) loads
+no numpy; states (GraphSpec, the complete and chain graphs, the state
+constructors) and statefile load it only to build or parse amplitudes.
 """
 
 import importlib
@@ -18,15 +18,15 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports
 _EXPORTS = {
-    "graphs": "GraphSpec chain_graph complete_graph star_graph",
-    "pauli": "CorrelationTensor MixedEnsemble PauliString PureState embed ensemble_expectation expectation"
-    " kron_states pack_index pure_ensemble unpack_index",
-    "separability": "INCONCLUSIVE NON_K_SEPARABLE PartitionBound XiResult admissible_partitions"
-    " cg_norm_closed detect k_sep_bound noise_products part_norm permutation_count threshold_p xi_noise",
+    "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble"
+    " unpack_index",
+    "separability": "INCONCLUSIVE NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
+    " k_sep_bound noise_products permutation_count threshold_p xi_noise",
     "stabilizer": "StabilizerGroup SupportLimitError cg_nonzero_pattern full_weight_count full_weight_support"
     " ghz_group ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
-    "states": "all_ones_state cluster_state ghz_state graph_state noisy_mixture w_state",
+    "states": "GraphSpec all_ones_state chain_graph cluster_state complete_graph ghz_state graph_state"
+    " noisy_mixture w_state",
     "tensor": "DenseLimitError full_tensor measurement_settings norm_table tensor_norm tensor_norm_sq",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}

@@ -23,9 +23,9 @@ import os
 import sys
 
 # lazy modules (graphsep/__init__.py): only norms, detect and settings load
-# them, and detect on a cg, GHZ or W file only the numpy-free statefile and states
+# them, and graph and detect on a cg, GHZ or W file only the numpy-free
+# statefile and states
 from . import stabilizer, statefile, states, tensor
-from .graphs import complete_graph
 from .separability import CLOSED_FORMS, cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms
 from .separability import threshold_p, xi_noise
 
@@ -166,18 +166,15 @@ def cmd_settings(args) -> int:
 
 def cmd_appendix(args) -> int:
     n = args.n
-    terms = permutation_terms(n)
-    total = sum(c for _, c in terms)
-    for x, c in terms:
+    for x, c in permutation_terms(n):
         print(f"C({n},{x}) = {c}")
-    s = 1 if n % 2 == 0 else 0
+    total, closed = permutation_count(n), cg_norm_sq(n)
+    s = closed - (1 << (n - 1))
     if s:
         print("all-Y word = 1")
-        total += 1
-    closed = cg_norm_sq(n)
     print(f"sum = {total}")
     print(f"closed form 2^{n - 1} + {s} = {closed}")
-    if total != closed or total != permutation_count(n):
+    if total != closed:
         print("MISMATCH", file=sys.stderr)
         return 1
     print("OK")
@@ -185,7 +182,7 @@ def cmd_appendix(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    spec = complete_graph(args.n)
+    spec = states.complete_graph(args.n)
     lines = [f"graph complete_{args.n} {{"]
     for v in range(1, args.n + 1):
         lines.append(f"  {v};")

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 NORM_TOL = 1e-9
 IMAG_TOL = 1e-9
-
-_AXIS_LETTER = {1: "X", 2: "Y", 3: "Z"}
 
 
 @dataclass(frozen=True)
@@ -68,15 +66,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.ops
-
-
-def embed(idx: Sequence[int]) -> PauliString:
-    """Embed an identity-free index tuple (1->X, 2->Y, 3->Z) as a Pauli word."""
-    try:
-        ops = "".join(_AXIS_LETTER[i] for i in idx)
-    except KeyError as exc:
-        raise ValueError(f"full-index entries must be in {{1,2,3}}, got {exc}") from None
-    return PauliString(ops)
 
 
 def pack_index(idx: Iterable[int]) -> int:
@@ -302,15 +291,3 @@ def expectation(state: PureState, p: PauliString) -> float:
         raise RuntimeError(f"expectation {val} outside [-1, 1]")
     return val
 
-
-def ensemble_expectation(ens: MixedEnsemble, p: PauliString) -> float:
-    """Mixture expectation: the weight-averaged pure-state expectations."""
-    if ens.n != p.n:
-        raise ValueError(f"ensemble has {ens.n} qubits, Pauli word has {p.n}")
-    masks = p.masks()
-    return sum(w * _expectation_masks(st.amplitudes, *masks) for w, st in ens.terms)
-
-
-def kron_states(a: PureState, b: PureState) -> PureState:
-    """Tensor product of two pure states (a's qubits come first)."""
-    return PureState(a.n + b.n, np.kron(a.amplitudes, b.amplitudes))

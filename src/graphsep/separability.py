@@ -74,7 +74,6 @@ class PartitionBound:
     k: int
     parts: tuple
     bound: float
-    per_part_s: tuple
     bound_sq: int
 
     def partition_label(self) -> str:
@@ -141,13 +140,6 @@ def sqrt_int(value: int) -> float:
     return math.ldexp(math.sqrt(value >> (2 * shift)), shift)
 
 
-def cg_norm_closed(n: int) -> float:
-    """Closed-form tensor norm of the n-qubit complete graph state."""
-    if n < 2:
-        raise ValueError("closed form needs n >= 2")
-    return sqrt_int(cg_norm_sq(n))
-
-
 def permutation_terms(n: int) -> list[tuple[int, int]]:
     """(x, C(n, x)) for each odd x: the per-block permutation counts."""
     if n < 2:
@@ -162,13 +154,6 @@ def permutation_count(n: int) -> int:
     n; always equals 2^(n-1) + s.
     """
     return sum(c for _, c in permutation_terms(n)) + 1 - n % 2
-
-
-def part_norm(m: int) -> float:
-    """Tensor-norm bound of one m-qubit block: sqrt(2^(m-1) + s_m)."""
-    if m < 1:
-        raise ValueError(f"block size must be >= 1, got {m}")
-    return sqrt_int(cg_norm_sq(m))
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +181,7 @@ def k_sep_bound(n: int, k: int) -> PartitionBound:
         odds = [1] * (k - even - 1) + [1 + left]
     parts = tuple(sorted(odds + evens))
     bound_sq = math.prod(cg_norm_sq(m) for m in parts)
-    s_flags = tuple(1 - m % 2 for m in parts)
-    return PartitionBound(n, k, parts, sqrt_int(bound_sq), s_flags, bound_sq)
+    return PartitionBound(n, k, parts, sqrt_int(bound_sq), bound_sq)
 
 
 def _lower_bound(norm_sq: float, n: int) -> float:

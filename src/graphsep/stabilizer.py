@@ -19,6 +19,9 @@ A diagonal group (a basis state such as |1...1>) needs no walk: its one
 identity-free element is Z^n.  The complete-graph and GHZ nonzero
 patterns are plain int64 key arrays, built by vectorized popcounts with
 no group at all.
+The groups of the tagged states come from stabilizer_group (a graph
+state, from the neighbour masks of a states.GraphSpec), ghz_group and
+all_ones_group.
 The walk refuses groups above DEFAULT_SUPPORT_LIMIT qubits, and
 full_weight_support and the patterns (which keep every key) refuse
 more than PATTERN_LIMIT qubits, with SupportLimitError.  Single
@@ -32,7 +35,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import GraphSpec
 from .pauli import CorrelationTensor, PauliString, pack_index, packed_keys
 
 # Generators whose subsets form one chunk of the vectorized group
@@ -148,10 +150,9 @@ class StabilizerGroup:
         return words
 
 
-def stabilizer_group(spec: GraphSpec) -> StabilizerGroup:
-    """Graph-state stabilizer generators: X on vertex a, Z on its neighbors."""
-    adj = spec.adjacency_masks()
-    gens = tuple((1 << (spec.n - a), adj[a - 1], 1) for a in range(1, spec.n + 1))
+def stabilizer_group(spec) -> StabilizerGroup:
+    """Stabilizer generators of the graph state of a states.GraphSpec: X on vertex a, Z on its neighbors."""
+    gens = tuple((1 << (spec.n - a), spec.masks[a - 1], 1) for a in range(1, spec.n + 1))
     return StabilizerGroup(spec.n, gens)
 
 

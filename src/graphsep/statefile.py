@@ -29,9 +29,9 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
-# lazy modules (graphsep/__init__.py): loaded when an ensemble is built
+# lazy modules (graphsep/__init__.py): pauli is loaded when an ensemble is
+# built, and states (numpy-free at import) when a family document is read
 from . import pauli, states
-from .graphs import GraphSpec
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
 
@@ -98,11 +98,11 @@ def loads_state(text: str) -> LoadedState:
     if family == "graph":
         if "edges" not in doc:
             raise StateFileError("family 'graph' requires an 'edges' list")
-        make_base = partial(states.graph_state, GraphSpec(n, _parse_edges(doc["edges"])))
+        make_base = partial(states.graph_state, states.GraphSpec(n, _parse_edges(doc["edges"])))
     else:
         if "edges" in doc:
             raise StateFileError(f"'edges' only applies to family 'graph', not {family!r}")
-        make_base = partial(states.FAMILIES[family][0], n)
+        make_base = partial(states.FAMILIES[family], n)
         if n < 2:
             # no family takes one qubit, and each constructor refuses it in
             # its own words before it builds anything or loads numpy

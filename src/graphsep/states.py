@@ -1,11 +1,13 @@
-"""Constructors for graph, GHZ, W and cluster states plus colored-noise mixtures.
+"""Graphs, and constructors for graph, GHZ, W and cluster states plus colored-noise mixtures.
 
-Graph states are built by applying a controlled-Z along every edge of a
-simple graph to |+>^n: the sign of basis state b flips once per edge
-with both ends set in b, and that parity is built one vertex at a time.
-The cluster state is realized as the linear-chain graph state, which is
-local-unitary equivalent to the usual product-form definition and
-therefore has the same correlation-tensor norm.
+GraphSpec is a simple graph on vertices 1..n, kept as one neighbour
+bitmask per vertex; complete_graph and chain_graph build the two
+named ones.  Graph states are built by applying a controlled-Z along
+every edge of a graph to |+>^n: the sign of basis state b flips once
+per edge with both ends set in b, and that parity is built one vertex
+at a time.  The cluster state is realized as the linear-chain graph
+state, which is local-unitary equivalent to the usual product-form
+definition and therefore has the same correlation-tensor norm.
 
 Graph, cluster, GHZ and |1...1> states are stabilizer states.  Their
 constructors tag the result with its StabilizerGroup (PureState.stabilizer),
@@ -16,22 +18,69 @@ amplitudes carry no tag.  Every constructor defers its amplitudes
 2^n amplitudes are built only if something reads them (the dense path,
 expectation, write_amplitude_file).  FAMILIES is the one table of the
 named state families, read by the norm table, the state-file loader and
-the CLI.  GraphSpec and the complete, chain and star graphs live in
-graphsep.graphs, which loads no numpy.
+the CLI.
 
-Importing this module loads no numpy either: pauli and stabilizer are
-lazy modules of the package, and numpy is imported where amplitudes are
-built.  So the state-file loader can read FAMILIES, and a constructor
-can refuse a bad qubit count, in a command that never builds a state.
+Importing this module loads no numpy: pauli and stabilizer are lazy
+modules of the package, and numpy is imported where amplitudes are
+built.  So the graph command, the state-file loader (which reads
+GraphSpec and FAMILIES) and a constructor refusing a bad qubit count
+start without numpy.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import partial
 
 from . import pauli, stabilizer
-from .graphs import GraphSpec, chain_graph, complete_graph
+
+
+@dataclass(frozen=True, init=False)
+class GraphSpec:
+    """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
+
+    Built from any iterable of (a, b) edges and kept as one neighbour
+    bitmask per vertex (qubit 1 at the top bit): n ints of n bits however
+    many edges there are, so the complete graph on 1000 vertices takes
+    about 150 kB where its edge tuples would take about 40 MB.
+    """
+
+    n: int
+    masks: tuple
+
+    def __init__(self, n: int, edges):
+        if n < 2:
+            raise ValueError("graph needs at least 2 vertices")
+        masks = [0] * (n + 1)
+        for edge in edges:
+            a, b = edge
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise ValueError(f"edge {edge} outside 1..{n}")
+            if masks[a] >> (n - b) & 1:
+                raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
+            masks[a] |= 1 << (n - b)
+            masks[b] |= 1 << (n - a)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", tuple(masks[1:]))
+
+    @property
+    def edges(self) -> tuple:
+        """The edges (a, b), a < b, in ascending order."""
+        n = self.n
+        return tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1) if self.masks[a - 1] >> (n - b) & 1)
+
+
+def complete_graph(n: int) -> GraphSpec:
+    """All n(n-1)/2 edges between n vertices."""
+    return GraphSpec(n, ((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)))
+
+
+def chain_graph(n: int) -> GraphSpec:
+    """Linear chain 1-2-...-n."""
+    return GraphSpec(n, ((a, a + 1) for a in range(1, n)))
 
 
 def _graph_amplitudes(spec: GraphSpec):
@@ -114,12 +163,14 @@ def noisy_mixture(base: pauli.PureState, p: float) -> pauli.MixedEnsemble:
     return pauli.MixedEnsemble(((1.0 - p, base), (p, all_ones_state(base.n))))
 
 
-# name -> (state constructor, stabilizer-group constructor or None), both
-# taking the qubit count.  The lambdas look the module functions up when
-# called, so a wrapped or patched constructor is the one that runs.
+# name -> state constructor, taking the qubit count.  A family with a
+# group tags its state with it, and the state defers its amplitudes, so
+# FAMILIES[name](n).stabilizer costs only the group.  The lambdas look
+# the module functions up when called, so a wrapped or patched
+# constructor is the one that runs.
 FAMILIES = {
-    "cg": (lambda n: graph_state(complete_graph(n)), lambda n: stabilizer.stabilizer_group(complete_graph(n))),
-    "ghz": (lambda n: ghz_state(n), lambda n: stabilizer.ghz_group(n)),
-    "w": (lambda n: w_state(n), None),
-    "cluster": (lambda n: cluster_state(n), lambda n: stabilizer.stabilizer_group(chain_graph(n))),
+    "cg": lambda n: graph_state(complete_graph(n)),
+    "ghz": lambda n: ghz_state(n),
+    "w": lambda n: w_state(n),
+    "cluster": lambda n: cluster_state(n),
 }

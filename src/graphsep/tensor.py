@@ -59,16 +59,6 @@ def dense_limit() -> int:
         raise ValueError(f"{DENSE_LIMIT_ENV} must be an integer, got {raw!r}") from None
 
 
-def check_dense_limit(n: int) -> None:
-    """Raise DenseLimitError when a dense sweep of n qubits is over the limit."""
-    lim = dense_limit()
-    if n > lim:
-        raise DenseLimitError(
-            f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit "
-            f"(raise {DENSE_LIMIT_ENV} to override)"
-        )
-
-
 def _walsh_hadamard(f: np.ndarray) -> None:
     """In-place unnormalized Walsh-Hadamard transform along the last axis.
 
@@ -137,7 +127,11 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> CorrelationTensor:
         acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
         keep = np.abs(acc) > zero_tol
         return CorrelationTensor(n, keys[keep], acc[keep])
-    check_dense_limit(n)
+    lim = dense_limit()
+    if n > lim:
+        raise DenseLimitError(
+            f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit (raise {DENSE_LIMIT_ENV} to override)"
+        )
     return CorrelationTensor(n, *_dense_arrays(ens.terms, n, zero_tol))
 
 
@@ -180,8 +174,9 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
     """(family, n, squared norm) rows, family-major then n ascending.
 
     Each row is the exact B / D of noise_products, correctly rounded: the
-    closed form for cg, GHZ and W, the stabilizer walk over the family's
-    group (built without its state) for the others.
+    closed form for cg, GHZ and W, the stabilizer walk over the group of
+    the family's state for the others (a deferred state: its amplitudes
+    are never built).
     """
     fams = list(families)
     names = tuple(FAMILIES)
@@ -192,8 +187,7 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
     for family in fams:
-        make_group = FAMILIES[family][1]
         for n in range(n_min, n_max + 1):
-            b, _, _, d = noise_products(n, family if family in CLOSED_FORMS else make_group(n))
+            b, _, _, d = noise_products(n, family if family in CLOSED_FORMS else FAMILIES[family](n).stabilizer)
             rows.append((family, n, b / d))
     return rows

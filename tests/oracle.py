@@ -7,12 +7,12 @@ with the library's bitmask / stabilizer paths.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from graphsep.pauli import MixedEnsemble, PureState
+from graphsep.states import GraphSpec
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -96,6 +96,16 @@ def untagged(ens):
     return MixedEnsemble(tuple((w, PureState(st.n, st.amplitudes)) for w, st in ens.terms))
 
 
+def kron_states(a: PureState, b: PureState) -> PureState:
+    """Tensor product of two pure states (a's qubits come first)."""
+    return PureState(a.n + b.n, np.kron(a.amplitudes, b.amplitudes))
+
+
+def star_graph(n: int) -> GraphSpec:
+    """Vertex 1 connected to all others."""
+    return GraphSpec(n, ((1, b) for b in range(2, n + 1)))
+
+
 def key_words(keys, n: int) -> list:
     """Pauli words of base-3 packed keys (X, Y, Z -> digits 0, 1, 2, qubit 1 most significant)."""
     words = []
@@ -166,15 +176,19 @@ def brute_admissible_partitions(n: int, k: int) -> list:
     return sorted(p for p in found if p.count(2) <= 1)
 
 
-def _partitions_into(n: int, k: int, lo: int = 1):
-    """Multisets of k parts >= lo summing to n, as nondecreasing tuples."""
-    if k == 1:
-        if n >= lo:
-            yield (n,)
-        return
-    for first in range(lo, n // k + 1):
-        for rest in _partitions_into(n - first, k - 1, first):
-            yield (first,) + rest
+def _partitions_into(n: int, k: int):
+    """Multisets of k parts >= 1 summing to n, as nondecreasing tuples, in
+    lex order.  Depth first over the parts with an explicit stack (smallest
+    next part popped first), so the Python stack stays flat for any k."""
+    stack = [((), n)]
+    while stack:
+        prefix, left = stack.pop()
+        lo, slots = prefix[-1] if prefix else 1, k - len(prefix)
+        if slots == 1:
+            if left >= lo:
+                yield prefix + (left,)
+            continue
+        stack.extend((prefix + (first,), left - first) for first in range(left // slots, lo - 1, -1))
 
 
 def brute_k_sep_bound(n: int, k: int) -> tuple:
@@ -255,18 +269,32 @@ def _block(m: int) -> int:
     return 2 ** (m - 1) + (1 if m % 2 == 0 else 0)
 
 
-@lru_cache(maxsize=None)
-def dp_bound_sq(n: int, k: int, two_left: bool = True) -> int:
+# n - k -> rows of dp_bound_sq, row j - 1 for j blocks
+_DP_ROWS = {}
+
+
+def dp_bound_sq(n: int, k: int) -> int:
     """Largest product of 2^(m-1) + s_m over the k-partitions of n with at
-    most one block of 2, by a dynamic program over the first block (any
-    order of blocks reaches the same maximum).  Fast enough for n = 60."""
-    if k == 1:
-        return _block(n) if n >= 1 and (n != 2 or two_left) else 0
-    best = 0
-    for m in range(1, n - k + 2):
-        if m != 2 or two_left:
-            best = max(best, _block(m) * dp_bound_sq(n - m, k - 1, two_left and m != 2))
-    return best
+    most one block of 2, by a dynamic program that adds one block at a time
+    (any order of blocks reaches the same maximum).
+
+    Row j holds best[two][e], the largest product of j blocks on j + e
+    qubits, two telling whether a block of 2 may still be used.  Row j is
+    built from row j - 1 in a loop, so the Python stack stays flat for any
+    k, and the rows are kept per n - k for the sweeps that ask again."""
+    spare = n - k
+    first = {two: [_block(1 + e) if e != 1 or two else 0 for e in range(spare + 1)] for two in (False, True)}
+    rows = _DP_ROWS.setdefault(spare, [first])
+    while len(rows) < k:
+        last = rows[-1]
+        rows.append({
+            two: [
+                max(_block(m) * last[two and m != 2][e - m + 1] for m in range(1, e + 2) if m != 2 or two)
+                for e in range(spare + 1)
+            ]
+            for two in (False, True)
+        })
+    return rows[k - 1][True][spare]
 
 
 def exact_noise_products(family: str, n: int) -> tuple:

@@ -19,7 +19,6 @@ from graphsep import (
     PauliString,
     PureState,
     chain_graph,
-    cg_norm_closed,
     complete_graph,
     detect,
     expectation,
@@ -28,19 +27,17 @@ from graphsep import (
     ghz_state,
     graph_state,
     k_sep_bound,
-    kron_states,
     noisy_mixture,
     permutation_count,
     stabilizer_expectation,
     stabilizer_group,
-    star_graph,
     tensor_norm,
     threshold_p,
     w_state,
 )
-from graphsep.separability import NON_K_SEPARABLE
+from graphsep.separability import NON_K_SEPARABLE, cg_norm_sq, sqrt_int
 
-from oracle import all_full_indices, random_state, untagged
+from oracle import all_full_indices, kron_states, random_state, star_graph, untagged
 
 P_GRID_21 = [i / 20 for i in range(21)]
 
@@ -120,7 +117,7 @@ def test_criterion_2_complete_graph_closed_form():
     dense_ok = all(
         abs(
             tensor_norm(full_tensor(untagged(graph_state(complete_graph(n)))))
-            - cg_norm_closed(n)
+            - sqrt_int(cg_norm_sq(n))
         )
         <= 1e-9
         for n in range(2, 11)

@@ -23,7 +23,6 @@ from graphsep import (
     graph_state,
     k_sep_bound,
     noisy_mixture,
-    part_norm,
     separability,
     stabilizer_group,
     tensor_norm_sq,
@@ -31,6 +30,7 @@ from graphsep import (
     w_state,
     xi_noise,
 )
+from graphsep.separability import cg_norm_sq, sqrt_int
 
 from oracle import (
     brute_admissible_partitions,
@@ -73,18 +73,16 @@ def test_unfiltered_partitions_keep_double_twos():
 
 
 def test_part_norm_values():
-    assert part_norm(1) == pytest.approx(1.0)
-    assert part_norm(2) == pytest.approx(math.sqrt(3), abs=1e-12)
-    assert part_norm(4) == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        part_norm(0)
+    # the block bound sqrt(2^(m-1) + s_m)
+    assert sqrt_int(cg_norm_sq(1)) == pytest.approx(1.0)
+    assert sqrt_int(cg_norm_sq(2)) == pytest.approx(math.sqrt(3), abs=1e-12)
+    assert sqrt_int(cg_norm_sq(4)) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_k_sep_bound_examples():
     pb = k_sep_bound(6, 3)
     assert pb.bound == pytest.approx(math.sqrt(12), abs=1e-9)
     assert pb.parts == (1, 2, 3)
-    assert pb.per_part_s == (0, 1, 0)
     pb = k_sep_bound(8, 2)
     assert pb.bound == pytest.approx(math.sqrt(99), abs=1e-9)
     assert pb.parts == (2, 6)
@@ -125,11 +123,10 @@ def test_bound_sq_is_exact_block_product(n, k):
     assert type(pb.bound_sq) is int
     assert pb.bound_sq == math.prod(2 ** (m - 1) + (1 - m % 2) for m in pb.parts)
     assert sum(pb.parts) == n and len(pb.parts) == k
-    assert pb.per_part_s == tuple(1 - m % 2 for m in pb.parts)
 
 
 def test_part_norm_beyond_float_range():
-    norm = part_norm(1100)
+    norm = sqrt_int(cg_norm_sq(1100))
     assert isinstance(norm, float)
     assert math.log(norm) == pytest.approx(1099 * math.log(2) / 2, rel=1e-15)
 

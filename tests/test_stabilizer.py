@@ -14,7 +14,6 @@ from graphsep import (
     PauliString,
     StabilizerGroup,
     cg_nonzero_pattern,
-    cg_norm_closed,
     chain_graph,
     complete_graph,
     expectation,
@@ -29,7 +28,6 @@ from graphsep import (
     permutation_count,
     stabilizer_expectation,
     stabilizer_group,
-    star_graph,
 )
 from graphsep import stabilizer
 from graphsep.pauli import packed_keys
@@ -39,7 +37,7 @@ from graphsep.stabilizer import (
     SupportLimitError,
     all_ones_group,
 )
-from graphsep.separability import permutation_terms
+from graphsep.separability import cg_norm_sq, permutation_terms, sqrt_int
 
 from oracle import (
     all_full_indices,
@@ -49,6 +47,7 @@ from oracle import (
     dense_full_tensor,
     gray_code_support,
     key_words,
+    star_graph,
     untagged,
 )
 
@@ -229,9 +228,9 @@ def test_support_matches_gray_code_walker_with_negative_signs():
 
 
 def test_cg_norm_closed_values():
-    assert cg_norm_closed(5) == pytest.approx(4.0, abs=1e-12)
-    assert cg_norm_closed(8) == pytest.approx(math.sqrt(129), abs=1e-12)
-    assert cg_norm_closed(2) == pytest.approx(math.sqrt(3), abs=1e-12)
+    assert sqrt_int(cg_norm_sq(5)) == pytest.approx(4.0, abs=1e-12)
+    assert sqrt_int(cg_norm_sq(8)) == pytest.approx(math.sqrt(129), abs=1e-12)
+    assert sqrt_int(cg_norm_sq(2)) == pytest.approx(math.sqrt(3), abs=1e-12)
 
 
 def test_permutation_count_values():

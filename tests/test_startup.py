@@ -3,6 +3,7 @@ still resolves every public name.  Each check runs in a fresh interpreter."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,11 +97,18 @@ def test_every_public_name_is_its_home_object():
     child = fresh_python(
         "import importlib, graphsep\n"
         "homes = {n: importlib.import_module(f'graphsep.{m}') for n, m in graphsep._HOME.items()}\n"
-        "assert len(graphsep.__all__) == len(homes) == 53  # every public name\n"
+        "assert len(graphsep.__all__) == len(homes) == 47  # every public name\n"
         "print(len([n for n in graphsep.__all__ if getattr(graphsep, n) is not getattr(homes[n], n)]))\n"
         "from graphsep import *\n"
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
+
+
+def test_readme_lists_every_public_name():
+    # the README's layout table: one row per home module, its public names in backticks
+    rows = re.findall(r"^\| `(\w+)` \| [^|]+ \| (.+) \|$", (SRC.parent / "README.md").read_text(encoding="utf-8"), re.M)
+    listed = {home: sorted(re.findall(r"`(\w+)`", names)) for home, names in rows}
+    assert listed == {home: sorted(names.split()) for home, names in graphsep._EXPORTS.items()}
 
 
 @pytest.mark.parametrize(

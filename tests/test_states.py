@@ -17,13 +17,12 @@ from graphsep import (
     graph_state,
     noisy_mixture,
     stabilizer_group,
-    star_graph,
     tensor_norm,
     w_state,
 )
 from graphsep.states import all_ones_state
 
-from oracle import apply_local_unitaries, is_all_ones, permute_qubits, random_unitary, untagged
+from oracle import apply_local_unitaries, is_all_ones, permute_qubits, random_unitary, star_graph, untagged
 
 
 def test_g3_amplitudes_explicit():

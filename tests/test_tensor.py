@@ -31,12 +31,12 @@ from graphsep import (
     ghz_group,
     ghz_state,
     graph_state,
-    kron_states,
     measurement_settings,
     noise_products,
     noisy_mixture,
     norm_table,
     pack_index,
+    pauli,
     stabilizer_group,
     tensor,
     tensor_norm,
@@ -54,6 +54,7 @@ from oracle import (
     dp_bound_sq,
     exact_noise_norm_sq,
     exact_verdict,
+    kron_states,
     random_state,
     untagged,
 )
@@ -229,7 +230,7 @@ def test_ensemble_norm_sq_is_the_full_tensor_norm_on_random_graphs(case, tol, pu
 def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
     for n in (2, 3, 4, 7, 8):
         for family in ("cg", "ghz", "cluster"):
-            state = FAMILIES[family][0](n)
+            state = FAMILIES[family](n)
             doc = {"family": family, "n": n} if p is None else {"family": family, "n": n, "p": p}
             _check_squared_norm(state, p, tol, state.stabilizer if family == "cluster" else family, doc)
         _check_squared_norm(all_ones_state(n), p, tol, all_ones_group(n))
@@ -239,13 +240,11 @@ def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
 def test_detect_decides_w_files_exactly(p):
     # the Fraction oracle's verdict, correctly rounded xi and the root of the
     # rounded squared norm, at every k; no dense sweep, so at n = 1000 too
-    # (near k = n the best partitions are 2|3|1.., 3|1.., 2|1.. and 1|1..)
     for n in (*range(2, 11), 1000):
         exact = exact_noise_norm_sq("w", n, p or 0.0)
         doc = {"family": "w", "n": n} if p is None else {"family": "w", "n": n, "p": p}
-        bounds = {k: dp_bound_sq(n, k) for k in range(2, n + 1)} if n <= 10 else {
-            2: brute_k_sep_bound(n, 2)[1], 3: brute_k_sep_bound(n, 3)[1], n - 3: 12, n - 2: 4, n - 1: 3, n: 1
-        }
+        ks = range(2, n + 1) if n <= 10 else (2, 3, n - 3, n - 2, n - 1, n)
+        bounds = {k: dp_bound_sq(n, k) if n <= 10 else brute_k_sep_bound(n, k)[1] for k in ks}
         for k, d in bounds.items():
             payload = _detect_json(doc, k)
             got = (payload["verdict"], payload["xi"], payload["norm"])
@@ -297,13 +296,18 @@ def test_full_tensor_refuses_a_large_support_before_allocating():
 
 
 def test_family_states_carry_their_group():
-    # each registered family with a group tags its states with that group
-    for make_state, make_group in FAMILIES.values():
-        state = make_state(5)
-        if make_group is None:
-            assert state.stabilizer is None
-        else:
-            assert state.stabilizer.generators == make_group(5).generators
+    # each registered family tags its states with its named group, W with none
+    for n in (2, 5, 9):
+        groups = {
+            "cg": stabilizer_group(complete_graph(n)),
+            "ghz": ghz_group(n),
+            "w": None,
+            "cluster": stabilizer_group(chain_graph(n)),
+        }
+        assert groups.keys() == FAMILIES.keys()
+        for family, group in groups.items():
+            tag = FAMILIES[family](n).stabilizer
+            assert tag is None if group is None else tag.generators == group.generators, (family, n)
     # the noise term is tagged too: its only identity-free element is -Z on each qubit
     for n in (1, 2, 5):
         t = full_tensor(all_ones_state(n))
@@ -443,28 +447,31 @@ def test_norm_table_support_path_rows():
 
 
 def test_norm_table_rows_are_the_squared_norms():
-    for family, (make_state, make_group) in FAMILIES.items():
+    for family, make_state in FAMILIES.items():
         for _, n, norm_sq in norm_table([family], 2, 6):
-            if make_group is not None:
-                assert norm_sq == len(full_weight_support(make_group(n)))
+            group = make_state(n).stabilizer
+            if group is not None:
+                assert norm_sq == len(full_weight_support(group))
             assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(make_state(n)))), rel=1e-12)
 
 
 def test_norm_table_builds_no_tagged_state(monkeypatch):
-    def unbuildable(n):
-        raise AssertionError(f"a state on {n} qubits was built")
-
-    families = {name: (unbuildable, make_group) for name, (_, make_group) in FAMILIES.items() if make_group}
-    monkeypatch.setattr(tensor, "FAMILIES", families)
-    rows = norm_table(["cg", "ghz", "cluster"], 2, 20)
+    # every amplitude vector, deferred or given, is checked once as it is built
+    built = []
+    monkeypatch.setattr(pauli, "_checked_amplitudes", lambda n, amplitudes: built.append(n))
+    rows = norm_table(["cg", "ghz", "w", "cluster"], 2, 20)
     assert rows[-1] == ("cluster", 20, float(full_weight_count(stabilizer_group(chain_graph(20)))))
     # the closed forms need no group either: cg and GHZ at any n
     assert norm_table(["cg", "ghz"], 1000, 1000) == [("cg", 1000, float(2 ** 999 + 1)), ("ghz", 1000, float(2 ** 999 + 1))]
+    assert built == []
+    # and the patch does see a build: reading a family state's amplitudes
+    FAMILIES["cluster"](6).amplitudes
+    assert built == [6]
 
 
 def test_norm_table_builds_no_w_state(monkeypatch):
     built = []
-    monkeypatch.setattr(tensor, "FAMILIES", {**FAMILIES, "w": (built.append, None)})
+    monkeypatch.setattr(tensor, "FAMILIES", {**FAMILIES, "w": built.append})
     rows = norm_table(["w"], 2, 12) + norm_table(["w"], 1000, 1000)
     assert rows == [("w", n, float(Fraction(5) - Fraction(4, n))) for n in (*range(2, 13), 1000)]
     assert built == []
