@@ -4,10 +4,13 @@ The namespace is lazy, so that integer commands start without numpy.
 Importing graphsep registers each home module of _EXPORTS as a lazy
 module (importlib.util.LazyLoader) whose body runs on first attribute
 access, and each public name resolves on first access (PEP 562), so
-graphsep.X is graphsep.<home>.X.  separability (bounds, thresholds and
-the integer closed forms cg_norm_sq, sqrt_int, permutation_count) loads
-no numpy; states (GraphSpec, the complete and chain graphs, the state
-constructors) and statefile load it only to build or parse amplitudes.
+graphsep.X is graphsep.<home>.X.  No module imports numpy at import
+time: separability (bounds, thresholds and the integer closed forms
+cg_norm_sq, sqrt_int, permutation_count) never loads it, and pauli,
+stabilizer, tensor, states and statefile load it only inside the
+functions that build or read arrays (amplitudes, sparse tensors, the
+walk, the patterns, settings).  Stabilizer groups, their expectations
+and the full-weight count are plain Python ints.
 """
 
 import importlib

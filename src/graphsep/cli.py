@@ -9,9 +9,11 @@ Output is CSV on stdout unless --out is given; comment lines start with
 "#"; numeric fields carry 12 significant digits.  Exit codes: 0 success,
 1 usage or input error (also a result beyond the float range, a failed
 internal check or a stdout closed early), 2 resource or output error.
-Verdicts are payload, never exit status.  bounds, sweep, appendix and
-graph load no numpy, and neither does detect on a cg, GHZ or W state
-file, which it decides from n and p alone.
+Verdicts are payload, never exit status.  bounds, sweep, appendix,
+graph and norms load no numpy, and neither does detect on a family or
+graph state file: cg, GHZ and W it decides from n and p alone, cluster
+and graph files from the bit-sliced count of their group.  Only
+settings and detect on raw amplitudes load numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import os
 import sys
 
 # lazy modules (graphsep/__init__.py): only norms, detect and settings load
-# them, and graph and detect on a cg, GHZ or W file only the numpy-free
-# statefile and states
+# them, and only settings and detect on raw amplitudes load numpy
 from . import stabilizer, statefile, states, tensor
 from .separability import CLOSED_FORMS, cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms
 from .separability import threshold_p, xi_noise
@@ -126,8 +127,14 @@ def cmd_detect(args) -> int:
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
     # a closed form (cg, GHZ, W: no state is built), or the group of the
-    # base state (or of |1...1> alone at p = 1) for the walk to count B
-    source = loaded.family if loaded.family in CLOSED_FORMS else loaded.ensemble.terms[0][1].stabilizer
+    # base state (or of |1...1> alone at p = 1) for the count of B
+    if loaded.family in CLOSED_FORMS:
+        source = loaded.family
+    else:
+        if loaded.family is not None and loaded.p != 1:
+            # a graph or cluster base state is counted: refuse before its O(n^2) group is built
+            stabilizer.check_walk_limit(n)
+        source = loaded.ensemble.terms[0][1].stabilizer
     if source is None:  # raw amplitudes: the dense sweep, certified past its rounding margin
         res = detect(tensor.tensor_norm_sq(tensor.full_tensor(loaded.ensemble)), n, args.k)
     else:  # the exact noise quadratic

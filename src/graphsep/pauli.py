@@ -15,6 +15,10 @@ Expectation values are evaluated with a single O(2^n) pass over the
 amplitude vector (bit flips for X/Y, parity signs for Y/Z); no 2^n x 2^n
 matrix is ever built.  Everything here is a pure function of immutable
 inputs, so callers may evaluate many expectations concurrently.
+
+numpy is imported inside the functions that build or read arrays, so
+Pauli words, packed indices and deferred states (whose amplitudes are
+never read on the stabilizer path) start without it.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 NORM_TOL = 1e-9
 IMAG_TOL = 1e-9
@@ -94,6 +96,8 @@ def unpack_index(packed: int, n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _base3_table(bits: int, start: int = 0) -> np.ndarray:
     """T3[m] = sum of 3^(start + p) over the set bits p of m, for every bits-bit mask m."""
+    import numpy as np
+
     table = np.zeros(1, dtype=np.int64)
     for p in range(start, start + bits):
         # masks with bit p set follow those without, 3^p higher
@@ -135,6 +139,8 @@ class CorrelationTensor:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         keys = np.asarray(self.keys, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
         if keys.ndim != 1 or keys.shape != values.shape:
@@ -156,6 +162,8 @@ class CorrelationTensor:
 
     def value(self, idx) -> float:
         """Entry at a full-index tuple; absent entries are zero."""
+        import numpy as np
+
         key = pack_index(idx)
         i = int(np.searchsorted(self.keys, key))
         if i < len(self.keys) and self.keys[i] == key:
@@ -169,6 +177,8 @@ class CorrelationTensor:
 
 
 def _checked_amplitudes(n: int, amplitudes) -> np.ndarray:
+    import numpy as np
+
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape != (1 << n,):
         raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
@@ -256,6 +266,8 @@ def pure_ensemble(state: PureState) -> MixedEnsemble:
 @lru_cache(maxsize=None)
 def _index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached (basis indices, bit-parity table) for n qubits."""
+    import numpy as np
+
     idx = np.arange(1 << n, dtype=np.int64)
     parity = np.zeros(1 << n, dtype=np.uint8)
     for b in range(n):
@@ -268,6 +280,8 @@ _I_POW = (1.0, 1.0j, -1.0, -1.0j)
 
 def _expectation_masks(amps: np.ndarray, x_mask: int, z_mask: int, y_count: int) -> float:
     """<psi| P |psi> for P given by its flip/phase masks."""
+    import numpy as np
+
     n = int(amps.shape[0]).bit_length() - 1
     idx, parity = _index_arrays(n)
     flipped = amps[idx ^ x_mask] if x_mask else amps

@@ -7,42 +7,42 @@ equals ``i^y * X^x * Z^z`` with y the number of Y positions, so the sign
 of a group element relative to the Hermitian word is ``i^(t - y)``,
 asserted to be +-1 throughout.
 
-One walk (_walk) evaluates that product for all 2^n generator subsets
-with numpy, a chunk of 2^14 subsets at a time, and yields each chunk's
-identity-free elements as (x, z, sign) arrays: O(2^n) vectorized work
-where the dense path would sweep 3^n strings.  It has two readers.
-full_weight_support packs and sorts the elements into a CorrelationTensor
-(pauli.py) whose values are their +-1 signs; full_weight_count keeps only
-the chunk lengths, so it counts in O(2^14) memory; group_products turns
-that count into the B of the noise quadratic (separability.noise_products).
-A diagonal group (a basis state such as |1...1>) needs no walk: its one
-identity-free element is Z^n.  The complete-graph and GHZ nonzero
-patterns are plain int64 key arrays, built by vectorized popcounts with
-no group at all.
+Two passes visit the 2^n generator subsets, 2^14 at a time: O(2^n)
+work where the dense path would sweep 3^n strings.  The walk (_walk)
+forms each chunk's signed identity-free elements as numpy arrays, which
+full_weight_support packs and sorts into a CorrelationTensor (pauli.py)
+of +-1 signs.  The count (full_weight_count) needs no signs and no
+numpy: it bit-slices each chunk into Python ints, one bit per subset,
+and counts its identity-free subsets with one popcount.  group_products
+turns it into the B of the noise quadratic
+(separability.noise_products).  A diagonal group (a basis state such as
+|1...1>) needs neither: its one identity-free element is Z^n.  The complete-graph and GHZ nonzero
+patterns are int64 key arrays, built with no group at all.
 The groups of the tagged states come from stabilizer_group (a graph
 state, from the neighbour masks of a states.GraphSpec), ghz_group and
 all_ones_group.
-The walk refuses groups above DEFAULT_SUPPORT_LIMIT qubits, and
-full_weight_support and the patterns (which keep every key) refuse
-more than PATTERN_LIMIT qubits, with SupportLimitError.  Single
-expectations are O(n) membership solves.
+Both passes refuse more than DEFAULT_SUPPORT_LIMIT qubits
+(check_walk_limit), and full_weight_support and the patterns (which
+keep every key) more than PATTERN_LIMIT, with SupportLimitError.
+Single expectations are O(n) membership solves.  numpy is imported only
+where arrays are built, so groups, expectations and the count start
+without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
-
-import numpy as np
 
 from .pauli import CorrelationTensor, PauliString, pack_index, packed_keys
 
-# Generators whose subsets form one chunk of the vectorized group
-# product: each temporary is 2^14 int64 lanes (128 KiB), whatever the
-# qubit count.
+# Generators whose subsets form one chunk of the walk (2^14 int64 lanes,
+# 128 KiB, per temporary) and of the count (2 KiB per slice).
 _SUBSET_BITS = 14
 
-# Largest qubit count the walk takes: 2^26 subsets take about 2.5 s.
+# Largest qubit count the walk and the count take: 2^26 subsets take the
+# walk about 2.5 s and the count about 20 ms.
 DEFAULT_SUPPORT_LIMIT = 26
 
 # Largest qubit count whose 2^(n-1) words or keys cg_nonzero_pattern and
@@ -52,6 +52,14 @@ PATTERN_LIMIT = 22
 
 class SupportLimitError(RuntimeError):
     """A walk or word list over 2^n elements was requested beyond its qubit limit."""
+
+
+def check_walk_limit(n: int) -> None:
+    """Refuse a pass over 2^n generator subsets above DEFAULT_SUPPORT_LIMIT qubits (SupportLimitError)."""
+    if n > DEFAULT_SUPPORT_LIMIT:
+        raise SupportLimitError(
+            f"stabilizer walk over 2^{n} generator subsets exceeds the {DEFAULT_SUPPORT_LIMIT}-qubit limit"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,10 +210,9 @@ def _walk(g: StabilizerGroup):
     SupportLimitError before allocating anything.
     """
     n = g.n
-    if n > DEFAULT_SUPPORT_LIMIT:
-        raise SupportLimitError(
-            f"stabilizer walk over 2^{n} generator subsets exceeds the {DEFAULT_SUPPORT_LIMIT}-qubit limit"
-        )
+    check_walk_limit(n)
+    import numpy as np
+
     full = (1 << n) - 1
     low_bits = min(n, _SUBSET_BITS)
     low = np.arange(1 << low_bits, dtype=np.int64)
@@ -244,30 +251,71 @@ def full_weight_support(g: StabilizerGroup) -> CorrelationTensor:
         return CorrelationTensor(n, [pack_index((3,) * n)], [stabilizer_expectation(g, PauliString("Z" * n))])
     if n > PATTERN_LIMIT:
         raise SupportLimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
+    import numpy as np
+
     chunks = list(_walk(g))
     keys = np.concatenate([packed_keys(x, z, n) for x, z, _ in chunks])
     order = np.argsort(keys)
     return CorrelationTensor(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
 
 
+@lru_cache(maxsize=None)
+def _subset_bits(b: int) -> tuple:
+    """For k < b, the 2^b-bit int whose bit j is bit k of j (0xAA..., 0xCC..., 0xF0F0..., ...)."""
+    ones = (1 << (1 << b)) - 1
+    return tuple(ones // ((1 << (1 << k)) + 1) << (1 << k) for k in range(b))
+
+
 def full_weight_count(g: StabilizerGroup) -> int:
     """Number of identity-free group elements: len(full_weight_support(g)).
 
-    Reads only the chunk lengths of the walk, so it runs in O(2^14)
-    memory; a diagonal group has exactly one (Z^n), with no walk.
+    Bit-sliced over chunks of 2^b subsets, b = min(n, 14): bit j of a
+    slice stands for the subset whose low generators are the set bits of
+    j.  Qubit q's x bit is the XOR of the _subset_bits ints of the low
+    generators with x on q (z likewise), and the chunk's high generators
+    flip whole slices, so a chunk counts as popcount(AND over q of
+    x_q | z_q): O(2^14) memory and n big-int ANDs.  No phase is formed:
+    B does not depend on signs, and StabilizerGroup's check that the
+    generators commute with +-1 signs already makes every phase real.
+    A diagonal group has one (Z^n), with no count; any other above
+    DEFAULT_SUPPORT_LIMIT qubits raises SupportLimitError at once.
     """
     if g.diagonal:
         return 1
-    return sum(len(x) for x, _, _ in _walk(g))
+    n = g.n
+    check_walk_limit(n)
+    b = min(n, _SUBSET_BITS)
+    ones = (1 << (1 << b)) - 1
+    xs, zs = [0] * n, [0] * n  # per bit position p of the masks
+    for column, (gx, gz, _) in zip(_subset_bits(b), g.generators):
+        for p in range(n):
+            if gx >> p & 1:
+                xs[p] ^= column
+            if gz >> p & 1:
+                zs[p] ^= column
+    # x_q | z_q for each (x flip, z flip) of the high generators, at index 2 * x flip + z flip
+    slices = [(x | z, x | (z ^ ones), (x ^ ones) | z, (x ^ ones) | (z ^ ones)) for x, z in zip(xs, zs)]
+    high = g.generators[b:]
+    hx = hz = count = 0
+    for step in range(1 << (n - b)):  # high subsets in Gray-code order: one generator per step
+        if step:
+            gx, gz, _ = high[(step & -step).bit_length() - 1]
+            hx ^= gx
+            hz ^= gz
+        acc = ones
+        for p, flips in enumerate(slices):
+            acc &= flips[(hx >> p & 1) << 1 | (hz >> p & 1)]
+        count += acc.bit_count()
+    return count
 
 
 def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
     """(B, C, O) of separability.noise_products (over D = 1) for the state that g stabilizes.
 
-    B = full_weight_count(g): the walk, or 1 with no walk for a diagonal
-    group.  The one entry of |1...1> is (-1)^n on Z^n, so C is (-1)^n times
-    the sign of Z^n in g (one membership solve; 0 when Z^n is not in g),
-    and O = 1.
+    B = full_weight_count(g): the bit-sliced count, or 1 with no count
+    for a diagonal group.  The one entry of |1...1> is (-1)^n on Z^n, so
+    C is (-1)^n times the sign of Z^n in g (one membership solve; 0 when
+    Z^n is not in g), and O = 1.
     """
     n = g.n
     return full_weight_count(g), (-1) ** n * stabilizer_expectation(g, PauliString("Z" * n)), 1
@@ -287,6 +335,8 @@ def _parity_pattern(n: int, parity: int, xz, extra: int) -> np.ndarray:
         raise ValueError("pattern needs n >= 2")
     if n > PATTERN_LIMIT:
         raise SupportLimitError(f"pattern of 2^{n - 1} words exceeds the {PATTERN_LIMIT}-qubit limit")
+    import numpy as np
+
     full = (1 << n) - 1
     masks = np.arange(full, -1, -1, dtype=np.int64)
     weight = np.bitwise_count(masks)

@@ -16,9 +16,10 @@ on load with a warning.
 
 Loading checks the whole document but builds no state: a LoadedState
 builds its ensemble (the group, the amplitudes) the first time it is
-read.  So loading a family or graph document loads no numpy, and detect
-decides a cg, GHZ or W file from n and p alone.  Only raw amplitudes
-are parsed into a numpy array on load.
+read, and at p = 1 it builds only |1...1>, never the base state.  So
+loading a family or graph document loads no numpy, and detect decides a
+cg, GHZ or W file from n and p alone.  Only raw amplitudes are parsed
+into a numpy array on load.
 """
 
 from __future__ import annotations
@@ -111,10 +112,12 @@ def loads_state(text: str) -> LoadedState:
             except ValueError as exc:
                 raise StateFileError(str(exc)) from None
     p = None if p is None else float(p)
-    return LoadedState(n, family, p, partial(_ensemble, make_base, p))
+    return LoadedState(n, family, p, partial(_ensemble, make_base, n, p))
 
 
-def _ensemble(make_base, p: float | None) -> pauli.MixedEnsemble:
+def _ensemble(make_base, n: int, p: float | None) -> pauli.MixedEnsemble:
+    if p == 1.0:  # |1...1> alone: noisy_mixture would discard the base state, so none is built
+        return pauli.pure_ensemble(states.all_ones_state(n))
     base = make_base()
     return pauli.pure_ensemble(base) if p is None else states.noisy_mixture(base, p)
 

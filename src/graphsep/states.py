@@ -20,11 +20,12 @@ expectation, write_amplitude_file).  FAMILIES is the one table of the
 named state families, read by the norm table, the state-file loader and
 the CLI.
 
-Importing this module loads no numpy: pauli and stabilizer are lazy
-modules of the package, and numpy is imported where amplitudes are
-built.  So the graph command, the state-file loader (which reads
-GraphSpec and FAMILIES) and a constructor refusing a bad qubit count
-start without numpy.
+Importing this module loads no numpy, and neither does a constructor:
+pauli and stabilizer import numpy only inside the functions that build
+arrays, and this module only where amplitudes are built.  So the graph
+command, the state-file loader (which reads GraphSpec and FAMILIES),
+the norm table and detect on a graph or cluster file (which read only
+the group) start without numpy.
 """
 
 from __future__ import annotations

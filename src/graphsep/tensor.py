@@ -24,15 +24,15 @@ inspection tool for everything else.  The criterion needs only the
 squared norm, and for a named family or a tagged state (or one mixed
 with |1...1> noise) that is the exact quadratic of
 separability.noise_products: detect and every norm-table row read it,
-with no tensor or amplitude built.
+with no tensor or amplitude built.  numpy is imported only where a
+tensor or a settings list is built (full_tensor, measurement_settings),
+so norm_table, and with it every norms row, starts without it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-
-import numpy as np
 
 from .pauli import IMAG_TOL, CorrelationTensor, PureState, pack_index, packed_keys, pure_ensemble
 from .separability import CLOSED_FORMS, noise_products
@@ -85,6 +85,8 @@ def _dense_arrays(terms, n: int, zero_tol: float) -> tuple[np.ndarray, np.ndarra
     masks go in chunks, so memory stays at O(chunk + 3^n).  Returns the
     keys and values above zero_tol, in key order.
     """
+    import numpy as np
+
     size = 1 << n
     i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])
     basis = np.arange(size, dtype=np.int64)
@@ -120,6 +122,8 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> CorrelationTensor:
         raise ValueError("zero_tol must be nonnegative")
     n = ens.n
     if all(st.stabilizer is not None for _, st in ens.terms):
+        import numpy as np
+
         supports = [full_weight_support(st.stabilizer) for _, st in ens.terms]
         # members in order, so each key sums its terms as a sequential loop would
         keys, inverse = np.unique(np.concatenate([s.keys for s in supports]), return_inverse=True)
@@ -158,6 +162,8 @@ def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.
     """
     if family != "cg":
         raise ValueError(f"measurement settings are only defined for family 'cg', got {family!r}")
+    import numpy as np
+
     keys = cg_nonzero_pattern(n)
     if noise:
         keys = np.append(keys, pack_index((3,) * n))
@@ -174,9 +180,9 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
     """(family, n, squared norm) rows, family-major then n ascending.
 
     Each row is the exact B / D of noise_products, correctly rounded: the
-    closed form for cg, GHZ and W, the stabilizer walk over the group of
-    the family's state for the others (a deferred state: its amplitudes
-    are never built).
+    closed form for cg, GHZ and W, the bit-sliced count over the group
+    of the family's state for the others (a deferred state: its
+    amplitudes are never built).
     """
     fams = list(families)
     names = tuple(FAMILIES)

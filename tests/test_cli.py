@@ -375,7 +375,7 @@ def test_library_runtime_error_is_one_line_exit_1(capsys, monkeypatch, tmp_path)
     def fail(*args, **kwargs):
         raise RuntimeError("stabilizer product has non-real phase")
 
-    monkeypatch.setattr(stabilizer, "full_weight_count", fail)  # the walk's count, read for B
+    monkeypatch.setattr(stabilizer, "full_weight_count", fail)  # the count, read for B
     path = tmp_path / "cluster4.json"
     path.write_text(json.dumps({"family": "cluster", "n": 4}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
@@ -420,6 +420,16 @@ def test_detect_beyond_the_walk_limit(capsys, tmp_path):
         f"norm={math.sqrt(2 ** 29 + 1):.12g}", f"bound={math.sqrt(3 * (2 ** 27 + 1)):.12g}", "partition=2|28",
         "verdict=NonKSeparable",
     ]
+
+
+@pytest.mark.parametrize("n,noise", [(27, {}), (5000, {"p": 0.1}), (5000, {"p": 0.0})])
+def test_detect_refuses_before_building_the_group(capsys, tmp_path, monkeypatch, n, noise):
+    monkeypatch.setattr(stabilizer, "stabilizer_group", None)  # building a group would now raise TypeError
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({"family": "cluster", "n": n, **noise}))
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert (code, out) == (2, "")
+    assert err == f"graphsep: error: stabilizer walk over 2^{n} generator subsets exceeds the 26-qubit limit\n"
 
 
 @pytest.mark.parametrize("family,p", [("cg", 0.1), ("cg", None), ("ghz", 0.1), ("ghz", None)])

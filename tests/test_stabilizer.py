@@ -257,6 +257,32 @@ def test_count_equals_support_length_on_random_graphs(n, rnd):
     assert full_weight_count(group) == len(full_weight_support(group))
 
 
+def _hadamard_twin(group, qubits):
+    """group with the x and z bits swapped on the qubits of the mask (Hadamards there; signs kept)."""
+    swapped = []
+    for x, z, s in group.generators:
+        swap = (x ^ z) & qubits
+        swapped.append((x ^ swap, z ^ swap, s))
+    return StabilizerGroup(group.n, tuple(swapped))
+
+
+@pytest.mark.parametrize("n", [*range(2, 19), 21, 22])
+def test_count_equals_support_length_across_chunks(n):
+    # above n = 14 the count takes several chunks, and the high generators flip whole slices
+    rng = np.random.default_rng(4000 + n)
+    graphs = [stabilizer_group(spec) for spec in (random_graph(n, rng), chain_graph(n), complete_graph(n))]
+    twins = [_hadamard_twin(group, int(rng.integers(1, 1 << n))) for group in graphs]
+    for group in (*graphs, *twins, ghz_group(n)):
+        assert not group.diagonal
+        count = full_weight_count(group)
+        assert count == len(full_weight_support(group))  # the walk, with its phase check
+        if n <= 16:
+            assert count == len(gray_code_support(group))
+    # local Cliffords keep weights; the complete graph and GHZ have the closed form
+    assert [full_weight_count(group) for group in twins] == [full_weight_count(group) for group in graphs]
+    assert full_weight_count(graphs[2]) == full_weight_count(ghz_group(n)) == cg_norm_sq(n)
+
+
 def _basis_group(n, b):
     """Generators (-1)^(b_a) Z_a of the basis state |b>, qubit 1 at the top bit of b."""
     return StabilizerGroup(n, tuple((0, 1 << (n - a), -1 if b >> (n - a) & 1 else 1) for a in range(1, n + 1)))

@@ -1,8 +1,10 @@
-"""Start-up contract: integer commands load no numpy, and the lazy namespace
+"""Start-up contract: integer commands (and with them detect on family and
+graph files and every norms row) load no numpy, and the lazy namespace
 still resolves every public name.  Each check runs in a fresh interpreter."""
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -53,6 +55,26 @@ ERROR_FILES = [
 ] + [_detect({"family": "graph", "n": 1, "edges": []}, 2)]
 
 
+def _graph_doc(n, share, seed):
+    """A graph file keeping each vertex pair with probability share (seeded)."""
+    rng = random.Random(seed)
+    edges = [[a, b] for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < share]
+    return {"family": "graph", "n": n, "edges": edges}
+
+
+# graph and cluster files are decided from the bit-sliced count of their
+# group; above the walk limit they are refused before the group is built
+COUNTED_FILES = [
+    *(_detect({**_graph_doc(n, share, n), **noise}, 3) for n in (8, 20) for share in (4 / n, 0.5)
+      for noise in ({}, {"p": 0.1})),
+    *(_detect({"family": "cluster", "n": 20, **noise}, 4, *fmt)
+      for noise in ({}, {"p": 0.1}, {"p": 1}) for fmt in ((), ("--format", "json"))),
+    _detect({"family": "cluster", "n": 27}, 2),
+    _detect({"family": "cluster", "n": 5000, "p": 0.1}, 2),
+    _detect(_graph_doc(27, 0.2, 27), 2),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -66,6 +88,9 @@ ERROR_FILES = [
         *FAMILY_FILES,
         *ERROR_FILES,
         ["sweep", "--family", "w", "--n", "1000", "--k", "998", "--p-steps", "5"],
+        *COUNTED_FILES,
+        ["norms"],
+        ["norms", "--families", "cg,cluster,ghz,w", "--n-min", "2", "--n-max", "20"],
     ],
 )
 def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):
