@@ -11,9 +11,9 @@ Output is CSV on stdout unless --out is given; comment lines start with
 internal check or a stdout closed early), 2 resource or output error.
 Verdicts are payload, never exit status.  bounds, sweep, appendix,
 graph and norms load no numpy, and neither does detect on a family or
-graph state file: cg, GHZ and W it decides from n and p alone, cluster
-and graph files from the bit-sliced count of their group.  Only
-settings and detect on raw amplitudes load numpy.
+graph state file: a family file it decides from n and p alone (every
+family has a closed form), a graph file from the bit-sliced count of
+its group.  Only settings and detect on raw amplitudes load numpy.
 """
 
 from __future__ import annotations
@@ -126,19 +126,10 @@ def cmd_detect(args) -> int:
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
-    # a closed form (cg, GHZ, W: no state is built), or the group of the
-    # base state (or of |1...1> alone at p = 1) for the count of B
-    if loaded.family in CLOSED_FORMS:
-        source = loaded.family
-    else:
-        if loaded.family is not None and loaded.p != 1:
-            # a graph or cluster base state is counted: refuse before its O(n^2) group is built
-            stabilizer.check_walk_limit(n)
-        source = loaded.ensemble.terms[0][1].stabilizer
-    if source is None:  # raw amplitudes: the dense sweep, certified past its rounding margin
+    if loaded.family is None:  # raw amplitudes: the dense sweep, certified past its rounding margin
         res = detect(tensor.tensor_norm_sq(tensor.full_tensor(loaded.ensemble)), n, args.k)
-    else:  # the exact noise quadratic
-        res = xi_noise(n, args.k, loaded.p or 0.0, source)
+    else:  # the exact noise quadratic of a family name or a graph (noise_products)
+        res = xi_noise(n, args.k, loaded.p or 0.0, loaded.source)
     pb = k_sep_bound(n, args.k)
     norm = math.sqrt(res.numerator)
     if args.format == "json":

@@ -33,10 +33,11 @@ partition.  The work is O(k) integer steps with no search at all.
 Noise is exact too: a state mixed with |1...1> has the squared norm
 ((1-p)^2 B + 2p(1-p) C + p^2 O) / D with integers B, C, O, D
 (noise_products), which xi_noise evaluates exactly at the float p it is
-given and threshold_p solves in integers.  The complete-graph, GHZ and
-W families have closed forms at any n (CLOSED_FORMS); any other
-stabilizer state gets B from the stabilizer walk.  So sweep verdicts,
-and detect verdicts on every named family and tagged state, are exact
+given and threshold_p solves in integers.  Every named family (the
+complete graph, GHZ, W and the cluster chain) has a closed form at any
+n (CLOSED_FORMS); the graph of a graph file, or any stabilizer group,
+gets B from the bit-sliced stabilizer count.  So sweep verdicts, and
+detect verdicts on every named family and graph state, are exact
 decisions at the given p, and printed fields are correctly rounded.
 Only detect on raw amplitudes (a squared norm summed from the floats of
 the dense sweep) certifies past a stated worst-case rounding margin.
@@ -210,53 +211,75 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))
 
 
+@lru_cache(maxsize=None)
+def _chain_count(n: int) -> int:
+    """B_n of the n-vertex chain (cluster) state: the subsets S whose element
+    (x = S, z = A S) is full weight, i.e. 0/1 strings whose every 0 has
+    exactly one neighbouring 1: an optional 0, a word that starts with 1
+    and goes on in tokens 1 and 001, and an optional 0.  Such words of
+    length m number f_m = f_(m-1) + f_(m-3) (split off the last token), so
+    B_n = f_n + 2 f_(n-1) + f_(n-2) follows the same recurrence: 3, 4, 5,
+    8, 12, 17, ... from n = 2.  Cached for the sweep's grid."""
+    a, b, c = 1, 1, 3  # B_0, B_1, B_2
+    for _ in range(n):
+        a, b, c = b, c, c + a
+    return a
+
+
 # family name -> (B, C, O, D) of noise_products at n: the one table of
-# the families whose noise products have a closed form
+# the families (the keys of states.FAMILIES), each a closed form
 CLOSED_FORMS = {
     "cg": lambda n: (cg_norm_sq(n), 0, 1, 1),
     "ghz": lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1),
     "w": lambda n: (5 * n - 4, n if n % 2 else -n, n, n),
+    "cluster": lambda n: (_chain_count(n), 0, 1, 1),
 }
 
 
-def noise_products(n: int, family) -> tuple[int, int, int, int]:
+def noise_products(n: int, source) -> tuple[int, int, int, int]:
     """Integer products (B, C, O) = base.base, base.ones, ones.ones of the
     tensors of a state (base) and of |1...1> (ones), times a common
     denominator D, so that the mixture (1-p) base + p ones has the squared
     norm ((1-p)^2 B + 2p(1-p) C + p^2 O) / D.
 
-    family is a name of CLOSED_FORMS, good at any n.  GHZ is local-unitary
-    equivalent to the complete graph state (B = 2^(n-1) + s_n for both);
-    ones is the one all-Z entry (-1)^n, which the complete graph state
-    lacks and GHZ has as 1 at even n, 0 at odd n.  The W state has Z^n at
-    -1 and the C(n, 2) words XX and YY on each qubit pair (Z elsewhere) at
-    2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and C = (-1)^(n+1), over
-    D = n.  Or family is the StabilizerGroup of base, and
-    stabilizer.group_products counts B with the stabilizer walk (so only a
-    group loads numpy), with D = 1.
+    The one place that picks a count source.  source is a name of
+    CLOSED_FORMS, good at any n.  GHZ is local-unitary equivalent to the
+    complete graph state (B = 2^(n-1) + s_n for both); ones is the one
+    all-Z entry (-1)^n, which no graph state has (its elements have
+    x = S) and GHZ has as 1 at even n, 0 at odd n.  The W state has Z^n
+    at -1 and the C(n, 2) words XX and YY on each qubit pair (Z
+    elsewhere) at 2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and
+    C = (-1)^(n+1), over D = n.  Or source is a states.GraphSpec, refused
+    above the walk limit before its group is built, or a StabilizerGroup,
+    and stabilizer.group_products counts B in Python ints, with D = 1.
     """
-    if not isinstance(family, str):
-        if family.n != n:
-            raise ValueError(f"group has {family.n} qubits, not {n}")
-        from .stabilizer import group_products
+    if isinstance(source, str):
+        if source not in CLOSED_FORMS:
+            raise ValueError(f"family must be one of {tuple(CLOSED_FORMS)}, got {source!r}")
+        return CLOSED_FORMS[source](n)
+    if source.n != n:
+        raise ValueError(f"source has {source.n} qubits, not {n}")
+    from . import stabilizer
 
-        return (*group_products(family), 1)
-    if family not in CLOSED_FORMS:
-        raise ValueError(f"family must be one of {tuple(CLOSED_FORMS)}, got {family!r}")
-    return CLOSED_FORMS[family](n)
+    if not isinstance(source, stabilizer.StabilizerGroup):
+        stabilizer.check_walk_limit(n)
+        source = stabilizer.stabilizer_group(source)
+    return (*stabilizer.group_products(source), 1)
 
 
 def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
     """Squared norm of the noisy state over the squared k-sep bound.
 
-    family is a closed-form name or a StabilizerGroup (noise_products).
-    Exact at the float p = u/v it is given: the squared norm is
-    top / (v^2 D) with an integer top, so the verdict is an exact decision
-    at that p and each field is one correctly rounded int / int division.
+    family is any source of noise_products.  Exact at the float p = u/v
+    it is given: the squared norm is top / (v^2 D) with an integer top,
+    so the verdict is an exact decision at that p and each field is one
+    correctly rounded int / int division.  At p = 1 the state is |1...1>
+    alone, (1, 1, 1, 1): a graph or group is not counted then, while a
+    name still reads (and so checks) its closed form.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    b, c, o, den = noise_products(n, family)
+    b, c, o, den = (1, 1, 1, 1) if p == 1.0 and not isinstance(family, str) else noise_products(n, family)
     d = k_sep_bound(n, k).bound_sq
     u, v = p.as_integer_ratio()
     top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v * den

@@ -14,16 +14,18 @@ full_weight_support packs and sorts into a CorrelationTensor (pauli.py)
 of +-1 signs.  The count (full_weight_count) needs no signs and no
 numpy: it bit-slices each chunk into Python ints, one bit per subset,
 and counts its identity-free subsets with one popcount.  group_products
-turns it into the B of the noise quadratic
-(separability.noise_products).  A diagonal group (a basis state such as
-|1...1>) needs neither: its one identity-free element is Z^n.  The complete-graph and GHZ nonzero
-patterns are int64 key arrays, built with no group at all.
+turns it into the B that separability.noise_products reads for a graph
+or a group (every named family has a closed form).  A diagonal group
+(a basis state such as |1...1>) needs neither: its one identity-free
+element is Z^n.  The complete-graph and GHZ nonzero patterns are int64
+key arrays, built with no group at all.
 The groups of the tagged states come from stabilizer_group (a graph
 state, from the neighbour masks of a states.GraphSpec), ghz_group and
 all_ones_group.
 Both passes refuse more than DEFAULT_SUPPORT_LIMIT qubits
-(check_walk_limit), and full_weight_support and the patterns (which
-keep every key) more than PATTERN_LIMIT, with SupportLimitError.
+(check_walk_limit, which noise_products calls before it builds a
+graph's group), and full_weight_support and the patterns (which keep
+every key) more than PATTERN_LIMIT, with SupportLimitError.
 Single expectations are O(n) membership solves.  numpy is imported only
 where arrays are built, so groups, expectations and the count start
 without it.
@@ -144,18 +146,6 @@ class StabilizerGroup:
     def diagonal(self) -> bool:
         """True when every generator is X-free, so the group is that of a basis state."""
         return not any(x for x, _, _ in self.generators)
-
-    def generator_words(self) -> list[str]:
-        """Generators rendered as signed Pauli words, for inspection."""
-        words = []
-        for x, z, s in self.generators:
-            letters = []
-            for a in range(self.n):
-                bit = 1 << (self.n - 1 - a)
-                code = (2 if x & bit else 0) + (1 if z & bit else 0)
-                letters.append("IZXY"[code])
-            words.append(("+" if s == 1 else "-") + "".join(letters))
-        return words
 
 
 def stabilizer_group(spec) -> StabilizerGroup:

@@ -15,11 +15,10 @@ amplitudes may be off normalization by up to 1e-6; they are renormalized
 on load with a warning.
 
 Loading checks the whole document but builds no state: a LoadedState
-builds its ensemble (the group, the amplitudes) the first time it is
-read, and at p = 1 it builds only |1...1>, never the base state.  So
-loading a family or graph document loads no numpy, and detect decides a
-cg, GHZ or W file from n and p alone.  Only raw amplitudes are parsed
-into a numpy array on load.
+keeps its base state's source (a family name, the GraphSpec of a graph
+document, raw amplitudes), which detect hands to separability.xi_noise,
+and builds its ensemble only when it is read (at p = 1, |1...1> alone).
+So only raw amplitudes are parsed into a numpy array on load.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 # lazy modules (graphsep/__init__.py): pauli is loaded when an ensemble is
 # built, and states (numpy-free at import) when a family document is read
@@ -45,17 +44,23 @@ class StateFileError(ValueError):
 
 @dataclass(frozen=True)
 class LoadedState:
-    """Parsed state file: its provenance fields, and the ensemble, which
-    build() makes the first time it is read."""
+    """Parsed state file: its provenance fields, its base state's source
+    (a family name, a GraphSpec or a PureState) and the ensemble, built
+    from the source on first read."""
 
     n: int
     family: str | None
     p: float | None
-    build: object = field(repr=False, compare=False)
+    source: object = field(repr=False, compare=False)
 
     @cached_property
     def ensemble(self) -> pauli.MixedEnsemble:
-        return self.build()
+        if self.p == 1.0:  # |1...1> alone: noisy_mixture would discard the base state, so none is built
+            return pauli.pure_ensemble(states.all_ones_state(self.n))
+        base = self.source
+        if self.family is not None:
+            base = states.graph_state(base) if self.family == "graph" else states.FAMILIES[base](self.n)
+        return pauli.pure_ensemble(base) if self.p is None else states.noisy_mixture(base, self.p)
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -87,7 +92,7 @@ def loads_state(text: str) -> LoadedState:
     if "amplitudes" in doc:
         if "edges" in doc or "p" in doc:
             raise StateFileError("'edges' and 'p' do not apply to raw amplitudes")
-        return LoadedState(n, None, None, partial(pauli.pure_ensemble, _parse_amplitudes(doc["amplitudes"], n)))
+        return LoadedState(n, None, None, _parse_amplitudes(doc["amplitudes"], n))
 
     family = doc["family"]
     names = (*states.FAMILIES, "graph")
@@ -99,27 +104,19 @@ def loads_state(text: str) -> LoadedState:
     if family == "graph":
         if "edges" not in doc:
             raise StateFileError("family 'graph' requires an 'edges' list")
-        make_base = partial(states.graph_state, states.GraphSpec(n, _parse_edges(doc["edges"])))
+        source = states.GraphSpec(n, _parse_edges(doc["edges"]))
     else:
         if "edges" in doc:
             raise StateFileError(f"'edges' only applies to family 'graph', not {family!r}")
-        make_base = partial(states.FAMILIES[family], n)
+        source = family
         if n < 2:
             # no family takes one qubit, and each constructor refuses it in
             # its own words before it builds anything or loads numpy
             try:
-                make_base()
+                states.FAMILIES[family](n)
             except ValueError as exc:
                 raise StateFileError(str(exc)) from None
-    p = None if p is None else float(p)
-    return LoadedState(n, family, p, partial(_ensemble, make_base, n, p))
-
-
-def _ensemble(make_base, n: int, p: float | None) -> pauli.MixedEnsemble:
-    if p == 1.0:  # |1...1> alone: noisy_mixture would discard the base state, so none is built
-        return pauli.pure_ensemble(states.all_ones_state(n))
-    base = make_base()
-    return pauli.pure_ensemble(base) if p is None else states.noisy_mixture(base, p)
+    return LoadedState(n, family, None if p is None else float(p), source)
 
 
 def _parse_edges(raw) -> tuple:

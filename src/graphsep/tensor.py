@@ -21,8 +21,8 @@ copy, PureState(n, state.amplitudes).
 
 full_tensor is the dense path of detect (raw amplitudes) and an
 inspection tool for everything else.  The criterion needs only the
-squared norm, and for a named family or a tagged state (or one mixed
-with |1...1> noise) that is the exact quadratic of
+squared norm, and for a named family, a graph or a tagged state (or one
+mixed with |1...1> noise) that is the exact quadratic of
 separability.noise_products: detect and every norm-table row read it,
 with no tensor or amplitude built.  numpy is imported only where a
 tensor or a settings list is built (full_tensor, measurement_settings),
@@ -35,7 +35,7 @@ import math
 import os
 
 from .pauli import IMAG_TOL, CorrelationTensor, PureState, pack_index, packed_keys, pure_ensemble
-from .separability import CLOSED_FORMS, noise_products
+from .separability import noise_products
 from .stabilizer import cg_nonzero_pattern, full_weight_support
 from .states import FAMILIES
 
@@ -179,10 +179,9 @@ def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.
 def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:
     """(family, n, squared norm) rows, family-major then n ascending.
 
-    Each row is the exact B / D of noise_products, correctly rounded: the
-    closed form for cg, GHZ and W, the bit-sliced count over the group
-    of the family's state for the others (a deferred state: its
-    amplitudes are never built).
+    Each row is the exact B / D of the family's closed form
+    (noise_products), correctly rounded: no state, group or count is
+    built, at any n.
     """
     fams = list(families)
     names = tuple(FAMILIES)
@@ -194,6 +193,6 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
     rows = []
     for family in fams:
         for n in range(n_min, n_max + 1):
-            b, _, _, d = noise_products(n, family if family in CLOSED_FORMS else FAMILIES[family](n).stabilizer)
+            b, _, _, d = noise_products(n, family)
             rows.append((family, n, b / d))
     return rows

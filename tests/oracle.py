@@ -106,6 +106,18 @@ def star_graph(n: int) -> GraphSpec:
     return GraphSpec(n, ((1, b) for b in range(2, n + 1)))
 
 
+def generator_words(g) -> list:
+    """The generators of a StabilizerGroup as signed Pauli words, qubit 1 first."""
+    words = []
+    for x, z, s in g.generators:
+        letters = []
+        for a in range(g.n):
+            bit = 1 << (g.n - 1 - a)
+            letters.append("IZXY"[(2 if x & bit else 0) + (1 if z & bit else 0)])
+        words.append(("+" if s == 1 else "-") + "".join(letters))
+    return words
+
+
 def key_words(keys, n: int) -> list:
     """Pauli words of base-3 packed keys (X, Y, Z -> digits 0, 1, 2, qubit 1 most significant)."""
     words = []
@@ -297,20 +309,48 @@ def dp_bound_sq(n: int, k: int) -> int:
     return rows[k - 1][True][spare]
 
 
+def chain_string_counts(n_max: int) -> list:
+    """counts[n] for n = 0..n_max: the 0/1 strings of length n in which
+    every 0 has exactly one neighbouring 1.
+
+    These are the vertex subsets S of the n-vertex chain (1 = in S) whose
+    graph-state element (x = S, z = A S) is identity-free, so counts[n]
+    is the cluster state's B.  One left-to-right pass: a string's state
+    is its last letter and, for a 0, how many 1s it has seen on its left;
+    adding a letter settles the last 0 (it needs exactly one 1 in all).
+    """
+    paths = {(1, 0): 1, (0, 0): 1}  # the strings of length 1 by (last letter, 1s left of a last 0)
+    counts = [1, 1]  # the empty string; "1" ("0" has no neighbour)
+    for _ in range(2, n_max + 1):
+        grown = {}
+        for (last, seen), ways in paths.items():
+            for letter in (0, 1):
+                if last == 0 and seen + letter != 1:
+                    continue
+                state = (letter, last if letter == 0 else 0)
+                grown[state] = grown.get(state, 0) + ways
+        paths = grown
+        counts.append(sum(ways for (last, seen), ways in paths.items() if last == 1 or seen == 1))
+    return counts[:n_max + 1]
+
+
 def exact_noise_products(family: str, n: int) -> tuple:
-    """(B, C, O) of the cg, GHZ or W state as Fractions: B = 2^(n-1) + s_n
-    for cg and GHZ, and 5 - 4/n for W (Z^n at -1, the XX and YY pairs at
-    2/n); C the all-Z entry it shares with |1...1>, times (-1)^n (GHZ at
-    even n only; -1 for W); O = 1."""
+    """(B, C, O) of the cg, GHZ, W or cluster state as Fractions:
+    B = 2^(n-1) + s_n for cg and GHZ, 5 - 4/n for W (Z^n at -1, the XX and
+    YY pairs at 2/n) and the chain's string count for cluster; C the all-Z
+    entry it shares with |1...1>, times (-1)^n (GHZ at even n only; -1 for
+    W; none for a graph state); O = 1."""
     if family == "w":
         return Fraction(5) - Fraction(4, n), Fraction((-1) ** (n + 1)), Fraction(1)
+    if family == "cluster":
+        return Fraction(chain_string_counts(n)[n]), Fraction(0), Fraction(1)
     return Fraction(_block(n)), Fraction(1 - n % 2 if family == "ghz" else 0), Fraction(1)
 
 
 def exact_noise_norm_sq(family: str, n: int, p: float) -> Fraction:
-    """Squared tensor norm of the cg, GHZ or W state mixed with |1...1> at
-    weight p, as an exact Fraction of the float p: (1-p)^2 B + 2p(1-p) C
-    + p^2 O (exact_noise_products)."""
+    """Squared tensor norm of the cg, GHZ, W or cluster state mixed with
+    |1...1> at weight p, as an exact Fraction of the float p:
+    (1-p)^2 B + 2p(1-p) C + p^2 O (exact_noise_products)."""
     q = Fraction(p)
     b, c, o = exact_noise_products(family, n)
     return (1 - q) ** 2 * b + 2 * q * (1 - q) * c + q * q * o

@@ -21,7 +21,15 @@ from graphsep import (
 )
 from graphsep.cli import MAX_P_STEPS, main
 
-from oracle import brute_k_sep_bound, exact_noise_threshold, untagged
+from oracle import (
+    brute_k_sep_bound,
+    chain_string_counts,
+    exact_noise_norm_sq,
+    exact_noise_products,
+    exact_noise_threshold,
+    exact_verdict,
+    untagged,
+)
 
 
 def run(capsys, *argv):
@@ -82,9 +90,13 @@ def test_norms_resource_limit_exits_2(capsys, monkeypatch, tmp_path):
         "graphsep: error: dense sweep over 3^11 words exceeds the 10-qubit limit"
         " (raise GRAPHSEP_DENSE_LIMIT to override)\n"
     )
-    # and norms still exits 2 at the stabilizer walk's limit
+    # cluster rows are a closed form too, past the walk limit, and an unknown name is still refused
     code, out, err = run(capsys, "norms", "--families", "cluster", "--n-min", "27", "--n-max", "27")
-    assert code == 2 and out == "" and err.startswith("graphsep: error: ") and err.count("\n") == 1
+    b = chain_string_counts(27)[27]
+    assert (code, out, err) == (0, f"family,n,norm_sq,norm\ncluster,27,{b},{math.sqrt(b):.12g}\n", "")
+    code, out, err = run(capsys, "norms", "--families", "cluster,bogus", "--n-min", "27", "--n-max", "27")
+    assert (code, out) == (1, "")
+    assert err == "graphsep: error: unknown family 'bogus'; expected one of ('cg', 'ghz', 'w', 'cluster')\n"
 
 
 def test_dense_limit_must_be_an_integer(capsys, monkeypatch, tmp_path):
@@ -128,10 +140,14 @@ def test_norms_text_rows_are_the_exact_values(capsys):
     for row in json.loads(out):
         assert row["norm_sq"] == float(Fraction(5) - Fraction(4, row["n"]))  # correctly rounded
         assert row["norm"] == math.sqrt(row["norm_sq"])
-    # and at any n
+    # and at any n, the cluster rows against the oracle's string count
     code, out, _ = run(capsys, "norms", "--families", "w", "--n-min", "999", "--n-max", "1000")
     want = [f"w,{n},{5 - 4 / n:.12g},{math.sqrt(5 - 4 / n):.12g}" for n in (999, 1000)]
     assert (code, out.splitlines()[1:]) == (0, want)
+    counts = chain_string_counts(1000)
+    for n in (30, 1000):
+        code, out, _ = run(capsys, "norms", "--families", "cluster", "--n-min", str(n), "--n-max", str(n))
+        assert (code, out.splitlines()[1:]) == (0, [f"cluster,{n},{float(counts[n]):.12g},{math.sqrt(counts[n]):.12g}"])
 
 
 def test_bounds_n7(capsys):
@@ -312,8 +328,11 @@ def test_detect_json_xi_uses_exact_bound(capsys, tmp_path):
 
 
 def test_sweep_rejects_bad_flags(capsys):
-    # cluster has no closed form, so it is no --family choice; W is one now
-    assert run(capsys, "sweep", "--family", "cluster", "--n", "4", "--k", "2")[0] == 1
+    # every family has a closed form, so every family is a --family choice; an unknown name is not
+    assert run(capsys, "sweep", "--family", "bogus", "--n", "4", "--k", "2")[0] == 1
+    code, out, _ = run(capsys, "sweep", "--family", "cluster", "--n", "6", "--k", "3", "--p-steps", "2")
+    # B_6 = 12 against the k = 3 bound 12: xi = 1 at p = 0, then |1...1> alone at p = 1
+    assert (code, out.splitlines()[3:]) == (0, ["0,12,12,1,Inconclusive", "1,1,12,0.0833333333333,Inconclusive"])
     assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "5")[0] == 1
     assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "2")[0] == 0
     assert run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "9")[0] == 1
@@ -376,8 +395,8 @@ def test_library_runtime_error_is_one_line_exit_1(capsys, monkeypatch, tmp_path)
         raise RuntimeError("stabilizer product has non-real phase")
 
     monkeypatch.setattr(stabilizer, "full_weight_count", fail)  # the count, read for B
-    path = tmp_path / "cluster4.json"
-    path.write_text(json.dumps({"family": "cluster", "n": 4}))
+    path = tmp_path / "path4.json"
+    path.write_text(json.dumps({"family": "graph", "n": 4, "edges": _path_edges(4)}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert (code, out) == (1, "")
     assert err == "graphsep: error: stabilizer product has non-real phase\n"
@@ -401,35 +420,81 @@ def test_settings_above_the_cap_exits_2(capsys):
     assert err == "graphsep: error: pattern of 2^39 words exceeds the 22-qubit limit\n"
 
 
+def _path_edges(n):
+    return [[a, a + 1] for a in range(1, n)]
+
+
 def test_detect_beyond_the_walk_limit(capsys, tmp_path):
-    path = tmp_path / "cluster30.json"
-    path.write_text('{"family": "cluster", "n": 30}')
+    path = tmp_path / "path27.json"
+    path.write_text(json.dumps({"family": "graph", "n": 27, "edges": _path_edges(27)}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert code == 2 and out == ""
-    assert err == "graphsep: error: stabilizer walk over 2^30 generator subsets exceeds the 26-qubit limit\n"
-    # at p = 1 the state is |1...1>, whose one full-weight element needs no walk
-    path.write_text('{"family": "cluster", "n": 30, "p": 1}')
+    assert err == "graphsep: error: stabilizer walk over 2^27 generator subsets exceeds the 26-qubit limit\n"
+    # at p = 1 the state is |1...1>, whose products need no count
+    path.write_text(json.dumps({"family": "graph", "n": 27, "edges": _path_edges(27), "p": 1}))
     code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert code == 0
     assert "norm=1\n" in out and "verdict=Inconclusive" in out
-    # the complete graph has its closed form, so it needs no walk at all
-    path.write_text('{"family": "cg", "n": 30}')
-    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
-    assert (code, err) == (0, "")
-    assert out.splitlines()[2:] == [
-        f"norm={math.sqrt(2 ** 29 + 1):.12g}", f"bound={math.sqrt(3 * (2 ** 27 + 1)):.12g}", "partition=2|28",
-        "verdict=NonKSeparable",
-    ]
+    # the same chain by name, and the complete graph, have their closed forms, so they need no walk at all
+    for family, b, d, partition, verdict in (
+        ("cluster", 112827, 3 * (2 ** 27 + 1), "2|28", "Inconclusive"),
+        ("cg", 2 ** 29 + 1, 3 * (2 ** 27 + 1), "2|28", "NonKSeparable"),
+    ):
+        path.write_text(json.dumps({"family": family, "n": 30}))
+        code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            f"norm={math.sqrt(b):.12g}", f"bound={math.sqrt(d):.12g}", f"partition={partition}", f"verdict={verdict}",
+        ]
 
 
 @pytest.mark.parametrize("n,noise", [(27, {}), (5000, {"p": 0.1}), (5000, {"p": 0.0})])
 def test_detect_refuses_before_building_the_group(capsys, tmp_path, monkeypatch, n, noise):
     monkeypatch.setattr(stabilizer, "stabilizer_group", None)  # building a group would now raise TypeError
-    path = tmp_path / "cluster.json"
-    path.write_text(json.dumps({"family": "cluster", "n": n, **noise}))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"family": "graph", "n": n, "edges": _path_edges(n), **noise}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert (code, out) == (2, "")
     assert err == f"graphsep: error: stabilizer walk over 2^{n} generator subsets exceeds the 26-qubit limit\n"
+
+
+def test_detect_at_p1_builds_no_group(capsys, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a StabilizerGroup was built")
+
+    monkeypatch.setattr(stabilizer.StabilizerGroup, "__init__", fail)
+    path = tmp_path / "state.json"
+    for doc, k in (
+        ({"family": "cluster", "n": 5000, "p": 1}, 4999),
+        ({"family": "graph", "n": 8, "edges": [[1, 2], [2, 3], [3, 1], [4, 8], [5, 6]], "p": 1}, 3),
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", str(k))
+        assert (code, err) == (0, "")
+        assert "norm=1\n" in out and out.endswith("verdict=Inconclusive\n")
+    # a name is still checked at p = 1
+    with pytest.raises(ValueError, match="bogus"):
+        separability.xi_noise(5, 2, 1.0, "bogus")
+    # and the patch does stop a group
+    with pytest.raises(AssertionError):
+        stabilizer_group(chain_graph(3))
+
+
+@pytest.mark.parametrize("n", [30, 1000])
+def test_cluster_sweep_matches_the_oracle(capsys, n):
+    for k in (2, 3, n - 3, n - 2, n - 1, n):
+        _, d = brute_k_sep_bound(n, k)
+        code, out, err = run(capsys, "sweep", "--family", "cluster", "--n", str(n), "--k", str(k), "--p-steps", "11")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        b, c, o = exact_noise_products("cluster", n)
+        want = exact_noise_threshold(b, c, o, d)
+        assert lines[1] == f"# threshold_p={'NA' if want is None else format(float(want), '.12g')}"
+        rows = []
+        for p in (i / 10 for i in range(11)):
+            x = exact_noise_norm_sq("cluster", n, p)
+            rows.append(f"{p:.12g},{float(x):.12g},{float(d):.12g},{float(x / d):.12g},{exact_verdict(x, d)}")
+        assert lines[3:] == rows
 
 
 @pytest.mark.parametrize("family,p", [("cg", 0.1), ("cg", None), ("ghz", 0.1), ("ghz", None)])

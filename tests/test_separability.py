@@ -235,8 +235,11 @@ def test_xi_noise_cg_values():
         assert xi_noise(n, 2, 1.0).numerator == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         xi_noise(6, 2, 1.5)
+    # cluster: B_6 = 12, C = 0, so at p = 0.5 the squared norm is (12 + 1) / 4 over the k = 2 bound 27
+    res = xi_noise(6, 2, 0.5, family="cluster")
+    assert (res.numerator, res.xi) == (13 / 4, 13 / 108)
     with pytest.raises(ValueError):
-        xi_noise(6, 2, 0.5, family="cluster")  # no closed form: its group goes instead
+        xi_noise(6, 2, 0.5, family="bogus")
     # W: 5 - 4/n = 13/3 at n = 6, over the k = 2 bound 27
     assert xi_noise(6, 2, 0.0, family="w").xi == 13 / 81
 
@@ -346,8 +349,8 @@ def test_group_products_are_the_closed_forms(n):
     # B by the walk's count, C by one membership solve, O = 1
     assert separability.noise_products(n, stabilizer_group(complete_graph(n))) == separability.noise_products(n, "cg")
     assert separability.noise_products(n, ghz_group(n)) == separability.noise_products(n, "ghz")
-    b, c, o, den = separability.noise_products(n, stabilizer_group(chain_graph(n)))
-    assert (c, o, den) == (0, 1, 1)  # Z^n is no graph-state group element
+    assert separability.noise_products(n, stabilizer_group(chain_graph(n))) == separability.noise_products(n, "cluster")
+    assert separability.noise_products(n, chain_graph(n)) == separability.noise_products(n, "cluster")
     assert threshold_p(n, 2, stabilizer_group(complete_graph(n))) == threshold_p(n, 2)
     with pytest.raises(ValueError, match="not"):
         separability.noise_products(n + 1, ghz_group(n))
@@ -364,7 +367,7 @@ def test_xi_verdict_is_the_strict_detection_rule():
 
 
 @pytest.mark.parametrize("n", [12, 29, 30, 515, 600, 1000])
-@pytest.mark.parametrize("family", ["cg", "ghz", "w"])
+@pytest.mark.parametrize("family", ["cg", "ghz", "w", "cluster"])
 def test_threshold_matches_exact_root_at_large_n(n, family):
     # the discriminant passes 2^1024 from about n = 512 on, while every
     # sweep row still fits a float; k = n puts the root next to 1
@@ -401,7 +404,7 @@ def test_sweep_verdicts_match_exact_fractions():
     # the 11-step grid is part of the 101-step one: i/10 and 10i/100 round alike
     grid = sorted({i / 10 for i in range(11)} | {i / 100 for i in range(101)})
     disagreements = 0
-    for family in ("cg", "ghz", "w"):
+    for family in ("cg", "ghz", "w", "cluster"):
         for n in range(2, 61):
             disagreements += _exact_disagreements(family, n, range(2, n + 1), grid)
     assert disagreements == 0
@@ -409,11 +412,11 @@ def test_sweep_verdicts_match_exact_fractions():
 
 def test_near_threshold_verdicts_match_exact_fractions():
     disagreements = 0
-    for family in ("cg", "ghz", "w"):
+    for family in ("cg", "ghz", "w", "cluster"):
         for n in range(2, 40):
             for k in range(2, n + 1):
                 t = exact_noise_threshold(*exact_noise_products(family, n), dp_bound_sq(n, k))
-                if t is None:  # W certifies only k >= n - 2
+                if t is None:  # W certifies only k >= n - 2, cluster only k above about 0.45 n
                     continue
                 near = [float(t)]
                 for _ in range(2):
@@ -422,15 +425,15 @@ def test_near_threshold_verdicts_match_exact_fractions():
     assert disagreements == 0
 
 
-@pytest.mark.parametrize("family", ["cg", "ghz", "w"])
+@pytest.mark.parametrize("family", ["cg", "ghz", "w", "cluster"])
 def test_threshold_within_one_ulp_of_exact_root(family):
     for n in range(2, 61):
         b, c, o = exact_noise_products(family, n)
         for k in range(2, n + 1):
             want = exact_noise_threshold(b, c, o, dp_bound_sq(n, k))
             got = threshold_p(n, k, family)
-            if want is None:
-                assert got is None and family == "w" and k < n - 2, (n, k)
+            if want is None:  # only W below k = n - 2 and cluster at small k certify nothing
+                assert got is None and (family == "w" and k < n - 2 or family == "cluster"), (n, k)
             else:
                 assert abs(got - float(want)) <= math.ulp(float(want)), (n, k)
         # k = n: the bound is 1, with roots (b-1)/(b+1) and 1 (double at 1 when c = 1)

@@ -45,6 +45,7 @@ from oracle import (
     combinations_ghz_pattern,
     dense_expectation,
     dense_full_tensor,
+    generator_words,
     gray_code_support,
     key_words,
     star_graph,
@@ -58,9 +59,9 @@ def random_graph(n, rng):
 
 
 def test_generators_of_reference_graphs():
-    assert stabilizer_group(complete_graph(3)).generator_words() == ["+XZZ", "+ZXZ", "+ZZX"]
-    assert stabilizer_group(chain_graph(3)).generator_words() == ["+XZI", "+ZXZ", "+IZX"]
-    assert stabilizer_group(GraphSpec(2, ())).generator_words() == ["+XI", "+IX"]
+    assert generator_words(stabilizer_group(complete_graph(3))) == ["+XZZ", "+ZXZ", "+ZZX"]
+    assert generator_words(stabilizer_group(chain_graph(3))) == ["+XZI", "+ZXZ", "+IZX"]
+    assert generator_words(stabilizer_group(GraphSpec(2, ()))) == ["+XI", "+IX"]
 
 
 def test_group_validation():

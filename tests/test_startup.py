@@ -41,7 +41,7 @@ def _detect(doc, k, *extra):
     return ["detect", "--state-file", doc, "--k", str(k), *extra]
 
 
-# a cg, GHZ or W file is decided from n and p alone, at any n, and its
+# a family file is decided from n and p alone, at any n, and its
 # errors come before any state is built
 FAMILY_FILES = [
     _detect({"family": family, "n": n, **noise}, n - 2, *fmt)
@@ -62,8 +62,9 @@ def _graph_doc(n, share, seed):
     return {"family": "graph", "n": n, "edges": edges}
 
 
-# graph and cluster files are decided from the bit-sliced count of their
-# group; above the walk limit they are refused before the group is built
+# graph files are decided from the bit-sliced count of their group, and
+# above the walk limit refused before the group is built; cluster files
+# from their closed form, at any n
 COUNTED_FILES = [
     *(_detect({**_graph_doc(n, share, n), **noise}, 3) for n in (8, 20) for share in (4 / n, 0.5)
       for noise in ({}, {"p": 0.1})),
@@ -72,6 +73,8 @@ COUNTED_FILES = [
     _detect({"family": "cluster", "n": 27}, 2),
     _detect({"family": "cluster", "n": 5000, "p": 0.1}, 2),
     _detect(_graph_doc(27, 0.2, 27), 2),
+    _detect({"family": "cluster", "n": 1000, "p": 0.1}, 2),
+    _detect({"family": "graph", "n": 5000, "edges": [[a, a + 1] for a in range(1, 5000)], "p": 0.1}, 2),
 ]
 
 
@@ -91,6 +94,8 @@ COUNTED_FILES = [
         *COUNTED_FILES,
         ["norms"],
         ["norms", "--families", "cg,cluster,ghz,w", "--n-min", "2", "--n-max", "20"],
+        ["norms", "--families", "cluster", "--n-min", "1000", "--n-max", "1000"],
+        ["sweep", "--family", "cluster", "--n", "1000", "--k", "998", "--p-steps", "5"],
     ],
 )
 def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):

@@ -213,3 +213,18 @@ def test_loading_a_large_complete_graph_stays_small():
         tracemalloc.stop()
     assert loaded.n == 300 and loaded.p == 0.1
     assert peak < 1 << 20
+
+
+def test_the_ensemble_at_p1_builds_no_base_state(monkeypatch):
+    # noisy_mixture would discard the base state at p = 1, so it is never built
+    def unbuildable(*args):
+        raise AssertionError("the base state was built")
+
+    monkeypatch.setattr(states, "cluster_state", unbuildable)
+    monkeypatch.setattr(states, "graph_state", unbuildable)
+    for doc in ('{"family": "cluster", "n": 5, "p": 1}', '{"family": "graph", "n": 3, "edges": [[1, 2]], "p": 1}'):
+        (term,) = loads_state(doc).ensemble.terms
+        assert term[0] == 1.0 and term[1].stabilizer.diagonal
+    # the patches do stop a base state
+    with pytest.raises(AssertionError):
+        loads_state('{"family": "cluster", "n": 5, "p": 0.5}').ensemble

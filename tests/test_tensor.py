@@ -45,11 +45,13 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
+from graphsep.separability import CLOSED_FORMS
 from graphsep.stabilizer import all_ones_group
 from graphsep.states import FAMILIES
 
 from oracle import (
     brute_k_sep_bound,
+    chain_string_counts,
     dense_full_tensor,
     dp_bound_sq,
     exact_noise_norm_sq,
@@ -232,7 +234,7 @@ def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
         for family in ("cg", "ghz", "cluster"):
             state = FAMILIES[family](n)
             doc = {"family": family, "n": n} if p is None else {"family": family, "n": n, "p": p}
-            _check_squared_norm(state, p, tol, state.stabilizer if family == "cluster" else family, doc)
+            _check_squared_norm(state, p, tol, family, doc)
         _check_squared_norm(all_ones_state(n), p, tol, all_ones_group(n))
 
 
@@ -246,6 +248,20 @@ def test_detect_decides_w_files_exactly(p):
         ks = range(2, n + 1) if n <= 10 else (2, 3, n - 3, n - 2, n - 1, n)
         bounds = {k: dp_bound_sq(n, k) if n <= 10 else brute_k_sep_bound(n, k)[1] for k in ks}
         for k, d in bounds.items():
+            payload = _detect_json(doc, k)
+            got = (payload["verdict"], payload["xi"], payload["norm"])
+            assert got == (exact_verdict(exact, d), float(exact / d), math.sqrt(float(exact))), (doc, k)
+
+
+@pytest.mark.parametrize("p", (None, *EDGE_P, 0.1))
+def test_detect_decides_cluster_files_exactly(p):
+    # past the walk limit: the oracle's string count in Fractions, the same three fields as for W
+    for n in (30, 1000):
+        exact = exact_noise_norm_sq("cluster", n, p or 0.0)
+        doc = {"family": "cluster", "n": n} if p is None else {"family": "cluster", "n": n, "p": p}
+        ks = range(2, n + 1) if n <= 30 else (2, 3, n - 3, n - 2, n - 1, n)
+        for k in ks:
+            d = dp_bound_sq(n, k) if n <= 30 else brute_k_sep_bound(n, k)[1]
             payload = _detect_json(doc, k)
             got = (payload["verdict"], payload["xi"], payload["norm"])
             assert got == (exact_verdict(exact, d), float(exact / d), math.sqrt(float(exact))), (doc, k)
@@ -266,8 +282,29 @@ def test_noise_products_values():
     ]
     # W over the denominator n: 5 - 4/n, C = (-1)^(n+1), O = 1
     assert [noise_products(n, "w") for n in (2, 3, 1000)] == [(6, -2, 2, 2), (11, 3, 3, 3), (4996, -1000, 1000, 1000)]
+    # the cluster chain by name: the same counts with no group, at any n
+    assert [noise_products(n, "cluster") for n in (2, 3, 4, 5, 30)] == [
+        (3, 0, 1, 1), (4, 0, 1, 1), (5, 0, 1, 1), (8, 0, 1, 1), (112827, 0, 1, 1)
+    ]
     with pytest.raises(ValueError):
-        noise_products(3, "cluster")
+        noise_products(3, "bogus")
+
+
+def test_every_family_has_a_closed_form():
+    assert set(CLOSED_FORMS) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("n", range(2, 27))
+def test_cluster_closed_form_is_the_chain_count(n):
+    # the bit-sliced count of the chain's group, up to the walk limit
+    assert noise_products(n, "cluster") == (full_weight_count(stabilizer_group(chain_graph(n))), 0, 1, 1)
+
+
+def test_cluster_closed_form_is_the_string_count():
+    # an independent count: 0/1 strings in which every 0 has exactly one neighbouring 1
+    counts = chain_string_counts(1199)
+    assert counts[30] == 112827
+    assert [noise_products(n, "cluster")[0] for n in range(2, 1200)] == counts[2:]
 
 
 def test_group_products_count_in_small_memory():
