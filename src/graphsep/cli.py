@@ -3,17 +3,15 @@
 Subcommands: norms (tensor-norm table), bounds (k-separability bounds),
 sweep (noise sweeps as CSV), detect (verdict for a state file), settings
 (sufficient local observables), appendix (permutation-count identity),
-graph (complete graph as DOT text).
+graph (complete graph as DOT text).  Family names are the keys of
+separability.FAMILIES.
 
 Output is CSV on stdout unless --out is given; comment lines start with
 "#"; numeric fields carry 12 significant digits.  Exit codes: 0 success,
 1 usage or input error (also a result beyond the float range, a failed
-internal check or a stdout closed early), 2 resource or output error.
-Verdicts are payload, never exit status.  bounds, sweep, appendix,
-graph and norms load no numpy, and neither does detect on a family or
-graph state file: a family file it decides from n and p alone (every
-family has a closed form), a graph file from the bit-sliced count of
-its group.  Only settings and detect on raw amplitudes load numpy.
+internal check or a stdout closed early), 2 resource or output error
+(out of memory included), each error one line on stderr.  Verdicts are
+payload, never exit status.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ import math
 import os
 import sys
 
-# lazy modules (graphsep/__init__.py): only norms, detect and settings load
-# them, and only settings and detect on raw amplitudes load numpy
+# lazy modules (graphsep/__init__.py), loaded only by the commands that read them
 from . import stabilizer, statefile, states, tensor
-from .separability import CLOSED_FORMS, cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms
+from .separability import FAMILIES, cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms
 from .separability import threshold_p, xi_noise
 
 MAX_P_STEPS = 100_001  # the sweep holds all of its rows before writing any
@@ -50,9 +47,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_families(raw: str | None) -> list[str]:
-    # norm_table checks each name against the family registry
+    # norm_table checks each name (separability.check_family)
     if raw is None:
-        return list(states.FAMILIES)
+        return list(FAMILIES)
     families = [f.strip() for f in raw.split(",") if f.strip()]
     if not families:
         raise ValueError("no families given")
@@ -209,7 +206,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sweep", help="noise sweep of the squared norm against the bound")
-    p.add_argument("--family", choices=tuple(CLOSED_FORMS), default="cg")
+    p.add_argument("--family", choices=tuple(FAMILIES), default="cg")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--p-steps", type=int, default=11, help=f"grid points on [0, 1], 2 to {MAX_P_STEPS}")
@@ -261,9 +258,12 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"graphsep: error: result out of floating-point range ({exc})", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # Python's own carries no message
+        print(f"graphsep: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     # evaluated only for an exception that gets this far, so the lazy
     # modules load only then; the limit errors are RuntimeErrors too
-    except (OSError, MemoryError, tensor.DenseLimitError, stabilizer.SupportLimitError) as exc:
+    except (OSError, tensor.DenseLimitError, stabilizer.SupportLimitError) as exc:
         print(f"graphsep: error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:  # a library consistency check failed

@@ -13,8 +13,7 @@ Conventions used throughout the package:
 
 Expectation values are evaluated with a single O(2^n) pass over the
 amplitude vector (bit flips for X/Y, parity signs for Y/Z); no 2^n x 2^n
-matrix is ever built.  Everything here is a pure function of immutable
-inputs, so callers may evaluate many expectations concurrently.
+matrix is ever built.
 
 numpy is imported inside the functions that build or read arrays, so
 Pauli words, packed indices and deferred states (whose amplitudes are
@@ -199,8 +198,7 @@ class PureState:
     the amplitudes, so only those constructors set it, through
     PureState.deferred.  A deferred state builds its 2^n amplitudes the
     first time ``amplitudes`` is read (and validates them then), so a
-    stabilizer-path caller never allocates them; two threads reading
-    at once may both build the same array, which is harmless.
+    stabilizer-path caller never allocates them.
     """
 
     n: int

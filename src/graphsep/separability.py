@@ -33,10 +33,11 @@ partition.  The work is O(k) integer steps with no search at all.
 Noise is exact too: a state mixed with |1...1> has the squared norm
 ((1-p)^2 B + 2p(1-p) C + p^2 O) / D with integers B, C, O, D
 (noise_products), which xi_noise evaluates exactly at the float p it is
-given and threshold_p solves in integers.  Every named family (the
-complete graph, GHZ, W and the cluster chain) has a closed form at any
-n (CLOSED_FORMS); the graph of a graph file, or any stabilizer group,
-gets B from the bit-sliced stabilizer count.  So sweep verdicts, and
+given and threshold_p solves in integers.  FAMILIES is the one table
+of the named families (the complete graph, GHZ, W and the cluster
+chain), each row a closed form good at any n and a state constructor;
+check_family checks a name against it.  The graph of a graph file, or
+any stabilizer group, gets B from the bit-sliced count.  So sweep verdicts, and
 detect verdicts on every named family and graph state, are exact
 decisions at the given p, and printed fields are correctly rounded.
 Only detect on raw amplitudes (a squared norm summed from the floats of
@@ -52,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -226,14 +228,34 @@ def _chain_count(n: int) -> int:
     return a
 
 
-# family name -> (B, C, O, D) of noise_products at n: the one table of
-# the families (the keys of states.FAMILIES), each a closed form
-CLOSED_FORMS = {
-    "cg": lambda n: (cg_norm_sq(n), 0, 1, 1),
-    "ghz": lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1),
-    "w": lambda n: (5 * n - 4, n if n % 2 else -n, n, n),
-    "cluster": lambda n: (_chain_count(n), 0, 1, 1),
+@dataclass(frozen=True)
+class Family:
+    """A row of FAMILIES: the noise products (B, C, O, D) at n, and build(states, n), the state."""
+
+    products: Callable[[int], tuple]
+    build: Callable[[object, int], object]
+
+    def state(self, n: int):
+        from . import states  # the lazy module: states.py runs only when a state is built
+
+        return self.build(states, n)
+
+
+# family name -> its row.  build looks the constructor up when called, so a
+# wrapped or patched one is the one that runs.
+FAMILIES = {
+    "cg": Family(lambda n: (cg_norm_sq(n), 0, 1, 1), lambda states, n: states.graph_state(states.complete_graph(n))),
+    "ghz": Family(lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1), lambda states, n: states.ghz_state(n)),
+    "w": Family(lambda n: (5 * n - 4, n if n % 2 else -n, n, n), lambda states, n: states.w_state(n)),
+    "cluster": Family(lambda n: (_chain_count(n), 0, 1, 1), lambda states, n: states.cluster_state(n)),
 }
+
+
+def check_family(name, *others) -> None:
+    """Refuse a name that is neither a key of FAMILIES nor one of others (ValueError)."""
+    names = (*FAMILIES, *others)
+    if name not in names:
+        raise ValueError(f"unknown family {name!r}; expected one of {names}")
 
 
 def noise_products(n: int, source) -> tuple[int, int, int, int]:
@@ -243,20 +265,19 @@ def noise_products(n: int, source) -> tuple[int, int, int, int]:
     norm ((1-p)^2 B + 2p(1-p) C + p^2 O) / D.
 
     The one place that picks a count source.  source is a name of
-    CLOSED_FORMS, good at any n.  GHZ is local-unitary equivalent to the
-    complete graph state (B = 2^(n-1) + s_n for both); ones is the one
-    all-Z entry (-1)^n, which no graph state has (its elements have
-    x = S) and GHZ has as 1 at even n, 0 at odd n.  The W state has Z^n
-    at -1 and the C(n, 2) words XX and YY on each qubit pair (Z
-    elsewhere) at 2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and
+    FAMILIES, whose closed form is good at any n.  GHZ is local-unitary
+    equivalent to the complete graph state (B = 2^(n-1) + s_n for both);
+    ones is the one all-Z entry (-1)^n, which no graph state has (its
+    elements have x = S) and GHZ has as 1 at even n, 0 at odd n.  The W
+    state has Z^n at -1 and the C(n, 2) words XX and YY on each qubit pair
+    (Z elsewhere) at 2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and
     C = (-1)^(n+1), over D = n.  Or source is a states.GraphSpec, refused
     above the walk limit before its group is built, or a StabilizerGroup,
     and stabilizer.group_products counts B in Python ints, with D = 1.
     """
     if isinstance(source, str):
-        if source not in CLOSED_FORMS:
-            raise ValueError(f"family must be one of {tuple(CLOSED_FORMS)}, got {source!r}")
-        return CLOSED_FORMS[source](n)
+        check_family(source)
+        return FAMILIES[source].products(n)
     if source.n != n:
         raise ValueError(f"source has {source.n} qubits, not {n}")
     from . import stabilizer
@@ -274,12 +295,14 @@ def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
     it is given: the squared norm is top / (v^2 D) with an integer top,
     so the verdict is an exact decision at that p and each field is one
     correctly rounded int / int division.  At p = 1 the state is |1...1>
-    alone, (1, 1, 1, 1): a graph or group is not counted then, while a
-    name still reads (and so checks) its closed form.
+    alone, (1, 1, 1, 1), and no products are built (a name is still
+    checked).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    b, c, o, den = (1, 1, 1, 1) if p == 1.0 and not isinstance(family, str) else noise_products(n, family)
+    if p == 1.0 and isinstance(family, str):
+        check_family(family)
+    b, c, o, den = (1, 1, 1, 1) if p == 1.0 else noise_products(n, family)
     d = k_sep_bound(n, k).bound_sq
     u, v = p.as_integer_ratio()
     top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v * den
@@ -315,7 +338,9 @@ def threshold_p(n: int, k: int, family="cg") -> float | None:
 
     The correctly rounded root of (1-p)^2 B + 2p(1-p) C + p^2 O = D bound_sq
     (noise_products), solved in integers; None if none lies in [0, 1].
+    The bound is read first: it refuses a bad k, or a bound beyond the
+    float range, before the products are built.
     """
-    b, c, o, den = noise_products(n, family)
     d = k_sep_bound(n, k).bound_sq
+    b, c, o, den = noise_products(n, family)
     return _first_root(b - 2 * c + o, 2 * (c - b), b - den * d)

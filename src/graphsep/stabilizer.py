@@ -22,10 +22,11 @@ key arrays, built with no group at all.
 The groups of the tagged states come from stabilizer_group (a graph
 state, from the neighbour masks of a states.GraphSpec), ghz_group and
 all_ones_group.
-Both passes refuse more than DEFAULT_SUPPORT_LIMIT qubits
-(check_walk_limit, which noise_products calls before it builds a
-graph's group), and full_weight_support and the patterns (which keep
-every key) more than PATTERN_LIMIT, with SupportLimitError.
+The count refuses more than DEFAULT_SUPPORT_LIMIT qubits
+(check_walk_limit, which noise_products also calls before it builds a
+graph's group), and full_weight_support (the walk's one caller) and the
+patterns, which keep every key, more than PATTERN_LIMIT, with
+SupportLimitError.
 Single expectations are O(n) membership solves.  numpy is imported only
 where arrays are built, so groups, expectations and the count start
 without it.
@@ -196,11 +197,9 @@ def _walk(g: StabilizerGroup):
     whole chunk, using Z^z X^hx = (-1)^popcount(z & hx) X^hx Z^z.
     Elements with x | z full are kept (S = 0, the identity, never is),
     and every kept phase is checked to be real.  Memory is O(2^b)
-    whatever n; above DEFAULT_SUPPORT_LIMIT qubits the walk raises
-    SupportLimitError before allocating anything.
+    whatever n.
     """
     n = g.n
-    check_walk_limit(n)
     import numpy as np
 
     full = (1 << n) - 1

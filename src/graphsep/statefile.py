@@ -14,11 +14,11 @@ with qubit 1 in the most significant bit of the amplitude index.  Raw
 amplitudes may be off normalization by up to 1e-6; they are renormalized
 on load with a warning.
 
+Family names are the keys of separability.FAMILIES, plus "graph".
 Loading checks the whole document but builds no state: a LoadedState
 keeps its base state's source (a family name, the GraphSpec of a graph
 document, raw amplitudes), which detect hands to separability.xi_noise,
 and builds its ensemble only when it is read (at p = 1, |1...1> alone).
-So only raw amplitudes are parsed into a numpy array on load.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
-# lazy modules (graphsep/__init__.py): pauli is loaded when an ensemble is
-# built, and states (numpy-free at import) when a family document is read
+# lazy modules (graphsep/__init__.py), loaded when an ensemble is built or
+# (states) a graph document is read
 from . import pauli, states
+from .separability import FAMILIES, check_family
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
 
@@ -59,7 +60,7 @@ class LoadedState:
             return pauli.pure_ensemble(states.all_ones_state(self.n))
         base = self.source
         if self.family is not None:
-            base = states.graph_state(base) if self.family == "graph" else states.FAMILIES[base](self.n)
+            base = states.graph_state(base) if self.family == "graph" else FAMILIES[base].state(self.n)
         return pauli.pure_ensemble(base) if self.p is None else states.noisy_mixture(base, self.p)
 
 
@@ -95,9 +96,10 @@ def loads_state(text: str) -> LoadedState:
         return LoadedState(n, None, None, _parse_amplitudes(doc["amplitudes"], n))
 
     family = doc["family"]
-    names = (*states.FAMILIES, "graph")
-    if family not in names:
-        raise StateFileError(f"unknown family {family!r}; expected one of {names}")
+    try:
+        check_family(family, "graph")
+    except ValueError as exc:
+        raise StateFileError(str(exc)) from None
     p = doc.get("p")
     if p is not None and (not _is_number(p) or not 0.0 <= float(p) <= 1.0):
         raise StateFileError(f"'p' must be a number in [0, 1], got {p!r}")
@@ -113,7 +115,7 @@ def loads_state(text: str) -> LoadedState:
             # no family takes one qubit, and each constructor refuses it in
             # its own words before it builds anything or loads numpy
             try:
-                states.FAMILIES[family](n)
+                FAMILIES[family].state(n)
             except ValueError as exc:
                 raise StateFileError(str(exc)) from None
     return LoadedState(n, family, None if p is None else float(p), source)
@@ -131,8 +133,9 @@ def _parse_edges(raw) -> tuple:
 
 
 def _parse_amplitudes(raw, n: int) -> pauli.PureState:
-    if not isinstance(raw, list) or len(raw) != 1 << n:
-        raise StateFileError(f"'amplitudes' must list exactly 2^{n} = {1 << n} entries")
+    # no list reaches 2^64 entries, so a larger n is refused without forming 1 << n
+    if not isinstance(raw, list) or len(raw) != 1 << min(n, 64):
+        raise StateFileError(f"'amplitudes' must list exactly 2^{n} entries")
     import numpy as np
 
     amps = np.empty(1 << n, dtype=np.complex128)

@@ -16,17 +16,8 @@ exact noise quadratic (separability.noise_products); W states and raw
 amplitudes carry no tag.  Every constructor defers its amplitudes
 (PureState.deferred): a call costs at most the O(n^2) group, and the
 2^n amplitudes are built only if something reads them (the dense path,
-expectation, write_amplitude_file).  FAMILIES is the one table of the
-named state constructors, read by the norm table, the state-file loader
-and the CLI; separability.CLOSED_FORMS holds the noise products of each
-under the same names, so a named family is decided without its state.
-
-Importing this module loads no numpy, and neither does a constructor:
-pauli and stabilizer import numpy only inside the functions that build
-arrays, and this module only where amplitudes are built.  So the graph
-command, the state-file loader (which reads GraphSpec and FAMILIES) and
-detect on a graph file (which counts only its group) start without
-numpy.
+expectation, write_amplitude_file).  separability.FAMILIES names the
+constructor of each named family.
 """
 
 from __future__ import annotations
@@ -164,13 +155,3 @@ def noisy_mixture(base: pauli.PureState, p: float) -> pauli.MixedEnsemble:
         return pauli.MixedEnsemble(((1.0, all_ones_state(base.n)),))
     return pauli.MixedEnsemble(((1.0 - p, base), (p, all_ones_state(base.n))))
 
-
-# name -> state constructor, taking the qubit count (the names of
-# separability.CLOSED_FORMS).  The lambdas look the module functions up
-# when called, so a wrapped or patched constructor is the one that runs.
-FAMILIES = {
-    "cg": lambda n: graph_state(complete_graph(n)),
-    "ghz": lambda n: ghz_state(n),
-    "w": lambda n: w_state(n),
-    "cluster": lambda n: cluster_state(n),
-}

@@ -20,13 +20,9 @@ chunks of masks.  The dense reference of a tagged state is its untagged
 copy, PureState(n, state.amplitudes).
 
 full_tensor is the dense path of detect (raw amplitudes) and an
-inspection tool for everything else.  The criterion needs only the
-squared norm, and for a named family, a graph or a tagged state (or one
-mixed with |1...1> noise) that is the exact quadratic of
-separability.noise_products: detect and every norm-table row read it,
-with no tensor or amplitude built.  numpy is imported only where a
-tensor or a settings list is built (full_tensor, measurement_settings),
-so norm_table, and with it every norms row, starts without it.
+inspection tool for everything else: the criterion needs only the
+squared norm, which detect on any other state and every norm-table row
+read from separability.noise_products, with no tensor built.
 """
 
 from __future__ import annotations
@@ -35,9 +31,8 @@ import math
 import os
 
 from .pauli import IMAG_TOL, CorrelationTensor, PureState, pack_index, packed_keys, pure_ensemble
-from .separability import noise_products
+from .separability import check_family, noise_products
 from .stabilizer import cg_nonzero_pattern, full_weight_support
-from .states import FAMILIES
 
 DEFAULT_DENSE_LIMIT = 10
 DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
@@ -184,10 +179,8 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
     built, at any n.
     """
     fams = list(families)
-    names = tuple(FAMILIES)
     for family in fams:
-        if family not in names:
-            raise ValueError(f"unknown family {family!r}; expected one of {names}")
+        check_family(family)
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -19,6 +20,7 @@ from graphsep import (
     stabilizer_group,
     write_amplitude_file,
 )
+from graphsep import cli
 from graphsep.cli import MAX_P_STEPS, main
 
 from oracle import (
@@ -73,6 +75,8 @@ def test_norms_bad_family_exits_1(capsys):
     code, _, err = run(capsys, "norms", "--families", "bogus")
     assert code == 1
     assert "unknown family" in err
+    for raw in (",", " , ,", ""):
+        assert run(capsys, "norms", "--families", raw) == (1, "", "graphsep: error: no families given\n")
 
 
 def test_norms_resource_limit_exits_2(capsys, monkeypatch, tmp_path):
@@ -388,6 +392,27 @@ def test_detect_malformed_file_exits_1(capsys, tmp_path):
     assert code == 1 and "error" in err
     code, _, _ = run(capsys, "detect", "--state-file", str(tmp_path / "missing.json"), "--k", "2")
     assert code == 1
+    # k outside 2..n, for a family and for raw amplitudes
+    path.write_text('{"family": "cg", "n": 5}')
+    for k in ("6", "1"):
+        want = f"graphsep: error: need 2 <= k <= n, got k={k} for an n=5 state\n"
+        assert run(capsys, "detect", "--state-file", str(path), "--k", k) == (1, "", want)
+    path.write_text(json.dumps({"n": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    want = "graphsep: error: need 2 <= k <= n, got k=3 for an n=2 state\n"
+    assert run(capsys, "detect", "--state-file", str(path), "--k", "3") == (1, "", want)
+
+
+@pytest.mark.parametrize(
+    "exc,message",
+    [(MemoryError(), "out of memory"), (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB")],
+)
+def test_memory_error_is_one_line_exit_2(capsys, monkeypatch, exc, message):
+    # Python's own MemoryError has no message; the line still names the cause
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "k_sep_bound", fail)
+    assert run(capsys, "bounds", "--n", "7") == (2, "", f"graphsep: error: {message}\n")
 
 
 def test_library_runtime_error_is_one_line_exit_1(capsys, monkeypatch, tmp_path):
@@ -478,6 +503,32 @@ def test_detect_at_p1_builds_no_group(capsys, tmp_path, monkeypatch):
     # and the patch does stop a group
     with pytest.raises(AssertionError):
         stabilizer_group(chain_graph(3))
+
+
+def test_cluster_count_is_not_built_where_it_cannot_matter(capsys, tmp_path, monkeypatch):
+    def fail(n):
+        raise AssertionError(f"the chain count at n={n} was built")
+
+    monkeypatch.setattr(separability, "_chain_count", fail)
+    # threshold_p reads the bound first, and here the bound leaves the float range
+    code, out, err = run(capsys, "sweep", "--family", "cluster", "--n", "300000", "--k", "2")
+    assert (code, out, err) == (1, "", "graphsep: error: result out of floating-point range (math range error)\n")
+    with pytest.raises(OverflowError):
+        separability.threshold_p(300000, 2, "cluster")
+    # at p = 1 the state is |1...1> alone: no products for any source, but a name is still checked
+    n = 10 ** 6
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({"family": "cluster", "n": n, "p": 1}))
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", str(n))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2] == "norm=1" and out.endswith("verdict=Inconclusive\n")
+    assert separability.xi_noise(n, n, 1.0, "cluster").numerator == 1.0
+    want = "unknown family 'bogus'; expected one of ('cg', 'ghz', 'w', 'cluster')"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        separability.xi_noise(5, 2, 1.0, "bogus")
+    # and the patch does stop a count
+    with pytest.raises(AssertionError):
+        separability.noise_products(5, "cluster")
 
 
 @pytest.mark.parametrize("n", [30, 1000])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphsep import (
+    CorrelationTensor,
     MixedEnsemble,
     PauliString,
     PureState,
@@ -114,6 +115,9 @@ def test_pack_unpack_roundtrip():
         assert unpack_index(pack_index(idx), len(idx)) == idx
     # packed keys sort like tuples
     assert pack_index((1, 2)) < pack_index((1, 3)) < pack_index((2, 1))
+    # an identity letter has no place in a full index
+    with pytest.raises(ValueError, match=r"^full-index entries must be in \{1,2,3\}, got 0$"):
+        pack_index((1, 0, 2))
 
 
 def test_pauli_string_validation():
@@ -128,6 +132,20 @@ def test_pure_state_validation():
         PureState(2, np.array([1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0, 1.0], dtype=complex))  # not normalized
+
+
+@pytest.mark.parametrize(
+    "keys,values,message",
+    [
+        ([4, 2], [0.5, 0.5], "keys must be strictly increasing"),
+        ([2, 2], [0.5, 0.5], "keys must be strictly increasing"),
+        ([1, 2], [0.5], "keys and values must be 1-D arrays of one length"),
+        ([[1, 2]], [[0.5, 0.5]], "keys and values must be 1-D arrays of one length"),
+    ],
+)
+def test_correlation_tensor_validation(keys, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CorrelationTensor(2, keys, values)
 
 
 def test_ensemble_validation():

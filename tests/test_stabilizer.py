@@ -73,6 +73,12 @@ def test_group_validation():
         StabilizerGroup(2, ((0b10, 0b00, 1), (0b10, 0b00, 1)))
     with pytest.raises(ValueError):
         StabilizerGroup(2, ((0b10, 0b00, 1), (0b01, 0b00, 2)))
+    with pytest.raises(ValueError, match="^need exactly 2 generators, got 1$"):
+        StabilizerGroup(2, ((0b10, 0b00, 1),))
+    with pytest.raises(ValueError, match="^generator mask wider than qubit count$"):
+        StabilizerGroup(2, ((0b100, 0b00, 1), (0b01, 0b00, 1)))
+    with pytest.raises(ValueError, match="^generator mask wider than qubit count$"):
+        StabilizerGroup(2, ((0b10, 0b00, 1), (0b00, 0b101, 1)))
 
 
 def test_k3_expectations():

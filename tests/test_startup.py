@@ -114,6 +114,38 @@ def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):
     assert (child.stdout, "".join(err_lines)) == (captured.out, captured.err)
 
 
+# runs main on each argv in turn and reports, after each, its exit code and
+# whether graphsep.states is still the lazy module that no attribute read has run
+CHILD_STATES = """
+import importlib.util, json, sys
+from graphsep.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    rc = main(argv)
+    report.append([rc, type(sys.modules["graphsep.states"]) is importlib.util._LazyModule])
+sys.stderr.write(json.dumps(report) + "\\n")
+"""
+
+
+def test_family_files_and_norms_do_not_run_states(tmp_path):
+    # a family is decided from separability.FAMILIES alone; only a state build runs states.py
+    argvs = []
+    for i, doc in enumerate(
+        {"family": family, "n": n, **noise}
+        for family in ("cg", "ghz", "w", "cluster")
+        for n in (5, 40)
+        for noise in ({}, {"p": 0.1}, {"p": 1})
+    ):
+        path = tmp_path / f"state{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["detect", "--state-file", str(path), "--k", "3"])
+    argvs += [["norms"], ["norms", "--families", "cluster,w", "--n-min", "30", "--n-max", "31"]]
+    argvs.append(["graph", "--n", "3"])  # builds a GraphSpec: the check does see states run
+    child = fresh_python(CHILD_STATES, json.dumps(argvs))
+    report = json.loads(child.stderr.splitlines()[-1])
+    assert report == [[0, True]] * (len(argvs) - 1) + [[0, False]]
+
+
 def test_tracer_import_sequence_registers_every_layer():
     child = fresh_python(
         "import sys, graphsep.cli, graphsep.pauli\n"

@@ -80,11 +80,32 @@ def test_raw_amplitudes_too_far_off_rejected():
         '{"family": "cg", "n": 3, "extra": 1}',
         '{"n": 2, "amplitudes": [[1, 0]]}',
         '{"n": 1, "amplitudes": [[1, 0], "x"]}',
+        '{"n": 1, "amplitudes": [[1, 0], [0, 0]], "edges": []}',
+        '{"n": 1, "amplitudes": [[1, 0], [0, 0]], "p": 0.1}',
+        '{"family": "graph", "n": 3, "edges": {"1": 2}}',
     ],
 )
 def test_malformed_files_rejected(text):
     with pytest.raises(StateFileError):
         loads_state(text)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"n": 2, "amplitudes": [[1, 0]]}, "'amplitudes' must list exactly 2^2 entries"),
+        # 2^n in decimal would pass Python's 4300-digit conversion limit, and 1 << n would take 125 GB
+        ({"n": 20000, "amplitudes": [[1, 0]]}, "'amplitudes' must list exactly 2^20000 entries"),
+        ({"n": 10 ** 12, "amplitudes": [[1, 0]]}, "'amplitudes' must list exactly 2^1000000000000 entries"),
+    ],
+)
+def test_amplitude_count_message(doc, message, tmp_path, capsys):
+    with pytest.raises(StateFileError, match=f"^{re.escape(message)}$"):
+        loads_state(json.dumps(doc))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    assert main(["detect", "--state-file", str(path), "--k", "2"]) == 1
+    assert capsys.readouterr() == ("", f"graphsep: error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,9 +46,8 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
-from graphsep.separability import CLOSED_FORMS
+from graphsep.separability import FAMILIES
 from graphsep.stabilizer import all_ones_group
-from graphsep.states import FAMILIES
 
 from oracle import (
     brute_k_sep_bound,
@@ -232,7 +232,7 @@ def test_ensemble_norm_sq_is_the_full_tensor_norm_on_random_graphs(case, tol, pu
 def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
     for n in (2, 3, 4, 7, 8):
         for family in ("cg", "ghz", "cluster"):
-            state = FAMILIES[family](n)
+            state = FAMILIES[family].state(n)
             doc = {"family": family, "n": n} if p is None else {"family": family, "n": n, "p": p}
             _check_squared_norm(state, p, tol, family, doc)
         _check_squared_norm(all_ones_state(n), p, tol, all_ones_group(n))
@@ -290,10 +290,6 @@ def test_noise_products_values():
         noise_products(3, "bogus")
 
 
-def test_every_family_has_a_closed_form():
-    assert set(CLOSED_FORMS) == set(FAMILIES)
-
-
 @pytest.mark.parametrize("n", range(2, 27))
 def test_cluster_closed_form_is_the_chain_count(n):
     # the bit-sliced count of the chain's group, up to the walk limit
@@ -344,7 +340,7 @@ def test_family_states_carry_their_group():
         }
         assert groups.keys() == FAMILIES.keys()
         for family, group in groups.items():
-            tag = FAMILIES[family](n).stabilizer
+            tag = FAMILIES[family].state(n).stabilizer
             assert tag is None if group is None else tag.generators == group.generators, (family, n)
     # the noise term is tagged too: its only identity-free element is -Z on each qubit
     for n in (1, 2, 5):
@@ -451,6 +447,8 @@ def test_dense_path_drops_exact_zeros():
     # identity-free, and it cancels exactly, so even zero_tol=0 keeps nothing
     zero, one = (PureState(3, np.eye(8, dtype=complex)[i]) for i in (0, 4))
     assert len(full_tensor(MixedEnsemble(((0.5, zero), (0.5, one))), 0.0)) == 0
+    with pytest.raises(ValueError, match="^zero_tol must be nonnegative$"):
+        full_tensor(zero, zero_tol=-1)
 
 
 def test_measurement_settings():
@@ -485,12 +483,12 @@ def test_norm_table_support_path_rows():
 
 
 def test_norm_table_rows_are_the_squared_norms():
-    for family, make_state in FAMILIES.items():
+    for family, row in FAMILIES.items():
         for _, n, norm_sq in norm_table([family], 2, 6):
-            group = make_state(n).stabilizer
+            group = row.state(n).stabilizer
             if group is not None:
                 assert norm_sq == len(full_weight_support(group))
-            assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(make_state(n)))), rel=1e-12)
+            assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(row.state(n)))), rel=1e-12)
 
 
 def test_norm_table_builds_no_tagged_state(monkeypatch):
@@ -503,13 +501,13 @@ def test_norm_table_builds_no_tagged_state(monkeypatch):
     assert norm_table(["cg", "ghz"], 1000, 1000) == [("cg", 1000, float(2 ** 999 + 1)), ("ghz", 1000, float(2 ** 999 + 1))]
     assert built == []
     # and the patch does see a build: reading a family state's amplitudes
-    FAMILIES["cluster"](6).amplitudes
+    FAMILIES["cluster"].state(6).amplitudes
     assert built == [6]
 
 
 def test_norm_table_builds_no_w_state(monkeypatch):
     built = []
-    monkeypatch.setattr(tensor, "FAMILIES", {**FAMILIES, "w": built.append})
+    monkeypatch.setitem(FAMILIES, "w", replace(FAMILIES["w"], build=lambda states, n: built.append(n)))
     rows = norm_table(["w"], 2, 12) + norm_table(["w"], 1000, 1000)
     assert rows == [("w", n, float(Fraction(5) - Fraction(4, n))) for n in (*range(2, 13), 1000)]
     assert built == []
