@@ -9,8 +9,8 @@ time: separability (bounds, thresholds and the integer closed forms
 cg_norm_sq, sqrt_int, permutation_count) never loads it, and pauli,
 stabilizer, tensor, states and statefile load it only inside the
 functions that build or read arrays (amplitudes, sparse tensors, the
-walk, the patterns, settings).  Stabilizer groups, their expectations
-and the full-weight count are plain Python ints.
+walk, the key patterns).  Groups, expectations, the count and settings
+are plain ints and bytes: raw-amplitude detect is the CLI's numpy path.
 """
 
 import importlib

@@ -152,10 +152,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_settings(args) -> int:
-    rows = tensor.measurement_settings(args.n, args.family, noise=args.noise)
+    rows = tensor.measurement_settings(args.n, noise=args.noise)
     sys.stdout.flush()
     sys.stdout.buffer.write(rows)
-    print(f"# count={len(rows)}")
+    print(f"# count={len(rows) // (args.n + 1)}")
     return 0
 
 
@@ -220,7 +220,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("settings", help="local observables sufficient for the criterion")
-    p.add_argument("--family", default="cg")
+    p.add_argument("--family", choices=("cg",), default="cg")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--noise", action="store_true", help="include the all-Z noise observable")
     p.set_defaults(func=cmd_settings)

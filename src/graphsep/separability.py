@@ -51,6 +51,7 @@ module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -172,6 +173,9 @@ def k_sep_bound(n: int, k: int) -> PartitionBound:
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     spare = n - k  # qubits beyond one per block
+    if spare >= 2 * sys.float_info.max_exp:
+        # bound_sq >= 2^spare, so its root is past the float range: refuse before the product
+        raise OverflowError("math range error")
     # the most even blocks whose smallest sizes (one 2, then 4s) fit, with the parity of spare
     even = min(k, (spare - 1) // 3 + 1) if spare else 0
     even -= (even - spare) % 2

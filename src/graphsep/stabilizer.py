@@ -17,8 +17,8 @@ and counts its identity-free subsets with one popcount.  group_products
 turns it into the B that separability.noise_products reads for a graph
 or a group (every named family has a closed form).  A diagonal group
 (a basis state such as |1...1>) needs neither: its one identity-free
-element is Z^n.  The complete-graph and GHZ nonzero patterns are int64
-key arrays, built with no group at all.
+element is Z^n.  The complete-graph and GHZ patterns need no group:
+pattern_halves lists their masks, packed into keys or joined into words.
 The groups of the tagged states come from stabilizer_group (a graph
 state, from the neighbour masks of a states.GraphSpec), ghz_group and
 all_ones_group.
@@ -48,7 +48,7 @@ _SUBSET_BITS = 14
 # walk about 2.5 s and the count about 20 ms.
 DEFAULT_SUPPORT_LIMIT = 26
 
-# Largest qubit count whose 2^(n-1) words or keys cg_nonzero_pattern and
+# Largest qubit count whose 2^(n-1) words or keys the patterns and
 # full_weight_support materialize (n = 22 keys take about 180 MB).
 PATTERN_LIMIT = 22
 
@@ -310,28 +310,35 @@ def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
     return full_weight_count(g), (-1) ** n * stabilizer_expectation(g, PauliString("Z" * n)), 1
 
 
-def _parity_pattern(n: int, parity: int, xz, extra: int) -> np.ndarray:
-    """Packed keys of the n-letter words over two letters whose second-letter mask has the given parity.
+def pattern_halves(n: int, parity: int, render):
+    """The n-bit masks of popcount parity `parity` in combinations order, as (top half, bottom halves) pairs.
 
-    xz(m, full) gives the X and Z masks of the words whose second letter
-    sits on mask m.  The masks m of popcount parity `parity` come in
-    combinations order: popcount ascending, then mask descending (qubit
-    1 is the top bit).  At even n the word of n `extra` letters (a full
-    index: 1 -> X, 2 -> Y, 3 -> Z) follows.  Above PATTERN_LIMIT qubits
-    it raises SupportLimitError before allocating anything.
+    Combinations order (qubit 1 at the top bit) is popcount ascending,
+    then mask descending: within popcount w, top half t (the n - n // 2
+    high bits) descending, then the bottom halves of popcount
+    w - popcount(t) descending.  render maps each popcount's bottom halves,
+    listed once, to the form its caller joins; no 2^n list is built or
+    sorted.  ValueError below 2 qubits and SupportLimitError above
+    PATTERN_LIMIT come first.
     """
     if n < 2:
         raise ValueError("pattern needs n >= 2")
     if n > PATTERN_LIMIT:
         raise SupportLimitError(f"pattern of 2^{n - 1} words exceeds the {PATTERN_LIMIT}-qubit limit")
+    low, tops = n // 2, range((1 << (n - n // 2)) - 1, -1, -1)
+    bottoms = [render([b for b in range((1 << low) - 1, -1, -1) if b.bit_count() == r]) for r in range(low + 1)]
+    return ((t, bottoms[w - t.bit_count()])
+            for w in range(parity, n + 1, 2) for t in tops if w - low <= t.bit_count() <= w)
+
+
+def _pattern_keys(n: int, parity: int, xz, extra: int) -> np.ndarray:
+    """Packed keys of the words with X and Z mask arrays xz(m, full) for the masks m of pattern_halves,
+    then at even n the word of n `extra` letters (a full index: 1 -> X, 2 -> Y, 3 -> Z)."""
     import numpy as np
 
-    full = (1 << n) - 1
-    masks = np.arange(full, -1, -1, dtype=np.int64)
-    weight = np.bitwise_count(masks)
-    keep = (weight & 1) == parity
-    masks = masks[keep][np.argsort(weight[keep], kind="stable")]
-    keys = packed_keys(*xz(masks, full), n)
+    halves = pattern_halves(n, parity, lambda group: np.array(group, dtype=np.int64))
+    masks = np.concatenate([t << n // 2 | bottoms for t, bottoms in halves])
+    keys = packed_keys(*xz(masks, (1 << n) - 1), n)
     return np.append(keys, pack_index((extra,) * n)) if n % 2 == 0 else keys
 
 
@@ -339,15 +346,15 @@ def cg_nonzero_pattern(n: int) -> np.ndarray:
     """Packed keys of the words where complete-graph-state tensors are nonzero.
 
     All placements of an odd number of X letters among Z letters, plus the
-    all-Y word when n is even, in the order of _parity_pattern.
+    all-Y word when n is even, in the order of pattern_halves.
     """
-    return _parity_pattern(n, 1, lambda m, full: (m, full & ~m), 2)
+    return _pattern_keys(n, 1, lambda m, full: (m, full & ~m), 2)
 
 
 def ghz_nonzero_pattern(n: int) -> np.ndarray:
     """Packed keys of the words where GHZ-state tensors are nonzero.
 
     All placements of an even number of Y letters among X letters, plus
-    the all-Z word when n is even, in the order of _parity_pattern.
+    the all-Z word when n is even, in the order of pattern_halves.
     """
-    return _parity_pattern(n, 0, lambda m, full: (full, m), 3)
+    return _pattern_keys(n, 0, lambda m, full: (full, m), 3)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -77,7 +78,7 @@ def loads_state(text: str) -> LoadedState:
     """Parse state-file text; see the module docstring for the format."""
     try:
         doc = json.loads(_strip_comments(text))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise StateFileError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise StateFileError("top level must be a JSON object")
@@ -101,12 +102,16 @@ def loads_state(text: str) -> LoadedState:
     except ValueError as exc:
         raise StateFileError(str(exc)) from None
     p = doc.get("p")
-    if p is not None and (not _is_number(p) or not 0.0 <= float(p) <= 1.0):
-        raise StateFileError(f"'p' must be a number in [0, 1], got {p!r}")
+    if p is not None and (not _is_number(p) or not 0 <= p <= 1):  # exact: no float of a huge int
+        raise StateFileError(f"'p' must be a number in [0, 1], got {reprlib.repr(p)}")
     if family == "graph":
         if "edges" not in doc:
             raise StateFileError("family 'graph' requires an 'edges' list")
-        source = states.GraphSpec(n, _parse_edges(doc["edges"]))
+        edges = _parse_edges(doc["edges"])
+        try:
+            source = states.GraphSpec(n, edges)
+        except ValueError as exc:  # a self-loop, a duplicate edge or a vertex outside 1..n
+            raise StateFileError(str(exc)) from None
     else:
         if "edges" in doc:
             raise StateFileError(f"'edges' only applies to family 'graph', not {family!r}")
@@ -127,7 +132,7 @@ def _parse_edges(raw) -> tuple:
     edges = []
     for item in raw:
         if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v, int) for v in item)):
-            raise StateFileError(f"edge {item!r} is not an [a, b] integer pair")
+            raise StateFileError(f"edge {reprlib.repr(item)} is not an [a, b] integer pair")
         edges.append((item[0], item[1]))
     return tuple(edges)
 
@@ -141,7 +146,7 @@ def _parse_amplitudes(raw, n: int) -> pauli.PureState:
     amps = np.empty(1 << n, dtype=np.complex128)
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
-            raise StateFileError(f"amplitude {i} is not an [re, im] pair: {item!r}")
+            raise StateFileError(f"amplitude {i} is not an [re, im] pair: {reprlib.repr(item)}")
         amps[i] = complex(item[0], item[1])
     nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     if abs(nrm - 1.0) > RAW_NORM_TOL:

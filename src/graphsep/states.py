@@ -23,6 +23,7 @@ constructor of each named family.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from functools import partial
 
@@ -49,9 +50,9 @@ class GraphSpec:
         for edge in edges:
             a, b = edge
             if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
+                raise ValueError(f"self-loop at vertex {reprlib.repr(a)}")
             if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge {edge} outside 1..{n}")
+                raise ValueError(f"edge {reprlib.repr(edge)} outside 1..{n}")
             if masks[a] >> (n - b) & 1:
                 raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
             masks[a] |= 1 << (n - b)

@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 import os
 
-from .pauli import IMAG_TOL, CorrelationTensor, PureState, pack_index, packed_keys, pure_ensemble
+from .pauli import IMAG_TOL, CorrelationTensor, PureState, packed_keys, pure_ensemble
 from .separability import check_family, noise_products
-from .stabilizer import cg_nonzero_pattern, full_weight_support
+from .stabilizer import full_weight_support, pattern_halves
 
 DEFAULT_DENSE_LIMIT = 10
 DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
@@ -145,30 +145,27 @@ def tensor_norm(t: CorrelationTensor) -> float:
     return math.sqrt(tensor_norm_sq(t))
 
 
-def measurement_settings(n: int, family: str = "cg", noise: bool = False) -> np.ndarray:
-    """Local observables sufficient to evaluate the criterion on the family.
+def measurement_settings(n: int, noise: bool = False) -> bytes:
+    """Local observables sufficient to evaluate the criterion on complete-graph states.
 
-    For complete-graph states these are the nonzero-pattern words; with
-    noise=True the all-Z word needed for the colored-noise term is
-    appended.  Returns a (count, n + 1) uint8 array whose row i is word i
-    in ASCII letters followed by a newline, ready to be written out as
-    is.  Above stabilizer.PATTERN_LIMIT qubits it raises
-    SupportLimitError before allocating anything.
+    The words of stabilizer.cg_nonzero_pattern, in its order, each row a
+    top-half word joined to a bottom-half word of stabilizer.pattern_halves;
+    with noise=True the all-Z word needed for the colored-noise term
+    follows.  Returns ASCII bytes, a newline after each word, ready to be
+    written out as is.  Above stabilizer.PATTERN_LIMIT qubits it raises
+    SupportLimitError before building anything.
     """
-    if family != "cg":
-        raise ValueError(f"measurement settings are only defined for family 'cg', got {family!r}")
-    import numpy as np
+    low, xz = n // 2, bytes.maketrans(b"01", b"ZX")
 
-    keys = cg_nonzero_pattern(n)
-    if noise:
-        keys = np.append(keys, pack_index((3,) * n))
-    rows = np.empty((len(keys), n + 1), dtype=np.uint8)
-    rows[:, n] = ord("\n")
-    letters = np.frombuffer(b"XYZ", dtype=np.uint8)
-    for col in range(n - 1, -1, -1):  # one base-3 digit per column, qubit n first
-        keys, digit = np.divmod(keys, 3)
-        rows[:, col] = letters[digit]
-    return rows
+    def word(mask, bits):  # X on the set bits of mask, Z elsewhere, top bit first
+        return format(mask, f"0{bits}b").encode().translate(xz)
+
+    halves = pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
+    tops = [word(t, n - low) for t in range(1 << (n - low))]
+    # each bottom word ends in a newline, so top + top.join(bottoms) is the rows top + bottom, one per bottom
+    rows = [tops[t] + tops[t].join(bottoms) for t, bottoms in halves]
+    rows += [b"Y" * n + b"\n"] * (1 - n % 2) + [b"Z" * n + b"\n"] * noise  # all-Y at even n, all-Z for noise
+    return b"".join(rows)
 
 
 def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:

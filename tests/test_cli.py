@@ -531,6 +531,25 @@ def test_cluster_count_is_not_built_where_it_cannot_matter(capsys, tmp_path, mon
         separability.noise_products(5, "cluster")
 
 
+def test_huge_n_refuses_at_start_up(capsys, tmp_path, monkeypatch):
+    # the bound's root is past the float range: bounds, sweep and detect at
+    # p = 1 refuse before any block norm or product is built
+    def fail(*args):
+        raise AssertionError("a block norm was built")
+
+    monkeypatch.setattr(separability, "cg_norm_sq", fail)
+    n = str(10 ** 11)
+    path = tmp_path / "cg.json"
+    path.write_text(json.dumps({"family": "cg", "n": 10 ** 11, "p": 1}))
+    for argv in (
+        ("bounds", "--n", n, "--k-max", "2"),
+        ("sweep", "--family", "cg", "--n", n, "--k", "2"),
+        ("detect", "--state-file", str(path), "--k", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "graphsep: error: result out of floating-point range (math range error)\n")
+
+
 @pytest.mark.parametrize("n", [30, 1000])
 def test_cluster_sweep_matches_the_oracle(capsys, n):
     for k in (2, 3, n - 3, n - 2, n - 1, n):

@@ -101,6 +101,21 @@ def test_k_sep_bound_is_cached():
         k_sep_bound(12, 13)
 
 
+def test_k_sep_bound_refuses_past_the_float_range_before_the_product(monkeypatch):
+    # bound_sq >= 2^(n - k): from n - k = 2048 on its root is past the float
+    # range, and at n = 10^11 the product alone would take gigabytes
+    assert k_sep_bound(2049, 2).parts == (2, 2047)
+
+    def fail(*args):
+        raise AssertionError("the bound's product was built")
+
+    monkeypatch.setattr(separability, "cg_norm_sq", fail)
+    monkeypatch.setattr(math, "prod", fail)
+    for n, k in ((2050, 2), (10 ** 11, 2), (10 ** 11, 10 ** 11 - 2048)):
+        with pytest.raises(OverflowError, match="^math range error$"):
+            k_sep_bound(n, k)
+
+
 def test_k_sep_bound_matches_enumeration_oracle():
     for n in range(2, 21):
         for k in range(2, n + 1):

@@ -1,6 +1,7 @@
-"""Start-up contract: integer commands (and with them detect on family and
-graph files and every norms row) load no numpy, and the lazy namespace
-still resolves every public name.  Each check runs in a fresh interpreter."""
+"""Start-up contract: integer commands (and with them settings, detect on
+family and graph files and every norms row) load no numpy, and the lazy
+namespace still resolves every public name.  Each check runs in a fresh
+interpreter."""
 
 import json
 import os
@@ -96,6 +97,7 @@ COUNTED_FILES = [
         ["norms", "--families", "cg,cluster,ghz,w", "--n-min", "2", "--n-max", "20"],
         ["norms", "--families", "cluster", "--n-min", "1000", "--n-max", "1000"],
         ["sweep", "--family", "cluster", "--n", "1000", "--k", "998", "--p-steps", "5"],
+        *(["settings", "--n", str(n), *noise] for n in (3, 10, 18) for noise in ((), ("--noise",))),
     ],
 )
 def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):

@@ -249,3 +249,42 @@ def test_the_ensemble_at_p1_builds_no_base_state(monkeypatch):
     # the patches do stop a base state
     with pytest.raises(AssertionError):
         loads_state('{"family": "cluster", "n": 5, "p": 0.5}').ensemble
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # p is compared exactly, and shown abbreviated
+        (
+            '{"family": "cg", "n": 3, "p": 1%s}' % ("0" * 400),
+            "'p' must be a number in [0, 1], got 100000000000000000...0000000000000000000",
+        ),
+        # past Python's 4300-digit limit json.loads itself refuses the integer
+        ('{"family": "cg", "n": 3, "p": 1%s}' % ("0" * 4999), "not valid JSON: Exceeds the limit (4300 digits)"),
+        ('{"family": "cg", "n": 1%s}' % ("0" * 4999), "not valid JSON: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["p-401-digits", "p-5000-digits", "n-5000-digits"],
+)
+def test_huge_json_integers_are_input_errors(text, message, tmp_path, capsys):
+    with pytest.raises(StateFileError, match=f"^{re.escape(message)}"):
+        loads_state(text)
+    path = tmp_path / "state.json"
+    path.write_text(text)
+    assert main(["detect", "--state-file", str(path), "--k", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"graphsep: error: {message}")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 300
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        ([[1, 1]], "self-loop at vertex 1"),
+        ([[1, 2], [2, 1]], "duplicate edge (1, 2)"),
+        ([[1, 4]], "edge (1, 4) outside 1..3"),
+        ([[0, 2]], "edge (0, 2) outside 1..3"),
+    ],
+)
+def test_graph_spec_errors_are_state_file_errors(edges, message):
+    with pytest.raises(StateFileError, match=f"^{re.escape(message)}$"):
+        loads_state(json.dumps({"family": "graph", "n": 3, "edges": edges}))

@@ -24,6 +24,7 @@ from graphsep import (
     PureState,
     SupportLimitError,
     all_ones_state,
+    cg_nonzero_pattern,
     chain_graph,
     complete_graph,
     full_tensor,
@@ -56,6 +57,7 @@ from oracle import (
     dp_bound_sq,
     exact_noise_norm_sq,
     exact_verdict,
+    key_words,
     kron_states,
     random_state,
     untagged,
@@ -453,13 +455,23 @@ def test_dense_path_drops_exact_zeros():
 
 def test_measurement_settings():
     rows = measurement_settings(3, noise=True)
-    assert rows.dtype == np.uint8
-    assert rows.tobytes().decode("ascii").splitlines() == ["XZZ", "ZXZ", "ZZX", "XXX", "ZZZ"]
-    assert len(measurement_settings(4, noise=True)) == 10
-    assert len(measurement_settings(6, noise=True)) == 34
-    assert len(measurement_settings(4)) == 9
-    with pytest.raises(ValueError):
-        measurement_settings(4, family="ghz")
+    assert isinstance(rows, bytes)
+    assert rows.decode("ascii").splitlines() == ["XZZ", "ZXZ", "ZZX", "XXX", "ZZZ"]
+    assert len(measurement_settings(4, noise=True)) == 10 * 5
+    assert len(measurement_settings(6, noise=True)) == 34 * 7
+    assert measurement_settings(4).count(b"\n") == 9
+    with pytest.raises(ValueError, match="^pattern needs n >= 2$"):
+        measurement_settings(1)
+    with pytest.raises(SupportLimitError, match="^pattern of 2\\^39 words exceeds the 22-qubit limit$"):
+        measurement_settings(40)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("noise", (False, True))
+def test_measurement_settings_are_the_cg_pattern_words(n, noise):
+    # the rows come from the pattern's X masks; the keys decode to the same words
+    want = key_words(cg_nonzero_pattern(n), n) + ["Z" * n] * noise
+    assert measurement_settings(n, noise).decode("ascii").split("\n") == [*want, ""]
 
 
 def test_norm_table_reference_subset():
