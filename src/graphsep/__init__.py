@@ -1,16 +1,17 @@
 """Correlation-tensor norms and non-k-separability certification for qubit graph states.
 
-The namespace is lazy, so that integer commands start without numpy.
-Importing graphsep registers each home module of _EXPORTS as a lazy
-module (importlib.util.LazyLoader) whose body runs on first attribute
-access, and each public name resolves on first access (PEP 562), so
-graphsep.X is graphsep.<home>.X.  No module imports numpy at import
-time: separability (bounds, thresholds and the integer closed forms
-cg_norm_sq, sqrt_int, permutation_count) never loads it, and pauli,
-stabilizer, tensor, states and statefile load it only inside the
-functions that build or read arrays (amplitudes, sparse tensors, the
-walk, the key patterns).  Groups, expectations, the count and settings
-are plain ints and bytes: raw-amplitude detect is the CLI's numpy path.
+The namespace is lazy, so that the command-line interface starts
+without numpy.  Importing graphsep registers each home module of
+_EXPORTS as a lazy module (importlib.util.LazyLoader) whose body runs
+on first attribute access, and each public name resolves on first
+access (PEP 562), so graphsep.X is graphsep.<home>.X.  No module imports
+numpy at import time: separability (bounds, thresholds and the integer
+closed forms cg_norm_sq, sqrt_int, permutation_count) never loads it,
+and pauli, stabilizer, tensor, states and statefile load it only inside
+the functions that build or read arrays (amplitudes, sparse tensors,
+the walk, the key patterns, a loaded file's ensemble).  Groups, expectations, the count,
+settings and the raw-amplitude norm are plain ints, floats and bytes,
+so no CLI command loads numpy.
 """
 
 import importlib

@@ -123,8 +123,8 @@ def cmd_detect(args) -> int:
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
-    if loaded.family is None:  # raw amplitudes: the dense sweep, certified past its rounding margin
-        res = detect(tensor.tensor_norm_sq(tensor.full_tensor(loaded.ensemble)), n, args.k)
+    if loaded.family is None:  # raw amplitudes: the kernel's float norm, certified past its rounding margin
+        res = detect(tensor._pure_norm_sq(n, loaded.source), n, args.k)
     else:  # the exact noise quadratic of a family name or a graph (noise_products)
         res = xi_noise(n, args.k, loaded.p or 0.0, loaded.source)
     pb = k_sep_bound(n, args.k)

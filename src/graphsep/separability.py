@@ -40,8 +40,8 @@ check_family checks a name against it.  The graph of a graph file, or
 any stabilizer group, gets B from the bit-sliced count.  So sweep verdicts, and
 detect verdicts on every named family and graph state, are exact
 decisions at the given p, and printed fields are correctly rounded.
-Only detect on raw amplitudes (a squared norm summed from the floats of
-the dense sweep) certifies past a stated worst-case rounding margin.
+Only detect on raw amplitudes (a squared norm summed in floats from the
+amplitudes) certifies past a stated worst-case rounding margin.
 
 The integer closed forms (cg_norm_sq, sqrt_int, permutation_count) live
 here, and importing the module loads neither numpy nor another graphsep
@@ -198,17 +198,32 @@ def _lower_bound(norm_sq: float, n: int) -> float:
 
 
 def detect(norm_sq: float, n: int, k: int) -> XiResult:
-    """Compare a squared tensor norm from the dense sweep with bound_sq.
+    """Compare a squared tensor norm summed in floats with bound_sq.
 
     Raw amplitudes take this rule; named families and tagged states take
     the exact xi_noise.  Certifies only when a lower bound on the true
-    squared norm exceeds bound_sq.  The sweep gets each of at most 3^n
-    entries within e = (n + 8) 2^-53 (n roundings in the transform, under
-    8 more from the amplitudes, products and weights), so norm_sq is off
-    by at most e r (2 sqrt(norm_sq) + e r) with r = 3^(n/2), plus 2^-52
-    norm_sq from squaring and summing.  _lower_bound doubles e and that
-    last term to cover the rounding of the margin itself.  xi is norm_sq
-    over bound_sq, correctly rounded.
+    squared norm (of the very floats given) exceeds bound_sq.  xi is
+    norm_sq over bound_sq, correctly rounded.
+
+    The margin covers both float sums of the package; u = 2^-53.  The
+    CLI's is the amplitude kernel (tensor._pure_norm_sq).  Its squared
+    norm is |G|^2 for the vector G of the 3^n values sqrt(2^|x|) g_x(u),
+    each g a sum of at most 2^n products a[u, v] conj(a[ubar, v]).  A
+    complex product is within sqrt(5) u of its value, and a pairwise fold
+    of depth at most n adds n u times the sum of the magnitudes.  So each
+    g is within e' S_u, e' = (n + 3) u, where
+    S_u = sum_v |a[u, v]| |a[ubar, v]| <= |a_u| |a_ubar| (Cauchy-Schwarz
+    over v).  Over u, sum |a_u|^2 |a_ubar|^2 <= (sum |a_u|^2)^2 = 1, so
+    the error vector E of G has |E| <= e' r with r = 3^(n/2), and
+    | |G + E|^2 - |G|^2 | <= |E| (2 |G + E| + |E|) <= e' r (2 sqrt(norm_sq) + e' r).
+    Squaring the parts of each g and one fsum add 2u norm_sq.  The dense
+    sweep (full_tensor, any mixture) gets each of its 3^n entries within
+    (n + 8) u (n roundings in the transform, under 8 more from the
+    amplitudes, products and weights): the same form with e' = (n + 8) u,
+    and squaring and summing add 2u norm_sq.  _lower_bound doubles the
+    larger of the two, e = 2 (n + 8) u and 4u norm_sq, which covers the
+    rounding of the margin itself and the 1e-12 by which a raw file's
+    norm may miss 1.
     """
     if norm_sq < 0:
         raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")

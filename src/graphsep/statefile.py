@@ -15,10 +15,12 @@ amplitudes may be off normalization by up to 1e-6; they are renormalized
 on load with a warning.
 
 Family names are the keys of separability.FAMILIES, plus "graph".
-Loading checks the whole document but builds no state: a LoadedState
-keeps its base state's source (a family name, the GraphSpec of a graph
-document, raw amplitudes), which detect hands to separability.xi_noise,
-and builds its ensemble only when it is read (at p = 1, |1...1> alone).
+Loading checks the whole document but builds no state and loads no
+numpy: a LoadedState keeps its base state's source (a family name, the
+GraphSpec of a graph document, or for raw amplitudes a tuple of Python
+complex numbers), which detect hands to separability.xi_noise or to the
+amplitude kernel of graphsep.tensor, and builds its ensemble only when
+it is read (at p = 1, |1...1> alone).
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ class StateFileError(ValueError):
 @dataclass(frozen=True)
 class LoadedState:
     """Parsed state file: its provenance fields, its base state's source
-    (a family name, a GraphSpec or a PureState) and the ensemble, built
-    from the source on first read."""
+    (a family name, a GraphSpec or an amplitude tuple) and the ensemble,
+    built from the source on first read."""
 
     n: int
     family: str | None
@@ -60,7 +62,9 @@ class LoadedState:
         if self.p == 1.0:  # |1...1> alone: noisy_mixture would discard the base state, so none is built
             return pauli.pure_ensemble(states.all_ones_state(self.n))
         base = self.source
-        if self.family is not None:
+        if self.family is None:
+            base = pauli.PureState(self.n, base)
+        else:
             base = states.graph_state(base) if self.family == "graph" else FAMILIES[base].state(self.n)
         return pauli.pure_ensemble(base) if self.p is None else states.noisy_mixture(base, self.p)
 
@@ -137,24 +141,22 @@ def _parse_edges(raw) -> tuple:
     return tuple(edges)
 
 
-def _parse_amplitudes(raw, n: int) -> pauli.PureState:
+def _parse_amplitudes(raw, n: int) -> tuple:
     # no list reaches 2^64 entries, so a larger n is refused without forming 1 << n
     if not isinstance(raw, list) or len(raw) != 1 << min(n, 64):
         raise StateFileError(f"'amplitudes' must list exactly 2^{n} entries")
-    import numpy as np
-
-    amps = np.empty(1 << n, dtype=np.complex128)
+    amps = []
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
             raise StateFileError(f"amplitude {i} is not an [re, im] pair: {reprlib.repr(item)}")
-        amps[i] = complex(item[0], item[1])
-    nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    if abs(nrm - 1.0) > RAW_NORM_TOL:
+        amps.append(complex(item[0], item[1]))
+    nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+    if not abs(nrm - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
         raise StateFileError(f"amplitudes have norm {nrm}, more than {RAW_NORM_TOL} from 1")
     if abs(nrm - 1.0) > 1e-12:
         warnings.warn(f"renormalizing amplitudes (norm was {nrm})", stacklevel=2)
-        amps = amps / nrm
-    return pauli.PureState(n, amps)
+        amps = [a / nrm for a in amps]
+    return tuple(amps)
 
 
 def load_state_file(path) -> LoadedState:

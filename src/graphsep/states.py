@@ -1,11 +1,11 @@
 """Graphs, and constructors for graph, GHZ, W and cluster states plus colored-noise mixtures.
 
-GraphSpec is a simple graph on vertices 1..n, kept as one neighbour
-bitmask per vertex; complete_graph and chain_graph build the two
-named ones.  Graph states are built by applying a controlled-Z along
-every edge of a graph to |+>^n: the sign of basis state b flips once
-per edge with both ends set in b, and that parity is built one vertex
-at a time.  The cluster state is realized as the linear-chain graph
+GraphSpec is a simple graph on vertices 1..n, kept as its sorted edge
+pairs, with one neighbour bitmask per vertex built when first read;
+complete_graph and chain_graph build the two named ones.  Graph states
+are built by applying a controlled-Z along every edge of a graph to
+|+>^n: the sign of basis state b flips once per edge with both ends set
+in b, and that parity is built one vertex at a time.  The cluster state is realized as the linear-chain graph
 state, which is local-unitary equivalent to the usual product-form
 definition and therefore has the same correlation-tensor norm.
 
@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
+from itertools import pairwise
 
 from . import pauli, stabilizer
 
@@ -34,37 +35,43 @@ from . import pauli, stabilizer
 class GraphSpec:
     """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
 
-    Built from any iterable of (a, b) edges and kept as one neighbour
-    bitmask per vertex (qubit 1 at the top bit): n ints of n bits however
-    many edges there are, so the complete graph on 1000 vertices takes
-    about 150 kB where its edge tuples would take about 40 MB.
+    Built from any iterable of (a, b) edges and kept as the sorted pairs
+    (a, b), a < b, checked in O(|E| log |E|) time and O(|E|) memory (a
+    duplicate is found next to its twin once sorted): nothing of size n
+    is built, so a graph file with a huge n and few edges is refused by
+    the count's qubit limit, not by memory.  masks, one neighbour bitmask
+    per vertex (qubit 1 at the top bit), is built on first read.
     """
 
     n: int
-    masks: tuple
+    edges: tuple  # the edges (a, b), a < b, in ascending order
 
     def __init__(self, n: int, edges):
         if n < 2:
             raise ValueError("graph needs at least 2 vertices")
-        masks = [0] * (n + 1)
+        pairs = []
         for edge in edges:
             a, b = edge
             if a == b:
                 raise ValueError(f"self-loop at vertex {reprlib.repr(a)}")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise ValueError(f"edge {reprlib.repr(edge)} outside 1..{n}")
-            if masks[a] >> (n - b) & 1:
-                raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
-            masks[a] |= 1 << (n - b)
-            masks[b] |= 1 << (n - a)
+            pairs.append((a, b) if a < b else (b, a))
+        pairs.sort()  # linear when the edges come in order, as from complete_graph
+        for pair, following in pairwise(pairs):
+            if pair == following:
+                raise ValueError(f"duplicate edge {pair}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", tuple(masks[1:]))
+        object.__setattr__(self, "edges", tuple(pairs))
 
-    @property
-    def edges(self) -> tuple:
-        """The edges (a, b), a < b, in ascending order."""
-        n = self.n
-        return tuple((a, b) for a in range(1, n) for b in range(a + 1, n + 1) if self.masks[a - 1] >> (n - b) & 1)
+    @cached_property
+    def masks(self) -> tuple:
+        """One neighbour bitmask per vertex, vertex 1 first; vertex b is bit n - b."""
+        n, masks = self.n, [0] * self.n
+        for a, b in self.edges:
+            masks[a - 1] |= 1 << (n - b)
+            masks[b - 1] |= 1 << (n - a)
+        return tuple(masks)
 
 
 def complete_graph(n: int) -> GraphSpec:

@@ -11,24 +11,28 @@ shortcut is taken when every ensemble member carries a stabilizer-group
 tag (graph, cluster, GHZ and |1...1> states from graphsep.states): each
 member's signed group elements come from one vectorized enumeration,
 and the members are merged by key.  Untagged states (W, raw amplitudes)
-sweep densely.  The dense path (the ground truth, limited to small n)
-evaluates all 3^n words at once: for each bit-flip mask x it forms the
-overlap vector conj(a[b ^ x]) * a[b], and one fast Walsh-Hadamard
-transform of that vector gives the expectations of every word with flip
-mask x.  Over all 2^n masks that is O(n 4^n) vectorized work, done in
-chunks of masks.  The dense reference of a tagged state is its untagged
-copy, PureState(n, state.amplitudes).
+sweep densely.  The dense path (limited to small n) evaluates all 3^n
+words at once: for each bit-flip mask x it forms the overlap vector
+conj(a[b ^ x]) * a[b], and one fast Walsh-Hadamard transform of that
+vector gives the expectations of every word with flip mask x.  Over all
+2^n masks that is O(n 4^n) vectorized work, done in chunks of masks.
+The dense reference of a tagged state is its untagged copy,
+PureState(n, state.amplitudes).
 
-full_tensor is the dense path of detect (raw amplitudes) and an
-inspection tool for everything else: the criterion needs only the
-squared norm, which detect on any other state and every norm-table row
-read from separability.noise_products, with no tensor built.
+The criterion needs only the squared norm, and no path of the CLI
+builds a tensor.  detect on raw amplitudes reads it from _pure_norm_sq,
+a pure-Python kernel that sums 4^n amplitude products with no 3^n array
+and no numpy; detect on any other state and every norm-table row read
+it from separability.noise_products.  full_tensor is the library's
+inspection tool and the kernel's reference.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import chain
+from operator import add, mul
 
 from .pauli import IMAG_TOL, CorrelationTensor, PureState, packed_keys, pure_ensemble
 from .separability import check_family, noise_products
@@ -52,6 +56,14 @@ def dense_limit() -> int:
         return int(raw)
     except ValueError:
         raise ValueError(f"{DENSE_LIMIT_ENV} must be an integer, got {raw!r}") from None
+
+
+def _check_dense_limit(n: int) -> None:
+    lim = dense_limit()
+    if n > lim:
+        raise DenseLimitError(
+            f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit (raise {DENSE_LIMIT_ENV} to override)"
+        )
 
 
 def _walsh_hadamard(f: np.ndarray) -> None:
@@ -126,12 +138,95 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> CorrelationTensor:
         acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
         keep = np.abs(acc) > zero_tol
         return CorrelationTensor(n, keys[keep], acc[keep])
-    lim = dense_limit()
-    if n > lim:
-        raise DenseLimitError(
-            f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit (raise {DENSE_LIMIT_ENV} to override)"
-        )
+    _check_dense_limit(n)
     return CorrelationTensor(n, *_dense_arrays(ens.terms, n, zero_tol))
+
+
+def _interleave(lo: list, hi: list, block: int) -> list:
+    """lo and hi taken in turns, block entries at a time: lo[:block], hi[:block], lo[block:2*block], ...
+
+    Costs 2 min(block, len(lo) / block) slice copies.
+    """
+    out = [None] * (2 * len(lo))
+    if block * block <= len(lo):  # short blocks: one strided copy per offset in a block
+        for j in range(block):
+            out[j::2 * block] = lo[j::block]
+            out[block + j::2 * block] = hi[j::block]
+    else:  # few blocks: one copy per block
+        for i in range(0, len(lo), block):
+            out[2 * i:2 * i + block] = lo[i:i + block]
+            out[2 * i + block:2 * i + 2 * block] = hi[i:i + block]
+    return out
+
+
+def _fold(p: list, times: int) -> list:
+    """Sum each run of 2^times consecutive entries pairwise: a balanced tree of depth times."""
+    for _ in range(times):
+        p = list(map(add, p[0::2], p[1::2]))
+    return p
+
+
+def _pure_norm_sq(n: int, amplitudes) -> float:
+    """Squared norm of the full correlation tensor of a pure state, from
+    its 2^n amplitudes (a sequence of Python complex, qubit 1 at the top
+    bit), in pure Python.  Refuses n past the dense limit before it reads
+    an amplitude.
+
+    For a flip mask x with complement c, split an index b into its bits
+    u on x and v on c, and let ubar be u with every bit of x flipped.
+    With g_x(u) = sum_v (-1)^|v| conj(a[ubar, v]) a[u, v], Parseval over
+    the 2^|x| phase masks inside x gives sum_(z >= c) <X^x Z^z>^2 =
+    2^|x| sum_u |g_x(u)|^2, so the squared norm is
+    sum_x 2^|x| sum_u |g_x(u)|^2: 4^n products and no 3^n array.  The
+    sign (-1)^|v| is (-1)^|b| times (-1)^|u|, and the second factor
+    leaves |g| alone, so the first goes on the amplitudes once (sa).
+
+    The qubits are decided top bit first, in one recursion for all x.
+    The lists keep the undecided qubits on top, then the flip qubits
+    decided so far, then the sign qubits.  A sign qubit moves to the
+    bottom and a flip qubit just under the undecided ones, each by one
+    interleave of the two halves; for a flip qubit the conjugate list
+    takes its halves swapped, which pairs u with ubar.  As g_x(ubar) =
+    +-conj(g_x(u)), the first flip qubit keeps only the half u = 0
+    (lo against chi) and doubles its weight.  At the last qubit each g is
+    the pairwise fold of its products over the sign qubits.  Every
+    w |g|^2 goes into one fsum as w re^2 and w im^2 (w a power of two),
+    leaf by leaf, so no list of all 3^n parts is held.
+    separability.detect states the rounding margin of the result.
+    """
+    _check_dense_limit(n)
+    signs = [1.0]
+    for _ in range(n):
+        signs += [-s for s in signs]  # (-1)^popcount(b)
+    sa = list(map(mul, amplitudes, signs))
+    ca = [z.conjugate() for z in amplitudes]
+
+    def parts(p, w):
+        return [w * g.real * g.real for g in p] + [w * g.imag * g.imag for g in p]
+
+    def decide(a, c, left, below, flips, w, halved):
+        # yields lists of parts; left undecided qubits on top, then `flips` flip
+        # and below - flips sign qubits; w is 2^|x|, doubled once the ubar half is dropped
+        h = len(a) >> 1
+        lo, hi, clo, chi = a[:h], a[h:], c[:h], c[h:]
+        if left == 1:
+            sign_qubits = below - flips
+            yield parts(_fold(list(map(add, map(mul, lo, clo), map(mul, hi, chi))), sign_qubits), w)
+            if halved:
+                yield parts(_fold(list(map(mul, lo, chi)) + list(map(mul, hi, clo)), sign_qubits), 2 * w)
+            else:
+                yield parts(_fold(list(map(mul, lo, chi)), sign_qubits), 4 * w)
+            return
+        yield from decide(_interleave(lo, hi, 1), _interleave(clo, chi, 1), left - 1, below + 1, flips, w, halved)
+        if halved:
+            block = 1 << below
+            yield from decide(
+                _interleave(lo, hi, block), _interleave(chi, clo, block), left - 1, below + 1, flips + 1, 2 * w, True
+            )
+        else:
+            yield from decide(lo, chi, left - 1, below, flips, 4 * w, True)
+
+    return math.fsum(chain.from_iterable(decide(sa, ca, n, 0, 0, 1, False)))
 
 
 def tensor_norm_sq(t: CorrelationTensor) -> float:

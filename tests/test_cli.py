@@ -372,6 +372,22 @@ def test_detect_product_state_never_flagged(capsys, tmp_path):
     assert "verdict=Inconclusive" in out
 
 
+def test_detect_raw_amplitudes_builds_no_tensor(capsys, tmp_path, monkeypatch):
+    # raw amplitudes go to the pure-Python kernel; no tensor and no state is built
+    def unbuildable(*args):
+        raise AssertionError("a tensor or a state was built")
+
+    path = tmp_path / "raw10.json"
+    write_amplitude_file(path, ghz_state(10))
+    monkeypatch.setattr(cli.tensor, "full_tensor", unbuildable)
+    monkeypatch.setattr(cli.statefile.pauli, "PureState", unbuildable)
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == [
+        f"norm={math.sqrt(513):.12g}", "bound=19.6723155729", "partition=2|8", "verdict=NonKSeparable"
+    ]
+
+
 def test_detect_ghz_noise_json(capsys, tmp_path):
     path = tmp_path / "ghz6.json"
     path.write_text('{"family": "ghz", "n": 6, "p": 0.2}')

@@ -1,15 +1,18 @@
-"""Start-up contract: integer commands (and with them settings, detect on
-family and graph files and every norms row) load no numpy, and the lazy
-namespace still resolves every public name.  Each check runs in a fresh
+"""Start-up contract: the CLI never loads numpy (every command, detect on
+family, graph and raw-amplitude files alike), and the lazy namespace
+still resolves every public name.  Each check runs in a fresh
 interpreter."""
 
 import json
+import math
 import os
 import random
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import warnings
 
 import pytest
 
@@ -18,10 +21,12 @@ from graphsep.cli import main
 
 SRC = Path(graphsep.__file__).resolve().parents[1]  # the tree this process imports
 
-# runs main(argv), then reports its exit code and whether numpy got loaded
+# runs main(argv), then reports its exit code and whether numpy got loaded;
+# each warning is one "Category: message" line on stderr
 CHILD_MAIN = """
-import json, sys
+import json, sys, warnings
 from graphsep.cli import main
+warnings.showwarning = lambda message, category, *rest: sys.stderr.write(f"{category.__name__}: {message}\\n")
 rc = main(sys.argv[1:])
 sys.stderr.write(json.dumps([rc, "numpy" in sys.modules]) + "\\n")
 """
@@ -79,6 +84,25 @@ COUNTED_FILES = [
 ]
 
 
+def _raw_doc(n, seed, scale=1.0):
+    """A raw-amplitude file of a seeded random complex state, its norm scale."""
+    rng = random.Random(seed)
+    pairs = [[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(1 << n)]
+    norm = math.sqrt(math.fsum(re * re + im * im for re, im in pairs)) / scale
+    return {"n": n, "amplitudes": [[re / norm, im / norm] for re, im in pairs]}
+
+
+# raw amplitudes are decided by the pure-Python kernel up to the dense
+# limit, and refused past it
+RAW_FILES = [
+    _detect(_raw_doc(3, 3), 2),
+    _detect(_raw_doc(10, 10), 3),
+    _detect(_raw_doc(10, 10), 2, "--format", "json"),
+    _detect(_raw_doc(5, 5, scale=1 + 1e-7), 2),  # renormalized, with a warning
+    _detect(_raw_doc(11, 11), 2),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -98,6 +122,7 @@ COUNTED_FILES = [
         ["norms", "--families", "cluster", "--n-min", "1000", "--n-max", "1000"],
         ["sweep", "--family", "cluster", "--n", "1000", "--k", "998", "--p-steps", "5"],
         *(["settings", "--n", str(n), *noise] for n in (3, 10, 18) for noise in ((), ("--noise",))),
+        *RAW_FILES,
     ],
 )
 def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):
@@ -111,9 +136,33 @@ def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):
     rc, numpy_loaded = json.loads(report)
     assert not numpy_loaded
     # the same output as main in this process, where numpy is loaded
-    assert rc == main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert rc == main(argv)
     captured = capsys.readouterr()
-    assert (child.stdout, "".join(err_lines)) == (captured.out, captured.err)
+    warned = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    assert (child.stdout, "".join(err_lines)) == (captured.out, warned + captured.err)
+
+
+# sets a 1 GiB address-space limit, then runs main(argv) and exits with its code
+CHILD_LIMITED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from graphsep.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("n", [300_000_000, 10 ** 20])
+@pytest.mark.parametrize("edges", [[], [[1, 2], [2, 3]]])
+def test_huge_graph_file_refused_before_any_n_sized_allocation(tmp_path, n, edges):
+    # a graph keeps its edges, not n-bit masks, so the count's qubit
+    # limit refuses it before anything of size n is built
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"family": "graph", "n": n, "edges": edges}))
+    child = fresh_python(CHILD_LIMITED, "detect", "--state-file", str(path), "--k", "2")
+    want = f"graphsep: error: stabilizer walk over 2^{n} generator subsets exceeds the 26-qubit limit\n"
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", want)
 
 
 # runs main on each argv in turn and reports, after each, its exit code and

@@ -45,6 +45,7 @@ def test_raw_amplitude_file():
     amps = [[1.0, 0.0]] + [[0.0, 0.0]] * 7
     loaded = loads_state(json.dumps({"n": 3, "amplitudes": amps}))
     assert loaded.family is None
+    assert loaded.source == (1.0,) + (0.0,) * 7 and all(type(a) is complex for a in loaded.source)
     state = loaded.ensemble.terms[0][1]
     assert state.amplitudes[0] == 1.0
 
@@ -80,6 +81,7 @@ def test_raw_amplitudes_too_far_off_rejected():
         '{"family": "cg", "n": 3, "extra": 1}',
         '{"n": 2, "amplitudes": [[1, 0]]}',
         '{"n": 1, "amplitudes": [[1, 0], "x"]}',
+        '{"n": 1, "amplitudes": [[NaN, 0], [0, 0]]}',
         '{"n": 1, "amplitudes": [[1, 0], [0, 0]], "edges": []}',
         '{"n": 1, "amplitudes": [[1, 0], [0, 0]], "p": 0.1}',
         '{"family": "graph", "n": 3, "edges": {"1": 2}}',
@@ -224,8 +226,8 @@ def test_loading_a_tagged_state_allocates_no_amplitudes():
 
 
 def test_loading_a_large_complete_graph_stays_small():
-    # a graph keeps one neighbour mask per vertex: as tuples, the 44,850
-    # edges of K_300 took 9 MB at peak
+    # a cg file keeps its family name and builds no graph: the 44,850
+    # edge tuples of K_300 once took 9 MB at peak
     tracemalloc.start()
     try:
         loaded = loads_state('{"family": "cg", "n": 300, "p": 0.1}')

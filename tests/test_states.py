@@ -62,6 +62,16 @@ def test_graph_spec_validation():
         GraphSpec(1, ())
 
 
+def test_graph_spec_keeps_sorted_edges_and_builds_masks_on_first_read():
+    huge = GraphSpec(10 ** 20, [(2, 1), (1, 3)])
+    assert huge.edges == ((1, 2), (1, 3)) and "masks" not in vars(huge)
+    spec = GraphSpec(3, [(3, 2), (2, 1)])
+    assert spec == GraphSpec(3, [(1, 2), (2, 3)]) and hash(spec) == hash(GraphSpec(3, [(1, 2), (2, 3)]))
+    assert spec.masks == (0b010, 0b101, 0b010)
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+        GraphSpec(3, ((1, 2), (2, 1)))
+
+
 def test_graph_builders():
     assert len(complete_graph(8).edges) == 28
     assert chain_graph(5).edges == ((1, 2), (2, 3), (3, 4), (4, 5))

@@ -39,6 +39,8 @@ from graphsep import (
     norm_table,
     pack_index,
     pauli,
+    pure_ensemble,
+    separability,
     stabilizer_group,
     tensor,
     tensor_norm,
@@ -56,6 +58,7 @@ from oracle import (
     dense_full_tensor,
     dp_bound_sq,
     exact_noise_norm_sq,
+    exact_tensor_norm_sq,
     exact_verdict,
     key_words,
     kron_states,
@@ -393,6 +396,48 @@ def test_dense_limit_env_override(monkeypatch):
         full_tensor(state)
     monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
     full_tensor(state)
+
+
+def _margin(norm_sq, n):
+    """The rounding margin detect subtracts from a float squared norm."""
+    return norm_sq - separability._lower_bound(norm_sq, n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_pure_kernel_matches_dense_sweep_and_exact_norm(n, real, seed):
+    # the amplitude kernel, the numpy dense sweep and the exact squared norm
+    # of the very floats given agree within detect's margin; the exact
+    # oracle walks all 3^n words in Python ints, so it runs up to n = 7
+    rng = np.random.default_rng(seed)
+    amps = random_state(n, rng)
+    if real:
+        amps = amps.real / np.linalg.norm(amps.real)
+    state = PureState(n, amps)
+    got = tensor._pure_norm_sq(n, amps.tolist())
+    assert abs(got - tensor_norm_sq(full_tensor(state))) <= _margin(got, n)
+    if n <= 7:
+        assert abs(got - exact_tensor_norm_sq(pure_ensemble(state).terms, n)) <= _margin(got, n)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pure_kernel_meets_every_family_closed_form(n):
+    # raw amplitudes of the cg, GHZ, W and cluster states against B / D of noise_products
+    for family, row in FAMILIES.items():
+        b, _, _, d = row.products(n)
+        got = tensor._pure_norm_sq(n, row.state(n).amplitudes.tolist())
+        assert abs(got - Fraction(b, d)) <= _margin(got, n), family
+
+
+def test_pure_kernel_refuses_past_the_dense_limit_before_reading(monkeypatch):
+    monkeypatch.delenv("GRAPHSEP_DENSE_LIMIT", raising=False)
+    want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
+    with pytest.raises(DenseLimitError, match=re.escape(want)):
+        tensor._pure_norm_sq(11, None)  # None: not one amplitude is read
+    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "3")
+    with pytest.raises(DenseLimitError):
+        tensor._pure_norm_sq(4, None)
+    assert tensor._pure_norm_sq(3, all_ones_state(3).amplitudes.tolist()) == 1.0
 
 
 def test_matches_dense_oracle_on_random_mixture():
