@@ -24,14 +24,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble"
     " unpack_index",
-    "separability": "INCONCLUSIVE NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
+    "separability": "INCONCLUSIVE LimitError NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
     " k_sep_bound noise_products permutation_count threshold_p xi_noise",
-    "stabilizer": "StabilizerGroup SupportLimitError cg_nonzero_pattern full_weight_count full_weight_support"
-    " ghz_group ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
+    "stabilizer": "StabilizerGroup cg_nonzero_pattern full_weight_count full_weight_support ghz_group"
+    " ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
     "states": "GraphSpec all_ones_state chain_graph cluster_state complete_graph ghz_state graph_state"
     " noisy_mixture w_state",
-    "tensor": "DenseLimitError full_tensor measurement_settings norm_table tensor_norm tensor_norm_sq",
+    "tensor": "full_tensor measurement_settings norm_table tensor_norm tensor_norm_sq",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -9,9 +9,9 @@ separability.FAMILIES.
 Output is CSV on stdout unless --out is given; comment lines start with
 "#"; numeric fields carry 12 significant digits.  Exit codes: 0 success,
 1 usage or input error (also a result beyond the float range, a failed
-internal check or a stdout closed early), 2 resource or output error
-(out of memory included), each error one line on stderr.  Verdicts are
-payload, never exit status.
+internal check or a stdout closed early), 2 a size limit
+(separability.LimitError), out of memory or an output error, each error
+one line on stderr.  Verdicts are payload, never exit status.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import os
 import sys
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
-from . import stabilizer, statefile, states, tensor
-from .separability import FAMILIES, cg_norm_sq, detect, k_sep_bound, permutation_count, permutation_terms
-from .separability import threshold_p, xi_noise
+from . import statefile, states, tensor
+from .separability import FAMILIES, LimitError, cg_norm_sq, detect, k_sep_bound, permutation_count
+from .separability import permutation_terms, threshold_p, xi_noise
 
 MAX_P_STEPS = 100_001  # the sweep holds all of its rows before writing any
 
@@ -91,13 +91,10 @@ def cmd_sweep(args) -> int:
     if args.p_steps < 2:
         raise ValueError(f"p-steps must be at least 2, got {args.p_steps}")
     if args.p_steps > MAX_P_STEPS:
-        print(f"graphsep: error: p-steps {args.p_steps} is above the limit of {MAX_P_STEPS}", file=sys.stderr)
-        return 2
-    if not 2 <= args.k <= args.n:
-        raise ValueError(f"need 2 <= k <= n, got k={args.k}, n={args.n}")
+        raise LimitError(f"p-steps {args.p_steps} is above the limit of {MAX_P_STEPS}")
     steps = args.p_steps
     lines = [f"# sweep family={args.family} n={args.n} k={args.k}"]
-    thr = threshold_p(args.n, args.k, args.family)
+    thr = threshold_p(args.n, args.k, args.family)  # reads k_sep_bound first, which checks k
     lines.append(f"# threshold_p={'NA' if thr is None else _fmt(thr)}")
     lines.append("p,norm_sq,bound_sq,xi,verdict")
     for i in range(steps):
@@ -152,10 +149,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_settings(args) -> int:
-    rows = tensor.measurement_settings(args.n, noise=args.noise)
+    blocks = tensor.measurement_settings(args.n, noise=args.noise)
     sys.stdout.flush()
-    sys.stdout.buffer.write(rows)
-    print(f"# count={len(rows) // (args.n + 1)}")
+    sys.stdout.buffer.writelines(blocks)
+    print(f"# count={cg_norm_sq(args.n) + args.noise}")
     return 0
 
 
@@ -252,21 +249,13 @@ def main(argv=None) -> int:
         # left to devnull, so the flush at shutdown finds no pipe, and exit 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ValueError as exc:  # StateFileError included
-        print(f"graphsep: error: {exc}", file=sys.stderr)
-        return 1
     except OverflowError as exc:
         print(f"graphsep: error: result out of floating-point range ({exc})", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # Python's own carries no message
+    except (LimitError, MemoryError, OSError) as exc:  # Python's own MemoryError carries no message
         print(f"graphsep: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    # evaluated only for an exception that gets this far, so the lazy
-    # modules load only then; the limit errors are RuntimeErrors too
-    except (OSError, tensor.DenseLimitError, stabilizer.SupportLimitError) as exc:
-        print(f"graphsep: error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:  # a library consistency check failed
+    except (ValueError, RuntimeError) as exc:  # StateFileError, or a failed library consistency check
         print(f"graphsep: error: {exc}", file=sys.stderr)
         return 1
 

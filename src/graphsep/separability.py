@@ -43,9 +43,9 @@ decisions at the given p, and printed fields are correctly rounded.
 Only detect on raw amplitudes (a squared norm summed in floats from the
 amplitudes) certifies past a stated worst-case rounding margin.
 
-The integer closed forms (cg_norm_sq, sqrt_int, permutation_count) live
-here, and importing the module loads neither numpy nor another graphsep
-module.
+The integer closed forms (cg_norm_sq, sqrt_int, permutation_count) and
+LimitError, the one error of every size limit, live here, and importing
+the module loads neither numpy nor another graphsep module.
 """
 
 from __future__ import annotations
@@ -58,6 +58,10 @@ from typing import Callable
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
+
+
+class LimitError(RuntimeError):
+    """A request beyond a size limit (qubits, words or grid steps), refused before the work."""
 
 
 def _outcome(value_sq, bound_sq: int) -> str:
@@ -291,7 +295,7 @@ def noise_products(n: int, source) -> tuple[int, int, int, int]:
     state has Z^n at -1 and the C(n, 2) words XX and YY on each qubit pair
     (Z elsewhere) at 2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and
     C = (-1)^(n+1), over D = n.  Or source is a states.GraphSpec, refused
-    above the walk limit before its group is built, or a StabilizerGroup,
+    above the count limit before its group is built, or a StabilizerGroup,
     and stabilizer.group_products counts B in Python ints, with D = 1.
     """
     if isinstance(source, str):
@@ -302,7 +306,7 @@ def noise_products(n: int, source) -> tuple[int, int, int, int]:
     from . import stabilizer
 
     if not isinstance(source, stabilizer.StabilizerGroup):
-        stabilizer.check_walk_limit(n)
+        stabilizer.check_count_limit(n)
         source = stabilizer.stabilizer_group(source)
     return (*stabilizer.group_products(source), 1)
 

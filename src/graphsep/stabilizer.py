@@ -22,11 +22,10 @@ pattern_halves lists their masks, packed into keys or joined into words.
 The groups of the tagged states come from stabilizer_group (a graph
 state, from the neighbour masks of a states.GraphSpec), ghz_group and
 all_ones_group.
-The count refuses more than DEFAULT_SUPPORT_LIMIT qubits
-(check_walk_limit, which noise_products also calls before it builds a
-graph's group), and full_weight_support (the walk's one caller) and the
-patterns, which keep every key, more than PATTERN_LIMIT, with
-SupportLimitError.
+The count refuses more than COUNT_LIMIT qubits (check_count_limit,
+which noise_products also calls before it builds a graph's group), and
+full_weight_support (the walk's one caller) and the patterns, which
+keep every key, more than PATTERN_LIMIT, with separability.LimitError.
 Single expectations are O(n) membership solves.  numpy is imported only
 where arrays are built, so groups, expectations and the count start
 without it.
@@ -39,30 +38,25 @@ from functools import lru_cache
 from itertools import combinations
 
 from .pauli import CorrelationTensor, PauliString, pack_index, packed_keys
+from .separability import LimitError
 
 # Generators whose subsets form one chunk of the walk (2^14 int64 lanes,
 # 128 KiB, per temporary) and of the count (2 KiB per slice).
 _SUBSET_BITS = 14
 
-# Largest qubit count the walk and the count take: 2^26 subsets take the
-# walk about 2.5 s and the count about 20 ms.
-DEFAULT_SUPPORT_LIMIT = 26
+# Largest qubit count the count takes: its 2^26 subsets take about
+# 0.06 s on a random 26-vertex graph.
+COUNT_LIMIT = 26
 
 # Largest qubit count whose 2^(n-1) words or keys the patterns and
 # full_weight_support materialize (n = 22 keys take about 180 MB).
 PATTERN_LIMIT = 22
 
 
-class SupportLimitError(RuntimeError):
-    """A walk or word list over 2^n elements was requested beyond its qubit limit."""
-
-
-def check_walk_limit(n: int) -> None:
-    """Refuse a pass over 2^n generator subsets above DEFAULT_SUPPORT_LIMIT qubits (SupportLimitError)."""
-    if n > DEFAULT_SUPPORT_LIMIT:
-        raise SupportLimitError(
-            f"stabilizer walk over 2^{n} generator subsets exceeds the {DEFAULT_SUPPORT_LIMIT}-qubit limit"
-        )
+def check_count_limit(n: int) -> None:
+    """Refuse a count over 2^n generator subsets above COUNT_LIMIT qubits (LimitError)."""
+    if n > COUNT_LIMIT:
+        raise LimitError(f"stabilizer count over 2^{n} generator subsets exceeds the {COUNT_LIMIT}-qubit limit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,13 +227,13 @@ def full_weight_support(g: StabilizerGroup) -> CorrelationTensor:
     diagonal group (every generator X-free, as for |1...1> or any basis
     state) has Z^n as its only identity-free element, which one
     membership solve finds with no walk.  Any other group above
-    PATTERN_LIMIT qubits raises SupportLimitError before walking.
+    PATTERN_LIMIT qubits raises LimitError before walking.
     """
     n = g.n
     if g.diagonal:
         return CorrelationTensor(n, [pack_index((3,) * n)], [stabilizer_expectation(g, PauliString("Z" * n))])
     if n > PATTERN_LIMIT:
-        raise SupportLimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
+        raise LimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
     import numpy as np
 
     chunks = list(_walk(g))
@@ -267,12 +261,12 @@ def full_weight_count(g: StabilizerGroup) -> int:
     B does not depend on signs, and StabilizerGroup's check that the
     generators commute with +-1 signs already makes every phase real.
     A diagonal group has one (Z^n), with no count; any other above
-    DEFAULT_SUPPORT_LIMIT qubits raises SupportLimitError at once.
+    COUNT_LIMIT qubits raises LimitError at once.
     """
     if g.diagonal:
         return 1
     n = g.n
-    check_walk_limit(n)
+    check_count_limit(n)
     b = min(n, _SUBSET_BITS)
     ones = (1 << (1 << b)) - 1
     xs, zs = [0] * n, [0] * n  # per bit position p of the masks
@@ -318,13 +312,13 @@ def pattern_halves(n: int, parity: int, render):
     high bits) descending, then the bottom halves of popcount
     w - popcount(t) descending.  render maps each popcount's bottom halves,
     listed once, to the form its caller joins; no 2^n list is built or
-    sorted.  ValueError below 2 qubits and SupportLimitError above
-    PATTERN_LIMIT come first.
+    sorted.  ValueError below 2 qubits and LimitError above PATTERN_LIMIT
+    come first.
     """
     if n < 2:
         raise ValueError("pattern needs n >= 2")
     if n > PATTERN_LIMIT:
-        raise SupportLimitError(f"pattern of 2^{n - 1} words exceeds the {PATTERN_LIMIT}-qubit limit")
+        raise LimitError(f"pattern of 2^{n - 1} words exceeds the {PATTERN_LIMIT}-qubit limit")
     low, tops = n // 2, range((1 << (n - n // 2)) - 1, -1, -1)
     bottoms = [render([b for b in range((1 << low) - 1, -1, -1) if b.bit_count() == r]) for r in range(low + 1)]
     return ((t, bottoms[w - t.bit_count()])

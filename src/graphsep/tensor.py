@@ -35,7 +35,7 @@ from itertools import chain
 from operator import add, mul
 
 from .pauli import IMAG_TOL, CorrelationTensor, PureState, packed_keys, pure_ensemble
-from .separability import check_family, noise_products
+from .separability import LimitError, check_family, noise_products
 from .stabilizer import full_weight_support, pattern_halves
 
 DEFAULT_DENSE_LIMIT = 10
@@ -44,10 +44,6 @@ DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
 # Complex elements per chunk of flip masks in the dense transform; the
 # chunk temporaries stay small beside the 3^n accumulator.
 _CHUNK_ELEMENTS = 1 << 11
-
-
-class DenseLimitError(RuntimeError):
-    """A dense 3^n sweep was requested beyond the configured qubit limit."""
 
 
 def dense_limit() -> int:
@@ -61,7 +57,7 @@ def dense_limit() -> int:
 def _check_dense_limit(n: int) -> None:
     lim = dense_limit()
     if n > lim:
-        raise DenseLimitError(
+        raise LimitError(
             f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit (raise {DENSE_LIMIT_ENV} to override)"
         )
 
@@ -118,10 +114,11 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> CorrelationTensor:
     """Full correlation tensor of an ensemble (or a bare pure state).
 
     The state picks the path: the stabilizer shortcut when every member
-    is stabilizer-tagged, the dense sweep otherwise.  The dense sweep
-    refuses to run above the configured qubit limit (GRAPHSEP_DENSE_LIMIT,
-    default 10).  Entries whose magnitude is not above zero_tol are
-    dropped.
+    is stabilizer-tagged, the dense sweep otherwise.  Each refuses with
+    separability.LimitError above its qubit limit: the sweep above
+    GRAPHSEP_DENSE_LIMIT (default 10), the shortcut's walk above
+    stabilizer.PATTERN_LIMIT.  Entries whose magnitude is not above
+    zero_tol are dropped.
     """
     if isinstance(ens, PureState):
         ens = pure_ensemble(ens)
@@ -240,15 +237,16 @@ def tensor_norm(t: CorrelationTensor) -> float:
     return math.sqrt(tensor_norm_sq(t))
 
 
-def measurement_settings(n: int, noise: bool = False) -> bytes:
+def measurement_settings(n: int, noise: bool = False) -> list[bytes]:
     """Local observables sufficient to evaluate the criterion on complete-graph states.
 
     The words of stabilizer.cg_nonzero_pattern, in its order, each row a
     top-half word joined to a bottom-half word of stabilizer.pattern_halves;
     with noise=True the all-Z word needed for the colored-noise term
-    follows.  Returns ASCII bytes, a newline after each word, ready to be
-    written out as is.  Above stabilizer.PATTERN_LIMIT qubits it raises
-    SupportLimitError before building anything.
+    follows.  Returns ASCII blocks, one per top half, a newline after each
+    word, to be written out in turn (never joined, so the listing is held
+    once).  Above stabilizer.PATTERN_LIMIT qubits it raises LimitError
+    before building anything.
     """
     low, xz = n // 2, bytes.maketrans(b"01", b"ZX")
 
@@ -258,9 +256,8 @@ def measurement_settings(n: int, noise: bool = False) -> bytes:
     halves = pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
     tops = [word(t, n - low) for t in range(1 << (n - low))]
     # each bottom word ends in a newline, so top + top.join(bottoms) is the rows top + bottom, one per bottom
-    rows = [tops[t] + tops[t].join(bottoms) for t, bottoms in halves]
-    rows += [b"Y" * n + b"\n"] * (1 - n % 2) + [b"Z" * n + b"\n"] * noise  # all-Y at even n, all-Z for noise
-    return b"".join(rows)
+    blocks = [tops[t] + tops[t].join(bottoms) for t, bottoms in halves]
+    return blocks + [b"Y" * n + b"\n"] * (1 - n % 2) + [b"Z" * n + b"\n"] * noise  # all-Y at even n, all-Z for noise
 
 
 def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:

@@ -10,14 +10,18 @@ from functools import lru_cache
 import pytest
 
 from graphsep import (
+    LimitError,
     chain_graph,
     full_tensor,
     full_weight_count,
     ghz_state,
+    measurement_settings,
+    noise_products,
     noisy_mixture,
     separability,
     stabilizer,
     stabilizer_group,
+    tensor,
     write_amplitude_file,
 )
 from graphsep import cli
@@ -94,6 +98,9 @@ def test_norms_resource_limit_exits_2(capsys, monkeypatch, tmp_path):
         "graphsep: error: dense sweep over 3^11 words exceeds the 10-qubit limit"
         " (raise GRAPHSEP_DENSE_LIMIT to override)\n"
     )
+    with pytest.raises(LimitError) as caught:  # the library's refusal is a RuntimeError too
+        tensor._pure_norm_sq(11, None)
+    assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
     # cluster rows are a closed form too, past the walk limit, and an unknown name is still refused
     code, out, err = run(capsys, "norms", "--families", "cluster", "--n-min", "27", "--n-max", "27")
     b = chain_string_counts(27)[27]
@@ -337,16 +344,20 @@ def test_sweep_rejects_bad_flags(capsys):
     code, out, _ = run(capsys, "sweep", "--family", "cluster", "--n", "6", "--k", "3", "--p-steps", "2")
     # B_6 = 12 against the k = 3 bound 12: xi = 1 at p = 0, then |1...1> alone at p = 1
     assert (code, out.splitlines()[3:]) == (0, ["0,12,12,1,Inconclusive", "1,1,12,0.0833333333333,Inconclusive"])
-    assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "5")[0] == 1
+    assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "5") == (
+        1, "", "graphsep: error: need 2 <= k <= n, got k=5, n=4\n"
+    )
+    assert run(capsys, "sweep", "--n", "4", "--k", "1") == (1, "", "graphsep: error: need 2 <= k <= n, got k=1, n=4\n")
     assert run(capsys, "sweep", "--family", "w", "--n", "4", "--k", "2")[0] == 0
     assert run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "9")[0] == 1
     assert run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "2", "--p-steps", "1")[0] == 1
 
 
 def test_sweep_unwritable_out_exits_2(capsys, tmp_path):
-    code, _, err = run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "2",
-                       "--out", str(tmp_path / "missing" / "f.csv"))
-    assert code == 2
+    path = tmp_path / "missing" / "f.csv"
+    code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"graphsep: error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_detect_cg5(capsys, tmp_path):
@@ -456,9 +467,13 @@ def test_settings_listing(capsys):
 
 
 def test_settings_above_the_cap_exits_2(capsys):
-    code, out, err = run(capsys, "settings", "--n", "40")
-    assert code == 2 and out == ""
-    assert err == "graphsep: error: pattern of 2^39 words exceeds the 22-qubit limit\n"
+    for n in (23, 40):
+        code, out, err = run(capsys, "settings", "--n", str(n))
+        assert code == 2 and out == ""
+        assert err == f"graphsep: error: pattern of 2^{n - 1} words exceeds the 22-qubit limit\n"
+        with pytest.raises(LimitError) as caught:
+            measurement_settings(n)
+        assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
 
 
 def _path_edges(n):
@@ -470,7 +485,10 @@ def test_detect_beyond_the_walk_limit(capsys, tmp_path):
     path.write_text(json.dumps({"family": "graph", "n": 27, "edges": _path_edges(27)}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert code == 2 and out == ""
-    assert err == "graphsep: error: stabilizer walk over 2^27 generator subsets exceeds the 26-qubit limit\n"
+    assert err == "graphsep: error: stabilizer count over 2^27 generator subsets exceeds the 26-qubit limit\n"
+    with pytest.raises(LimitError) as caught:  # refused before the group is built
+        noise_products(27, chain_graph(27))
+    assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
     # at p = 1 the state is |1...1>, whose products need no count
     path.write_text(json.dumps({"family": "graph", "n": 27, "edges": _path_edges(27), "p": 1}))
     code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "2")
@@ -496,7 +514,7 @@ def test_detect_refuses_before_building_the_group(capsys, tmp_path, monkeypatch,
     path.write_text(json.dumps({"family": "graph", "n": n, "edges": _path_edges(n), **noise}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert (code, out) == (2, "")
-    assert err == f"graphsep: error: stabilizer walk over 2^{n} generator subsets exceeds the 26-qubit limit\n"
+    assert err == f"graphsep: error: stabilizer count over 2^{n} generator subsets exceeds the 26-qubit limit\n"
 
 
 def test_detect_at_p1_builds_no_group(capsys, tmp_path, monkeypatch):
@@ -610,7 +628,7 @@ def test_detect_large_graph_refused_before_allocating(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == "graphsep: error: stabilizer walk over 2^34 generator subsets exceeds the 26-qubit limit\n"
+    assert err == "graphsep: error: stabilizer count over 2^34 generator subsets exceeds the 26-qubit limit\n"
     assert peak < 1 << 20
     # the noise term alone needs no walk
     path.write_text(json.dumps({"family": "graph", "n": 34, "edges": edges, "p": 1}))
@@ -690,6 +708,10 @@ def test_sweep_refuses_too_many_steps_before_any_row(capsys):
     code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "2",
                          "--p-steps", str(MAX_P_STEPS + 1))
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and str(MAX_P_STEPS) in err
+    assert err == f"graphsep: error: p-steps {MAX_P_STEPS + 1} is above the limit of {MAX_P_STEPS}\n"
     assert run(capsys, "sweep", "--help")[1].count(str(MAX_P_STEPS)) == 1
+    args = cli.build_parser().parse_args(["sweep", "--n", "4", "--k", "2", "--p-steps", str(MAX_P_STEPS + 1)])
+    with pytest.raises(LimitError) as caught:
+        args.func(args)
+    assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
 

@@ -31,13 +31,8 @@ from graphsep import (
 )
 from graphsep import stabilizer
 from graphsep.pauli import packed_keys
-from graphsep.stabilizer import (
-    DEFAULT_SUPPORT_LIMIT,
-    PATTERN_LIMIT,
-    SupportLimitError,
-    all_ones_group,
-)
-from graphsep.separability import cg_norm_sq, permutation_terms, sqrt_int
+from graphsep.stabilizer import COUNT_LIMIT, PATTERN_LIMIT, all_ones_group
+from graphsep.separability import LimitError, cg_norm_sq, permutation_terms, sqrt_int
 
 from oracle import (
     all_full_indices,
@@ -175,7 +170,7 @@ def test_ghz_pattern_keeps_the_combinations_order(n):
 def test_ghz_pattern_refuses_above_the_limit_before_allocating():
     tracemalloc.start()
     try:
-        with pytest.raises(SupportLimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
+        with pytest.raises(LimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
             ghz_nonzero_pattern(PATTERN_LIMIT + 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -335,10 +330,12 @@ def test_all_ones_support_needs_no_walk(monkeypatch):
 
 
 def test_walk_and_pattern_refuse_above_their_limits():
-    with pytest.raises(SupportLimitError, match=f"the {DEFAULT_SUPPORT_LIMIT}-qubit limit"):
-        full_weight_count(stabilizer_group(complete_graph(DEFAULT_SUPPORT_LIMIT + 1)))
-    for n in (PATTERN_LIMIT + 1, DEFAULT_SUPPORT_LIMIT + 1):
-        with pytest.raises(SupportLimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
+    want = f"^stabilizer count over 2\\^{COUNT_LIMIT + 1} generator subsets exceeds the {COUNT_LIMIT}-qubit limit$"
+    with pytest.raises(LimitError, match=want) as caught:
+        full_weight_count(stabilizer_group(complete_graph(COUNT_LIMIT + 1)))
+    assert isinstance(caught.value, RuntimeError)  # a library caller catching RuntimeError still does
+    for n in (PATTERN_LIMIT + 1, COUNT_LIMIT + 1):
+        with pytest.raises(LimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
             full_weight_support(stabilizer_group(complete_graph(n)))
-    with pytest.raises(SupportLimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
+    with pytest.raises(LimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
         cg_nonzero_pattern(PATTERN_LIMIT + 1)

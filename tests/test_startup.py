@@ -69,7 +69,7 @@ def _graph_doc(n, share, seed):
 
 
 # graph files are decided from the bit-sliced count of their group, and
-# above the walk limit refused before the group is built; cluster files
+# above the count limit refused before the group is built; cluster files
 # from their closed form, at any n
 COUNTED_FILES = [
     *(_detect({**_graph_doc(n, share, n), **noise}, 3) for n in (8, 20) for share in (4 / n, 0.5)
@@ -161,7 +161,7 @@ def test_huge_graph_file_refused_before_any_n_sized_allocation(tmp_path, n, edge
     path = tmp_path / "graph.json"
     path.write_text(json.dumps({"family": "graph", "n": n, "edges": edges}))
     child = fresh_python(CHILD_LIMITED, "detect", "--state-file", str(path), "--k", "2")
-    want = f"graphsep: error: stabilizer walk over 2^{n} generator subsets exceeds the 26-qubit limit\n"
+    want = f"graphsep: error: stabilizer count over 2^{n} generator subsets exceeds the 26-qubit limit\n"
     assert (child.returncode, child.stdout, child.stderr) == (2, "", want)
 
 
@@ -197,6 +197,26 @@ def test_family_files_and_norms_do_not_run_states(tmp_path):
     assert report == [[0, True]] * (len(argvs) - 1) + [[0, False]]
 
 
+# runs main(argv), then reports its exit code and the graphsep modules whose body has run
+CHILD_MODULES = """
+import importlib.util, json, sys
+from graphsep.cli import main
+rc = main(sys.argv[1:])
+ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not importlib.util._LazyModule)
+sys.stderr.write(json.dumps([rc, ran]) + "\\n")
+"""
+
+
+def test_unwritable_out_exits_2_without_running_a_lazy_module(tmp_path):
+    # every size limit raises separability.LimitError, so mapping an error
+    # to its exit code reads no lazy module
+    path = tmp_path / "missing" / "x.csv"
+    child = fresh_python(CHILD_MODULES, "sweep", "--family", "cg", "--n", "4", "--k", "2", "--out", str(path))
+    *err, report = child.stderr.splitlines()
+    assert (child.stdout, err) == ("", [f"graphsep: error: [Errno 2] No such file or directory: '{path}'"])
+    assert json.loads(report) == [2, ["graphsep.cli", "graphsep.separability"]]
+
+
 def test_tracer_import_sequence_registers_every_layer():
     child = fresh_python(
         "import sys, graphsep.cli, graphsep.pauli\n"
@@ -210,7 +230,7 @@ def test_every_public_name_is_its_home_object():
     child = fresh_python(
         "import importlib, graphsep\n"
         "homes = {n: importlib.import_module(f'graphsep.{m}') for n, m in graphsep._HOME.items()}\n"
-        "assert len(graphsep.__all__) == len(homes) == 47  # every public name\n"
+        "assert len(graphsep.__all__) == len(homes) == 46  # every public name\n"
         "print(len([n for n in graphsep.__all__ if getattr(graphsep, n) is not getattr(homes[n], n)]))\n"
         "from graphsep import *\n"
     )

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphsep import DenseLimitError, full_tensor, load_state_file, states, tensor_norm, write_amplitude_file
+from graphsep import LimitError, full_tensor, load_state_file, states, tensor_norm, write_amplitude_file
 from graphsep.cli import main
 from graphsep.statefile import StateFileError, dumps_amplitudes, loads_state
 from graphsep.states import cluster_state, complete_graph, ghz_state, graph_state, w_state
@@ -160,7 +160,7 @@ def test_tagged_families_skip_the_dense_limit(monkeypatch):
         assert len(full_tensor(loaded.ensemble)) > 0
     # a W file loads (detect reads its closed form); its amplitudes, untagged, do not pass
     assert loads_state('{"family": "w", "n": 5}').n == 5
-    with pytest.raises(DenseLimitError):
+    with pytest.raises(LimitError):
         full_tensor(loads_state(dumps_amplitudes(w_state(5))).ensemble)
 
 

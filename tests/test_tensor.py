@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from graphsep import (
     CorrelationTensor,
-    DenseLimitError,
     GraphSpec,
+    LimitError,
     MixedEnsemble,
     PureState,
-    SupportLimitError,
     all_ones_state,
     cg_nonzero_pattern,
     chain_graph,
@@ -49,7 +48,7 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
-from graphsep.separability import FAMILIES
+from graphsep.separability import FAMILIES, cg_norm_sq
 from graphsep.stabilizer import all_ones_group
 
 from oracle import (
@@ -326,7 +325,7 @@ def test_full_tensor_refuses_a_large_support_before_allocating():
     state = graph_state(complete_graph(23))
     tracemalloc.start()
     try:
-        with pytest.raises(SupportLimitError, match="the 22-qubit limit"):
+        with pytest.raises(LimitError, match="the 22-qubit limit"):
             full_tensor(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -378,13 +377,13 @@ def test_dense_limit_enforced(monkeypatch):
     rng = np.random.default_rng(12)
     state = PureState(5, random_state(5, rng))
     monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
-    with pytest.raises(DenseLimitError):
+    with pytest.raises(LimitError):
         full_tensor(state)
     # graph-tagged states bypass the dense limit through the support path
     big = graph_state(complete_graph(12))
     t = full_tensor(big)
     assert len(t) == 2 ** 11 + 1
-    with pytest.raises(DenseLimitError):
+    with pytest.raises(LimitError):
         full_tensor(untagged(graph_state(complete_graph(5))))
 
 
@@ -392,7 +391,7 @@ def test_dense_limit_env_override(monkeypatch):
     rng = np.random.default_rng(12)
     state = PureState(4, random_state(4, rng))
     monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "3")
-    with pytest.raises(DenseLimitError):
+    with pytest.raises(LimitError):
         full_tensor(state)
     monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
     full_tensor(state)
@@ -432,10 +431,10 @@ def test_pure_kernel_meets_every_family_closed_form(n):
 def test_pure_kernel_refuses_past_the_dense_limit_before_reading(monkeypatch):
     monkeypatch.delenv("GRAPHSEP_DENSE_LIMIT", raising=False)
     want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
-    with pytest.raises(DenseLimitError, match=re.escape(want)):
+    with pytest.raises(LimitError, match=re.escape(want)):
         tensor._pure_norm_sq(11, None)  # None: not one amplitude is read
     monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "3")
-    with pytest.raises(DenseLimitError):
+    with pytest.raises(LimitError):
         tensor._pure_norm_sq(4, None)
     assert tensor._pure_norm_sq(3, all_ones_state(3).amplitudes.tolist()) == 1.0
 
@@ -499,24 +498,33 @@ def test_dense_path_drops_exact_zeros():
 
 
 def test_measurement_settings():
-    rows = measurement_settings(3, noise=True)
-    assert isinstance(rows, bytes)
-    assert rows.decode("ascii").splitlines() == ["XZZ", "ZXZ", "ZZX", "XXX", "ZZZ"]
-    assert len(measurement_settings(4, noise=True)) == 10 * 5
-    assert len(measurement_settings(6, noise=True)) == 34 * 7
-    assert measurement_settings(4).count(b"\n") == 9
+    # one block per (X count, top half) of pattern_halves, then all-Y at even n and all-Z for noise
+    assert measurement_settings(3, noise=True) == [b"XZZ\n", b"ZXZ\n", b"ZZX\n", b"XXX\n", b"ZZZ\n"]
+    assert measurement_settings(4, noise=True) == [
+        b"XZZZ\n", b"ZXZZ\n", b"ZZXZ\nZZZX\n", b"XXXZ\nXXZX\n", b"XZXX\n", b"ZXXX\n", b"YYYY\n", b"ZZZZ\n"
+    ]
+    assert len(b"".join(measurement_settings(4, noise=True))) == 10 * 5
+    assert len(b"".join(measurement_settings(6, noise=True))) == 34 * 7
+    assert b"".join(measurement_settings(4)).count(b"\n") == 9
     with pytest.raises(ValueError, match="^pattern needs n >= 2$"):
         measurement_settings(1)
-    with pytest.raises(SupportLimitError, match="^pattern of 2\\^39 words exceeds the 22-qubit limit$"):
-        measurement_settings(40)
+    for n in (23, 40):
+        with pytest.raises(LimitError, match=f"^pattern of 2\\^{n - 1} words exceeds the 22-qubit limit$") as caught:
+            measurement_settings(n)
+        assert isinstance(caught.value, RuntimeError)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 @pytest.mark.parametrize("noise", (False, True))
-def test_measurement_settings_are_the_cg_pattern_words(n, noise):
+def test_measurement_settings_are_the_cg_pattern_words(capsysbinary, n, noise):
     # the rows come from the pattern's X masks; the keys decode to the same words
     want = key_words(cg_nonzero_pattern(n), n) + ["Z" * n] * noise
-    assert measurement_settings(n, noise).decode("ascii").split("\n") == [*want, ""]
+    listing = b"".join(measurement_settings(n, noise))
+    assert listing.decode("ascii").split("\n") == [*want, ""]
+    # the CLI writes the blocks as they are and counts them from the closed form 2^(n-1) + s_n
+    assert len(want) == cg_norm_sq(n) + noise
+    assert main(["settings", "--n", str(n), *["--noise"] * noise]) == 0
+    assert capsysbinary.readouterr() == (listing + f"# count={len(want)}\n".encode(), b"")
 
 
 def test_norm_table_reference_subset():
@@ -570,7 +578,7 @@ def test_norm_table_builds_no_w_state(monkeypatch):
     assert built == []
     # the W state itself, untagged, still takes the dense sweep and its limit
     want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
-    with pytest.raises(DenseLimitError, match=re.escape(want)):
+    with pytest.raises(LimitError, match=re.escape(want)):
         full_tensor(w_state(11))
 
 
