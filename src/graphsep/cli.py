@@ -6,7 +6,9 @@ sweep (noise sweeps as CSV), detect (verdict for a state file), settings
 graph (complete graph as DOT text).  Family names are the keys of
 separability.FAMILIES.
 
-Output is CSV on stdout unless --out is given; comment lines start with
+Each cmd_* returns its whole output, str lines (settings: also bytes
+blocks), and main alone writes it, as CSV on stdout unless --out is
+given, so a command that fails writes nothing.  Comment lines start with
 "#"; numeric fields carry 12 significant digits.  Exit codes: 0 success,
 1 usage or input error (also a result beyond the float range, a failed
 internal check or a stdout closed early), 2 a size limit
@@ -17,25 +19,35 @@ one line on stderr.  Verdicts are payload, never exit status.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
+from itertools import combinations
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
-from . import statefile, states, tensor
-from .separability import FAMILIES, LimitError, cg_norm_sq, detect, k_sep_bound, permutation_count
+from . import statefile, tensor
+from .separability import FAMILIES, LimitError, cg_norm_sq, detect, k_sep_bound
 from .separability import permutation_terms, threshold_p, xi_noise
 
-MAX_P_STEPS = 100_001  # the sweep holds all of its rows before writing any
+MAX_ROWS = 100_001  # rows of a sweep or a norms table, all held before any is written
+# the binomials' digits grow with n: appendix --n 4096 takes about 0.7 s at an
+# 18 MB peak (2-core VM), far from Python's 4,300-digit int-to-str limit,
+# which C(n, n/2) passes near n = 14,290
+APPENDIX_MAX_N = 4096
+# n(n-1)/2 edge lines: graph --n 2048 writes 2,096,128 of them (33 MB) in
+# about 1.6 s at a 160 MB peak (2-core VM)
+GRAPH_MAX_N = 2048
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        raise TypeError("no boolean fields in output")
-    if isinstance(v, int):
-        return str(v)
+def _fmt(v: float) -> str:
     return f"{v:.12g}"
+
+
+def _check_limit(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise LimitError(f"{what} {value} is above the limit of {limit}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,32 +58,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_families(raw: str | None) -> list[str]:
+def _parse_families(raw: str) -> list[str]:
     # norm_table checks each name (separability.check_family)
-    if raw is None:
-        return list(FAMILIES)
     families = [f.strip() for f in raw.split(",") if f.strip()]
     if not families:
         raise ValueError("no families given")
     return families
 
 
-def cmd_norms(args) -> int:
-    rows = tensor.norm_table(_parse_families(args.families), args.n_min, args.n_max)
+def cmd_norms(args) -> list[str]:
+    families = _parse_families(args.families)
+    _check_limit("norms row count", len(families) * (args.n_max - args.n_min + 1), MAX_ROWS)
+    rows = tensor.norm_table(families, args.n_min, args.n_max)
     if args.format == "json":
         payload = [
             {"family": fam, "n": n, "norm_sq": norm_sq, "norm": math.sqrt(norm_sq)}
             for fam, n, norm_sq in rows
         ]
-        print(json.dumps(payload, indent=2))
-        return 0
-    print("family,n,norm_sq,norm")
+        return [json.dumps(payload, indent=2)]
+    lines = ["family,n,norm_sq,norm"]
     for fam, n, norm_sq in rows:
-        print(f"{fam},{n},{_fmt(norm_sq)},{_fmt(math.sqrt(norm_sq))}")
-    return 0
+        lines.append(f"{fam},{n},{_fmt(norm_sq)},{_fmt(math.sqrt(norm_sq))}")
+    return lines
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> list[str]:
     n = args.n
     if n < 3:
         raise ValueError(f"bounds table needs n >= 3, got {n}")
@@ -79,40 +90,31 @@ def cmd_bounds(args) -> int:
     k_max = args.k_max if args.k_max is not None else n
     if not 2 <= k_min <= k_max <= n:
         raise ValueError(f"need 2 <= k-min <= k-max <= n, got {k_min}..{k_max} for n={n}")
-    rows = []  # all rows before any output, so a failing row leaves stdout empty
+    lines = ["n,k,bound,partition"]
     for k in range(k_min, k_max + 1):
         pb = k_sep_bound(n, k)
-        rows.append(f"{n},{k},{_fmt(pb.bound)},{pb.partition_label()}")
-    print("\n".join(["n,k,bound,partition", *rows]))
-    return 0
+        lines.append(f"{n},{k},{_fmt(pb.bound)},{pb.partition_label()}")
+    return lines
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[str]:
     if args.p_steps < 2:
         raise ValueError(f"p-steps must be at least 2, got {args.p_steps}")
-    if args.p_steps > MAX_P_STEPS:
-        raise LimitError(f"p-steps {args.p_steps} is above the limit of {MAX_P_STEPS}")
-    steps = args.p_steps
+    _check_limit("p-steps", args.p_steps, MAX_ROWS)
     lines = [f"# sweep family={args.family} n={args.n} k={args.k}"]
     thr = threshold_p(args.n, args.k, args.family)  # reads k_sep_bound first, which checks k
     lines.append(f"# threshold_p={'NA' if thr is None else _fmt(thr)}")
     lines.append("p,norm_sq,bound_sq,xi,verdict")
-    for i in range(steps):
-        p = i / (steps - 1)
+    for i in range(args.p_steps):
+        p = i / (args.p_steps - 1)
         res = xi_noise(args.n, args.k, p, args.family)
         lines.append(
             f"{_fmt(p)},{_fmt(res.numerator)},{_fmt(res.denominator)},{_fmt(res.xi)},{res.verdict}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return 0
+    return lines
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args) -> list[str]:
     try:
         loaded = statefile.load_state_file(args.state_file)
     except OSError as exc:
@@ -137,52 +139,47 @@ def cmd_detect(args) -> int:
             "verdict": res.verdict,
             "p": loaded.p,
         }
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"n={n}")
-    print(f"k={args.k}")
-    print(f"norm={_fmt(norm)}")
-    print(f"bound={_fmt(pb.bound)}")
-    print(f"partition={pb.partition_label()}")
-    print(f"verdict={res.verdict}")
-    return 0
+        return [json.dumps(payload, indent=2)]
+    return [
+        f"n={n}",
+        f"k={args.k}",
+        f"norm={_fmt(norm)}",
+        f"bound={_fmt(pb.bound)}",
+        f"partition={pb.partition_label()}",
+        f"verdict={res.verdict}",
+    ]
 
 
-def cmd_settings(args) -> int:
-    blocks = tensor.measurement_settings(args.n, noise=args.noise)
-    sys.stdout.flush()
-    sys.stdout.buffer.writelines(blocks)
-    print(f"# count={cg_norm_sq(args.n) + args.noise}")
-    return 0
+def cmd_settings(args) -> list[bytes | str]:
+    return [*tensor.measurement_settings(args.n, noise=args.noise), f"# count={cg_norm_sq(args.n) + args.noise}"]
 
 
-def cmd_appendix(args) -> int:
+def cmd_appendix(args) -> list[str]:
     n = args.n
-    for x, c in permutation_terms(n):
-        print(f"C({n},{x}) = {c}")
-    total, closed = permutation_count(n), cg_norm_sq(n)
+    _check_limit("appendix n", n, APPENDIX_MAX_N)
+    terms, closed = permutation_terms(n), cg_norm_sq(n)
     s = closed - (1 << (n - 1))
+    lines = [f"C({n},{x}) = {c}" for x, c in terms]
     if s:
-        print("all-Y word = 1")
-    print(f"sum = {total}")
-    print(f"closed form 2^{n - 1} + {s} = {closed}")
+        lines.append("all-Y word = 1")
+    total = sum(c for _, c in terms) + s
     if total != closed:
-        print("MISMATCH", file=sys.stderr)
-        return 1
-    print("OK")
-    return 0
+        raise RuntimeError(f"appendix sum {total} differs from the closed form {closed}")
+    lines.append(f"sum = {total}")
+    lines.append(f"closed form 2^{n - 1} + {s} = {closed}")
+    lines.append("OK")
+    return lines
 
 
-def cmd_graph(args) -> int:
-    spec = states.complete_graph(args.n)
+def cmd_graph(args) -> list[str]:
+    if args.n < 2:
+        raise ValueError("graph needs at least 2 vertices")
+    _check_limit("graph n", args.n, GRAPH_MAX_N)
     lines = [f"graph complete_{args.n} {{"]
-    for v in range(1, args.n + 1):
-        lines.append(f"  {v};")
-    for a, b in spec.edges:
-        lines.append(f"  {a} -- {b};")
+    lines.extend(f"  {v};" for v in range(1, args.n + 1))
+    lines.extend(f"  {a} -- {b};" for a, b in combinations(range(1, args.n + 1), 2))
     lines.append("}")
-    print("\n".join(lines))
-    return 0
+    return lines
 
 
 def build_parser() -> _Parser:
@@ -190,7 +187,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("norms", help="tensor-norm table per family and qubit count")
-    p.add_argument("--families", default=None, help="comma list of state families (default: all)")
+    p.add_argument("--families", default=",".join(FAMILIES), help="comma list of state families (default: all)")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -206,7 +203,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", choices=tuple(FAMILIES), default="cg")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p-steps", type=int, default=11, help=f"grid points on [0, 1], 2 to {MAX_P_STEPS}")
+    p.add_argument("--p-steps", type=int, default=11, help=f"grid points on [0, 1], 2 to {MAX_ROWS}")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 
@@ -241,9 +238,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rc = args.func(args)
+        chunks = args.func(args)  # the whole output: nothing is written before it exists
+        out_path = getattr(args, "out", None)  # sweep's --out, opened once the rows exist
+        with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8") as out:
+            for chunk in chunks:
+                if isinstance(chunk, bytes):  # a settings block of Pauli words
+                    out.flush()
+                    out.buffer.write(chunk)
+                else:
+                    out.write(chunk + "\n")
         sys.stdout.flush()  # a closed pipe shows up here, not at shutdown
-        return rc
+        return 0
     except BrokenPipeError:
         # the reader has gone: as the signal module docs advise, send what is
         # left to devnull, so the flush at shutdown finds no pipe, and exit 1

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,7 @@ from graphsep import (
     write_amplitude_file,
 )
 from graphsep import cli
-from graphsep.cli import MAX_P_STEPS, main
+from graphsep.cli import MAX_ROWS, main
 
 from oracle import (
     brute_k_sep_bound,
@@ -706,12 +707,93 @@ def test_detect_json_xi_is_the_exact_ratio(capsys, tmp_path):
 
 def test_sweep_refuses_too_many_steps_before_any_row(capsys):
     code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "4", "--k", "2",
-                         "--p-steps", str(MAX_P_STEPS + 1))
+                         "--p-steps", str(MAX_ROWS + 1))
     assert code == 2 and out == ""
-    assert err == f"graphsep: error: p-steps {MAX_P_STEPS + 1} is above the limit of {MAX_P_STEPS}\n"
-    assert run(capsys, "sweep", "--help")[1].count(str(MAX_P_STEPS)) == 1
-    args = cli.build_parser().parse_args(["sweep", "--n", "4", "--k", "2", "--p-steps", str(MAX_P_STEPS + 1)])
+    assert err == f"graphsep: error: p-steps {MAX_ROWS + 1} is above the limit of {MAX_ROWS}\n"
+    assert run(capsys, "sweep", "--help")[1].count(str(MAX_ROWS)) == 1
+    args = cli.build_parser().parse_args(["sweep", "--n", "4", "--k", "2", "--p-steps", str(MAX_ROWS + 1)])
     with pytest.raises(LimitError) as caught:
         args.func(args)
     assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
+
+
+def _fail(*args, **kwargs):
+    raise ValueError("injected failure")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["norms"], "_fmt"),
+        (["detect", "--state-file", "STATE", "--k", "2"], "_fmt"),
+        (["bounds", "--n", "7"], "_fmt"),
+        (["sweep", "--n", "6", "--k", "2"], "_fmt"),
+        (["settings", "--n", "6", "--noise"], "cg_norm_sq"),
+        (["graph", "--n", "5"], "combinations"),
+    ],
+    ids=["norms", "detect", "bounds", "sweep", "settings", "graph"],
+)
+def test_a_command_that_fails_late_writes_nothing(capsys, monkeypatch, tmp_path, argv, name):
+    # each fails after lines it would once have printed: still one stderr line, stdout empty
+    path = tmp_path / "cg5.json"
+    path.write_text('{"family": "cg", "n": 5}')
+    argv = [str(path) if arg == "STATE" else arg for arg in argv]
+    monkeypatch.setattr(cli, name, _fail)
+    assert run(capsys, *argv) == (1, "", "graphsep: error: injected failure\n")
+
+
+def test_appendix_that_fails_late_writes_nothing(capsys):
+    # C(2200, 1099) has 660 digits: the terms below it format, that one does not
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "appendix", "--n", "2200")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, out) == (1, "")
+    assert err.startswith("graphsep: error: Exceeds the limit (640 digits)") and err.count("\n") == 1
+
+
+def test_appendix_mismatch_is_one_line_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "permutation_terms", lambda n: [(1, n)])
+    assert run(capsys, "appendix", "--n", "4") == (
+        1, "", "graphsep: error: appendix sum 5 differs from the closed form 9\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, last, owner, name, message",
+    [
+        (
+            "appendix --n {}",
+            cli.APPENDIX_MAX_N,
+            cli,
+            "permutation_terms",
+            f"appendix n {cli.APPENDIX_MAX_N + 1} is above the limit of {cli.APPENDIX_MAX_N}",
+        ),
+        (
+            "graph --n {}",
+            cli.GRAPH_MAX_N,
+            cli,
+            "combinations",
+            f"graph n {cli.GRAPH_MAX_N + 1} is above the limit of {cli.GRAPH_MAX_N}",
+        ),
+        (
+            "norms --families w --n-min 2 --n-max {}",
+            MAX_ROWS + 1,
+            tensor,
+            "norm_table",
+            f"norms row count {MAX_ROWS + 1} is above the limit of {MAX_ROWS}",
+        ),
+    ],
+    ids=["appendix", "graph", "norms"],
+)
+def test_size_limits_refuse_before_any_work(capsys, monkeypatch, command, last, owner, name, message):
+    calls = []
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or [])
+    code, _, _ = run(capsys, *command.format(last).split())  # at the limit the work starts
+    assert calls and code in (0, 1)  # (the appendix's empty sum is its mismatch)
+    calls.clear()
+    assert run(capsys, *command.format(last + 1).split()) == (2, "", f"graphsep: error: {message}\n")
+    assert calls == []  # past it, nothing ran
 

@@ -191,7 +191,11 @@ def test_family_files_and_norms_do_not_run_states(tmp_path):
         path.write_text(json.dumps(doc))
         argvs.append(["detect", "--state-file", str(path), "--k", "3"])
     argvs += [["norms"], ["norms", "--families", "cluster,w", "--n-min", "30", "--n-max", "31"]]
-    argvs.append(["graph", "--n", "3"])  # builds a GraphSpec: the check does see states run
+    argvs.append(["graph", "--n", "5"])  # edges from itertools, no GraphSpec
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"family": "graph", "n": 3, "edges": [[1, 2], [2, 3]]}))
+    # a graph file builds a GraphSpec: the check does see states run
+    argvs.append(["detect", "--state-file", str(path), "--k", "2"])
     child = fresh_python(CHILD_STATES, json.dumps(argvs))
     report = json.loads(child.stderr.splitlines()[-1])
     assert report == [[0, True]] * (len(argvs) - 1) + [[0, False]]
