@@ -12,6 +12,16 @@ the functions that build or read arrays (amplitudes, sparse tensors,
 the walk, the key patterns, a loaded file's ensemble).  Groups, expectations, the count,
 settings and the raw-amplitude norm are plain ints, floats and bytes,
 so no CLI command loads numpy.
+
+No class is a dataclass (its module brings inspect, ast and dis, about
+10 ms of start-up): the result records PartitionBound, XiResult and
+separability.Family are named tuples, the other classes plain ones.
+The modules reach each other through the lazy modules and read them
+only inside the functions that need them, so a CLI command runs the body
+of only the modules its path reads: cli and separability for bounds,
+sweep, appendix and graph, plus tensor for norms, tensor and stabilizer
+for settings, and statefile for detect, with states and stabilizer for
+a graph file and tensor for raw amplitudes.  No command runs pauli.
 """
 
 import importlib

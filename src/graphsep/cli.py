@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -71,11 +70,20 @@ def cmd_norms(args) -> list[str]:
     _check_limit("norms row count", len(families) * (args.n_max - args.n_min + 1), MAX_ROWS)
     rows = tensor.norm_table(families, args.n_min, args.n_max)
     if args.format == "json":
-        payload = [
-            {"family": fam, "n": n, "norm_sq": norm_sq, "norm": math.sqrt(norm_sq)}
+        import json
+
+        # the text of json.dumps(rows as dicts, indent=2), one object per
+        # row, with no dict per row (json writes a finite float as its repr)
+        names = {fam: json.dumps(fam) for fam in families}
+        lines = ["["]
+        lines += (
+            f'  {{\n    "family": {names[fam]},\n    "n": {n},\n'
+            f'    "norm_sq": {norm_sq!r},\n    "norm": {math.sqrt(norm_sq)!r}\n  }},'
             for fam, n, norm_sq in rows
-        ]
-        return [json.dumps(payload, indent=2)]
+        )
+        lines[-1] = lines[-1][:-1]  # no comma after the last object
+        lines.append("]")
+        return lines
     lines = ["family,n,norm_sq,norm"]
     for fam, n, norm_sq in rows:
         lines.append(f"{fam},{n},{_fmt(norm_sq)},{_fmt(math.sqrt(norm_sq))}")
@@ -129,6 +137,8 @@ def cmd_detect(args) -> list[str]:
     pb = k_sep_bound(n, args.k)
     norm = math.sqrt(res.numerator)
     if args.format == "json":
+        import json
+
         payload = {
             "n": n,
             "k": args.k,

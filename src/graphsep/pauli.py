@@ -22,7 +22,6 @@ never read on the stabilizer path) start without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -30,18 +29,25 @@ NORM_TOL = 1e-9
 IMAG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class PauliString:
-    """Hermitian tensor product of single-qubit I/X/Y/Z operators."""
+    """Hermitian tensor product of single-qubit I/X/Y/Z operators; equal and hashed by its letters."""
 
-    ops: str
-
-    def __post_init__(self):
-        if not self.ops:
+    def __init__(self, ops: str):
+        if not ops:
             raise ValueError("Pauli string must act on at least one qubit")
-        bad = set(self.ops) - set("IXYZ")
+        bad = set(ops) - set("IXYZ")
         if bad:
             raise ValueError(f"invalid Pauli letters: {sorted(bad)}")
+        self.ops = ops
+
+    def __repr__(self) -> str:
+        return f"PauliString(ops={self.ops!r})"
+
+    def __eq__(self, other):
+        return self.ops == other.ops if type(other) is PauliString else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.ops,))
 
     @property
     def n(self) -> int:
@@ -123,33 +129,31 @@ def packed_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return t3(z) + t3(z & ~x)
 
 
-@dataclass(frozen=True, eq=False)
 class CorrelationTensor:
     """Sparse full correlation tensor: ascending base-3 packed keys and their values.
 
     keys is a strictly increasing int64 array of packed index words and
-    values the float64 entries at those words; every other entry is zero.
-    full_tensor returns one, and so does full_weight_support (the signed
-    identity-free elements of a stabilizer group, values +-1).
+    values the float64 entries at those words (both read-only); every
+    other entry is zero.  full_tensor returns one, and so does
+    full_weight_support (the signed identity-free elements of a
+    stabilizer group, values +-1).  Tensors compare by identity.
     """
 
-    n: int
-    keys: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, n: int, keys, values):
         import numpy as np
 
-        keys = np.asarray(self.keys, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
+        keys = np.asarray(keys, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
         if keys.ndim != 1 or keys.shape != values.shape:
             raise ValueError("keys and values must be 1-D arrays of one length")
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("keys must be strictly increasing")
         keys.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "values", values)
+        self.n, self.keys, self.values = n, keys, values
+
+    def __repr__(self) -> str:
+        return f"CorrelationTensor(n={self.n!r}, keys={self.keys!r}, values={self.values!r})"
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -188,7 +192,6 @@ def _checked_amplitudes(n: int, amplitudes) -> np.ndarray:
     return amps
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class PureState:
     """Normalized n-qubit state vector (qubit 1 = most significant bit).
 
@@ -198,47 +201,42 @@ class PureState:
     the amplitudes, so only those constructors set it, through
     PureState.deferred.  A deferred state builds its 2^n amplitudes the
     first time ``amplitudes`` is read (and validates them then), so a
-    stabilizer-path caller never allocates them.
+    stabilizer-path caller never allocates them.  States compare by
+    identity.
     """
 
-    n: int
-    stabilizer: object = field(default=None, compare=False)
-    _amplitudes: object = field(default=None, repr=False)
-    _build: object = field(default=None, repr=False)
+    stabilizer = None
+    _amplitudes = None
+    _build = None
 
     def __init__(self, n: int, amplitudes):
         if n < 1:
             raise ValueError("need at least one qubit")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_amplitudes", _checked_amplitudes(n, amplitudes))
+        self.n = n
+        self._amplitudes = _checked_amplitudes(n, amplitudes)
 
     @classmethod
     def deferred(cls, n: int, build, stabilizer) -> PureState:
         """A state tagged with its StabilizerGroup (or None); build() makes its amplitudes on first read."""
         state = cls.__new__(cls)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "stabilizer", stabilizer)
-        object.__setattr__(state, "_build", build)
+        state.n, state.stabilizer, state._build = n, stabilizer, build
         return state
 
     @property
     def amplitudes(self) -> np.ndarray:
         if self._amplitudes is None:
-            object.__setattr__(self, "_amplitudes", _checked_amplitudes(self.n, self._build()))
+            self._amplitudes = _checked_amplitudes(self.n, self._build())
         return self._amplitudes
 
     def __repr__(self) -> str:
         return f"PureState(n={self.n})"
 
 
-@dataclass(frozen=True, eq=False)
 class MixedEnsemble:
-    """Convex mixture of pure states, stored as (weight, state) terms."""
+    """Convex mixture of pure states, stored as (weight, state) terms; ensembles compare by identity."""
 
-    terms: tuple
-
-    def __post_init__(self):
-        terms = tuple((float(w), st) for w, st in self.terms)
+    def __init__(self, terms):
+        terms = tuple((float(w), st) for w, st in terms)
         if not terms:
             raise ValueError("ensemble needs at least one term")
         if any(w <= 0 for w, _ in terms):
@@ -249,7 +247,10 @@ class MixedEnsemble:
         n = terms[0][1].n
         if any(st.n != n for _, st in terms):
             raise ValueError("all ensemble members must have the same qubit count")
-        object.__setattr__(self, "terms", terms)
+        self.terms = terms
+
+    def __repr__(self) -> str:
+        return f"MixedEnsemble(terms={self.terms!r})"
 
     @property
     def n(self) -> int:

@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -70,8 +69,7 @@ def _outcome(value_sq, bound_sq: int) -> str:
     return NON_K_SEPARABLE if value_sq > bound_sq else INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class PartitionBound:
+class PartitionBound(NamedTuple):
     """Maximizing k-partition of n with its norm bound.
 
     bound_sq is the exact integer product of 2^(m-1) + s_m over the
@@ -88,8 +86,7 @@ class PartitionBound:
         return "|".join(str(m) for m in self.parts)
 
 
-@dataclass(frozen=True)
-class XiResult:
+class XiResult(NamedTuple):
     """A state's squared norm (numerator) over the squared k-separability
     bound (denominator), as floats, with the verdict."""
 
@@ -251,8 +248,7 @@ def _chain_count(n: int) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A row of FAMILIES: the noise products (B, C, O, D) at n, and build(states, n), the state."""
 
     products: Callable[[int], tuple]
@@ -301,14 +297,22 @@ def noise_products(n: int, source) -> tuple[int, int, int, int]:
     if isinstance(source, str):
         check_family(source)
         return FAMILIES[source].products(n)
+    from . import stabilizer
+
+    return (*stabilizer.group_products(_group(n, source)), 1)
+
+
+def _group(n: int, source):
+    """The StabilizerGroup of a graph or group source of noise_products.  A
+    graph is refused above the count limit before its group is built."""
     if source.n != n:
         raise ValueError(f"source has {source.n} qubits, not {n}")
     from . import stabilizer
 
-    if not isinstance(source, stabilizer.StabilizerGroup):
-        stabilizer.check_count_limit(n)
-        source = stabilizer.stabilizer_group(source)
-    return (*stabilizer.group_products(source), 1)
+    if isinstance(source, stabilizer.StabilizerGroup):
+        return source
+    stabilizer.check_count_limit(n)
+    return stabilizer.stabilizer_group(source)
 
 
 def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
@@ -320,13 +324,21 @@ def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
     correctly rounded int / int division.  At p = 1 the state is |1...1>
     alone, (1, 1, 1, 1), and no products are built (a name is still
     checked).
+
+    The bound is read before the products, as in threshold_p: it refuses
+    a bad k, or a bound beyond the float range, before a closed form of
+    size n (the chain count is O(n^2) bit work) is built.  So k is
+    checked before a family name.  A graph is the exception: its group is
+    built first, so a graph over the count limit is refused as such.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
+    if p < 1.0 and not isinstance(family, str):
+        family = _group(n, family)
+    d = k_sep_bound(n, k).bound_sq
     if p == 1.0 and isinstance(family, str):
         check_family(family)
     b, c, o, den = (1, 1, 1, 1) if p == 1.0 else noise_products(n, family)
-    d = k_sep_bound(n, k).bound_sq
     u, v = p.as_integer_ratio()
     top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v * den
     return XiResult(n, k, top / scale, float(d), top / (scale * d), _outcome(top, scale * d))

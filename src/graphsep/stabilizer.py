@@ -28,16 +28,17 @@ full_weight_support (the walk's one caller) and the patterns, which
 keep every key, more than PATTERN_LIMIT, with separability.LimitError.
 Single expectations are O(n) membership solves.  numpy is imported only
 where arrays are built, so groups, expectations and the count start
-without it.
+without it; pauli (the lazy module) runs only for the walk's tensor and
+the key patterns, so a graph's count and the settings never run it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .pauli import CorrelationTensor, PauliString, pack_index, packed_keys
+# the lazy module (graphsep/__init__.py), run only by the walk and the key patterns
+from . import pauli
 from .separability import LimitError
 
 # Generators whose subsets form one chunk of the walk (2^14 int64 lanes,
@@ -59,24 +60,19 @@ def check_count_limit(n: int) -> None:
         raise LimitError(f"stabilizer count over 2^{n} generator subsets exceeds the {COUNT_LIMIT}-qubit limit")
 
 
-@dataclass(frozen=True, eq=False)
 class StabilizerGroup:
     """n independent, commuting signed Pauli generators on n qubits.
 
     Each generator is an (x_bits, z_bits, sign) triple.  Construction
     verifies pairwise commutation and GF(2) independence and prepares a
-    row-reduced basis for membership solves.
+    row-reduced basis for membership solves.  Groups compare by identity.
     """
 
-    n: int
-    generators: tuple
-    _reduced: list = field(init=False, repr=False)
-
-    def __post_init__(self):
-        gens = tuple((int(x), int(z), int(s)) for x, z, s in self.generators)
-        if len(gens) != self.n:
-            raise ValueError(f"need exactly {self.n} generators, got {len(gens)}")
-        mask = (1 << self.n) - 1
+    def __init__(self, n: int, generators):
+        gens = tuple((int(x), int(z), int(s)) for x, z, s in generators)
+        if len(gens) != n:
+            raise ValueError(f"need exactly {n} generators, got {len(gens)}")
+        mask = (1 << n) - 1
         for x, z, s in gens:
             if x & ~mask or z & ~mask:
                 raise ValueError("generator mask wider than qubit count")
@@ -90,13 +86,15 @@ class StabilizerGroup:
         # combine into each reduced row
         reduced: list[tuple[int, int]] = []
         for k, (x, z, _) in enumerate(gens):
-            vec, combo = self._reduce_vector(reduced, (x << self.n) | z, 1 << k)
+            vec, combo = self._reduce_vector(reduced, (x << n) | z, 1 << k)
             if vec == 0:
                 raise ValueError("generators must be independent over GF(2)")
             reduced.append((vec, combo))
             reduced.sort(key=lambda rc: -rc[0])
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "_reduced", reduced)
+        self.n, self.generators, self._reduced = n, gens, reduced
+
+    def __repr__(self) -> str:
+        return f"StabilizerGroup(n={self.n!r}, generators={self.generators!r})"
 
     @staticmethod
     def _reduce_vector(reduced: list, vec: int, combo: int) -> tuple[int, int]:
@@ -162,7 +160,18 @@ def all_ones_group(n: int) -> StabilizerGroup:
     return StabilizerGroup(n, tuple((0, 1 << (n - a), -1) for a in range(1, n + 1)))
 
 
-def stabilizer_expectation(g: StabilizerGroup, p: PauliString) -> int:
+def _member_sign(g: StabilizerGroup, x: int, z: int) -> int:
+    """+-1 when +-(the Hermitian word with masks (x, z)) lies in g, else 0."""
+    combo = g.member_combo(x, z)
+    if combo is None:
+        return 0
+    px, pz, sign = g.product_sign(combo)
+    if (px, pz) != (x, z):
+        raise RuntimeError("membership solve produced inconsistent masks")
+    return sign
+
+
+def stabilizer_expectation(g: StabilizerGroup, p: pauli.PauliString) -> int:
     """Exact expectation of a Pauli word on the stabilized state: -1, 0 or +1.
 
     +-1 when +-P lies in the group (GF(2) membership solve plus sign
@@ -171,13 +180,7 @@ def stabilizer_expectation(g: StabilizerGroup, p: PauliString) -> int:
     if g.n != p.n:
         raise ValueError(f"group has {g.n} qubits, Pauli word has {p.n}")
     x, z, _ = p.masks()
-    combo = g.member_combo(x, z)
-    if combo is None:
-        return 0
-    px, pz, sign = g.product_sign(combo)
-    if (px, pz) != (x, z):
-        raise RuntimeError("membership solve produced inconsistent masks")
-    return sign
+    return _member_sign(g, x, z)
 
 
 def _walk(g: StabilizerGroup):
@@ -220,7 +223,7 @@ def _walk(g: StabilizerGroup):
         yield x, z, 1.0 - phase  # phase 0 -> +1, phase 2 -> -1
 
 
-def full_weight_support(g: StabilizerGroup) -> CorrelationTensor:
+def full_weight_support(g: StabilizerGroup) -> pauli.CorrelationTensor:
     """All identity-free group elements, as a tensor of their +-1 signs in ascending key order.
 
     The elements come from the walk (see _walk), packed and sorted.  A
@@ -231,15 +234,15 @@ def full_weight_support(g: StabilizerGroup) -> CorrelationTensor:
     """
     n = g.n
     if g.diagonal:
-        return CorrelationTensor(n, [pack_index((3,) * n)], [stabilizer_expectation(g, PauliString("Z" * n))])
+        return pauli.CorrelationTensor(n, [pauli.pack_index((3,) * n)], [_member_sign(g, 0, (1 << n) - 1)])
     if n > PATTERN_LIMIT:
         raise LimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
     import numpy as np
 
     chunks = list(_walk(g))
-    keys = np.concatenate([packed_keys(x, z, n) for x, z, _ in chunks])
+    keys = np.concatenate([pauli.packed_keys(x, z, n) for x, z, _ in chunks])
     order = np.argsort(keys)
-    return CorrelationTensor(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
+    return pauli.CorrelationTensor(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +304,7 @@ def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
     Z^n is not in g), and O = 1.
     """
     n = g.n
-    return full_weight_count(g), (-1) ** n * stabilizer_expectation(g, PauliString("Z" * n)), 1
+    return full_weight_count(g), (-1) ** n * _member_sign(g, 0, (1 << n) - 1), 1
 
 
 def pattern_halves(n: int, parity: int, render):
@@ -332,8 +335,8 @@ def _pattern_keys(n: int, parity: int, xz, extra: int) -> np.ndarray:
 
     halves = pattern_halves(n, parity, lambda group: np.array(group, dtype=np.int64))
     masks = np.concatenate([t << n // 2 | bottoms for t, bottoms in halves])
-    keys = packed_keys(*xz(masks, (1 << n) - 1), n)
-    return np.append(keys, pack_index((extra,) * n)) if n % 2 == 0 else keys
+    keys = pauli.packed_keys(*xz(masks, (1 << n) - 1), n)
+    return np.append(keys, pauli.pack_index((extra,) * n)) if n % 2 == 0 else keys
 
 
 def cg_nonzero_pattern(n: int) -> np.ndarray:

@@ -29,7 +29,6 @@ import json
 import math
 import reprlib
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 
 # lazy modules (graphsep/__init__.py), loaded when an ensemble is built or
@@ -46,16 +45,26 @@ class StateFileError(ValueError):
     """The state file is malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
 class LoadedState:
     """Parsed state file: its provenance fields, its base state's source
     (a family name, a GraphSpec or an amplitude tuple) and the ensemble,
-    built from the source on first read."""
+    built from the source on first read.  Equality, hash and repr read
+    the provenance fields (n, family, p) only."""
 
-    n: int
-    family: str | None
-    p: float | None
-    source: object = field(repr=False, compare=False)
+    def __init__(self, n: int, family: str | None, p: float | None, source):
+        self.n, self.family, self.p, self.source = n, family, p, source
+
+    def _fields(self) -> tuple:
+        return self.n, self.family, self.p
+
+    def __repr__(self) -> str:
+        return f"LoadedState(n={self.n!r}, family={self.family!r}, p={self.p!r})"
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is LoadedState else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     @cached_property
     def ensemble(self) -> pauli.MixedEnsemble:

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 import reprlib
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import pairwise
 
+# lazy modules (graphsep/__init__.py), run only when a state or a group is built
 from . import pauli, stabilizer
 
 
-@dataclass(frozen=True, init=False)
 class GraphSpec:
     """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
 
@@ -39,12 +38,10 @@ class GraphSpec:
     (a, b), a < b, checked in O(|E| log |E|) time and O(|E|) memory (a
     duplicate is found next to its twin once sorted): nothing of size n
     is built, so a graph file with a huge n and few edges is refused by
-    the count's qubit limit, not by memory.  masks, one neighbour bitmask
+    the count's qubit limit, not by memory.  Two specs are equal, and
+    hash alike, when their (n, edges) are.  masks, one neighbour bitmask
     per vertex (qubit 1 at the top bit), is built on first read.
     """
-
-    n: int
-    edges: tuple  # the edges (a, b), a < b, in ascending order
 
     def __init__(self, n: int, edges):
         if n < 2:
@@ -61,8 +58,17 @@ class GraphSpec:
         for pair, following in pairwise(pairs):
             if pair == following:
                 raise ValueError(f"duplicate edge {pair}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(pairs))
+        self.n = n
+        self.edges = tuple(pairs)  # the edges (a, b), a < b, in ascending order
+
+    def __repr__(self) -> str:
+        return f"GraphSpec(n={self.n!r}, edges={self.edges!r})"
+
+    def __eq__(self, other):
+        return (self.n, self.edges) == (other.n, other.edges) if type(other) is GraphSpec else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     @cached_property
     def masks(self) -> tuple:

@@ -34,9 +34,10 @@ import os
 from itertools import chain
 from operator import add, mul
 
-from .pauli import IMAG_TOL, CorrelationTensor, PureState, packed_keys, pure_ensemble
+# lazy modules (graphsep/__init__.py): stabilizer runs for the settings and
+# the shortcut, pauli only for full_tensor
+from . import pauli, stabilizer
 from .separability import LimitError, check_family, noise_products
-from .stabilizer import full_weight_support, pattern_halves
 
 DEFAULT_DENSE_LIMIT = 10
 DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
@@ -103,14 +104,14 @@ def _dense_arrays(terms, n: int, zero_tol: float) -> tuple[np.ndarray, np.ndarra
         x = xs[row, 0]
         vals = i_pow[np.bitwise_count(x & z) & 3] * f[row, z]
         residue = np.abs(vals.imag).max()
-        if residue > IMAG_TOL:
+        if residue > pauli.IMAG_TOL:
             raise RuntimeError(f"expectation has imaginary residue {residue}")
-        acc[packed_keys(x, z, n)] = vals.real
+        acc[pauli.packed_keys(x, z, n)] = vals.real
     keep = np.flatnonzero(np.abs(acc) > zero_tol)
     return keep, acc[keep]
 
 
-def full_tensor(ens, zero_tol: float = 1e-9) -> CorrelationTensor:
+def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
     """Full correlation tensor of an ensemble (or a bare pure state).
 
     The state picks the path: the stabilizer shortcut when every member
@@ -120,23 +121,23 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> CorrelationTensor:
     stabilizer.PATTERN_LIMIT.  Entries whose magnitude is not above
     zero_tol are dropped.
     """
-    if isinstance(ens, PureState):
-        ens = pure_ensemble(ens)
+    if isinstance(ens, pauli.PureState):
+        ens = pauli.pure_ensemble(ens)
     if zero_tol < 0:
         raise ValueError("zero_tol must be nonnegative")
     n = ens.n
     if all(st.stabilizer is not None for _, st in ens.terms):
         import numpy as np
 
-        supports = [full_weight_support(st.stabilizer) for _, st in ens.terms]
+        supports = [stabilizer.full_weight_support(st.stabilizer) for _, st in ens.terms]
         # members in order, so each key sums its terms as a sequential loop would
         keys, inverse = np.unique(np.concatenate([s.keys for s in supports]), return_inverse=True)
         weighted = np.concatenate([w * s.values for (w, _), s in zip(ens.terms, supports)])
         acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
         keep = np.abs(acc) > zero_tol
-        return CorrelationTensor(n, keys[keep], acc[keep])
+        return pauli.CorrelationTensor(n, keys[keep], acc[keep])
     _check_dense_limit(n)
-    return CorrelationTensor(n, *_dense_arrays(ens.terms, n, zero_tol))
+    return pauli.CorrelationTensor(n, *_dense_arrays(ens.terms, n, zero_tol))
 
 
 def _interleave(lo: list, hi: list, block: int) -> list:
@@ -226,13 +227,13 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     return math.fsum(chain.from_iterable(decide(sa, ca, n, 0, 0, 1, False)))
 
 
-def tensor_norm_sq(t: CorrelationTensor) -> float:
+def tensor_norm_sq(t: pauli.CorrelationTensor) -> float:
     """Sum of the squared entries, exactly rounded (math.fsum), so it
     depends neither on their order nor on the path that built the tensor."""
     return math.fsum((t.values * t.values).tolist())
 
 
-def tensor_norm(t: CorrelationTensor) -> float:
+def tensor_norm(t: pauli.CorrelationTensor) -> float:
     """Standard (Frobenius) tensor norm: the square root of tensor_norm_sq."""
     return math.sqrt(tensor_norm_sq(t))
 
@@ -253,7 +254,7 @@ def measurement_settings(n: int, noise: bool = False) -> list[bytes]:
     def word(mask, bits):  # X on the set bits of mask, Z elsewhere, top bit first
         return format(mask, f"0{bits}b").encode().translate(xz)
 
-    halves = pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
+    halves = stabilizer.pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
     tops = [word(t, n - low) for t in range(1 << (n - low))]
     # each bottom word ends in a newline, so top + top.join(bottoms) is the rows top + bottom, one per bottom
     blocks = [tops[t] + tops[t].join(bottoms) for t, bottoms in halves]

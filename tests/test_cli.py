@@ -76,6 +76,25 @@ def test_norms_json(capsys):
     ]
 
 
+def test_norms_json_is_the_text_of_json_dumps(capsys):
+    # the rows are written from a template, byte for byte what json.dumps
+    # of one dict per row gives, W's non-integer norms included
+    families = ["cg", "ghz", "w", "cluster"]
+    code, out, err = run(capsys, "norms", "--families", ",".join(families), "--n-min", "2", "--n-max", "300",
+                         "--format", "json")
+    payload = [
+        {"family": fam, "n": n, "norm_sq": norm_sq, "norm": math.sqrt(norm_sq)}
+        for fam, n, norm_sq in tensor.norm_table(families, 2, 300)
+    ]
+    assert (code, err) == (0, "")
+    assert out == json.dumps(payload, indent=2) + "\n"
+    for family in families:  # one row: no comma after the only object
+        _, out, _ = run(capsys, "norms", "--families", family, "--n-min", "7", "--n-max", "7", "--format", "json")
+        norm_sq = tensor.norm_table([family], 7, 7)[0][2]
+        want = [{"family": family, "n": 7, "norm_sq": norm_sq, "norm": math.sqrt(norm_sq)}]
+        assert out == json.dumps(want, indent=2) + "\n"
+
+
 def test_norms_bad_family_exits_1(capsys):
     code, _, err = run(capsys, "norms", "--families", "bogus")
     assert code == 1
@@ -550,9 +569,18 @@ def test_cluster_count_is_not_built_where_it_cannot_matter(capsys, tmp_path, mon
     assert (code, out, err) == (1, "", "graphsep: error: result out of floating-point range (math range error)\n")
     with pytest.raises(OverflowError):
         separability.threshold_p(300000, 2, "cluster")
+    # xi_noise reads the bound first too, so detect at p < 1 refuses before the count
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({"family": "cluster", "n": 300000, "p": 0.5}))
+    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert (code, out, err) == (1, "", "graphsep: error: result out of floating-point range (math range error)\n")
+    with pytest.raises(OverflowError):
+        separability.xi_noise(300000, 2, 0.5, "cluster")
+    # and so checks k before the family name
+    with pytest.raises(ValueError, match=re.escape("need 2 <= k <= n, got k=1, n=5")):
+        separability.xi_noise(5, 1, 0.5, "bogus")
     # at p = 1 the state is |1...1> alone: no products for any source, but a name is still checked
     n = 10 ** 6
-    path = tmp_path / "cluster.json"
     path.write_text(json.dumps({"family": "cluster", "n": n, "p": 1}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", str(n))
     assert (code, err) == (0, "")

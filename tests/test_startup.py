@@ -1,7 +1,8 @@
-"""Start-up contract: the CLI never loads numpy (every command, detect on
-family, graph and raw-amplitude files alike), and the lazy namespace
-still resolves every public name.  Each check runs in a fresh
-interpreter."""
+"""Start-up contract: the CLI never loads numpy or dataclasses (every
+command, detect on family, graph and raw-amplitude files alike), each
+command runs the body of only the graphsep modules its path reads, and
+the lazy namespace still resolves every public name.  Each check runs in
+a fresh interpreter."""
 
 import json
 import math
@@ -21,15 +22,28 @@ from graphsep.cli import main
 
 SRC = Path(graphsep.__file__).resolve().parents[1]  # the tree this process imports
 
-# runs main(argv), then reports its exit code and whether numpy got loaded;
-# each warning is one "Category: message" line on stderr
+# runs main(argv), then reports its exit code, which of numpy, dataclasses
+# and inspect got loaded, and the graphsep modules whose body has run; each
+# warning is one "Category: message" line on stderr
 CHILD_MAIN = """
-import json, sys, warnings
+import importlib.util, json, sys, warnings
 from graphsep.cli import main
 warnings.showwarning = lambda message, category, *rest: sys.stderr.write(f"{category.__name__}: {message}\\n")
 rc = main(sys.argv[1:])
-sys.stderr.write(json.dumps([rc, "numpy" in sys.modules]) + "\\n")
+loaded = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not importlib.util._LazyModule)
+sys.stderr.write(json.dumps([rc, loaded, ran]) + "\\n")
 """
+
+# the graphsep modules whose body each command runs (README, "Start-up");
+# no command runs pauli
+TABLES = ("cli", "separability")  # bounds, sweep, appendix, graph
+NORMS = (*TABLES, "tensor")
+SETTINGS = (*NORMS, "stabilizer")
+FAMILY_FILE = (*TABLES, "statefile")
+GRAPH_FILE = (*FAMILY_FILE, "states", "stabilizer")
+RAW_FILE = (*FAMILY_FILE, "tensor")
+ONE_QUBIT_FILE = (*FAMILY_FILE, "states")  # each constructor refuses one qubit in its own words
 
 
 def fresh_python(code, *argv, **streams):
@@ -70,17 +84,17 @@ def _graph_doc(n, share, seed):
 
 # graph files are decided from the bit-sliced count of their group, and
 # above the count limit refused before the group is built; cluster files
-# from their closed form, at any n
+# from their closed form, at any n.  Each with the modules it runs.
 COUNTED_FILES = [
-    *(_detect({**_graph_doc(n, share, n), **noise}, 3) for n in (8, 20) for share in (4 / n, 0.5)
+    *((_detect({**_graph_doc(n, share, n), **noise}, 3), GRAPH_FILE) for n in (8, 20) for share in (4 / n, 0.5)
       for noise in ({}, {"p": 0.1})),
-    *(_detect({"family": "cluster", "n": 20, **noise}, 4, *fmt)
+    *((_detect({"family": "cluster", "n": 20, **noise}, 4, *fmt), FAMILY_FILE)
       for noise in ({}, {"p": 0.1}, {"p": 1}) for fmt in ((), ("--format", "json"))),
-    _detect({"family": "cluster", "n": 27}, 2),
-    _detect({"family": "cluster", "n": 5000, "p": 0.1}, 2),
-    _detect(_graph_doc(27, 0.2, 27), 2),
-    _detect({"family": "cluster", "n": 1000, "p": 0.1}, 2),
-    _detect({"family": "graph", "n": 5000, "edges": [[a, a + 1] for a in range(1, 5000)], "p": 0.1}, 2),
+    (_detect({"family": "cluster", "n": 27}, 2), FAMILY_FILE),
+    (_detect({"family": "cluster", "n": 5000, "p": 0.1}, 2), FAMILY_FILE),
+    (_detect(_graph_doc(27, 0.2, 27), 2), GRAPH_FILE),
+    (_detect({"family": "cluster", "n": 1000, "p": 0.1}, 2), FAMILY_FILE),
+    (_detect({"family": "graph", "n": 5000, "edges": [[a, a + 1] for a in range(1, 5000)], "p": 0.1}, 2), GRAPH_FILE),
 ]
 
 
@@ -103,29 +117,29 @@ RAW_FILES = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["bounds", "--n", "55"],
-        ["bounds", "--n", "2"],
-        ["bounds", "--n", "2100"],
-        ["sweep", "--family", "cg", "--n", "12", "--k", "3", "--p-steps", "11"],
-        ["sweep", "--family", "ghz", "--n", "30", "--k", "2", "--p-steps", "5"],
-        ["appendix", "--n", "10"],
-        ["graph", "--n", "5"],
-        *FAMILY_FILES,
-        *ERROR_FILES,
-        ["sweep", "--family", "w", "--n", "1000", "--k", "998", "--p-steps", "5"],
-        *COUNTED_FILES,
-        ["norms"],
-        ["norms", "--families", "cg,cluster,ghz,w", "--n-min", "2", "--n-max", "20"],
-        ["norms", "--families", "cluster", "--n-min", "1000", "--n-max", "1000"],
-        ["sweep", "--family", "cluster", "--n", "1000", "--k", "998", "--p-steps", "5"],
-        *(["settings", "--n", str(n), *noise] for n in (3, 10, 18) for noise in ((), ("--noise",))),
-        *RAW_FILES,
-    ],
-)
-def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):
+COMMANDS = [
+    (["bounds", "--n", "55"], TABLES),
+    (["bounds", "--n", "2"], TABLES),
+    (["bounds", "--n", "2100"], TABLES),
+    (["sweep", "--family", "cg", "--n", "12", "--k", "3", "--p-steps", "11"], TABLES),
+    (["sweep", "--family", "ghz", "--n", "30", "--k", "2", "--p-steps", "5"], TABLES),
+    (["appendix", "--n", "10"], TABLES),
+    (["graph", "--n", "5"], TABLES),
+    *((argv, FAMILY_FILE) for argv in FAMILY_FILES),
+    *((argv, ONE_QUBIT_FILE) for argv in ERROR_FILES),
+    (["sweep", "--family", "w", "--n", "1000", "--k", "998", "--p-steps", "5"], TABLES),
+    *COUNTED_FILES,
+    (["norms"], NORMS),
+    (["norms", "--families", "cg,cluster,ghz,w", "--n-min", "2", "--n-max", "20"], NORMS),
+    (["norms", "--families", "cluster", "--n-min", "1000", "--n-max", "1000"], NORMS),
+    (["sweep", "--family", "cluster", "--n", "1000", "--k", "998", "--p-steps", "5"], TABLES),
+    *((["settings", "--n", str(n), *noise], SETTINGS) for n in (3, 10, 18) for noise in ((), ("--noise",))),
+    *((argv, RAW_FILE) for argv in RAW_FILES),
+]
+
+
+@pytest.mark.parametrize("argv, runs", COMMANDS, ids=[f"argv{i}" for i in range(len(COMMANDS))])
+def test_integer_commands_load_no_numpy(capsys, tmp_path, argv, runs):
     for i, arg in enumerate(argv):
         if isinstance(arg, dict):
             path = tmp_path / "state.json"
@@ -133,8 +147,9 @@ def test_integer_commands_load_no_numpy(capsys, tmp_path, argv):
             argv = [*argv[:i], str(path), *argv[i + 1:]]
     child = fresh_python(CHILD_MAIN, *argv)
     *err_lines, report = child.stderr.splitlines(keepends=True)
-    rc, numpy_loaded = json.loads(report)
-    assert not numpy_loaded
+    rc, loaded, ran = json.loads(report)
+    assert loaded == []  # neither numpy nor dataclasses (nor inspect, which it brings)
+    assert ran == sorted(f"graphsep.{module}" for module in runs)
     # the same output as main in this process, where numpy is loaded
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from graphsep import (
+    CorrelationTensor,
     GraphSpec,
+    PauliString,
     PureState,
     chain_graph,
     cluster_state,
@@ -15,11 +17,14 @@ from graphsep import (
     full_tensor,
     ghz_state,
     graph_state,
+    k_sep_bound,
     noisy_mixture,
     stabilizer_group,
     tensor_norm,
     w_state,
+    xi_noise,
 )
+from graphsep.statefile import loads_state
 from graphsep.states import all_ones_state
 
 from oracle import apply_local_unitaries, is_all_ones, permute_qubits, random_unitary, star_graph, untagged
@@ -70,6 +75,38 @@ def test_graph_spec_keeps_sorted_edges_and_builds_masks_on_first_read():
     assert spec.masks == (0b010, 0b101, 0b010)
     with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
         GraphSpec(3, ((1, 2), (2, 1)))
+
+
+def test_plain_classes_keep_their_repr_equality_and_hash():
+    # no class is a dataclass any more: each keeps the repr, equality and
+    # hash it had as one, and the result records are named tuples
+    spec = GraphSpec(3, [(2, 3), (1, 2)])
+    assert repr(spec) == "GraphSpec(n=3, edges=((1, 2), (2, 3)))" and spec != GraphSpec(4, [(1, 2), (2, 3)])
+    assert spec != ((1, 2), (2, 3)) and {spec, GraphSpec(3, [(1, 2), (2, 3)])} == {spec}
+    assert PauliString("XZ") == PauliString("XZ") != PauliString("ZX")
+    assert hash(PauliString("XZ")) == hash(PauliString("XZ")) and repr(PauliString("XZ")) == "PauliString(ops='XZ')"
+    # a loaded file compares and prints by its provenance, not its source
+    first, second = loads_state('{"family": "cg", "n": 3, "p": 0.5}'), loads_state('{"family": "cg", "n": 3, "p": 0.5}')
+    raw = '{"n": 1, "amplitudes": [[%s, 0], [%s, 0]]}'
+    assert first == second and hash(first) == hash(second) and first != loads_state('{"family": "ghz", "n": 3}')
+    assert loads_state(raw % (1, 0)) == loads_state(raw % (0, 1))
+    assert repr(first) == "LoadedState(n=3, family='cg', p=0.5)"
+    # groups, states, ensembles and tensors compare by identity
+    group = stabilizer_group(spec)
+    assert group == group != stabilizer_group(spec)
+    assert repr(group) == f"StabilizerGroup(n=3, generators={group.generators!r})"
+    state = ghz_state(3)
+    assert state == state != ghz_state(3) and repr(state) == "PureState(n=3)"
+    ensemble = noisy_mixture(state, 0.5)
+    assert ensemble != noisy_mixture(state, 0.5)
+    assert repr(ensemble) == "MixedEnsemble(terms=((0.5, PureState(n=3)), (0.5, PureState(n=3))))"
+    tensor = CorrelationTensor(2, [0, 4], [0.5, -1.0])
+    assert tensor != CorrelationTensor(2, [0, 4], [0.5, -1.0])
+    assert repr(tensor) == "CorrelationTensor(n=2, keys=array([0, 4]), values=array([ 0.5, -1. ]))"
+    bound = k_sep_bound(6, 2)
+    assert bound == (6, 2, (2, 4), math.sqrt(27), 27) and bound._replace(k=3).k == 3
+    assert repr(bound) == f"PartitionBound(n=6, k=2, parts=(2, 4), bound={math.sqrt(27)!r}, bound_sq=27)"
+    assert xi_noise(6, 2, 0.0).verdict == xi_noise(6, 2, 0.0)[-1] == "NonKSeparable"
 
 
 def test_graph_builders():

@@ -8,7 +8,6 @@ import os
 import re
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +39,7 @@ from graphsep import (
     pauli,
     pure_ensemble,
     separability,
+    stabilizer,
     stabilizer_group,
     tensor,
     tensor_norm,
@@ -366,7 +366,7 @@ def test_the_state_picks_the_path(monkeypatch):
     monkeypatch.setattr(tensor, "_dense_arrays", None)  # any dense sweep would now raise TypeError
     fast = full_tensor(ens)
     monkeypatch.undo()
-    monkeypatch.setattr(tensor, "full_weight_support", None)
+    monkeypatch.setattr(stabilizer, "full_weight_support", None)
     dense = full_tensor(untagged(ens))
     assert fast.keys.tolist() == dense.keys.tolist()
     with pytest.raises(TypeError):
@@ -572,7 +572,7 @@ def test_norm_table_builds_no_tagged_state(monkeypatch):
 
 def test_norm_table_builds_no_w_state(monkeypatch):
     built = []
-    monkeypatch.setitem(FAMILIES, "w", replace(FAMILIES["w"], build=lambda states, n: built.append(n)))
+    monkeypatch.setitem(FAMILIES, "w", FAMILIES["w"]._replace(build=lambda states, n: built.append(n)))
     rows = norm_table(["w"], 2, 12) + norm_table(["w"], 1000, 1000)
     assert rows == [("w", n, float(Fraction(5) - Fraction(4, n))) for n in (*range(2, 13), 1000)]
     assert built == []
