@@ -1,17 +1,19 @@
 """Correlation-tensor norms and non-k-separability certification for qubit graph states.
 
 The namespace is lazy, so that the command-line interface starts
-without numpy.  Importing graphsep registers each home module of
-_EXPORTS as a lazy module (importlib.util.LazyLoader) whose body runs
-on first attribute access, and each public name resolves on first
-access (PEP 562), so graphsep.X is graphsep.<home>.X.  No module imports
-numpy at import time: separability (bounds, thresholds and the integer
-closed forms cg_norm_sq, sqrt_int, permutation_count) never loads it,
-and pauli, stabilizer, tensor, states and statefile load it only inside
-the functions that build or read arrays (amplitudes, sparse tensors,
-the walk, the key patterns, a loaded file's ensemble).  Groups, expectations, the count,
-settings and the raw-amplitude norm are plain ints, floats and bytes,
-so no CLI command loads numpy.
+without numpy, which a plain install does not bring: the tensor extra
+(graphsep[tensor]) adds it for the inspection layer.  Importing
+graphsep registers each home module of _EXPORTS as a lazy module
+(importlib.util.LazyLoader) whose body runs on first attribute access,
+and each public name resolves on first access (PEP 562), so graphsep.X
+is graphsep.<home>.X.  No module imports numpy at import time: the
+functions that build or read arrays (amplitudes, sparse tensors, the
+walk, the key patterns, a loaded file's ensemble) get it from
+pauli.require_numpy, which without it raises a one-line ImportError
+that names the extra.  separability (bounds, thresholds and the integer
+closed forms) never reads it, and groups, the count, settings and the
+raw-amplitude norm are plain ints, floats and bytes, so no CLI command
+needs numpy.
 
 No class is a dataclass (its module brings inspect, ast and dis, about
 10 ms of start-up): the result records PartitionBound, XiResult and
@@ -32,12 +34,11 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports
 _EXPORTS = {
-    "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble"
-    " unpack_index",
+    "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble",
     "separability": "INCONCLUSIVE LimitError NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
-    " k_sep_bound noise_products permutation_count threshold_p xi_noise",
+    " k_sep_bound noise_products threshold_p xi_noise",
     "stabilizer": "StabilizerGroup cg_nonzero_pattern full_weight_count full_weight_support ghz_group"
-    " ghz_nonzero_pattern stabilizer_expectation stabilizer_group",
+    " ghz_nonzero_pattern stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
     "states": "GraphSpec all_ones_state chain_graph cluster_state complete_graph ghz_state graph_state"
     " noisy_mixture w_state",

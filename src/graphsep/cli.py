@@ -31,6 +31,9 @@ from .separability import FAMILIES, LimitError, cg_norm_sq, detect, k_sep_bound
 from .separability import permutation_terms, threshold_p, xi_noise
 
 MAX_ROWS = 100_001  # rows of a sweep or a norms table, all held before any is written
+# blocks of the partitions a command builds and labels: k for sweep and
+# detect, k summed over the rows for bounds (one partition per row)
+MAX_PARTS = 1_000_000
 # the binomials' digits grow with n: appendix --n 4096 takes about 0.7 s at an
 # 18 MB peak (2-core VM), far from Python's 4,300-digit int-to-str limit,
 # which C(n, n/2) passes near n = 14,290
@@ -98,6 +101,7 @@ def cmd_bounds(args) -> list[str]:
     k_max = args.k_max if args.k_max is not None else n
     if not 2 <= k_min <= k_max <= n:
         raise ValueError(f"need 2 <= k-min <= k-max <= n, got {k_min}..{k_max} for n={n}")
+    _check_limit("bounds part count", (k_min + k_max) * (k_max - k_min + 1) // 2, MAX_PARTS)
     lines = ["n,k,bound,partition"]
     for k in range(k_min, k_max + 1):
         pb = k_sep_bound(n, k)
@@ -109,17 +113,20 @@ def cmd_sweep(args) -> list[str]:
     if args.p_steps < 2:
         raise ValueError(f"p-steps must be at least 2, got {args.p_steps}")
     _check_limit("p-steps", args.p_steps, MAX_ROWS)
-    lines = [f"# sweep family={args.family} n={args.n} k={args.k}"]
-    thr = threshold_p(args.n, args.k, args.family)  # reads k_sep_bound first, which checks k
-    lines.append(f"# threshold_p={'NA' if thr is None else _fmt(thr)}")
-    lines.append("p,norm_sq,bound_sq,xi,verdict")
+    _check_limit("k", args.k, MAX_PARTS)
+    rows = []
     for i in range(args.p_steps):
         p = i / (args.p_steps - 1)
-        res = xi_noise(args.n, args.k, p, args.family)
-        lines.append(
-            f"{_fmt(p)},{_fmt(res.numerator)},{_fmt(res.denominator)},{_fmt(res.xi)},{res.verdict}"
-        )
-    return lines
+        res = xi_noise(args.n, args.k, p, args.family)  # reads k_sep_bound first, which checks k
+        rows.append(f"{_fmt(p)},{_fmt(res.numerator)},{_fmt(res.denominator)},{_fmt(res.xi)},{res.verdict}")
+    # after the rows, so a p = 0 row past the float range is refused before the root solve
+    thr = threshold_p(args.n, args.k, args.family)
+    return [
+        f"# sweep family={args.family} n={args.n} k={args.k}",
+        f"# threshold_p={'NA' if thr is None else _fmt(thr)}",
+        "p,norm_sq,bound_sq,xi,verdict",
+        *rows,
+    ]
 
 
 def cmd_detect(args) -> list[str]:
@@ -130,6 +137,7 @@ def cmd_detect(args) -> list[str]:
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
+    _check_limit("k", args.k, MAX_PARTS)
     if loaded.family is None:  # raw amplitudes: the kernel's float norm, certified past its rounding margin
         res = detect(tensor._pure_norm_sq(n, loaded.source), n, args.k)
     else:  # the exact noise quadratic of a family name or a graph (noise_products)

@@ -15,9 +15,11 @@ Expectation values are evaluated with a single O(2^n) pass over the
 amplitude vector (bit flips for X/Y, parity signs for Y/Z); no 2^n x 2^n
 matrix is ever built.
 
-numpy is imported inside the functions that build or read arrays, so
-Pauli words, packed indices and deferred states (whose amplitudes are
-never read on the stabilizer path) start without it.
+numpy is optional (the tensor extra).  The functions that build or
+read arrays, here and in stabilizer, states and tensor, get it from
+require_numpy, the one place that imports it; Pauli words, packed
+indices and deferred states (whose amplitudes are never read on the
+stabilizer path) start without it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ from typing import Iterable
 
 NORM_TOL = 1e-9
 IMAG_TOL = 1e-9
+
+
+def require_numpy():
+    """The numpy module; without it, an ImportError of one line that names the extra to install."""
+    try:
+        import numpy
+    except ModuleNotFoundError:  # absent; a broken install keeps its own error
+        raise ImportError("this call needs numpy: install graphsep[tensor]") from None
+    return numpy
 
 
 class PauliString:
@@ -89,19 +100,10 @@ def pack_index(idx: Iterable[int]) -> int:
     return packed
 
 
-def unpack_index(packed: int, n: int) -> tuple[int, ...]:
-    """Inverse of pack_index for an n-qubit index."""
-    digits = []
-    for _ in range(n):
-        packed, d = divmod(packed, 3)
-        digits.append(d + 1)
-    return tuple(reversed(digits))
-
-
 @lru_cache(maxsize=None)
 def _base3_table(bits: int, start: int = 0) -> np.ndarray:
     """T3[m] = sum of 3^(start + p) over the set bits p of m, for every bits-bit mask m."""
-    import numpy as np
+    np = require_numpy()
 
     table = np.zeros(1, dtype=np.int64)
     for p in range(start, start + bits):
@@ -140,7 +142,7 @@ class CorrelationTensor:
     """
 
     def __init__(self, n: int, keys, values):
-        import numpy as np
+        np = require_numpy()
 
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
@@ -165,7 +167,7 @@ class CorrelationTensor:
 
     def value(self, idx) -> float:
         """Entry at a full-index tuple; absent entries are zero."""
-        import numpy as np
+        np = require_numpy()
 
         key = pack_index(idx)
         i = int(np.searchsorted(self.keys, key))
@@ -176,11 +178,15 @@ class CorrelationTensor:
     def items(self):
         """(index tuple, value) pairs in canonical (packed-key) order."""
         for key, v in zip(self.keys.tolist(), self.values.tolist()):
-            yield unpack_index(key, self.n), v
+            digits = []  # the inverse of pack_index, lowest digit first
+            for _ in range(self.n):
+                key, d = divmod(key, 3)
+                digits.append(d + 1)
+            yield tuple(reversed(digits)), v
 
 
 def _checked_amplitudes(n: int, amplitudes) -> np.ndarray:
-    import numpy as np
+    np = require_numpy()
 
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.shape != (1 << n,):
@@ -265,7 +271,7 @@ def pure_ensemble(state: PureState) -> MixedEnsemble:
 @lru_cache(maxsize=None)
 def _index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached (basis indices, bit-parity table) for n qubits."""
-    import numpy as np
+    np = require_numpy()
 
     idx = np.arange(1 << n, dtype=np.int64)
     parity = np.zeros(1 << n, dtype=np.uint8)
@@ -279,7 +285,7 @@ _I_POW = (1.0, 1.0j, -1.0, -1.0j)
 
 def _expectation_masks(amps: np.ndarray, x_mask: int, z_mask: int, y_count: int) -> float:
     """<psi| P |psi> for P given by its flip/phase masks."""
-    import numpy as np
+    np = require_numpy()
 
     n = int(amps.shape[0]).bit_length() - 1
     idx, parity = _index_arrays(n)

@@ -43,7 +43,7 @@ decisions at the given p, and printed fields are correctly rounded.
 Only detect on raw amplitudes (a squared norm summed in floats from the
 amplitudes) certifies past a stated worst-case rounding margin.
 
-The integer closed forms (cg_norm_sq, sqrt_int, permutation_count) and
+The integer closed forms (cg_norm_sq, sqrt_int, permutation_terms) and
 LimitError, the one error of every size limit, live here, and importing
 the module loads neither numpy nor another graphsep module.
 """
@@ -150,15 +150,6 @@ def permutation_terms(n: int) -> list[tuple[int, int]]:
     if n < 2:
         raise ValueError("count needs n >= 2")
     return [(x, math.comb(n, x)) for x in range(1, n + 1, 2)]
-
-
-def permutation_count(n: int) -> int:
-    """Number of nonzero complete-graph tensor entries, exact integer.
-
-    Sum of the odd binomials C(n, x) plus one for the all-Y word at even
-    n; always equals 2^(n-1) + s.
-    """
-    return sum(c for _, c in permutation_terms(n)) + 1 - n % 2
 
 
 @lru_cache(maxsize=None)

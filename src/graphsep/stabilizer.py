@@ -26,10 +26,11 @@ The count refuses more than COUNT_LIMIT qubits (check_count_limit,
 which noise_products also calls before it builds a graph's group), and
 full_weight_support (the walk's one caller) and the patterns, which
 keep every key, more than PATTERN_LIMIT, with separability.LimitError.
-Single expectations are O(n) membership solves.  numpy is imported only
-where arrays are built, so groups, expectations and the count start
-without it; pauli (the lazy module) runs only for the walk's tensor and
-the key patterns, so a graph's count and the settings never run it.
+The sign of one word is an O(n) membership solve (_member_sign).  numpy
+(pauli.require_numpy) is read only where arrays are built, so groups
+and the count start without it; pauli (the lazy module) runs only for
+the walk's tensor and the key patterns, so a graph's count and the
+settings never run it.
 """
 
 from __future__ import annotations
@@ -171,18 +172,6 @@ def _member_sign(g: StabilizerGroup, x: int, z: int) -> int:
     return sign
 
 
-def stabilizer_expectation(g: StabilizerGroup, p: pauli.PauliString) -> int:
-    """Exact expectation of a Pauli word on the stabilized state: -1, 0 or +1.
-
-    +-1 when +-P lies in the group (GF(2) membership solve plus sign
-    accumulation), 0 otherwise.
-    """
-    if g.n != p.n:
-        raise ValueError(f"group has {g.n} qubits, Pauli word has {p.n}")
-    x, z, _ = p.masks()
-    return _member_sign(g, x, z)
-
-
 def _walk(g: StabilizerGroup):
     """The walk: per-chunk (x, z, sign) arrays of the identity-free group elements.
 
@@ -197,7 +186,7 @@ def _walk(g: StabilizerGroup):
     whatever n.
     """
     n = g.n
-    import numpy as np
+    np = pauli.require_numpy()
 
     full = (1 << n) - 1
     low_bits = min(n, _SUBSET_BITS)
@@ -237,7 +226,7 @@ def full_weight_support(g: StabilizerGroup) -> pauli.CorrelationTensor:
         return pauli.CorrelationTensor(n, [pauli.pack_index((3,) * n)], [_member_sign(g, 0, (1 << n) - 1)])
     if n > PATTERN_LIMIT:
         raise LimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
-    import numpy as np
+    np = pauli.require_numpy()
 
     chunks = list(_walk(g))
     keys = np.concatenate([pauli.packed_keys(x, z, n) for x, z, _ in chunks])
@@ -331,7 +320,7 @@ def pattern_halves(n: int, parity: int, render):
 def _pattern_keys(n: int, parity: int, xz, extra: int) -> np.ndarray:
     """Packed keys of the words with X and Z mask arrays xz(m, full) for the masks m of pattern_halves,
     then at even n the word of n `extra` letters (a full index: 1 -> X, 2 -> Y, 3 -> Z)."""
-    import numpy as np
+    np = pauli.require_numpy()
 
     halves = pattern_halves(n, parity, lambda group: np.array(group, dtype=np.int64))
     masks = np.concatenate([t << n // 2 | bottoms for t, bottoms in halves])

@@ -101,7 +101,7 @@ def _graph_amplitudes(spec: GraphSpec):
     The table index holds qubits a+1..n only, so masking it with all of
     a's neighbours keeps just the later ones.
     """
-    import numpy as np
+    np = pauli.require_numpy()
 
     n = spec.n
     flips = np.zeros(1, dtype=np.uint8)
@@ -112,7 +112,7 @@ def _graph_amplitudes(spec: GraphSpec):
 
 
 def _basis_amplitudes(n: int, weights: dict):
-    import numpy as np
+    np = pauli.require_numpy()
 
     amps = np.zeros(1 << n, dtype=np.complex128)
     for index, value in weights.items():

@@ -11,7 +11,8 @@ shortcut is taken when every ensemble member carries a stabilizer-group
 tag (graph, cluster, GHZ and |1...1> states from graphsep.states): each
 member's signed group elements come from one vectorized enumeration,
 and the members are merged by key.  Untagged states (W, raw amplitudes)
-sweep densely.  The dense path (limited to small n) evaluates all 3^n
+sweep densely.  The dense path (at most DENSE_LIMIT = 10 qubits, a
+fixed limit that the amplitude kernel shares) evaluates all 3^n
 words at once: for each bit-flip mask x it forms the overlap vector
 conj(a[b ^ x]) * a[b], and one fast Walsh-Hadamard transform of that
 vector gives the expectations of every word with flip mask x.  Over all
@@ -24,13 +25,13 @@ builds a tensor.  detect on raw amplitudes reads it from _pure_norm_sq,
 a pure-Python kernel that sums 4^n amplitude products with no 3^n array
 and no numpy; detect on any other state and every norm-table row read
 it from separability.noise_products.  full_tensor is the library's
-inspection tool and the kernel's reference.
+inspection tool and the kernel's reference; it reads numpy, which only
+the tensor extra installs (pauli.require_numpy).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from itertools import chain
 from operator import add, mul
 
@@ -39,28 +40,19 @@ from operator import add, mul
 from . import pauli, stabilizer
 from .separability import LimitError, check_family, noise_products
 
-DEFAULT_DENSE_LIMIT = 10
-DENSE_LIMIT_ENV = "GRAPHSEP_DENSE_LIMIT"
+# Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
+# words, 4^n products (the kernel takes about 0.06 s at n = 10).
+DENSE_LIMIT = 10
 
 # Complex elements per chunk of flip masks in the dense transform; the
 # chunk temporaries stay small beside the 3^n accumulator.
 _CHUNK_ELEMENTS = 1 << 11
 
 
-def dense_limit() -> int:
-    raw = os.environ.get(DENSE_LIMIT_ENV, DEFAULT_DENSE_LIMIT)
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{DENSE_LIMIT_ENV} must be an integer, got {raw!r}") from None
-
-
-def _check_dense_limit(n: int) -> None:
-    lim = dense_limit()
-    if n > lim:
-        raise LimitError(
-            f"dense sweep over 3^{n} words exceeds the {lim}-qubit limit (raise {DENSE_LIMIT_ENV} to override)"
-        )
+def dense_limit(n: int) -> None:
+    """Refuse a dense sweep over 3^n words above DENSE_LIMIT qubits (LimitError)."""
+    if n > DENSE_LIMIT:
+        raise LimitError(f"dense sweep over 3^{n} words exceeds the {DENSE_LIMIT}-qubit limit")
 
 
 def _walsh_hadamard(f: np.ndarray) -> None:
@@ -89,7 +81,7 @@ def _dense_arrays(terms, n: int, zero_tol: float) -> tuple[np.ndarray, np.ndarra
     masks go in chunks, so memory stays at O(chunk + 3^n).  Returns the
     keys and values above zero_tol, in key order.
     """
-    import numpy as np
+    np = pauli.require_numpy()
 
     size = 1 << n
     i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -117,8 +109,7 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
     The state picks the path: the stabilizer shortcut when every member
     is stabilizer-tagged, the dense sweep otherwise.  Each refuses with
     separability.LimitError above its qubit limit: the sweep above
-    GRAPHSEP_DENSE_LIMIT (default 10), the shortcut's walk above
-    stabilizer.PATTERN_LIMIT.  Entries whose magnitude is not above
+    DENSE_LIMIT (10), the shortcut's walk above stabilizer.PATTERN_LIMIT.  Entries whose magnitude is not above
     zero_tol are dropped.
     """
     if isinstance(ens, pauli.PureState):
@@ -127,7 +118,7 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
         raise ValueError("zero_tol must be nonnegative")
     n = ens.n
     if all(st.stabilizer is not None for _, st in ens.terms):
-        import numpy as np
+        np = pauli.require_numpy()
 
         supports = [stabilizer.full_weight_support(st.stabilizer) for _, st in ens.terms]
         # members in order, so each key sums its terms as a sequential loop would
@@ -136,7 +127,7 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
         acc = np.bincount(inverse, weights=weighted, minlength=len(keys))
         keep = np.abs(acc) > zero_tol
         return pauli.CorrelationTensor(n, keys[keep], acc[keep])
-    _check_dense_limit(n)
+    dense_limit(n)
     return pauli.CorrelationTensor(n, *_dense_arrays(ens.terms, n, zero_tol))
 
 
@@ -192,7 +183,7 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     leaf by leaf, so no list of all 3^n parts is held.
     separability.detect states the rounding margin of the result.
     """
-    _check_dense_limit(n)
+    dense_limit(n)
     signs = [1.0]
     for _ in range(n):
         signs += [-s for s in signs]  # (-1)^popcount(b)

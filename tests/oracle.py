@@ -106,6 +106,31 @@ def star_graph(n: int) -> GraphSpec:
     return GraphSpec(n, ((1, b) for b in range(2, n + 1)))
 
 
+def stabilizer_expectation(g, p) -> int:
+    """Exact expectation of a Pauli word on the state a StabilizerGroup
+    stabilizes: +-1 when +-P lies in the group, 0 otherwise.
+
+    Reads the group's own GF(2) membership solve (member_combo) and sign
+    product (product_sign), so the tests that hold it against the dense
+    expectation pin those two methods.
+    """
+    if g.n != p.n:
+        raise ValueError(f"group has {g.n} qubits, Pauli word has {p.n}")
+    x, z, _ = p.masks()
+    combo = g.member_combo(x, z)
+    if combo is None:
+        return 0
+    px, pz, sign = g.product_sign(combo)
+    assert (px, pz) == (x, z)
+    return sign
+
+
+def permutation_count(n: int) -> int:
+    """Nonzero complete-graph tensor entries, counted as the paper's appendix
+    does: the odd binomials C(n, x), plus one for the all-Y word at even n."""
+    return sum(math.comb(n, x) for x in range(1, n + 1, 2)) + 1 - n % 2
+
+
 def generator_words(g) -> list:
     """The generators of a StabilizerGroup as signed Pauli words, qubit 1 first."""
     words = []

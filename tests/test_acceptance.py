@@ -28,8 +28,6 @@ from graphsep import (
     graph_state,
     k_sep_bound,
     noisy_mixture,
-    permutation_count,
-    stabilizer_expectation,
     stabilizer_group,
     tensor_norm,
     threshold_p,
@@ -37,7 +35,15 @@ from graphsep import (
 )
 from graphsep.separability import NON_K_SEPARABLE, cg_norm_sq, sqrt_int
 
-from oracle import all_full_indices, kron_states, random_state, star_graph, untagged
+from oracle import (
+    all_full_indices,
+    kron_states,
+    permutation_count,
+    random_state,
+    stabilizer_expectation,
+    star_graph,
+    untagged,
+)
 
 P_GRID_21 = [i / 20 for i in range(21)]
 

@@ -26,7 +26,7 @@ from graphsep import (
     write_amplitude_file,
 )
 from graphsep import cli
-from graphsep.cli import MAX_ROWS, main
+from graphsep.cli import MAX_PARTS, MAX_ROWS, main
 
 from oracle import (
     brute_k_sep_bound,
@@ -103,8 +103,7 @@ def test_norms_bad_family_exits_1(capsys):
         assert run(capsys, "norms", "--families", raw) == (1, "", "graphsep: error: no families given\n")
 
 
-def test_norms_resource_limit_exits_2(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("GRAPHSEP_DENSE_LIMIT", raising=False)
+def test_norms_resource_limit_exits_2(capsys, tmp_path):
     # W rows are a closed form now, past the dense limit too
     code, out, err = run(capsys, "norms", "--families", "w", "--n-min", "11", "--n-max", "11")
     assert (code, out, err) == (0, f"family,n,norm_sq,norm\nw,11,{51 / 11:.12g},{math.sqrt(51 / 11):.12g}\n", "")
@@ -114,10 +113,7 @@ def test_norms_resource_limit_exits_2(capsys, monkeypatch, tmp_path):
     write_amplitude_file(path, ghz_state(11))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert code == 2 and out == ""
-    assert err == (
-        "graphsep: error: dense sweep over 3^11 words exceeds the 10-qubit limit"
-        " (raise GRAPHSEP_DENSE_LIMIT to override)\n"
-    )
+    assert err == "graphsep: error: dense sweep over 3^11 words exceeds the 10-qubit limit\n"
     with pytest.raises(LimitError) as caught:  # the library's refusal is a RuntimeError too
         tensor._pure_norm_sq(11, None)
     assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
@@ -128,14 +124,6 @@ def test_norms_resource_limit_exits_2(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, "norms", "--families", "cluster,bogus", "--n-min", "27", "--n-max", "27")
     assert (code, out) == (1, "")
     assert err == "graphsep: error: unknown family 'bogus'; expected one of ('cg', 'ghz', 'w', 'cluster')\n"
-
-
-def test_dense_limit_must_be_an_integer(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "raw3.json"
-    write_amplitude_file(path, ghz_state(3))
-    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "abc")
-    code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
-    assert (code, out, err) == (1, "", "graphsep: error: GRAPHSEP_DENSE_LIMIT must be an integer, got 'abc'\n")
 
 
 def _exact_norm_sq(family, n):
@@ -825,3 +813,50 @@ def test_size_limits_refuse_before_any_work(capsys, monkeypatch, command, last, 
     assert run(capsys, *command.format(last + 1).split()) == (2, "", f"graphsep: error: {message}\n")
     assert calls == []  # past it, nothing ran
 
+
+def _parts_argv(command, k, tmp_path):
+    """argv of a command whose partitions have k blocks (n = k)."""
+    if command == "bounds":
+        return ["bounds", "--n", str(k), "--k-min", str(k)]
+    if command == "sweep":
+        return ["sweep", "--family", "w", "--n", str(k), "--k", str(k), "--p-steps", "2"]
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps({"family": "cluster", "n": k, "p": 1}))
+    return ["detect", "--state-file", str(path), "--k", str(k)]
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep", "detect"])
+def test_partitions_of_max_parts_blocks_and_no_more(capsys, monkeypatch, tmp_path, command):
+    # at the limit the partition of MAX_PARTS blocks is built and labelled
+    label = "|".join(["1"] * MAX_PARTS)
+    line = {"bounds": f"{MAX_PARTS},{MAX_PARTS},1,{label}", "sweep": "1,1,1,1,Inconclusive", "detect": f"partition={label}"}
+    code, out, err = run(capsys, *_parts_argv(command, MAX_PARTS, tmp_path))
+    assert (code, err) == (0, "")
+    assert line[command] in out.splitlines()
+    # one block past it, exit 2 before any bound is built
+    calls = []
+    for module in (separability, cli):
+        monkeypatch.setattr(module, "k_sep_bound", lambda *args: calls.append(args))
+    code, out, err = run(capsys, *_parts_argv(command, MAX_PARTS + 1, tmp_path))
+    what = "bounds part count" if command == "bounds" else "k"
+    assert (code, out, err) == (2, "", f"graphsep: error: {what} {MAX_PARTS + 1} is above the limit of {MAX_PARTS}\n")
+    assert calls == []
+
+
+def test_bounds_limits_the_parts_summed_over_its_rows(capsys):
+    # two rows of 500,000 and 500,001 blocks: each under the limit, their sum one past it
+    half = MAX_PARTS // 2
+    code, out, err = run(capsys, "bounds", "--n", str(half + 1), "--k-min", str(half))
+    assert (code, out) == (2, "")
+    assert err == f"graphsep: error: bounds part count {MAX_PARTS + 1} is above the limit of {MAX_PARTS}\n"
+
+
+def test_sweep_rows_come_before_the_threshold_solve(capsys, monkeypatch):
+    # the p = 0 row of cg at n = 10^6 leaves the float range: exit 1 with no root solve
+    def fail(*args):
+        raise AssertionError("the threshold was solved")
+
+    monkeypatch.setattr(cli, "threshold_p", fail)
+    code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "1000000", "--k", "999999")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("graphsep: error: result out of floating-point range (")

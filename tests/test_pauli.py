@@ -11,7 +11,6 @@ from graphsep import (
     expectation,
     pack_index,
     pure_ensemble,
-    unpack_index,
 )
 from graphsep.states import all_ones_state, complete_graph, graph_state, noisy_mixture
 
@@ -111,8 +110,9 @@ def test_ensemble_linearity():
 
 
 def test_pack_unpack_roundtrip():
+    # CorrelationTensor.items unpacks each key into its index tuple
     for idx in [(1,), (3, 2, 1), (2, 2, 2, 2), (1, 3, 2, 1, 3)]:
-        assert unpack_index(pack_index(idx), len(idx)) == idx
+        assert list(CorrelationTensor(len(idx), [pack_index(idx)], [0.5]).items()) == [(idx, 0.5)]
     # packed keys sort like tuples
     assert pack_index((1, 2)) < pack_index((1, 3)) < pack_index((2, 1))
     # an identity letter has no place in a full index

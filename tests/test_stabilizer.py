@@ -25,8 +25,6 @@ from graphsep import (
     ghz_state,
     graph_state,
     pack_index,
-    permutation_count,
-    stabilizer_expectation,
     stabilizer_group,
 )
 from graphsep import stabilizer
@@ -43,6 +41,8 @@ from oracle import (
     generator_words,
     gray_code_support,
     key_words,
+    permutation_count,
+    stabilizer_expectation,
     star_graph,
     untagged,
 )

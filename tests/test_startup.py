@@ -1,8 +1,9 @@
-"""Start-up contract: the CLI never loads numpy or dataclasses (every
-command, detect on family, graph and raw-amplitude files alike), each
-command runs the body of only the graphsep modules its path reads, and
-the lazy namespace still resolves every public name.  Each check runs in
-a fresh interpreter."""
+"""Start-up contract: the CLI runs with numpy refused and never loads
+dataclasses (every command, detect on family, graph and raw-amplitude
+files alike), each command runs the body of only the graphsep modules
+its path reads, a library call that needs numpy names the extra that
+installs it, and the lazy namespace still resolves every public name.
+Each check runs in a fresh interpreter."""
 
 import json
 import math
@@ -22,17 +23,35 @@ from graphsep.cli import main
 
 SRC = Path(graphsep.__file__).resolve().parents[1]  # the tree this process imports
 
-# runs main(argv), then reports its exit code, which of numpy, dataclasses
-# and inspect got loaded, and the graphsep modules whose body has run; each
-# warning is one "Category: message" line on stderr
-CHILD_MAIN = """
-import importlib.util, json, sys, warnings
+# a sys.meta_path finder that refuses numpy and its submodules, as if it
+# were not installed
+REFUSE_NUMPY = """
+import sys
+class RefuseNumpy:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+sys.meta_path.insert(0, RefuseNumpy)
+"""
+
+# with numpy refused, runs main(argv), then reports its exit code, whether
+# numpy still cannot be imported, which of numpy, dataclasses and inspect
+# got loaded, and the graphsep modules whose body has run; each warning is
+# one "Category: message" line on stderr
+CHILD_MAIN = REFUSE_NUMPY + """
+import importlib.util, json, warnings
 from graphsep.cli import main
 warnings.showwarning = lambda message, category, *rest: sys.stderr.write(f"{category.__name__}: {message}\\n")
 rc = main(sys.argv[1:])
+try:
+    import numpy
+    refused = False
+except ImportError:
+    refused = True
 loaded = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
 ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not importlib.util._LazyModule)
-sys.stderr.write(json.dumps([rc, loaded, ran]) + "\\n")
+sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 """
 
 # the graphsep modules whose body each command runs (README, "Start-up");
@@ -147,10 +166,11 @@ def test_integer_commands_load_no_numpy(capsys, tmp_path, argv, runs):
             argv = [*argv[:i], str(path), *argv[i + 1:]]
     child = fresh_python(CHILD_MAIN, *argv)
     *err_lines, report = child.stderr.splitlines(keepends=True)
-    rc, loaded, ran = json.loads(report)
+    rc, refused, loaded, ran = json.loads(report)
+    assert refused  # numpy cannot be imported in the child
     assert loaded == []  # neither numpy nor dataclasses (nor inspect, which it brings)
     assert ran == sorted(f"graphsep.{module}" for module in runs)
-    # the same output as main in this process, where numpy is loaded
+    # the same output as main in this process, where numpy can be imported
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert rc == main(argv)
@@ -249,11 +269,27 @@ def test_every_public_name_is_its_home_object():
     child = fresh_python(
         "import importlib, graphsep\n"
         "homes = {n: importlib.import_module(f'graphsep.{m}') for n, m in graphsep._HOME.items()}\n"
-        "assert len(graphsep.__all__) == len(homes) == 46  # every public name\n"
+        "assert len(graphsep.__all__) == len(homes) == 43  # every public name\n"
         "print(len([n for n in graphsep.__all__ if getattr(graphsep, n) is not getattr(homes[n], n)]))\n"
         "from graphsep import *\n"
     )
     assert (child.returncode, child.stdout, child.stderr) == (0, "0\n", "")
+
+
+def test_numpy_calls_without_numpy_name_the_extra():
+    # a library call that reads numpy, made where numpy cannot be imported,
+    # raises one line that names the extra
+    child = fresh_python(
+        REFUSE_NUMPY
+        + "import graphsep\n"
+        "for call in (lambda: graphsep.full_tensor(graphsep.w_state(3)), lambda: graphsep.PureState(1, [1, 0])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ImportError as exc:\n"
+        "        print(repr(str(exc)))\n"
+    )
+    want = repr("this call needs numpy: install graphsep[tensor]") + "\n"
+    assert (child.returncode, child.stdout, child.stderr) == (0, want * 2, "")
 
 
 def test_readme_lists_every_public_name():

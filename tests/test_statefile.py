@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphsep import LimitError, full_tensor, load_state_file, states, tensor_norm, write_amplitude_file
+from graphsep import LimitError, full_tensor, load_state_file, states, tensor, tensor_norm, write_amplitude_file
 from graphsep.cli import main
 from graphsep.statefile import StateFileError, dumps_amplitudes, loads_state
 from graphsep.states import cluster_state, complete_graph, ghz_state, graph_state, w_state
@@ -146,22 +146,22 @@ def test_w_file_is_decided_without_building_it(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.endswith("verdict=NonKSeparable\n") and captured.err == ""
     # the dense limit guards the dense sweep, which only raw amplitudes take
-    want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
+    want = "dense sweep over 3^11 words exceeds the 10-qubit limit"
     assert main(["detect", "--state-file", str(raw), "--k", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"graphsep: error: {want}\n"
 
 
-def test_tagged_families_skip_the_dense_limit(monkeypatch):
-    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
+def test_tagged_families_skip_the_dense_limit():
+    n = tensor.DENSE_LIMIT + 2
     for family in ("cg", "ghz", "cluster"):
-        loaded = loads_state(json.dumps({"family": family, "n": 12, "p": 0.1}))
+        loaded = loads_state(json.dumps({"family": family, "n": n, "p": 0.1}))
         assert len(full_tensor(loaded.ensemble)) > 0
     # a W file loads (detect reads its closed form); its amplitudes, untagged, do not pass
-    assert loads_state('{"family": "w", "n": 5}').n == 5
+    assert loads_state(json.dumps({"family": "w", "n": n})).n == n
     with pytest.raises(LimitError):
-        full_tensor(loads_state(dumps_amplitudes(w_state(5))).ensemble)
+        full_tensor(loads_state(dumps_amplitudes(w_state(tensor.DENSE_LIMIT + 1))).ensemble)
 
 
 @pytest.mark.parametrize(

@@ -373,28 +373,31 @@ def test_the_state_picks_the_path(monkeypatch):
         full_tensor(ens)
 
 
-def test_dense_limit_enforced(monkeypatch):
+def test_dense_limit_enforced():
+    # the dense sweep runs at DENSE_LIMIT qubits and refuses one more
     rng = np.random.default_rng(12)
-    state = PureState(5, random_state(5, rng))
-    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
-    with pytest.raises(LimitError):
-        full_tensor(state)
+    n = tensor.DENSE_LIMIT
+    full_tensor(PureState(n, random_state(n, rng)))
+    want = f"dense sweep over 3^{n + 1} words exceeds the {n}-qubit limit"
+    with pytest.raises(LimitError, match=f"^{re.escape(want)}$"):
+        full_tensor(PureState(n + 1, random_state(n + 1, rng)))
     # graph-tagged states bypass the dense limit through the support path
     big = graph_state(complete_graph(12))
     t = full_tensor(big)
     assert len(t) == 2 ** 11 + 1
     with pytest.raises(LimitError):
-        full_tensor(untagged(graph_state(complete_graph(5))))
+        full_tensor(untagged(big))
 
 
 def test_dense_limit_env_override(monkeypatch):
+    # GRAPHSEP_DENSE_LIMIT is gone: setting it moves the limit neither down nor up
     rng = np.random.default_rng(12)
-    state = PureState(4, random_state(4, rng))
     monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "3")
+    full_tensor(PureState(4, random_state(4, rng)))
+    n = tensor.DENSE_LIMIT + 1
+    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", str(n))
     with pytest.raises(LimitError):
-        full_tensor(state)
-    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "4")
-    full_tensor(state)
+        full_tensor(PureState(n, random_state(n, rng)))
 
 
 def _margin(norm_sq, n):
@@ -428,14 +431,10 @@ def test_pure_kernel_meets_every_family_closed_form(n):
         assert abs(got - Fraction(b, d)) <= _margin(got, n), family
 
 
-def test_pure_kernel_refuses_past_the_dense_limit_before_reading(monkeypatch):
-    monkeypatch.delenv("GRAPHSEP_DENSE_LIMIT", raising=False)
-    want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
-    with pytest.raises(LimitError, match=re.escape(want)):
+def test_pure_kernel_refuses_past_the_dense_limit_before_reading():
+    want = "dense sweep over 3^11 words exceeds the 10-qubit limit"
+    with pytest.raises(LimitError, match=f"^{re.escape(want)}$"):
         tensor._pure_norm_sq(11, None)  # None: not one amplitude is read
-    monkeypatch.setenv("GRAPHSEP_DENSE_LIMIT", "3")
-    with pytest.raises(LimitError):
-        tensor._pure_norm_sq(4, None)
     assert tensor._pure_norm_sq(3, all_ones_state(3).amplitudes.tolist()) == 1.0
 
 
@@ -577,7 +576,7 @@ def test_norm_table_builds_no_w_state(monkeypatch):
     assert rows == [("w", n, float(Fraction(5) - Fraction(4, n))) for n in (*range(2, 13), 1000)]
     assert built == []
     # the W state itself, untagged, still takes the dense sweep and its limit
-    want = "dense sweep over 3^11 words exceeds the 10-qubit limit (raise GRAPHSEP_DENSE_LIMIT to override)"
+    want = "dense sweep over 3^11 words exceeds the 10-qubit limit"
     with pytest.raises(LimitError, match=re.escape(want)):
         full_tensor(w_state(11))
 
