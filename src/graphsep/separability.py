@@ -53,6 +53,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 NON_K_SEPARABLE = "NonKSeparable"
@@ -83,7 +84,9 @@ class PartitionBound(NamedTuple):
     bound_sq: int
 
     def partition_label(self) -> str:
-        return "|".join(str(m) for m in self.parts)
+        # one str per run of equal parts, not one per block (up to 10^6 blocks)
+        runs = ((str(m), sum(1 for _ in run)) for m, run in groupby(self.parts))
+        return "|".join(f"{s}|" * (count - 1) + s for s, count in runs)
 
 
 class XiResult(NamedTuple):
@@ -209,13 +212,16 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     the error vector E of G has |E| <= e' r with r = 3^(n/2), and
     | |G + E|^2 - |G|^2 | <= |E| (2 |G + E| + |E|) <= e' r (2 sqrt(norm_sq) + e' r).
     Squaring the parts of each g and one fsum add 2u norm_sq.  The dense
-    sweep (full_tensor, any mixture) gets each of its 3^n entries within
-    (n + 8) u (n roundings in the transform, under 8 more from the
-    amplitudes, products and weights): the same form with e' = (n + 8) u,
-    and squaring and summing add 2u norm_sq.  _lower_bound doubles the
-    larger of the two, e = 2 (n + 8) u and 4u norm_sq, which covers the
-    rounding of the margin itself and the 1e-12 by which a raw file's
-    norm may miss 1.
+    sweep (full_tensor) sums rho over M members in turn (M - 1 roundings,
+    each product (w a_r) conj(a_c) within (1 + sqrt(5)) u), then takes
+    each tensor entry as a tree of n additions of the 2^n entries
+    rho[r, r ^ x] times +-1 or +-i, whose magnitudes sum to at most
+    sum_w w sum_r |a_r| |a_(r ^ x)| <= 1.  So its 3^n entries are within
+    (n + M + 3) u, at most (n + 8) u for M <= 5 members: the same form
+    with e' = (n + 8) u, and squaring and summing add 2u norm_sq.
+    _lower_bound doubles the larger of the two, e = 2 (n + 8) u and
+    4u norm_sq, which covers the rounding of the margin itself and the
+    1e-12 by which a raw file's norm may miss 1.
     """
     if norm_sq < 0:
         raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")
@@ -336,13 +342,16 @@ def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
 
 
 def _first_root(a2: int, a1: int, a0: int) -> float | None:
-    """Smallest root of a2 p^2 + a1 p + a0 in [0, 1] (a2 > 0), correctly
-    rounded, or None; in integers.  With t = 2^m, root * t has the floor
+    """Smallest root of a2 p^2 + a1 p + a0 in [0, 1] (a2 > 0, or a2 = a1 = 0:
+    the constant a0, with root 0 when a0 = 0), correctly rounded, or None;
+    in integers.  With t = 2^m, root * t has the floor
     q = (-a1 t -+ sqrt(disc t^2)) // 2a2, the square root taken up for -
     and down for +.  A nonzero root exceeds 1/(1 + max(|a1|, a2)), so
     m = bit length + 58 gives q over 54 bits, and setting its lowest bit
     when root * t is not an integer makes q / t round as the root does.
     """
+    if a2 == 0:
+        return 0.0 if a0 == 0 else None
     disc = a1 * a1 - 4 * a2 * a0
     if disc < 0:
         return None

@@ -26,6 +26,7 @@ import math
 import reprlib
 from functools import cached_property, partial
 from itertools import pairwise
+from operator import index
 
 # lazy modules (graphsep/__init__.py), run only when a state or a group is built
 from . import pauli, stabilizer
@@ -34,13 +35,15 @@ from . import pauli, stabilizer
 class GraphSpec:
     """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
 
-    Built from any iterable of (a, b) edges and kept as the sorted pairs
-    (a, b), a < b, checked in O(|E| log |E|) time and O(|E|) memory (a
-    duplicate is found next to its twin once sorted): nothing of size n
-    is built, so a graph file with a huge n and few edges is refused by
-    the count's qubit limit, not by memory.  Two specs are equal, and
-    hash alike, when their (n, edges) are.  masks, one neighbour bitmask
-    per vertex (qubit 1 at the top bit), is built on first read.
+    Built from any iterable of (a, b) edges whose vertices are of any int
+    type (operator.index; anything else is refused here), and kept as the
+    sorted pairs (a, b) of Python ints, a < b, checked in O(|E| log |E|)
+    time and O(|E|) memory (a duplicate is found next to its twin once
+    sorted): nothing of size n is built, so a graph file with a huge n
+    and few edges is refused by the count's qubit limit, not by memory.
+    Two specs are equal, and hash alike, when their (n, edges) are.
+    masks, one neighbour bitmask per vertex (qubit 1 at the top bit), is
+    built on first read.
     """
 
     def __init__(self, n: int, edges):
@@ -49,6 +52,10 @@ class GraphSpec:
         pairs = []
         for edge in edges:
             a, b = edge
+            try:
+                a, b = index(a), index(b)
+            except TypeError:
+                raise ValueError(f"edge {reprlib.repr(edge)} has a non-integer vertex") from None
             if a == b:
                 raise ValueError(f"self-loop at vertex {reprlib.repr(a)}")
             if not (1 <= a <= n and 1 <= b <= n):

@@ -12,11 +12,9 @@ tag (graph, cluster, GHZ and |1...1> states from graphsep.states): each
 member's signed group elements come from one vectorized enumeration,
 and the members are merged by key.  Untagged states (W, raw amplitudes)
 sweep densely.  The dense path (at most DENSE_LIMIT = 10 qubits, a
-fixed limit that the amplitude kernel shares) evaluates all 3^n
-words at once: for each bit-flip mask x it forms the overlap vector
-conj(a[b ^ x]) * a[b], and one fast Walsh-Hadamard transform of that
-vector gives the expectations of every word with flip mask x.  Over all
-2^n masks that is O(n 4^n) vectorized work, done in chunks of masks.
+fixed limit that the amplitude kernel shares) evaluates T_w = tr(rho w)
+for all 3^n words at once: it takes the density matrix rho to the Pauli
+basis in place, one qubit at a time, in O(n 4^n) vectorized work.
 The dense reference of a tagged state is its untagged copy,
 PureState(n, state.amplitudes).
 
@@ -41,12 +39,9 @@ from . import pauli, stabilizer
 from .separability import LimitError, check_family, noise_products
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
-# words, 4^n products (the kernel takes about 0.06 s at n = 10).
+# words, 4^n products (the kernel takes about 0.06 s at n = 10), and the
+# sweep's rho of 16 * 4^n bytes, 4x more for each qubit past this limit.
 DENSE_LIMIT = 10
-
-# Complex elements per chunk of flip masks in the dense transform; the
-# chunk temporaries stay small beside the 3^n accumulator.
-_CHUNK_ELEMENTS = 1 << 11
 
 
 def dense_limit(n: int) -> None:
@@ -55,52 +50,38 @@ def dense_limit(n: int) -> None:
         raise LimitError(f"dense sweep over 3^{n} words exceeds the {DENSE_LIMIT}-qubit limit")
 
 
-def _walsh_hadamard(f: np.ndarray) -> None:
-    """In-place unnormalized Walsh-Hadamard transform along the last axis.
-
-    Afterwards f[..., z] holds sum_b f[..., b] * (-1)^popcount(b & z).
-    """
-    rows, size = f.shape
-    h = 1
-    while h < size:
-        pairs = f.reshape(rows, size // (2 * h), 2, h)
-        lo, hi = pairs[:, :, 0, :], pairs[:, :, 1, :]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
-        h *= 2
-
-
 def _dense_arrays(terms, n: int, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Every identity-free expectation of a mixture, via one transform per flip mask.
+    """Every identity-free expectation tr(rho w) of a mixture, by one basis change per qubit.
 
-    For a flip mask x, f_x[b] = sum_w w * conj(a_w[b ^ x]) * a_w[b]; its
-    Walsh-Hadamard transform at z is <X^x Z^z>, and the Hermitian word with
-    those masks is i^popcount(x & z) times that.  Words with x | z full are
-    identity-free; they land in a 3^n array at their packed key.  Flip
-    masks go in chunks, so memory stays at O(chunk + 3^n).  Returns the
-    keys and values above zero_tol, in key order.
+    rho = sum_w w |a_w><a_w| is one complex array with each qubit's row
+    and column bit on adjacent axes, so its slots (rho00, rho01, rho10,
+    rho11) share an axis of length 4.  Qubit by qubit they become, in
+    place, (unused, X, Y, Z) = (-, rho01 + rho10, i (rho01 - rho10),
+    rho00 - rho11).  Slots 1-3 of every qubit then list the 3^n words in
+    C order, qubit 1 first, so each word's packed key is its flat index.
+    Returns the keys and values above zero_tol, in key order.
     """
     np = pauli.require_numpy()
 
-    size = 1 << n
-    i_pow = np.array([1.0, 1.0j, -1.0, -1.0j])
-    basis = np.arange(size, dtype=np.int64)
-    acc = np.zeros(3 ** n)
-    rows = max(1, _CHUNK_ELEMENTS >> n)
-    for start in range(0, size, rows):
-        xs = basis[start:start + rows, None]
-        f = sum(w * (st.amplitudes[basis ^ xs].conj() * st.amplitudes) for w, st in terms)
-        _walsh_hadamard(f)
-        row, z = np.nonzero((xs | basis) == size - 1)
-        x = xs[row, 0]
-        vals = i_pow[np.bitwise_count(x & z) & 3] * f[row, z]
-        residue = np.abs(vals.imag).max()
-        if residue > pauli.IMAG_TOL:
-            raise RuntimeError(f"expectation has imaginary residue {residue}")
-        acc[pauli.packed_keys(x, z, n)] = vals.real
-    keep = np.flatnonzero(np.abs(acc) > zero_tol)
-    return keep, acc[keep]
+    def outer(w, a):  # w |a><a|
+        return w * a.reshape((2, 1) * n) * a.conj().reshape((1, 2) * n)
+
+    (w, st), *rest = terms
+    rho = outer(w, st.amplitudes)
+    for w, st in rest:  # member after member, so one term of 4^n is alive beside rho
+        rho += outer(w, st.amplitudes)
+    for q in range(n):
+        r00, r01, r10, r11 = rho.reshape(4 ** q, 4, -1).swapaxes(0, 1)
+        np.subtract(r00, r11, out=r11)  # Z
+        np.subtract(r01, r10, out=r00)
+        np.add(r01, r10, out=r01)  # X
+        np.multiply(r00, 1j, out=r10)  # Y
+    vals = rho.reshape((4,) * n)[(slice(1, 4),) * n].ravel()
+    residue = np.abs(vals.imag).max()
+    if residue > pauli.IMAG_TOL:
+        raise RuntimeError(f"expectation has imaginary residue {residue}")
+    keep = np.flatnonzero(np.abs(vals.real) > zero_tol)
+    return keep, vals.real[keep]
 
 
 def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from graphsep.pauli import MixedEnsemble, PureState
+from graphsep.stabilizer import StabilizerGroup
 from graphsep.states import GraphSpec
 
 PAULI_MATS = {
@@ -104,6 +105,11 @@ def kron_states(a: PureState, b: PureState) -> PureState:
 def star_graph(n: int) -> GraphSpec:
     """Vertex 1 connected to all others."""
     return GraphSpec(n, ((1, b) for b in range(2, n + 1)))
+
+
+def basis_group(n: int, b: int):
+    """Generators (-1)^(b_a) Z_a of the basis state |b>, qubit 1 at the top bit of b."""
+    return StabilizerGroup(n, tuple((0, 1 << (n - a), -1 if b >> (n - a) & 1 else 1) for a in range(1, n + 1)))
 
 
 def stabilizer_expectation(g, p) -> int:

@@ -30,9 +30,12 @@ from graphsep import (
     w_state,
     xi_noise,
 )
-from graphsep.separability import cg_norm_sq, sqrt_int
+from graphsep.cli import MAX_PARTS
+from graphsep.separability import PartitionBound, cg_norm_sq, sqrt_int
+from graphsep.stabilizer import all_ones_group
 
 from oracle import (
+    basis_group,
     brute_admissible_partitions,
     brute_k_sep_bound,
     dp_bound_sq,
@@ -180,12 +183,19 @@ def test_detect_examples():
 
 
 def test_detect_margin_covers_float_rounding():
-    # noisy cg3 at p = 0.6000000000000001 has the exact squared norm
-    # 1 - 1.8e-16, below the full-separability bound 1, but the dense path
-    # rounds it to 1.0000000000000002: only a margin keeps that uncertified
-    ens = noisy_mixture(graph_state(complete_graph(3)), 0.6000000000000001)
-    norm_sq = tensor_norm_sq(full_tensor(untagged(ens)))
-    assert norm_sq > 1
+    # (c|0> + s|1>)^3, with c and s the floats of cos and sin 0.01, has the
+    # exact squared norm 1 - 1.6e-17, below the full-separability bound 1,
+    # but the dense path rounds it to 1.0000000000000002: only a margin
+    # keeps that uncertified
+    q = np.array([0.9999500004166653, 0.009999833334166664], dtype=complex)
+    state = PureState(3, np.kron(np.kron(q, q), q))
+    norm_sq = tensor_norm_sq(full_tensor(state))
+    assert exact_tensor_norm_sq(((1.0, state),), 3) < 1 < norm_sq
+    assert detect(norm_sq, 3, 3).verdict == INCONCLUSIVE
+    # noisy cg3 at p = 0.6000000000000001: 1.8e-16 below the bound, uncertified
+    ens = untagged(noisy_mixture(graph_state(complete_graph(3)), 0.6000000000000001))
+    norm_sq = tensor_norm_sq(full_tensor(ens))
+    assert exact_tensor_norm_sq(ens.terms, 3) < 1
     assert detect(norm_sq, 3, 3).verdict == INCONCLUSIVE
     # the stated margin near 1 is about 3e-14 at n = 3 and 2e-12 at n = 10
     assert detect(1 + 1e-12, 3, 3).verdict == NON_K_SEPARABLE
@@ -454,6 +464,37 @@ def test_threshold_within_one_ulp_of_exact_root(family):
         # k = n: the bound is 1, with roots (b-1)/(b+1) and 1 (double at 1 when c = 1)
         if family != "w":
             assert threshold_p(n, n, family) == (1.0 if c else float((b - 1) / (b + 1)))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_threshold_on_diagonal_groups(n):
+    # a basis state |b> has B = O = 1 and C = +-1.  With C = 1 (b of the
+    # parity of n, as |1...1> and |00> are) the equation is the constant
+    # 1 = bound_sq, with no p term; with C = -1 it is (1 - 2p)^2 = bound_sq.
+    # Either way the norm meets the bound only at k = n, from p = 0 on, and
+    # no p certifies: the state stops violating at 0 (k = n) or never did
+    assert threshold_p(4, 2, all_ones_group(4)) is None
+    for b in range(1 << n):
+        group = basis_group(n, b)
+        for k in range(2, n + 1):
+            assert threshold_p(n, k, group) == (0.0 if k == n else None), (b, k)
+            for p in (0.0, 0.5, 1.0):
+                assert xi_noise(n, k, p, group).verdict == INCONCLUSIVE, (b, k, p)
+
+
+def test_partition_label_joins_the_parts():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(2, 400))
+        pb = k_sep_bound(n, int(rng.integers(2, n + 1)))
+        assert pb.partition_label() == "|".join(map(str, pb.parts))
+    # MAX_PARTS blocks of one to four sizes, uncached so the test holds none of them
+    for spare in (0, 5, 1700):
+        pb = k_sep_bound.__wrapped__(MAX_PARTS + spare, MAX_PARTS)
+        assert pb.partition_label() == "|".join(map(str, pb.parts))
+    # any parts, in any order
+    parts = tuple(rng.integers(1, 5, size=50).tolist())
+    assert PartitionBound(sum(parts), 50, parts, 0.0, 0).partition_label() == "|".join(map(str, parts))
 
 
 def test_first_root_is_correctly_rounded():

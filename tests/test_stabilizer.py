@@ -34,6 +34,7 @@ from graphsep.separability import LimitError, cg_norm_sq, permutation_terms, sqr
 
 from oracle import (
     all_full_indices,
+    basis_group,
     combinations_cg_pattern,
     combinations_ghz_pattern,
     dense_expectation,
@@ -285,11 +286,6 @@ def test_count_equals_support_length_across_chunks(n):
     assert full_weight_count(graphs[2]) == full_weight_count(ghz_group(n)) == cg_norm_sq(n)
 
 
-def _basis_group(n, b):
-    """Generators (-1)^(b_a) Z_a of the basis state |b>, qubit 1 at the top bit of b."""
-    return StabilizerGroup(n, tuple((0, 1 << (n - a), -1 if b >> (n - a) & 1 else 1) for a in range(1, n + 1)))
-
-
 def _mixed_diagonal_group(n, rng):
     """Random independent Z-only generators (products of single-qubit Z) with random signs."""
     while True:
@@ -313,7 +309,7 @@ def _assert_shortcut_matches_walk(group):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_diagonal_shortcut_matches_walk_on_basis_states(n):
     for b in range(1 << n):
-        assert _assert_shortcut_matches_walk(_basis_group(n, b)) == (-1) ** b.bit_count()
+        assert _assert_shortcut_matches_walk(basis_group(n, b)) == (-1) ** b.bit_count()
     rng = np.random.default_rng(500 + n)
     for _ in range(5):
         _assert_shortcut_matches_walk(_mixed_diagonal_group(n, rng))

@@ -1,6 +1,7 @@
 """State constructors: amplitudes, noise mixtures, norm invariances."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -75,6 +76,20 @@ def test_graph_spec_keeps_sorted_edges_and_builds_masks_on_first_read():
     assert spec.masks == (0b010, 0b101, 0b010)
     with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
         GraphSpec(3, ((1, 2), (2, 1)))
+
+
+@pytest.mark.parametrize("edge", [(1, 2.5), (1.0, 2), (1, "2"), (None, 2)])
+def test_graph_spec_refuses_a_non_integer_vertex_at_construction(edge):
+    # the vertex would otherwise fail only when masks is first read
+    with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} has a non-integer vertex$"):
+        GraphSpec(3, [(2, 3), edge])
+
+
+def test_graph_spec_keeps_integer_vertices_as_python_ints():
+    spec = GraphSpec(3, [(np.int64(3), np.int32(1)), (True, 2)])
+    assert spec.edges == ((1, 2), (1, 3)) and spec == GraphSpec(3, [(1, 2), (1, 3)])
+    assert {type(v) for edge in spec.edges for v in edge} == {int}
+    assert spec.masks == (0b011, 0b100, 0b100)
 
 
 def test_plain_classes_keep_their_repr_equality_and_hash():

@@ -31,6 +31,7 @@ from graphsep import (
     ghz_group,
     ghz_state,
     graph_state,
+    k_sep_bound,
     measurement_settings,
     noise_products,
     noisy_mixture,
@@ -48,10 +49,11 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
-from graphsep.separability import FAMILIES, cg_norm_sq
+from graphsep.separability import FAMILIES, INCONCLUSIVE, cg_norm_sq
 from graphsep.stabilizer import all_ones_group
 
 from oracle import (
+    apply_local_unitaries,
     brute_k_sep_bound,
     chain_string_counts,
     dense_full_tensor,
@@ -62,6 +64,7 @@ from oracle import (
     key_words,
     kron_states,
     random_state,
+    random_unitary,
     untagged,
 )
 
@@ -377,7 +380,14 @@ def test_dense_limit_enforced():
     # the dense sweep runs at DENSE_LIMIT qubits and refuses one more
     rng = np.random.default_rng(12)
     n = tensor.DENSE_LIMIT
-    full_tensor(PureState(n, random_state(n, rng)))
+    state = PureState(n, random_state(n, rng))
+    tracemalloc.start()
+    try:
+        full_tensor(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * 4 ** n  # rho, and temporaries of at most half its size
     want = f"dense sweep over 3^{n + 1} words exceeds the {n}-qubit limit"
     with pytest.raises(LimitError, match=f"^{re.escape(want)}$"):
         full_tensor(PureState(n + 1, random_state(n + 1, rng)))
@@ -473,9 +483,39 @@ def test_dense_path_matches_matrix_oracle(n, real):
     weights /= weights.sum()
     terms = tuple((float(w), _random_member(n, rng, real)) for w in weights)
     _assert_matches_oracle(full_tensor(MixedEnsemble(terms)), terms, n)
-    if n == 8:
-        # more flip masks than one chunk holds, so several chunks ran
-        assert 1 << n > tensor._CHUNK_ELEMENTS >> n
+
+
+def _at_the_bound(n, k, rng):
+    """Raw amplitudes of a k-separable state whose squared norm is bound_sq:
+    one complete graph state per block of k_sep_bound(n, k), under random
+    local unitaries."""
+    blocks = [graph_state(complete_graph(m)) if m > 1 else PureState(1, [1, 0]) for m in k_sep_bound(n, k).parts]
+    state = blocks[0]
+    for block in blocks[1:]:
+        state = kron_states(state, block)
+    return PureState(n, apply_local_unitaries(state.amplitudes, [random_unitary(rng) for _ in range(n)]))
+
+
+@pytest.mark.parametrize("members", [1, 2, 4, 8])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_many_member_mixtures_stay_within_detects_margin(n, members):
+    # the dense sweep sums the members one after another; on random
+    # mixtures, and on copies of a state at the bound, its squared norm is
+    # within detect's margin of the exact one, and detect never certifies
+    # a mixture whose exact squared norm is at most bound_sq
+    rng = np.random.default_rng([n, members])
+    weights = rng.uniform(0.2, 1.0, size=members)
+    weights /= weights.sum()
+    cases = [[_random_member(n, rng, real) for _ in weights] for real in (False, True)]
+    cases += [[_at_the_bound(n, k, rng)] * members for k in range(2, n + 1)]
+    for states in cases:
+        terms = tuple(zip(weights.tolist(), states))
+        got = tensor_norm_sq(full_tensor(MixedEnsemble(terms)))
+        exact = exact_tensor_norm_sq(terms, n)
+        assert abs(got - exact) <= _margin(got, n)
+        for k in range(2, n + 1):
+            if exact <= k_sep_bound(n, k).bound_sq:
+                assert separability.detect(got, n, k).verdict == INCONCLUSIVE, (k, got, exact)
 
 
 def test_dense_path_drops_exact_zeros():
