@@ -155,15 +155,16 @@ def permutation_terms(n: int) -> list[tuple[int, int]]:
     return [(x, math.comb(n, x)) for x in range(1, n + 1, 2)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def k_sep_bound(n: int, k: int) -> PartitionBound:
     """Admissible k-partition of n maximizing the product of block norms.
 
     Exact: the largest integer product of 2^(m-1) + s_m, with ties going
     to the lexicographically smallest partition (see the module
-    docstring for why the construction below attains it).  Results are
-    cached: noise sweeps and threshold solves ask for the same (n, k) on
-    every grid step.
+    docstring for why the construction below attains it).  The last few
+    results are cached: noise sweeps and threshold solves ask for the
+    same (n, k) on every grid step, and a bounded cache lets a bounds
+    table's O(k)-sized partitions go once it moves on.
     """
     if k < 2 or k > n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
@@ -230,7 +231,7 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _chain_count(n: int) -> int:
     """B_n of the n-vertex chain (cluster) state: the subsets S whose element
     (x = S, z = A S) is full weight, i.e. 0/1 strings whose every 0 has
@@ -238,7 +239,7 @@ def _chain_count(n: int) -> int:
     and goes on in tokens 1 and 001, and an optional 0.  Such words of
     length m number f_m = f_(m-1) + f_(m-3) (split off the last token), so
     B_n = f_n + 2 f_(n-1) + f_(n-2) follows the same recurrence: 3, 4, 5,
-    8, 12, 17, ... from n = 2.  Cached for the sweep's grid."""
+    8, 12, 17, ... from n = 2.  The last few are cached for the sweep's grid."""
     a, b, c = 1, 1, 3  # B_0, B_1, B_2
     for _ in range(n):
         a, b, c = b, c, c + a

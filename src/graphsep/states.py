@@ -36,11 +36,12 @@ class GraphSpec:
     """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
 
     Built from any iterable of (a, b) edges whose vertices are of any int
-    type (operator.index; anything else is refused here), and kept as the
-    sorted pairs (a, b) of Python ints, a < b, checked in O(|E| log |E|)
-    time and O(|E|) memory (a duplicate is found next to its twin once
-    sorted): nothing of size n is built, so a graph file with a huge n
-    and few edges is refused by the count's qubit limit, not by memory.
+    type (operator.index; a non-pair edge or any other vertex is refused
+    here with ValueError), and kept as the sorted pairs (a, b) of Python
+    ints, a < b, checked in O(|E| log |E|) time and O(|E|) memory (a
+    duplicate is found next to its twin once sorted): nothing of size n
+    is built, so a graph file with a huge n and few edges is refused by
+    the count's qubit limit, not by memory.
     Two specs are equal, and hash alike, when their (n, edges) are.
     masks, one neighbour bitmask per vertex (qubit 1 at the top bit), is
     built on first read.
@@ -51,7 +52,10 @@ class GraphSpec:
             raise ValueError("graph needs at least 2 vertices")
         pairs = []
         for edge in edges:
-            a, b = edge
+            try:
+                a, b = edge
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ValueError(f"edge {reprlib.repr(edge)} is not a pair of vertices") from None
             try:
                 a, b = index(a), index(b)
             except TypeError:

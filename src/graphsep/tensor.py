@@ -210,16 +210,15 @@ def tensor_norm(t: pauli.CorrelationTensor) -> float:
     return math.sqrt(tensor_norm_sq(t))
 
 
-def measurement_settings(n: int, noise: bool = False) -> list[bytes]:
+def measurement_settings(n: int, noise: bool = False) -> Iterator[bytes]:
     """Local observables sufficient to evaluate the criterion on complete-graph states.
 
     The words of stabilizer.cg_nonzero_pattern, in its order, each row a
     top-half word joined to a bottom-half word of stabilizer.pattern_halves;
     with noise=True the all-Z word needed for the colored-noise term
-    follows.  Returns ASCII blocks, one per top half, a newline after each
-    word, to be written out in turn (never joined, so the listing is held
-    once).  Above stabilizer.PATTERN_LIMIT qubits it raises LimitError
-    before building anything.
+    follows.  Returns an iterator of ASCII blocks made one at a time, one
+    per top half, a newline after each word.  Refuses n < 2 (ValueError)
+    and n above stabilizer.PATTERN_LIMIT (LimitError) when called.
     """
     low, xz = n // 2, bytes.maketrans(b"01", b"ZX")
 
@@ -229,8 +228,8 @@ def measurement_settings(n: int, noise: bool = False) -> list[bytes]:
     halves = stabilizer.pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
     tops = [word(t, n - low) for t in range(1 << (n - low))]
     # each bottom word ends in a newline, so top + top.join(bottoms) is the rows top + bottom, one per bottom
-    blocks = [tops[t] + tops[t].join(bottoms) for t, bottoms in halves]
-    return blocks + [b"Y" * n + b"\n"] * (1 - n % 2) + [b"Z" * n + b"\n"] * noise  # all-Y at even n, all-Z for noise
+    blocks = (tops[t] + tops[t].join(bottoms) for t, bottoms in halves)
+    return chain(blocks, [b"Y" * n + b"\n"] * (1 - n % 2) + [b"Z" * n + b"\n"] * noise)  # all-Y at even n, all-Z for noise
 
 
 def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:

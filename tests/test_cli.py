@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -31,10 +33,12 @@ from graphsep.cli import MAX_PARTS, MAX_ROWS, main
 from oracle import (
     brute_k_sep_bound,
     chain_string_counts,
+    combinations_cg_pattern,
     exact_noise_norm_sq,
     exact_noise_products,
     exact_noise_threshold,
     exact_verdict,
+    key_words,
     untagged,
 )
 
@@ -745,17 +749,69 @@ def _fail(*args, **kwargs):
         (["bounds", "--n", "7"], "_fmt"),
         (["sweep", "--n", "6", "--k", "2"], "_fmt"),
         (["settings", "--n", "6", "--noise"], "cg_norm_sq"),
-        (["graph", "--n", "5"], "combinations"),
     ],
-    ids=["norms", "detect", "bounds", "sweep", "settings", "graph"],
+    ids=["norms", "detect", "bounds", "sweep", "settings"],
 )
 def test_a_command_that_fails_late_writes_nothing(capsys, monkeypatch, tmp_path, argv, name):
-    # each fails after lines it would once have printed: still one stderr line, stdout empty
+    # each fails after lines it would once have printed (settings: before its listing,
+    # whose count line is made when it is called): still one stderr line, stdout empty
     path = tmp_path / "cg5.json"
     path.write_text('{"family": "cg", "n": 5}')
     argv = [str(path) if arg == "STATE" else arg for arg in argv]
     monkeypatch.setattr(cli, name, _fail)
     assert run(capsys, *argv) == (1, "", "graphsep: error: injected failure\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error, code",
+    [
+        (["settings", "--n", "1"], "pattern needs n >= 2", 1),
+        (["settings", "--n", "23"], "pattern of 2^22 words exceeds the 22-qubit limit", 2),
+        (["graph", "--n", "1"], "graph needs at least 2 vertices", 1),
+        (["graph", "--n", "2049"], "graph n 2049 is above the limit of 2048", 2),
+    ],
+    ids=["settings-below", "settings-above", "graph-below", "graph-above"],
+)
+def test_a_streamed_command_refuses_when_called_and_writes_nothing(capsys, argv, error, code):
+    # settings and graph write their output as it is made, so every refusal comes from the call itself
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(LimitError if code == 2 else ValueError, match=f"^{re.escape(error)}$"):
+        args.func(args)
+    assert run(capsys, *argv) == (code, "", f"graphsep: error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["settings", "--n", "20", "--noise"], ["graph", "--n", "2048"]], ids=["settings", "graph"]
+)
+def test_a_streamed_listing_is_not_held_whole(monkeypatch, argv):
+    # 11 MB and 33 MB of output: the peak is one block of it, not the listing
+    with open(os.devnull, "w", encoding="ascii") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        assert main([argv[0], "--n", "4"]) == 0  # the command's modules load before the trace
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 4 << 20
+
+
+@pytest.mark.parametrize("noise", (False, True))
+def test_settings_listing_is_the_oracle_pattern(capsysbinary, noise):
+    for n in range(2, 15):
+        words = key_words(combinations_cg_pattern(n), n) + ["Z" * n] * noise
+        assert main(["settings", "--n", str(n), *["--noise"] * noise]) == 0
+        lines = [*words, f"# count={len(words)}"]
+        assert capsysbinary.readouterr() == ("".join(f"{line}\n" for line in lines).encode(), b"")
+
+
+def test_graph_listing_is_every_combination(capsys):
+    for n in range(2, 61):
+        vertices = range(1, n + 1)
+        lines = [f"graph complete_{n} {{", *(f"  {v};" for v in vertices)]
+        lines += [*(f"  {a} -- {b};" for a, b in combinations(vertices, 2)), "}"]
+        assert run(capsys, "graph", "--n", str(n)) == (0, "".join(f"{line}\n" for line in lines), "")
 
 
 def test_appendix_that_fails_late_writes_nothing(capsys):
@@ -791,7 +847,7 @@ def test_appendix_mismatch_is_one_line_exit_1(capsys, monkeypatch):
             "graph --n {}",
             cli.GRAPH_MAX_N,
             cli,
-            "combinations",
+            "chain",
             f"graph n {cli.GRAPH_MAX_N + 1} is above the limit of {cli.GRAPH_MAX_N}",
         ),
         (

@@ -1,6 +1,7 @@
 """Partition bounds, verdicts and the noise-ratio functions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from graphsep import (
     w_state,
     xi_noise,
 )
-from graphsep.cli import MAX_PARTS
+from graphsep.cli import MAX_PARTS, MAX_ROWS, main
 from graphsep.separability import PartitionBound, cg_norm_sq, sqrt_int
 from graphsep.stabilizer import all_ones_group
 
@@ -102,6 +103,28 @@ def test_k_sep_bound_is_cached():
     assert k_sep_bound(12, 6) is not first
     with pytest.raises(ValueError):
         k_sep_bound(12, 13)
+
+
+def test_the_bound_cache_lets_a_bounds_table_go():
+    # each of these partitions holds a tuple of k parts (about 30 KB): an
+    # unbounded cache would keep all 901 of them, 24.7 MiB
+    k_sep_bound.cache_clear()
+    tracemalloc.start()
+    try:
+        for k in range(3100, 4001):
+            k_sep_bound(4000, k)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+
+
+def test_a_long_sweep_computes_its_bound_and_count_once(capsys):
+    k_sep_bound.cache_clear()
+    separability._chain_count.cache_clear()
+    assert main(["sweep", "--family", "cluster", "--n", "40", "--k", "3", "--p-steps", str(MAX_ROWS)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3 + MAX_ROWS
+    assert k_sep_bound.cache_info().misses == 1 and separability._chain_count.cache_info().misses == 1
 
 
 def test_k_sep_bound_refuses_past_the_float_range_before_the_product(monkeypatch):

@@ -85,6 +85,12 @@ def test_graph_spec_refuses_a_non_integer_vertex_at_construction(edge):
         GraphSpec(3, [(2, 3), edge])
 
 
+@pytest.mark.parametrize("edge", [5, (1, 2, 3), (1,), None])
+def test_graph_spec_refuses_an_edge_that_is_not_a_pair(edge):
+    with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} is not a pair of vertices$"):
+        GraphSpec(3, [(2, 3), edge])
+
+
 def test_graph_spec_keeps_integer_vertices_as_python_ints():
     spec = GraphSpec(3, [(np.int64(3), np.int32(1)), (True, 2)])
     assert spec.edges == ((1, 2), (1, 3)) and spec == GraphSpec(3, [(1, 2), (1, 3)])

@@ -538,8 +538,8 @@ def test_dense_path_drops_exact_zeros():
 
 def test_measurement_settings():
     # one block per (X count, top half) of pattern_halves, then all-Y at even n and all-Z for noise
-    assert measurement_settings(3, noise=True) == [b"XZZ\n", b"ZXZ\n", b"ZZX\n", b"XXX\n", b"ZZZ\n"]
-    assert measurement_settings(4, noise=True) == [
+    assert list(measurement_settings(3, noise=True)) == [b"XZZ\n", b"ZXZ\n", b"ZZX\n", b"XXX\n", b"ZZZ\n"]
+    assert list(measurement_settings(4, noise=True)) == [
         b"XZZZ\n", b"ZXZZ\n", b"ZZXZ\nZZZX\n", b"XXXZ\nXXZX\n", b"XZXX\n", b"ZXXX\n", b"YYYY\n", b"ZZZZ\n"
     ]
     assert len(b"".join(measurement_settings(4, noise=True))) == 10 * 5
