@@ -11,9 +11,9 @@ functions that build or read arrays (amplitudes, sparse tensors, the
 walk, the key patterns, a loaded file's ensemble) get it from
 pauli.require_numpy, which without it raises a one-line ImportError
 that names the extra.  separability (bounds, thresholds and the integer
-closed forms) never reads it, and groups, the count, settings and the
-raw-amplitude norm are plain ints, floats and bytes, so no CLI command
-needs numpy.
+closed forms) and graphs (graphs, the full-weight count and the pattern
+order) never read it, and groups, settings and the raw-amplitude norm
+are plain ints, floats and bytes, so no CLI command needs numpy.
 
 No class is a dataclass (its module brings inspect, ast and dis, about
 10 ms of start-up): the result records PartitionBound, XiResult and
@@ -21,9 +21,10 @@ separability.Family are named tuples, the other classes plain ones.
 The modules reach each other through the lazy modules and read them
 only inside the functions that need them, so a CLI command runs the body
 of only the modules its path reads: cli and separability for bounds,
-sweep, appendix and graph, plus tensor for norms, tensor and stabilizer
-for settings, and statefile for detect, with states and stabilizer for
-a graph file and tensor for raw amplitudes.  No command runs pauli.
+sweep, appendix and graph, plus tensor for norms, tensor and graphs for
+settings, and statefile for detect, with graphs for a graph file and
+tensor for raw amplitudes.  No command runs stabilizer or pauli, and
+states runs only to word the refusal of a one-qubit family file.
 """
 
 import importlib
@@ -34,14 +35,14 @@ __version__ = "0.1.0"
 
 # home module -> the public names it exports
 _EXPORTS = {
+    "graphs": "GraphSpec chain_graph complete_graph full_weight_count",
     "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble",
     "separability": "INCONCLUSIVE LimitError NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
     " k_sep_bound noise_products threshold_p xi_noise",
-    "stabilizer": "StabilizerGroup cg_nonzero_pattern full_weight_count full_weight_support ghz_group"
-    " ghz_nonzero_pattern stabilizer_group",
+    "stabilizer": "StabilizerGroup cg_nonzero_pattern full_weight_support ghz_group ghz_nonzero_pattern"
+    " stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
-    "states": "GraphSpec all_ones_state chain_graph cluster_state complete_graph ghz_state graph_state"
-    " noisy_mixture w_state",
+    "states": "all_ones_state cluster_state ghz_state graph_state noisy_mixture w_state",
     "tensor": "full_tensor measurement_settings norm_table tensor_norm tensor_norm_sq",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}

@@ -268,9 +268,13 @@ def pure_ensemble(state: PureState) -> MixedEnsemble:
     return MixedEnsemble(((1.0, state),))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (basis indices, bit-parity table) for n qubits."""
+    """(basis indices, bit-parity table) for n qubits, 9 * 2^n bytes.
+
+    Cached for the latest qubit count only: repeated expectations at one
+    n reuse them, and a caller scanning n does not keep every size.
+    """
     np = require_numpy()
 
     idx = np.arange(1 << n, dtype=np.int64)

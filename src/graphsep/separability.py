@@ -37,7 +37,8 @@ given and threshold_p solves in integers.  FAMILIES is the one table
 of the named families (the complete graph, GHZ, W and the cluster
 chain), each row a closed form good at any n and a state constructor;
 check_family checks a name against it.  The graph of a graph file, or
-any stabilizer group, gets B from the bit-sliced count.  So sweep verdicts, and
+any stabilizer group, gets B from the bit-sliced count (graphs), a graph
+with no group built.  So sweep verdicts, and
 detect verdicts on every named family and graph state, are exact
 decisions at the given p, and printed fields are correctly rounded.
 Only detect on raw amplitudes (a squared norm summed in floats from the
@@ -261,7 +262,9 @@ class Family(NamedTuple):
 # family name -> its row.  build looks the constructor up when called, so a
 # wrapped or patched one is the one that runs.
 FAMILIES = {
-    "cg": Family(lambda n: (cg_norm_sq(n), 0, 1, 1), lambda states, n: states.graph_state(states.complete_graph(n))),
+    "cg": Family(
+        lambda n: (cg_norm_sq(n), 0, 1, 1), lambda states, n: states.graph_state(states.graphs.complete_graph(n))
+    ),
     "ghz": Family(lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1), lambda states, n: states.ghz_state(n)),
     "w": Family(lambda n: (5 * n - 4, n if n % 2 else -n, n, n), lambda states, n: states.w_state(n)),
     "cluster": Family(lambda n: (_chain_count(n), 0, 1, 1), lambda states, n: states.cluster_state(n)),
@@ -288,29 +291,35 @@ def noise_products(n: int, source) -> tuple[int, int, int, int]:
     elements have x = S) and GHZ has as 1 at even n, 0 at odd n.  The W
     state has Z^n at -1 and the C(n, 2) words XX and YY on each qubit pair
     (Z elsewhere) at 2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and
-    C = (-1)^(n+1), over D = n.  Or source is a states.GraphSpec, refused
-    above the count limit before its group is built, or a StabilizerGroup,
-    and stabilizer.group_products counts B in Python ints, with D = 1.
+    C = (-1)^(n+1), over D = n.  Or source is a graphs.GraphSpec, whose
+    (B, 0, 1, 1) takes B from graphs.full_weight_count on the graph's own
+    generators (refused above the count limit first): no StabilizerGroup
+    is built, as the graph's generators always commute and are
+    independent.  Or source is a StabilizerGroup, and
+    stabilizer.group_products counts B and solves for C, with D = 1.
     """
     if isinstance(source, str):
         check_family(source)
         return FAMILIES[source].products(n)
-    from . import stabilizer
+    from . import graphs, stabilizer
 
-    return (*stabilizer.group_products(_group(n, source)), 1)
+    if _check_source(n, source):
+        return graphs.full_weight_count(source), 0, 1, 1
+    return (*stabilizer.group_products(source), 1)
 
 
-def _group(n: int, source):
-    """The StabilizerGroup of a graph or group source of noise_products.  A
-    graph is refused above the count limit before its group is built."""
+def _check_source(n: int, source) -> bool:
+    """Check a graph or group source of noise_products, and return whether it
+    is a graph: its n, then a graph's count limit, so a graph over the
+    limit is refused as such before any bound or count."""
     if source.n != n:
         raise ValueError(f"source has {source.n} qubits, not {n}")
-    from . import stabilizer
+    from . import graphs
 
-    if isinstance(source, stabilizer.StabilizerGroup):
-        return source
-    stabilizer.check_count_limit(n)
-    return stabilizer.stabilizer_group(source)
+    if not isinstance(source, graphs.GraphSpec):
+        return False
+    graphs.check_count_limit(n)
+    return True
 
 
 def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
@@ -326,13 +335,14 @@ def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
     The bound is read before the products, as in threshold_p: it refuses
     a bad k, or a bound beyond the float range, before a closed form of
     size n (the chain count is O(n^2) bit work) is built.  So k is
-    checked before a family name.  A graph is the exception: its group is
-    built first, so a graph over the count limit is refused as such.
+    checked before a family name.  A graph or group source has its n
+    checked first, and a graph its count limit, so a graph over the
+    limit is refused as such; no group is built for a graph.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
     if p < 1.0 and not isinstance(family, str):
-        family = _group(n, family)
+        _check_source(n, family)
     d = k_sep_bound(n, k).bound_sq
     if p == 1.0 and isinstance(family, str):
         check_family(family)

@@ -7,58 +7,38 @@ equals ``i^y * X^x * Z^z`` with y the number of Y positions, so the sign
 of a group element relative to the Hermitian word is ``i^(t - y)``,
 asserted to be +-1 throughout.
 
-Two passes visit the 2^n generator subsets, 2^14 at a time: O(2^n)
-work where the dense path would sweep 3^n strings.  The walk (_walk)
-forms each chunk's signed identity-free elements as numpy arrays, which
+The walk (_walk) visits the 2^n generator subsets, 2^14 at a time:
+O(2^n) work where the dense path would sweep 3^n strings.  It forms
+each chunk's signed identity-free elements as numpy arrays, which
 full_weight_support packs and sorts into a CorrelationTensor (pauli.py)
-of +-1 signs.  The count (full_weight_count) needs no signs and no
-numpy: it bit-slices each chunk into Python ints, one bit per subset,
-and counts its identity-free subsets with one popcount.  group_products
-turns it into the B that separability.noise_products reads for a graph
-or a group (every named family has a closed form).  A diagonal group
-(a basis state such as |1...1>) needs neither: its one identity-free
-element is Z^n.  The complete-graph and GHZ patterns need no group:
-pattern_halves lists their masks, packed into keys or joined into words.
+of +-1 signs.  The count, which needs no signs and no numpy, and the
+pattern order live in graphs (full_weight_count, pattern_halves, with
+their limits), which this module imports back: group_products turns the
+count into the B, C and O that separability.noise_products reads for a
+group (a graph's B it counts from the graph itself, and every named
+family has a closed form).  A diagonal group (a basis state such as
+|1...1>) needs no walk and no count: its one identity-free element is
+Z^n.  The complete-graph and GHZ patterns need no group: their masks
+from pattern_halves are packed into keys.
 The groups of the tagged states come from stabilizer_group (a graph
-state, from the neighbour masks of a states.GraphSpec), ghz_group and
-all_ones_group.
-The count refuses more than COUNT_LIMIT qubits (check_count_limit,
-which noise_products also calls before it builds a graph's group), and
-full_weight_support (the walk's one caller) and the patterns, which
-keep every key, more than PATTERN_LIMIT, with separability.LimitError.
+state, from the generators of a graphs.GraphSpec), ghz_group and
+all_ones_group.  full_weight_support (the walk's one caller) and the
+key patterns, which keep every key, refuse more than PATTERN_LIMIT
+qubits with separability.LimitError.
 The sign of one word is an O(n) membership solve (_member_sign).  numpy
 (pauli.require_numpy) is read only where arrays are built, so groups
 and the count start without it; pauli (the lazy module) runs only for
-the walk's tensor and the key patterns, so a graph's count and the
-settings never run it.
+the walk's tensor and the key patterns.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 # the lazy module (graphsep/__init__.py), run only by the walk and the key patterns
 from . import pauli
+from .graphs import _SUBSET_BITS, PATTERN_LIMIT, full_weight_count, pattern_halves
 from .separability import LimitError
-
-# Generators whose subsets form one chunk of the walk (2^14 int64 lanes,
-# 128 KiB, per temporary) and of the count (2 KiB per slice).
-_SUBSET_BITS = 14
-
-# Largest qubit count the count takes: its 2^26 subsets take about
-# 0.06 s on a random 26-vertex graph.
-COUNT_LIMIT = 26
-
-# Largest qubit count whose 2^(n-1) words or keys the patterns and
-# full_weight_support materialize (n = 22 keys take about 180 MB).
-PATTERN_LIMIT = 22
-
-
-def check_count_limit(n: int) -> None:
-    """Refuse a count over 2^n generator subsets above COUNT_LIMIT qubits (LimitError)."""
-    if n > COUNT_LIMIT:
-        raise LimitError(f"stabilizer count over 2^{n} generator subsets exceeds the {COUNT_LIMIT}-qubit limit")
 
 
 class StabilizerGroup:
@@ -143,9 +123,8 @@ class StabilizerGroup:
 
 
 def stabilizer_group(spec) -> StabilizerGroup:
-    """Stabilizer generators of the graph state of a states.GraphSpec: X on vertex a, Z on its neighbors."""
-    gens = tuple((1 << (spec.n - a), spec.masks[a - 1], 1) for a in range(1, spec.n + 1))
-    return StabilizerGroup(spec.n, gens)
+    """The group of the graph state of a graphs.GraphSpec, from its generators: X on vertex a, Z on its neighbors."""
+    return StabilizerGroup(spec.n, spec.generators)
 
 
 def ghz_group(n: int) -> StabilizerGroup:
@@ -234,56 +213,6 @@ def full_weight_support(g: StabilizerGroup) -> pauli.CorrelationTensor:
     return pauli.CorrelationTensor(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
 
 
-@lru_cache(maxsize=None)
-def _subset_bits(b: int) -> tuple:
-    """For k < b, the 2^b-bit int whose bit j is bit k of j (0xAA..., 0xCC..., 0xF0F0..., ...)."""
-    ones = (1 << (1 << b)) - 1
-    return tuple(ones // ((1 << (1 << k)) + 1) << (1 << k) for k in range(b))
-
-
-def full_weight_count(g: StabilizerGroup) -> int:
-    """Number of identity-free group elements: len(full_weight_support(g)).
-
-    Bit-sliced over chunks of 2^b subsets, b = min(n, 14): bit j of a
-    slice stands for the subset whose low generators are the set bits of
-    j.  Qubit q's x bit is the XOR of the _subset_bits ints of the low
-    generators with x on q (z likewise), and the chunk's high generators
-    flip whole slices, so a chunk counts as popcount(AND over q of
-    x_q | z_q): O(2^14) memory and n big-int ANDs.  No phase is formed:
-    B does not depend on signs, and StabilizerGroup's check that the
-    generators commute with +-1 signs already makes every phase real.
-    A diagonal group has one (Z^n), with no count; any other above
-    COUNT_LIMIT qubits raises LimitError at once.
-    """
-    if g.diagonal:
-        return 1
-    n = g.n
-    check_count_limit(n)
-    b = min(n, _SUBSET_BITS)
-    ones = (1 << (1 << b)) - 1
-    xs, zs = [0] * n, [0] * n  # per bit position p of the masks
-    for column, (gx, gz, _) in zip(_subset_bits(b), g.generators):
-        for p in range(n):
-            if gx >> p & 1:
-                xs[p] ^= column
-            if gz >> p & 1:
-                zs[p] ^= column
-    # x_q | z_q for each (x flip, z flip) of the high generators, at index 2 * x flip + z flip
-    slices = [(x | z, x | (z ^ ones), (x ^ ones) | z, (x ^ ones) | (z ^ ones)) for x, z in zip(xs, zs)]
-    high = g.generators[b:]
-    hx = hz = count = 0
-    for step in range(1 << (n - b)):  # high subsets in Gray-code order: one generator per step
-        if step:
-            gx, gz, _ = high[(step & -step).bit_length() - 1]
-            hx ^= gx
-            hz ^= gz
-        acc = ones
-        for p, flips in enumerate(slices):
-            acc &= flips[(hx >> p & 1) << 1 | (hz >> p & 1)]
-        count += acc.bit_count()
-    return count
-
-
 def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
     """(B, C, O) of separability.noise_products (over D = 1) for the state that g stabilizes.
 
@@ -294,27 +223,6 @@ def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
     """
     n = g.n
     return full_weight_count(g), (-1) ** n * _member_sign(g, 0, (1 << n) - 1), 1
-
-
-def pattern_halves(n: int, parity: int, render):
-    """The n-bit masks of popcount parity `parity` in combinations order, as (top half, bottom halves) pairs.
-
-    Combinations order (qubit 1 at the top bit) is popcount ascending,
-    then mask descending: within popcount w, top half t (the n - n // 2
-    high bits) descending, then the bottom halves of popcount
-    w - popcount(t) descending.  render maps each popcount's bottom halves,
-    listed once, to the form its caller joins; no 2^n list is built or
-    sorted.  ValueError below 2 qubits and LimitError above PATTERN_LIMIT
-    come first.
-    """
-    if n < 2:
-        raise ValueError("pattern needs n >= 2")
-    if n > PATTERN_LIMIT:
-        raise LimitError(f"pattern of 2^{n - 1} words exceeds the {PATTERN_LIMIT}-qubit limit")
-    low, tops = n // 2, range((1 << (n - n // 2)) - 1, -1, -1)
-    bottoms = [render([b for b in range((1 << low) - 1, -1, -1) if b.bit_count() == r]) for r in range(low + 1)]
-    return ((t, bottoms[w - t.bit_count()])
-            for w in range(parity, n + 1, 2) for t in tops if w - low <= t.bit_count() <= w)
 
 
 def _pattern_keys(n: int, parity: int, xz, extra: int) -> np.ndarray:

@@ -17,10 +17,12 @@ on load with a warning.
 Family names are the keys of separability.FAMILIES, plus "graph".
 Loading checks the whole document but builds no state and loads no
 numpy: a LoadedState keeps its base state's source (a family name, the
-GraphSpec of a graph document, or for raw amplitudes a tuple of Python
-complex numbers), which detect hands to separability.xi_noise or to the
-amplitude kernel of graphsep.tensor, and builds its ensemble only when
-it is read (at p = 1, |1...1> alone).
+graphs.GraphSpec of a graph document, or for raw amplitudes a tuple of
+Python complex numbers), which detect hands to separability.xi_noise or
+to the amplitude kernel of graphsep.tensor, and builds its ensemble only
+when it is read (at p = 1, |1...1> alone).  So detect on a graph file
+runs graphs, not states or stabilizer: xi_noise counts the graph's B
+from the GraphSpec itself.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import reprlib
 import warnings
 from functools import cached_property
 
-# lazy modules (graphsep/__init__.py), loaded when an ensemble is built or
-# (states) a graph document is read
-from . import pauli, states
+# lazy modules (graphsep/__init__.py): graphs runs when a graph document is
+# read, pauli and states only when an ensemble is built
+from . import graphs, pauli, states
 from .separability import FAMILIES, check_family
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
@@ -122,7 +124,7 @@ def loads_state(text: str) -> LoadedState:
             raise StateFileError("family 'graph' requires an 'edges' list")
         edges = _parse_edges(doc["edges"])
         try:
-            source = states.GraphSpec(n, edges)
+            source = graphs.GraphSpec(n, edges)
         except ValueError as exc:  # a self-loop, a duplicate edge or a vertex outside 1..n
             raise StateFileError(str(exc)) from None
     else:

@@ -1,13 +1,13 @@
-"""Graphs, and constructors for graph, GHZ, W and cluster states plus colored-noise mixtures.
+"""Constructors for graph, GHZ, W and cluster states plus colored-noise mixtures.
 
-GraphSpec is a simple graph on vertices 1..n, kept as its sorted edge
-pairs, with one neighbour bitmask per vertex built when first read;
-complete_graph and chain_graph build the two named ones.  Graph states
-are built by applying a controlled-Z along every edge of a graph to
-|+>^n: the sign of basis state b flips once per edge with both ends set
-in b, and that parity is built one vertex at a time.  The cluster state is realized as the linear-chain graph
-state, which is local-unitary equivalent to the usual product-form
-definition and therefore has the same correlation-tensor norm.
+The graphs themselves (GraphSpec, complete_graph, chain_graph) live in
+graphs, whose count decides a graph file without this module.  Graph
+states are built by applying a controlled-Z along every edge of a graph
+to |+>^n: the sign of basis state b flips once per edge with both ends
+set in b, and that parity is built one vertex at a time.  The cluster
+state is realized as the linear-chain graph state, which is
+local-unitary equivalent to the usual product-form definition and
+therefore has the same correlation-tensor norm.
 
 Graph, cluster, GHZ and |1...1> states are stabilizer states.  Their
 constructors tag the result with its StabilizerGroup (PureState.stabilizer),
@@ -23,85 +23,14 @@ constructor of each named family.
 from __future__ import annotations
 
 import math
-import reprlib
-from functools import cached_property, partial
-from itertools import pairwise
-from operator import index
+from functools import partial
 
-# lazy modules (graphsep/__init__.py), run only when a state or a group is built
-from . import pauli, stabilizer
+# lazy modules (graphsep/__init__.py), run only when a graph, a state or a
+# group is built
+from . import graphs, pauli, stabilizer
 
 
-class GraphSpec:
-    """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
-
-    Built from any iterable of (a, b) edges whose vertices are of any int
-    type (operator.index; a non-pair edge or any other vertex is refused
-    here with ValueError), and kept as the sorted pairs (a, b) of Python
-    ints, a < b, checked in O(|E| log |E|) time and O(|E|) memory (a
-    duplicate is found next to its twin once sorted): nothing of size n
-    is built, so a graph file with a huge n and few edges is refused by
-    the count's qubit limit, not by memory.
-    Two specs are equal, and hash alike, when their (n, edges) are.
-    masks, one neighbour bitmask per vertex (qubit 1 at the top bit), is
-    built on first read.
-    """
-
-    def __init__(self, n: int, edges):
-        if n < 2:
-            raise ValueError("graph needs at least 2 vertices")
-        pairs = []
-        for edge in edges:
-            try:
-                a, b = edge
-            except (TypeError, ValueError):  # not iterable, or not two items
-                raise ValueError(f"edge {reprlib.repr(edge)} is not a pair of vertices") from None
-            try:
-                a, b = index(a), index(b)
-            except TypeError:
-                raise ValueError(f"edge {reprlib.repr(edge)} has a non-integer vertex") from None
-            if a == b:
-                raise ValueError(f"self-loop at vertex {reprlib.repr(a)}")
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge {reprlib.repr(edge)} outside 1..{n}")
-            pairs.append((a, b) if a < b else (b, a))
-        pairs.sort()  # linear when the edges come in order, as from complete_graph
-        for pair, following in pairwise(pairs):
-            if pair == following:
-                raise ValueError(f"duplicate edge {pair}")
-        self.n = n
-        self.edges = tuple(pairs)  # the edges (a, b), a < b, in ascending order
-
-    def __repr__(self) -> str:
-        return f"GraphSpec(n={self.n!r}, edges={self.edges!r})"
-
-    def __eq__(self, other):
-        return (self.n, self.edges) == (other.n, other.edges) if type(other) is GraphSpec else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    @cached_property
-    def masks(self) -> tuple:
-        """One neighbour bitmask per vertex, vertex 1 first; vertex b is bit n - b."""
-        n, masks = self.n, [0] * self.n
-        for a, b in self.edges:
-            masks[a - 1] |= 1 << (n - b)
-            masks[b - 1] |= 1 << (n - a)
-        return tuple(masks)
-
-
-def complete_graph(n: int) -> GraphSpec:
-    """All n(n-1)/2 edges between n vertices."""
-    return GraphSpec(n, ((a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)))
-
-
-def chain_graph(n: int) -> GraphSpec:
-    """Linear chain 1-2-...-n."""
-    return GraphSpec(n, ((a, a + 1) for a in range(1, n)))
-
-
-def _graph_amplitudes(spec: GraphSpec):
+def _graph_amplitudes(spec: graphs.GraphSpec):
     """The 2^n amplitudes of graph_state(spec).
 
     The sign parity of b is the sum over vertices a of bit_a(b) times
@@ -131,7 +60,7 @@ def _basis_amplitudes(n: int, weights: dict):
     return amps
 
 
-def graph_state(spec: GraphSpec) -> pauli.PureState:
+def graph_state(spec: graphs.GraphSpec) -> pauli.PureState:
     """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2)."""
     return pauli.PureState.deferred(spec.n, partial(_graph_amplitudes, spec), stabilizer.stabilizer_group(spec))
 
@@ -156,7 +85,7 @@ def cluster_state(n: int) -> pauli.PureState:
     """Linear cluster state, constructed as the chain graph state."""
     if n < 2:
         raise ValueError("cluster state needs n >= 2")
-    return graph_state(chain_graph(n))
+    return graph_state(graphs.chain_graph(n))
 
 
 def all_ones_state(n: int) -> pauli.PureState:

@@ -33,9 +33,9 @@ import math
 from itertools import chain
 from operator import add, mul
 
-# lazy modules (graphsep/__init__.py): stabilizer runs for the settings and
-# the shortcut, pauli only for full_tensor
-from . import pauli, stabilizer
+# lazy modules (graphsep/__init__.py): graphs runs for the settings, pauli
+# and stabilizer only for full_tensor
+from . import graphs, pauli, stabilizer
 from .separability import LimitError, check_family, noise_products
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
@@ -90,8 +90,8 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
     The state picks the path: the stabilizer shortcut when every member
     is stabilizer-tagged, the dense sweep otherwise.  Each refuses with
     separability.LimitError above its qubit limit: the sweep above
-    DENSE_LIMIT (10), the shortcut's walk above stabilizer.PATTERN_LIMIT.  Entries whose magnitude is not above
-    zero_tol are dropped.
+    DENSE_LIMIT (10), the shortcut's walk above graphs.PATTERN_LIMIT.
+    Entries whose magnitude is not above zero_tol are dropped.
     """
     if isinstance(ens, pauli.PureState):
         ens = pauli.pure_ensemble(ens)
@@ -214,18 +214,18 @@ def measurement_settings(n: int, noise: bool = False) -> Iterator[bytes]:
     """Local observables sufficient to evaluate the criterion on complete-graph states.
 
     The words of stabilizer.cg_nonzero_pattern, in its order, each row a
-    top-half word joined to a bottom-half word of stabilizer.pattern_halves;
+    top-half word joined to a bottom-half word of graphs.pattern_halves;
     with noise=True the all-Z word needed for the colored-noise term
     follows.  Returns an iterator of ASCII blocks made one at a time, one
     per top half, a newline after each word.  Refuses n < 2 (ValueError)
-    and n above stabilizer.PATTERN_LIMIT (LimitError) when called.
+    and n above graphs.PATTERN_LIMIT (LimitError) when called.
     """
     low, xz = n // 2, bytes.maketrans(b"01", b"ZX")
 
     def word(mask, bits):  # X on the set bits of mask, Z elsewhere, top bit first
         return format(mask, f"0{bits}b").encode().translate(xz)
 
-    halves = stabilizer.pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
+    halves = graphs.pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
     tops = [word(t, n - low) for t in range(1 << (n - low))]
     # each bottom word ends in a newline, so top + top.join(bottoms) is the rows top + bottom, one per bottom
     blocks = (tops[t] + tops[t].join(bottoms) for t, bottoms in halves)

@@ -13,7 +13,7 @@ import numpy as np
 
 from graphsep.pauli import MixedEnsemble, PureState
 from graphsep.stabilizer import StabilizerGroup
-from graphsep.states import GraphSpec
+from graphsep.graphs import GraphSpec
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),

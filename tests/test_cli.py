@@ -18,6 +18,7 @@ from graphsep import (
     full_tensor,
     full_weight_count,
     ghz_state,
+    graphs,
     measurement_settings,
     noise_products,
     noisy_mixture,
@@ -458,7 +459,7 @@ def test_library_runtime_error_is_one_line_exit_1(capsys, monkeypatch, tmp_path)
     def fail(*args, **kwargs):
         raise RuntimeError("stabilizer product has non-real phase")
 
-    monkeypatch.setattr(stabilizer, "full_weight_count", fail)  # the count, read for B
+    monkeypatch.setattr(graphs, "full_weight_count", fail)  # the count, read for a graph's B
     path = tmp_path / "path4.json"
     path.write_text(json.dumps({"family": "graph", "n": 4, "edges": _path_edges(4)}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")

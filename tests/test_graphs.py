@@ -1,0 +1,131 @@
+"""Graphs and their full-weight count: local complementation, the group-free
+noise products of a graph, and its refusals."""
+
+import json
+import random
+import re
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphsep import (
+    GraphSpec,
+    LimitError,
+    StabilizerGroup,
+    chain_graph,
+    complete_graph,
+    full_weight_count,
+    graphs,
+    noise_products,
+    stabilizer,
+    stabilizer_group,
+    threshold_p,
+    xi_noise,
+)
+from graphsep.cli import main
+
+from oracle import gray_code_support
+
+
+def random_graph(n, rng, share=0.5):
+    return GraphSpec(n, [pair for pair in combinations(range(1, n + 1), 2) if rng.random() < share])
+
+
+def local_complement(spec, v):
+    """spec with the edges among the neighbours of v complemented."""
+    around = sorted({b for a, b in spec.edges if a == v} | {a for a, b in spec.edges if b == v})
+    return GraphSpec(spec.n, set(spec.edges) ^ set(combinations(around, 2)))
+
+
+def test_local_complement_of_a_star_is_complete():
+    star = GraphSpec(4, [(1, 2), (1, 3), (1, 4)])
+    assert local_complement(star, 1) == complete_graph(4)
+    assert local_complement(local_complement(star, 1), 1) == star
+    assert local_complement(star, 2) == star  # a leaf has one neighbour: no pair to flip
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 12), st.sampled_from((0.2, 0.5, 0.8)), st.randoms(use_true_random=False))
+def test_local_complementation_keeps_the_count(n, share, rnd):
+    # local complementation is a local Clifford on the graph state, and local
+    # Cliffords keep the weight of every Pauli word (Hein et al., quant-ph/0602096)
+    spec = random_graph(n, rnd, share)
+    count = full_weight_count(spec)
+    assert count == len(gray_code_support(stabilizer_group(spec)))
+    for v in range(1, n + 1):
+        assert full_weight_count(local_complement(spec, v)) == count
+
+
+def test_generators_are_those_of_the_group():
+    spec = GraphSpec(4, [(1, 2), (2, 3), (1, 4)])
+    assert spec.generators == ((0b1000, 0b0101, 1), (0b0100, 0b1010, 1), (0b0010, 0b0100, 1), (0b0001, 0b1000, 1))
+    assert stabilizer_group(spec).generators == spec.generators
+    assert not spec.diagonal
+
+
+def test_one_count_and_one_pattern_order():
+    # stabilizer reads the count and the pattern order back from graphs
+    assert stabilizer.full_weight_count is graphs.full_weight_count is full_weight_count
+    assert stabilizer.pattern_halves is graphs.pattern_halves
+    assert stabilizer.PATTERN_LIMIT == graphs.PATTERN_LIMIT
+
+
+def _named_and_random_graphs(n_max, seed):
+    rng = random.Random(seed)
+    for n in range(2, n_max + 1):
+        yield from (GraphSpec(n, ()), complete_graph(n), chain_graph(n))
+        yield from (random_graph(n, rng, share) for share in (0.2, 0.5, 0.8))
+
+
+def test_graph_products_equal_the_groups():
+    for spec in _named_and_random_graphs(16, 16):
+        assert noise_products(spec.n, spec) == noise_products(spec.n, stabilizer_group(spec))
+    assert noise_products(5, GraphSpec(5, ())) == (1, 0, 1, 1)  # |+>^5: X^5 alone
+
+
+def test_graph_files_are_decided_with_no_group(capsys, tmp_path, monkeypatch):
+    specs = [chain_graph(26), random_graph(20, random.Random(20), 0.3), GraphSpec(9, ()), complete_graph(12)]
+    # what the group gives, worked out before groups are stopped
+    want = {(i, p): xi_noise(spec.n, 2, p, stabilizer_group(spec)) for i, spec in enumerate(specs) for p in (0.0, 0.1)}
+    thresholds = [threshold_p(spec.n, 2, stabilizer_group(spec)) for spec in specs]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a StabilizerGroup was built")
+
+    monkeypatch.setattr(StabilizerGroup, "__init__", fail)
+    path = tmp_path / "graph.json"
+    for i, spec in enumerate(specs):
+        assert threshold_p(spec.n, 2, spec) == thresholds[i]
+        for p in (0.0, 0.1):
+            assert xi_noise(spec.n, 2, p, spec) == want[i, p]
+            path.write_text(json.dumps({"family": "graph", "n": spec.n, "edges": spec.edges, "p": p}))
+            assert main(["detect", "--state-file", str(path), "--k", "2"]) == 0
+            out = capsys.readouterr().out
+            assert out.endswith(f"verdict={want[i, p].verdict}\n")
+    with pytest.raises(AssertionError):  # and the patch does stop a group
+        stabilizer_group(chain_graph(3))
+
+
+def test_graph_refusals_keep_their_order():
+    over = chain_graph(27)
+    count = re.escape("stabilizer count over 2^27 generator subsets exceeds the 26-qubit limit")
+    # the source's n first, then a graph's count limit, then the bound's k
+    with pytest.raises(ValueError, match="^source has 27 qubits, not 28$"):
+        xi_noise(28, 1, 0.1, over)
+    with pytest.raises(LimitError, match=f"^{count}$"):
+        xi_noise(27, 1, 0.1, over)
+    with pytest.raises(ValueError, match="need 2 <= k <= n"):
+        xi_noise(26, 1, 0.1, chain_graph(26))
+    with pytest.raises(LimitError, match=f"^{count}$"):
+        noise_products(27, over)
+    # at p = 1 the state is |1...1>, and no source is read
+    assert xi_noise(27, 2, 1.0, over).numerator == 1.0
+
+
+def test_count_refuses_a_huge_graph_before_its_generators():
+    spec = GraphSpec(10 ** 20, [(1, 2)])
+    with pytest.raises(LimitError, match=r"^stabilizer count over 2\^100000000000000000000 generator"):
+        full_weight_count(spec)
+    assert "masks" not in vars(spec) and "generators" not in vars(spec)

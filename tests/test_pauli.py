@@ -1,10 +1,13 @@
 """Pauli-word expectation values against the dense matrix oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphsep import (
     CorrelationTensor,
+    ghz_state,
     MixedEnsemble,
     PauliString,
     PureState,
@@ -12,7 +15,9 @@ from graphsep import (
     pack_index,
     pure_ensemble,
 )
-from graphsep.states import all_ones_state, complete_graph, graph_state, noisy_mixture
+from graphsep import pauli
+from graphsep.graphs import complete_graph
+from graphsep.states import all_ones_state, graph_state, noisy_mixture
 
 from oracle import dense_expectation, kron_states, pauli_matrix, random_state
 
@@ -167,3 +172,17 @@ def test_kron_states():
     assert prod.n == 2
     assert expectation(prod, PauliString("ZX")) == pytest.approx(1.0)
     assert expectation(prod, PauliString("ZI")) == pytest.approx(1.0)
+
+
+def test_expectation_does_not_keep_every_qubit_count():
+    # each n caches 9 * 2^n bytes of index arrays; a scan down from n = 16
+    # would keep all of them, 1.2 MB, if the cache were unbounded
+    pauli._index_arrays.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(16, 7, -1):
+            assert expectation(ghz_state(n), PauliString("Z" * n)) == pytest.approx(1 - n % 2, abs=1e-12)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 16

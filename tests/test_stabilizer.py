@@ -29,7 +29,8 @@ from graphsep import (
 )
 from graphsep import stabilizer
 from graphsep.pauli import packed_keys
-from graphsep.stabilizer import COUNT_LIMIT, PATTERN_LIMIT, all_ones_group
+from graphsep.graphs import COUNT_LIMIT, PATTERN_LIMIT
+from graphsep.stabilizer import all_ones_group
 from graphsep.separability import LimitError, cg_norm_sq, permutation_terms, sqrt_int
 
 from oracle import (

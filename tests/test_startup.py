@@ -55,12 +55,12 @@ sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 """
 
 # the graphsep modules whose body each command runs (README, "Start-up");
-# no command runs pauli
+# no command runs pauli or stabilizer
 TABLES = ("cli", "separability")  # bounds, sweep, appendix, graph
 NORMS = (*TABLES, "tensor")
-SETTINGS = (*NORMS, "stabilizer")
+SETTINGS = (*NORMS, "graphs")
 FAMILY_FILE = (*TABLES, "statefile")
-GRAPH_FILE = (*FAMILY_FILE, "states", "stabilizer")
+GRAPH_FILE = (*FAMILY_FILE, "graphs")  # the count reads the GraphSpec: no state, no group
 RAW_FILE = (*FAMILY_FILE, "tensor")
 ONE_QUBIT_FILE = (*FAMILY_FILE, "states")  # each constructor refuses one qubit in its own words
 
@@ -89,9 +89,13 @@ FAMILY_FILES = [
     for noise in ({}, {"p": 0.1})
     for fmt in ((), ("--format", "json"))
 ]
+# one-qubit files, with the modules each runs: a family's constructor
+# refuses one qubit (cg's through its complete graph), a graph file its GraphSpec
 ERROR_FILES = [
-    _detect({"family": family, "n": 1}, 2) for family in ("cg", "ghz", "w", "cluster")
-] + [_detect({"family": "graph", "n": 1, "edges": []}, 2)]
+    (_detect({"family": "cg", "n": 1}, 2), (*ONE_QUBIT_FILE, "graphs")),
+    *((_detect({"family": family, "n": 1}, 2), ONE_QUBIT_FILE) for family in ("ghz", "w", "cluster")),
+    (_detect({"family": "graph", "n": 1, "edges": []}, 2), GRAPH_FILE),
+]
 
 
 def _graph_doc(n, share, seed):
@@ -101,9 +105,9 @@ def _graph_doc(n, share, seed):
     return {"family": "graph", "n": n, "edges": edges}
 
 
-# graph files are decided from the bit-sliced count of their group, and
-# above the count limit refused before the group is built; cluster files
-# from their closed form, at any n.  Each with the modules it runs.
+# graph files are decided from the bit-sliced count of their graph, with no
+# group built, and refused above the count limit; cluster files from their
+# closed form, at any n.  Each with the modules it runs.
 COUNTED_FILES = [
     *((_detect({**_graph_doc(n, share, n), **noise}, 3), GRAPH_FILE) for n in (8, 20) for share in (4 / n, 0.5)
       for noise in ({}, {"p": 0.1})),
@@ -145,7 +149,7 @@ COMMANDS = [
     (["appendix", "--n", "10"], TABLES),
     (["graph", "--n", "5"], TABLES),
     *((argv, FAMILY_FILE) for argv in FAMILY_FILES),
-    *((argv, ONE_QUBIT_FILE) for argv in ERROR_FILES),
+    *ERROR_FILES,
     (["sweep", "--family", "w", "--n", "1000", "--k", "998", "--p-steps", "5"], TABLES),
     *COUNTED_FILES,
     (["norms"], NORMS),
@@ -226,14 +230,18 @@ def test_family_files_and_norms_do_not_run_states(tmp_path):
         path.write_text(json.dumps(doc))
         argvs.append(["detect", "--state-file", str(path), "--k", "3"])
     argvs += [["norms"], ["norms", "--families", "cluster,w", "--n-min", "30", "--n-max", "31"]]
-    argvs.append(["graph", "--n", "5"])  # edges from itertools, no GraphSpec
-    path = tmp_path / "graph.json"
-    path.write_text(json.dumps({"family": "graph", "n": 3, "edges": [[1, 2], [2, 3]]}))
-    # a graph file builds a GraphSpec: the check does see states run
+    argvs.append(["graph", "--n", "5"])  # edges written as text, no GraphSpec
+    for n in (3, 26):  # a graph file is counted from its GraphSpec, with no state
+        path = tmp_path / f"graph{n}.json"
+        path.write_text(json.dumps({"family": "graph", "n": n, "edges": [[a, a + 1] for a in range(1, n)]}))
+        argvs.append(["detect", "--state-file", str(path), "--k", "2"])
+    # the GHZ constructor refuses a one-qubit file: the check does see states run
+    path = tmp_path / "ghz1.json"
+    path.write_text(json.dumps({"family": "ghz", "n": 1}))
     argvs.append(["detect", "--state-file", str(path), "--k", "2"])
     child = fresh_python(CHILD_STATES, json.dumps(argvs))
     report = json.loads(child.stderr.splitlines()[-1])
-    assert report == [[0, True]] * (len(argvs) - 1) + [[0, False]]
+    assert report == [[0, True]] * (len(argvs) - 1) + [[1, False]]
 
 
 # runs main(argv), then reports its exit code and the graphsep modules whose body has run

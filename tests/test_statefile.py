@@ -10,7 +10,8 @@ import pytest
 from graphsep import LimitError, full_tensor, load_state_file, states, tensor, tensor_norm, write_amplitude_file
 from graphsep.cli import main
 from graphsep.statefile import StateFileError, dumps_amplitudes, loads_state
-from graphsep.states import cluster_state, complete_graph, ghz_state, graph_state, w_state
+from graphsep.graphs import complete_graph
+from graphsep.states import cluster_state, ghz_state, graph_state, w_state
 
 from oracle import untagged
 
