@@ -23,8 +23,8 @@ only inside the functions that need them, so a CLI command runs the body
 of only the modules its path reads: cli and separability for bounds,
 sweep, appendix and graph, plus tensor for norms, tensor and graphs for
 settings, and statefile for detect, with graphs for a graph file and
-tensor for raw amplitudes.  No command runs stabilizer or pauli, and
-states runs only to word the refusal of a one-qubit family file.
+tensor for raw amplitudes.  No command runs states, stabilizer or
+pauli: statefile refuses a one-qubit family file itself.
 """
 
 import importlib

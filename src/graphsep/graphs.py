@@ -7,15 +7,15 @@ state is stabilized by one generator per vertex a, X on a and Z on its
 neighbours: GraphSpec.generators, the (x, z, sign) triples that
 stabilizer.stabilizer_group checks into a group.
 
-full_weight_count counts the identity-free elements of the group those
-generators span, bit-sliced over the 2^n generator subsets, from any
-source with n and generators: a GraphSpec or a stabilizer.StabilizerGroup.
-It is the B of separability.noise_products for a graph (whose C is 0,
-as no graph-state element is X-free but the identity), so a graph file
-is decided with no group built.  pattern_halves lists the masks of the
-complete-graph and GHZ patterns, for tensor.measurement_settings and
-the key patterns of stabilizer.  The module reads no numpy and no other
-graphsep module but separability (for LimitError).
+A stabilizer source has n, generators, diagonal and zn_sign (+-1 when
++-Z^n is in the group the generators span, else 0): a GraphSpec, whose
+zn_sign is 0 as no graph-state element but the identity is X-free, or a
+stabilizer.StabilizerGroup.  separability.noise_products reads both
+alike, B = full_weight_count(source) bit-sliced over the 2^n generator
+subsets and C = (-1)^n zn_sign, so a graph is decided with no group.
+pattern_halves lists the masks of the complete-graph and GHZ patterns,
+for tensor.measurement_settings and stabilizer's key patterns.  The
+module reads no numpy and no graphsep module but separability.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ class GraphSpec:
     """
 
     diagonal = False  # every generator has the X of its vertex, so full_weight_count always counts
+    zn_sign = 0  # no element but the identity is X-free, so Z^n is not in the group
 
     def __init__(self, n: int, edges):
         if n < 2:
@@ -132,9 +133,9 @@ def _subset_bits(b: int) -> tuple:
 def full_weight_count(source) -> int:
     """Number of identity-free elements of the group that source's generators span.
 
-    source has n, diagonal and generators, (x, z, sign) triples with
-    qubit 1 at the top bit: a GraphSpec or a stabilizer.StabilizerGroup,
-    for which this is len(full_weight_support(source)).
+    source is a stabilizer source (see the module docstring), whose
+    generators are (x, z, sign) triples with qubit 1 at the top bit; for
+    a stabilizer.StabilizerGroup this is len(full_weight_support(source)).
     Bit-sliced over chunks of 2^b subsets, b = min(n, 14): bit j of a
     slice stands for the subset whose low generators are the set bits of
     j.  Qubit q's x bit is the XOR of the _subset_bits ints of the low

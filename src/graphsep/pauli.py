@@ -166,9 +166,12 @@ class CorrelationTensor:
         return dict(zip(self.keys.tolist(), self.values.tolist()))
 
     def value(self, idx) -> float:
-        """Entry at a full-index tuple; absent entries are zero."""
+        """Entry at a full-index tuple of n letters; absent entries are zero."""
         np = require_numpy()
 
+        idx = tuple(idx)
+        if len(idx) != self.n:
+            raise ValueError(f"index has {len(idx)} entries, not {self.n}")
         key = pack_index(idx)
         i = int(np.searchsorted(self.keys, key))
         if i < len(self.keys) and self.keys[i] == key:

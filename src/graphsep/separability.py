@@ -36,17 +36,17 @@ Noise is exact too: a state mixed with |1...1> has the squared norm
 given and threshold_p solves in integers.  FAMILIES is the one table
 of the named families (the complete graph, GHZ, W and the cluster
 chain), each row a closed form good at any n and a state constructor;
-check_family checks a name against it.  The graph of a graph file, or
-any stabilizer group, gets B from the bit-sliced count (graphs), a graph
-with no group built.  So sweep verdicts, and
-detect verdicts on every named family and graph state, are exact
-decisions at the given p, and printed fields are correctly rounded.
+check_family checks a name against it.  A graph file's graph and any
+stabilizer group are read alike (graphs), a graph with no group built.
+So sweep verdicts, and detect verdicts on every named family and graph
+state, are exact decisions at the given p, and printed fields are
+correctly rounded.
 Only detect on raw amplitudes (a squared norm summed in floats from the
 amplitudes) certifies past a stated worst-case rounding margin.
 
 The integer closed forms (cg_norm_sq, sqrt_int, permutation_terms) and
 LimitError, the one error of every size limit, live here, and importing
-the module loads neither numpy nor another graphsep module.
+the module runs neither numpy nor another graphsep module.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ import sys
 from functools import lru_cache
 from itertools import groupby
 from typing import Callable, NamedTuple
+
+from . import graphs  # the lazy module (graphsep/__init__.py), run only for a graph or group source
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -291,35 +293,27 @@ def noise_products(n: int, source) -> tuple[int, int, int, int]:
     elements have x = S) and GHZ has as 1 at even n, 0 at odd n.  The W
     state has Z^n at -1 and the C(n, 2) words XX and YY on each qubit pair
     (Z elsewhere) at 2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and
-    C = (-1)^(n+1), over D = n.  Or source is a graphs.GraphSpec, whose
-    (B, 0, 1, 1) takes B from graphs.full_weight_count on the graph's own
-    generators (refused above the count limit first): no StabilizerGroup
-    is built, as the graph's generators always commute and are
-    independent.  Or source is a StabilizerGroup, and
-    stabilizer.group_products counts B and solves for C, with D = 1.
+    C = (-1)^(n+1), over D = n.  Or source is a stabilizer source (graphs:
+    a GraphSpec, or a StabilizerGroup), with B = full_weight_count,
+    C = (-1)^n zn_sign and O = D = 1; a graph builds no group.
     """
+    _check_source(n, source)
+    if isinstance(source, str):
+        return FAMILIES[source].products(n)
+    return graphs.full_weight_count(source), (-1) ** n * source.zn_sign, 1, 1
+
+
+def _check_source(n: int, source, count: bool = True) -> None:
+    """Refuse an unknown name, a family below 2 qubits or a source of another n
+    (ValueError), then, if count, a non-diagonal source over the count limit (LimitError)."""
     if isinstance(source, str):
         check_family(source)
-        return FAMILIES[source].products(n)
-    from . import graphs, stabilizer
-
-    if _check_source(n, source):
-        return graphs.full_weight_count(source), 0, 1, 1
-    return (*stabilizer.group_products(source), 1)
-
-
-def _check_source(n: int, source) -> bool:
-    """Check a graph or group source of noise_products, and return whether it
-    is a graph: its n, then a graph's count limit, so a graph over the
-    limit is refused as such before any bound or count."""
-    if source.n != n:
+        if n < 2:
+            raise ValueError(f"family {source!r} needs at least 2 qubits, got n={n}")
+    elif source.n != n:
         raise ValueError(f"source has {source.n} qubits, not {n}")
-    from . import graphs
-
-    if not isinstance(source, graphs.GraphSpec):
-        return False
-    graphs.check_count_limit(n)
-    return True
+    elif count and not source.diagonal:
+        graphs.check_count_limit(n)
 
 
 def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
@@ -336,13 +330,12 @@ def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
     a bad k, or a bound beyond the float range, before a closed form of
     size n (the chain count is O(n^2) bit work) is built.  So k is
     checked before a family name.  A graph or group source has its n
-    checked first, and a graph its count limit, so a graph over the
-    limit is refused as such; no group is built for a graph.
+    checked first at every p, and below p = 1 its count limit.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    if p < 1.0 and not isinstance(family, str):
-        _check_source(n, family)
+    if not isinstance(family, str):
+        _check_source(n, family, count=p < 1.0)
     d = k_sep_bound(n, k).bound_sq
     if p == 1.0 and isinstance(family, str):
         check_family(family)

@@ -13,31 +13,33 @@ each chunk's signed identity-free elements as numpy arrays, which
 full_weight_support packs and sorts into a CorrelationTensor (pauli.py)
 of +-1 signs.  The count, which needs no signs and no numpy, and the
 pattern order live in graphs (full_weight_count, pattern_halves, with
-their limits), which this module imports back: group_products turns the
-count into the B, C and O that separability.noise_products reads for a
-group (a graph's B it counts from the graph itself, and every named
-family has a closed form).  A diagonal group (a basis state such as
-|1...1>) needs no walk and no count: its one identity-free element is
-Z^n.  The complete-graph and GHZ patterns need no group: their masks
-from pattern_halves are packed into keys.
+their limits); this module imports the pattern order back.  A group is a
+stabilizer source of separability.noise_products, as a graphs.GraphSpec
+is: it has n, generators, diagonal and zn_sign, the sign of Z^n in the
+group (0 when Z^n is not in it), from which noise_products takes C.
+zn_sign is one O(n) membership solve, made once per group.  A diagonal
+group (a basis state such as |1...1>) needs no walk and no count: its
+one identity-free element is Z^n, with sign zn_sign.  The complete-graph
+and GHZ patterns need no group: their masks from pattern_halves are
+packed into keys.
 The groups of the tagged states come from stabilizer_group (a graph
 state, from the generators of a graphs.GraphSpec), ghz_group and
 all_ones_group.  full_weight_support (the walk's one caller) and the
 key patterns, which keep every key, refuse more than PATTERN_LIMIT
 qubits with separability.LimitError.
-The sign of one word is an O(n) membership solve (_member_sign).  numpy
-(pauli.require_numpy) is read only where arrays are built, so groups
+numpy (pauli.require_numpy) is read only where arrays are built, so groups
 and the count start without it; pauli (the lazy module) runs only for
 the walk's tensor and the key patterns.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 # the lazy module (graphsep/__init__.py), run only by the walk and the key patterns
 from . import pauli
-from .graphs import _SUBSET_BITS, PATTERN_LIMIT, full_weight_count, pattern_halves
+from .graphs import _SUBSET_BITS, PATTERN_LIMIT, pattern_halves
 from .separability import LimitError
 
 
@@ -121,6 +123,18 @@ class StabilizerGroup:
         """True when every generator is X-free, so the group is that of a basis state."""
         return not any(x for x, _, _ in self.generators)
 
+    @cached_property
+    def zn_sign(self) -> int:
+        """+-1 when +-Z^n lies in the group, else 0: one membership solve, checked."""
+        full = (1 << self.n) - 1
+        combo = self.member_combo(0, full)
+        if combo is None:
+            return 0
+        x, z, sign = self.product_sign(combo)
+        if (x, z) != (0, full):
+            raise RuntimeError("membership solve produced inconsistent masks")
+        return sign
+
 
 def stabilizer_group(spec) -> StabilizerGroup:
     """The group of the graph state of a graphs.GraphSpec, from its generators: X on vertex a, Z on its neighbors."""
@@ -138,17 +152,6 @@ def ghz_group(n: int) -> StabilizerGroup:
 def all_ones_group(n: int) -> StabilizerGroup:
     """Stabilizer generators of |1...1>: -Z on each qubit."""
     return StabilizerGroup(n, tuple((0, 1 << (n - a), -1) for a in range(1, n + 1)))
-
-
-def _member_sign(g: StabilizerGroup, x: int, z: int) -> int:
-    """+-1 when +-(the Hermitian word with masks (x, z)) lies in g, else 0."""
-    combo = g.member_combo(x, z)
-    if combo is None:
-        return 0
-    px, pz, sign = g.product_sign(combo)
-    if (px, pz) != (x, z):
-        raise RuntimeError("membership solve produced inconsistent masks")
-    return sign
 
 
 def _walk(g: StabilizerGroup):
@@ -196,13 +199,13 @@ def full_weight_support(g: StabilizerGroup) -> pauli.CorrelationTensor:
 
     The elements come from the walk (see _walk), packed and sorted.  A
     diagonal group (every generator X-free, as for |1...1> or any basis
-    state) has Z^n as its only identity-free element, which one
-    membership solve finds with no walk.  Any other group above
+    state) has Z^n as its only identity-free element, signed zn_sign,
+    with no walk.  Any other group above
     PATTERN_LIMIT qubits raises LimitError before walking.
     """
     n = g.n
     if g.diagonal:
-        return pauli.CorrelationTensor(n, [pauli.pack_index((3,) * n)], [_member_sign(g, 0, (1 << n) - 1)])
+        return pauli.CorrelationTensor(n, [pauli.pack_index((3,) * n)], [g.zn_sign])
     if n > PATTERN_LIMIT:
         raise LimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
     np = pauli.require_numpy()
@@ -211,18 +214,6 @@ def full_weight_support(g: StabilizerGroup) -> pauli.CorrelationTensor:
     keys = np.concatenate([pauli.packed_keys(x, z, n) for x, z, _ in chunks])
     order = np.argsort(keys)
     return pauli.CorrelationTensor(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
-
-
-def group_products(g: StabilizerGroup) -> tuple[int, int, int]:
-    """(B, C, O) of separability.noise_products (over D = 1) for the state that g stabilizes.
-
-    B = full_weight_count(g): the bit-sliced count, or 1 with no count
-    for a diagonal group.  The one entry of |1...1> is (-1)^n on Z^n, so
-    C is (-1)^n times the sign of Z^n in g (one membership solve; 0 when
-    Z^n is not in g), and O = 1.
-    """
-    n = g.n
-    return full_weight_count(g), (-1) ** n * _member_sign(g, 0, (1 << n) - 1), 1
 
 
 def _pattern_keys(n: int, parity: int, xz, extra: int) -> np.ndarray:

@@ -20,9 +20,10 @@ numpy: a LoadedState keeps its base state's source (a family name, the
 graphs.GraphSpec of a graph document, or for raw amplitudes a tuple of
 Python complex numbers), which detect hands to separability.xi_noise or
 to the amplitude kernel of graphsep.tensor, and builds its ensemble only
-when it is read (at p = 1, |1...1> alone).  So detect on a graph file
-runs graphs, not states or stabilizer: xi_noise counts the graph's B
-from the GraphSpec itself.
+when it is read (at p = 1, |1...1> alone).  A one-qubit family file is
+refused here, in one message that names the family.  So detect runs
+neither states nor stabilizer: xi_noise reads a family's closed form,
+and counts a graph's B from the GraphSpec itself.
 """
 
 from __future__ import annotations
@@ -130,14 +131,9 @@ def loads_state(text: str) -> LoadedState:
     else:
         if "edges" in doc:
             raise StateFileError(f"'edges' only applies to family 'graph', not {family!r}")
-        source = family
         if n < 2:
-            # no family takes one qubit, and each constructor refuses it in
-            # its own words before it builds anything or loads numpy
-            try:
-                FAMILIES[family].state(n)
-            except ValueError as exc:
-                raise StateFileError(str(exc)) from None
+            raise StateFileError(f"family {family!r} needs at least 2 qubits")
+        source = family
     return LoadedState(n, family, None if p is None else float(p), source)
 
 
@@ -160,7 +156,10 @@ def _parse_amplitudes(raw, n: int) -> tuple:
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
             raise StateFileError(f"amplitude {i} is not an [re, im] pair: {reprlib.repr(item)}")
-        amps.append(complex(item[0], item[1]))
+        try:
+            amps.append(complex(item[0], item[1]))
+        except OverflowError:  # an integer part past the float range
+            raise StateFileError(f"amplitude {i} has a part past the float range: {reprlib.repr(item)}") from None
     nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
     if not abs(nrm - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
         raise StateFileError(f"amplitudes have norm {nrm}, more than {RAW_NORM_TOL} from 1")

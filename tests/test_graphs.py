@@ -17,6 +17,7 @@ from graphsep import (
     chain_graph,
     complete_graph,
     full_weight_count,
+    ghz_group,
     graphs,
     noise_products,
     stabilizer,
@@ -25,6 +26,7 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
+from graphsep.stabilizer import all_ones_group
 
 from oracle import gray_code_support
 
@@ -66,8 +68,9 @@ def test_generators_are_those_of_the_group():
 
 
 def test_one_count_and_one_pattern_order():
-    # stabilizer reads the count and the pattern order back from graphs
-    assert stabilizer.full_weight_count is graphs.full_weight_count is full_weight_count
+    # the count lives in graphs alone, and stabilizer reads the pattern order back from it
+    assert graphs.full_weight_count is full_weight_count
+    assert "full_weight_count" not in vars(stabilizer)
     assert stabilizer.pattern_halves is graphs.pattern_halves
     assert stabilizer.PATTERN_LIMIT == graphs.PATTERN_LIMIT
 
@@ -120,8 +123,20 @@ def test_graph_refusals_keep_their_order():
         xi_noise(26, 1, 0.1, chain_graph(26))
     with pytest.raises(LimitError, match=f"^{count}$"):
         noise_products(27, over)
-    # at p = 1 the state is |1...1>, and no source is read
+    # a group is checked as a graph is: a non-diagonal one over the limit too
+    with pytest.raises(LimitError, match=f"^{count}$"):
+        xi_noise(27, 1, 0.1, ghz_group(27))
+    with pytest.raises(ValueError, match="need 2 <= k <= n"):  # a diagonal group is never counted
+        xi_noise(40, 1, 0.1, all_ones_group(40))
+    # at p = 1 the state is |1...1>: the source's n is checked, its count is neither limited nor built
     assert xi_noise(27, 2, 1.0, over).numerator == 1.0
+    for p in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="^source has 6 qubits, not 5$"):
+            xi_noise(5, 2, p, complete_graph(6))
+    # no family has fewer than 2 qubits (n = 0 was a negative shift, n = -3 gave W (-19, -3, -3, -3))
+    for n, family in ((0, "cg"), (1, "w"), (-3, "w")):
+        with pytest.raises(ValueError, match=f"^family '{family}' needs at least 2 qubits, got n={n}$"):
+            noise_products(n, family)
 
 
 def test_count_refuses_a_huge_graph_before_its_generators():

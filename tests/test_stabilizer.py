@@ -24,6 +24,7 @@ from graphsep import (
     ghz_nonzero_pattern,
     ghz_state,
     graph_state,
+    noise_products,
     pack_index,
     stabilizer_group,
 )
@@ -35,6 +36,7 @@ from graphsep.separability import LimitError, cg_norm_sq, permutation_terms, sqr
 
 from oracle import (
     all_full_indices,
+    apply_local_unitaries,
     basis_group,
     combinations_cg_pattern,
     combinations_ghz_pattern,
@@ -336,3 +338,51 @@ def test_walk_and_pattern_refuse_above_their_limits():
             full_weight_support(stabilizer_group(complete_graph(n)))
     with pytest.raises(LimitError, match=f"the {PATTERN_LIMIT}-qubit limit"):
         cg_nonzero_pattern(PATTERN_LIMIT + 1)
+
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+
+def _hadamard_twin(spec, mask):
+    """The group of spec's graph state after H on the qubits of mask: their
+    x and z bits swap, and each Y on them flips the generator's sign (HYH = -Y).
+    The generators are the graph's, each after the first times the one before,
+    which span the same group and put Ys on adjacent vertices."""
+    group = stabilizer_group(spec)
+    gens = [group.generators[0], *(group.product_sign(3 << k) for k in range(spec.n - 1))]
+    twin = [
+        ((x & ~mask) | (z & mask), (z & ~mask) | (x & mask), s * (-1) ** (x & z & mask).bit_count())
+        for x, z, s in gens
+    ]
+    return StabilizerGroup(spec.n, twin)
+
+
+def _check_products(n, group, amps):
+    # C against the dense <Z^n>, B against the Gray-code walk: no membership solve
+    zn = dense_expectation(amps, "Z" * n)
+    assert abs(zn - round(zn)) < 1e-9
+    b, c, o, d = noise_products(n, group)
+    assert (b, c, o, d) == (len(gray_code_support(group)), (-1) ** n * round(zn), 1, 1)
+    assert group.zn_sign == round(zn)
+    return c
+
+
+def test_zn_sign_and_count_on_groups_that_are_not_graphs():
+    rng = np.random.default_rng(25)
+    seen = set()
+    for n in range(2, 9):
+        specs = [GraphSpec(n, ()), complete_graph(n), chain_graph(n), *(random_graph(n, rng) for _ in range(6))]
+        for spec in specs:
+            for mask in {0, (1 << n) - 1, (1 << n) - 2, *(int(m) for m in rng.integers(0, 1 << n, 3))}:
+                group = _hadamard_twin(spec, mask)
+                unitaries = [HADAMARD if mask >> (n - a) & 1 else np.eye(2) for a in range(1, n + 1)]
+                amps = apply_local_unitaries(graph_state(spec).amplitudes, unitaries)
+                seen.add(_check_products(n, group, amps))
+        _check_products(n, ghz_group(n), ghz_state(n).amplitudes)
+        for b in (0, 1, (1 << n) - 1, int(rng.integers(0, 1 << n))):
+            amps = np.zeros(1 << n, dtype=complex)
+            amps[b] = 1
+            seen.add(_check_products(n, basis_group(n, b), amps))
+    assert seen == {-1, 0, 1}
+    # a diagonal group is never counted, so its size is no limit
+    assert noise_products(40, all_ones_group(40)) == (1, 1, 1, 1)

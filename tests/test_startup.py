@@ -55,14 +55,13 @@ sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 """
 
 # the graphsep modules whose body each command runs (README, "Start-up");
-# no command runs pauli or stabilizer
+# no command runs states, pauli or stabilizer
 TABLES = ("cli", "separability")  # bounds, sweep, appendix, graph
 NORMS = (*TABLES, "tensor")
 SETTINGS = (*NORMS, "graphs")
 FAMILY_FILE = (*TABLES, "statefile")
 GRAPH_FILE = (*FAMILY_FILE, "graphs")  # the count reads the GraphSpec: no state, no group
 RAW_FILE = (*FAMILY_FILE, "tensor")
-ONE_QUBIT_FILE = (*FAMILY_FILE, "states")  # each constructor refuses one qubit in its own words
 
 
 def fresh_python(code, *argv, **streams):
@@ -89,11 +88,10 @@ FAMILY_FILES = [
     for noise in ({}, {"p": 0.1})
     for fmt in ((), ("--format", "json"))
 ]
-# one-qubit files, with the modules each runs: a family's constructor
-# refuses one qubit (cg's through its complete graph), a graph file its GraphSpec
+# one-qubit files, with the modules each runs: statefile refuses a family
+# file itself, with no state built, and a graph file's GraphSpec refuses it
 ERROR_FILES = [
-    (_detect({"family": "cg", "n": 1}, 2), (*ONE_QUBIT_FILE, "graphs")),
-    *((_detect({"family": family, "n": 1}, 2), ONE_QUBIT_FILE) for family in ("ghz", "w", "cluster")),
+    *((_detect({"family": family, "n": 1}, 2), FAMILY_FILE) for family in ("cg", "ghz", "w", "cluster")),
     (_detect({"family": "graph", "n": 1, "edges": []}, 2), GRAPH_FILE),
 ]
 
@@ -205,20 +203,25 @@ def test_huge_graph_file_refused_before_any_n_sized_allocation(tmp_path, n, edge
 
 
 # runs main on each argv in turn and reports, after each, its exit code and
-# whether graphsep.states is still the lazy module that no attribute read has run
+# whether graphsep.states is still the lazy module that no attribute read has
+# run; then builds a state (with no numpy) and reports the same for it
 CHILD_STATES = """
 import importlib.util, json, sys
 from graphsep.cli import main
+import graphsep
 report = []
 for argv in json.loads(sys.argv[1]):
     rc = main(argv)
     report.append([rc, type(sys.modules["graphsep.states"]) is importlib.util._LazyModule])
+graphsep.ghz_state(3)
+report.append([None, type(sys.modules["graphsep.states"]) is importlib.util._LazyModule])
 sys.stderr.write(json.dumps(report) + "\\n")
 """
 
 
 def test_family_files_and_norms_do_not_run_states(tmp_path):
-    # a family is decided from separability.FAMILIES alone; only a state build runs states.py
+    # a family is decided from separability.FAMILIES alone, and statefile
+    # refuses a one-qubit family file itself; only a state build runs states.py
     argvs = []
     for i, doc in enumerate(
         {"family": family, "n": n, **noise}
@@ -235,13 +238,14 @@ def test_family_files_and_norms_do_not_run_states(tmp_path):
         path = tmp_path / f"graph{n}.json"
         path.write_text(json.dumps({"family": "graph", "n": n, "edges": [[a, a + 1] for a in range(1, n)]}))
         argvs.append(["detect", "--state-file", str(path), "--k", "2"])
-    # the GHZ constructor refuses a one-qubit file: the check does see states run
-    path = tmp_path / "ghz1.json"
-    path.write_text(json.dumps({"family": "ghz", "n": 1}))
-    argvs.append(["detect", "--state-file", str(path), "--k", "2"])
+    for family in ("cg", "ghz", "w", "cluster"):  # one-qubit files, refused on load
+        path = tmp_path / f"{family}1.json"
+        path.write_text(json.dumps({"family": family, "n": 1}))
+        argvs.append(["detect", "--state-file", str(path), "--k", "2"])
     child = fresh_python(CHILD_STATES, json.dumps(argvs))
     report = json.loads(child.stderr.splitlines()[-1])
-    assert report == [[0, True]] * (len(argvs) - 1) + [[1, False]]
+    # the state built last does run states: the check can see it
+    assert report == [[0, True]] * (len(argvs) - 4) + [[1, True]] * 4 + [[None, False]]
 
 
 # runs main(argv), then reports its exit code and the graphsep modules whose body has run

@@ -692,3 +692,7 @@ def test_correlation_tensor_value_lookup():
     t = CorrelationTensor(2, np.array([0]), np.array([0.5]))
     assert t.value((1, 1)) == 0.5
     assert t.value((2, 2)) == 0.0
+    # an index of another length names no entry: (1,) once packed to T_XXX
+    for tensor, idx in ((t, (1,)), (t, (1, 1, 1)), (full_tensor(ghz_state(3)), (1,))):
+        with pytest.raises(ValueError, match=f"^index has {len(idx)} entries, not {tensor.n}$"):
+            tensor.value(idx)
