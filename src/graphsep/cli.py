@@ -25,6 +25,7 @@ import contextlib
 import math
 import os
 import sys
+from collections.abc import Iterator
 from itertools import chain
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
@@ -134,7 +135,7 @@ def cmd_sweep(args) -> list[str]:
 def cmd_detect(args) -> list[str]:
     try:
         loaded = statefile.load_state_file(args.state_file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing or unreadable file, or one that is not UTF-8
         raise statefile.StateFileError(f"cannot read {args.state_file}: {exc}") from None
     n = loaded.n
     if not 2 <= args.k <= n:

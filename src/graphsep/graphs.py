@@ -40,9 +40,10 @@ COUNT_LIMIT = 26
 PATTERN_LIMIT = 22
 
 
-def check_count_limit(n: int) -> None:
-    """Refuse a count over 2^n generator subsets above COUNT_LIMIT qubits (LimitError)."""
-    if n > COUNT_LIMIT:
+def check_count_limit(source) -> None:
+    """Refuse a non-diagonal source's count over 2^n generator subsets above COUNT_LIMIT qubits (LimitError)."""
+    n = source.n
+    if n > COUNT_LIMIT and not source.diagonal:
         raise LimitError(f"stabilizer count over 2^{n} generator subsets exceeds the {COUNT_LIMIT}-qubit limit")
 
 
@@ -148,10 +149,10 @@ def full_weight_count(source) -> int:
     state) has one (Z^n), with no count; any other above COUNT_LIMIT
     qubits raises LimitError at once, before its generators are read.
     """
+    check_count_limit(source)
     if source.diagonal:
         return 1
     n = source.n
-    check_count_limit(n)
     b = min(n, _SUBSET_BITS)
     ones = (1 << (1 << b)) - 1
     xs, zs = [0] * n, [0] * n  # per bit position p of the masks

@@ -35,7 +35,7 @@ Noise is exact too: a state mixed with |1...1> has the squared norm
 (noise_products), which xi_noise evaluates exactly at the float p it is
 given and threshold_p solves in integers.  FAMILIES is the one table
 of the named families (the complete graph, GHZ, W and the cluster
-chain), each row a closed form good at any n and a state constructor;
+chain), each row two functions of n, its closed form and its state;
 check_family checks a name against it.  A graph file's graph and any
 stabilizer group are read alike (graphs), a graph with no group built.
 So sweep verdicts, and detect verdicts on every named family and graph
@@ -57,7 +57,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Callable, NamedTuple
 
-from . import graphs  # the lazy module (graphsep/__init__.py), run only for a graph or group source
+from . import graphs, states  # lazy modules (graphsep/__init__.py): run for a graph or group source, or a state
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -250,26 +250,19 @@ def _chain_count(n: int) -> int:
 
 
 class Family(NamedTuple):
-    """A row of FAMILIES: the noise products (B, C, O, D) at n, and build(states, n), the state."""
+    """A row of FAMILIES: products(n), the noise products (B, C, O, D), and build(n), the state."""
 
     products: Callable[[int], tuple]
-    build: Callable[[object, int], object]
-
-    def state(self, n: int):
-        from . import states  # the lazy module: states.py runs only when a state is built
-
-        return self.build(states, n)
+    build: Callable[[int], object]
 
 
 # family name -> its row.  build looks the constructor up when called, so a
 # wrapped or patched one is the one that runs.
 FAMILIES = {
-    "cg": Family(
-        lambda n: (cg_norm_sq(n), 0, 1, 1), lambda states, n: states.graph_state(states.graphs.complete_graph(n))
-    ),
-    "ghz": Family(lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1), lambda states, n: states.ghz_state(n)),
-    "w": Family(lambda n: (5 * n - 4, n if n % 2 else -n, n, n), lambda states, n: states.w_state(n)),
-    "cluster": Family(lambda n: (_chain_count(n), 0, 1, 1), lambda states, n: states.cluster_state(n)),
+    "cg": Family(lambda n: (cg_norm_sq(n), 0, 1, 1), lambda n: states.graph_state(graphs.complete_graph(n))),
+    "ghz": Family(lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1), lambda n: states.ghz_state(n)),
+    "w": Family(lambda n: (5 * n - 4, n if n % 2 else -n, n, n), lambda n: states.w_state(n)),
+    "cluster": Family(lambda n: (_chain_count(n), 0, 1, 1), lambda n: states.cluster_state(n)),
 }
 
 
@@ -286,34 +279,40 @@ def noise_products(n: int, source) -> tuple[int, int, int, int]:
     denominator D, so that the mixture (1-p) base + p ones has the squared
     norm ((1-p)^2 B + 2p(1-p) C + p^2 O) / D.
 
-    The one place that picks a count source.  source is a name of
-    FAMILIES, whose closed form is good at any n.  GHZ is local-unitary
-    equivalent to the complete graph state (B = 2^(n-1) + s_n for both);
-    ones is the one all-Z entry (-1)^n, which no graph state has (its
-    elements have x = S) and GHZ has as 1 at even n, 0 at odd n.  The W
-    state has Z^n at -1 and the C(n, 2) words XX and YY on each qubit pair
-    (Z elsewhere) at 2/n, so B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and
-    C = (-1)^(n+1), over D = n.  Or source is a stabilizer source (graphs:
-    a GraphSpec, or a StabilizerGroup), with B = full_weight_count,
-    C = (-1)^n zn_sign and O = D = 1; a graph builds no group.
+    The one place that picks a count source, checked before the products
+    are built.  source is a name of FAMILIES, whose closed form is good at
+    any n.  GHZ is local-unitary equivalent to the complete graph state
+    (B = 2^(n-1) + s_n for both); ones is the one all-Z entry (-1)^n,
+    which no graph state has (its elements have x = S) and GHZ has as 1
+    at even n, 0 at odd n.  The W state has Z^n at -1 and the C(n, 2)
+    words XX and YY on each qubit pair (Z elsewhere) at 2/n, so
+    B = 1 + 8 C(n, 2) / n^2 = 5 - 4/n and C = (-1)^(n+1), over D = n.  Or
+    source is a stabilizer source (graphs: a GraphSpec, or a
+    StabilizerGroup), with B = full_weight_count, C = (-1)^n zn_sign and
+    O = D = 1; a graph builds no group.
     """
     _check_source(n, source)
-    if isinstance(source, str):
-        return FAMILIES[source].products(n)
-    return graphs.full_weight_count(source), (-1) ** n * source.zn_sign, 1, 1
+    return _products(n, source)
 
 
 def _check_source(n: int, source, count: bool = True) -> None:
     """Refuse an unknown name, a family below 2 qubits or a source of another n
-    (ValueError), then, if count, a non-diagonal source over the count limit (LimitError)."""
+    (ValueError), then, if count, a source over the count limit (graphs.check_count_limit)."""
     if isinstance(source, str):
         check_family(source)
         if n < 2:
             raise ValueError(f"family {source!r} needs at least 2 qubits, got n={n}")
     elif source.n != n:
         raise ValueError(f"source has {source.n} qubits, not {n}")
-    elif count and not source.diagonal:
-        graphs.check_count_limit(n)
+    elif count:
+        graphs.check_count_limit(source)
+
+
+def _products(n: int, source) -> tuple[int, int, int, int]:
+    """noise_products of a source that _check_source has passed."""
+    if isinstance(source, str):
+        return FAMILIES[source].products(n)
+    return graphs.full_weight_count(source), (-1) ** n * source.zn_sign, 1, 1
 
 
 def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
@@ -322,24 +321,15 @@ def xi_noise(n: int, k: int, p: float, family="cg") -> XiResult:
     family is any source of noise_products.  Exact at the float p = u/v
     it is given: the squared norm is top / (v^2 D) with an integer top,
     so the verdict is an exact decision at that p and each field is one
-    correctly rounded int / int division.  At p = 1 the state is |1...1>
-    alone, (1, 1, 1, 1), and no products are built (a name is still
-    checked).
-
-    The bound is read before the products, as in threshold_p: it refuses
-    a bad k, or a bound beyond the float range, before a closed form of
-    size n (the chain count is O(n^2) bit work) is built.  So k is
-    checked before a family name.  A graph or group source has its n
-    checked first at every p, and below p = 1 its count limit.
+    correctly rounded int / int division.  After p, the source is checked,
+    then k (k_sep_bound), then the products built; at p = 1 the state is
+    |1...1> alone, (1, 1, 1, 1), with no products and no count limit.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {p}")
-    if not isinstance(family, str):
-        _check_source(n, family, count=p < 1.0)
+    _check_source(n, family, p < 1.0)
     d = k_sep_bound(n, k).bound_sq
-    if p == 1.0 and isinstance(family, str):
-        check_family(family)
-    b, c, o, den = (1, 1, 1, 1) if p == 1.0 else noise_products(n, family)
+    b, c, o, den = (1, 1, 1, 1) if p == 1.0 else _products(n, family)
     u, v = p.as_integer_ratio()
     top, scale = (v - u) ** 2 * b + 2 * u * (v - u) * c + u * u * o, v * v * den
     return XiResult(n, k, top / scale, float(d), top / (scale * d), _outcome(top, scale * d))
@@ -377,9 +367,9 @@ def threshold_p(n: int, k: int, family="cg") -> float | None:
 
     The correctly rounded root of (1-p)^2 B + 2p(1-p) C + p^2 O = D bound_sq
     (noise_products), solved in integers; None if none lies in [0, 1].
-    The bound is read first: it refuses a bad k, or a bound beyond the
-    float range, before the products are built.
+    The source is checked, then k (k_sep_bound), then the products built.
     """
+    _check_source(n, family)
     d = k_sep_bound(n, k).bound_sq
-    b, c, o, den = noise_products(n, family)
+    b, c, o, den = _products(n, family)
     return _first_root(b - 2 * c + o, 2 * (c - b), b - den * d)

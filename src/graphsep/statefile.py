@@ -77,7 +77,7 @@ class LoadedState:
         if self.family is None:
             base = pauli.PureState(self.n, base)
         else:
-            base = states.graph_state(base) if self.family == "graph" else FAMILIES[base].state(self.n)
+            base = states.graph_state(base) if self.family == "graph" else FAMILIES[base].build(self.n)
         return pauli.pure_ensemble(base) if self.p is None else states.noisy_mixture(base, self.p)
 
 
@@ -160,7 +160,10 @@ def _parse_amplitudes(raw, n: int) -> tuple:
             amps.append(complex(item[0], item[1]))
         except OverflowError:  # an integer part past the float range
             raise StateFileError(f"amplitude {i} has a part past the float range: {reprlib.repr(item)}") from None
-    nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+    try:
+        nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+    except OverflowError:  # a finite part whose square, or a sum of squares, is past the float range
+        raise StateFileError(f"amplitudes have a norm past the float range, more than {RAW_NORM_TOL} from 1") from None
     if not abs(nrm - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
         raise StateFileError(f"amplitudes have norm {nrm}, more than {RAW_NORM_TOL} from 1")
     if abs(nrm - 1.0) > 1e-12:

@@ -30,6 +30,7 @@ the tensor extra installs (pauli.require_numpy).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import chain
 from operator import add, mul
 

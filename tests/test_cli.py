@@ -1,11 +1,13 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
+import collections.abc
 import json
 import math
 import os
 import re
 import sys
 import tracemalloc
+import typing
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -298,7 +300,7 @@ def _per_key_ghz_products(n, family):
 def test_ghz_sweep_quadratic_numerator_matches_per_key_sum(capsys, monkeypatch, n, k):
     argv = ("sweep", "--family", "ghz", "--n", str(n), "--k", str(k), "--p-steps", "101")
     _, quadratic, _ = run(capsys, *argv)
-    monkeypatch.setattr(separability, "noise_products", _per_key_ghz_products)
+    monkeypatch.setattr(separability, "_products", _per_key_ghz_products)
     _, per_key, _ = run(capsys, *argv)
     assert quadratic == per_key
 
@@ -443,6 +445,43 @@ def test_detect_malformed_file_exits_1(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [[1e200, 0], [0, 0], [0, 0], [0, 0]],  # a part whose square is past the float range
+        [[1e308, 1e308], [0, 0], [0, 0], [0, 0]],  # a magnitude past it
+        [[1e154, 0], [0, 1e154], [0, 0], [0, 0]],  # squares inside it, their sum past it
+    ],
+    ids=["square", "magnitude", "sum"],
+)
+def test_detect_amplitudes_past_the_float_range_exit_1(capsys, tmp_path, amplitudes):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "amplitudes": amplitudes}))
+    want = "graphsep: error: amplitudes have a norm past the float range, more than 1e-06 from 1\n"
+    assert run(capsys, "detect", "--state-file", str(path), "--k", "2") == (1, "", want)
+
+
+def test_detect_unreadable_files_name_the_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'# caf\xff\n{"family": "cg", "n": 5}\n')
+    reason = "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"
+    want = f"graphsep: error: cannot read {path}: {reason}\n"
+    assert run(capsys, "detect", "--state-file", str(path), "--k", "2") == (1, "", want)
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "detect", "--state-file", str(missing), "--k", "2")
+    assert (code, out) == (1, "") and err.startswith(f"graphsep: error: cannot read {missing}: ")
+
+
+def test_sweep_refuses_a_family_size_before_k(capsys):
+    want = "graphsep: error: family 'cg' needs at least 2 qubits, got n=1\n"
+    assert run(capsys, "sweep", "--n", "1", "--k", "2") == (1, "", want)
+
+
+def test_streamed_commands_annotations_resolve():
+    for func in (cli.cmd_settings, cli.cmd_graph, tensor.measurement_settings):
+        assert typing.get_origin(typing.get_type_hints(func)["return"]) is collections.abc.Iterator
+
+
+@pytest.mark.parametrize(
     "exc,message",
     [(MemoryError(), "out of memory"), (MemoryError("Unable to allocate 8.00 GiB"), "Unable to allocate 8.00 GiB")],
 )
@@ -557,20 +596,20 @@ def test_cluster_count_is_not_built_where_it_cannot_matter(capsys, tmp_path, mon
         raise AssertionError(f"the chain count at n={n} was built")
 
     monkeypatch.setattr(separability, "_chain_count", fail)
-    # threshold_p reads the bound first, and here the bound leaves the float range
+    # threshold_p reads the bound before the products, and here the bound leaves the float range
     code, out, err = run(capsys, "sweep", "--family", "cluster", "--n", "300000", "--k", "2")
     assert (code, out, err) == (1, "", "graphsep: error: result out of floating-point range (math range error)\n")
     with pytest.raises(OverflowError):
         separability.threshold_p(300000, 2, "cluster")
-    # xi_noise reads the bound first too, so detect at p < 1 refuses before the count
+    # xi_noise reads the bound before the products too, so detect at p < 1 refuses before the count
     path = tmp_path / "cluster.json"
     path.write_text(json.dumps({"family": "cluster", "n": 300000, "p": 0.5}))
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert (code, out, err) == (1, "", "graphsep: error: result out of floating-point range (math range error)\n")
     with pytest.raises(OverflowError):
         separability.xi_noise(300000, 2, 0.5, "cluster")
-    # and so checks k before the family name
-    with pytest.raises(ValueError, match=re.escape("need 2 <= k <= n, got k=1, n=5")):
+    # but checks the family name before k
+    with pytest.raises(ValueError, match=re.escape("unknown family 'bogus'")):
         separability.xi_noise(5, 1, 0.5, "bogus")
     # at p = 1 the state is |1...1> alone: no products for any source, but a name is still checked
     n = 10 ** 6

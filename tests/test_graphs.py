@@ -114,20 +114,21 @@ def test_graph_files_are_decided_with_no_group(capsys, tmp_path, monkeypatch):
 def test_graph_refusals_keep_their_order():
     over = chain_graph(27)
     count = re.escape("stabilizer count over 2^27 generator subsets exceeds the 26-qubit limit")
-    # the source's n first, then a graph's count limit, then the bound's k
-    with pytest.raises(ValueError, match="^source has 27 qubits, not 28$"):
-        xi_noise(28, 1, 0.1, over)
-    with pytest.raises(LimitError, match=f"^{count}$"):
-        xi_noise(27, 1, 0.1, over)
-    with pytest.raises(ValueError, match="need 2 <= k <= n"):
-        xi_noise(26, 1, 0.1, chain_graph(26))
+    # the source's n first, then a graph's count limit, then the bound's k, in xi_noise and threshold_p alike
+    for refuse in (lambda n, k, source: xi_noise(n, k, 0.1, source), threshold_p):
+        with pytest.raises(ValueError, match="^source has 27 qubits, not 28$"):
+            refuse(28, 1, over)
+        with pytest.raises(LimitError, match=f"^{count}$"):
+            refuse(27, 1, over)
+        with pytest.raises(ValueError, match="need 2 <= k <= n"):
+            refuse(26, 1, chain_graph(26))
+        # a group is checked as a graph is: a non-diagonal one over the limit too
+        with pytest.raises(LimitError, match=f"^{count}$"):
+            refuse(27, 1, ghz_group(27))
+        with pytest.raises(ValueError, match="need 2 <= k <= n"):  # a diagonal group is never counted
+            refuse(40, 1, all_ones_group(40))
     with pytest.raises(LimitError, match=f"^{count}$"):
         noise_products(27, over)
-    # a group is checked as a graph is: a non-diagonal one over the limit too
-    with pytest.raises(LimitError, match=f"^{count}$"):
-        xi_noise(27, 1, 0.1, ghz_group(27))
-    with pytest.raises(ValueError, match="need 2 <= k <= n"):  # a diagonal group is never counted
-        xi_noise(40, 1, 0.1, all_ones_group(40))
     # at p = 1 the state is |1...1>: the source's n is checked, its count is neither limited nor built
     assert xi_noise(27, 2, 1.0, over).numerator == 1.0
     for p in (0.0, 0.5, 1.0):
@@ -137,6 +138,49 @@ def test_graph_refusals_keep_their_order():
     for n, family in ((0, "cg"), (1, "w"), (-3, "w")):
         with pytest.raises(ValueError, match=f"^family '{family}' needs at least 2 qubits, got n={n}$"):
             noise_products(n, family)
+
+
+def _refusal(call) -> tuple:
+    with pytest.raises(Exception) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+_COUNT_27 = "stabilizer count over 2^27 generator subsets exceeds the 26-qubit limit"
+_COUNT_2050 = "stabilizer count over 2^2050 generator subsets exceeds the 26-qubit limit"
+_UNKNOWN = (ValueError, "unknown family 'bogus'; expected one of ('cg', 'ghz', 'w', 'cluster')")
+
+# (n, k, source, the refusal below p = 1, the refusal at p = 1 when the count limit was it)
+_BAD_INPUTS = {
+    "unknown-name": (5, 2, lambda: "bogus", _UNKNOWN),
+    "unknown-name-bad-k": (5, 1, lambda: "bogus", _UNKNOWN),
+    "name-n1": (1, 2, lambda: "cg", (ValueError, "family 'cg' needs at least 2 qubits, got n=1")),
+    "name-n0-bad-k": (0, 5, lambda: "w", (ValueError, "family 'w' needs at least 2 qubits, got n=0")),
+    "graph-other-n": (5, 1, lambda: complete_graph(6), (ValueError, "source has 6 qubits, not 5")),
+    "group-other-n": (5, 2, lambda: ghz_group(4), (ValueError, "source has 4 qubits, not 5")),
+    "graph-over-count": (27, 1, lambda: chain_graph(27), (LimitError, _COUNT_27),
+                         (ValueError, "need 2 <= k <= n, got k=1, n=27")),
+    "group-over-count": (27, 28, lambda: ghz_group(27), (LimitError, _COUNT_27),
+                         (ValueError, "need 2 <= k <= n, got k=28, n=27")),
+    "diagonal-group": (40, 1, lambda: all_ones_group(40), (ValueError, "need 2 <= k <= n, got k=1, n=40")),
+    "name-bad-k": (5, 6, lambda: "cg", (ValueError, "need 2 <= k <= n, got k=6, n=5")),
+    "graph-bad-k": (5, 1, lambda: chain_graph(5), (ValueError, "need 2 <= k <= n, got k=1, n=5")),
+    "group-bad-k": (3, 4, lambda: stabilizer_group(complete_graph(3)), (ValueError, "need 2 <= k <= n, got k=4, n=3")),
+    "name-past-float-range": (2050, 2, lambda: "cluster", (OverflowError, "math range error")),
+    "graph-past-float-range": (2050, 2, lambda: chain_graph(2050), (LimitError, _COUNT_2050),
+                               (OverflowError, "math range error")),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUTS)
+def test_xi_noise_and_threshold_p_refuse_alike(case):
+    # one order for both: the source (name and n, or n and count limit), then k, then the products
+    n, k, source, want, *at_p1 = _BAD_INPUTS[case]
+    source = source()
+    assert _refusal(lambda: threshold_p(n, k, source)) == want
+    assert _refusal(lambda: xi_noise(n, k, 0.5, source)) == want
+    # at p = 1 the state is |1...1>, whose products need no count: the next check refuses
+    assert _refusal(lambda: xi_noise(n, k, 1.0, source)) == (at_p1[0] if at_p1 else want)
 
 
 def test_count_refuses_a_huge_graph_before_its_generators():

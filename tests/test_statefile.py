@@ -9,7 +9,7 @@ import pytest
 
 from graphsep import LimitError, full_tensor, load_state_file, states, tensor, tensor_norm, write_amplitude_file
 from graphsep.cli import main
-from graphsep.separability import Family
+from graphsep.separability import FAMILIES
 from graphsep.statefile import StateFileError, dumps_amplitudes, loads_state
 from graphsep.graphs import complete_graph
 from graphsep.states import cluster_state, ghz_state, graph_state, w_state
@@ -169,7 +169,7 @@ def test_tagged_families_skip_the_dense_limit():
 @pytest.mark.parametrize("family", ["cg", "ghz", "w", "cluster"])
 def test_one_qubit_family_refused_on_load(family, monkeypatch):
     # one message that names the family, with no state built
-    monkeypatch.setattr(Family, "state", None)
+    monkeypatch.setitem(FAMILIES, family, FAMILIES[family]._replace(build=None))
     with pytest.raises(StateFileError, match=f"^family '{family}' needs at least 2 qubits$"):
         loads_state(json.dumps({"family": family, "n": 1, "p": 0.1}))
 

@@ -239,7 +239,7 @@ def test_ensemble_norm_sq_is_the_full_tensor_norm_on_random_graphs(case, tol, pu
 def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
     for n in (2, 3, 4, 7, 8):
         for family in ("cg", "ghz", "cluster"):
-            state = FAMILIES[family].state(n)
+            state = FAMILIES[family].build(n)
             doc = {"family": family, "n": n} if p is None else {"family": family, "n": n, "p": p}
             _check_squared_norm(state, p, tol, family, doc)
         _check_squared_norm(all_ones_state(n), p, tol, all_ones_group(n))
@@ -347,7 +347,7 @@ def test_family_states_carry_their_group():
         }
         assert groups.keys() == FAMILIES.keys()
         for family, group in groups.items():
-            tag = FAMILIES[family].state(n).stabilizer
+            tag = FAMILIES[family].build(n).stabilizer
             assert tag is None if group is None else tag.generators == group.generators, (family, n)
     # the noise term is tagged too: its only identity-free element is -Z on each qubit
     for n in (1, 2, 5):
@@ -437,7 +437,7 @@ def test_pure_kernel_meets_every_family_closed_form(n):
     # raw amplitudes of the cg, GHZ, W and cluster states against B / D of noise_products
     for family, row in FAMILIES.items():
         b, _, _, d = row.products(n)
-        got = tensor._pure_norm_sq(n, row.state(n).amplitudes.tolist())
+        got = tensor._pure_norm_sq(n, row.build(n).amplitudes.tolist())
         assert abs(got - Fraction(b, d)) <= _margin(got, n), family
 
 
@@ -589,10 +589,10 @@ def test_norm_table_support_path_rows():
 def test_norm_table_rows_are_the_squared_norms():
     for family, row in FAMILIES.items():
         for _, n, norm_sq in norm_table([family], 2, 6):
-            group = row.state(n).stabilizer
+            group = row.build(n).stabilizer
             if group is not None:
                 assert norm_sq == len(full_weight_support(group))
-            assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(row.state(n)))), rel=1e-12)
+            assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(row.build(n)))), rel=1e-12)
 
 
 def test_norm_table_builds_no_tagged_state(monkeypatch):
@@ -605,13 +605,13 @@ def test_norm_table_builds_no_tagged_state(monkeypatch):
     assert norm_table(["cg", "ghz"], 1000, 1000) == [("cg", 1000, float(2 ** 999 + 1)), ("ghz", 1000, float(2 ** 999 + 1))]
     assert built == []
     # and the patch does see a build: reading a family state's amplitudes
-    FAMILIES["cluster"].state(6).amplitudes
+    FAMILIES["cluster"].build(6).amplitudes
     assert built == [6]
 
 
 def test_norm_table_builds_no_w_state(monkeypatch):
     built = []
-    monkeypatch.setitem(FAMILIES, "w", FAMILIES["w"]._replace(build=lambda states, n: built.append(n)))
+    monkeypatch.setitem(FAMILIES, "w", FAMILIES["w"]._replace(build=lambda n: built.append(n)))
     rows = norm_table(["w"], 2, 12) + norm_table(["w"], 1000, 1000)
     assert rows == [("w", n, float(Fraction(5) - Fraction(4, n))) for n in (*range(2, 13), 1000)]
     assert built == []
