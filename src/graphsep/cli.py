@@ -135,7 +135,7 @@ def cmd_sweep(args) -> list[str]:
 def cmd_detect(args) -> list[str]:
     try:
         loaded = statefile.load_state_file(args.state_file)
-    except (OSError, UnicodeDecodeError) as exc:  # a missing or unreadable file, or one that is not UTF-8
+    except OSError as exc:  # a missing or unreadable file (load_state_file names a file that is not UTF-8)
         raise statefile.StateFileError(f"cannot read {args.state_file}: {exc}") from None
     n = loaded.n
     if not 2 <= args.k <= n:

@@ -4,15 +4,15 @@ GraphSpec is a simple graph on vertices 1..n, kept as its sorted edge
 pairs, with one neighbour bitmask per vertex built when first read;
 complete_graph and chain_graph build the two named ones.  Its graph
 state is stabilized by one generator per vertex a, X on a and Z on its
-neighbours: GraphSpec.generators, the (x, z, sign) triples that
-stabilizer.stabilizer_group checks into a group.
+neighbours: GraphSpec.generators, (x, z, sign) triples.
 
 A stabilizer source has n, generators, diagonal and zn_sign (+-1 when
 +-Z^n is in the group the generators span, else 0): a GraphSpec, whose
 zn_sign is 0 as no graph-state element but the identity is X-free, or a
 stabilizer.StabilizerGroup.  separability.noise_products reads both
 alike, B = full_weight_count(source) bit-sliced over the 2^n generator
-subsets and C = (-1)^n zn_sign, so a graph is decided with no group.
+subsets and C = (-1)^n zn_sign, and so does the stabilizer walk, so a
+graph or its state is decided with no group.
 pattern_halves lists the masks of the complete-graph and GHZ patterns,
 for tensor.measurement_settings and stabilizer's key patterns.  The
 module reads no numpy and no graphsep module but separability.
@@ -135,8 +135,8 @@ def full_weight_count(source) -> int:
     """Number of identity-free elements of the group that source's generators span.
 
     source is a stabilizer source (see the module docstring), whose
-    generators are (x, z, sign) triples with qubit 1 at the top bit; for
-    a stabilizer.StabilizerGroup this is len(full_weight_support(source)).
+    generators are (x, z, sign) triples with qubit 1 at the top bit: this
+    is len(stabilizer.full_weight_support(source)).
     Bit-sliced over chunks of 2^b subsets, b = min(n, 14): bit j of a
     slice stands for the subset whose low generators are the set bits of
     j.  Qubit q's x bit is the XOR of the _subset_bits ints of the low

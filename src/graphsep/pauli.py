@@ -101,8 +101,8 @@ def pack_index(idx: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _base3_table(bits: int, start: int = 0) -> np.ndarray:
-    """T3[m] = sum of 3^(start + p) over the set bits p of m, for every bits-bit mask m."""
+def _base3_table(bits: int, start: int = 0):
+    """The int64 array T3, T3[m] = sum of 3^(start + p) over the set bits p of m, for every bits-bit mask m."""
     np = require_numpy()
 
     table = np.zeros(1, dtype=np.int64)
@@ -113,8 +113,8 @@ def _base3_table(bits: int, start: int = 0) -> np.ndarray:
     return table
 
 
-def packed_keys(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
-    """pack_index of identity-free words given by flip and phase mask arrays.
+def packed_keys(x, z, n: int):
+    """pack_index of identity-free words given by flip and phase mask arrays, as an int64 array.
 
     Every word needs x | z to be the full n-bit mask.  Bit p holds qubit
     n - p and base-3 digit p, so X (x only) packs to 0, Y (both) to 1 and
@@ -188,7 +188,7 @@ class CorrelationTensor:
             yield tuple(reversed(digits)), v
 
 
-def _checked_amplitudes(n: int, amplitudes) -> np.ndarray:
+def _checked_amplitudes(n: int, amplitudes):
     np = require_numpy()
 
     amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -204,12 +204,13 @@ def _checked_amplitudes(n: int, amplitudes) -> np.ndarray:
 class PureState:
     """Normalized n-qubit state vector (qubit 1 = most significant bit).
 
-    ``stabilizer`` is the StabilizerGroup of the state when a constructor
-    in graphsep.states knows it; tensor sweeps then take the stabilizer
-    shortcut.  It is not an __init__ argument and is not checked against
-    the amplitudes, so only those constructors set it, through
-    PureState.deferred.  A deferred state builds its 2^n amplitudes the
-    first time ``amplitudes`` is read (and validates them then), so a
+    ``stabilizer`` is a stabilizer source of the state (graphs) when a
+    constructor in graphsep.states knows one: the GraphSpec of a graph
+    state, the StabilizerGroup of a GHZ or |1...1> state.  full_tensor
+    then takes the stabilizer shortcut.  Not checked against the
+    amplitudes, it is set only by those constructors, through
+    PureState.deferred, which builds the 2^n amplitudes the first time
+    ``amplitudes`` is read (and validates them then), so a
     stabilizer-path caller never allocates them.  States compare by
     identity.
     """
@@ -226,13 +227,13 @@ class PureState:
 
     @classmethod
     def deferred(cls, n: int, build, stabilizer) -> PureState:
-        """A state tagged with its StabilizerGroup (or None); build() makes its amplitudes on first read."""
+        """A state tagged with a stabilizer source (or None); build() makes its amplitudes on first read."""
         state = cls.__new__(cls)
         state.n, state.stabilizer, state._build = n, stabilizer, build
         return state
 
     @property
-    def amplitudes(self) -> np.ndarray:
+    def amplitudes(self):
         if self._amplitudes is None:
             self._amplitudes = _checked_amplitudes(self.n, self._build())
         return self._amplitudes
@@ -272,7 +273,7 @@ def pure_ensemble(state: PureState) -> MixedEnsemble:
 
 
 @lru_cache(maxsize=1)
-def _index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _index_arrays(n: int) -> tuple:
     """(basis indices, bit-parity table) for n qubits, 9 * 2^n bytes.
 
     Cached for the latest qubit count only: repeated expectations at one
@@ -290,7 +291,7 @@ def _index_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
 _I_POW = (1.0, 1.0j, -1.0, -1.0j)
 
 
-def _expectation_masks(amps: np.ndarray, x_mask: int, z_mask: int, y_count: int) -> float:
+def _expectation_masks(amps, x_mask: int, z_mask: int, y_count: int) -> float:
     """<psi| P |psi> for P given by its flip/phase masks."""
     np = require_numpy()
 

@@ -7,26 +7,22 @@ equals ``i^y * X^x * Z^z`` with y the number of Y positions, so the sign
 of a group element relative to the Hermitian word is ``i^(t - y)``,
 asserted to be +-1 throughout.
 
-The walk (_walk) visits the 2^n generator subsets, 2^14 at a time:
-O(2^n) work where the dense path would sweep 3^n strings.  It forms
-each chunk's signed identity-free elements as numpy arrays, which
-full_weight_support packs and sorts into a CorrelationTensor (pauli.py)
-of +-1 signs.  The count, which needs no signs and no numpy, and the
-pattern order live in graphs (full_weight_count, pattern_halves, with
-their limits); this module imports the pattern order back.  A group is a
-stabilizer source of separability.noise_products, as a graphs.GraphSpec
-is: it has n, generators, diagonal and zn_sign, the sign of Z^n in the
-group (0 when Z^n is not in it), from which noise_products takes C.
-zn_sign is one O(n) membership solve, made once per group.  A diagonal
-group (a basis state such as |1...1>) needs no walk and no count: its
-one identity-free element is Z^n, with sign zn_sign.  The complete-graph
-and GHZ patterns need no group: their masks from pattern_halves are
-packed into keys.
-The groups of the tagged states come from stabilizer_group (a graph
-state, from the generators of a graphs.GraphSpec), ghz_group and
-all_ones_group.  full_weight_support (the walk's one caller) and the
-key patterns, which keep every key, refuse more than PATTERN_LIMIT
-qubits with separability.LimitError.
+A stabilizer source (graphs) has n, (x, z, sign) generators, diagonal
+and zn_sign: a graphs.GraphSpec, which tags every graph state, or a
+StabilizerGroup, which tags GHZ and |1...1> states.  product_sign, the
+walk and full_weight_support read either alike, so no graph is checked
+into a group; stabilizer_group does that for a caller that needs
+member_combo.  The walk (_walk) visits the 2^n generator subsets, 2^14
+at a time: O(2^n) work where the dense path would sweep 3^n strings,
+and full_weight_support packs and sorts its chunks into a
+CorrelationTensor (pauli.py) of +-1 signs.  A diagonal source (a basis
+state such as |1...1>) needs no walk: its one identity-free element is
+Z^n, signed zn_sign (for a group, one O(n) membership solve).  The
+count, which needs no signs and no numpy, and the pattern order live in
+graphs; the complete-graph and GHZ key patterns pack the masks of
+pattern_halves.  full_weight_support and the key patterns, which keep
+every key, refuse more than PATTERN_LIMIT qubits with
+separability.LimitError.
 numpy (pauli.require_numpy) is read only where arrays are built, so groups
 and the count start without it; pauli (the lazy module) runs only for
 the walk's tensor and the key patterns.
@@ -41,6 +37,26 @@ from itertools import combinations
 from . import pauli
 from .graphs import _SUBSET_BITS, PATTERN_LIMIT, pattern_halves
 from .separability import LimitError
+
+
+def product_sign(source, combo: int) -> tuple[int, int, int]:
+    """Multiply the generators of a stabilizer source flagged in combo (bit k: generator k).
+
+    Reads only source.generators, so a graphs.GraphSpec and its
+    StabilizerGroup (whose method this is) give the same product: sign
+    times the Hermitian Pauli word with masks (x, z), returned as (x, z, sign).
+    """
+    x = z = t = 0
+    for k, (gx, gz, gs) in enumerate(source.generators):
+        if combo >> k & 1:
+            # Z^z X^gx reorder, the i^y canonical form of the row and i^2 for a minus sign
+            t += 2 * (z & gx).bit_count() + (gx & gz).bit_count() + 1 - gs
+            x ^= gx
+            z ^= gz
+    t = (t - (x & z).bit_count()) % 4
+    if t % 2:
+        raise RuntimeError("stabilizer product has non-real phase")
+    return x, z, 1 - t  # t = 0 -> +1, t = 2 -> -1
 
 
 class StabilizerGroup:
@@ -94,29 +110,7 @@ class StabilizerGroup:
         vec, combo = self._reduce_vector(self._reduced, (x << self.n) | z, 0)
         return combo if vec == 0 else None
 
-    def product_sign(self, combo: int) -> tuple[int, int, int]:
-        """Multiply the generators flagged in combo.
-
-        Returns (x, z, sign) where the product equals sign times the
-        Hermitian Pauli word with masks (x, z).
-        """
-        x = z = t = 0
-        for k in range(self.n):
-            if not (combo >> k) & 1:
-                continue
-            gx, gz, gs = self.generators[k]
-            # Z^z X^gx reorder plus the i^y canonical form of the row
-            t += 2 * (z & gx).bit_count() + (gx & gz).bit_count()
-            if gs == -1:
-                t += 2
-            x ^= gx
-            z ^= gz
-        t = (t - (x & z).bit_count()) % 4
-        if t == 0:
-            return x, z, 1
-        if t == 2:
-            return x, z, -1
-        raise RuntimeError("stabilizer product has non-real phase")
+    product_sign = product_sign
 
     @property
     def diagonal(self) -> bool:
@@ -154,20 +148,20 @@ def all_ones_group(n: int) -> StabilizerGroup:
     return StabilizerGroup(n, tuple((0, 1 << (n - a), -1) for a in range(1, n + 1)))
 
 
-def _walk(g: StabilizerGroup):
-    """The walk: per-chunk (x, z, sign) arrays of the identity-free group elements.
+def _walk(source):
+    """The walk: per-chunk (x, z, sign) arrays of the identity-free elements of a stabilizer source.
 
     Subsets S of the generators, multiplied in generator order, split
     into the first b = min(n, 14) generators and the rest.  One numpy
     pass per low generator forms ``i^t * X^x * Z^z`` for all 2^b low
     subsets at once, exactly as product_sign does for one subset; each
-    high subset's product H (from product_sign) then multiplies that
-    whole chunk, using Z^z X^hx = (-1)^popcount(z & hx) X^hx Z^z.
+    high subset's product H (product_sign(source, high)) then multiplies
+    that whole chunk, using Z^z X^hx = (-1)^popcount(z & hx) X^hx Z^z.
     Elements with x | z full are kept (S = 0, the identity, never is),
     and every kept phase is checked to be real.  Memory is O(2^b)
     whatever n.
     """
-    n = g.n
+    n = source.n
     np = pauli.require_numpy()
 
     full = (1 << n) - 1
@@ -176,14 +170,14 @@ def _walk(g: StabilizerGroup):
     lx = np.zeros_like(low)
     lz = np.zeros_like(low)
     lt = np.zeros_like(low)
-    for k, (gx, gz, gs) in enumerate(g.generators[:low_bits]):
+    for k, (gx, gz, gs) in enumerate(source.generators[:low_bits]):
         on = (low >> k) & 1
         own = (gx & gz).bit_count() + (2 if gs == -1 else 0)
         lt += on * (2 * np.bitwise_count(lz & gx) + own)
         lx ^= on * gx
         lz ^= on * gz
     for high in range(0, 1 << n, 1 << low_bits):
-        hx, hz, hsign = g.product_sign(high)
+        hx, hz, hsign = product_sign(source, high)
         keep = ((lx ^ hx) | (lz ^ hz)) == full
         x, zl = lx[keep] ^ hx, lz[keep]
         z = zl ^ hz
@@ -194,30 +188,31 @@ def _walk(g: StabilizerGroup):
         yield x, z, 1.0 - phase  # phase 0 -> +1, phase 2 -> -1
 
 
-def full_weight_support(g: StabilizerGroup) -> pauli.CorrelationTensor:
-    """All identity-free group elements, as a tensor of their +-1 signs in ascending key order.
+def full_weight_support(source) -> pauli.CorrelationTensor:
+    """All identity-free elements of a stabilizer source's group, as a tensor of their +-1 signs in ascending key order.
 
-    The elements come from the walk (see _walk), packed and sorted.  A
-    diagonal group (every generator X-free, as for |1...1> or any basis
+    A GraphSpec and its stabilizer_group give the same tensor.  The
+    elements come from the walk (see _walk), packed and sorted.  A
+    diagonal source (every generator X-free, as for |1...1> or any basis
     state) has Z^n as its only identity-free element, signed zn_sign,
-    with no walk.  Any other group above
-    PATTERN_LIMIT qubits raises LimitError before walking.
+    with no walk.  Any other source above PATTERN_LIMIT qubits raises
+    LimitError before walking.
     """
-    n = g.n
-    if g.diagonal:
-        return pauli.CorrelationTensor(n, [pauli.pack_index((3,) * n)], [g.zn_sign])
+    n = source.n
+    if source.diagonal:
+        return pauli.CorrelationTensor(n, [pauli.pack_index((3,) * n)], [source.zn_sign])
     if n > PATTERN_LIMIT:
         raise LimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
     np = pauli.require_numpy()
 
-    chunks = list(_walk(g))
+    chunks = list(_walk(source))
     keys = np.concatenate([pauli.packed_keys(x, z, n) for x, z, _ in chunks])
     order = np.argsort(keys)
     return pauli.CorrelationTensor(n, keys[order], np.concatenate([sign for _, _, sign in chunks])[order])
 
 
-def _pattern_keys(n: int, parity: int, xz, extra: int) -> np.ndarray:
-    """Packed keys of the words with X and Z mask arrays xz(m, full) for the masks m of pattern_halves,
+def _pattern_keys(n: int, parity: int, xz, extra: int):
+    """Packed keys (int64) of the words with X and Z mask arrays xz(m, full) for the masks m of pattern_halves,
     then at even n the word of n `extra` letters (a full index: 1 -> X, 2 -> Y, 3 -> Z)."""
     np = pauli.require_numpy()
 
@@ -227,8 +222,8 @@ def _pattern_keys(n: int, parity: int, xz, extra: int) -> np.ndarray:
     return np.append(keys, pauli.pack_index((extra,) * n)) if n % 2 == 0 else keys
 
 
-def cg_nonzero_pattern(n: int) -> np.ndarray:
-    """Packed keys of the words where complete-graph-state tensors are nonzero.
+def cg_nonzero_pattern(n: int):
+    """Packed keys (an int64 array) of the words where complete-graph-state tensors are nonzero.
 
     All placements of an odd number of X letters among Z letters, plus the
     all-Y word when n is even, in the order of pattern_halves.
@@ -236,8 +231,8 @@ def cg_nonzero_pattern(n: int) -> np.ndarray:
     return _pattern_keys(n, 1, lambda m, full: (m, full & ~m), 2)
 
 
-def ghz_nonzero_pattern(n: int) -> np.ndarray:
-    """Packed keys of the words where GHZ-state tensors are nonzero.
+def ghz_nonzero_pattern(n: int):
+    """Packed keys (an int64 array) of the words where GHZ-state tensors are nonzero.
 
     All placements of an even number of Y letters among X letters, plus
     the all-Z word when n is even, in the order of pattern_halves.

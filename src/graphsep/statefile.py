@@ -173,8 +173,13 @@ def _parse_amplitudes(raw, n: int) -> tuple:
 
 
 def load_state_file(path) -> LoadedState:
+    """Parse a state file; one that is not UTF-8 raises StateFileError naming path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_state(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StateFileError(f"cannot read {path}: {exc}") from None
+    return loads_state(text)
 
 
 def dumps_amplitudes(state: pauli.PureState) -> str:

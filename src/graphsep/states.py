@@ -9,15 +9,16 @@ state is realized as the linear-chain graph state, which is
 local-unitary equivalent to the usual product-form definition and
 therefore has the same correlation-tensor norm.
 
-Graph, cluster, GHZ and |1...1> states are stabilizer states.  Their
-constructors tag the result with its StabilizerGroup (PureState.stabilizer),
-which sends full_tensor down the stabilizer path and lets detect read the
-exact noise quadratic (separability.noise_products); W states and raw
-amplitudes carry no tag.  Every constructor defers its amplitudes
-(PureState.deferred): a call costs at most the O(n^2) group, and the
-2^n amplitudes are built only if something reads them (the dense path,
-expectation, write_amplitude_file).  separability.FAMILIES names the
-constructor of each named family.
+Graph, cluster, GHZ and |1...1> states are stabilizer states, tagged
+with a stabilizer source (PureState.stabilizer): a graph or cluster
+state with its graphs.GraphSpec itself (no StabilizerGroup is built),
+GHZ and |1...1> states with their groups.  The tag sends full_tensor
+down the stabilizer path and gives separability.noise_products its
+exact quadratic; W states and raw amplitudes carry none.  Every
+constructor defers its 2^n amplitudes (PureState.deferred) until
+something reads them (the dense path, expectation,
+write_amplitude_file), so a call costs at most a group's O(n^2) check.
+separability.FAMILIES names the constructor of each named family.
 """
 
 from __future__ import annotations
@@ -61,14 +62,12 @@ def _basis_amplitudes(n: int, weights: dict):
 
 
 def graph_state(spec: graphs.GraphSpec) -> pauli.PureState:
-    """CZ-along-every-edge applied to |+>^n; all amplitudes are +-2^(-n/2)."""
-    return pauli.PureState.deferred(spec.n, partial(_graph_amplitudes, spec), stabilizer.stabilizer_group(spec))
+    """CZ-along-every-edge applied to |+>^n, tagged with spec; all amplitudes are +-2^(-n/2)."""
+    return pauli.PureState.deferred(spec.n, partial(_graph_amplitudes, spec), spec)
 
 
 def ghz_state(n: int) -> pauli.PureState:
-    """(|0...0> + |1...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError("GHZ state needs n >= 2")
+    """(|0...0> + |1...1>)/sqrt(2); ghz_group refuses n < 2."""
     half = 1.0 / math.sqrt(2.0)
     return pauli.PureState.deferred(n, partial(_basis_amplitudes, n, {0: half, -1: half}), stabilizer.ghz_group(n))
 
@@ -82,9 +81,7 @@ def w_state(n: int) -> pauli.PureState:
 
 
 def cluster_state(n: int) -> pauli.PureState:
-    """Linear cluster state, constructed as the chain graph state."""
-    if n < 2:
-        raise ValueError("cluster state needs n >= 2")
+    """Linear cluster state, constructed as the chain graph state (GraphSpec refuses n < 2)."""
     return graph_state(graphs.chain_graph(n))
 
 

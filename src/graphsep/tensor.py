@@ -7,11 +7,11 @@ nonzero entries plus their values (two numpy arrays), because for the
 states handled here only O(2^(n-1)) entries are nonzero.
 
 Two evaluation paths exist, and the state picks one.  The stabilizer
-shortcut is taken when every ensemble member carries a stabilizer-group
-tag (graph, cluster, GHZ and |1...1> states from graphsep.states): each
-member's signed group elements come from one vectorized enumeration,
-and the members are merged by key.  Untagged states (W, raw amplitudes)
-sweep densely.  The dense path (at most DENSE_LIMIT = 10 qubits, a
+shortcut is taken when every ensemble member carries a stabilizer-source
+tag (graphsep.states: the GraphSpec of a graph or cluster state, the
+group of a GHZ or |1...1> state): each member's signed group elements
+come from one vectorized walk of its source, merged by key.  Untagged
+states (W, raw amplitudes) sweep densely.  The dense path (at most DENSE_LIMIT = 10 qubits, a
 fixed limit that the amplitude kernel shares) evaluates T_w = tr(rho w)
 for all 3^n words at once: it takes the density matrix rho to the Pauli
 basis in place, one qubit at a time, in O(n 4^n) vectorized work.
@@ -51,7 +51,7 @@ def dense_limit(n: int) -> None:
         raise LimitError(f"dense sweep over 3^{n} words exceeds the {DENSE_LIMIT}-qubit limit")
 
 
-def _dense_arrays(terms, n: int, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _dense_arrays(terms, n: int, zero_tol: float) -> tuple:
     """Every identity-free expectation tr(rho w) of a mixture, by one basis change per qubit.
 
     rho = sum_w w |a_w><a_w| is one complex array with each qubit's row
@@ -89,7 +89,8 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
     """Full correlation tensor of an ensemble (or a bare pure state).
 
     The state picks the path: the stabilizer shortcut when every member
-    is stabilizer-tagged, the dense sweep otherwise.  Each refuses with
+    is tagged with a stabilizer source (full_weight_support reads a
+    GraphSpec or a group alike), the dense sweep otherwise.  Each refuses with
     separability.LimitError above its qubit limit: the sweep above
     DENSE_LIMIT (10), the shortcut's walk above graphs.PATTERN_LIMIT.
     Entries whose magnitude is not above zero_tol are dropped.

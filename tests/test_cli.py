@@ -1,9 +1,12 @@
 """Command-line behavior: formats, exit codes, determinism."""
 
 import collections.abc
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import sys
 import tracemalloc
@@ -14,6 +17,7 @@ from itertools import combinations
 
 import pytest
 
+import graphsep
 from graphsep import (
     LimitError,
     chain_graph,
@@ -476,9 +480,32 @@ def test_sweep_refuses_a_family_size_before_k(capsys):
     assert run(capsys, "sweep", "--n", "1", "--k", "2") == (1, "", want)
 
 
+def _defined_functions(module):
+    """Every function and method defined in module, reached through staticmethod,
+    classmethod, property, cached_property and __wrapped__ (lru_cache); a named
+    tuple's generated __new__ belongs to no module of the package."""
+    for obj in list(vars(module).values()):
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        for member in vars(obj).values() if isinstance(obj, type) else [obj]:
+            for attr in ("__func__", "fget", "func"):
+                member = getattr(member, attr, member)
+            member = inspect.unwrap(member)
+            if inspect.isfunction(member) and member.__module__ == module.__name__:
+                yield member
+
+
 def test_streamed_commands_annotations_resolve():
     for func in (cli.cmd_settings, cli.cmd_graph, tensor.measurement_settings):
         assert typing.get_origin(typing.get_type_hints(func)["return"]) is collections.abc.Iterator
+    # and so does every annotation of every function and method of the package
+    modules = [graphsep, *(importlib.import_module(f"graphsep.{m.name}") for m in pkgutil.iter_modules(graphsep.__path__))]
+    funcs = [func for module in modules for func in _defined_functions(module)]
+    for func in funcs:
+        typing.get_type_hints(func)
+    pauli = sys.modules["graphsep.pauli"]
+    for cached in (pauli._base3_table, pauli._index_arrays, pauli.PureState.amplitudes.fget, stabilizer.product_sign):
+        assert inspect.unwrap(cached) in funcs
 
 
 @pytest.mark.parametrize(

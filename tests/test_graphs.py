@@ -15,9 +15,13 @@ from graphsep import (
     LimitError,
     StabilizerGroup,
     chain_graph,
+    cluster_state,
     complete_graph,
+    full_tensor,
     full_weight_count,
+    full_weight_support,
     ghz_group,
+    graph_state,
     graphs,
     noise_products,
     stabilizer,
@@ -26,6 +30,7 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
+from graphsep.separability import FAMILIES
 from graphsep.stabilizer import all_ones_group
 
 from oracle import gray_code_support
@@ -107,6 +112,28 @@ def test_graph_files_are_decided_with_no_group(capsys, tmp_path, monkeypatch):
             assert main(["detect", "--state-file", str(path), "--k", "2"]) == 0
             out = capsys.readouterr().out
             assert out.endswith(f"verdict={want[i, p].verdict}\n")
+    with pytest.raises(AssertionError):  # and the patch does stop a group
+        stabilizer_group(chain_graph(3))
+
+
+def test_graph_states_build_no_group(monkeypatch):
+    specs = [complete_graph(6), chain_graph(7), random_graph(8, random.Random(8)), GraphSpec(4, ())]
+    # what the groups give, worked out before groups are stopped
+    want = {spec: (full_weight_support(stabilizer_group(spec)), noise_products(spec.n, stabilizer_group(spec)))
+            for spec in specs}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a StabilizerGroup was built")
+
+    monkeypatch.setattr(StabilizerGroup, "__init__", fail)
+    built = [graph_state(spec) for spec in specs]
+    assert all(state.stabilizer is spec for state, spec in zip(built, specs))  # tagged with the graph itself
+    built += [cluster_state(7), FAMILIES["cg"].build(6), FAMILIES["cluster"].build(7)]
+    for state in built:
+        support, products = want[state.stabilizer]  # a KeyError unless the tag equals the graph
+        t = full_tensor(state)
+        assert (t.keys.tolist(), t.values.tolist()) == (support.keys.tolist(), support.values.tolist())
+        assert noise_products(state.n, state.stabilizer) == products
     with pytest.raises(AssertionError):  # and the patch does stop a group
         stabilizer_group(chain_graph(3))
 

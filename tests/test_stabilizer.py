@@ -233,6 +233,25 @@ def test_support_matches_gray_code_walker_with_negative_signs():
             _assert_matches_gray_code_walker(StabilizerGroup(n, gens))
 
 
+def test_product_sign_reads_a_graph_as_its_group():
+    rng = np.random.default_rng(41)
+    assert StabilizerGroup.product_sign is stabilizer.product_sign  # one rule, bound as the method
+    for n in (2, 3, 7, 15, 16):
+        spec = random_graph(n, rng)
+        group = stabilizer_group(spec)
+        for combo in rng.integers(0, 1 << n, size=64).tolist():
+            assert stabilizer.product_sign(spec, combo) == group.product_sign(combo), (spec, combo)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_full_weight_support_reads_a_graph_as_its_group(n):
+    # n = 15 and 16 take more subsets than one chunk of the walk
+    spec = random_graph(n, np.random.default_rng(4000 + n))
+    mine, want = full_weight_support(spec), full_weight_support(stabilizer_group(spec))
+    assert mine.keys.tolist() == want.keys.tolist()
+    assert mine.values.tolist() == want.values.tolist()
+
+
 def test_cg_norm_closed_values():
     assert sqrt_int(cg_norm_sq(5)) == pytest.approx(4.0, abs=1e-12)
     assert sqrt_int(cg_norm_sq(8)) == pytest.approx(math.sqrt(129), abs=1e-12)

@@ -25,6 +25,14 @@ def test_family_file_pure():
     assert len(loaded.ensemble.terms) == 1
 
 
+def test_a_file_that_is_not_utf8_is_a_state_file_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'# caf\xff\n{"family": "cg", "n": 5}\n')
+    reason = "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"
+    with pytest.raises(StateFileError, match=f"^{re.escape(f'cannot read {path}: {reason}')}$"):
+        load_state_file(path)
+
+
 def test_family_file_with_noise():
     loaded = loads_state('{"family": "ghz", "n": 3, "p": 0.25}')
     assert loaded.p == 0.25

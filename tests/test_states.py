@@ -142,7 +142,7 @@ def test_ghz_state_amplitudes():
         nz = np.flatnonzero(np.abs(state.amplitudes) > 1e-12)
         assert list(nz) == [0, (1 << n) - 1]
         assert np.allclose(state.amplitudes[nz], 1 / math.sqrt(2), atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^GHZ group needs n >= 2$"):  # ghz_group checks the size
         ghz_state(1)
 
 
@@ -160,7 +160,7 @@ def test_cluster_state_is_chain_graph_state():
     state = cluster_state(4)
     assert state.stabilizer.generators == stabilizer_group(chain_graph(4)).generators
     assert np.allclose(np.abs(state.amplitudes), 0.25, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^graph needs at least 2 vertices$"):  # GraphSpec checks the size
         cluster_state(1)
 
 
