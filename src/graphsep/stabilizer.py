@@ -5,7 +5,17 @@ Pauli words are handled in X/Z mask form: a group element is stored as
 power of i.  The Hermitian word with a Y wherever both masks are set
 equals ``i^y * X^x * Z^z`` with y the number of Y positions, so the sign
 of a group element relative to the Hermitian word is ``i^(t - y)``,
-asserted to be +-1 throughout.
+asserted to be +-1 throughout.  _times is the one product rule, (x, z,
+t) times a signed Hermitian word: product_sign folds it over a subset
+of generators, and the walk applies it to whole arrays.
+
+A StabilizerGroup checks commutation only for the pairs that can
+anticommute, those with an X-carrying generator (so a GHZ or basis-state
+group of n generators checks at most n - 1 pairs), and keeps its
+GF(2) echelon as a pivot table, row by leading bit of the 2n-bit (x|z)
+vector: a vector is reduced by looking its leading bit up until it is
+zero or its bit is free, so building the table and member_combo take
+one lookup per row met, with no sorting.
 
 A stabilizer source (graphs) has n, (x, z, sign) generators, diagonal
 and zn_sign: a graphs.GraphSpec, which tags every graph state, or a
@@ -31,12 +41,24 @@ the walk's tensor and the key patterns.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, product
 
 # the lazy module (graphsep/__init__.py), run only by the walk and the key patterns
 from . import pauli
 from .graphs import _SUBSET_BITS, PATTERN_LIMIT, pattern_halves
 from .separability import LimitError
+
+
+def _times(x, z, t, generator, popcount):
+    """i^t * X^x * Z^z times a signed Hermitian word (gx, gz, gs), as the (x, z, t) of the product.
+
+    Z^z X^gx = (-1)^popcount(z & gx) X^gx Z^z gives the 2*|z & gx|; the
+    word is i^|gx & gz| * X^gx * Z^gz, and i^(1 - gs) is its sign.  The
+    one product rule: x, z, t are ints (popcount int.bit_count) or int64
+    arrays (np.bitwise_count), and the caller reduces t mod 4.
+    """
+    gx, gz, gs = generator
+    return x ^ gx, z ^ gz, t + 2 * popcount(z & gx) + popcount(gx & gz) + 1 - gs
 
 
 def product_sign(source, combo: int) -> tuple[int, int, int]:
@@ -45,14 +67,14 @@ def product_sign(source, combo: int) -> tuple[int, int, int]:
     Reads only source.generators, so a graphs.GraphSpec and its
     StabilizerGroup (whose method this is) give the same product: sign
     times the Hermitian Pauli word with masks (x, z), returned as (x, z, sign).
+    A combo outside [0, 2^n) raises ValueError.
     """
+    if not 0 <= combo < 1 << source.n:
+        raise ValueError(f"combo {combo} is outside [0, 2^{source.n})")
     x = z = t = 0
-    for k, (gx, gz, gs) in enumerate(source.generators):
+    for k, generator in enumerate(source.generators):
         if combo >> k & 1:
-            # Z^z X^gx reorder, the i^y canonical form of the row and i^2 for a minus sign
-            t += 2 * (z & gx).bit_count() + (gx & gz).bit_count() + 1 - gs
-            x ^= gx
-            z ^= gz
+            x, z, t = _times(x, z, t, generator, int.bit_count)
     t = (t - (x & z).bit_count()) % 4
     if t % 2:
         raise RuntimeError("stabilizer product has non-real phase")
@@ -63,59 +85,51 @@ class StabilizerGroup:
     """n independent, commuting signed Pauli generators on n qubits.
 
     Each generator is an (x_bits, z_bits, sign) triple.  Construction
-    verifies pairwise commutation and GF(2) independence and prepares a
-    row-reduced basis for membership solves.  Groups compare by identity.
+    checks commutation only where it can fail: X-carrying generators
+    against each other and against the Z-only ones (Z-only words always
+    commute), so diagonal, set here, is True when no generator carries
+    an X.  It also checks GF(2) independence while it fills a pivot
+    table: each 2n-bit (x|z) vector, reduced by the rows already there,
+    is stored under its leading bit with the generator subset that
+    forms it, and member_combo reduces the same way.  Groups compare
+    by identity.
     """
 
     def __init__(self, n: int, generators):
         gens = tuple((int(x), int(z), int(s)) for x, z, s in generators)
         if len(gens) != n:
             raise ValueError(f"need exactly {n} generators, got {len(gens)}")
-        mask = (1 << n) - 1
         for x, z, s in gens:
-            if x & ~mask or z & ~mask:
+            if (x | z) >> n:
                 raise ValueError("generator mask wider than qubit count")
             if s not in (1, -1):
                 raise ValueError(f"generator sign must be +-1, got {s}")
-        for (x1, z1, _), (x2, z2, _) in combinations(gens, 2):
+        carriers = [(x, z) for x, z, _ in gens if x]
+        z_only = [(0, z) for x, z, _ in gens if not x]
+        for (x1, z1), (x2, z2) in chain(combinations(carriers, 2), product(carriers, z_only)):
             if ((x1 & z2).bit_count() + (x2 & z1).bit_count()) % 2:
                 raise ValueError("generators must pairwise commute")
-        # echelon basis of the 2n-bit (x|z) vectors, kept sorted by
-        # descending leading bit, tracking which original generators
-        # combine into each reduced row
-        reduced: list[tuple[int, int]] = []
+        pivots: dict[int, tuple[int, int]] = {}
         for k, (x, z, _) in enumerate(gens):
-            vec, combo = self._reduce_vector(reduced, (x << n) | z, 1 << k)
-            if vec == 0:
+            vec, combo = (x << n) | z, 1 << k
+            while vec and (row := pivots.get(vec.bit_length())):
+                vec, combo = vec ^ row[0], combo ^ row[1]
+            if not vec:
                 raise ValueError("generators must be independent over GF(2)")
-            reduced.append((vec, combo))
-            reduced.sort(key=lambda rc: -rc[0])
-        self.n, self.generators, self._reduced = n, gens, reduced
+            pivots[vec.bit_length()] = vec, combo
+        self.n, self.generators, self.diagonal, self._pivots = n, gens, not carriers, pivots
 
     def __repr__(self) -> str:
         return f"StabilizerGroup(n={self.n!r}, generators={self.generators!r})"
 
-    @staticmethod
-    def _reduce_vector(reduced: list, vec: int, combo: int) -> tuple[int, int]:
-        # rows have distinct leading bits and arrive in descending order,
-        # so a single pass clears vec top-down
-        for rvec, rcombo in reduced:
-            if vec ^ rvec < vec:
-                vec ^= rvec
-                combo ^= rcombo
-        return vec, combo
-
     def member_combo(self, x: int, z: int) -> int | None:
         """Generator subset (as a bitmask) whose product has masks (x, z)."""
-        vec, combo = self._reduce_vector(self._reduced, (x << self.n) | z, 0)
-        return combo if vec == 0 else None
+        vec, combo = (x << self.n) | z, 0
+        while vec > 0 and (row := self._pivots.get(vec.bit_length())):  # a negative mask is no member
+            vec, combo = vec ^ row[0], combo ^ row[1]
+        return None if vec else combo
 
     product_sign = product_sign
-
-    @property
-    def diagonal(self) -> bool:
-        """True when every generator is X-free, so the group is that of a basis state."""
-        return not any(x for x, _, _ in self.generators)
 
     @cached_property
     def zn_sign(self) -> int:
@@ -152,36 +166,27 @@ def _walk(source):
     """The walk: per-chunk (x, z, sign) arrays of the identity-free elements of a stabilizer source.
 
     Subsets S of the generators, multiplied in generator order, split
-    into the first b = min(n, 14) generators and the rest.  One numpy
-    pass per low generator forms ``i^t * X^x * Z^z`` for all 2^b low
-    subsets at once, exactly as product_sign does for one subset; each
-    high subset's product H (product_sign(source, high)) then multiplies
-    that whole chunk, using Z^z X^hx = (-1)^popcount(z & hx) X^hx Z^z.
-    Elements with x | z full are kept (S = 0, the identity, never is),
-    and every kept phase is checked to be real.  Memory is O(2^b)
-    whatever n.
+    into the first b = min(n, 14) generators and the rest.  The 2^b low
+    subsets are built by doubling, as product_sign builds one subset:
+    those holding generator k follow those without, each times it
+    (_times over whole arrays).  Each high subset's product H
+    (product_sign(source, high)) then multiplies the low elements whose
+    product with it has x | z full, the only ones kept (S = 0, the
+    identity, never is), and every kept phase is checked to be real.
+    Memory is O(2^b) whatever n.
     """
     n = source.n
     np = pauli.require_numpy()
 
     full = (1 << n) - 1
-    low_bits = min(n, _SUBSET_BITS)
-    low = np.arange(1 << low_bits, dtype=np.int64)
-    lx = np.zeros_like(low)
-    lz = np.zeros_like(low)
-    lt = np.zeros_like(low)
-    for k, (gx, gz, gs) in enumerate(source.generators[:low_bits]):
-        on = (low >> k) & 1
-        own = (gx & gz).bit_count() + (2 if gs == -1 else 0)
-        lt += on * (2 * np.bitwise_count(lz & gx) + own)
-        lx ^= on * gx
-        lz ^= on * gz
-    for high in range(0, 1 << n, 1 << low_bits):
+    low = [np.zeros(1, dtype=np.int64)] * 3
+    for generator in source.generators[: min(n, _SUBSET_BITS)]:
+        low = [np.concatenate(pair) for pair in zip(low, _times(*low, generator, np.bitwise_count))]
+    lx, lz, lt = low
+    for high in range(0, 1 << n, lx.size):
         hx, hz, hsign = product_sign(source, high)
         keep = ((lx ^ hx) | (lz ^ hz)) == full
-        x, zl = lx[keep] ^ hx, lz[keep]
-        z = zl ^ hz
-        t = lt[keep] + 2 * np.bitwise_count(zl & hx) + (hx & hz).bit_count() + 1 - hsign
+        x, z, t = _times(lx[keep], lz[keep], lt[keep], (hx, hz, hsign), np.bitwise_count)
         phase = (t - np.bitwise_count(x & z)) & 3
         if (phase & 1).any():
             raise RuntimeError("stabilizer element has non-real phase")

@@ -97,7 +97,7 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
     """
     if isinstance(ens, pauli.PureState):
         ens = pauli.pure_ensemble(ens)
-    if zero_tol < 0:
+    if not zero_tol >= 0:
         raise ValueError("zero_tol must be nonnegative")
     n = ens.n
     if all(st.stabilizer is not None for _, st in ens.terms):

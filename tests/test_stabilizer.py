@@ -64,13 +64,19 @@ def test_generators_of_reference_graphs():
 
 
 def test_group_validation():
-    # X1 and Z1 anticommute
-    with pytest.raises(ValueError):
+    # X1 and Y1 anticommute
+    with pytest.raises(ValueError, match="^generators must pairwise commute$"):
         StabilizerGroup(2, ((0b10, 0b00, 1), (0b10, 0b10, 1)))
+    # X1 and Z1 anticommute: a carrier against a Z-only generator
+    with pytest.raises(ValueError, match="^generators must pairwise commute$"):
+        StabilizerGroup(2, ((0b10, 0b00, 1), (0b00, 0b10, 1)))
     # dependent rows
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^generators must be independent over GF\\(2\\)$"):
         StabilizerGroup(2, ((0b10, 0b00, 1), (0b10, 0b00, 1)))
-    with pytest.raises(ValueError):
+    # Z1Z2, Z2Z3 and Z1Z3: dependent Z-only rows, the third reduced by both others
+    with pytest.raises(ValueError, match="^generators must be independent over GF\\(2\\)$"):
+        StabilizerGroup(3, ((0b000, 0b110, 1), (0b000, 0b011, 1), (0b000, 0b101, -1)))
+    with pytest.raises(ValueError, match="^generator sign must be \\+-1, got 2$"):
         StabilizerGroup(2, ((0b10, 0b00, 1), (0b01, 0b00, 2)))
     with pytest.raises(ValueError, match="^need exactly 2 generators, got 1$"):
         StabilizerGroup(2, ((0b10, 0b00, 1),))
@@ -78,6 +84,57 @@ def test_group_validation():
         StabilizerGroup(2, ((0b100, 0b00, 1), (0b01, 0b00, 1)))
     with pytest.raises(ValueError, match="^generator mask wider than qubit count$"):
         StabilizerGroup(2, ((0b10, 0b00, 1), (0b00, 0b101, 1)))
+
+
+def _recombined_group(group, rng):
+    """A group with the element masks of group, from new generators: generator k times a random
+    subset of the ones before it, so products put Ys in, then a random sign on each."""
+    n = group.n
+    combos = [1 << k | int(rng.integers(0, 1 << k)) for k in range(n)]
+    gens = [group.product_sign(combo) for combo in combos]
+    return StabilizerGroup(n, tuple((x, z, int(s)) for (x, z, _), s in zip(gens, rng.choice((-1, 1), size=n))))
+
+
+def _assert_member_combo_is_brute_force(group, rng):
+    # every combo's masks are the XOR of its generators' masks, no phase rule needed
+    members = {}
+    for combo in range(1 << group.n):
+        x = z = 0
+        for k, (gx, gz, _) in enumerate(group.generators):
+            if combo >> k & 1:
+                x, z = x ^ gx, z ^ gz
+        members[x, z] = combo
+    assert len(members) == 1 << group.n  # independent: each combo has its own masks
+    for (x, z), combo in members.items():
+        assert group.member_combo(x, z) == combo, (group, x, z)
+    # negative masks too: no member, and no endless reduction
+    for x, z in rng.integers(-(1 << group.n), 1 << group.n, size=(64, 2)).tolist():
+        if (x, z) not in members:
+            assert group.member_combo(x, z) is None, (group, x, z)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_member_combo_matches_brute_force(n):
+    rng = np.random.default_rng(6000 + n)
+    groups = [basis_group(n, int(b)) for b in rng.integers(0, 1 << n, size=3)]
+    groups += [_mixed_diagonal_group(n, rng) for _ in range(3)]
+    groups += [_recombined_group(stabilizer_group(random_graph(n, rng)), rng) for _ in range(8)]
+    groups += [ghz_group(n), _recombined_group(ghz_group(n), rng)]
+    for group in groups:
+        _assert_member_combo_is_brute_force(group, rng)
+    # the recombined groups carry Ys and minus signs
+    gens = [g for group in groups for g in group.generators]
+    assert any(x & z for x, z, _ in gens) and any(s == -1 for _, _, s in gens)
+
+
+def test_product_sign_refuses_a_combo_outside_the_generators():
+    group = ghz_group(3)
+    assert group.product_sign(0b111) == (0b111, 0b101, -1)  # XXX ZZI IZZ = -YXY, the last combo in range
+    for combo in (1 << 3, (1 << 3) + 1, -1):
+        with pytest.raises(ValueError, match=f"^combo {combo} is outside \\[0, 2\\^3\\)$"):
+            group.product_sign(combo)
+        with pytest.raises(ValueError, match=f"^combo {combo} is outside \\[0, 2\\^3\\)$"):
+            stabilizer.product_sign(complete_graph(3), combo)
 
 
 def test_k3_expectations():

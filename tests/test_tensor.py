@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -532,8 +533,10 @@ def test_dense_path_drops_exact_zeros():
     # identity-free, and it cancels exactly, so even zero_tol=0 keeps nothing
     zero, one = (PureState(3, np.eye(8, dtype=complex)[i]) for i in (0, 4))
     assert len(full_tensor(MixedEnsemble(((0.5, zero), (0.5, one))), 0.0)) == 0
-    with pytest.raises(ValueError, match="^zero_tol must be nonnegative$"):
-        full_tensor(zero, zero_tol=-1)
+    # on the dense path and the stabilizer path alike; NaN would compare false and keep nothing
+    for state, bad in itertools.product((zero, ghz_state(3)), (-1, float("nan"))):
+        with pytest.raises(ValueError, match="^zero_tol must be nonnegative$"):
+            full_tensor(state, zero_tol=bad)
 
 
 def test_measurement_settings():
