@@ -12,8 +12,9 @@ Conventions used throughout the package:
     sparse tensor type, stores its entries under these keys.
 
 Expectation values are evaluated with a single O(2^n) pass over the
-amplitude vector (bit flips for X/Y, parity signs for Y/Z); no 2^n x 2^n
-matrix is ever built.
+amplitude vector (bit flips for X/Y, parity signs for Y/Z, counted by
+np.bitwise_count); no 2^n x 2^n matrix is ever built, and nothing is
+cached per qubit count.
 
 numpy is optional (the tensor extra).  The functions that build or
 read arrays, here and in stabilizer, states and tensor, get it from
@@ -38,6 +39,11 @@ def require_numpy():
     except ModuleNotFoundError:  # absent; a broken install keeps its own error
         raise ImportError("this call needs numpy: install graphsep[tensor]") from None
     return numpy
+
+
+# one binary digit per letter, qubit 1 first: the flip (X, Y) and phase (Y, Z) masks
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 class PauliString:
@@ -70,17 +76,7 @@ class PauliString:
         x_mask flags bit-flipping letters (X, Y); z_mask flags
         phase-carrying letters (Y, Z).
         """
-        n = len(self.ops)
-        x_mask = z_mask = y_count = 0
-        for a, op in enumerate(self.ops):
-            bit = 1 << (n - 1 - a)
-            if op in "XY":
-                x_mask |= bit
-            if op in "YZ":
-                z_mask |= bit
-            if op == "Y":
-                y_count += 1
-        return x_mask, z_mask, y_count
+        return int(self.ops.translate(_X_BITS), 2), int(self.ops.translate(_Z_BITS), 2), self.ops.count("Y")
 
     def __str__(self) -> str:
         return self.ops
@@ -150,6 +146,8 @@ class CorrelationTensor:
             raise ValueError("keys and values must be 1-D arrays of one length")
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("keys must be strictly increasing")
+        if len(keys) and (keys[0] < 0 or int(keys[-1]) >= 3 ** n):
+            raise ValueError(f"keys must lie in [0, 3^{n})")
         keys.setflags(write=False)
         values.setflags(write=False)
         self.n, self.keys, self.values = n, keys, values
@@ -272,49 +270,30 @@ def pure_ensemble(state: PureState) -> MixedEnsemble:
     return MixedEnsemble(((1.0, state),))
 
 
-@lru_cache(maxsize=1)
-def _index_arrays(n: int) -> tuple:
-    """(basis indices, bit-parity table) for n qubits, 9 * 2^n bytes.
-
-    Cached for the latest qubit count only: repeated expectations at one
-    n reuse them, and a caller scanning n does not keep every size.
-    """
-    np = require_numpy()
-
-    idx = np.arange(1 << n, dtype=np.int64)
-    parity = np.zeros(1 << n, dtype=np.uint8)
-    for b in range(n):
-        parity ^= ((idx >> b) & 1).astype(np.uint8)
-    return idx, parity
-
-
 _I_POW = (1.0, 1.0j, -1.0, -1.0j)
-
-
-def _expectation_masks(amps, x_mask: int, z_mask: int, y_count: int) -> float:
-    """<psi| P |psi> for P given by its flip/phase masks."""
-    np = require_numpy()
-
-    n = int(amps.shape[0]).bit_length() - 1
-    idx, parity = _index_arrays(n)
-    flipped = amps[idx ^ x_mask] if x_mask else amps
-    signs = 1.0 - 2.0 * parity[idx & z_mask] if z_mask else 1.0
-    val = _I_POW[y_count & 3] * np.vdot(flipped, amps * signs)
-    if abs(val.imag) > IMAG_TOL:
-        raise RuntimeError(f"expectation has imaginary residue {val.imag}")
-    return float(val.real)
 
 
 def expectation(state: PureState, p: PauliString) -> float:
     """Expectation value of a Pauli word on a pure state.
 
-    Raises ValueError on qubit-count mismatch; the result of a Hermitian
-    word on a normalized state always lands in [-1, 1] up to rounding.
+    One O(2^n) pass over the amplitudes, nothing cached: the X and Y
+    letters flip index bits, and the Y and Z letters sign each basis
+    index by the parity of its bits under the phase mask, read with
+    np.bitwise_count.  Raises ValueError on qubit-count mismatch; the
+    result of a Hermitian word on a normalized state always lands in
+    [-1, 1] up to rounding.
     """
     if state.n != p.n:
         raise ValueError(f"state has {state.n} qubits, Pauli word has {p.n}")
-    val = _expectation_masks(state.amplitudes, *p.masks())
-    if abs(val) > 1.0 + NORM_TOL:
-        raise RuntimeError(f"expectation {val} outside [-1, 1]")
-    return val
+    np = require_numpy()
 
+    x_mask, z_mask, y_count = p.masks()
+    amps = state.amplitudes
+    idx = np.arange(1 << p.n)
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z_mask) & 1)
+    val = _I_POW[y_count & 3] * np.vdot(amps[idx ^ x_mask], amps * signs)
+    if abs(val.imag) > IMAG_TOL:
+        raise RuntimeError(f"expectation has imaginary residue {val.imag}")
+    if abs(val.real) > 1.0 + NORM_TOL:
+        raise RuntimeError(f"expectation {val.real} outside [-1, 1]")
+    return float(val.real)

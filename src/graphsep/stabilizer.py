@@ -124,8 +124,10 @@ class StabilizerGroup:
 
     def member_combo(self, x: int, z: int) -> int | None:
         """Generator subset (as a bitmask) whose product has masks (x, z)."""
+        if (x | z) >> self.n:  # a negative or wider mask is no member
+            return None
         vec, combo = (x << self.n) | z, 0
-        while vec > 0 and (row := self._pivots.get(vec.bit_length())):  # a negative mask is no member
+        while vec and (row := self._pivots.get(vec.bit_length())):
             vec, combo = vec ^ row[0], combo ^ row[1]
         return None if vec else combo
 

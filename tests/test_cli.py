@@ -504,7 +504,7 @@ def test_streamed_commands_annotations_resolve():
     for func in funcs:
         typing.get_type_hints(func)
     pauli = sys.modules["graphsep.pauli"]
-    for cached in (pauli._base3_table, pauli._index_arrays, pauli.PureState.amplitudes.fget, stabilizer.product_sign):
+    for cached in (pauli._base3_table, pauli.PureState.amplitudes.fget, stabilizer.product_sign):
         assert inspect.unwrap(cached) in funcs
 
 
@@ -744,6 +744,11 @@ def test_appendix_n21_and_n2(capsys):
     assert "sum = 1048576" in out
     _, out, _ = run(capsys, "appendix", "--n", "2")
     assert "sum = 3" in out
+
+
+@pytest.mark.parametrize("n", ["1", "0"])
+def test_appendix_below_two_qubits_is_one_line_exit_1(capsys, n):
+    assert run(capsys, "appendix", "--n", n) == (1, "", "graphsep: error: count needs n >= 2\n")
 
 
 def test_graph_dot_output(capsys):

@@ -15,7 +15,6 @@ from graphsep import (
     pack_index,
     pure_ensemble,
 )
-from graphsep import pauli
 from graphsep.graphs import complete_graph
 from graphsep.states import all_ones_state, graph_state, noisy_mixture
 
@@ -126,6 +125,7 @@ def test_pack_unpack_roundtrip():
 
 
 def test_pauli_string_validation():
+    assert str(PauliString("XZ")) == "XZ"
     with pytest.raises(ValueError):
         PauliString("")
     with pytest.raises(ValueError):
@@ -137,6 +137,10 @@ def test_pure_state_validation():
         PureState(2, np.array([1.0, 0.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         PureState(1, np.array([1.0, 1.0], dtype=complex))  # not normalized
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        PureState(0, [1])
+    with pytest.raises(ValueError, match="^need at least one qubit$"):
+        all_ones_state(0)
 
 
 @pytest.mark.parametrize(
@@ -146,6 +150,8 @@ def test_pure_state_validation():
         ([2, 2], [0.5, 0.5], "keys must be strictly increasing"),
         ([1, 2], [0.5], "keys and values must be 1-D arrays of one length"),
         ([[1, 2]], [[0.5, 0.5]], "keys and values must be 1-D arrays of one length"),
+        ([-1, 2], [0.5, 0.5], r"keys must lie in \[0, 3\^2\)"),
+        ([0, 9], [0.5, 0.5], r"keys must lie in \[0, 3\^2\)"),
     ],
 )
 def test_correlation_tensor_validation(keys, values, message):
@@ -175,9 +181,8 @@ def test_kron_states():
 
 
 def test_expectation_does_not_keep_every_qubit_count():
-    # each n caches 9 * 2^n bytes of index arrays; a scan down from n = 16
-    # would keep all of them, 1.2 MB, if the cache were unbounded
-    pauli._index_arrays.cache_clear()
+    # nothing is cached per n: a scan down from n = 16 that kept an index
+    # array per n (8 * 2^n bytes each) would hold about 1 MB
     tracemalloc.start()
     try:
         for n in range(16, 7, -1):

@@ -111,6 +111,13 @@ def _assert_member_combo_is_brute_force(group, rng):
     for x, z in rng.integers(-(1 << group.n), 1 << group.n, size=(64, 2)).tolist():
         if (x, z) not in members:
             assert group.member_combo(x, z) is None, (group, x, z)
+    # masks wider than n: z bit n read as x bit 0 would make (x ^ 1, z | 2^n) the member (x, z)
+    for x, z in members:
+        if x & 1:
+            assert group.member_combo(x ^ 1, z | 1 << group.n) is None, (group, x, z)
+    for x, z in rng.integers(0, 4 << group.n, size=(64, 2)).tolist():
+        if (x | z) >> group.n:
+            assert group.member_combo(x, z) is None, (group, x, z)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -337,15 +344,6 @@ def test_support_count_identity(n):
 def test_count_equals_support_length_on_random_graphs(n, rnd):
     group = stabilizer_group(random_graph(n, rnd))
     assert full_weight_count(group) == len(full_weight_support(group))
-
-
-def _hadamard_twin(group, qubits):
-    """group with the x and z bits swapped on the qubits of the mask (Hadamards there; signs kept)."""
-    swapped = []
-    for x, z, s in group.generators:
-        swap = (x ^ z) & qubits
-        swapped.append((x ^ swap, z ^ swap, s))
-    return StabilizerGroup(group.n, tuple(swapped))
 
 
 @pytest.mark.parametrize("n", [*range(2, 19), 21, 22])
