@@ -8,16 +8,15 @@ graphsep registers each home module of _EXPORTS as a lazy module
 and each public name resolves on first access (PEP 562), so graphsep.X
 is graphsep.<home>.X.  No module imports numpy at import time: the
 functions that build or read arrays (amplitudes, sparse tensors, the
-walk, the key patterns, a loaded file's ensemble) get it from
-pauli.require_numpy, which without it raises a one-line ImportError
-that names the extra.  separability (bounds, thresholds and the integer
-closed forms) and graphs (graphs, the full-weight count and the pattern
-order) never read it, and groups, settings and the raw-amplitude norm
+walk, the key patterns) get it from pauli.require_numpy, which without
+it raises a one-line ImportError that names the extra.  separability
+(bounds, thresholds and the integer closed forms) and graphs (graphs,
+the full-weight count and the pattern order) never read it, and groups, settings and the raw-amplitude norm
 are plain ints, floats and bytes, so no CLI command needs numpy.
 
 No class is a dataclass (its module brings inspect, ast and dis, about
-10 ms of start-up): the result records PartitionBound, XiResult and
-separability.Family are named tuples, the other classes plain ones.
+10 ms of start-up): the result records PartitionBound and XiResult
+are named tuples, the other classes plain ones.
 The modules reach each other through the lazy modules and read them
 only inside the functions that need them, so a CLI command runs the body
 of only the modules its path reads: cli and separability for bounds,

@@ -50,6 +50,8 @@ class PauliString:
     """Hermitian tensor product of single-qubit I/X/Y/Z operators; equal and hashed by its letters."""
 
     def __init__(self, ops: str):
+        if not isinstance(ops, str):
+            raise TypeError(f"Pauli string must be a str, got {type(ops).__name__}")
         if not ops:
             raise ValueError("Pauli string must act on at least one qubit")
         bad = set(ops) - set("IXYZ")

@@ -35,9 +35,9 @@ Noise is exact too: a state mixed with |1...1> has the squared norm
 (noise_products), which xi_noise evaluates exactly at the float p it is
 given and threshold_p solves in integers.  FAMILIES is the one table
 of the named families (the complete graph, GHZ, W and the cluster
-chain), each row two functions of n, its closed form and its state;
-check_family checks a name against it.  A graph file's graph and any
-stabilizer group are read alike (graphs), a graph with no group built.
+chain), each mapped to its closed form, a function of n; check_family
+checks a name against it.  A graph file's graph and any stabilizer
+group are read alike (graphs), a graph with no group built.
 So sweep verdicts, and detect verdicts on every named family and graph
 state, are exact decisions at the given p, and printed fields are
 correctly rounded.
@@ -55,9 +55,9 @@ import math
 import sys
 from functools import lru_cache
 from itertools import groupby
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from . import graphs, states  # lazy modules (graphsep/__init__.py): run for a graph or group source, or a state
+from . import graphs  # a lazy module (graphsep/__init__.py): runs for a graph or group source
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -249,20 +249,12 @@ def _chain_count(n: int) -> int:
     return a
 
 
-class Family(NamedTuple):
-    """A row of FAMILIES: products(n), the noise products (B, C, O, D), and build(n), the state."""
-
-    products: Callable[[int], tuple]
-    build: Callable[[int], object]
-
-
-# family name -> its row.  build looks the constructor up when called, so a
-# wrapped or patched one is the one that runs.
+# family name -> its noise products (B, C, O, D) as a function of n
 FAMILIES = {
-    "cg": Family(lambda n: (cg_norm_sq(n), 0, 1, 1), lambda n: states.graph_state(graphs.complete_graph(n))),
-    "ghz": Family(lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1), lambda n: states.ghz_state(n)),
-    "w": Family(lambda n: (5 * n - 4, n if n % 2 else -n, n, n), lambda n: states.w_state(n)),
-    "cluster": Family(lambda n: (_chain_count(n), 0, 1, 1), lambda n: states.cluster_state(n)),
+    "cg": lambda n: (cg_norm_sq(n), 0, 1, 1),
+    "ghz": lambda n: (cg_norm_sq(n), 1 - n % 2, 1, 1),
+    "w": lambda n: (5 * n - 4, n if n % 2 else -n, n, n),
+    "cluster": lambda n: (_chain_count(n), 0, 1, 1),
 }
 
 
@@ -311,7 +303,7 @@ def _check_source(n: int, source, count: bool = True) -> None:
 def _products(n: int, source) -> tuple[int, int, int, int]:
     """noise_products of a source that _check_source has passed."""
     if isinstance(source, str):
-        return FAMILIES[source].products(n)
+        return FAMILIES[source](n)
     return graphs.full_weight_count(source), (-1) ** n * source.zn_sign, 1, 1
 
 

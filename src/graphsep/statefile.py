@@ -15,12 +15,13 @@ amplitudes may be off normalization by up to 1e-6; they are renormalized
 on load with a warning.
 
 Family names are the keys of separability.FAMILIES, plus "graph".
-Loading checks the whole document but builds no state and loads no
-numpy: a LoadedState keeps its base state's source (a family name, the
-graphs.GraphSpec of a graph document, or for raw amplitudes a tuple of
-Python complex numbers), which detect hands to separability.xi_noise or
-to the amplitude kernel of graphsep.tensor, and builds its ensemble only
-when it is read (at p = 1, |1...1> alone).  A one-qubit family file is
+Loading checks the whole document and loads it to data, with no state
+built and no numpy loaded: a LoadedState keeps its base state's source
+(a family name, the graphs.GraphSpec of a graph document, or for raw
+amplitudes a tuple of Python complex numbers), which detect hands to
+separability.xi_noise or to the amplitude kernel of graphsep.tensor.
+A caller that wants the state builds it from the source (for raw
+amplitudes, pauli.PureState(n, source)).  A one-qubit family file is
 refused here, in one message that names the family.  So detect runs
 neither states nor stabilizer: xi_noise reads a family's closed form,
 and counts a graph's B from the GraphSpec itself.
@@ -32,12 +33,10 @@ import json
 import math
 import reprlib
 import warnings
-from functools import cached_property
-
 # lazy modules (graphsep/__init__.py): graphs runs when a graph document is
-# read, pauli and states only when an ensemble is built
-from . import graphs, pauli, states
-from .separability import FAMILIES, check_family
+# read; pauli names the type of the state that the writers take
+from . import graphs, pauli
+from .separability import check_family
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
 
@@ -49,10 +48,9 @@ class StateFileError(ValueError):
 
 
 class LoadedState:
-    """Parsed state file: its provenance fields, its base state's source
-    (a family name, a GraphSpec or an amplitude tuple) and the ensemble,
-    built from the source on first read.  Equality, hash and repr read
-    the provenance fields (n, family, p) only."""
+    """Parsed state file: its provenance fields and its base state's source
+    (a family name, a GraphSpec or an amplitude tuple).  Equality, hash and
+    repr read the provenance fields (n, family, p) only."""
 
     def __init__(self, n: int, family: str | None, p: float | None, source):
         self.n, self.family, self.p, self.source = n, family, p, source
@@ -68,17 +66,6 @@ class LoadedState:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    @cached_property
-    def ensemble(self) -> pauli.MixedEnsemble:
-        if self.p == 1.0:  # |1...1> alone: noisy_mixture would discard the base state, so none is built
-            return pauli.pure_ensemble(states.all_ones_state(self.n))
-        base = self.source
-        if self.family is None:
-            base = pauli.PureState(self.n, base)
-        else:
-            base = states.graph_state(base) if self.family == "graph" else FAMILIES[base].build(self.n)
-        return pauli.pure_ensemble(base) if self.p is None else states.noisy_mixture(base, self.p)
 
 
 def _is_number(value, kinds=(int, float)) -> bool:

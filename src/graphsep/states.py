@@ -18,7 +18,7 @@ exact quadratic; W states and raw amplitudes carry none.  Every
 constructor defers its 2^n amplitudes (PureState.deferred) until
 something reads them (the dense path, expectation,
 write_amplitude_file), so a call costs at most a group's O(n^2) check.
-separability.FAMILIES names the constructor of each named family.
+Each named family of separability.FAMILIES has its constructor here.
 """
 
 from __future__ import annotations

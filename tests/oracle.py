@@ -13,7 +13,8 @@ import numpy as np
 
 from graphsep.pauli import MixedEnsemble, PureState
 from graphsep.stabilizer import StabilizerGroup
-from graphsep.graphs import GraphSpec
+from graphsep.graphs import GraphSpec, complete_graph
+from graphsep.states import cluster_state, ghz_state, graph_state, w_state
 
 PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -95,6 +96,15 @@ def untagged(ens):
     if isinstance(ens, PureState):
         return PureState(ens.n, ens.amplitudes)
     return MixedEnsemble(tuple((w, PureState(st.n, st.amplitudes)) for w, st in ens.terms))
+
+
+# family name (a key of separability.FAMILIES) -> its state constructor
+FAMILY_STATES = {
+    "cg": lambda n: graph_state(complete_graph(n)),
+    "ghz": ghz_state,
+    "w": w_state,
+    "cluster": cluster_state,
+}
 
 
 def kron_states(a: PureState, b: PureState) -> PureState:

@@ -402,6 +402,30 @@ def test_detect_product_state_never_flagged(capsys, tmp_path):
     assert "verdict=Inconclusive" in out
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1 (sound bounds outside the paper's class): detect bounds every input by the"
+    " paper's at-most-one-2-block rule, so a state that factors over 2-qubit blocks is certified",
+)
+@pytest.mark.parametrize(
+    "doc,k",
+    [
+        # |Phi+> (x) |Phi+>: amplitude 1/2 on |0000>, |0011>, |1100> and |1111>
+        ({"n": 4, "amplitudes": [[0.5, 0] if i in (0, 3, 12, 15) else [0, 0] for i in range(16)]}, 2),
+        ({"family": "graph", "n": 4, "edges": [[1, 2], [3, 4]]}, 2),
+        ({"family": "graph", "n": 6, "edges": [[1, 2], [3, 4], [5, 6]]}, 3),
+    ],
+    ids=["raw-bell-pairs", "graph-two-edges", "graph-three-edges"],
+)
+def test_detect_never_certifies_a_product_of_2_blocks(capsys, tmp_path, doc, k):
+    # each state is k-separable at the k asked: a product of k entangled 2-qubit blocks
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", str(k))
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict=Inconclusive"
+
+
 def test_detect_raw_amplitudes_builds_no_tensor(capsys, tmp_path, monkeypatch):
     # raw amplitudes go to the pure-Python kernel; no tensor and no state is built
     def unbuildable(*args):

@@ -30,10 +30,9 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
-from graphsep.separability import FAMILIES
 from graphsep.stabilizer import all_ones_group
 
-from oracle import gray_code_support
+from oracle import FAMILY_STATES, gray_code_support
 
 
 def random_graph(n, rng, share=0.5):
@@ -128,7 +127,7 @@ def test_graph_states_build_no_group(monkeypatch):
     monkeypatch.setattr(StabilizerGroup, "__init__", fail)
     built = [graph_state(spec) for spec in specs]
     assert all(state.stabilizer is spec for state, spec in zip(built, specs))  # tagged with the graph itself
-    built += [cluster_state(7), FAMILIES["cg"].build(6), FAMILIES["cluster"].build(7)]
+    built += [cluster_state(7), FAMILY_STATES["cg"](6), FAMILY_STATES["cluster"](7)]
     for state in built:
         support, products = want[state.stabilizer]  # a KeyError unless the tag equals the graph
         t = full_tensor(state)

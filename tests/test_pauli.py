@@ -130,6 +130,11 @@ def test_pauli_string_validation():
         PauliString("")
     with pytest.raises(ValueError):
         PauliString("XQZ")
+    # letters come as one str: a list or bytes is refused before any letter is read
+    with pytest.raises(TypeError, match="^Pauli string must be a str, got list$"):
+        PauliString(["X", "Z"])
+    with pytest.raises(TypeError, match="^Pauli string must be a str, got bytes$"):
+        PauliString(b"XZ")
 
 
 def test_pure_state_validation():

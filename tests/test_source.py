@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of its tests defines one
 top-level function or class name twice, so no definition is silently
-shadowed by a later one."""
+shadowed by a later one, and the modules that load a state file and
+decide it import nothing that builds a state."""
 
 import ast
 from collections import Counter
@@ -24,3 +25,15 @@ def test_no_module_defines_a_name_twice():
         if names:
             twice[path.name] = names
     assert twice == {}
+
+
+def test_loading_and_deciding_import_no_state_layer():
+    # a state file loads to data, and every verdict reads a closed form, a
+    # GraphSpec or raw amplitudes: neither module can build a state or a group
+    for name in ("separability.py", "statefile.py"):
+        imported = set()  # the package modules named by "from . import x" and "from .x import y"
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported |= {node.module} if node.module else {alias.name for alias in node.names}
+        assert imported, name  # the walk sees the module's relative imports
+        assert imported.isdisjoint({"states", "stabilizer"}), (name, sorted(imported))

@@ -7,14 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphsep import LimitError, full_tensor, load_state_file, states, tensor, tensor_norm, write_amplitude_file
+from graphsep import LimitError, PureState, full_tensor, load_state_file, states, tensor, tensor_norm, write_amplitude_file
 from graphsep.cli import main
-from graphsep.separability import FAMILIES
 from graphsep.statefile import StateFileError, dumps_amplitudes, loads_state
 from graphsep.graphs import complete_graph
-from graphsep.states import cluster_state, ghz_state, graph_state, w_state
+from graphsep.states import cluster_state, ghz_state, graph_state, noisy_mixture, w_state
 
-from oracle import untagged
+from oracle import FAMILY_STATES, untagged
 
 
 def test_family_file_pure():
@@ -22,7 +21,7 @@ def test_family_file_pure():
     assert loaded.n == 4
     assert loaded.family == "cg"
     assert loaded.p is None
-    assert len(loaded.ensemble.terms) == 1
+    assert loaded.source == "cg"
 
 
 def test_a_file_that_is_not_utf8_is_a_state_file_error(tmp_path):
@@ -35,15 +34,15 @@ def test_a_file_that_is_not_utf8_is_a_state_file_error(tmp_path):
 
 def test_family_file_with_noise():
     loaded = loads_state('{"family": "ghz", "n": 3, "p": 0.25}')
-    assert loaded.p == 0.25
-    weights = sorted(w for w, _ in loaded.ensemble.terms)
+    assert loaded.p == 0.25 and loaded.source == "ghz"
+    weights = sorted(w for w, _ in noisy_mixture(FAMILY_STATES[loaded.source](loaded.n), loaded.p).terms)
     assert weights == pytest.approx([0.25, 0.75])
 
 
 def test_graph_family_with_edges():
     loaded = loads_state('{"family": "graph", "n": 3, "edges": [[1, 2], [2, 3]]}')
     chain = cluster_state(3)
-    assert np.allclose(loaded.ensemble.terms[0][1].amplitudes, chain.amplitudes)
+    assert np.allclose(graph_state(loaded.source).amplitudes, chain.amplitudes)
 
 
 def test_comment_lines_are_stripped():
@@ -56,7 +55,7 @@ def test_raw_amplitude_file():
     loaded = loads_state(json.dumps({"n": 3, "amplitudes": amps}))
     assert loaded.family is None
     assert loaded.source == (1.0,) + (0.0,) * 7 and all(type(a) is complex for a in loaded.source)
-    state = loaded.ensemble.terms[0][1]
+    state = PureState(loaded.n, loaded.source)
     assert state.amplitudes[0] == 1.0
 
 
@@ -65,7 +64,7 @@ def test_raw_amplitudes_renormalized_with_warning():
     amps = [[off, 0.0]] + [[0.0, 0.0]] * 3
     with pytest.warns(UserWarning, match="renormalizing"):
         loaded = loads_state(json.dumps({"n": 2, "amplitudes": amps}))
-    assert abs(loaded.ensemble.terms[0][1].amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(PureState(loaded.n, loaded.source).amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_raw_amplitudes_too_far_off_rejected():
@@ -129,7 +128,7 @@ def test_amplitude_round_trip_preserves_norm(build, tmp_path):
     write_amplitude_file(path, state)
     loaded = load_state_file(path)
     original = tensor_norm(full_tensor(untagged(state)))
-    reloaded = tensor_norm(full_tensor(loaded.ensemble))  # an amplitude file carries no tag
+    reloaded = tensor_norm(full_tensor(PureState(loaded.n, loaded.source)))  # an amplitude file carries no tag
     assert reloaded == pytest.approx(original, abs=1e-12)
 
 
@@ -167,30 +166,21 @@ def test_tagged_families_skip_the_dense_limit():
     n = tensor.DENSE_LIMIT + 2
     for family in ("cg", "ghz", "cluster"):
         loaded = loads_state(json.dumps({"family": family, "n": n, "p": 0.1}))
-        assert len(full_tensor(loaded.ensemble)) > 0
+        assert len(full_tensor(noisy_mixture(FAMILY_STATES[loaded.source](n), loaded.p))) > 0
     # a W file loads (detect reads its closed form); its amplitudes, untagged, do not pass
     assert loads_state(json.dumps({"family": "w", "n": n})).n == n
+    loaded = loads_state(dumps_amplitudes(w_state(tensor.DENSE_LIMIT + 1)))
     with pytest.raises(LimitError):
-        full_tensor(loads_state(dumps_amplitudes(w_state(tensor.DENSE_LIMIT + 1))).ensemble)
+        full_tensor(PureState(loaded.n, loaded.source))
 
 
 @pytest.mark.parametrize("family", ["cg", "ghz", "w", "cluster"])
-def test_one_qubit_family_refused_on_load(family, monkeypatch):
-    # one message that names the family, with no state built
-    monkeypatch.setitem(FAMILIES, family, FAMILIES[family]._replace(build=None))
+def test_one_qubit_family_refused_on_load(family):
+    # one message that names the family (statefile imports no state constructor: test_source.py)
     with pytest.raises(StateFileError, match=f"^family '{family}' needs at least 2 qubits$"):
         loads_state(json.dumps({"family": family, "n": 1, "p": 0.1}))
 
 
-def test_the_ensemble_is_built_once_on_first_read(monkeypatch):
-    calls = []
-    mix = states.noisy_mixture
-    monkeypatch.setattr(states, "noisy_mixture", lambda base, p: calls.append(p) or mix(base, p))
-    loaded = loads_state('{"family": "cluster", "n": 5, "p": 0.25}')
-    assert calls == []
-    ensemble = loaded.ensemble
-    assert loaded.ensemble is ensemble and calls == [0.25]
-    assert [w for w, _ in ensemble.terms] == [0.75, 0.25]
 @pytest.mark.parametrize(
     "field,doc",
     [
@@ -239,21 +229,6 @@ def test_loading_a_large_complete_graph_stays_small():
         tracemalloc.stop()
     assert loaded.n == 300 and loaded.p == 0.1
     assert peak < 1 << 20
-
-
-def test_the_ensemble_at_p1_builds_no_base_state(monkeypatch):
-    # noisy_mixture would discard the base state at p = 1, so it is never built
-    def unbuildable(*args):
-        raise AssertionError("the base state was built")
-
-    monkeypatch.setattr(states, "cluster_state", unbuildable)
-    monkeypatch.setattr(states, "graph_state", unbuildable)
-    for doc in ('{"family": "cluster", "n": 5, "p": 1}', '{"family": "graph", "n": 3, "edges": [[1, 2]], "p": 1}'):
-        (term,) = loads_state(doc).ensemble.terms
-        assert term[0] == 1.0 and term[1].stabilizer.diagonal
-    # the patches do stop a base state
-    with pytest.raises(AssertionError):
-        loads_state('{"family": "cluster", "n": 5, "p": 0.5}').ensemble
 
 
 @pytest.mark.parametrize(

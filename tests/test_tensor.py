@@ -42,6 +42,7 @@ from graphsep import (
     pure_ensemble,
     separability,
     stabilizer,
+    states,
     stabilizer_group,
     tensor,
     tensor_norm,
@@ -54,6 +55,7 @@ from graphsep.separability import FAMILIES, INCONCLUSIVE, cg_norm_sq
 from graphsep.stabilizer import all_ones_group
 
 from oracle import (
+    FAMILY_STATES,
     apply_local_unitaries,
     brute_k_sep_bound,
     chain_string_counts,
@@ -240,7 +242,7 @@ def test_ensemble_norm_sq_is_the_full_tensor_norm_on_random_graphs(case, tol, pu
 def test_ensemble_norm_sq_is_the_full_tensor_norm_on_families(p, tol):
     for n in (2, 3, 4, 7, 8):
         for family in ("cg", "ghz", "cluster"):
-            state = FAMILIES[family].build(n)
+            state = FAMILY_STATES[family](n)
             doc = {"family": family, "n": n} if p is None else {"family": family, "n": n, "p": p}
             _check_squared_norm(state, p, tol, family, doc)
         _check_squared_norm(all_ones_state(n), p, tol, all_ones_group(n))
@@ -346,9 +348,9 @@ def test_family_states_carry_their_group():
             "w": None,
             "cluster": stabilizer_group(chain_graph(n)),
         }
-        assert groups.keys() == FAMILIES.keys()
+        assert groups.keys() == FAMILIES.keys() == FAMILY_STATES.keys()
         for family, group in groups.items():
-            tag = FAMILIES[family].build(n).stabilizer
+            tag = FAMILY_STATES[family](n).stabilizer
             assert tag is None if group is None else tag.generators == group.generators, (family, n)
     # the noise term is tagged too: its only identity-free element is -Z on each qubit
     for n in (1, 2, 5):
@@ -436,9 +438,9 @@ def test_pure_kernel_matches_dense_sweep_and_exact_norm(n, real, seed):
 @pytest.mark.parametrize("n", range(2, 11))
 def test_pure_kernel_meets_every_family_closed_form(n):
     # raw amplitudes of the cg, GHZ, W and cluster states against B / D of noise_products
-    for family, row in FAMILIES.items():
-        b, _, _, d = row.products(n)
-        got = tensor._pure_norm_sq(n, row.build(n).amplitudes.tolist())
+    for family, products in FAMILIES.items():
+        b, _, _, d = products(n)
+        got = tensor._pure_norm_sq(n, FAMILY_STATES[family](n).amplitudes.tolist())
         assert abs(got - Fraction(b, d)) <= _margin(got, n), family
 
 
@@ -590,12 +592,12 @@ def test_norm_table_support_path_rows():
 
 
 def test_norm_table_rows_are_the_squared_norms():
-    for family, row in FAMILIES.items():
+    for family in FAMILIES:
         for _, n, norm_sq in norm_table([family], 2, 6):
-            group = row.build(n).stabilizer
+            group = FAMILY_STATES[family](n).stabilizer
             if group is not None:
                 assert norm_sq == len(full_weight_support(group))
-            assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(row.build(n)))), rel=1e-12)
+            assert norm_sq == pytest.approx(tensor_norm_sq(full_tensor(untagged(FAMILY_STATES[family](n)))), rel=1e-12)
 
 
 def test_norm_table_builds_no_tagged_state(monkeypatch):
@@ -608,13 +610,13 @@ def test_norm_table_builds_no_tagged_state(monkeypatch):
     assert norm_table(["cg", "ghz"], 1000, 1000) == [("cg", 1000, float(2 ** 999 + 1)), ("ghz", 1000, float(2 ** 999 + 1))]
     assert built == []
     # and the patch does see a build: reading a family state's amplitudes
-    FAMILIES["cluster"].build(6).amplitudes
+    FAMILY_STATES["cluster"](6).amplitudes
     assert built == [6]
 
 
 def test_norm_table_builds_no_w_state(monkeypatch):
     built = []
-    monkeypatch.setitem(FAMILIES, "w", FAMILIES["w"]._replace(build=lambda n: built.append(n)))
+    monkeypatch.setattr(states, "w_state", lambda n: built.append(n))
     rows = norm_table(["w"], 2, 12) + norm_table(["w"], 1000, 1000)
     assert rows == [("w", n, float(Fraction(5) - Fraction(4, n))) for n in (*range(2, 13), 1000)]
     assert built == []
