@@ -49,23 +49,14 @@ class StateFileError(ValueError):
 
 class LoadedState:
     """Parsed state file: its provenance fields and its base state's source
-    (a family name, a GraphSpec or an amplitude tuple).  Equality, hash and
-    repr read the provenance fields (n, family, p) only."""
+    (a family name, a GraphSpec or an amplitude tuple).  It compares by
+    identity, and its repr reads the provenance fields (n, family, p) only."""
 
     def __init__(self, n: int, family: str | None, p: float | None, source):
         self.n, self.family, self.p, self.source = n, family, p, source
 
-    def _fields(self) -> tuple:
-        return self.n, self.family, self.p
-
     def __repr__(self) -> str:
         return f"LoadedState(n={self.n!r}, family={self.family!r}, p={self.p!r})"
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is LoadedState else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
 
 def _is_number(value, kinds=(int, float)) -> bool:

@@ -40,8 +40,9 @@ from . import graphs, pauli, stabilizer
 from .separability import LimitError, check_family, noise_products
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
-# words, 4^n products (the kernel takes about 0.06 s at n = 10), and the
-# sweep's rho of 16 * 4^n bytes, 4x more for each qubit past this limit.
+# words, 4^n products (the kernel takes 0.08-0.10 s at n = 10, in-process
+# on a 2-core Xeon VM), and the sweep's rho of 16 * 4^n bytes, 4x more for
+# each qubit past this limit.
 DENSE_LIMIT = 10
 
 
@@ -114,20 +115,19 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
     return pauli.CorrelationTensor(n, *_dense_arrays(ens.terms, n, zero_tol))
 
 
-def _interleave(lo: list, hi: list, block: int) -> list:
-    """lo and hi taken in turns, block entries at a time: lo[:block], hi[:block], lo[block:2*block], ...
+def _gather(p: list, half: int, first: int) -> list:
+    """Half `first` (0 or 1) of every run of 2*half entries, in order, then the other halves.
 
-    Costs 2 min(block, len(lo) / block) slice copies.
+    Costs 2 min(half, len(p) / (2*half)) slice copies.
     """
-    out = [None] * (2 * len(lo))
-    if block * block <= len(lo):  # short blocks: one strided copy per offset in a block
-        for j in range(block):
-            out[j::2 * block] = lo[j::block]
-            out[block + j::2 * block] = hi[j::block]
-    else:  # few blocks: one copy per block
-        for i in range(0, len(lo), block):
-            out[2 * i:2 * i + block] = lo[i:i + block]
-            out[2 * i + block:2 * i + 2 * block] = hi[i:i + block]
+    out, h = [None] * len(p), len(p) >> 1
+    for at, s in ((0, first * half), (h, (1 - first) * half)):
+        if half * half <= h:  # short halves: one strided copy per offset in a half
+            for j in range(half):
+                out[at + j:at + h:half] = p[s + j::2 * half]
+        else:  # few runs: one copy per run
+            for i in range(0, h, half):
+                out[at + i:at + i + half] = p[2 * i + s:2 * i + s + half]
     return out
 
 
@@ -153,17 +153,18 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     sign (-1)^|v| is (-1)^|b| times (-1)^|u|, and the second factor
     leaves |g| alone, so the first goes on the amplitudes once (sa).
 
-    The qubits are decided top bit first, in one recursion for all x.
-    The lists keep the undecided qubits on top, then the flip qubits
-    decided so far, then the sign qubits.  A sign qubit moves to the
-    bottom and a flip qubit just under the undecided ones, each by one
-    interleave of the two halves; for a flip qubit the conjugate list
-    takes its halves swapped, which pairs u with ubar.  As g_x(ubar) =
-    +-conj(g_x(u)), the first flip qubit keeps only the half u = 0
-    (lo against chi) and doubles its weight.  At the last qubit each g is
-    the pairwise fold of its products over the sign qubits.  Every
-    w |g|^2 goes into one fsum as w re^2 and w im^2 (w a power of two),
-    leaf by leaf, so no list of all 3^n parts is held.
+    The qubits are decided top bit first, in one recursion for all x,
+    on lists of one layout: each is a sequence of runs of `run` entries
+    over the undecided qubits, and the decided ones index the runs, the
+    sum qubits (those of c) directly above the run and the flip qubits
+    above those.  A sum qubit halves the run and moves nothing.  A flip
+    qubit goes on top (_gather), with the conjugate list taking its
+    halves swapped, which pairs u with ubar.  As g_x(ubar) =
+    +-conj(g_x(u)), the first flip qubit keeps only the half u = 0 and
+    doubles its weight.  Once every qubit is decided, each g is the
+    pairwise fold of its products over the sum qubits at the bottom.
+    Every w |g|^2 goes into one fsum as w re^2 and w im^2 (w a power of
+    two), leaf by leaf, so no list of all 3^n parts is held.
     separability.detect states the rounding margin of the result.
     """
     dense_limit(n)
@@ -176,29 +177,21 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     def parts(p, w):
         return [w * g.real * g.real for g in p] + [w * g.imag * g.imag for g in p]
 
-    def decide(a, c, left, below, flips, w, halved):
-        # yields lists of parts; left undecided qubits on top, then `flips` flip
-        # and below - flips sign qubits; w is 2^|x|, doubled once the ubar half is dropped
-        h = len(a) >> 1
-        lo, hi, clo, chi = a[:h], a[h:], c[:h], c[h:]
-        if left == 1:
-            sign_qubits = below - flips
-            yield parts(_fold(list(map(add, map(mul, lo, clo), map(mul, hi, chi))), sign_qubits), w)
-            if halved:
-                yield parts(_fold(list(map(mul, lo, chi)) + list(map(mul, hi, clo)), sign_qubits), 2 * w)
-            else:
-                yield parts(_fold(list(map(mul, lo, chi)), sign_qubits), 4 * w)
+    def decide(a, c, run, sums, w):
+        # yields lists of parts; w is 2^|x|, doubled once the ubar half is
+        # dropped, so it is 1 until the first flip qubit
+        if run == 1:
+            yield parts(_fold(list(map(mul, a, c)), sums), w)
             return
-        yield from decide(_interleave(lo, hi, 1), _interleave(clo, chi, 1), left - 1, below + 1, flips, w, halved)
-        if halved:
-            block = 1 << below
-            yield from decide(
-                _interleave(lo, hi, block), _interleave(chi, clo, block), left - 1, below + 1, flips + 1, 2 * w, True
-            )
-        else:
-            yield from decide(lo, chi, left - 1, below, flips, 4 * w, True)
+        half = run >> 1
+        yield from decide(a, c, half, sums + 1, w)  # a sum qubit
+        a, c = _gather(a, half, 0), _gather(c, half, 1)  # a flip qubit: lo against chi, hi against clo
+        if w == 1:  # the first one: keep u = 0 only
+            h = len(a) >> 1
+            a, c, w = a[:h], c[:h], 2 * w
+        yield from decide(a, c, half, sums, 2 * w)
 
-    return math.fsum(chain.from_iterable(decide(sa, ca, n, 0, 0, 1, False)))
+    return math.fsum(chain.from_iterable(decide(sa, ca, 1 << n, 0, 1)))
 
 
 def tensor_norm_sq(t: pauli.CorrelationTensor) -> float:

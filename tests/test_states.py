@@ -106,12 +106,15 @@ def test_plain_classes_keep_their_repr_equality_and_hash():
     assert spec != ((1, 2), (2, 3)) and {spec, GraphSpec(3, [(1, 2), (2, 3)])} == {spec}
     assert PauliString("XZ") == PauliString("XZ") != PauliString("ZX")
     assert hash(PauliString("XZ")) == hash(PauliString("XZ")) and repr(PauliString("XZ")) == "PauliString(ops='XZ')"
-    # a loaded file compares and prints by its provenance, not its source
+    # a loaded file compares by identity, so files that differ only in their
+    # source differ, and it prints by its provenance
     first, second = loads_state('{"family": "cg", "n": 3, "p": 0.5}'), loads_state('{"family": "cg", "n": 3, "p": 0.5}')
     raw = '{"n": 1, "amplitudes": [[%s, 0], [%s, 0]]}'
-    assert first == second and hash(first) == hash(second) and first != loads_state('{"family": "ghz", "n": 3}')
-    assert loads_state(raw % (1, 0)) == loads_state(raw % (0, 1))
-    assert repr(first) == "LoadedState(n=3, family='cg', p=0.5)"
+    graph = '{"family": "graph", "n": 3, "edges": %s}'
+    assert first == first != second and len({first, second}) == 2 and first != loads_state('{"family": "ghz", "n": 3}')
+    assert loads_state(raw % (1, 0)) != loads_state(raw % (0, 1))
+    assert loads_state(graph % "[[1, 2]]") != loads_state(graph % "[[2, 3], [1, 3]]")
+    assert repr(first) == repr(second) == "LoadedState(n=3, family='cg', p=0.5)"
     # groups, states, ensembles and tensors compare by identity
     group = stabilizer_group(spec)
     assert group == group != stabilizer_group(spec)

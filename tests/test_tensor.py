@@ -451,6 +451,31 @@ def test_pure_kernel_refuses_past_the_dense_limit_before_reading():
     assert tensor._pure_norm_sq(3, all_ones_state(3).amplitudes.tolist()) == 1.0
 
 
+@pytest.mark.parametrize("n", range(2, 11, 2))
+def test_pure_kernel_is_exact_on_dyadic_amplitudes(n):
+    # at even n a graph state's amplitudes are exactly +-2^(-n/2), so every
+    # product, pairwise sum and part is a float with no rounding, and the
+    # kernel returns the full-weight count itself
+    rng = np.random.default_rng(n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for _ in range(6):
+        spec = GraphSpec(n, [e for e, on in zip(pairs, rng.random(len(pairs)) < 0.5) if on])
+        assert tensor._pure_norm_sq(n, graph_state(spec).amplitudes.tolist()) == full_weight_count(spec)
+
+
+def test_pure_kernel_holds_no_list_of_all_parts():
+    amps = random_state(10, np.random.default_rng(10)).tolist()
+    tracemalloc.start()
+    try:
+        tensor._pure_norm_sq(10, amps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2 * 3^10 parts held at once would take over 2 MiB; the lists along
+    # one path of the recursion take about a quarter of a MiB
+    assert peak < 1 << 20
+
+
 def test_matches_dense_oracle_on_random_mixture():
     rng = np.random.default_rng(77)
     terms = ((0.6, PureState(3, random_state(3, rng))), (0.4, PureState(3, random_state(3, rng))))
