@@ -7,12 +7,13 @@ graphsep registers each home module of _EXPORTS as a lazy module
 (importlib.util.LazyLoader) whose body runs on first attribute access,
 and each public name resolves on first access (PEP 562), so graphsep.X
 is graphsep.<home>.X.  No module imports numpy at import time: the
-functions that build or read arrays (amplitudes, sparse tensors, the
+functions that build or read arrays (amplitude arrays, sparse tensors, the
 walk, the key patterns) get it from pauli.require_numpy, which without
 it raises a one-line ImportError that names the extra.  separability
-(bounds, thresholds and the integer closed forms) and graphs (graphs,
-the full-weight count and the pattern order) never read it, and groups, settings and the raw-amplitude norm
-are plain ints, floats and bytes, so no CLI command needs numpy.
+(bounds, thresholds and the integer closed forms), graphs (graphs, the
+full-weight count and the pattern order) and amplitudes (the
+raw-amplitude norm and the dense limit) never read it, and groups and
+settings are plain ints and bytes, so no CLI command needs numpy.
 
 No class is a dataclass (its module brings inspect, ast and dis, about
 10 ms of start-up): the result records PartitionBound and XiResult
@@ -20,10 +21,13 @@ are named tuples, the other classes plain ones.
 The modules reach each other through the lazy modules and read them
 only inside the functions that need them, so a CLI command runs the body
 of only the modules its path reads: cli and separability for bounds,
-sweep, appendix and graph, plus tensor for norms, tensor and graphs for
-settings, and statefile for detect, with graphs for a graph file and
-tensor for raw amplitudes.  No command runs states, stabilizer or
-pauli: statefile refuses a one-qubit family file itself.
+sweep, appendix and graph, plus tensor and amplitudes (whose dense limit
+tensor imports) for norms, those and graphs for settings, and statefile
+for detect, with graphs for a graph file and amplitudes for raw
+amplitudes.  No command runs states, stabilizer or pauli: statefile
+refuses a one-qubit family file itself, and tensor runs for no detect.
+amplitudes exports no public name: it is registered as a lazy module
+like the others, so graphsep.amplitudes._pure_norm_sq is the kernel.
 """
 
 import importlib
@@ -32,8 +36,9 @@ import sys
 
 __version__ = "0.1.0"
 
-# home module -> the public names it exports
+# home module -> the public names it exports (none for amplitudes, registered all the same)
 _EXPORTS = {
+    "amplitudes": "",
     "graphs": "GraphSpec chain_graph complete_graph full_weight_count",
     "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble",
     "separability": "INCONCLUSIVE LimitError NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"

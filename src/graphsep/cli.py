@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from itertools import chain
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
-from . import statefile, tensor
+from . import amplitudes, statefile, tensor
 from .separability import FAMILIES, LimitError, cg_norm_sq, detect, k_sep_bound
 from .separability import permutation_terms, threshold_p, xi_noise
 
@@ -142,7 +142,7 @@ def cmd_detect(args) -> list[str]:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
     _check_limit("k", args.k, MAX_PARTS)
     if loaded.family is None:  # raw amplitudes: the kernel's float norm, certified past its rounding margin
-        res = detect(tensor._pure_norm_sq(n, loaded.source), n, args.k)
+        res = detect(amplitudes._pure_norm_sq(n, loaded.source), n, args.k)
     else:  # the exact noise quadratic of a family name or a graph (noise_products)
         res = xi_noise(n, args.k, loaded.p or 0.0, loaded.source)
     pb = k_sep_bound(n, args.k)

@@ -205,7 +205,7 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     norm_sq over bound_sq, correctly rounded.
 
     The margin covers both float sums of the package; u = 2^-53.  The
-    CLI's is the amplitude kernel (tensor._pure_norm_sq).  Its squared
+    CLI's is the amplitude kernel (amplitudes._pure_norm_sq).  Its squared
     norm is |G|^2 for the vector G of the 3^n values sqrt(2^|x|) g_x(u),
     each g a sum of at most 2^n products a[u, v] conj(a[ubar, v]).  A
     complex product is within sqrt(5) u of its value, and a pairwise fold

@@ -14,12 +14,13 @@ with qubit 1 in the most significant bit of the amplitude index.  Raw
 amplitudes may be off normalization by up to 1e-6; they are renormalized
 on load with a warning.
 
-Family names are the keys of separability.FAMILIES, plus "graph".
+Family names are the keys of separability.FAMILIES, plus "graph".  A
+field given twice is refused, whatever its values.
 Loading checks the whole document and loads it to data, with no state
 built and no numpy loaded: a LoadedState keeps its base state's source
 (a family name, the graphs.GraphSpec of a graph document, or for raw
 amplitudes a tuple of Python complex numbers), which detect hands to
-separability.xi_noise or to the amplitude kernel of graphsep.tensor.
+separability.xi_noise or to the amplitude kernel of graphsep.amplitudes.
 A caller that wants the state builds it from the source (for raw
 amplitudes, pauli.PureState(n, source)).  A one-qubit family file is
 refused here, in one message that names the family.  So detect runs
@@ -68,10 +69,22 @@ def _strip_comments(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if not line.lstrip().startswith("#"))
 
 
+def _fields(pairs: list) -> dict:
+    """A JSON object's fields; a name given twice is refused, not read as its last value."""
+    doc = {}
+    for name, value in pairs:
+        if name in doc:
+            raise StateFileError(f"repeated field {name!r}")
+        doc[name] = value
+    return doc
+
+
 def loads_state(text: str) -> LoadedState:
     """Parse state-file text; see the module docstring for the format."""
     try:
-        doc = json.loads(_strip_comments(text))
+        doc = json.loads(_strip_comments(text), object_pairs_hook=_fields)
+    except StateFileError:  # a repeated field (_fields)
+        raise
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise StateFileError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -20,6 +20,7 @@ import pytest
 import graphsep
 from graphsep import (
     LimitError,
+    amplitudes,
     chain_graph,
     full_tensor,
     full_weight_count,
@@ -126,7 +127,7 @@ def test_norms_resource_limit_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == "graphsep: error: dense sweep over 3^11 words exceeds the 10-qubit limit\n"
     with pytest.raises(LimitError) as caught:  # the library's refusal is a RuntimeError too
-        tensor._pure_norm_sq(11, None)
+        amplitudes._pure_norm_sq(11, None)
     assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
     # cluster rows are a closed form too, past the walk limit, and an unknown name is still refused
     code, out, err = run(capsys, "norms", "--families", "cluster", "--n-min", "27", "--n-max", "27")
@@ -470,6 +471,14 @@ def test_detect_malformed_file_exits_1(capsys, tmp_path):
     path.write_text(json.dumps({"n": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
     want = "graphsep: error: need 2 <= k <= n, got k=3 for an n=2 state\n"
     assert run(capsys, "detect", "--state-file", str(path), "--k", "3") == (1, "", want)
+
+
+def test_detect_repeated_field_exits_1(capsys, tmp_path):
+    # a repeated field is an input error, not its last value: this file was decided as W
+    path = tmp_path / "twice.json"
+    path.write_text('{"family": "cg", "n": 5, "family": "w"}')
+    want = "graphsep: error: repeated field 'family'\n"
+    assert run(capsys, "detect", "--state-file", str(path), "--k", "2") == (1, "", want)
 
 
 @pytest.mark.parametrize(

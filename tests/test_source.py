@@ -29,8 +29,8 @@ def test_no_module_defines_a_name_twice():
 
 def test_loading_and_deciding_import_no_state_layer():
     # a state file loads to data, and every verdict reads a closed form, a
-    # GraphSpec or raw amplitudes: neither module can build a state or a group
-    for name in ("separability.py", "statefile.py"):
+    # GraphSpec or raw amplitudes: none of these modules can build a state or a group
+    for name in ("amplitudes.py", "separability.py", "statefile.py"):
         imported = set()  # the package modules named by "from . import x" and "from .x import y"
         for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)):
             if isinstance(node, ast.ImportFrom) and node.level == 1:

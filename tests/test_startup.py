@@ -55,13 +55,13 @@ sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 """
 
 # the graphsep modules whose body each command runs (README, "Start-up");
-# no command runs states, pauli or stabilizer
+# no command runs states, pauli or stabilizer, and no detect runs tensor
 TABLES = ("cli", "separability")  # bounds, sweep, appendix, graph
-NORMS = (*TABLES, "tensor")
+NORMS = (*TABLES, "tensor", "amplitudes")  # tensor imports the dense limit from amplitudes
 SETTINGS = (*NORMS, "graphs")
 FAMILY_FILE = (*TABLES, "statefile")
 GRAPH_FILE = (*FAMILY_FILE, "graphs")  # the count reads the GraphSpec: no state, no group
-RAW_FILE = (*FAMILY_FILE, "tensor")
+RAW_FILE = (*FAMILY_FILE, "amplitudes")
 
 
 def fresh_python(code, *argv, **streams):

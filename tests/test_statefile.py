@@ -102,6 +102,22 @@ def test_malformed_files_rejected(text):
 
 
 @pytest.mark.parametrize(
+    "text,field",
+    [
+        ('{"family": "cg", "n": 5, "family": "w"}', "family"),  # was decided as W
+        ('{"family": "graph", "n": 3, "edges": [[1, 2], [2, 3]], "edges": []}', "edges"),  # was edgeless
+        ('{"family": "cg", "n": 5, "n": 5}', "n"),  # the same value twice
+        ('{"family": "cg", "n": 5, "p": 0.1, "p": 0.2, "n": 6}', "p"),  # the first name given twice
+        ('{"n": 1, "amplitudes": [[1, 0], [0, 0]],\n# a comment\n"amplitudes": [[0, 0], [1, 0]]}', "amplitudes"),
+    ],
+)
+def test_a_repeated_field_is_refused(text, field):
+    # json.loads keeps the last value of a repeated name; a state file may not repeat one
+    with pytest.raises(StateFileError, match=f"^repeated field '{field}'$"):
+        loads_state(text)
+
+
+@pytest.mark.parametrize(
     "doc,message",
     [
         ({"n": 2, "amplitudes": [[1, 0]]}, "'amplitudes' must list exactly 2^2 entries"),

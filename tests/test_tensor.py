@@ -23,6 +23,7 @@ from graphsep import (
     MixedEnsemble,
     PureState,
     all_ones_state,
+    amplitudes,
     cg_nonzero_pattern,
     chain_graph,
     complete_graph,
@@ -413,6 +414,12 @@ def test_dense_limit_env_override(monkeypatch):
         full_tensor(PureState(n, random_state(n, rng)))
 
 
+def test_tensor_reads_the_limit_of_the_kernel():
+    # one limit, kept beside the amplitude kernel: the dense sweep imports it
+    assert tensor.dense_limit is amplitudes.dense_limit
+    assert tensor.DENSE_LIMIT == amplitudes.DENSE_LIMIT == 10
+
+
 def _margin(norm_sq, n):
     """The rounding margin detect subtracts from a float squared norm."""
     return norm_sq - separability._lower_bound(norm_sq, n)
@@ -429,7 +436,7 @@ def test_pure_kernel_matches_dense_sweep_and_exact_norm(n, real, seed):
     if real:
         amps = amps.real / np.linalg.norm(amps.real)
     state = PureState(n, amps)
-    got = tensor._pure_norm_sq(n, amps.tolist())
+    got = amplitudes._pure_norm_sq(n, amps.tolist())
     assert abs(got - tensor_norm_sq(full_tensor(state))) <= _margin(got, n)
     if n <= 7:
         assert abs(got - exact_tensor_norm_sq(pure_ensemble(state).terms, n)) <= _margin(got, n)
@@ -440,15 +447,15 @@ def test_pure_kernel_meets_every_family_closed_form(n):
     # raw amplitudes of the cg, GHZ, W and cluster states against B / D of noise_products
     for family, products in FAMILIES.items():
         b, _, _, d = products(n)
-        got = tensor._pure_norm_sq(n, FAMILY_STATES[family](n).amplitudes.tolist())
+        got = amplitudes._pure_norm_sq(n, FAMILY_STATES[family](n).amplitudes.tolist())
         assert abs(got - Fraction(b, d)) <= _margin(got, n), family
 
 
 def test_pure_kernel_refuses_past_the_dense_limit_before_reading():
     want = "dense sweep over 3^11 words exceeds the 10-qubit limit"
     with pytest.raises(LimitError, match=f"^{re.escape(want)}$"):
-        tensor._pure_norm_sq(11, None)  # None: not one amplitude is read
-    assert tensor._pure_norm_sq(3, all_ones_state(3).amplitudes.tolist()) == 1.0
+        amplitudes._pure_norm_sq(11, None)  # None: not one amplitude is read
+    assert amplitudes._pure_norm_sq(3, all_ones_state(3).amplitudes.tolist()) == 1.0
 
 
 @pytest.mark.parametrize("n", range(2, 11, 2))
@@ -460,14 +467,14 @@ def test_pure_kernel_is_exact_on_dyadic_amplitudes(n):
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     for _ in range(6):
         spec = GraphSpec(n, [e for e, on in zip(pairs, rng.random(len(pairs)) < 0.5) if on])
-        assert tensor._pure_norm_sq(n, graph_state(spec).amplitudes.tolist()) == full_weight_count(spec)
+        assert amplitudes._pure_norm_sq(n, graph_state(spec).amplitudes.tolist()) == full_weight_count(spec)
 
 
 def test_pure_kernel_holds_no_list_of_all_parts():
     amps = random_state(10, np.random.default_rng(10)).tolist()
     tracemalloc.start()
     try:
-        tensor._pure_norm_sq(10, amps)
+        amplitudes._pure_norm_sq(10, amps)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
