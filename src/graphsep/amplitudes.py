@@ -17,7 +17,7 @@ from operator import add, mul
 from .separability import LimitError
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
-# words, 4^n products (the kernel takes 0.08-0.10 s at n = 10, in-process
+# words, 4^n products (the kernel takes 0.075-0.10 s at n = 10, in-process
 # on a 2-core Xeon VM), and the sweep's rho of 16 * 4^n bytes, 4x more for
 # each qubit past this limit.
 DENSE_LIMIT = 10
@@ -32,24 +32,13 @@ def dense_limit(n: int) -> None:
 def _gather(p: list, half: int, first: int) -> list:
     """Half `first` (0 or 1) of every run of 2*half entries, in order, then the other halves.
 
-    Costs 2 min(half, len(p) / (2*half)) slice copies.
+    Costs 2*half strided slice copies, of len(p) / (2*half) entries each.
     """
     out, h = [None] * len(p), len(p) >> 1
     for at, s in ((0, first * half), (h, (1 - first) * half)):
-        if half * half <= h:  # short halves: one strided copy per offset in a half
-            for j in range(half):
-                out[at + j:at + h:half] = p[s + j::2 * half]
-        else:  # few runs: one copy per run
-            for i in range(0, h, half):
-                out[at + i:at + i + half] = p[2 * i + s:2 * i + s + half]
+        for j in range(half):
+            out[at + j:at + h:half] = p[s + j::2 * half]
     return out
-
-
-def _fold(p: list, times: int) -> list:
-    """Sum each run of 2^times consecutive entries pairwise: a balanced tree of depth times."""
-    for _ in range(times):
-        p = list(map(add, p[0::2], p[1::2]))
-    return p
 
 
 def _pure_norm_sq(n: int, amplitudes) -> float:
@@ -75,8 +64,10 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     qubit goes on top (_gather), with the conjugate list taking its
     halves swapped, which pairs u with ubar.  As g_x(ubar) =
     +-conj(g_x(u)), the first flip qubit keeps only the half u = 0 and
-    doubles its weight.  Once every qubit is decided, each g is the
-    pairwise fold of its products over the sum qubits at the bottom.
+    doubles its weight.  Once every qubit is decided, the products
+    are summed as they are made, neighbour with neighbour, once per sum
+    qubit at the bottom, so each g is a balanced pairwise tree of depth
+    |c| over its products in the index order of v.
     Every w |g|^2 goes into one fsum as w re^2 and w im^2 (w a power of
     two), leaf by leaf, so no list of all 3^n parts is held.
     separability.detect states the rounding margin of the result.
@@ -88,14 +79,15 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     sa = list(map(mul, amplitudes, signs))
     ca = [z.conjugate() for z in amplitudes]
 
-    def parts(p, w):
-        return [w * g.real * g.real for g in p] + [w * g.imag * g.imag for g in p]
-
     def decide(a, c, run, sums, w):
         # yields lists of parts; w is 2^|x|, doubled once the ubar half is
         # dropped, so it is 1 until the first flip qubit
         if run == 1:
-            yield parts(_fold(list(map(mul, a, c)), sums), w)
+            g = map(mul, a, c)
+            for _ in range(sums):
+                g = map(add, g, g)  # one iterator twice: each neighbouring pair
+            g = list(g)
+            yield [w * z.real * z.real for z in g] + [w * z.imag * z.imag for z in g]
             return
         half = run >> 1
         yield from decide(a, c, half, sums + 1, w)  # a sum qubit

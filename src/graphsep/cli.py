@@ -14,8 +14,10 @@ Comment lines start with "#"; numeric fields carry 12 significant
 digits.  Exit codes: 0 success, 1 usage or input error (also a result
 beyond the float range, a failed internal check or a stdout closed
 early), 2 a size limit (separability.LimitError), out of memory or an
-output error, each error one line on stderr.  Verdicts are payload,
-never exit status.
+output error, each error one line on stderr.  detect writes its warning
+that it renormalized amplitudes as one "graphsep: warning:" line on
+stderr, whatever warning filters are set.  Verdicts are payload, never
+exit status.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import contextlib
 import math
 import os
 import sys
+import warnings
 from collections.abc import Iterator
 from itertools import chain
 
@@ -134,9 +137,13 @@ def cmd_sweep(args) -> list[str]:
 
 def cmd_detect(args) -> list[str]:
     try:
-        loaded = statefile.load_state_file(args.state_file)
+        with warnings.catch_warnings(record=True) as caught:  # recorded under any filters, -W error too
+            warnings.simplefilter("always")
+            loaded = statefile.load_state_file(args.state_file)
     except OSError as exc:  # a missing or unreadable file (load_state_file names a file that is not UTF-8)
         raise statefile.StateFileError(f"cannot read {args.state_file}: {exc}") from None
+    for w in caught:  # renormalized amplitudes: one line each, and no source line
+        print(f"graphsep: warning: {w.message}", file=sys.stderr)
     n = loaded.n
     if not 2 <= args.k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")

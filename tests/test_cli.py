@@ -11,6 +11,7 @@ import re
 import sys
 import tracemalloc
 import typing
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -471,6 +472,23 @@ def test_detect_malformed_file_exits_1(capsys, tmp_path):
     path.write_text(json.dumps({"n": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
     want = "graphsep: error: need 2 <= k <= n, got k=3 for an n=2 state\n"
     assert run(capsys, "detect", "--state-file", str(path), "--k", "3") == (1, "", want)
+
+
+def test_detect_renormalizing_warns_in_one_line_under_any_filter(capsys, tmp_path):
+    # a warning made an error (python -W error) was a traceback and exit 1,
+    # and a shown one also printed a source line of statefile
+    a = math.sqrt(0.5)
+    pairs = [[a, 0], [0, 0], [0, 0], [a, 0]]
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps({"n": 2, "amplitudes": pairs}))
+    want = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert want[0] == 0 and want[2] == ""
+    path.write_text(json.dumps({"n": 2, "amplitudes": [[x * (1 + 2.5e-10), y] for x, y in pairs]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert (code, out) == want[:2]
+    assert re.fullmatch(r"graphsep: warning: renormalizing amplitudes \(norm was 1\.00000000025\d*\)\n", err)
 
 
 def test_detect_repeated_field_exits_1(capsys, tmp_path):
