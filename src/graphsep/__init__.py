@@ -11,7 +11,7 @@ functions that build or read arrays (amplitude arrays, sparse tensors, the
 walk, the key patterns) get it from pauli.require_numpy, which without
 it raises a one-line ImportError that names the extra.  separability
 (bounds, thresholds and the integer closed forms), graphs (graphs, the
-full-weight count and the pattern order) and amplitudes (the
+full-weight count, the pattern order and the settings) and amplitudes (the
 raw-amplitude norm and the dense limit) never read it, and groups and
 settings are plain ints and bytes, so no CLI command needs numpy.
 
@@ -21,13 +21,12 @@ are named tuples, the other classes plain ones.
 The modules reach each other through the lazy modules and read them
 only inside the functions that need them, so a CLI command runs the body
 of only the modules its path reads: cli and separability for bounds,
-sweep, appendix and graph, plus tensor and amplitudes (whose dense limit
-tensor imports) for norms, those and graphs for settings, and statefile
-for detect, with graphs for a graph file and amplitudes for raw
-amplitudes.  No command runs states, stabilizer or pauli: statefile
-refuses a one-qubit family file itself, and tensor runs for no detect.
-amplitudes exports no public name: it is registered as a lazy module
-like the others, so graphsep.amplitudes._pure_norm_sq is the kernel.
+sweep, appendix, graph and norms, with graphs for settings, and
+statefile for detect, with graphs for a graph file and amplitudes for
+raw amplitudes.  No core module (cli, separability, graphs, statefile,
+amplitudes) imports the inspection layer (pauli, states, stabilizer,
+tensor), so no command runs it.  amplitudes has no public name and is
+registered all the same: graphsep.amplitudes._pure_norm_sq is the kernel.
 """
 
 import importlib
@@ -39,15 +38,15 @@ __version__ = "0.1.0"
 # home module -> the public names it exports (none for amplitudes, registered all the same)
 _EXPORTS = {
     "amplitudes": "",
-    "graphs": "GraphSpec chain_graph complete_graph full_weight_count",
+    "graphs": "GraphSpec chain_graph complete_graph full_weight_count measurement_settings",
     "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble",
     "separability": "INCONCLUSIVE LimitError NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
-    " k_sep_bound noise_products threshold_p xi_noise",
+    " k_sep_bound noise_products norm_table threshold_p xi_noise",
     "stabilizer": "StabilizerGroup cg_nonzero_pattern full_weight_support ghz_group ghz_nonzero_pattern"
     " stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",
     "states": "all_ones_state cluster_state ghz_state graph_state noisy_mixture w_state",
-    "tensor": "full_tensor measurement_settings norm_table tensor_norm tensor_norm_sq",
+    "tensor": "full_tensor tensor_norm tensor_norm_sq",
 }
 _HOME = {name: home for home, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_HOME)

@@ -32,9 +32,9 @@ from collections.abc import Iterator
 from itertools import chain
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
-from . import amplitudes, statefile, tensor
+from . import amplitudes, graphs, statefile
 from .separability import FAMILIES, LimitError, cg_norm_sq, detect, k_sep_bound
-from .separability import permutation_terms, threshold_p, xi_noise
+from .separability import norm_table, permutation_terms, threshold_p, xi_noise
 
 MAX_ROWS = 100_001  # rows of a sweep or a norms table, all held before any is written
 # blocks of the partitions a command builds and labels: k for sweep and
@@ -77,7 +77,7 @@ def _parse_families(raw: str) -> list[str]:
 def cmd_norms(args) -> list[str]:
     families = _parse_families(args.families)
     _check_limit("norms row count", len(families) * (args.n_max - args.n_min + 1), MAX_ROWS)
-    rows = tensor.norm_table(families, args.n_min, args.n_max)
+    rows = norm_table(families, args.n_min, args.n_max)
     if args.format == "json":
         import json
 
@@ -179,7 +179,7 @@ def cmd_detect(args) -> list[str]:
 
 
 def cmd_settings(args) -> Iterator[bytes | str]:
-    return chain(tensor.measurement_settings(args.n, args.noise), [f"# count={cg_norm_sq(args.n) + args.noise}"])
+    return chain(graphs.measurement_settings(args.n, args.noise), [f"# count={cg_norm_sq(args.n) + args.noise}"])
 
 
 def cmd_appendix(args) -> list[str]:

@@ -14,15 +14,17 @@ alike, B = full_weight_count(source) bit-sliced over the 2^n generator
 subsets and C = (-1)^n zn_sign, and so does the stabilizer walk, so a
 graph or its state is decided with no group.
 pattern_halves lists the masks of the complete-graph and GHZ patterns,
-for tensor.measurement_settings and stabilizer's key patterns.  The
-module reads no numpy and no graphsep module but separability.
+for measurement_settings (the words that the settings command writes)
+and stabilizer's key patterns.  The module reads no numpy and no
+graphsep module but separability.
 """
 
 from __future__ import annotations
 
 import reprlib
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import index
 
 from .separability import LimitError
@@ -51,12 +53,12 @@ class GraphSpec:
     """Simple undirected graph on vertices 1..n (no loops, no multi-edges).
 
     Built from any iterable of (a, b) edges whose vertices are of any int
-    type (operator.index; a non-pair edge or any other vertex is refused
-    here with ValueError), and kept as the sorted pairs (a, b) of Python
-    ints, a < b, checked in O(|E| log |E|) time and O(|E|) memory (a
-    duplicate is found next to its twin once sorted): nothing of size n
-    is built, so a graph file with a huge n and few edges is refused by
-    the count's qubit limit, not by memory.
+    type but bool (operator.index; a non-pair edge or any other vertex,
+    True included, is refused here with ValueError), and kept as the
+    sorted pairs (a, b) of Python ints, a < b, checked in O(|E| log |E|)
+    time and O(|E|) memory (a duplicate is found next to its twin once
+    sorted): nothing of size n is built, so a graph file with a huge n
+    and few edges is refused by the count's qubit limit, not by memory.
     Two specs are equal, and hash alike, when their (n, edges) are.
     masks, one neighbour bitmask per vertex (qubit 1 at the top bit), and
     generators are built on first read.
@@ -75,13 +77,15 @@ class GraphSpec:
             except (TypeError, ValueError):  # not iterable, or not two items
                 raise ValueError(f"edge {reprlib.repr(edge)} is not a pair of vertices") from None
             try:
+                if isinstance(a, bool) or isinstance(b, bool):  # int subclasses, but True is no vertex 1
+                    raise TypeError
                 a, b = index(a), index(b)
             except TypeError:
                 raise ValueError(f"edge {reprlib.repr(edge)} has a non-integer vertex") from None
             if a == b:
                 raise ValueError(f"self-loop at vertex {reprlib.repr(a)}")
             if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge {reprlib.repr(edge)} outside 1..{n}")
+                raise ValueError(f"edge {reprlib.repr((a, b))} outside 1..{n}")
             pairs.append((a, b) if a < b else (b, a))
         pairs.sort()  # linear when the edges come in order, as from complete_graph
         for pair, following in pairwise(pairs):
@@ -197,3 +201,24 @@ def pattern_halves(n: int, parity: int, render):
     bottoms = [render([b for b in range((1 << low) - 1, -1, -1) if b.bit_count() == r]) for r in range(low + 1)]
     return ((t, bottoms[w - t.bit_count()])
             for w in range(parity, n + 1, 2) for t in tops if w - low <= t.bit_count() <= w)
+
+
+def measurement_settings(n: int, noise: bool = False) -> Iterator[bytes]:
+    """Local observables sufficient to evaluate the criterion on complete-graph states.
+
+    The words of stabilizer.cg_nonzero_pattern, in its order, each a top
+    half joined to a bottom half of pattern_halves, then with noise=True
+    the all-Z word of the colored-noise term: an iterator of ASCII
+    blocks, one per top half, made as it is read, a newline after each
+    word.  Refuses n < 2 and n above PATTERN_LIMIT when called.
+    """
+    low, xz = n // 2, bytes.maketrans(b"01", b"ZX")
+
+    def word(mask, bits):  # X on the set bits of mask, Z elsewhere, top bit first
+        return format(mask, f"0{bits}b").encode().translate(xz)
+
+    halves = pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
+    tops = [word(t, n - low) for t in range(1 << (n - low))]
+    # each bottom word ends in a newline, so top + top.join(bottoms) is the rows top + bottom, one per bottom
+    blocks = (tops[t] + tops[t].join(bottoms) for t, bottoms in halves)
+    return chain(blocks, [b"Y" * n + b"\n"] * (1 - n % 2) + [b"Z" * n + b"\n"] * noise)  # all-Y at even n, all-Z for noise

@@ -36,7 +36,8 @@ Noise is exact too: a state mixed with |1...1> has the squared norm
 given and threshold_p solves in integers.  FAMILIES is the one table
 of the named families (the complete graph, GHZ, W and the cluster
 chain), each mapped to its closed form, a function of n; check_family
-checks a name against it.  A graph file's graph and any stabilizer
+checks a name against it, and norm_table lists the squared norms B / D
+that the norms command prints.  A graph file's graph and any stabilizer
 group are read alike (graphs), a graph with no group built.
 So sweep verdicts, and detect verdicts on every named family and graph
 state, are exact decisions at the given p, and printed fields are
@@ -234,6 +235,11 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))
 
 
+# Largest chain _chain_count counts: its O(n^2) bit work takes about 0.12-0.17 s
+# at 100,000 (2-core VM); the squared norm leaves the float range at n = 1857
+CHAIN_LIMIT = 100_000
+
+
 @lru_cache(maxsize=8)
 def _chain_count(n: int) -> int:
     """B_n of the n-vertex chain (cluster) state: the subsets S whose element
@@ -242,7 +248,10 @@ def _chain_count(n: int) -> int:
     and goes on in tokens 1 and 001, and an optional 0.  Such words of
     length m number f_m = f_(m-1) + f_(m-3) (split off the last token), so
     B_n = f_n + 2 f_(n-1) + f_(n-2) follows the same recurrence: 3, 4, 5,
-    8, 12, 17, ... from n = 2.  The last few are cached for the sweep's grid."""
+    8, 12, 17, ... from n = 2.  The last few are cached for the sweep's grid.
+    Above CHAIN_LIMIT it raises LimitError before the loop."""
+    if n > CHAIN_LIMIT:
+        raise LimitError(f"cluster count over {n} qubits exceeds the {CHAIN_LIMIT}-qubit limit")
     a, b, c = 1, 1, 3  # B_0, B_1, B_2
     for _ in range(n):
         a, b, c = b, c, c + a
@@ -263,6 +272,21 @@ def check_family(name, *others) -> None:
     names = (*FAMILIES, *others)
     if name not in names:
         raise ValueError(f"unknown family {name!r}; expected one of {names}")
+
+
+def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:
+    """(family, n, squared norm) rows, family-major then n ascending.
+
+    Each row is the exact B / D of the family's closed form in FAMILIES,
+    correctly rounded: no state, group or count is built, at any n.
+    """
+    fams = list(families)
+    for family in fams:
+        check_family(family)
+    if not 2 <= n_min <= n_max:
+        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
+    return [(family, n, b / d) for family in fams for n in range(n_min, n_max + 1)
+            for b, _, _, d in [FAMILIES[family](n)]]
 
 
 def noise_products(n: int, source) -> tuple[int, int, int, int]:

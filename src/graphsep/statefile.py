@@ -12,7 +12,7 @@ or carries raw amplitudes as [re, im] pairs,
 
 with qubit 1 in the most significant bit of the amplitude index.  Raw
 amplitudes may be off normalization by up to 1e-6; they are renormalized
-on load with a warning.
+on load with a warning that names the caller's line, not this module's.
 
 Family names are the keys of separability.FAMILIES, plus "graph".  A
 field given twice is refused, whatever its values.
@@ -23,9 +23,11 @@ amplitudes a tuple of Python complex numbers), which detect hands to
 separability.xi_noise or to the amplitude kernel of graphsep.amplitudes.
 A caller that wants the state builds it from the source (for raw
 amplitudes, pauli.PureState(n, source)).  A one-qubit family file is
-refused here, in one message that names the family.  So detect runs
-neither states nor stabilizer: xi_noise reads a family's closed form,
-and counts a graph's B from the GraphSpec itself.
+refused here, in one message that names the family; GraphSpec checks
+a graph's edges.  The module imports only graphs and separability (the
+writers' pauli.PureState is named in their docstrings), so detect runs
+no inspection module: xi_noise reads a family's closed form, and counts
+a graph's B from the GraphSpec itself.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 import warnings
-# lazy modules (graphsep/__init__.py): graphs runs when a graph document is
-# read; pauli names the type of the state that the writers take
-from . import graphs, pauli
+
+from . import graphs  # a lazy module (graphsep/__init__.py): runs when a graph document is read
 from .separability import check_family
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
@@ -114,10 +116,12 @@ def loads_state(text: str) -> LoadedState:
     if family == "graph":
         if "edges" not in doc:
             raise StateFileError("family 'graph' requires an 'edges' list")
-        edges = _parse_edges(doc["edges"])
+        edges = doc["edges"]
+        if not isinstance(edges, list):  # a number is not iterable, and a string or an object would iterate as edges
+            raise StateFileError("'edges' must be a list of [a, b] pairs")
         try:
             source = graphs.GraphSpec(n, edges)
-        except ValueError as exc:  # a self-loop, a duplicate edge or a vertex outside 1..n
+        except ValueError as exc:  # any bad edge: not a pair of ints, a self-loop, a duplicate or outside 1..n
             raise StateFileError(str(exc)) from None
     else:
         if "edges" in doc:
@@ -126,17 +130,6 @@ def loads_state(text: str) -> LoadedState:
             raise StateFileError(f"family {family!r} needs at least 2 qubits")
         source = family
     return LoadedState(n, family, None if p is None else float(p), source)
-
-
-def _parse_edges(raw) -> tuple:
-    if not isinstance(raw, list):
-        raise StateFileError("'edges' must be a list of [a, b] pairs")
-    edges = []
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v, int) for v in item)):
-            raise StateFileError(f"edge {reprlib.repr(item)} is not an [a, b] integer pair")
-        edges.append((item[0], item[1]))
-    return tuple(edges)
 
 
 def _parse_amplitudes(raw, n: int) -> tuple:
@@ -158,7 +151,10 @@ def _parse_amplitudes(raw, n: int) -> tuple:
     if not abs(nrm - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
         raise StateFileError(f"amplitudes have norm {nrm}, more than {RAW_NORM_TOL} from 1")
     if abs(nrm - 1.0) > 1e-12:
-        warnings.warn(f"renormalizing amplitudes (norm was {nrm})", stacklevel=2)
+        frame, level = sys._getframe(1), 2  # the warning names the first caller outside this module
+        while frame is not None and frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"renormalizing amplitudes (norm was {nrm})", stacklevel=level)
         amps = [a / nrm for a in amps]
     return tuple(amps)
 
@@ -173,13 +169,14 @@ def load_state_file(path) -> LoadedState:
     return loads_state(text)
 
 
-def dumps_amplitudes(state: pauli.PureState) -> str:
-    """Serialize a pure state as a raw-amplitude state file."""
+def dumps_amplitudes(state) -> str:
+    """Serialize a pure state (a pauli.PureState) as a raw-amplitude state file."""
     pairs = [[float(a.real), float(a.imag)] for a in state.amplitudes]
     body = json.dumps({"n": state.n, "amplitudes": pairs})
     return "# qubit 1 is the most significant bit of the amplitude index\n" + body + "\n"
 
 
-def write_amplitude_file(path, state: pauli.PureState) -> None:
+def write_amplitude_file(path, state) -> None:
+    """Write a pure state (a pauli.PureState) to path as a raw-amplitude state file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_amplitudes(state))

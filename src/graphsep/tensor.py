@@ -1,4 +1,4 @@
-"""Full correlation tensors, the standard tensor norm, and the norm table.
+"""Full correlation tensors and the standard tensor norm: the numpy inspection layer.
 
 The full tensor of an n-qubit state holds the expectation values of all
 3^n identity-free Pauli words.  It is stored sparsely, as a
@@ -19,27 +19,23 @@ basis in place, one qubit at a time, in O(n 4^n) vectorized work.
 The dense reference of a tagged state is its untagged copy,
 PureState(n, state.amplitudes).
 
-The criterion needs only the squared norm, and no path of the CLI
-builds a tensor.  detect on raw amplitudes reads it from
-amplitudes._pure_norm_sq, a pure-Python kernel that sums 4^n amplitude
-products with no 3^n array and no numpy, so it runs no part of this
-module; detect on any other state and every norm-table row read
-it from separability.noise_products.  full_tensor is the library's
-inspection tool and the kernel's reference; it reads numpy, which only
-the tensor extra installs (pauli.require_numpy).
+The criterion needs only the squared norm, which the CLI reads from the
+stdlib core (separability, amplitudes), so no command runs this module.
+full_tensor is the library's inspection tool and the reference of the
+raw-amplitude kernel (amplitudes._pure_norm_sq); it reads numpy, which
+only the tensor extra installs (pauli.require_numpy).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from itertools import chain
 
-# lazy modules (graphsep/__init__.py): graphs runs for the settings, pauli
-# and stabilizer only for full_tensor
-from . import graphs, pauli, stabilizer
+# lazy modules (graphsep/__init__.py), read only by full_tensor
+from . import pauli, stabilizer
 from .amplitudes import DENSE_LIMIT, dense_limit  # callers read the limit as tensor.DENSE_LIMIT too
-from .separability import check_family, noise_products
+# perfbench/trace_op.py's TARGETS looks these two up here, as it does dense_limit
+from .graphs import measurement_settings
+from .separability import norm_table
 
 
 def _dense_arrays(terms, n: int, zero_tol: float) -> tuple:
@@ -114,45 +110,3 @@ def tensor_norm_sq(t: pauli.CorrelationTensor) -> float:
 def tensor_norm(t: pauli.CorrelationTensor) -> float:
     """Standard (Frobenius) tensor norm: the square root of tensor_norm_sq."""
     return math.sqrt(tensor_norm_sq(t))
-
-
-def measurement_settings(n: int, noise: bool = False) -> Iterator[bytes]:
-    """Local observables sufficient to evaluate the criterion on complete-graph states.
-
-    The words of stabilizer.cg_nonzero_pattern, in its order, each row a
-    top-half word joined to a bottom-half word of graphs.pattern_halves;
-    with noise=True the all-Z word needed for the colored-noise term
-    follows.  Returns an iterator of ASCII blocks made one at a time, one
-    per top half, a newline after each word.  Refuses n < 2 (ValueError)
-    and n above graphs.PATTERN_LIMIT (LimitError) when called.
-    """
-    low, xz = n // 2, bytes.maketrans(b"01", b"ZX")
-
-    def word(mask, bits):  # X on the set bits of mask, Z elsewhere, top bit first
-        return format(mask, f"0{bits}b").encode().translate(xz)
-
-    halves = graphs.pattern_halves(n, 1, lambda group: [word(b, low) + b"\n" for b in group])
-    tops = [word(t, n - low) for t in range(1 << (n - low))]
-    # each bottom word ends in a newline, so top + top.join(bottoms) is the rows top + bottom, one per bottom
-    blocks = (tops[t] + tops[t].join(bottoms) for t, bottoms in halves)
-    return chain(blocks, [b"Y" * n + b"\n"] * (1 - n % 2) + [b"Z" * n + b"\n"] * noise)  # all-Y at even n, all-Z for noise
-
-
-def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]:
-    """(family, n, squared norm) rows, family-major then n ascending.
-
-    Each row is the exact B / D of the family's closed form
-    (noise_products), correctly rounded: no state, group or count is
-    built, at any n.
-    """
-    fams = list(families)
-    for family in fams:
-        check_family(family)
-    if not 2 <= n_min <= n_max:
-        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    rows = []
-    for family in fams:
-        for n in range(n_min, n_max + 1):
-            b, _, _, d = noise_products(n, family)
-            rows.append((family, n, b / d))
-    return rows

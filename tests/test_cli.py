@@ -97,13 +97,13 @@ def test_norms_json_is_the_text_of_json_dumps(capsys):
                          "--format", "json")
     payload = [
         {"family": fam, "n": n, "norm_sq": norm_sq, "norm": math.sqrt(norm_sq)}
-        for fam, n, norm_sq in tensor.norm_table(families, 2, 300)
+        for fam, n, norm_sq in separability.norm_table(families, 2, 300)
     ]
     assert (code, err) == (0, "")
     assert out == json.dumps(payload, indent=2) + "\n"
     for family in families:  # one row: no comma after the only object
         _, out, _ = run(capsys, "norms", "--families", family, "--n-min", "7", "--n-max", "7", "--format", "json")
-        norm_sq = tensor.norm_table([family], 7, 7)[0][2]
+        norm_sq = separability.norm_table([family], 7, 7)[0][2]
         want = [{"family": family, "n": 7, "norm_sq": norm_sq, "norm": math.sqrt(norm_sq)}]
         assert out == json.dumps(want, indent=2) + "\n"
 
@@ -435,8 +435,8 @@ def test_detect_raw_amplitudes_builds_no_tensor(capsys, tmp_path, monkeypatch):
 
     path = tmp_path / "raw10.json"
     write_amplitude_file(path, ghz_state(10))
-    monkeypatch.setattr(cli.tensor, "full_tensor", unbuildable)
-    monkeypatch.setattr(cli.statefile.pauli, "PureState", unbuildable)
+    monkeypatch.setattr(tensor, "full_tensor", unbuildable)
+    monkeypatch.setattr(graphsep.pauli, "PureState", unbuildable)
     code, out, err = run(capsys, "detect", "--state-file", str(path), "--k", "2")
     assert (code, err) == (0, "")
     assert out.splitlines()[2:] == [
@@ -547,7 +547,7 @@ def _defined_functions(module):
 
 
 def test_streamed_commands_annotations_resolve():
-    for func in (cli.cmd_settings, cli.cmd_graph, tensor.measurement_settings):
+    for func in (cli.cmd_settings, cli.cmd_graph, graphs.measurement_settings):
         assert typing.get_origin(typing.get_type_hints(func)["return"]) is collections.abc.Iterator
     # and so does every annotation of every function and method of the package
     modules = [graphsep, *(importlib.import_module(f"graphsep.{m.name}") for m in pkgutil.iter_modules(graphsep.__path__))]
@@ -702,6 +702,30 @@ def test_cluster_count_is_not_built_where_it_cannot_matter(capsys, tmp_path, mon
     # and the patch does stop a count
     with pytest.raises(AssertionError):
         separability.noise_products(5, "cluster")
+
+
+def test_chain_count_is_built_at_its_cap_and_refused_one_past_it(capsys):
+    cap = separability.CHAIN_LIMIT
+    separability._chain_count.cache_clear()
+    # at the cap the count is built: B_n = B_(n-1) + B_(n-3) from 3, 4, 5, checked modulo a prime
+    prime, (a, b, c) = (1 << 61) - 1, (3, 4, 5)
+    for _ in range(cap - 4):
+        a, b, c = b, c, (c + a) % prime
+    count = separability.noise_products(cap, "cluster")[0]
+    assert count % prime == c and count.bit_length() > 1024
+    code, out, err = run(capsys, "norms", "--families", "cluster", "--n-min", str(cap), "--n-max", str(cap))
+    assert (code, out) == (1, "") and err.startswith("graphsep: error: result out of floating-point range (")
+    # one past it the count is refused before its loop: exit 2, after k where k is read
+    want = f"cluster count over {cap + 1} qubits exceeds the {cap}-qubit limit"
+    with pytest.raises(LimitError, match=f"^{want}$"):
+        separability.noise_products(cap + 1, "cluster")
+    with pytest.raises(LimitError, match=f"^{want}$"):
+        separability.threshold_p(cap + 1, cap, "cluster")
+    for argv in (
+        ("norms", "--families", "cluster", "--n-min", str(cap + 1), "--n-max", str(cap + 1)),
+        ("sweep", "--family", "cluster", "--n", str(cap + 1), "--k", str(cap), "--p-steps", "2"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"graphsep: error: {want}\n")
 
 
 def test_huge_n_refuses_at_start_up(capsys, tmp_path, monkeypatch):
@@ -976,7 +1000,7 @@ def test_appendix_mismatch_is_one_line_exit_1(capsys, monkeypatch):
         (
             "norms --families w --n-min 2 --n-max {}",
             MAX_ROWS + 1,
-            tensor,
+            cli,
             "norm_table",
             f"norms row count {MAX_ROWS + 1} is above the limit of {MAX_ROWS}",
         ),

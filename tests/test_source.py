@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package or of its tests defines one
 top-level function or class name twice, so no definition is silently
-shadowed by a later one, and the modules that load a state file and
-decide it import nothing that builds a state."""
+shadowed by a later one, and the core modules that load a state file,
+decide it and run every command import nothing of the inspection layer."""
 
 import ast
 from collections import Counter
@@ -29,11 +29,15 @@ def test_no_module_defines_a_name_twice():
 
 def test_loading_and_deciding_import_no_state_layer():
     # a state file loads to data, and every verdict reads a closed form, a
-    # GraphSpec or raw amplitudes: none of these modules can build a state or a group
-    for name in ("amplitudes.py", "separability.py", "statefile.py"):
-        imported = set()  # the package modules named by "from . import x" and "from .x import y"
+    # GraphSpec or raw amplitudes: no core module imports the inspection
+    # layer, so none of them can build a state, a group or a tensor
+    for name in ("amplitudes.py", "cli.py", "graphs.py", "separability.py", "statefile.py"):
+        imported = set()  # the package modules named by "from . import x" and "from .x import y", or absolutely
         for node in ast.walk(ast.parse((PACKAGE / name).read_text(encoding="utf-8"), filename=name)):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
-                imported |= {node.module} if node.module else {alias.name for alias in node.names}
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("graphsep")):
+                module = node.module if node.level else node.module.partition(".")[2]
+                imported |= {module} if module else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[2] for alias in node.names if alias.name.startswith("graphsep.")}
         assert imported, name  # the walk sees the module's relative imports
-        assert imported.isdisjoint({"states", "stabilizer"}), (name, sorted(imported))
+        assert imported.isdisjoint({"pauli", "states", "stabilizer", "tensor"}), (name, sorted(imported))

@@ -55,10 +55,9 @@ sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 """
 
 # the graphsep modules whose body each command runs (README, "Start-up");
-# no command runs states, pauli or stabilizer, and no detect runs tensor
-TABLES = ("cli", "separability")  # bounds, sweep, appendix, graph
-NORMS = (*TABLES, "tensor", "amplitudes")  # tensor imports the dense limit from amplitudes
-SETTINGS = (*NORMS, "graphs")
+# no command runs the inspection layer: states, pauli, stabilizer or tensor
+TABLES = ("cli", "separability")  # bounds, sweep, appendix, graph, norms
+SETTINGS = (*TABLES, "graphs")
 FAMILY_FILE = (*TABLES, "statefile")
 GRAPH_FILE = (*FAMILY_FILE, "graphs")  # the count reads the GraphSpec: no state, no group
 RAW_FILE = (*FAMILY_FILE, "amplitudes")
@@ -150,12 +149,14 @@ COMMANDS = [
     *ERROR_FILES,
     (["sweep", "--family", "w", "--n", "1000", "--k", "998", "--p-steps", "5"], TABLES),
     *COUNTED_FILES,
-    (["norms"], NORMS),
-    (["norms", "--families", "cg,cluster,ghz,w", "--n-min", "2", "--n-max", "20"], NORMS),
-    (["norms", "--families", "cluster", "--n-min", "1000", "--n-max", "1000"], NORMS),
+    (["norms"], TABLES),
+    (["norms", "--families", "cg,cluster,ghz,w", "--n-min", "2", "--n-max", "20"], TABLES),
+    (["norms", "--families", "cluster", "--n-min", "1000", "--n-max", "1000"], TABLES),
     (["sweep", "--family", "cluster", "--n", "1000", "--k", "998", "--p-steps", "5"], TABLES),
     *((["settings", "--n", str(n), *noise], SETTINGS) for n in (3, 10, 18) for noise in ((), ("--noise",))),
     *((argv, RAW_FILE) for argv in RAW_FILES),
+    # one past the chain count's cap: exit 2 with no count built
+    (["norms", "--families", "cluster", "--n-min", "100001", "--n-max", "100001"], TABLES),
 ]
 
 

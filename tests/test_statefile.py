@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_raw_amplitudes_renormalized_with_warning():
     with pytest.warns(UserWarning, match="renormalizing"):
         loaded = loads_state(json.dumps({"n": 2, "amplitudes": amps}))
     assert abs(PureState(loaded.n, loaded.source).amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_renormalizing_warning_names_the_callers_line(tmp_path):
+    # the first stack frame outside statefile, through either reader
+    text = json.dumps({"n": 2, "amplitudes": [[1.0 + 5e-7, 0.0]] + [[0.0, 0.0]] * 3})
+    path = tmp_path / "off.json"
+    path.write_text(text)
+    for read, arg in ((loads_state, text), (load_state_file, path)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            read(arg)
+        (w,) = caught
+        assert (w.category, w.filename) == (UserWarning, __file__)
 
 
 def test_raw_amplitudes_too_far_off_rejected():

@@ -78,9 +78,10 @@ def test_graph_spec_keeps_sorted_edges_and_builds_masks_on_first_read():
         GraphSpec(3, ((1, 2), (2, 1)))
 
 
-@pytest.mark.parametrize("edge", [(1, 2.5), (1.0, 2), (1, "2"), (None, 2)])
+@pytest.mark.parametrize("edge", [(1, 2.5), (1.0, 2), (1, "2"), (None, 2), (True, 2), (1, False)])
 def test_graph_spec_refuses_a_non_integer_vertex_at_construction(edge):
-    # the vertex would otherwise fail only when masks is first read
+    # the vertex would otherwise fail only when masks is first read; a bool is an int
+    # subclass, but (True, 2) is no edge (1, 2)
     with pytest.raises(ValueError, match=rf"^edge {re.escape(repr(edge))} has a non-integer vertex$"):
         GraphSpec(3, [(2, 3), edge])
 
@@ -92,7 +93,7 @@ def test_graph_spec_refuses_an_edge_that_is_not_a_pair(edge):
 
 
 def test_graph_spec_keeps_integer_vertices_as_python_ints():
-    spec = GraphSpec(3, [(np.int64(3), np.int32(1)), (True, 2)])
+    spec = GraphSpec(3, [(np.int64(3), np.int32(1)), (np.uint8(1), 2)])
     assert spec.edges == ((1, 2), (1, 3)) and spec == GraphSpec(3, [(1, 2), (1, 3)])
     assert {type(v) for edge in spec.edges for v in edge} == {int}
     assert spec.masks == (0b011, 0b100, 0b100)

@@ -33,6 +33,7 @@ from graphsep import (
     ghz_group,
     ghz_state,
     graph_state,
+    graphs,
     k_sep_bound,
     measurement_settings,
     noise_products,
@@ -418,6 +419,12 @@ def test_tensor_reads_the_limit_of_the_kernel():
     # one limit, kept beside the amplitude kernel: the dense sweep imports it
     assert tensor.dense_limit is amplitudes.dense_limit
     assert tensor.DENSE_LIMIT == amplitudes.DENSE_LIMIT == 10
+
+
+def test_tensor_reexports_the_tables_of_the_core_for_the_tracer():
+    # the norm table and the settings live in the stdlib core; the benchmark's tracer reads them on tensor
+    assert tensor.norm_table is separability.norm_table
+    assert tensor.measurement_settings is graphs.measurement_settings
 
 
 def _margin(norm_sq, n):
