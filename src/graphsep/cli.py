@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: norms (tensor-norm table), bounds (k-separability bounds),
-sweep (noise sweeps as CSV), detect (verdict for a state file), settings
-(sufficient local observables), appendix (permutation-count identity),
-graph (complete graph as DOT text).  Family names are the keys of
-separability.FAMILIES.
+COMMANDS is the one spec of the subcommands (norms, bounds, sweep, detect,
+settings, appendix, graph): command -> (help line, cmd_* function, {flag:
+(type, default, choices, help)}), type None a switch (False unless given),
+default ... a flag that must be given.  parse_args reads argv against it,
+--help renders it and main calls the cmd_* through it.  Family names are
+the keys of separability.FAMILIES.
 
 Each cmd_* raises any input error, then returns its output lines (str,
 and settings' bytes blocks), which main alone writes as it iterates, to
@@ -22,7 +23,6 @@ exit status.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import os
@@ -30,6 +30,7 @@ import sys
 import warnings
 from collections.abc import Iterator
 from itertools import chain
+from types import SimpleNamespace
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
 from . import amplitudes, graphs, statefile
@@ -56,14 +57,6 @@ def _fmt(v: float) -> str:
 def _check_limit(what: str, value: int, limit: int) -> None:
     if value > limit:
         raise LimitError(f"{what} {value} is above the limit of {limit}")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; remap to 1 per the exit-code contract."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_families(raw: str) -> list[str]:
@@ -209,62 +202,84 @@ def cmd_graph(args) -> Iterator[str]:
     return chain([f"graph complete_{n} {{", "\n".join(f"  {v};" for v in names)], edges, ["}"])
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="graphsep", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+COMMANDS = {
+    "norms": ("tensor-norm table per family and qubit count", cmd_norms, {
+        "--families": (str, ",".join(FAMILIES), (), "comma list of state families"),
+        "--n-min": (int, 2, (), ""), "--n-max": (int, 8, (), ""), "--format": (str, "csv", ("csv", "json"), "")}),
+    "bounds": ("k-separability bounds for one qubit count", cmd_bounds, {
+        "--n": (int, ..., (), ""), "--k-min": (int, 2, (), ""), "--k-max": (int, None, (), "(default: n)")}),
+    "sweep": ("noise sweep of the squared norm against the bound", cmd_sweep, {
+        "--family": (str, "cg", tuple(FAMILIES), ""), "--n": (int, ..., (), ""), "--k": (int, ..., (), ""),
+        "--p-steps": (int, 11, (), f"grid points on [0, 1], 2 to {MAX_ROWS}"),
+        "--out": (str, None, (), "CSV output path (default: stdout)")}),
+    "detect": ("verdict for a state file against the k-sep bound", cmd_detect, {
+        "--state-file": (str, ..., (), ""), "--k": (int, ..., (), ""),
+        "--format": (str, "text", ("text", "json"), "")}),
+    "settings": ("local observables sufficient for the criterion", cmd_settings, {
+        "--family": (str, "cg", ("cg",), ""), "--n": (int, ..., (), ""),
+        "--noise": (None, False, (), "include the all-Z noise observable")}),
+    "appendix": ("permutation-count identity check", cmd_appendix, {"--n": (int, ..., (), "")}),
+    "graph": ("complete graph as DOT text", cmd_graph, {
+        "--n": (int, ..., (), ""), "--format": (str, "dot", ("dot",), "")}),
+}
+_HELP = {"--help": (None, False, (), "show this help (also -h)")}  # a flag of every command
 
-    p = sub.add_parser("norms", help="tensor-norm table per family and qubit count")
-    p.add_argument("--families", default=",".join(FAMILIES), help="comma list of state families (default: all)")
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_norms)
 
-    p = sub.add_parser("bounds", help="k-separability bounds for one qubit count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k-min", type=int, default=2)
-    p.add_argument("--k-max", type=int, default=None)
-    p.set_defaults(func=cmd_bounds)
+def _help(name: str | None) -> list[str]:
+    """The usage of graphsep (name None) or of one command, from COMMANDS."""
+    if name is None:
+        return ["usage: graphsep COMMAND [OPTIONS]", "", "commands:",
+                *(f"  {c:<10}{t}" for c, (t, _, _) in COMMANDS.items()), "", "COMMAND --help lists its options."]
+    text, _, options = COMMANDS[name]
+    lines = [f"usage: graphsep {name} [OPTIONS]", "", text, "", "options:"]
+    for flag, (kind, default, choices, note) in {**_HELP, **options}.items():
+        value = "{" + ",".join(choices) + "}" if choices else flag[2:].upper().replace("-", "_") if kind else ""
+        if default is ... or kind and default is not None:
+            note = f"{note} ({'required' if default is ... else f'default: {default}'})".lstrip()
+        lines.append(f"  {f'{flag} {value}':<28} {note}".rstrip())
+    return lines
 
-    p = sub.add_parser("sweep", help="noise sweep of the squared norm against the bound")
-    p.add_argument("--family", choices=tuple(FAMILIES), default="cg")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p-steps", type=int, default=11, help=f"grid points on [0, 1], 2 to {MAX_ROWS}")
-    p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("detect", help="verdict for a state file against the k-sep bound")
-    p.add_argument("--state-file", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("settings", help="local observables sufficient for the criterion")
-    p.add_argument("--family", choices=("cg",), default="cg")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--noise", action="store_true", help="include the all-Z noise observable")
-    p.set_defaults(func=cmd_settings)
-
-    p = sub.add_parser("appendix", help="permutation-count identity check")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_appendix)
-
-    p = sub.add_parser("graph", help="complete graph as DOT text")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("dot",), default="dot")
-    p.set_defaults(func=cmd_graph)
-
-    return parser
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read argv (default sys.argv[1:]) against COMMANDS, as argparse would:
+    a flag exact or a unique prefix, its value next (even "-1") or after "=",
+    the last repeat winning.  -h or --help gives a func that returns the
+    help lines; any other fault raises ValueError, one line."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in ("-h", "--h", "--he", "--hel", "--help"):
+        return SimpleNamespace(command=None, func=lambda _: _help(None))
+    if name not in COMMANDS:
+        got = f"unknown command {name!r}" if argv else "no command"
+        raise ValueError(f"{got}; expected one of {', '.join(COMMANDS)}")
+    _, func, options = COMMANDS[name]
+    spec, values, rest = {**_HELP, **options}, {}, iter(argv[1:])
+    for arg in rest:
+        flag, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        found = [flag] if flag in spec else [f for f in spec if f.startswith(flag)]
+        if len(found) != 1:
+            raise ValueError(f"{'ambiguous flag' if found else 'unknown argument'} {arg!r} for {name}; "
+                             f"expected one of {', '.join(found or spec)}")
+        kind, _, choices, _ = spec[flag := found[0]]
+        if (eq and kind is None) or (kind and not eq and (value := next(rest, None)) is None):
+            raise ValueError(f"{flag} {'takes no' if eq else 'needs a'} value")
+        if flag == "--help":
+            return SimpleNamespace(command=name, func=lambda _: _help(name))
+        try:
+            values[flag] = kind(value) if kind else True
+        except ValueError:  # int(value) reads the strings that argparse's type=int reads
+            raise ValueError(f"{flag} needs an integer, got {value!r}") from None
+        if choices and values[flag] not in choices:
+            raise ValueError(f"{flag} must be one of {choices}, got {value!r}")
+    if missing := [flag for flag, (_, default, _, _) in options.items() if default is ... and flag not in values]:
+        raise ValueError(f"{name} needs {', '.join(missing)}")
+    return SimpleNamespace(command=name, func=func, **{
+        flag[2:].replace("-", "_"): values.get(flag, default) for flag, (_, default, _, _) in options.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parse_args(argv)
         chunks = args.func(args)
         out_path = getattr(args, "out", None)  # sweep's --out, opened once the rows exist
         with contextlib.nullcontext(sys.stdout) if out_path is None else open(out_path, "w", encoding="utf-8") as out:

@@ -14,9 +14,8 @@ alike, B = full_weight_count(source) bit-sliced over the 2^n generator
 subsets and C = (-1)^n zn_sign, and so does the stabilizer walk, so a
 graph or its state is decided with no group.
 pattern_halves lists the masks of the complete-graph and GHZ patterns,
-for measurement_settings (the words that the settings command writes)
-and stabilizer's key patterns.  The module reads no numpy and no
-graphsep module but separability.
+for measurement_settings (the settings command's words) and stabilizer's
+key patterns.  It reads no numpy and no graphsep module but separability.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ COUNT_LIMIT = 26
 # stabilizer.full_weight_support materialize (n = 22 keys take about 180 MB).
 PATTERN_LIMIT = 22
 
+_short = reprlib.Repr()  # reprlib.repr, but an int past 4096 bits (the int-to-str limit) shows its size
+_short.repr_int = lambda x, level: reprlib.repr(x) if x.bit_length() <= 4096 else f"<{x.bit_length()}-bit int>"
+
 
 def check_count_limit(source) -> None:
     """Refuse a non-diagonal source's count over 2^n generator subsets above COUNT_LIMIT qubits (LimitError)."""
@@ -54,14 +56,12 @@ class GraphSpec:
 
     Built from any iterable of (a, b) edges whose vertices are of any int
     type but bool (operator.index; a non-pair edge or any other vertex,
-    True included, is refused here with ValueError), and kept as the
-    sorted pairs (a, b) of Python ints, a < b, checked in O(|E| log |E|)
-    time and O(|E|) memory (a duplicate is found next to its twin once
-    sorted): nothing of size n is built, so a graph file with a huge n
-    and few edges is refused by the count's qubit limit, not by memory.
-    Two specs are equal, and hash alike, when their (n, edges) are.
-    masks, one neighbour bitmask per vertex (qubit 1 at the top bit), and
-    generators are built on first read.
+    True included, is refused with ValueError, in reprlib's short form),
+    and kept as the sorted pairs (a, b) of Python ints, a < b, checked in
+    O(|E| log |E|) time and O(|E|) memory (a duplicate is next to its twin
+    once sorted): nothing of size n is built, so a huge n with few edges
+    is refused by the count's qubit limit, not by memory.  Specs compare
+    and hash by (n, edges); masks and generators are built on first read.
     """
 
     diagonal = False  # every generator has the X of its vertex, so full_weight_count always counts
@@ -75,17 +75,17 @@ class GraphSpec:
             try:
                 a, b = edge
             except (TypeError, ValueError):  # not iterable, or not two items
-                raise ValueError(f"edge {reprlib.repr(edge)} is not a pair of vertices") from None
+                raise ValueError(f"edge {_short.repr(edge)} is not a pair of vertices") from None
             try:
                 if isinstance(a, bool) or isinstance(b, bool):  # int subclasses, but True is no vertex 1
                     raise TypeError
                 a, b = index(a), index(b)
             except TypeError:
-                raise ValueError(f"edge {reprlib.repr(edge)} has a non-integer vertex") from None
+                raise ValueError(f"edge {_short.repr(edge)} has a non-integer vertex") from None
             if a == b:
-                raise ValueError(f"self-loop at vertex {reprlib.repr(a)}")
+                raise ValueError(f"self-loop at vertex {_short.repr(a)}")
             if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge {reprlib.repr((a, b))} outside 1..{n}")
+                raise ValueError(f"edge {_short.repr((a, b))} outside 1..{n}")
             pairs.append((a, b) if a < b else (b, a))
         pairs.sort()  # linear when the edges come in order, as from complete_graph
         for pair, following in pairwise(pairs):

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
@@ -235,27 +236,33 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))
 
 
-# Largest chain _chain_count counts: its O(n^2) bit work takes about 0.12-0.17 s
+# Largest chain _chain_counts counts: its O(n^2) bit work takes about 0.12-0.17 s
 # at 100,000 (2-core VM); the squared norm leaves the float range at n = 1857
 CHAIN_LIMIT = 100_000
 
 
+def _chain_counts(ns: range) -> Iterator[int]:
+    """B_n for each n of ns (step 1) of the n-vertex chain (cluster) state, in
+    one pass: the subsets S whose element (x = S, z = A S) is full weight, i.e.
+    0/1 strings whose every 0 has exactly one neighbouring 1: an optional 0,
+    a word that starts with 1 and goes on in tokens 1 and 001, and an
+    optional 0.  Such words of length m number f_m = f_(m-1) + f_(m-3)
+    (split off the last token), so B_n = f_n + 2 f_(n-1) + f_(n-2) follows
+    the same recurrence: 3, 4, 5, 8, 12, 17, ... from n = 2.  Above
+    CHAIN_LIMIT it raises LimitError at the first read, before the loop."""
+    if ns[-1] > CHAIN_LIMIT:
+        raise LimitError(f"cluster count over {ns[-1]} qubits exceeds the {CHAIN_LIMIT}-qubit limit")
+    a, b, c = 1, 1, 3  # B_0, B_1, B_2
+    for n in range(ns.stop):
+        if n >= ns.start:
+            yield a
+        a, b, c = b, c, c + a
+
+
 @lru_cache(maxsize=8)
 def _chain_count(n: int) -> int:
-    """B_n of the n-vertex chain (cluster) state: the subsets S whose element
-    (x = S, z = A S) is full weight, i.e. 0/1 strings whose every 0 has
-    exactly one neighbouring 1: an optional 0, a word that starts with 1
-    and goes on in tokens 1 and 001, and an optional 0.  Such words of
-    length m number f_m = f_(m-1) + f_(m-3) (split off the last token), so
-    B_n = f_n + 2 f_(n-1) + f_(n-2) follows the same recurrence: 3, 4, 5,
-    8, 12, 17, ... from n = 2.  The last few are cached for the sweep's grid.
-    Above CHAIN_LIMIT it raises LimitError before the loop."""
-    if n > CHAIN_LIMIT:
-        raise LimitError(f"cluster count over {n} qubits exceeds the {CHAIN_LIMIT}-qubit limit")
-    a, b, c = 1, 1, 3  # B_0, B_1, B_2
-    for _ in range(n):
-        a, b, c = b, c, c + a
-    return a
+    """B_n alone (_chain_counts); the last few are cached for the sweep's grid."""
+    return next(_chain_counts(range(n, n + 1)))
 
 
 # family name -> its noise products (B, C, O, D) as a function of n
@@ -280,13 +287,14 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
     Each row is the exact B / D of the family's closed form in FAMILIES,
     correctly rounded: no state, group or count is built, at any n.
     """
-    fams = list(families)
+    fams, ns = list(families), range(n_min, n_max + 1)
     for family in fams:
         check_family(family)
     if not 2 <= n_min <= n_max:
         raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    return [(family, n, b / d) for family in fams for n in range(n_min, n_max + 1)
-            for b, _, _, d in [FAMILIES[family](n)]]
+    # a cluster range takes its counts from one pass of their recurrence, not each B_n from B_0 (FAMILIES)
+    return [(family, n, b / d) for family in fams for n, (b, _, _, d) in zip(ns, map(FAMILIES[family], ns)
+            if family != "cluster" else ((count, 0, 1, 1) for count in _chain_counts(ns)))]
 
 
 def noise_products(n: int, source) -> tuple[int, int, int, int]:

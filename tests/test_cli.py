@@ -878,7 +878,7 @@ def test_sweep_refuses_too_many_steps_before_any_row(capsys):
     assert code == 2 and out == ""
     assert err == f"graphsep: error: p-steps {MAX_ROWS + 1} is above the limit of {MAX_ROWS}\n"
     assert run(capsys, "sweep", "--help")[1].count(str(MAX_ROWS)) == 1
-    args = cli.build_parser().parse_args(["sweep", "--n", "4", "--k", "2", "--p-steps", str(MAX_ROWS + 1)])
+    args = cli.parse_args(["sweep", "--n", "4", "--k", "2", "--p-steps", str(MAX_ROWS + 1)])
     with pytest.raises(LimitError) as caught:
         args.func(args)
     assert isinstance(caught.value, RuntimeError) and f"graphsep: error: {caught.value}\n" == err
@@ -921,7 +921,7 @@ def test_a_command_that_fails_late_writes_nothing(capsys, monkeypatch, tmp_path,
 )
 def test_a_streamed_command_refuses_when_called_and_writes_nothing(capsys, argv, error, code):
     # settings and graph write their output as it is made, so every refusal comes from the call itself
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     with pytest.raises(LimitError if code == 2 else ValueError, match=f"^{re.escape(error)}$"):
         args.func(args)
     assert run(capsys, *argv) == (code, "", f"graphsep: error: {error}\n")

@@ -214,3 +214,21 @@ def test_count_refuses_a_huge_graph_before_its_generators():
     with pytest.raises(LimitError, match=r"^stabilizer count over 2\^100000000000000000000 generator"):
         full_weight_count(spec)
     assert "masks" not in vars(spec) and "generators" not in vars(spec)
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((10 ** 5000, 2), "edge (<16610-bit int>, 2) outside 1..3"),
+        ((2, 2 ** 4096), "edge (2, <4097-bit int>) outside 1..3"),
+        ((2 ** 4095, 1), f"edge ({str(2 ** 4095)[:18]}...{str(2 ** 4095)[-19:]}, 1) outside 1..3"),
+        ((10 ** 5000, 10 ** 5000), "self-loop at vertex <16610-bit int>"),
+        (("x", 10 ** 5000), "edge ('x', <16610-bit int>) has a non-integer vertex"),
+        ((1, 2, 10 ** 5000), "edge (1, 2, <16610-bit int>) is not a pair of vertices"),
+    ],
+)
+def test_graph_spec_names_a_huge_vertex_by_its_size(edge, message):
+    # repr of an int past Python's 4,300-digit int-to-str limit would raise that limit's
+    # error in place of the edge's message; up to 4096 bits reprlib shortens the digits
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GraphSpec(3, [edge])

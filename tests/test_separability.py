@@ -119,6 +119,24 @@ def test_the_bound_cache_lets_a_bounds_table_go():
     assert held < 1 << 20
 
 
+@pytest.mark.parametrize("n_min", [2, 3, 4, 1000, 1856])
+def test_a_cluster_table_is_one_pass_of_the_chain_count(monkeypatch, n_min):
+    # every row is the count read alone, up to the float range's edge at n = 1856
+    want = [("cluster", n, separability._chain_count(n) / 1) for n in range(n_min, 1857)]
+    monkeypatch.setattr(separability, "_chain_count", None)  # no row counts from B_0 on its own
+    assert separability.norm_table(["cluster"], n_min, 1856) == want
+    with pytest.raises(OverflowError):
+        separability.norm_table(["cluster"], n_min, 1857)
+
+
+def test_a_cluster_table_over_the_cap_is_refused_before_its_pass(capsys):
+    # exit 2 at once, not the float range's exit 1 after the rows below n = 1857
+    cap = separability.CHAIN_LIMIT
+    assert main(["norms", "--families", "cluster", "--n-min", "2", "--n-max", str(cap + 1)]) == 2
+    want = f"graphsep: error: cluster count over {cap + 1} qubits exceeds the {cap}-qubit limit\n"
+    assert capsys.readouterr() == ("", want)
+
+
 def test_a_long_sweep_computes_its_bound_and_count_once(capsys):
     k_sep_bound.cache_clear()
     separability._chain_count.cache_clear()

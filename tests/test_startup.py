@@ -1,9 +1,9 @@
 """Start-up contract: the CLI runs with numpy refused and never loads
-dataclasses (every command, detect on family, graph and raw-amplitude
-files alike), each command runs the body of only the graphsep modules
-its path reads, a library call that needs numpy names the extra that
-installs it, and the lazy namespace still resolves every public name.
-Each check runs in a fresh interpreter."""
+dataclasses or argparse (every command, detect on family, graph and
+raw-amplitude files alike), each command runs the body of only the
+graphsep modules its path reads, a library call that needs numpy names
+the extra that installs it, and the lazy namespace still resolves every
+public name.  Each check runs in a fresh interpreter."""
 
 import json
 import math
@@ -36,9 +36,9 @@ sys.meta_path.insert(0, RefuseNumpy)
 """
 
 # with numpy refused, runs main(argv), then reports its exit code, whether
-# numpy still cannot be imported, which of numpy, dataclasses and inspect
-# got loaded, and the graphsep modules whose body has run; each warning is
-# one "Category: message" line on stderr
+# numpy still cannot be imported, which of numpy, dataclasses, inspect,
+# argparse, gettext and locale got loaded, and the graphsep modules whose
+# body has run; each warning is one "Category: message" line on stderr
 CHILD_MAIN = REFUSE_NUMPY + """
 import importlib.util, json, warnings
 from graphsep.cli import main
@@ -49,7 +49,7 @@ try:
     refused = False
 except ImportError:
     refused = True
-loaded = [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+loaded = [m for m in ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale") if m in sys.modules]
 ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not importlib.util._LazyModule)
 sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 """
@@ -171,7 +171,7 @@ def test_integer_commands_load_no_numpy(capsys, tmp_path, argv, runs):
     *err_lines, report = child.stderr.splitlines(keepends=True)
     rc, refused, loaded, ran = json.loads(report)
     assert refused  # numpy cannot be imported in the child
-    assert loaded == []  # neither numpy nor dataclasses (nor inspect, which it brings)
+    assert loaded == []  # no numpy, no dataclasses (nor inspect, which it brings), no argparse (nor gettext, locale)
     assert ran == sorted(f"graphsep.{module}" for module in runs)
     # the same output as main in this process, where numpy can be imported
     with warnings.catch_warnings(record=True) as caught:
