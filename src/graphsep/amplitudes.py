@@ -14,7 +14,7 @@ import math
 from itertools import chain
 from operator import add, mul
 
-from .separability import LimitError
+from .separability import LimitError, _short
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
 # words, 4^n products (the kernel takes 0.075-0.10 s at n = 10, in-process
@@ -26,7 +26,7 @@ DENSE_LIMIT = 10
 def dense_limit(n: int) -> None:
     """Refuse a dense sweep over 3^n words above DENSE_LIMIT qubits (LimitError)."""
     if n > DENSE_LIMIT:
-        raise LimitError(f"dense sweep over 3^{n} words exceeds the {DENSE_LIMIT}-qubit limit")
+        raise LimitError(f"dense sweep over 3^{_short.repr(n)} words exceeds the {DENSE_LIMIT}-qubit limit")
 
 
 def _gather(p: list, half: int, first: int) -> list:

@@ -11,14 +11,15 @@ Each cmd_* raises any input error, then returns its output lines (str,
 and settings' bytes blocks), which main alone writes as it iterates, to
 stdout unless --out is given.  settings and graph cannot fail once
 checked and stream them; the others return lists: a failure writes none.
-Comment lines start with "#"; numeric fields carry 12 significant
-digits.  Exit codes: 0 success, 1 usage or input error (also a result
-beyond the float range, a failed internal check or a stdout closed
-early), 2 a size limit (separability.LimitError), out of memory or an
-output error, each error one line on stderr.  detect writes its warning
-that it renormalized amplitudes as one "graphsep: warning:" line on
-stderr, whatever warning filters are set.  Verdicts are payload, never
-exit status.
+detect builds one row (a dict), which --format json dumps and text
+writes as key=value lines without xi and p.  Comment lines start with
+"#"; numeric fields carry 12 significant digits.  Exit codes: 0
+success, 1 usage or input error (also a result beyond the float range,
+a failed internal check or a stdout closed early), 2 a size limit
+(separability.LimitError), out of memory or an output error, each error
+one line on stderr.  detect writes its warning that it renormalized
+amplitudes as one "graphsep: warning:" line on stderr, whatever warning
+filters are set.  Verdicts are payload, never exit status.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from types import SimpleNamespace
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
 from . import amplitudes, graphs, statefile
-from .separability import FAMILIES, LimitError, cg_norm_sq, detect, k_sep_bound
+from .separability import FAMILIES, LimitError, _short, cg_norm_sq, detect, k_sep_bound
 from .separability import norm_table, permutation_terms, threshold_p, xi_noise
 
 MAX_ROWS = 100_001  # rows of a sweep or a norms table, all held before any is written
@@ -56,7 +57,7 @@ def _fmt(v: float) -> str:
 
 def _check_limit(what: str, value: int, limit: int) -> None:
     if value > limit:
-        raise LimitError(f"{what} {value} is above the limit of {limit}")
+        raise LimitError(f"{what} {_short.repr(value)} is above the limit of {limit}")
 
 
 def _parse_families(raw: str) -> list[str]:
@@ -95,11 +96,12 @@ def cmd_norms(args) -> list[str]:
 def cmd_bounds(args) -> list[str]:
     n = args.n
     if n < 3:
-        raise ValueError(f"bounds table needs n >= 3, got {n}")
+        raise ValueError(f"bounds table needs n >= 3, got {_short.repr(n)}")
     k_min = args.k_min
     k_max = args.k_max if args.k_max is not None else n
     if not 2 <= k_min <= k_max <= n:
-        raise ValueError(f"need 2 <= k-min <= k-max <= n, got {k_min}..{k_max} for n={n}")
+        raise ValueError(f"need 2 <= k-min <= k-max <= n, got {_short.repr(k_min)}..{_short.repr(k_max)}"
+                         f" for n={_short.repr(n)}")
     _check_limit("bounds part count", (k_min + k_max) * (k_max - k_min + 1) // 2, MAX_PARTS)
     lines = ["n,k,bound,partition"]
     for k in range(k_min, k_max + 1):
@@ -110,7 +112,7 @@ def cmd_bounds(args) -> list[str]:
 
 def cmd_sweep(args) -> list[str]:
     if args.p_steps < 2:
-        raise ValueError(f"p-steps must be at least 2, got {args.p_steps}")
+        raise ValueError(f"p-steps must be at least 2, got {_short.repr(args.p_steps)}")
     _check_limit("p-steps", args.p_steps, MAX_ROWS)
     _check_limit("k", args.k, MAX_PARTS)
     rows = []
@@ -129,46 +131,28 @@ def cmd_sweep(args) -> list[str]:
 
 
 def cmd_detect(args) -> list[str]:
-    try:
-        with warnings.catch_warnings(record=True) as caught:  # recorded under any filters, -W error too
-            warnings.simplefilter("always")
-            loaded = statefile.load_state_file(args.state_file)
-    except OSError as exc:  # a missing or unreadable file (load_state_file names a file that is not UTF-8)
-        raise statefile.StateFileError(f"cannot read {args.state_file}: {exc}") from None
+    with warnings.catch_warnings(record=True) as caught:  # recorded under any filters, -W error too
+        warnings.simplefilter("always")
+        loaded = statefile.load_state_file(args.state_file)
     for w in caught:  # renormalized amplitudes: one line each, and no source line
         print(f"graphsep: warning: {w.message}", file=sys.stderr)
     n = loaded.n
     if not 2 <= args.k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={args.k} for an n={n} state")
+        raise ValueError(f"need 2 <= k <= n, got k={_short.repr(args.k)} for an n={_short.repr(n)} state")
     _check_limit("k", args.k, MAX_PARTS)
     if loaded.family is None:  # raw amplitudes: the kernel's float norm, certified past its rounding margin
         res = detect(amplitudes._pure_norm_sq(n, loaded.source), n, args.k)
     else:  # the exact noise quadratic of a family name or a graph (noise_products)
         res = xi_noise(n, args.k, loaded.p or 0.0, loaded.source)
     pb = k_sep_bound(n, args.k)
-    norm = math.sqrt(res.numerator)
+    row = {"n": n, "k": args.k, "norm": math.sqrt(res.numerator), "bound": pb.bound,
+           "partition": pb.partition_label(), "xi": res.xi, "verdict": res.verdict, "p": loaded.p}
     if args.format == "json":
         import json
 
-        payload = {
-            "n": n,
-            "k": args.k,
-            "norm": norm,
-            "bound": pb.bound,
-            "partition": pb.partition_label(),
-            "xi": res.xi,
-            "verdict": res.verdict,
-            "p": loaded.p,
-        }
-        return [json.dumps(payload, indent=2)]
-    return [
-        f"n={n}",
-        f"k={args.k}",
-        f"norm={_fmt(norm)}",
-        f"bound={_fmt(pb.bound)}",
-        f"partition={pb.partition_label()}",
-        f"verdict={res.verdict}",
-    ]
+        return [json.dumps(row, indent=2)]
+    return [f"{key}={_fmt(value) if isinstance(value, float) else value}"
+            for key, value in row.items() if key not in ("xi", "p")]
 
 
 def cmd_settings(args) -> Iterator[bytes | str]:

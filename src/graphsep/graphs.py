@@ -20,13 +20,12 @@ key patterns.  It reads no numpy and no graphsep module but separability.
 
 from __future__ import annotations
 
-import reprlib
 from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import chain, pairwise
 from operator import index
 
-from .separability import LimitError
+from .separability import LimitError, _short
 
 # Generators whose subsets form one chunk of the count (2 KiB per slice)
 # and of the walk in stabilizer (2^14 int64 lanes, 128 KiB, per temporary).
@@ -40,15 +39,13 @@ COUNT_LIMIT = 26
 # stabilizer.full_weight_support materialize (n = 22 keys take about 180 MB).
 PATTERN_LIMIT = 22
 
-_short = reprlib.Repr()  # reprlib.repr, but an int past 4096 bits (the int-to-str limit) shows its size
-_short.repr_int = lambda x, level: reprlib.repr(x) if x.bit_length() <= 4096 else f"<{x.bit_length()}-bit int>"
-
 
 def check_count_limit(source) -> None:
     """Refuse a non-diagonal source's count over 2^n generator subsets above COUNT_LIMIT qubits (LimitError)."""
     n = source.n
     if n > COUNT_LIMIT and not source.diagonal:
-        raise LimitError(f"stabilizer count over 2^{n} generator subsets exceeds the {COUNT_LIMIT}-qubit limit")
+        raise LimitError(f"stabilizer count over 2^{_short.repr(n)} generator subsets"
+                         f" exceeds the {COUNT_LIMIT}-qubit limit")
 
 
 class GraphSpec:
@@ -56,7 +53,7 @@ class GraphSpec:
 
     Built from any iterable of (a, b) edges whose vertices are of any int
     type but bool (operator.index; a non-pair edge or any other vertex,
-    True included, is refused with ValueError, in reprlib's short form),
+    True included, is refused with ValueError, named by separability._short),
     and kept as the sorted pairs (a, b) of Python ints, a < b, checked in
     O(|E| log |E|) time and O(|E|) memory (a duplicate is next to its twin
     once sorted): nothing of size n is built, so a huge n with few edges
@@ -85,7 +82,7 @@ class GraphSpec:
             if a == b:
                 raise ValueError(f"self-loop at vertex {_short.repr(a)}")
             if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge {_short.repr((a, b))} outside 1..{n}")
+                raise ValueError(f"edge {_short.repr((a, b))} outside 1..{_short.repr(n)}")
             pairs.append((a, b) if a < b else (b, a))
         pairs.sort()  # linear when the edges come in order, as from complete_graph
         for pair, following in pairwise(pairs):
@@ -196,7 +193,7 @@ def pattern_halves(n: int, parity: int, render):
     if n < 2:
         raise ValueError("pattern needs n >= 2")
     if n > PATTERN_LIMIT:
-        raise LimitError(f"pattern of 2^{n - 1} words exceeds the {PATTERN_LIMIT}-qubit limit")
+        raise LimitError(f"pattern of 2^{_short.repr(n - 1)} words exceeds the {PATTERN_LIMIT}-qubit limit")
     low, tops = n // 2, range((1 << (n - n // 2)) - 1, -1, -1)
     bottoms = [render([b for b in range((1 << low) - 1, -1, -1) if b.bit_count() == r]) for r in range(low + 1)]
     return ((t, bottoms[w - t.bit_count()])

@@ -45,14 +45,16 @@ correctly rounded.
 Only detect on raw amplitudes (a squared norm summed in floats from the
 amplitudes) certifies past a stated worst-case rounding margin.
 
-The integer closed forms (cg_norm_sq, sqrt_int, permutation_terms) and
-LimitError, the one error of every size limit, live here, and importing
+The integer closed forms (cg_norm_sq, sqrt_int, permutation_terms),
+LimitError (the one error of every size limit) and _short (the one
+formatter of a caller's number in a message) live here, and importing
 the module runs neither numpy nor another graphsep module.
 """
 
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
@@ -67,6 +69,12 @@ INCONCLUSIVE = "Inconclusive"
 
 class LimitError(RuntimeError):
     """A request beyond a size limit (qubits, words or grid steps), refused before the work."""
+
+
+# reprlib.repr, but an int past 4096 bits (the int-to-str limit) shows its size, and another integer type its str()
+_short = reprlib.Repr()
+_short.repr_int = lambda x, level: reprlib.repr(x) if x.bit_length() <= 4096 else f"<{x.bit_length()}-bit int>"
+_short.repr_instance = lambda x, level: str(x) if hasattr(x, "__index__") else reprlib.repr(x)
 
 
 def _outcome(value_sq, bound_sq: int) -> str:
@@ -113,7 +121,7 @@ def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[
     k-partition.
     """
     if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise ValueError(f"need 1 <= k <= n, got k={_short.repr(k)}, n={_short.repr(n)}")
     found = []
     parts = [1] * (k - 1) + [n - k + 1]
     while True:
@@ -172,7 +180,7 @@ def k_sep_bound(n: int, k: int) -> PartitionBound:
     table's O(k)-sized partitions go once it moves on.
     """
     if k < 2 or k > n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
+        raise ValueError(f"need 2 <= k <= n, got k={_short.repr(k)}, n={_short.repr(n)}")
     spare = n - k  # qubits beyond one per block
     if spare >= 2 * sys.float_info.max_exp:
         # bound_sq >= 2^spare, so its root is past the float range: refuse before the product
@@ -251,7 +259,7 @@ def _chain_counts(ns: range) -> Iterator[int]:
     the same recurrence: 3, 4, 5, 8, 12, 17, ... from n = 2.  Above
     CHAIN_LIMIT it raises LimitError at the first read, before the loop."""
     if ns[-1] > CHAIN_LIMIT:
-        raise LimitError(f"cluster count over {ns[-1]} qubits exceeds the {CHAIN_LIMIT}-qubit limit")
+        raise LimitError(f"cluster count over {_short.repr(ns[-1])} qubits exceeds the {CHAIN_LIMIT}-qubit limit")
     a, b, c = 1, 1, 3  # B_0, B_1, B_2
     for n in range(ns.stop):
         if n >= ns.start:
@@ -291,7 +299,7 @@ def norm_table(families, n_min: int, n_max: int) -> list[tuple[str, int, float]]
     for family in fams:
         check_family(family)
     if not 2 <= n_min <= n_max:
-        raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
+        raise ValueError(f"need 2 <= n_min <= n_max, got {_short.repr(n_min)}..{_short.repr(n_max)}")
     # a cluster range takes its counts from one pass of their recurrence, not each B_n from B_0 (FAMILIES)
     return [(family, n, b / d) for family in fams for n, (b, _, _, d) in zip(ns, map(FAMILIES[family], ns)
             if family != "cluster" else ((count, 0, 1, 1) for count in _chain_counts(ns)))]
@@ -325,9 +333,9 @@ def _check_source(n: int, source, count: bool = True) -> None:
     if isinstance(source, str):
         check_family(source)
         if n < 2:
-            raise ValueError(f"family {source!r} needs at least 2 qubits, got n={n}")
+            raise ValueError(f"family {source!r} needs at least 2 qubits, got n={_short.repr(n)}")
     elif source.n != n:
-        raise ValueError(f"source has {source.n} qubits, not {n}")
+        raise ValueError(f"source has {_short.repr(source.n)} qubits, not {_short.repr(n)}")
     elif count:
         graphs.check_count_limit(source)
 

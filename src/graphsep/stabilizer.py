@@ -46,7 +46,7 @@ from itertools import chain, combinations, product
 # the lazy module (graphsep/__init__.py), run only by the walk and the key patterns
 from . import pauli
 from .graphs import _SUBSET_BITS, PATTERN_LIMIT, pattern_halves
-from .separability import LimitError
+from .separability import LimitError, _short
 
 
 def _times(x, z, t, generator, popcount):
@@ -209,7 +209,8 @@ def full_weight_support(source) -> pauli.CorrelationTensor:
     if source.diagonal:
         return pauli.CorrelationTensor(n, [pauli.pack_index((3,) * n)], [source.zn_sign])
     if n > PATTERN_LIMIT:
-        raise LimitError(f"full-weight support over 2^{n} generator subsets exceeds the {PATTERN_LIMIT}-qubit limit")
+        raise LimitError(f"full-weight support over 2^{_short.repr(n)} generator subsets"
+                         f" exceeds the {PATTERN_LIMIT}-qubit limit")
     np = pauli.require_numpy()
 
     chunks = list(_walk(source))

@@ -24,22 +24,22 @@ separability.xi_noise or to the amplitude kernel of graphsep.amplitudes.
 A caller that wants the state builds it from the source (for raw
 amplitudes, pauli.PureState(n, source)).  A one-qubit family file is
 refused here, in one message that names the family; GraphSpec checks
-a graph's edges.  The module imports only graphs and separability (the
-writers' pauli.PureState is named in their docstrings), so detect runs
-no inspection module: xi_noise reads a family's closed form, and counts
-a graph's B from the GraphSpec itself.
+a graph's edges.  Every read error is a StateFileError (load_state_file).
+The module imports only graphs and separability (the writers'
+pauli.PureState is named in their docstrings), so detect runs no
+inspection module: xi_noise reads a family's closed form, and counts a
+graph's B from the GraphSpec itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import reprlib
 import sys
 import warnings
 
 from . import graphs  # a lazy module (graphsep/__init__.py): runs when a graph document is read
-from .separability import check_family
+from .separability import _short, check_family
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
 
@@ -112,7 +112,7 @@ def loads_state(text: str) -> LoadedState:
         raise StateFileError(str(exc)) from None
     p = doc.get("p")
     if p is not None and (not _is_number(p) or not 0 <= p <= 1):  # exact: no float of a huge int
-        raise StateFileError(f"'p' must be a number in [0, 1], got {reprlib.repr(p)}")
+        raise StateFileError(f"'p' must be a number in [0, 1], got {_short.repr(p)}")
     if family == "graph":
         if "edges" not in doc:
             raise StateFileError("family 'graph' requires an 'edges' list")
@@ -135,15 +135,15 @@ def loads_state(text: str) -> LoadedState:
 def _parse_amplitudes(raw, n: int) -> tuple:
     # no list reaches 2^64 entries, so a larger n is refused without forming 1 << n
     if not isinstance(raw, list) or len(raw) != 1 << min(n, 64):
-        raise StateFileError(f"'amplitudes' must list exactly 2^{n} entries")
+        raise StateFileError(f"'amplitudes' must list exactly 2^{_short.repr(n)} entries")
     amps = []
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
-            raise StateFileError(f"amplitude {i} is not an [re, im] pair: {reprlib.repr(item)}")
+            raise StateFileError(f"amplitude {i} is not an [re, im] pair: {_short.repr(item)}")
         try:
             amps.append(complex(item[0], item[1]))
         except OverflowError:  # an integer part past the float range
-            raise StateFileError(f"amplitude {i} has a part past the float range: {reprlib.repr(item)}") from None
+            raise StateFileError(f"amplitude {i} has a part past the float range: {_short.repr(item)}") from None
     try:
         nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
     except OverflowError:  # a finite part whose square, or a sum of squares, is past the float range
@@ -160,12 +160,12 @@ def _parse_amplitudes(raw, n: int) -> tuple:
 
 
 def load_state_file(path) -> LoadedState:
-    """Parse a state file; one that is not UTF-8 raises StateFileError naming path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Parse a state file; one that cannot be read (an OSError, or not UTF-8) raises StateFileError naming path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise StateFileError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StateFileError(f"cannot read {path}: {exc}") from None
     return loads_state(text)
 
 

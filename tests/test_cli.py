@@ -457,6 +457,30 @@ def test_detect_ghz_noise_json(capsys, tmp_path):
     assert payload["p"] == 0.2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"family": "cg", "n": 5, "p": 0.1},
+        {"family": "graph", "n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 4]], "p": 0.1},
+        {"n": 3, "amplitudes": [[0.5 ** 0.5, 0]] + [[0, 0]] * 6 + [[0.5 ** 0.5, 0]]},
+    ],
+    ids=["family", "graph", "raw"],
+)
+def test_detect_text_is_the_json_row_without_xi_and_p(capsys, tmp_path, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    code, text, _ = run(capsys, "detect", "--state-file", str(path), "--k", "2")
+    assert code == 0
+    code, out, _ = run(capsys, "detect", "--state-file", str(path), "--k", "2", "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert list(row) == ["n", "k", "norm", "bound", "partition", "xi", "verdict", "p"]
+    assert text.splitlines() == [
+        f"{key}={cli._fmt(value) if isinstance(value, float) else value}"
+        for key, value in row.items() if key not in ("xi", "p")
+    ]
+
+
 def test_detect_malformed_file_exits_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("not json at all")
@@ -524,6 +548,36 @@ def test_detect_unreadable_files_name_the_file(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, out, err = run(capsys, "detect", "--state-file", str(missing), "--k", "2")
     assert (code, out) == (1, "") and err.startswith(f"graphsep: error: cannot read {missing}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, what, value, limit",
+    [
+        (["norms", "--n-min", "2", "--n-max", "9" * 4300], "norms row count", 4 * (10 ** 4300 - 2), MAX_ROWS),
+        (["bounds", "--n", "9" * 4300], "bounds part count", (10 ** 4300 + 1) * (10 ** 4300 - 2) // 2, MAX_PARTS),
+    ],
+    ids=["norms", "bounds"],
+)
+def test_a_count_past_the_int_to_str_limit_exits_2(capsys, argv, what, value, limit):
+    # argv takes an int of 4,300 digits, but the count made from it has more: the
+    # message names it by its size, not by the int-to-str error of str(count)
+    want = f"graphsep: error: {what} <{value.bit_length()}-bit int> is above the limit of {limit}\n"
+    assert run(capsys, *argv) == (2, "", want)
+
+
+def test_an_input_error_cuts_a_long_number(capsys, tmp_path):
+    # a message cuts a number past 40 characters in the middle, as reprlib
+    # does (one past 4096 bits it names by its size)
+    nines, cut = "9" * 100, "9" * 18 + "..." + "9" * 19
+    cg5, raw = tmp_path / "cg5.json", tmp_path / "raw.json"
+    cg5.write_text('{"family": "cg", "n": 5}')
+    raw.write_text(f'{{"n": {nines}, "amplitudes": []}}')
+    for argv, message in [
+        (["bounds", "--n", "5", "--k-max", nines], f"need 2 <= k-min <= k-max <= n, got 2..{cut} for n=5"),
+        (["detect", "--state-file", str(cg5), "--k", nines], f"need 2 <= k <= n, got k={cut} for an n=5 state"),
+        (["detect", "--state-file", str(raw), "--k", "2"], f"'amplitudes' must list exactly 2^{cut} entries"),
+    ]:
+        assert run(capsys, *argv) == (1, "", f"graphsep: error: {message}\n")
 
 
 def test_sweep_refuses_a_family_size_before_k(capsys):

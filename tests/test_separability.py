@@ -1,6 +1,7 @@
 """Partition bounds, verdicts and the noise-ratio functions."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,19 +12,27 @@ from hypothesis import strategies as st
 from graphsep import (
     INCONCLUSIVE,
     NON_K_SEPARABLE,
+    GraphSpec,
+    LimitError,
     MixedEnsemble,
     PureState,
     admissible_partitions,
     all_ones_state,
     chain_graph,
     complete_graph,
+    amplitudes,
     detect,
     full_tensor,
+    full_weight_support,
     ghz_group,
     ghz_state,
     graph_state,
+    graphs,
     k_sep_bound,
+    measurement_settings,
+    noise_products,
     noisy_mixture,
+    norm_table,
     separability,
     stabilizer_group,
     tensor_norm_sq,
@@ -547,3 +556,38 @@ def test_first_root_is_correctly_rounded():
                 want = exact_quadratic_root(a2, a1, a0)
                 got = separability._first_root(a2, a1, a0)
                 assert got == (None if want is None else float(want)), (a2, a1, a0)
+
+
+HUGE = 10 ** 5000  # 16,610 bits: str() of it raises Python's 4,300-digit int-to-str error
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: GraphSpec(HUGE, [(0, 1)]), ValueError),
+        (lambda: graphs.check_count_limit(GraphSpec(HUGE, [])), LimitError),
+        (lambda: measurement_settings(HUGE), LimitError),
+        (lambda: full_weight_support(GraphSpec(HUGE, [])), LimitError),
+        (lambda: amplitudes.dense_limit(HUGE), LimitError),
+        (lambda: noise_products(HUGE, "cluster"), LimitError),
+        (lambda: k_sep_bound(HUGE, HUGE + 1), ValueError),
+        (lambda: noise_products(3, GraphSpec(HUGE, [])), ValueError),
+        (lambda: norm_table(["cg"], HUGE, 2), ValueError),
+        (lambda: admissible_partitions(HUGE, HUGE + 1), ValueError),
+        (lambda: noise_products(-HUGE, "cg"), ValueError),
+    ],
+    ids=["graph-spec", "count-limit", "settings", "support", "dense-limit", "cluster-count", "k-sep-bound",
+         "source-size", "norm-table", "partitions", "family-size"],
+)
+def test_a_huge_n_is_named_by_its_size_in_each_error(call, error):
+    # each message writes n through separability._short, not str(), so the call raises its own error
+    with pytest.raises(error, match=re.escape("<16610-bit int>")):
+        call()
+
+
+def test_an_integer_of_another_type_reads_as_its_str_in_an_error():
+    # _short writes a numpy int or a bool as str() does, not as its repr (np.int64(5))
+    with pytest.raises(ValueError, match=f"^{re.escape('need 2 <= k <= n, got k=7, n=5')}$"):
+        k_sep_bound(np.int64(5), 7)
+    with pytest.raises(ValueError, match=f"^{re.escape('edge (1, True) has a non-integer vertex')}$"):
+        GraphSpec(3, [(np.int64(1), True)])

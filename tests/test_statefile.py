@@ -33,6 +33,18 @@ def test_a_file_that_is_not_utf8_is_a_state_file_error(tmp_path):
         load_state_file(path)
 
 
+@pytest.mark.parametrize(
+    "name, error", [("missing.json", FileNotFoundError), ("", IsADirectoryError)], ids=["missing", "directory"]
+)
+def test_a_path_that_cannot_be_read_is_a_state_file_error(tmp_path, name, error):
+    # as for a file that is not UTF-8, a library caller gets the error the CLI prints
+    path = tmp_path / name
+    with pytest.raises(error) as reason:
+        open(path, encoding="utf-8")
+    with pytest.raises(StateFileError, match=f"^{re.escape(f'cannot read {path}: {reason.value}')}$"):
+        load_state_file(path)
+
+
 def test_family_file_with_noise():
     loaded = loads_state('{"family": "ghz", "n": 3, "p": 0.25}')
     assert loaded.p == 0.25 and loaded.source == "ghz"
