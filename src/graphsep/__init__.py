@@ -9,24 +9,27 @@ and each public name resolves on first access (PEP 562), so graphsep.X
 is graphsep.<home>.X.  No module imports numpy at import time: the
 functions that build or read arrays (amplitude arrays, sparse tensors, the
 walk, the key patterns) get it from pauli.require_numpy, which without
-it raises a one-line ImportError that names the extra.  separability
-(bounds, thresholds and the integer closed forms), graphs (graphs, the
-full-weight count, the pattern order and the settings) and amplitudes (the
-raw-amplitude norm and the dense limit) never read it, and groups and
-settings are plain ints and bytes, so no CLI command needs numpy.
+it raises a one-line ImportError that names the extra.  bounds (the
+k-separability bound and the integer closed forms), separability (noise
+verdicts, thresholds and the family table), graphs (graphs, the
+full-weight count, the pattern order and the settings), amplitudes (the
+raw-amplitude norm and the dense limit) and commands (the command
+bodies) never read it, and groups and settings are plain ints and
+bytes, so no CLI command needs numpy.
 
 No class is a dataclass (its module brings inspect, ast and dis, about
 10 ms of start-up): the result records PartitionBound and XiResult
 are named tuples, the other classes plain ones.
 The modules reach each other through the lazy modules and read them
 only inside the functions that need them, so a CLI command runs the body
-of only the modules its path reads: cli and separability for bounds,
-sweep, appendix, graph and norms, with graphs for settings, and
-statefile for detect, with graphs for a graph file and amplitudes for
-raw amplitudes.  No core module (cli, separability, graphs, statefile,
-amplitudes) imports the inspection layer (pauli, states, stabilizer,
-tensor), so no command runs it.  amplitudes has no public name and is
-registered all the same: graphsep.amplitudes._pure_norm_sq is the kernel.
+of only the modules its path reads: cli, commands, separability and
+bounds for bounds, sweep, appendix, graph and norms, with graphs for
+settings, and statefile for detect, with graphs for a graph file and
+amplitudes for raw amplitudes.  No core module (cli, commands,
+separability, bounds, graphs, statefile, amplitudes) imports the
+inspection layer (pauli, states, stabilizer, tensor), so no command runs
+it.  amplitudes and commands have no public name and are registered all
+the same: graphsep.amplitudes._pure_norm_sq is the kernel.
 """
 
 import importlib
@@ -35,13 +38,15 @@ import sys
 
 __version__ = "0.1.0"
 
-# home module -> the public names it exports (none for amplitudes, registered all the same)
+# home module -> the public names it exports (none for amplitudes and commands, registered all the same)
 _EXPORTS = {
     "amplitudes": "",
+    "bounds": "INCONCLUSIVE LimitError NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
+    " k_sep_bound",
+    "commands": "",
     "graphs": "GraphSpec chain_graph complete_graph full_weight_count measurement_settings",
     "pauli": "CorrelationTensor MixedEnsemble PauliString PureState expectation pack_index pure_ensemble",
-    "separability": "INCONCLUSIVE LimitError NON_K_SEPARABLE PartitionBound XiResult admissible_partitions detect"
-    " k_sep_bound noise_products norm_table threshold_p xi_noise",
+    "separability": "noise_products norm_table threshold_p xi_noise",
     "stabilizer": "StabilizerGroup cg_nonzero_pattern full_weight_support ghz_group ghz_nonzero_pattern"
     " stabilizer_group",
     "statefile": "LoadedState StateFileError load_state_file write_amplitude_file",

@@ -4,7 +4,7 @@ detect on a raw-amplitude file reads its squared norm from _pure_norm_sq,
 a kernel that sums 4^n amplitude products with no 3^n array, and the
 dense-path qubit limit lives here with it: DENSE_LIMIT, checked by
 dense_limit, which tensor imports back for its numpy sweep.  The module
-reads only the standard library and separability (for LimitError), so
+reads only the standard library and bounds (for LimitError), so
 a raw-amplitude detect runs neither tensor nor numpy.
 """
 
@@ -14,7 +14,7 @@ import math
 from itertools import chain
 from operator import add, mul
 
-from .separability import LimitError, _short
+from .bounds import LimitError, _short
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
 # words, 4^n products (the kernel takes 0.075-0.10 s at n = 10, in-process
@@ -70,7 +70,7 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     |c| over its products in the index order of v.
     Every w |g|^2 goes into one fsum as w re^2 and w im^2 (w a power of
     two), leaf by leaf, so no list of all 3^n parts is held.
-    separability.detect states the rounding margin of the result.
+    bounds.detect states the rounding margin of the result.
     """
     dense_limit(n)
     signs = [1.0]

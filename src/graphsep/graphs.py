@@ -15,7 +15,7 @@ subsets and C = (-1)^n zn_sign, and so does the stabilizer walk, so a
 graph or its state is decided with no group.
 pattern_halves lists the masks of the complete-graph and GHZ patterns,
 for measurement_settings (the settings command's words) and stabilizer's
-key patterns.  It reads no numpy and no graphsep module but separability.
+key patterns.  It reads no numpy and no graphsep module but bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, pairwise
 from operator import index
 
-from .separability import LimitError, _short
+from .bounds import LimitError, _short
 
 # Generators whose subsets form one chunk of the count (2 KiB per slice)
 # and of the walk in stabilizer (2^14 int64 lanes, 128 KiB, per temporary).
@@ -53,7 +53,7 @@ class GraphSpec:
 
     Built from any iterable of (a, b) edges whose vertices are of any int
     type but bool (operator.index; a non-pair edge or any other vertex,
-    True included, is refused with ValueError, named by separability._short),
+    True included, is refused with ValueError, named by bounds._short),
     and kept as the sorted pairs (a, b) of Python ints, a < b, checked in
     O(|E| log |E|) time and O(|E|) memory (a duplicate is next to its twin
     once sorted): nothing of size n is built, so a huge n with few edges

@@ -32,7 +32,7 @@ count, which needs no signs and no numpy, and the pattern order live in
 graphs; the complete-graph and GHZ key patterns pack the masks of
 pattern_halves.  full_weight_support and the key patterns, which keep
 every key, refuse more than PATTERN_LIMIT qubits with
-separability.LimitError.
+bounds.LimitError.
 numpy (pauli.require_numpy) is read only where arrays are built, so groups
 and the count start without it; pauli (the lazy module) runs only for
 the walk's tensor and the key patterns.
@@ -45,8 +45,8 @@ from itertools import chain, combinations, product
 
 # the lazy module (graphsep/__init__.py), run only by the walk and the key patterns
 from . import pauli
+from .bounds import LimitError, _short
 from .graphs import _SUBSET_BITS, PATTERN_LIMIT, pattern_halves
-from .separability import LimitError, _short
 
 
 def _times(x, z, t, generator, popcount):

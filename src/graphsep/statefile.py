@@ -25,7 +25,7 @@ A caller that wants the state builds it from the source (for raw
 amplitudes, pauli.PureState(n, source)).  A one-qubit family file is
 refused here, in one message that names the family; GraphSpec checks
 a graph's edges.  Every read error is a StateFileError (load_state_file).
-The module imports only graphs and separability (the writers'
+The module imports only graphs, bounds and separability (the writers'
 pauli.PureState is named in their docstrings), so detect runs no
 inspection module: xi_noise reads a family's closed form, and counts a
 graph's B from the GraphSpec itself.
@@ -39,7 +39,8 @@ import sys
 import warnings
 
 from . import graphs  # a lazy module (graphsep/__init__.py): runs when a graph document is read
-from .separability import _short, check_family
+from .bounds import _short
+from .separability import check_family
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
 

@@ -20,7 +20,7 @@ The dense reference of a tagged state is its untagged copy,
 PureState(n, state.amplitudes).
 
 The criterion needs only the squared norm, which the CLI reads from the
-stdlib core (separability, amplitudes), so no command runs this module.
+stdlib core (separability, bounds, amplitudes), so no command runs this module.
 full_tensor is the library's inspection tool and the reference of the
 raw-amplitude kernel (amplitudes._pure_norm_sq); it reads numpy, which
 only the tensor extra installs (pauli.require_numpy).
@@ -78,7 +78,7 @@ def full_tensor(ens, zero_tol: float = 1e-9) -> pauli.CorrelationTensor:
     The state picks the path: the stabilizer shortcut when every member
     is tagged with a stabilizer source (full_weight_support reads a
     GraphSpec or a group alike), the dense sweep otherwise.  Each refuses with
-    separability.LimitError above its qubit limit: the sweep above
+    bounds.LimitError above its qubit limit: the sweep above
     DENSE_LIMIT (10), the shortcut's walk above graphs.PATTERN_LIMIT.
     Entries whose magnitude is not above zero_tol are dropped.
     """

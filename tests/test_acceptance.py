@@ -33,7 +33,7 @@ from graphsep import (
     threshold_p,
     w_state,
 )
-from graphsep.separability import NON_K_SEPARABLE, cg_norm_sq, sqrt_int
+from graphsep.bounds import NON_K_SEPARABLE, cg_norm_sq, sqrt_int
 
 from oracle import (
     all_full_indices,

@@ -1,5 +1,5 @@
 """The amplitude kernel's summation order, pinned bit for bit against a
-plain reference.  separability.detect's rounding margin assumes each g is
+plain reference.  bounds.detect's rounding margin assumes each g is
 a pairwise fold of depth at most n; the kernel tests in test_tensor.py
 compare within that margin only, so they would pass a kernel that sums in
 another order.  Needs neither numpy nor hypothesis."""

@@ -36,8 +36,9 @@ from graphsep import (
     tensor,
     write_amplitude_file,
 )
-from graphsep import cli
-from graphsep.cli import MAX_PARTS, MAX_ROWS, main
+from graphsep import bounds, cli, commands
+from graphsep.cli import main
+from graphsep.commands import MAX_PARTS, MAX_ROWS
 
 from oracle import (
     brute_k_sep_bound,
@@ -476,7 +477,7 @@ def test_detect_text_is_the_json_row_without_xi_and_p(capsys, tmp_path, doc):
     row = json.loads(out)
     assert list(row) == ["n", "k", "norm", "bound", "partition", "xi", "verdict", "p"]
     assert text.splitlines() == [
-        f"{key}={cli._fmt(value) if isinstance(value, float) else value}"
+        f"{key}={commands._fmt(value) if isinstance(value, float) else value}"
         for key, value in row.items() if key not in ("xi", "p")
     ]
 
@@ -622,7 +623,7 @@ def test_memory_error_is_one_line_exit_2(capsys, monkeypatch, exc, message):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "k_sep_bound", fail)
+    monkeypatch.setattr(commands, "k_sep_bound", fail)
     assert run(capsys, "bounds", "--n", "7") == (2, "", f"graphsep: error: {message}\n")
 
 
@@ -788,7 +789,7 @@ def test_huge_n_refuses_at_start_up(capsys, tmp_path, monkeypatch):
     def fail(*args):
         raise AssertionError("a block norm was built")
 
-    monkeypatch.setattr(separability, "cg_norm_sq", fail)
+    monkeypatch.setattr(bounds, "cg_norm_sq", fail)
     n = str(10 ** 11)
     path = tmp_path / "cg.json"
     path.write_text(json.dumps({"family": "cg", "n": 10 ** 11, "p": 1}))
@@ -959,7 +960,7 @@ def test_a_command_that_fails_late_writes_nothing(capsys, monkeypatch, tmp_path,
     path = tmp_path / "cg5.json"
     path.write_text('{"family": "cg", "n": 5}')
     argv = [str(path) if arg == "STATE" else arg for arg in argv]
-    monkeypatch.setattr(cli, name, _fail)
+    monkeypatch.setattr(commands, name, _fail)
     assert run(capsys, *argv) == (1, "", "graphsep: error: injected failure\n")
 
 
@@ -1028,7 +1029,7 @@ def test_appendix_that_fails_late_writes_nothing(capsys):
 
 
 def test_appendix_mismatch_is_one_line_exit_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "permutation_terms", lambda n: [(1, n)])
+    monkeypatch.setattr(commands, "permutation_terms", lambda n: [(1, n)])
     assert run(capsys, "appendix", "--n", "4") == (
         1, "", "graphsep: error: appendix sum 5 differs from the closed form 9\n"
     )
@@ -1039,22 +1040,22 @@ def test_appendix_mismatch_is_one_line_exit_1(capsys, monkeypatch):
     [
         (
             "appendix --n {}",
-            cli.APPENDIX_MAX_N,
-            cli,
+            commands.APPENDIX_MAX_N,
+            commands,
             "permutation_terms",
-            f"appendix n {cli.APPENDIX_MAX_N + 1} is above the limit of {cli.APPENDIX_MAX_N}",
+            f"appendix n {commands.APPENDIX_MAX_N + 1} is above the limit of {commands.APPENDIX_MAX_N}",
         ),
         (
             "graph --n {}",
-            cli.GRAPH_MAX_N,
-            cli,
+            commands.GRAPH_MAX_N,
+            commands,
             "chain",
-            f"graph n {cli.GRAPH_MAX_N + 1} is above the limit of {cli.GRAPH_MAX_N}",
+            f"graph n {commands.GRAPH_MAX_N + 1} is above the limit of {commands.GRAPH_MAX_N}",
         ),
         (
             "norms --families w --n-min 2 --n-max {}",
             MAX_ROWS + 1,
-            cli,
+            commands,
             "norm_table",
             f"norms row count {MAX_ROWS + 1} is above the limit of {MAX_ROWS}",
         ),
@@ -1092,7 +1093,7 @@ def test_partitions_of_max_parts_blocks_and_no_more(capsys, monkeypatch, tmp_pat
     assert line[command] in out.splitlines()
     # one block past it, exit 2 before any bound is built
     calls = []
-    for module in (separability, cli):
+    for module in (separability, bounds, commands):
         monkeypatch.setattr(module, "k_sep_bound", lambda *args: calls.append(args))
     code, out, err = run(capsys, *_parts_argv(command, MAX_PARTS + 1, tmp_path))
     what = "bounds part count" if command == "bounds" else "k"
@@ -1113,7 +1114,7 @@ def test_sweep_rows_come_before_the_threshold_solve(capsys, monkeypatch):
     def fail(*args):
         raise AssertionError("the threshold was solved")
 
-    monkeypatch.setattr(cli, "threshold_p", fail)
+    monkeypatch.setattr(commands, "threshold_p", fail)
     code, out, err = run(capsys, "sweep", "--family", "cg", "--n", "1000000", "--k", "999999")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("graphsep: error: result out of floating-point range (")

@@ -21,6 +21,7 @@ from graphsep import (
     chain_graph,
     complete_graph,
     amplitudes,
+    bounds,
     detect,
     full_tensor,
     full_weight_support,
@@ -40,8 +41,9 @@ from graphsep import (
     w_state,
     xi_noise,
 )
-from graphsep.cli import MAX_PARTS, MAX_ROWS, main
-from graphsep.separability import PartitionBound, cg_norm_sq, sqrt_int
+from graphsep.bounds import PartitionBound, cg_norm_sq, sqrt_int
+from graphsep.cli import main
+from graphsep.commands import MAX_PARTS, MAX_ROWS
 from graphsep.stabilizer import all_ones_group
 
 from oracle import (
@@ -162,7 +164,7 @@ def test_k_sep_bound_refuses_past_the_float_range_before_the_product(monkeypatch
     def fail(*args):
         raise AssertionError("the bound's product was built")
 
-    monkeypatch.setattr(separability, "cg_norm_sq", fail)
+    monkeypatch.setattr(bounds, "cg_norm_sq", fail)
     monkeypatch.setattr(math, "prod", fail)
     for n, k in ((2050, 2), (10 ** 11, 2), (10 ** 11, 10 ** 11 - 2048)):
         with pytest.raises(OverflowError, match="^math range error$"):
@@ -270,7 +272,7 @@ def test_dense_rounding_stays_within_the_detect_margin(n, members, real, seed):
         terms.append((float(w), PureState(n, amps)))
     norm_sq = tensor_norm_sq(full_tensor(MixedEnsemble(tuple(terms))))
     exact = exact_tensor_norm_sq(MixedEnsemble(tuple(terms)).terms, n)
-    margin = norm_sq - separability._lower_bound(norm_sq, n)
+    margin = norm_sq - bounds._lower_bound(norm_sq, n)
     assert abs(norm_sq - exact) <= margin, (float(norm_sq - exact), margin)
 
 
@@ -580,7 +582,7 @@ HUGE = 10 ** 5000  # 16,610 bits: str() of it raises Python's 4,300-digit int-to
          "source-size", "norm-table", "partitions", "family-size"],
 )
 def test_a_huge_n_is_named_by_its_size_in_each_error(call, error):
-    # each message writes n through separability._short, not str(), so the call raises its own error
+    # each message writes n through bounds._short, not str(), so the call raises its own error
     with pytest.raises(error, match=re.escape("<16610-bit int>")):
         call()
 

@@ -32,7 +32,7 @@ from graphsep import stabilizer
 from graphsep.pauli import packed_keys
 from graphsep.graphs import COUNT_LIMIT, PATTERN_LIMIT
 from graphsep.stabilizer import all_ones_group
-from graphsep.separability import LimitError, cg_norm_sq, permutation_terms, sqrt_int
+from graphsep.bounds import LimitError, cg_norm_sq, permutation_terms, sqrt_int
 
 from oracle import (
     all_full_indices,

@@ -56,7 +56,7 @@ sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 
 # the graphsep modules whose body each command runs (README, "Start-up");
 # no command runs the inspection layer: states, pauli, stabilizer or tensor
-TABLES = ("cli", "separability")  # bounds, sweep, appendix, graph, norms
+TABLES = ("cli", "commands", "separability", "bounds")  # bounds, sweep, appendix, graph, norms
 SETTINGS = (*TABLES, "graphs")
 FAMILY_FILE = (*TABLES, "statefile")
 GRAPH_FILE = (*FAMILY_FILE, "graphs")  # the count reads the GraphSpec: no state, no group
@@ -260,13 +260,62 @@ sys.stderr.write(json.dumps([rc, ran]) + "\\n")
 
 
 def test_unwritable_out_exits_2_without_running_a_lazy_module(tmp_path):
-    # every size limit raises separability.LimitError, so mapping an error
+    # every size limit raises bounds.LimitError, so mapping an error
     # to its exit code reads no lazy module
     path = tmp_path / "missing" / "x.csv"
     child = fresh_python(CHILD_MODULES, "sweep", "--family", "cg", "--n", "4", "--k", "2", "--out", str(path))
     *err, report = child.stderr.splitlines()
     assert (child.stdout, err) == ("", [f"graphsep: error: [Errno 2] No such file or directory: '{path}'"])
-    assert json.loads(report) == [2, ["graphsep.cli", "graphsep.separability"]]
+    assert json.loads(report) == [2, ["graphsep.bounds", "graphsep.cli", "graphsep.commands", "graphsep.separability"]]
+
+
+# runs graphsep.cli as python -m does (runpy, as __main__), then reports its
+# exit code, how many times each graphsep file was compiled (an audit hook)
+# and whether graphsep.cli entered sys.modules
+CHILD_AS_MAIN = """
+import collections, json, os, runpy, sys
+compiled = collections.Counter()
+def count_compiles(event, args):
+    if event == "compile" and isinstance(args[1], str) and os.path.basename(os.path.dirname(args[1])) == "graphsep":
+        compiled[os.path.basename(args[1])] += 1
+sys.addaudithook(count_compiles)
+sys.argv = ["graphsep", *sys.argv[1:]]
+try:
+    runpy.run_module("graphsep.cli", run_name="__main__", alter_sys=True)
+    rc = 0
+except SystemExit as exc:
+    rc = exc.code
+sys.stderr.write(json.dumps([rc, compiled, "graphsep.cli" in sys.modules]) + "\\n")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["bounds", "--n", "40"], TABLES),
+        (_detect(_graph_doc(8, 0.5, 8), 3), GRAPH_FILE),
+        (_detect(_raw_doc(4, 4), 2), RAW_FILE),
+    ],
+    ids=["bounds", "graph-file", "raw-file"],
+)
+def test_run_as_main_compiles_each_module_once(monkeypatch, tmp_path, argv, runs):
+    # with no cached bytecode (the benchmark's children write none), every
+    # module a command runs is compiled from source: once each, and the
+    # module run as __main__ is never imported again as graphsep.cli
+    cache = tmp_path / "pycache"
+    cache.mkdir()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(cache))
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
+    child = fresh_python(CHILD_AS_MAIN, *argv)
+    rc, compiled, imported = json.loads(child.stderr.splitlines()[-1])
+    assert (rc, imported) == (0, False)
+    assert compiled == {f"{module}.py": 1 for module in ("__init__", *runs)}
+    assert child.stdout and list(cache.iterdir()) == []
 
 
 def test_tracer_import_sequence_registers_every_layer():

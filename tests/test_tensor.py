@@ -24,6 +24,7 @@ from graphsep import (
     PureState,
     all_ones_state,
     amplitudes,
+    bounds,
     cg_nonzero_pattern,
     chain_graph,
     complete_graph,
@@ -53,7 +54,8 @@ from graphsep import (
     xi_noise,
 )
 from graphsep.cli import main
-from graphsep.separability import FAMILIES, INCONCLUSIVE, cg_norm_sq
+from graphsep.bounds import INCONCLUSIVE, cg_norm_sq
+from graphsep.separability import FAMILIES
 from graphsep.stabilizer import all_ones_group
 
 from oracle import (
@@ -429,7 +431,7 @@ def test_tensor_reexports_the_tables_of_the_core_for_the_tracer():
 
 def _margin(norm_sq, n):
     """The rounding margin detect subtracts from a float squared norm."""
-    return norm_sq - separability._lower_bound(norm_sq, n)
+    return norm_sq - bounds._lower_bound(norm_sq, n)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -557,7 +559,7 @@ def test_many_member_mixtures_stay_within_detects_margin(n, members):
         assert abs(got - exact) <= _margin(got, n)
         for k in range(2, n + 1):
             if exact <= k_sep_bound(n, k).bound_sq:
-                assert separability.detect(got, n, k).verdict == INCONCLUSIVE, (k, got, exact)
+                assert bounds.detect(got, n, k).verdict == INCONCLUSIVE, (k, got, exact)
 
 
 def test_dense_path_drops_exact_zeros():
