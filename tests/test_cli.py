@@ -789,7 +789,9 @@ def test_huge_n_refuses_at_start_up(capsys, tmp_path, monkeypatch):
     def fail(*args):
         raise AssertionError("a block norm was built")
 
-    monkeypatch.setattr(bounds, "cg_norm_sq", fail)
+    # the bound's blocks read bounds' name, the cg family's products separability's
+    for module in (bounds, separability):
+        monkeypatch.setattr(module, "cg_norm_sq", fail)
     n = str(10 ** 11)
     path = tmp_path / "cg.json"
     path.write_text(json.dumps({"family": "cg", "n": 10 ** 11, "p": 1}))
