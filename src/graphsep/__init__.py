@@ -19,7 +19,8 @@ bytes, so no CLI command needs numpy.
 
 No class is a dataclass (its module brings inspect, ast and dis, about
 10 ms of start-up): the result records PartitionBound and XiResult
-are named tuples, the other classes plain ones.
+are collections.namedtuple subclasses (typing.NamedTuple would bring
+typing, re and enum into every command), the other classes plain ones.
 The modules reach each other through the lazy modules and read them
 only inside the functions that need them, so a CLI command runs the body
 of only the modules its path reads: cli, commands, separability and

@@ -45,9 +45,9 @@ from __future__ import annotations
 import math
 import reprlib
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
-from typing import NamedTuple
 
 NON_K_SEPARABLE = "NonKSeparable"
 INCONCLUSIVE = "Inconclusive"
@@ -69,18 +69,14 @@ def _outcome(value_sq, bound_sq: int) -> str:
     return NON_K_SEPARABLE if value_sq > bound_sq else INCONCLUSIVE
 
 
-class PartitionBound(NamedTuple):
+class PartitionBound(namedtuple("PartitionBound", "n k parts bound bound_sq")):
     """Maximizing k-partition of n with its norm bound.
 
     bound_sq is the exact integer product of 2^(m-1) + s_m over the
     parts; bound is its square root as a float.
     """
 
-    n: int
-    k: int
-    parts: tuple
-    bound: float
-    bound_sq: int
+    __slots__ = ()
 
     def partition_label(self) -> str:
         # one str per run of equal parts, not one per block (up to 10^6 blocks)
@@ -88,16 +84,11 @@ class PartitionBound(NamedTuple):
         return "|".join(f"{s}|" * (count - 1) + s for s, count in runs)
 
 
-class XiResult(NamedTuple):
+class XiResult(namedtuple("XiResult", "n k numerator denominator xi verdict")):
     """A state's squared norm (numerator) over the squared k-separability
     bound (denominator), as floats, with the verdict."""
 
-    n: int
-    k: int
-    numerator: float
-    denominator: float
-    xi: float
-    verdict: str
+    __slots__ = ()
 
 
 def admissible_partitions(n: int, k: int, admissible_only: bool = True) -> list[tuple]:

@@ -1,10 +1,13 @@
 """Start-up contract: the CLI runs with numpy refused and never loads
-dataclasses or argparse (every command, detect on family, graph and
-raw-amplitude files alike), each command runs the body of only the
-graphsep modules its path reads, a library call that needs numpy names
-the extra that installs it, and the lazy namespace still resolves every
-public name.  Each check runs in a fresh interpreter."""
+dataclasses, argparse or typing (every command, detect on family, graph
+and raw-amplitude files alike), each command runs the body of only the
+graphsep modules its path reads, the process entry freezes the start-up
+heap while main leaves the collector alone, a library call that needs
+numpy names the extra that installs it, and the lazy namespace still
+resolves every public name.  Each check runs in a fresh interpreter."""
 
+import ast
+import gc
 import json
 import math
 import os
@@ -63,14 +66,15 @@ GRAPH_FILE = (*FAMILY_FILE, "graphs")  # the count reads the GraphSpec: no state
 RAW_FILE = (*FAMILY_FILE, "amplitudes")
 
 
-def fresh_python(code, *argv, **streams):
+def fresh_python(code, *argv, mode=("-c",), **streams):
     """Run code in a fresh interpreter on this tree, with stdout
     block-buffered as in a plain shell; stdout and stderr are captured
-    unless streams gives them."""
+    unless streams gives them.  mode holds the interpreter's options,
+    the last of them -c (code is source) or -m (code is a module name)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     env.pop("PYTHONUNBUFFERED", None)
     streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams}
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env, text=True, timeout=60, check=False, **streams)
+    return subprocess.run([sys.executable, *mode, code, *argv], env=env, text=True, timeout=60, check=False, **streams)
 
 
 def _detect(doc, k, *extra):
@@ -182,6 +186,32 @@ def test_integer_commands_load_no_numpy(capsys, tmp_path, argv, runs):
     assert (child.stdout, "".join(err_lines)) == (captured.out, warned + captured.err)
 
 
+# runs main on each argv in turn, then reports the exit codes and whether
+# typing got loaded
+CHILD_TYPING = """
+import json, sys
+from graphsep.cli import main
+rcs = []
+for argv in json.loads(sys.argv[1]):
+    rcs.append(main(argv))
+sys.stderr.write(json.dumps([rcs, "typing" in sys.modules]) + "\\n")
+"""
+
+
+def test_no_command_loads_typing(tmp_path):
+    # with -S, so that site's own imports (a .pth file may bring typing)
+    # cannot hide one of the program's
+    argvs = [argv for argv, _ in COMMANDS if not any(isinstance(arg, dict) for arg in argv)]
+    for i, doc in enumerate([{"family": "cg", "n": 5, "p": 0.1}, _graph_doc(8, 0.5, 8), _raw_doc(4, 4)]):
+        path = tmp_path / f"state{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs += [_detect(str(path), 2), _detect(str(path), 2, "--format", "json")]
+    argvs += [["norms", "--format", "json"], ["--help"], ["sweep", "--help"], ["bounds"]]
+    child = fresh_python(CHILD_TYPING, json.dumps(argvs), mode=("-S", "-c"))
+    rcs, typing_loaded = json.loads(child.stderr.splitlines()[-1])
+    assert (len(rcs), typing_loaded) == (len(argvs), False)
+
+
 # sets a 1 GiB address-space limit, then runs main(argv) and exits with its code
 CHILD_LIMITED = """
 import resource, sys
@@ -270,10 +300,10 @@ def test_unwritable_out_exits_2_without_running_a_lazy_module(tmp_path):
 
 
 # runs graphsep.cli as python -m does (runpy, as __main__), then reports its
-# exit code, how many times each graphsep file was compiled (an audit hook)
-# and whether graphsep.cli entered sys.modules
+# exit code, how many times each graphsep file was compiled (an audit hook),
+# whether graphsep.cli entered sys.modules and how many objects are frozen
 CHILD_AS_MAIN = """
-import collections, json, os, runpy, sys
+import collections, gc, json, os, runpy, sys
 compiled = collections.Counter()
 def count_compiles(event, args):
     if event == "compile" and isinstance(args[1], str) and os.path.basename(os.path.dirname(args[1])) == "graphsep":
@@ -285,7 +315,7 @@ try:
     rc = 0
 except SystemExit as exc:
     rc = exc.code
-sys.stderr.write(json.dumps([rc, compiled, "graphsep.cli" in sys.modules]) + "\\n")
+sys.stderr.write(json.dumps([rc, compiled, "graphsep.cli" in sys.modules, gc.get_freeze_count()]) + "\\n")
 """
 
 
@@ -312,10 +342,68 @@ def test_run_as_main_compiles_each_module_once(monkeypatch, tmp_path, argv, runs
             path.write_text(json.dumps(arg))
             argv = [*argv[:i], str(path), *argv[i + 1:]]
     child = fresh_python(CHILD_AS_MAIN, *argv)
-    rc, compiled, imported = json.loads(child.stderr.splitlines()[-1])
+    rc, compiled, imported, _ = json.loads(child.stderr.splitlines()[-1])
     assert (rc, imported) == (0, False)
     assert compiled == {f"{module}.py": 1 for module in ("__init__", *runs)}
     assert child.stdout and list(cache.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "40"],
+        _detect(_graph_doc(8, 0.5, 8), 3),
+        ["sweep", "--family", "cg", "--n", "12", "--k", "3", "--p-steps", "11"],
+        ["bounds", "--n", "2", "--k-min", "3"],  # exit 1
+        ["sweep", "--family", "cg", "--n", "4", "--k", "2", "--p-steps", "100002"],  # exit 2
+    ],
+    ids=["bounds", "graph-file", "sweep", "usage-error", "limit"],
+)
+def test_process_entry_freezes_the_start_up_heap(capsys, tmp_path, argv):
+    # the __main__ block freezes what start-up and the imports built, and
+    # the command writes and exits as main does in this process
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(arg))
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
+    child = fresh_python(CHILD_AS_MAIN, *argv)
+    *err_lines, report = child.stderr.splitlines(keepends=True)
+    rc, _, _, frozen = json.loads(report)
+    assert frozen > 0
+    assert (rc, child.stdout, "".join(err_lines)) == (main(argv), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_alone(capsys, enabled):
+    # main is a library function: it neither freezes nor switches the collector
+    assert gc.get_freeze_count() == 0
+    if not enabled:
+        gc.disable()
+    try:
+        assert [main(argv) for argv in (["bounds", "--n", "40"], ["graph", "--n", "4"], ["bounds"])] == [0, 0, 1]
+        assert (gc.get_freeze_count(), gc.isenabled()) == (0, enabled)
+    finally:
+        gc.enable()
+
+
+def test_console_script_is_the_main_block_entry():
+    # `graphsep` and `python -m graphsep.cli` run the same process entry
+    scripts = re.findall(r'^graphsep = "graphsep\.cli:(\w+)"$', (SRC.parent / "pyproject.toml").read_text(), re.M)
+    tree = ast.parse((SRC / "graphsep" / "cli.py").read_text(encoding="utf-8"))
+    main_block = [node.body for node in tree.body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert len(scripts) == len(main_block) == 1
+    assert [ast.unparse(statement) for statement in main_block[0]] == [f"{scripts[0]}()"]
+
+
+def test_sweep_to_file_through_the_process_entry_writes_every_row(tmp_path):
+    # frozen objects are never finalized, so the file must be closed by main itself
+    path = tmp_path / "sweep.csv"
+    child = fresh_python("graphsep.cli", "sweep", "--family", "cg", "--n", "10", "--k", "2", "--p-steps", "100001",
+                         "--out", str(path), mode=("-m",))
+    assert (child.returncode, child.stdout, child.stderr) == (0, "", "")
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 100_004
 
 
 def test_tracer_import_sequence_registers_every_layer():
@@ -371,11 +459,14 @@ def test_readme_lists_every_public_name():
 )
 def test_closed_stdout_exits_1_quietly(argv):
     # the reader is gone before the child writes anything: exit 1, as
-    # Python itself does on a broken pipe, with nothing on stderr
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        child = fresh_python("import sys\nfrom graphsep.cli import main\nsys.exit(main())", *argv, stdout=write_end)
-    finally:
-        os.close(write_end)
-    assert (child.returncode, child.stderr) == (1, "")
+    # Python itself does on a broken pipe, with nothing on stderr, from
+    # main and from the process entry that python -m runs
+    for code, mode in (("import sys\nfrom graphsep.cli import main\nsys.exit(main())", ("-c",)),
+                       ("graphsep.cli", ("-m",))):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = fresh_python(code, *argv, mode=mode, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (1, "")
