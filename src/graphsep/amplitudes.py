@@ -1,20 +1,23 @@
-"""The squared correlation-tensor norm of a pure state from its amplitudes, in plain Python.
-
-detect on a raw-amplitude file reads its squared norm from _pure_norm_sq,
-a kernel that sums 4^n amplitude products with no 3^n array, and the
-dense-path qubit limit lives here with it: DENSE_LIMIT, checked by
-dense_limit, which tensor imports back for its numpy sweep.  The module
-reads only the standard library and bounds (for LimitError), so
-a raw-amplitude detect runs neither tensor nor numpy.
+"""Raw amplitudes: their check and normalization (_parse_amplitudes),
+the squared tensor norm from them in plain Python (_pure_norm_sq: 4^n
+products, no 3^n array) and the verdict on it (detect, past a stated
+rounding margin).  The dense limit lives here too: DENSE_LIMIT, checked
+by dense_limit, which tensor imports back for its numpy sweep.  The
+module reads only the standard library and bounds, so a raw-amplitude
+detect runs neither tensor nor numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from itertools import chain
 from operator import add, mul
 
-from .bounds import LimitError, _short
+from .bounds import LimitError, XiResult, _outcome, _short, k_sep_bound
+
+RAW_NORM_TOL = 1e-6
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
 # words, 4^n products (the kernel takes 0.075-0.10 s at n = 10, in-process
@@ -70,7 +73,7 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     |c| over its products in the index order of v.
     Every w |g|^2 goes into one fsum as w re^2 and w im^2 (w a power of
     two), leaf by leaf, so no list of all 3^n parts is held.
-    bounds.detect states the rounding margin of the result.
+    detect states the rounding margin of the result.
     """
     dense_limit(n)
     signs = [1.0]
@@ -98,3 +101,78 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
         yield from decide(a, c, half, sums, 2 * w)
 
     return math.fsum(chain.from_iterable(decide(sa, ca, 1 << n, 0, 1)))
+
+
+def _parse_amplitudes(raw, n: int) -> tuple:
+    """A state file's 'amplitudes' list as 2^n normalized Python complex; a bad list raises ValueError."""
+    # no list reaches 2^64 entries, so a larger n is refused without forming 1 << n
+    if not isinstance(raw, list) or len(raw) != 1 << min(n, 64):
+        raise ValueError(f"'amplitudes' must list exactly 2^{_short.repr(n)} entries")
+    amps = []
+    for i, item in enumerate(raw):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(v) in (int, float) for v in item)):  # no bool
+            raise ValueError(f"amplitude {i} is not an [re, im] pair: {_short.repr(item)}")
+        try:
+            amps.append(complex(item[0], item[1]))
+        except OverflowError:  # an integer part past the float range
+            raise ValueError(f"amplitude {i} has a part past the float range: {_short.repr(item)}") from None
+    try:
+        nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
+    except OverflowError:  # a finite part whose square, or a sum of squares, is past the float range
+        raise ValueError(f"amplitudes have a norm past the float range, more than {RAW_NORM_TOL} from 1") from None
+    if not abs(nrm - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
+        raise ValueError(f"amplitudes have norm {nrm}, more than {RAW_NORM_TOL} from 1")
+    if abs(nrm - 1.0) > 1e-12:
+        frame, level = sys._getframe(1), 2  # the warning names the first caller outside the package
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"renormalizing amplitudes (norm was {nrm})", stacklevel=level)
+    return tuple(a / nrm for a in amps)
+
+
+def _lower_bound(norm_sq: float, n: int) -> float:
+    """norm_sq minus the rounding margin of detect (see there)."""
+    e, r = (n + 8) * 2.0 ** -52, 3 ** (n / 2)
+    return norm_sq - e * r * (2 * math.sqrt(norm_sq) + e * r) - 2.0 ** -51 * norm_sq
+
+
+def detect(norm_sq: float, n: int, k: int) -> XiResult:
+    """Compare a squared tensor norm summed in floats with bound_sq.
+
+    Raw amplitudes take this rule; named families and tagged states take
+    the exact xi_noise.  Certifies only when a lower bound on the true
+    squared norm N of the state exceeds bound_sq.  xi is norm_sq over
+    bound_sq, correctly rounded.
+
+    The margin covers both float sums of the package; u = 2^-53.  The
+    CLI's is _pure_norm_sq on the amplitudes a of _parse_amplitudes, of
+    the state a / sqrt(S): S = sum |a_b|^2 is within delta = 11u of 1, as
+    the square of their divisor is within 8u of the file's sum |a|^2 (2u
+    hypot, squared, then square, fsum, root) and each division adds 2u.
+    The kernel's squared norm is |G|^2 for the vector G of the 3^n values
+    sqrt(2^|x|) g_x(u), each g a sum of at most 2^n products
+    a[u, v] conj(a[ubar, v]).  A complex product is within sqrt(5) u of
+    its value, and a pairwise fold of depth at most n adds n u times the
+    sum of the magnitudes.  So each g is within e' S_u, e' = (n + 3) u,
+    where S_u = sum_v |a[u, v]| |a[ubar, v]| <= |a_u| |a_ubar|
+    (Cauchy-Schwarz over v).  Over u, sum |a_u|^2 |a_ubar|^2 <= S^2, so
+    the error vector E of G has |E| <= e' r S with r = 3^(n/2).  With
+    N' = |G + E|^2 <= r^2 (a pure state's 4^n squared Pauli expectations
+    sum to 2^n), sqrt(N) = |G| / S >= sqrt(N') (1 - delta) - e' r, so
+    N >= N' - 2 (e' + delta) r sqrt(N'), e' + delta = (n + 14) u.
+    Squaring the parts of each g and one fsum add 2u norm_sq.  The dense
+    sweep (full_tensor) sums rho over M members in turn (M - 1 roundings,
+    each product (w a_r) conj(a_c) within (1 + sqrt(5)) u), then takes
+    each tensor entry as a tree of n additions of the 2^n entries
+    rho[r, r ^ x] times +-1 or +-i, whose magnitudes sum to at most
+    sum_w w sum_r |a_r| |a_(r ^ x)| <= 1.  So its 3^n entries are within
+    (n + M + 3) u, at most (n + 8) u for M <= 5 members: e' = (n + 8) u
+    and delta = 0, and squaring and summing add 2u norm_sq.  _lower_bound
+    takes e = 2 (n + 8) u, (n + 2) u or more above either e' + delta, for
+    the rounding of the margin, and 4u norm_sq, for its subtractions too.
+    """
+    if norm_sq < 0:
+        raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")
+    d = k_sep_bound(n, k).bound_sq
+    num, den = norm_sq.as_integer_ratio()
+    return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))

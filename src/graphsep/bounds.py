@@ -1,4 +1,4 @@
-"""The k-separability bound of the complete-graph class, and the verdict on a float norm.
+"""The k-separability bound of the complete-graph class, and the verdict rule.
 
 A k-separable state factors (in every pure decomposition term) into k
 tensor blocks; the tensor norm then factors into a product of per-block
@@ -30,14 +30,12 @@ differ in how the odd blocks share the spare qubits; putting them all
 in one block (the others stay 1) gives the lexicographically smallest
 partition.  The work is O(k) integer steps with no search at all.
 
-_outcome is the verdict rule, and detect applies it to a squared norm
-summed in floats from raw amplitudes, past a stated worst-case rounding
-margin; separability decides the named families and graph states
-exactly, by the same rule.  The integer closed forms (cg_norm_sq,
-sqrt_int, permutation_terms), LimitError (the one error of every size
-limit) and _short (the one formatter of a caller's number in a message)
-live here too.  The module reads only the standard library, so every
-graphsep module can import it.
+_outcome is the verdict rule, of separability's exact verdicts and of
+amplitudes.detect's on a float norm, past its rounding margin.  The
+integer closed forms (cg_norm_sq, sqrt_int, permutation_terms),
+LimitError (the one error of every size limit) and _short (the one
+formatter of a caller's number in a message) live here too.  The module
+reads only the standard library, so every graphsep module can import it.
 """
 
 from __future__ import annotations
@@ -175,48 +173,4 @@ def k_sep_bound(n: int, k: int) -> PartitionBound:
     parts = tuple(sorted(odds + evens))
     bound_sq = math.prod(cg_norm_sq(m) for m in parts)
     return PartitionBound(n, k, parts, sqrt_int(bound_sq), bound_sq)
-
-
-def _lower_bound(norm_sq: float, n: int) -> float:
-    """norm_sq minus the rounding margin of detect (see there)."""
-    e, r = (n + 8) * 2.0 ** -52, 3 ** (n / 2)
-    return norm_sq - e * r * (2 * math.sqrt(norm_sq) + e * r) - 2.0 ** -51 * norm_sq
-
-
-def detect(norm_sq: float, n: int, k: int) -> XiResult:
-    """Compare a squared tensor norm summed in floats with bound_sq.
-
-    Raw amplitudes take this rule; named families and tagged states take
-    the exact xi_noise.  Certifies only when a lower bound on the true
-    squared norm (of the very floats given) exceeds bound_sq.  xi is
-    norm_sq over bound_sq, correctly rounded.
-
-    The margin covers both float sums of the package; u = 2^-53.  The
-    CLI's is the amplitude kernel (amplitudes._pure_norm_sq).  Its squared
-    norm is |G|^2 for the vector G of the 3^n values sqrt(2^|x|) g_x(u),
-    each g a sum of at most 2^n products a[u, v] conj(a[ubar, v]).  A
-    complex product is within sqrt(5) u of its value, and a pairwise fold
-    of depth at most n adds n u times the sum of the magnitudes.  So each
-    g is within e' S_u, e' = (n + 3) u, where
-    S_u = sum_v |a[u, v]| |a[ubar, v]| <= |a_u| |a_ubar| (Cauchy-Schwarz
-    over v).  Over u, sum |a_u|^2 |a_ubar|^2 <= (sum |a_u|^2)^2 = 1, so
-    the error vector E of G has |E| <= e' r with r = 3^(n/2), and
-    | |G + E|^2 - |G|^2 | <= |E| (2 |G + E| + |E|) <= e' r (2 sqrt(norm_sq) + e' r).
-    Squaring the parts of each g and one fsum add 2u norm_sq.  The dense
-    sweep (full_tensor) sums rho over M members in turn (M - 1 roundings,
-    each product (w a_r) conj(a_c) within (1 + sqrt(5)) u), then takes
-    each tensor entry as a tree of n additions of the 2^n entries
-    rho[r, r ^ x] times +-1 or +-i, whose magnitudes sum to at most
-    sum_w w sum_r |a_r| |a_(r ^ x)| <= 1.  So its 3^n entries are within
-    (n + M + 3) u, at most (n + 8) u for M <= 5 members: the same form
-    with e' = (n + 8) u, and squaring and summing add 2u norm_sq.
-    _lower_bound doubles the larger of the two, e = 2 (n + 8) u and
-    4u norm_sq, which covers the rounding of the margin itself and the
-    1e-12 by which a raw file's norm may miss 1.
-    """
-    if norm_sq < 0:
-        raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")
-    d = k_sep_bound(n, k).bound_sq
-    num, den = norm_sq.as_integer_ratio()
-    return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))
 

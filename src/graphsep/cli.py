@@ -9,13 +9,14 @@ live in graphsep.commands; family names are the keys of
 separability.FAMILIES.
 
 main writes what a cmd_* returns as it iterates and returns the exit
-code; it neither exits nor touches the garbage collector, so a caller
-can run it in its own process.  run is the one process entry, of both
-python -m graphsep.cli and the graphsep console script.  Exit codes: 0
-success, 1 usage or input error (also a result beyond the float range,
-a failed internal check or a stdout closed early), 2 a size limit
-(bounds.LimitError), out of memory or an output error, each error
-one line on stderr.  Verdicts are payload, never exit status.
+code; it neither exits nor touches the garbage collector or stdout's
+file descriptor, so a caller can run it in its own process.  run is the
+one process entry, of both python -m graphsep.cli and the graphsep
+console script.  Exit codes: 0 success, 1 usage or input error (also a
+result beyond the float range, a failed internal check or a stdout
+closed early), 2 a size limit (bounds.LimitError), out of memory or an
+output error, each error one line on stderr.  Verdicts are payload,
+never exit status.
 """
 
 from __future__ import annotations
@@ -119,10 +120,7 @@ def main(argv=None) -> int:
                     out.write(chunk + "\n")
         sys.stdout.flush()  # a closed pipe shows up here, not at shutdown
         return 0
-    except BrokenPipeError:
-        # the reader has gone: as the signal module docs advise, send what is
-        # left to devnull, so the flush at shutdown finds no pipe, and exit 1
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader has gone: run points the process's stdout elsewhere
         return 1
     except OverflowError as exc:
         print(f"graphsep: error: result out of floating-point range ({exc})", file=sys.stderr)
@@ -143,9 +141,18 @@ def run() -> None:
     no collection walks it during the command or at exit; what main
     allocates is still collected.  A gc.collect first would cost most
     of the saving, and os._exit would skip atexit handlers and the
-    stdio flush at exit."""
+    stdio flush at exit.  Output left in sys.stdout when its reader has
+    gone goes to devnull, as the signal module docs advise, so the flush
+    at shutdown finds no pipe."""
     gc.freeze()
-    sys.exit(main())
+    rc = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(rc)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from itertools import chain
 
 # lazy modules (graphsep/__init__.py), loaded only by the commands that read them
 from . import amplitudes, graphs, statefile
-from .bounds import LimitError, _short, cg_norm_sq, detect, k_sep_bound, permutation_terms
+from .bounds import LimitError, _short, cg_norm_sq, k_sep_bound, permutation_terms
 from .separability import norm_table, threshold_p, xi_noise
 
 MAX_ROWS = 100_001  # rows of a sweep or a norms table, all held before any is written
@@ -129,7 +129,7 @@ def cmd_detect(args) -> list[str]:
         raise ValueError(f"need 2 <= k <= n, got k={_short.repr(args.k)} for an n={_short.repr(n)} state")
     _check_limit("k", args.k, MAX_PARTS)
     if loaded.family is None:  # raw amplitudes: the kernel's float norm, certified past its rounding margin
-        res = detect(amplitudes._pure_norm_sq(n, loaded.source), n, args.k)
+        res = amplitudes.detect(amplitudes._pure_norm_sq(n, loaded.source), n, args.k)
     else:  # the exact noise quadratic of a family name or a graph (noise_products)
         res = xi_noise(n, args.k, loaded.p or 0.0, loaded.source)
     pb = k_sep_bound(n, args.k)

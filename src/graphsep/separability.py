@@ -12,7 +12,7 @@ group are read alike (graphs), a graph with no group built.
 So sweep verdicts, and detect verdicts on every named family and graph
 state, are exact decisions at the given p, and printed fields are
 correctly rounded.
-Only detect on raw amplitudes (bounds.detect, a squared norm summed in
+Only detect on raw amplitudes (amplitudes.detect, a squared norm summed in
 floats from the amplitudes) certifies past a stated worst-case rounding
 margin.
 

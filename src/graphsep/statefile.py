@@ -6,13 +6,11 @@ A state file is a JSON document, optionally preceded or interleaved with
     {"family": "cg", "n": 5, "p": 0.1}
     {"family": "graph", "n": 3, "edges": [[1, 2], [2, 3]]}
 
-or carries raw amplitudes as [re, im] pairs,
+or carries raw amplitudes (amplitudes._parse_amplitudes) as [re, im] pairs,
 
     {"n": 2, "amplitudes": [[0.7071, 0], [0, 0], [0, 0], [0.7071, 0]]}
 
-with qubit 1 in the most significant bit of the amplitude index.  Raw
-amplitudes may be off normalization by up to 1e-6; they are renormalized
-on load with a warning that names the caller's line, not this module's.
+with qubit 1 in the most significant bit of the amplitude index.
 
 Family names are the keys of separability.FAMILIES, plus "graph".  A
 field given twice is refused, whatever its values.
@@ -25,26 +23,21 @@ A caller that wants the state builds it from the source (for raw
 amplitudes, pauli.PureState(n, source)).  A one-qubit family file is
 refused here, in one message that names the family; GraphSpec checks
 a graph's edges.  Every read error is a StateFileError (load_state_file).
-The module imports only graphs, bounds and separability (the writers'
-pauli.PureState is named in their docstrings), so detect runs no
-inspection module: xi_noise reads a family's closed form, and counts a
-graph's B from the GraphSpec itself.
+The module imports only graphs, amplitudes, bounds and separability
+(the writers' pauli.PureState is named in their docstrings), so detect
+runs no inspection module: xi_noise reads a family's closed form, and
+counts a graph's B from the GraphSpec itself.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import sys
-import warnings
 
-from . import graphs  # a lazy module (graphsep/__init__.py): runs when a graph document is read
+from . import amplitudes, graphs  # lazy modules (graphsep/__init__.py): each runs when its kind of document is read
 from .bounds import _short
 from .separability import check_family
 
 _KNOWN_KEYS = {"family", "n", "edges", "p", "amplitudes"}
-
-RAW_NORM_TOL = 1e-6
 
 
 class StateFileError(ValueError):
@@ -104,7 +97,11 @@ def loads_state(text: str) -> LoadedState:
     if "amplitudes" in doc:
         if "edges" in doc or "p" in doc:
             raise StateFileError("'edges' and 'p' do not apply to raw amplitudes")
-        return LoadedState(n, None, None, _parse_amplitudes(doc["amplitudes"], n))
+        try:
+            source = amplitudes._parse_amplitudes(doc["amplitudes"], n)
+        except ValueError as exc:  # not 2^n [re, im] pairs, or a norm too far from 1
+            raise StateFileError(str(exc)) from None
+        return LoadedState(n, None, None, source)
 
     family = doc["family"]
     try:
@@ -131,33 +128,6 @@ def loads_state(text: str) -> LoadedState:
             raise StateFileError(f"family {family!r} needs at least 2 qubits")
         source = family
     return LoadedState(n, family, None if p is None else float(p), source)
-
-
-def _parse_amplitudes(raw, n: int) -> tuple:
-    # no list reaches 2^64 entries, so a larger n is refused without forming 1 << n
-    if not isinstance(raw, list) or len(raw) != 1 << min(n, 64):
-        raise StateFileError(f"'amplitudes' must list exactly 2^{_short.repr(n)} entries")
-    amps = []
-    for i, item in enumerate(raw):
-        if not (isinstance(item, list) and len(item) == 2 and all(_is_number(v) for v in item)):
-            raise StateFileError(f"amplitude {i} is not an [re, im] pair: {_short.repr(item)}")
-        try:
-            amps.append(complex(item[0], item[1]))
-        except OverflowError:  # an integer part past the float range
-            raise StateFileError(f"amplitude {i} has a part past the float range: {_short.repr(item)}") from None
-    try:
-        nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
-    except OverflowError:  # a finite part whose square, or a sum of squares, is past the float range
-        raise StateFileError(f"amplitudes have a norm past the float range, more than {RAW_NORM_TOL} from 1") from None
-    if not abs(nrm - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
-        raise StateFileError(f"amplitudes have norm {nrm}, more than {RAW_NORM_TOL} from 1")
-    if abs(nrm - 1.0) > 1e-12:
-        frame, level = sys._getframe(1), 2  # the warning names the first caller outside this module
-        while frame is not None and frame.f_code.co_filename == __file__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"renormalizing amplitudes (norm was {nrm})", stacklevel=level)
-        amps = [a / nrm for a in amps]
-    return tuple(amps)
 
 
 def load_state_file(path) -> LoadedState:

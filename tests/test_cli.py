@@ -405,6 +405,17 @@ def test_detect_product_state_never_flagged(capsys, tmp_path):
     assert "verdict=Inconclusive" in out
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_detect_never_certifies_a_product_state_just_off_norm(capsys, tmp_path, n):
+    # |0...0> with its amplitude 9e-13 above 1: kept unnormalized, its
+    # squared norm was 3.6e-12 above the full-separability bound 1, past
+    # the rounding margin, and certified
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"n": n, "amplitudes": [[1.0000000000009, 0]] + [[0, 0]] * ((1 << n) - 1)}))
+    want = f"n={n}\nk={n}\nnorm=1\nbound=1\npartition={'|'.join('1' * n)}\nverdict=Inconclusive\n"
+    assert run(capsys, "detect", "--state-file", str(path), "--k", str(n)) == (0, want, "")
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 1 (sound bounds outside the paper's class): detect bounds every input by the"

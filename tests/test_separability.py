@@ -1,8 +1,11 @@
 """Partition bounds, verdicts and the noise-ratio functions."""
 
+import cmath
+import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from graphsep import (
     noisy_mixture,
     norm_table,
     separability,
+    statefile,
     stabilizer_group,
     tensor_norm_sq,
     threshold_p,
@@ -255,6 +259,24 @@ def test_detect_margin_covers_float_rounding():
     assert detect(1 + 1e-11, 10, 10).verdict == NON_K_SEPARABLE
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6), st.data())
+def test_detect_never_certifies_a_raw_product_state(n, data):
+    # a product of one-qubit pure states is fully separable, so a raw file
+    # of it, its norm off by up to 1e-12, is never certified at k = n
+    angle = st.floats(0, 2 * math.pi)
+    amps = [1]
+    for _ in range(n):  # qubit 1 ends in the top bit
+        theta, phi = data.draw(angle), data.draw(angle)
+        amps = [a * b for a in amps for b in (math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2))]
+    scale = 1 + data.draw(st.floats(-1e-12, 1e-12))
+    text = json.dumps({"n": n, "amplitudes": [[scale * a.real, scale * a.imag] for a in amps]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a norm past 1e-12 is renormalized with a warning
+        loaded = statefile.loads_state(text)
+    assert detect(amplitudes._pure_norm_sq(n, loaded.source), n, n).verdict == INCONCLUSIVE
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 6), st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
 def test_dense_rounding_stays_within_the_detect_margin(n, members, real, seed):
@@ -272,7 +294,7 @@ def test_dense_rounding_stays_within_the_detect_margin(n, members, real, seed):
         terms.append((float(w), PureState(n, amps)))
     norm_sq = tensor_norm_sq(full_tensor(MixedEnsemble(tuple(terms))))
     exact = exact_tensor_norm_sq(MixedEnsemble(tuple(terms)).terms, n)
-    margin = norm_sq - bounds._lower_bound(norm_sq, n)
+    margin = norm_sq - amplitudes._lower_bound(norm_sq, n)
     assert abs(norm_sq - exact) <= margin, (float(norm_sq - exact), margin)
 
 

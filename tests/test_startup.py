@@ -2,9 +2,10 @@
 dataclasses, argparse or typing (every command, detect on family, graph
 and raw-amplitude files alike), each command runs the body of only the
 graphsep modules its path reads, the process entry freezes the start-up
-heap while main leaves the collector alone, a library call that needs
-numpy names the extra that installs it, and the lazy namespace still
-resolves every public name.  Each check runs in a fresh interpreter."""
+heap while main leaves the collector and fd 1 alone, a library call that
+needs numpy names the extra that installs it, and the lazy namespace
+still resolves every public name, with threads waiting for a home
+module's body.  Each check runs in a fresh interpreter."""
 
 import ast
 import gc
@@ -43,7 +44,7 @@ sys.meta_path.insert(0, RefuseNumpy)
 # argparse, gettext and locale got loaded, and the graphsep modules whose
 # body has run; each warning is one "Category: message" line on stderr
 CHILD_MAIN = REFUSE_NUMPY + """
-import importlib.util, json, warnings
+import graphsep, json, warnings
 from graphsep.cli import main
 warnings.showwarning = lambda message, category, *rest: sys.stderr.write(f"{category.__name__}: {message}\\n")
 rc = main(sys.argv[1:])
@@ -53,7 +54,7 @@ try:
 except ImportError:
     refused = True
 loaded = [m for m in ("numpy", "dataclasses", "inspect", "argparse", "gettext", "locale") if m in sys.modules]
-ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not importlib.util._LazyModule)
+ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not graphsep._LazyModule)
 sys.stderr.write(json.dumps([rc, refused, loaded, ran]) + "\\n")
 """
 
@@ -237,15 +238,15 @@ def test_huge_graph_file_refused_before_any_n_sized_allocation(tmp_path, n, edge
 # whether graphsep.states is still the lazy module that no attribute read has
 # run; then builds a state (with no numpy) and reports the same for it
 CHILD_STATES = """
-import importlib.util, json, sys
+import json, sys
 from graphsep.cli import main
 import graphsep
 report = []
 for argv in json.loads(sys.argv[1]):
     rc = main(argv)
-    report.append([rc, type(sys.modules["graphsep.states"]) is importlib.util._LazyModule])
+    report.append([rc, type(sys.modules["graphsep.states"]) is graphsep._LazyModule])
 graphsep.ghz_state(3)
-report.append([None, type(sys.modules["graphsep.states"]) is importlib.util._LazyModule])
+report.append([None, type(sys.modules["graphsep.states"]) is graphsep._LazyModule])
 sys.stderr.write(json.dumps(report) + "\\n")
 """
 
@@ -281,10 +282,10 @@ def test_family_files_and_norms_do_not_run_states(tmp_path):
 
 # runs main(argv), then reports its exit code and the graphsep modules whose body has run
 CHILD_MODULES = """
-import importlib.util, json, sys
+import graphsep, json, sys
 from graphsep.cli import main
 rc = main(sys.argv[1:])
-ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not importlib.util._LazyModule)
+ran = sorted(k for k, m in sys.modules.items() if k.startswith("graphsep.") and type(m) is not graphsep._LazyModule)
 sys.stderr.write(json.dumps([rc, ran]) + "\\n")
 """
 
@@ -460,9 +461,8 @@ def test_readme_lists_every_public_name():
 def test_closed_stdout_exits_1_quietly(argv):
     # the reader is gone before the child writes anything: exit 1, as
     # Python itself does on a broken pipe, with nothing on stderr, from
-    # main and from the process entry that python -m runs
-    for code, mode in (("import sys\nfrom graphsep.cli import main\nsys.exit(main())", ("-c",)),
-                       ("graphsep.cli", ("-m",))):
+    # the process entry, called or run by python -m
+    for code, mode in (("from graphsep.cli import run\nrun()", ("-c",)), ("graphsep.cli", ("-m",))):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -470,3 +470,58 @@ def test_closed_stdout_exits_1_quietly(argv):
         finally:
             os.close(write_end)
         assert (child.returncode, child.stderr) == (1, "")
+
+
+# with stdout a pipe whose reader has gone, runs main in this process, then
+# reports its exit code and whether fd 1 is still that pipe
+CHILD_CLOSED = """
+import json, os, sys
+from graphsep.cli import main
+before = os.fstat(1)
+rc = main(sys.argv[1:])
+after = os.fstat(1)
+sys.stderr.write(json.dumps([rc, (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)]) + "\\n")
+os._exit(0)  # the flush at shutdown would find the broken pipe
+"""
+
+
+def test_main_on_a_closed_stdout_leaves_fd_1_alone():
+    # main is a library function: on a broken pipe it returns 1, and only
+    # the process entry points fd 1 elsewhere
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = fresh_python(CHILD_CLOSED, "bounds", "--n", "60", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert json.loads(child.stderr.splitlines()[-1]) == [1, True]
+
+
+# eight threads read one public name at once, with the interpreter
+# switching threads every microsecond; reports what each raised and
+# whether any thread is still running
+CHILD_THREADS = """
+import json, sys, threading
+import graphsep
+sys.setswitchinterval(1e-6)
+barrier, failed = threading.Barrier(8), []
+def call():
+    barrier.wait()
+    try:
+        graphsep.ghz_group(3)
+    except Exception as exc:
+        failed.append(repr(exc))
+threads = [threading.Thread(target=call, daemon=True) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=30)
+sys.stderr.write(json.dumps([failed, any(thread.is_alive() for thread in threads)]) + "\\n")
+"""
+
+
+def test_threads_wait_for_a_home_module_body_to_run():
+    # the first read runs the body of graphsep.stabilizer (and the modules
+    # it imports); the other seven wait for it, and none reads it half run
+    child = fresh_python(CHILD_THREADS)
+    assert json.loads(child.stderr.splitlines()[-1]) == [[], False]

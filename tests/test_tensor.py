@@ -24,7 +24,6 @@ from graphsep import (
     PureState,
     all_ones_state,
     amplitudes,
-    bounds,
     cg_nonzero_pattern,
     chain_graph,
     complete_graph,
@@ -431,7 +430,7 @@ def test_tensor_reexports_the_tables_of_the_core_for_the_tracer():
 
 def _margin(norm_sq, n):
     """The rounding margin detect subtracts from a float squared norm."""
-    return norm_sq - bounds._lower_bound(norm_sq, n)
+    return norm_sq - amplitudes._lower_bound(norm_sq, n)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -559,7 +558,7 @@ def test_many_member_mixtures_stay_within_detects_margin(n, members):
         assert abs(got - exact) <= _margin(got, n)
         for k in range(2, n + 1):
             if exact <= k_sep_bound(n, k).bound_sq:
-                assert bounds.detect(got, n, k).verdict == INCONCLUSIVE, (k, got, exact)
+                assert amplitudes.detect(got, n, k).verdict == INCONCLUSIVE, (k, got, exact)
 
 
 def test_dense_path_drops_exact_zeros():
