@@ -1,10 +1,12 @@
-"""Raw amplitudes: their check and normalization (_parse_amplitudes),
-the squared tensor norm from them in plain Python (_pure_norm_sq: 4^n
-products, no 3^n array) and the verdict on it (detect, past a stated
-rounding margin).  The dense limit lives here too: DENSE_LIMIT, checked
-by dense_limit, which tensor imports back for its numpy sweep.  The
-module reads only the standard library and bounds, so a raw-amplitude
-detect runs neither tensor nor numpy.
+"""Raw amplitudes: the package's one normalization rule (_normalized, of
+state files, PureState and mixture weights, with RAW_NORM_TOL), a state
+file's list check (_parse_amplitudes), the squared tensor norm from the
+amplitudes in plain Python (_pure_norm_sq: 4^n products, no 3^n array)
+and the verdict on it (detect, past a stated rounding margin).  The
+dense limit lives here too: DENSE_LIMIT, checked by dense_limit, which
+tensor imports back for its numpy sweep.  The module reads only the
+standard library and bounds, so a raw-amplitude detect runs neither
+tensor nor numpy.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from itertools import chain
-from operator import add, mul
+from itertools import chain, repeat
+from operator import add, mul, truediv
 
 from .bounds import LimitError, XiResult, _outcome, _short, k_sep_bound
 
@@ -103,31 +105,51 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     return math.fsum(chain.from_iterable(decide(sa, ca, 1 << n, 0, 1)))
 
 
+def _normalized(parts: list, weights: bool = False):
+    """parts over their norm, part by part, as an iterator: the one
+    normalization rule of state files, PureState and MixedEnsemble.
+
+    parts lists floats: a vector's real and imaginary parts in turn, whose
+    norm is the root of the fsum of their squares (the same floats from a
+    list of Python complex and from a complex128 array), or, if weights,
+    a mixture's weights, whose norm is their fsum.  A norm more than
+    RAW_NORM_TOL from 1 raises ValueError, and one more than 1e-12 from 1
+    warns, naming the first caller outside the package.  detect states
+    the residual of the result.
+    """
+    what, norm = ("ensemble weights", "sum") if weights else ("amplitudes", "norm")
+    try:
+        total = math.fsum(parts) if weights else math.sqrt(math.fsum(map(mul, parts, parts)))
+    except OverflowError:  # finite squares, or weights, whose sum is past the float range
+        total = math.inf
+    if total == math.inf:  # a square past the float range rounds to inf and raises nothing
+        raise ValueError(f"{what} have a {norm} past the float range, more than {RAW_NORM_TOL} from 1")
+    if not abs(total - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
+        raise ValueError(f"{what} have {norm} {total}, more than {RAW_NORM_TOL} from 1")
+    if abs(total - 1.0) > 1e-12:
+        frame, level = sys._getframe(1), 2  # the warning names the first caller outside the package
+        while frame is not None and frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"renormalizing {what} ({norm} was {total})", stacklevel=level)
+    return map(truediv, parts, repeat(total))
+
+
 def _parse_amplitudes(raw, n: int) -> tuple:
-    """A state file's 'amplitudes' list as 2^n normalized Python complex; a bad list raises ValueError."""
+    """A state file's 'amplitudes' list as 2^n Python complex, normalized
+    by _normalized; a bad list raises ValueError."""
     # no list reaches 2^64 entries, so a larger n is refused without forming 1 << n
     if not isinstance(raw, list) or len(raw) != 1 << min(n, 64):
         raise ValueError(f"'amplitudes' must list exactly 2^{_short.repr(n)} entries")
-    amps = []
+    parts = []
     for i, item in enumerate(raw):
         if not (isinstance(item, list) and len(item) == 2 and all(type(v) in (int, float) for v in item)):  # no bool
             raise ValueError(f"amplitude {i} is not an [re, im] pair: {_short.repr(item)}")
         try:
-            amps.append(complex(item[0], item[1]))
+            parts += map(float, item)
         except OverflowError:  # an integer part past the float range
             raise ValueError(f"amplitude {i} has a part past the float range: {_short.repr(item)}") from None
-    try:
-        nrm = math.sqrt(math.fsum(abs(a) ** 2 for a in amps))
-    except OverflowError:  # a finite part whose square, or a sum of squares, is past the float range
-        raise ValueError(f"amplitudes have a norm past the float range, more than {RAW_NORM_TOL} from 1") from None
-    if not abs(nrm - 1.0) <= RAW_NORM_TOL:  # a NaN part fails this too
-        raise ValueError(f"amplitudes have norm {nrm}, more than {RAW_NORM_TOL} from 1")
-    if abs(nrm - 1.0) > 1e-12:
-        frame, level = sys._getframe(1), 2  # the warning names the first caller outside the package
-        while frame is not None and frame.f_globals.get("__package__") == __package__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"renormalizing amplitudes (norm was {nrm})", stacklevel=level)
-    return tuple(a / nrm for a in amps)
+    parts = _normalized(parts)
+    return tuple(map(complex, parts, parts))
 
 
 def _lower_bound(norm_sq: float, n: int) -> float:
@@ -144,32 +166,46 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     squared norm N of the state exceeds bound_sq.  xi is norm_sq over
     bound_sq, correctly rounded.
 
-    The margin covers both float sums of the package; u = 2^-53.  The
-    CLI's is _pure_norm_sq on the amplitudes a of _parse_amplitudes, of
-    the state a / sqrt(S): S = sum |a_b|^2 is within delta = 11u of 1, as
-    the square of their divisor is within 8u of the file's sum |a|^2 (2u
-    hypot, squared, then square, fsum, root) and each division adds 2u.
+    The margin covers both float sums of the package; u = 2^-53.  Each
+    sums the tensor of the operator sum_i w_i a_i a_i^+, its weights w
+    and members a all given by _normalized: the kernel's a is a state
+    file's (one member, w = 1), the dense sweep's (full_tensor) are a
+    mixture's.  The state is its exact normalization, sum_i (w_i / W)
+    a_i a_i^+ / S_i with W = sum w_i and S_i = |a_i|^2.  The rule's
+    divisor is a root (u) of an fsum (u) of squares (u each), and each
+    part is divided once (u), so each S_i is within 6u of 1, and W, the
+    quotients of one fsum, within 2u (to first order; a square or a
+    quotient that underflows errs by at most 2^-1075): delta = 9u bounds
+    every |W S_i - 1|.  The exact tensor of the operator then differs
+    from the state's by sum_i (w_i / W) (W S_i - 1) T_i, T_i the tensor
+    of the pure state a_i / sqrt(S_i), of norm at most 2^(n/2) (a pure
+    state's 4^n squared Pauli expectations sum to 2^n): by at most
+    delta r, r = 3^(n/2).
     The kernel's squared norm is |G|^2 for the vector G of the 3^n values
     sqrt(2^|x|) g_x(u), each g a sum of at most 2^n products
     a[u, v] conj(a[ubar, v]).  A complex product is within sqrt(5) u of
     its value, and a pairwise fold of depth at most n adds n u times the
-    sum of the magnitudes.  So each g is within e' S_u, e' = (n + 3) u,
+    sum of the magnitudes.  So each g is within (n + sqrt(5)) u S_u,
     where S_u = sum_v |a[u, v]| |a[ubar, v]| <= |a_u| |a_ubar|
     (Cauchy-Schwarz over v).  Over u, sum |a_u|^2 |a_ubar|^2 <= S^2, so
-    the error vector E of G has |E| <= e' r S with r = 3^(n/2).  With
-    N' = |G + E|^2 <= r^2 (a pure state's 4^n squared Pauli expectations
-    sum to 2^n), sqrt(N) = |G| / S >= sqrt(N') (1 - delta) - e' r, so
-    N >= N' - 2 (e' + delta) r sqrt(N'), e' + delta = (n + 14) u.
-    Squaring the parts of each g and one fsum add 2u norm_sq.  The dense
-    sweep (full_tensor) sums rho over M members in turn (M - 1 roundings,
-    each product (w a_r) conj(a_c) within (1 + sqrt(5)) u), then takes
-    each tensor entry as a tree of n additions of the 2^n entries
-    rho[r, r ^ x] times +-1 or +-i, whose magnitudes sum to at most
-    sum_w w sum_r |a_r| |a_(r ^ x)| <= 1.  So its 3^n entries are within
-    (n + M + 3) u, at most (n + 8) u for M <= 5 members: e' = (n + 8) u
-    and delta = 0, and squaring and summing add 2u norm_sq.  _lower_bound
-    takes e = 2 (n + 8) u, (n + 2) u or more above either e' + delta, for
-    the rounding of the margin, and 4u norm_sq, for its subtractions too.
+    the error vector of G is at most (n + sqrt(5)) u r S <= e' r,
+    e' = (n + 3) u.  The dense sweep sums rho over M members in turn
+    (M - 1 roundings, each product (w a_r) conj(a_c) within
+    (1 + sqrt(5)) u), then takes each tensor entry as a tree of n
+    additions of the 2^n entries rho[r, r ^ x] times +-1 or +-i, whose
+    magnitudes sum to at most sum_i w_i sum_r |a_r| |a_(r ^ x)| <=
+    W max S_i <= 1 + delta.  So its 3^n entries are within
+    e' = (n + M + 3) u, and its error vector within e' r.  With
+    c = e' + delta, N'' the exact squared length of the float vector and
+    N the state's, sqrt(N) >= sqrt(N'') - c r, so
+    N >= N'' - 2 c r sqrt(N'') + (c r)^2 (or sqrt(N'') < c r, and
+    norm_sq is far below 1, the least bound_sq); squaring and one fsum
+    put norm_sq within 2u N'' of N''.  _lower_bound takes e = 2 (n + 8) u,
+    at least the kernel's c = (n + 12) u and the sweep's
+    c = (n + M + 12) u for M <= n + 4 members, so for any M <= 5.  It
+    subtracts (e r)^2 too, which with the (c r)^2 above exceeds the
+    rounding of the margin itself (a relative 8u) once c >= 10u, and
+    4u norm_sq, for the squaring and summing and its two subtractions.
     """
     if norm_sq < 0:
         raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")

@@ -28,7 +28,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-NORM_TOL = 1e-9
+from . import amplitudes  # lazy module (graphsep/__init__.py): the normalization rule, run on a state's first check
+from .bounds import _short
+
 IMAG_TOL = 1e-9
 
 
@@ -93,7 +95,7 @@ def pack_index(idx: Iterable[int]) -> int:
     packed = 0
     for i in idx:
         if i not in (1, 2, 3):
-            raise ValueError(f"full-index entries must be in {{1,2,3}}, got {i}")
+            raise ValueError(f"full-index entries must be in {{1,2,3}}, got {_short.repr(i)}")
         packed = packed * 3 + (i - 1)
     return packed
 
@@ -188,15 +190,16 @@ class CorrelationTensor:
             yield tuple(reversed(digits)), v
 
 
-def _checked_amplitudes(n: int, amplitudes):
+def _checked_amplitudes(n: int, values):
+    """values as a read-only complex128 array of 2^n amplitudes, normalized by amplitudes._normalized."""
     np = require_numpy()
 
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.shape != (1 << n,):
-        raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
-    nrm = float(np.sum(np.abs(amps) ** 2))
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"state not normalized: sum |a|^2 = {nrm}")
+    amps = np.asarray(values, dtype=np.complex128)
+    # no vector reaches 2^64 entries, so a larger n is refused without forming 1 << n
+    if amps.shape != (1 << min(n, 64),):
+        raise ValueError(f"expected 2^{_short.repr(n)} amplitudes, got {amps.shape}")
+    parts = amps.ravel().view(np.float64).tolist()  # ravel: a contiguous copy of a strided vector
+    amps = np.fromiter(amplitudes._normalized(parts), np.float64, len(parts)).view(np.complex128)
     amps.setflags(write=False)
     return amps
 
@@ -204,13 +207,16 @@ def _checked_amplitudes(n: int, amplitudes):
 class PureState:
     """Normalized n-qubit state vector (qubit 1 = most significant bit).
 
+    Its amplitudes take amplitudes._normalized, the rule a state file's
+    take, and come out bit for bit as the file reader's.
+
     ``stabilizer`` is a stabilizer source of the state (graphs) when a
     constructor in graphsep.states knows one: the GraphSpec of a graph
     state, the StabilizerGroup of a GHZ or |1...1> state.  full_tensor
     then takes the stabilizer shortcut.  Not checked against the
     amplitudes, it is set only by those constructors, through
     PureState.deferred, which builds the 2^n amplitudes the first time
-    ``amplitudes`` is read (and validates them then), so a
+    ``amplitudes`` is read (and checks them then), so a
     stabilizer-path caller never allocates them.  States compare by
     identity.
     """
@@ -243,7 +249,8 @@ class PureState:
 
 
 class MixedEnsemble:
-    """Convex mixture of pure states, stored as (weight, state) terms; ensembles compare by identity."""
+    """Convex mixture of pure states, stored as (weight, state) terms, the
+    weights normalized by amplitudes._normalized; ensembles compare by identity."""
 
     def __init__(self, terms):
         terms = tuple((float(w), st) for w, st in terms)
@@ -251,13 +258,11 @@ class MixedEnsemble:
             raise ValueError("ensemble needs at least one term")
         if any(w <= 0 for w, _ in terms):
             raise ValueError("all ensemble weights must be positive")
-        total = sum(w for w, _ in terms)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"ensemble weights sum to {total}, expected 1")
+        weights = amplitudes._normalized([w for w, _ in terms], weights=True)
         n = terms[0][1].n
         if any(st.n != n for _, st in terms):
             raise ValueError("all ensemble members must have the same qubit count")
-        self.terms = terms
+        self.terms = tuple(zip(weights, (st for _, st in terms)))
 
     def __repr__(self) -> str:
         return f"MixedEnsemble(terms={self.terms!r})"
@@ -296,6 +301,4 @@ def expectation(state: PureState, p: PauliString) -> float:
     val = _I_POW[y_count & 3] * np.vdot(amps[idx ^ x_mask], amps * signs)
     if abs(val.imag) > IMAG_TOL:
         raise RuntimeError(f"expectation has imaginary residue {val.imag}")
-    if abs(val.real) > 1.0 + NORM_TOL:
-        raise RuntimeError(f"expectation {val.real} outside [-1, 1]")
     return float(val.real)

@@ -70,7 +70,7 @@ def product_sign(source, combo: int) -> tuple[int, int, int]:
     A combo outside [0, 2^n) raises ValueError.
     """
     if not 0 <= combo < 1 << source.n:
-        raise ValueError(f"combo {combo} is outside [0, 2^{source.n})")
+        raise ValueError(f"combo {_short.repr(combo)} is outside [0, 2^{_short.repr(source.n)})")
     x = z = t = 0
     for k, generator in enumerate(source.generators):
         if combo >> k & 1:
@@ -98,12 +98,12 @@ class StabilizerGroup:
     def __init__(self, n: int, generators):
         gens = tuple((int(x), int(z), int(s)) for x, z, s in generators)
         if len(gens) != n:
-            raise ValueError(f"need exactly {n} generators, got {len(gens)}")
+            raise ValueError(f"need exactly {_short.repr(n)} generators, got {len(gens)}")
         for x, z, s in gens:
             if (x | z) >> n:
                 raise ValueError("generator mask wider than qubit count")
             if s not in (1, -1):
-                raise ValueError(f"generator sign must be +-1, got {s}")
+                raise ValueError(f"generator sign must be +-1, got {_short.repr(s)}")
         carriers = [(x, z) for x, z, _ in gens if x]
         z_only = [(0, z) for x, z, _ in gens if not x]
         for (x1, z1), (x2, z2) in chain(combinations(carriers, 2), product(carriers, z_only)):

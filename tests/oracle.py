@@ -432,6 +432,18 @@ def exact_tensor_norm_sq(terms, n: int) -> Fraction:
     return total
 
 
+def exact_state_terms(terms) -> tuple:
+    """The terms of a mixture with each weight w_i made w_i / (W S_i), as a
+    Fraction, W being the weights' sum and S_i member i's sum |a|^2: through
+    exact_tensor_norm_sq, the exact squared norm of the state
+    sum_i (w_i / W) a_i a_i^+ / S_i that detect's margin is stated for."""
+    total = sum(Fraction(w) for w, _ in terms)
+    return tuple(
+        (Fraction(w) / (total * sum(Fraction(x) ** 2 for a in st.amplitudes.tolist() for x in (a.real, a.imag))), st)
+        for w, st in terms
+    )
+
+
 def exact_verdict(norm_sq, bound_sq: int) -> str:
     """The criterion on exact values: only a strict violation certifies."""
     return "NonKSeparable" if norm_sq > bound_sq else "Inconclusive"

@@ -1,7 +1,7 @@
 """The amplitude kernel's summation order, pinned bit for bit against a
 plain reference, and the normalization's residual.  detect's rounding
 margin assumes each g is a pairwise fold of depth at most n, and a
-vector whose sum |a|^2 is within 11u of 1; the kernel tests in
+vector whose sum |a|^2 is within delta = 9u of 1; the kernel tests in
 test_tensor.py compare within that margin only, so they would pass a
 kernel that sums in another order.  Needs neither numpy nor hypothesis."""
 
@@ -71,7 +71,7 @@ def test_parsed_amplitudes_are_normalized_within_the_stated_residual(n, kind):
     # every vector that _parse_amplitudes accepts, at any norm within
     # RAW_NORM_TOL of 1 (exactly 1, or off by less than the 1e-12 below
     # which it does not warn, included), comes back with its exact
-    # sum |a|^2 within detect's delta = 11u of 1
+    # sum |a|^2 within detect's delta = 9u of 1
     rng = random.Random(f"{n}-{kind}-residual")
     tol = amplitudes.RAW_NORM_TOL
     scales = [1.0, 1 + 1e-13, 1 - 9e-13, *(1 + rng.uniform(-0.99, 0.99) * tol for _ in range(20))]
@@ -81,4 +81,4 @@ def test_parsed_amplitudes_are_normalized_within_the_stated_residual(n, kind):
             warnings.simplefilter("ignore")
             got = amplitudes._parse_amplitudes(pairs, n)
         residual = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in got) - 1
-        assert abs(residual) <= 11 * Fraction(2) ** -53, (scale, float(residual))
+        assert abs(residual) <= 9 * Fraction(2) ** -53, (scale, float(residual))

@@ -1,6 +1,9 @@
 """Pauli-word expectation values against the dense matrix oracle."""
 
+import random
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from graphsep import (
     pack_index,
     pure_ensemble,
 )
+from graphsep.amplitudes import _parse_amplitudes
 from graphsep.graphs import complete_graph
 from graphsep.states import all_ones_state, graph_state, noisy_mixture
 
@@ -140,12 +144,58 @@ def test_pauli_string_validation():
 def test_pure_state_validation():
     with pytest.raises(ValueError):
         PureState(2, np.array([1.0, 0.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^amplitudes have norm 1\.4142135623730951, more than 1e-06 from 1$"):
         PureState(1, np.array([1.0, 1.0], dtype=complex))  # not normalized
+    with pytest.raises(ValueError, match=r"^amplitudes have a norm past the float range, more than 1e-06 from 1$"):
+        PureState(1, [1e200, 0])
     with pytest.raises(ValueError, match="^need at least one qubit$"):
         PureState(0, [1])
     with pytest.raises(ValueError, match="^need at least one qubit$"):
         all_ones_state(0)
+
+
+def test_pure_state_copies_the_callers_array():
+    # the state's amplitudes are read-only, and the caller's own array stays writable
+    amps = np.array([1, 0], dtype=complex)
+    state = PureState(1, amps)
+    assert amps.flags.writeable and not state.amplitudes.flags.writeable
+    amps[0] = 0
+    assert state.amplitudes.tolist() == [1, 0]
+
+
+def test_huge_counts_and_indices_get_their_own_messages():
+    # a caller's number past the int-to-str limit is written by its size, and 1 << n is never formed
+    with pytest.raises(ValueError, match=r"^expected 2\^100000 amplitudes, got \(1,\)$"):
+        PureState(100000, [1])
+    with pytest.raises(ValueError, match=r"^expected 2\^<16610-bit int> amplitudes, got \(1,\)$"):
+        PureState(10 ** 5000, [1])
+    with pytest.raises(ValueError, match=r"^full-index entries must be in \{1,2,3\}, got <16610-bit int>$"):
+        pack_index([1, 10 ** 5000])
+
+
+def test_library_and_file_amplitudes_agree_bit_for_bit():
+    # PureState and the state-file reader share one rule: on 1,000 seeded
+    # complex vectors, scaled off norm 1 by up to 5e-7, they give the same
+    # floats, and each warns once (naming this file's line) or, at scale 1, not at all
+    rng = random.Random(42)
+    for i in range(1000):
+        n = rng.randint(1, 8)
+        vec = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << n)]
+        norm = sum(abs(z) ** 2 for z in vec) ** 0.5
+        scale = 1.0 if i % 4 == 0 else 1 + rng.choice((-1, 1)) * rng.uniform(1e-11, 5e-7)
+        vec = [z / norm * scale for z in vec]
+        with warnings.catch_warnings(record=True) as library:
+            warnings.simplefilter("always")
+            state, library_line = PureState(n, vec), sys._getframe().f_lineno
+        with warnings.catch_warnings(record=True) as file:
+            warnings.simplefilter("always")
+            parsed, file_line = _parse_amplitudes([[z.real, z.imag] for z in vec], n), sys._getframe().f_lineno
+        assert [x.hex() for z in state.amplitudes.tolist() for x in (z.real, z.imag)] == [
+            x.hex() for z in parsed for x in (z.real, z.imag)
+        ]
+        want = 0 if scale == 1.0 else 1
+        assert [(w.filename, w.lineno) for w in library] == [(__file__, library_line)] * want
+        assert [(w.filename, w.lineno) for w in file] == [(__file__, file_line)] * want
 
 
 @pytest.mark.parametrize(
@@ -168,8 +218,10 @@ def test_ensemble_validation():
     s = all_ones_state(2)
     with pytest.raises(ValueError):
         MixedEnsemble(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^ensemble weights have sum 1\.1, more than 1e-06 from 1$"):
         MixedEnsemble(((0.7, s), (0.4, s)))
+    with pytest.raises(ValueError, match=r"^ensemble weights have a sum past the float range, more than 1e-06 from 1$"):
+        MixedEnsemble(((1e308, s), (1e308, s)))
     with pytest.raises(ValueError):
         MixedEnsemble(((-0.2, s), (1.2, s)))
     with pytest.raises(ValueError):

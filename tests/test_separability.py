@@ -59,6 +59,7 @@ from oracle import (
     exact_noise_products,
     exact_noise_threshold,
     exact_quadratic_root,
+    exact_state_terms,
     exact_tensor_norm_sq,
     exact_verdict,
     grid_bisect_root,
@@ -282,20 +283,37 @@ def test_detect_never_certifies_a_raw_product_state(n, data):
 def test_dense_rounding_stays_within_the_detect_margin(n, members, real, seed):
     # the margin detect subtracts on the dense path (untagged states, the
     # only ones it still serves) bounds the float sum's distance from the
-    # exact squared norm of the very floats the sweep was given
+    # exact squared norm of the state the sweep was given, its members off
+    # norm 1 and its weights off sum 1 by up to 1e-7 before the rule
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.1, 1.0, size=members)
-    weights /= weights.sum()
+    weights *= (1 + rng.uniform(-1e-7, 1e-7)) / weights.sum()
     terms = []
-    for w in weights:
-        amps = random_state(n, rng)
-        if real:
-            amps = amps.real / np.linalg.norm(amps.real)
-        terms.append((float(w), PureState(n, amps)))
-    norm_sq = tensor_norm_sq(full_tensor(MixedEnsemble(tuple(terms))))
-    exact = exact_tensor_norm_sq(MixedEnsemble(tuple(terms)).terms, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # each norm and the weights' sum are renormalized with a warning
+        for w in weights:
+            amps = random_state(n, rng)
+            if real:
+                amps = amps.real / np.linalg.norm(amps.real)
+            terms.append((float(w), PureState(n, amps * (1 + rng.uniform(-1e-7, 1e-7)))))
+        ens = MixedEnsemble(tuple(terms))
+    norm_sq = tensor_norm_sq(full_tensor(ens))
+    exact = exact_tensor_norm_sq(exact_state_terms(ens.terms), n)
     margin = norm_sq - amplitudes._lower_bound(norm_sq, n)
     assert abs(norm_sq - exact) <= margin, (float(norm_sq - exact), margin)
+
+
+def test_library_states_off_norm_do_not_certify_a_product_state():
+    # |000> a little off norm, as a state and as a one-term mixture's
+    # weight, is normalized before the sweep: not certified at k = 3
+    with pytest.warns(UserWarning, match="^renormalizing amplitudes"):
+        state = PureState(3, [1 + 4e-10] + [0] * 7)
+    with pytest.warns(UserWarning, match="^renormalizing ensemble weights"):
+        ens = MixedEnsemble(((1 + 8e-10, PureState(3, [1] + [0] * 7)),))
+    for built in (state, ens):
+        norm_sq = tensor_norm_sq(full_tensor(built))
+        assert norm_sq == 1.0
+        assert detect(norm_sq, 3, 3).verdict == INCONCLUSIVE
 
 
 def test_detect_full_separability_of_noisy_cg6():

@@ -144,6 +144,16 @@ def test_product_sign_refuses_a_combo_outside_the_generators():
             stabilizer.product_sign(complete_graph(3), combo)
 
 
+def test_huge_numbers_get_the_groups_own_messages():
+    # a caller's number past the int-to-str limit is written by its size
+    with pytest.raises(ValueError, match=r"^combo <16610-bit int> is outside \[0, 2\^2\)$"):
+        ghz_group(2).product_sign(10 ** 5000)
+    with pytest.raises(ValueError, match="^need exactly <16610-bit int> generators, got 0$"):
+        StabilizerGroup(10 ** 5000, [])
+    with pytest.raises(ValueError, match="^generator sign must be \\+-1, got <16610-bit int>$"):
+        StabilizerGroup(1, [(1, 0, 10 ** 5000)])
+
+
 def test_k3_expectations():
     grp = stabilizer_group(complete_graph(3))
     assert stabilizer_expectation(grp, PauliString("XZZ")) == 1

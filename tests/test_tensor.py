@@ -9,6 +9,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,7 @@ from oracle import (
     dense_full_tensor,
     dp_bound_sq,
     exact_noise_norm_sq,
+    exact_state_terms,
     exact_tensor_norm_sq,
     exact_verdict,
     key_words,
@@ -539,22 +541,32 @@ def _at_the_bound(n, k, rng):
     return PureState(n, apply_local_unitaries(state.amplitudes, [random_unitary(rng) for _ in range(n)]))
 
 
+def _off_norm(state, rng):
+    """state's amplitudes scaled off norm 1 by up to 1e-7, normalized again by PureState (its warning ignored)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return PureState(state.n, state.amplitudes * (1 + rng.uniform(-1e-7, 1e-7)))
+
+
 @pytest.mark.parametrize("members", [1, 2, 4, 8])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_many_member_mixtures_stay_within_detects_margin(n, members):
     # the dense sweep sums the members one after another; on random
-    # mixtures, and on copies of a state at the bound, its squared norm is
-    # within detect's margin of the exact one, and detect never certifies
-    # a mixture whose exact squared norm is at most bound_sq
+    # mixtures, and on copies of a state at the bound, each member off norm
+    # 1 and the weights off sum 1 by up to 1e-7 before the rule, its squared
+    # norm is within detect's margin of the exact one of the state, and
+    # detect never certifies a mixture whose exact squared norm is at most bound_sq
     rng = np.random.default_rng([n, members])
     weights = rng.uniform(0.2, 1.0, size=members)
-    weights /= weights.sum()
-    cases = [[_random_member(n, rng, real) for _ in weights] for real in (False, True)]
-    cases += [[_at_the_bound(n, k, rng)] * members for k in range(2, n + 1)]
+    weights *= (1 + rng.uniform(-1e-7, 1e-7)) / weights.sum()
+    cases = [[_off_norm(_random_member(n, rng, real), rng) for _ in weights] for real in (False, True)]
+    cases += [[_off_norm(_at_the_bound(n, k, rng), rng)] * members for k in range(2, n + 1)]
     for states in cases:
-        terms = tuple(zip(weights.tolist(), states))
-        got = tensor_norm_sq(full_tensor(MixedEnsemble(terms)))
-        exact = exact_tensor_norm_sq(terms, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the weights' sum is renormalized with a warning
+            ens = MixedEnsemble(tuple(zip(weights.tolist(), states)))
+        got = tensor_norm_sq(full_tensor(ens))
+        exact = exact_tensor_norm_sq(exact_state_terms(ens.terms), n)
         assert abs(got - exact) <= _margin(got, n)
         for k in range(2, n + 1):
             if exact <= k_sep_bound(n, k).bound_sq:
