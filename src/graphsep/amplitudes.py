@@ -1,8 +1,9 @@
-"""Raw amplitudes: the package's one normalization rule (_normalized, of
-state files, PureState and mixture weights, with RAW_NORM_TOL), a state
-file's list check (_parse_amplitudes), the squared tensor norm from the
-amplitudes in plain Python (_pure_norm_sq: 4^n products, no 3^n array)
-and the verdict on it (detect, past a stated rounding margin).  The
+"""Raw amplitudes: the package's one normalization rule (_checked_norm,
+with RAW_NORM_TOL: the divisor by which state files, PureState and
+mixture weights divide each part once), a state file's list check
+(_parse_amplitudes), the squared tensor norm from the amplitudes in
+plain Python (_pure_norm_sq: 4^n products, no 3^n array) and the
+verdict on it (detect, past a stated rounding margin).  The
 dense limit lives here too: DENSE_LIMIT, checked by dense_limit, which
 tensor imports back for its numpy sweep.  The module reads only the
 standard library and bounds, so a raw-amplitude detect runs neither
@@ -15,14 +16,14 @@ import math
 import sys
 import warnings
 from itertools import chain, repeat
-from operator import add, mul, truediv
+from operator import mul, sub, truediv
 
 from .bounds import LimitError, XiResult, _outcome, _short, k_sep_bound
 
 RAW_NORM_TOL = 1e-6
 
 # Largest qubit count of a dense sweep and of the amplitude kernel: 3^n
-# words, 4^n products (the kernel takes 0.075-0.10 s at n = 10, in-process
+# words, 4^n products (the kernel takes 0.06-0.07 s at n = 10, in-process
 # on a 2-core Xeon VM), and the sweep's rho of 16 * 4^n bytes, 4x more for
 # each qubit past this limit.
 DENSE_LIMIT = 10
@@ -57,9 +58,7 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     With g_x(u) = sum_v (-1)^|v| conj(a[ubar, v]) a[u, v], Parseval over
     the 2^|x| phase masks inside x gives sum_(z >= c) <X^x Z^z>^2 =
     2^|x| sum_u |g_x(u)|^2, so the squared norm is
-    sum_x 2^|x| sum_u |g_x(u)|^2: 4^n products and no 3^n array.  The
-    sign (-1)^|v| is (-1)^|b| times (-1)^|u|, and the second factor
-    leaves |g| alone, so the first goes on the amplitudes once (sa).
+    sum_x 2^|x| sum_u |g_x(u)|^2: 4^n products and no 3^n array.
 
     The qubits are decided top bit first, in one recursion for all x,
     on lists of one layout: each is a sequence of runs of `run` entries
@@ -70,18 +69,19 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
     halves swapped, which pairs u with ubar.  As g_x(ubar) =
     +-conj(g_x(u)), the first flip qubit keeps only the half u = 0 and
     doubles its weight.  Once every qubit is decided, the products
-    are summed as they are made, neighbour with neighbour, once per sum
+    are folded as they are made, neighbour with neighbour, once per sum
     qubit at the bottom, so each g is a balanced pairwise tree of depth
-    |c| over its products in the index order of v.
+    |c| over its products in the index order of v.  A sum qubit
+    subtracts each pair's second term (its bit 1) from the first, which
+    puts (-1)^|v| on every product with no signed copy of the
+    amplitudes; as x - y is x + (-y) in floats, the tree gives the sum
+    of the signed products bit for bit.  So the kernel reads the given
+    amplitudes and holds one conjugate list beside them.
     Every w |g|^2 goes into one fsum as w re^2 and w im^2 (w a power of
     two), leaf by leaf, so no list of all 3^n parts is held.
     detect states the rounding margin of the result.
     """
     dense_limit(n)
-    signs = [1.0]
-    for _ in range(n):
-        signs += [-s for s in signs]  # (-1)^popcount(b)
-    sa = list(map(mul, amplitudes, signs))
     ca = [z.conjugate() for z in amplitudes]
 
     def decide(a, c, run, sums, w):
@@ -90,7 +90,7 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
         if run == 1:
             g = map(mul, a, c)
             for _ in range(sums):
-                g = map(add, g, g)  # one iterator twice: each neighbouring pair
+                g = map(sub, g, g)  # one iterator twice: each neighbouring pair, v bit 0 minus v bit 1
             g = list(g)
             yield [w * z.real * z.real for z in g] + [w * z.imag * z.imag for z in g]
             return
@@ -102,24 +102,25 @@ def _pure_norm_sq(n: int, amplitudes) -> float:
             a, c, w = a[:h], c[:h], 2 * w
         yield from decide(a, c, half, sums, 2 * w)
 
-    return math.fsum(chain.from_iterable(decide(sa, ca, 1 << n, 0, 1)))
+    return math.fsum(chain.from_iterable(decide(amplitudes, ca, 1 << n, 0, 1)))
 
 
-def _normalized(parts: list, weights: bool = False):
-    """parts over their norm, part by part, as an iterator: the one
-    normalization rule of state files, PureState and MixedEnsemble.
+def _checked_norm(terms, weights: bool = False) -> float:
+    """The divisor of the one normalization rule of state files,
+    PureState and MixedEnsemble, each of which divides every part by it
+    once, in its own form.
 
-    parts lists floats: a vector's real and imaginary parts in turn, whose
-    norm is the root of the fsum of their squares (the same floats from a
-    list of Python complex and from a complex128 array), or, if weights,
-    a mixture's weights, whose norm is their fsum.  A norm more than
-    RAW_NORM_TOL from 1 raises ValueError, and one more than 1e-12 from 1
-    warns, naming the first caller outside the package.  detect states
-    the residual of the result.
+    terms are floats: a vector's squared real and imaginary parts, whose
+    norm is the root of their fsum (a part squares to the same float in
+    Python and in numpy), or, if weights, a mixture's weights, whose norm
+    is their fsum.  A norm more than RAW_NORM_TOL from 1 raises
+    ValueError, and one more than 1e-12 from 1 warns, naming the first
+    caller outside the package.  detect states the residual of the
+    divided parts.
     """
     what, norm = ("ensemble weights", "sum") if weights else ("amplitudes", "norm")
     try:
-        total = math.fsum(parts) if weights else math.sqrt(math.fsum(map(mul, parts, parts)))
+        total = math.fsum(terms) if weights else math.sqrt(math.fsum(terms))
     except OverflowError:  # finite squares, or weights, whose sum is past the float range
         total = math.inf
     if total == math.inf:  # a square past the float range rounds to inf and raises nothing
@@ -131,12 +132,12 @@ def _normalized(parts: list, weights: bool = False):
         while frame is not None and frame.f_globals.get("__package__") == __package__:
             frame, level = frame.f_back, level + 1
         warnings.warn(f"renormalizing {what} ({norm} was {total})", stacklevel=level)
-    return map(truediv, parts, repeat(total))
+    return total
 
 
 def _parse_amplitudes(raw, n: int) -> tuple:
-    """A state file's 'amplitudes' list as 2^n Python complex, normalized
-    by _normalized; a bad list raises ValueError."""
+    """A state file's 'amplitudes' list as 2^n Python complex, each part
+    divided by _checked_norm; a bad list raises ValueError."""
     # no list reaches 2^64 entries, so a larger n is refused without forming 1 << n
     if not isinstance(raw, list) or len(raw) != 1 << min(n, 64):
         raise ValueError(f"'amplitudes' must list exactly 2^{_short.repr(n)} entries")
@@ -148,7 +149,7 @@ def _parse_amplitudes(raw, n: int) -> tuple:
             parts += map(float, item)
         except OverflowError:  # an integer part past the float range
             raise ValueError(f"amplitude {i} has a part past the float range: {_short.repr(item)}") from None
-    parts = _normalized(parts)
+    parts = map(truediv, parts, repeat(_checked_norm(map(mul, parts, parts))))
     return tuple(map(complex, parts, parts))
 
 
@@ -168,7 +169,7 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
 
     The margin covers both float sums of the package; u = 2^-53.  Each
     sums the tensor of the operator sum_i w_i a_i a_i^+, its weights w
-    and members a all given by _normalized: the kernel's a is a state
+    and members a all divided by _checked_norm: the kernel's a is a state
     file's (one member, w = 1), the dense sweep's (full_tensor) are a
     mixture's.  The state is its exact normalization, sum_i (w_i / W)
     a_i a_i^+ / S_i with W = sum w_i and S_i = |a_i|^2.  The rule's
@@ -176,16 +177,19 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     part is divided once (u), so each S_i is within 6u of 1, and W, the
     quotients of one fsum, within 2u (to first order; a square or a
     quotient that underflows errs by at most 2^-1075): delta = 9u bounds
-    every |W S_i - 1|.  The exact tensor of the operator then differs
-    from the state's by sum_i (w_i / W) (W S_i - 1) T_i, T_i the tensor
-    of the pure state a_i / sqrt(S_i), of norm at most 2^(n/2) (a pure
-    state's 4^n squared Pauli expectations sum to 2^n): by at most
-    delta r, r = 3^(n/2).
+    every |W S_i - 1|.  PureState squares and divides its float64 parts
+    in numpy, one IEEE operation each, correctly rounded as in Python,
+    so the count holds for it too.  The exact tensor of the operator
+    then differs from the state's by sum_i (w_i / W) (W S_i - 1) T_i,
+    T_i the tensor of the pure state a_i / sqrt(S_i), of norm at most
+    2^(n/2) (a pure state's 4^n squared Pauli expectations sum to 2^n):
+    by at most delta r, r = 3^(n/2).
     The kernel's squared norm is |G|^2 for the vector G of the 3^n values
     sqrt(2^|x|) g_x(u), each g a sum of at most 2^n products
     a[u, v] conj(a[ubar, v]).  A complex product is within sqrt(5) u of
-    its value, and a pairwise fold of depth at most n adds n u times the
-    sum of the magnitudes.  So each g is within (n + sqrt(5)) u S_u,
+    its value, and a pairwise fold of depth at most n (a level that
+    subtracts rounds as one that adds) adds n u times the sum of the
+    magnitudes.  So each g is within (n + sqrt(5)) u S_u,
     where S_u = sum_v |a[u, v]| |a[ubar, v]| <= |a_u| |a_ubar|
     (Cauchy-Schwarz over v).  Over u, sum |a_u|^2 |a_ubar|^2 <= S^2, so
     the error vector of G is at most (n + sqrt(5)) u r S <= e' r,
@@ -207,8 +211,8 @@ def detect(norm_sq: float, n: int, k: int) -> XiResult:
     rounding of the margin itself (a relative 8u) once c >= 10u, and
     4u norm_sq, for the squaring and summing and its two subtractions.
     """
-    if norm_sq < 0:
-        raise ValueError(f"squared norm must be nonnegative, got {norm_sq}")
+    if not 0 <= norm_sq < math.inf:  # NaN fails this too
+        raise ValueError(f"squared norm must be a finite nonnegative number, got {norm_sq}")
     d = k_sep_bound(n, k).bound_sq
     num, den = norm_sq.as_integer_ratio()
     return XiResult(n, k, norm_sq, float(d), num / (den * d), _outcome(_lower_bound(norm_sq, n), d))

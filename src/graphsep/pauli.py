@@ -191,15 +191,19 @@ class CorrelationTensor:
 
 
 def _checked_amplitudes(n: int, values):
-    """values as a read-only complex128 array of 2^n amplitudes, normalized by amplitudes._normalized."""
+    """values as a new read-only complex128 array of 2^n amplitudes, each
+    real and imaginary part divided by amplitudes._checked_norm."""
     np = require_numpy()
 
     amps = np.asarray(values, dtype=np.complex128)
     # no vector reaches 2^64 entries, so a larger n is refused without forming 1 << n
     if amps.shape != (1 << min(n, 64),):
         raise ValueError(f"expected 2^{_short.repr(n)} amplitudes, got {amps.shape}")
-    parts = amps.ravel().view(np.float64).tolist()  # ravel: a contiguous copy of a strided vector
-    amps = np.fromiter(amplitudes._normalized(parts), np.float64, len(parts)).view(np.complex128)
+    parts = np.ascontiguousarray(amps).view(np.float64)  # a strided vector is copied first
+    with np.errstate(over="ignore"):  # a square past the float range is inf, which the rule refuses
+        squares = parts * parts
+    # .data, a memoryview, reads the squares as Python floats without a list of them
+    amps = (parts / amplitudes._checked_norm(squares.data)).view(np.complex128)
     amps.setflags(write=False)
     return amps
 
@@ -207,8 +211,8 @@ def _checked_amplitudes(n: int, values):
 class PureState:
     """Normalized n-qubit state vector (qubit 1 = most significant bit).
 
-    Its amplitudes take amplitudes._normalized, the rule a state file's
-    take, and come out bit for bit as the file reader's.
+    Its amplitudes take amplitudes._checked_norm, the rule a state
+    file's take, and come out bit for bit as the file reader's.
 
     ``stabilizer`` is a stabilizer source of the state (graphs) when a
     constructor in graphsep.states knows one: the GraphSpec of a graph
@@ -250,7 +254,7 @@ class PureState:
 
 class MixedEnsemble:
     """Convex mixture of pure states, stored as (weight, state) terms, the
-    weights normalized by amplitudes._normalized; ensembles compare by identity."""
+    weights divided by amplitudes._checked_norm; ensembles compare by identity."""
 
     def __init__(self, terms):
         terms = tuple((float(w), st) for w, st in terms)
@@ -258,11 +262,11 @@ class MixedEnsemble:
             raise ValueError("ensemble needs at least one term")
         if any(w <= 0 for w, _ in terms):
             raise ValueError("all ensemble weights must be positive")
-        weights = amplitudes._normalized([w for w, _ in terms], weights=True)
+        total = amplitudes._checked_norm([w for w, _ in terms], weights=True)
         n = terms[0][1].n
         if any(st.n != n for _, st in terms):
             raise ValueError("all ensemble members must have the same qubit count")
-        self.terms = tuple(zip(weights, (st for _, st in terms)))
+        self.terms = tuple((w / total, st) for w, st in terms)
 
     def __repr__(self) -> str:
         return f"MixedEnsemble(terms={self.terms!r})"

@@ -56,12 +56,18 @@ def _state(n, kind, rng):
     return [z / norm for z in amps]
 
 
-@pytest.mark.parametrize("kind", ["complex", "real", "float", "sparse"])
+@pytest.mark.parametrize("kind", ["complex", "real", "float", "sparse", "loaded"])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_kernel_sums_in_the_reference_order(n, kind):
+    # "loaded": the state file reader's type, a tuple of Python complex,
+    # which the kernel folds as it is stored
     rng = random.Random(f"{n}-{kind}")
     for _ in range(3):
-        amps = _state(n, kind, rng)
+        if kind == "loaded":
+            amps = amplitudes._parse_amplitudes([[z.real, z.imag] for z in _state(n, "complex", rng)], n)
+            assert type(amps) is tuple
+        else:
+            amps = _state(n, kind, rng)
         assert amplitudes._pure_norm_sq(n, amps).hex() == _reference_norm_sq(n, amps).hex()
 
 

@@ -198,6 +198,32 @@ def test_library_and_file_amplitudes_agree_bit_for_bit():
         assert [(w.filename, w.lineno) for w in file] == [(__file__, file_line)] * want
 
 
+def test_numpy_arithmetic_on_the_callers_vector_warns_nothing():
+    # PureState squares and divides the parts in numpy; under an error
+    # filter, a strided array still gives the file reader's floats, and a
+    # part past the root of the float range its message, with no
+    # RuntimeWarning from numpy on the way
+    rng = random.Random(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(1, 8):
+            a = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2 << n)])
+            a /= np.sqrt(np.vdot(a[::2], a[::2]).real)
+            state = PureState(n, a[::2])
+            parsed = _parse_amplitudes([[z.real, z.imag] for z in a[::2].tolist()], n)
+            assert [x.hex() for z in state.amplitudes.tolist() for x in (z.real, z.imag)] == [
+                x.hex() for z in parsed for x in (z.real, z.imag)
+            ]
+        for big in (1e155, 1e155j):
+            with pytest.raises(ValueError) as library:
+                PureState(2, np.array([big, 0, 0, 0], dtype=complex))
+            with pytest.raises(ValueError) as file:
+                _parse_amplitudes([[big.real, big.imag], [0, 0], [0, 0], [0, 0]], 2)
+            assert str(library.value) == str(file.value) == (
+                "amplitudes have a norm past the float range, more than 1e-06 from 1"
+            )
+
+
 @pytest.mark.parametrize(
     "keys,values,message",
     [

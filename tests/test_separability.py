@@ -239,6 +239,13 @@ def test_detect_examples():
         detect(-0.5, 6, 2)
 
 
+@pytest.mark.parametrize("norm_sq", [math.nan, math.inf, -math.inf, -1.0])
+def test_detect_refuses_a_squared_norm_that_is_not_finite_and_nonnegative(norm_sq):
+    message = f"squared norm must be a finite nonnegative number, got {norm_sq}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        detect(norm_sq, 3, 2)
+
+
 def test_detect_margin_covers_float_rounding():
     # (c|0> + s|1>)^3, with c and s the floats of cos and sin 0.01, has the
     # exact squared norm 1 - 1.6e-17, below the full-separability bound 1,
